@@ -62,6 +62,15 @@
 //! the cross-run table (`median_ns` = bytes per Born iteration, exact,
 //! so any drift against the committed baseline is a real change).
 //!
+//! The same family carries the distributed rung of the ladder,
+//! `comm45_plan_vs_local_{dace,omen}_r2_quick`: `gflops` = the warm plan
+//! kernel's wall ÷ the warm `TransformedKernel`'s on the same tensors in
+//! the same process, `n` = the host's cores. A `comm45` file without the
+//! DaCe record fails; with two or more cores its ratio must not exceed
+//! [`MAX_PLAN_VS_LOCAL`] (each rank runs the local kernel's stages on
+//! half the atoms). These records stay out of the volume band and, being
+//! a within-run ratio, out of the cross-run table.
+//!
 //! `--trace-out PATH` adds a trace-artifact check (and may run with zero
 //! baseline/fresh pairs): `PATH` must be well-formed chrome://tracing
 //! JSON containing at least one `gf_phase`, one `sse_phase`, and one
@@ -107,7 +116,15 @@ fn gated(name: &str) -> bool {
         && !name.contains("fault")
         && !name.contains("trace")
         && !name.contains("sched")
+        && !name.contains(PLAN_VS_LOCAL)
 }
+
+/// Name stem of the plan-wall ÷ local-wall ladder records.
+const PLAN_VS_LOCAL: &str = "comm45_plan_vs_local_";
+
+/// Ceiling on the 2-rank DaCe plan's wall over the single-address-space
+/// transformed kernel's, on hosts with a core per rank.
+const MAX_PLAN_VS_LOCAL: f64 = 1.5;
 
 /// Outcome of one baseline/fresh pair.
 struct PairOutcome {
@@ -397,6 +414,7 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
         let legs: Vec<&BenchRecord> = fresh
             .iter()
             .filter(|r| r.name.starts_with("comm45_") && r.name.ends_with("_quick"))
+            .filter(|r| !r.name.starts_with(PLAN_VS_LOCAL))
             .collect();
         if legs.is_empty() {
             eprintln!(
@@ -420,6 +438,34 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
                 );
                 out.failed_floors += 1;
             }
+        }
+        // The distributed ladder rung: both walls come from one process.
+        for rung in fresh.iter().filter(|r| r.name.starts_with(PLAN_VS_LOCAL)) {
+            println!(
+                "within-run: {} took {:.2}x the local transformed kernel on {} cores",
+                rung.name, rung.gflops, rung.n
+            );
+        }
+        match find("comm45_plan_vs_local_dace_r2") {
+            None => {
+                eprintln!(
+                    "perf_check: {fresh_path} has comm45 records but no DaCe plan-vs-local \
+                     rung — the distributed leg of the ladder is missing; failing"
+                );
+                out.failed_floors += 1;
+            }
+            Some(rung) if rung.n < 2 => {
+                println!("within-run: single-core bench host — plan-vs-local ceiling not applied")
+            }
+            Some(rung) if rung.gflops.is_nan() || rung.gflops > MAX_PLAN_VS_LOCAL => {
+                eprintln!(
+                    "perf_check: the DaCe plan ran {:.2}x the local transformed kernel, above \
+                     the {MAX_PLAN_VS_LOCAL:.2}x ceiling",
+                    rung.gflops
+                );
+                out.failed_floors += 1;
+            }
+            Some(_) => {}
         }
     }
     out

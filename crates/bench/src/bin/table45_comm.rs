@@ -24,11 +24,21 @@
 //! `gflops` = the measured/model volume ratio that `perf_check` bands
 //! with `--min-comm-ratio`/`--max-comm-ratio`. Without `--execute` the
 //! bin only prints the model volumes for the legs it would run.
+//!
+//! The last thing `--execute` does is the distributed rung of the
+//! ladder: on one set of `G^≷`/`D^≷` tensors, in this process, it times a
+//! warm `TransformedKernel` and both warm plan kernels on 2 ranks and
+//! records `comm45_plan_vs_local_{dace|omen}_r2[_quick]` with `n` = the
+//! host's cores, `median_ns` = the plan's wall and `gflops` = plan wall ÷
+//! local wall. The DaCe plan runs the local kernel's stages on half the
+//! atoms per rank, so with two cores `perf_check` holds its ratio to 1.5.
 use omen_bench::{
-    header, json_flag, quick_flag, row, write_bench_json, BenchRecord, BENCH_SWEEPS_JSON_PATH,
+    header, json_flag, quick_flag, row, timed_median, write_bench_json, BenchRecord,
+    BENCH_SWEEPS_JSON_PATH,
 };
 use omen_comm::{tiling_for_ranks, CommPlan, OpKind, PlanKernel};
-use omen_core::{ExecutorKind, Simulation, SimulationConfig};
+use omen_core::{ExecutorKind, Simulation, SimulationConfig, SseKernel, TransformedKernel};
+use omen_device::DeviceConfig;
 use omen_perf::{attribute, dace_volume_with, omen_volume, AttributionModel, SimParams};
 use omen_trace as trace;
 
@@ -173,6 +183,59 @@ fn run_leg(params: &SimParams, plan: CommPlan, ranks: usize, iters: usize) -> (u
     (measured, measured as f64 / model_bytes(params, plan, ranks))
 }
 
+/// The distributed ladder rung: both plan kernels on 2 ranks against the
+/// single-address-space transformed kernel, all warm, on the tensors of
+/// one GF phase of a 48-atom slice whose SSE takes tens of milliseconds
+/// (rank threads and payloads are then a small part of the plan's wall).
+fn plan_vs_local(suffix: &str, reps: usize) -> Vec<BenchRecord> {
+    const RANKS: usize = 2;
+    let cfg = SimulationConfig {
+        device: DeviceConfig {
+            nx: 12,
+            ..DeviceConfig::demo()
+        },
+        nk: 2,
+        ne: 24,
+        nw: 2,
+        ..SimulationConfig::demo()
+    };
+    let sim = Simulation::new(cfg).expect("ladder config is valid");
+    let gf = sim.gf_phase();
+    let prob = sim.sse_problem();
+    let wall_s = |kernel: &mut dyn SseKernel| {
+        let mut run = || {
+            std::hint::black_box(kernel.run(&prob, &gf.g_l, &gf.g_g, &gf.d_l, &gf.d_g).flops);
+        };
+        run();
+        timed_median(reps, run)
+    };
+    let local_s = wall_s(&mut TransformedKernel::new());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "\nplan vs local on {} atoms, {RANKS} ranks, {cores} cores: transformed kernel {:.1} ms",
+        prob.na(),
+        local_s * 1e3
+    );
+    [CommPlan::Dace, CommPlan::Omen]
+        .into_iter()
+        .map(|plan| {
+            let plan_s = wall_s(&mut PlanKernel::new(plan, RANKS));
+            println!(
+                "  {} plan {:.1} ms = {:.2}x local",
+                plan.name(),
+                plan_s * 1e3,
+                plan_s / local_s
+            );
+            BenchRecord {
+                name: format!("comm45_plan_vs_local_{}_r{RANKS}{suffix}", plan.name()),
+                n: cores,
+                median_ns: plan_s * 1e9,
+                gflops: plan_s / local_s,
+            }
+        })
+        .collect()
+}
+
 fn execute_legs(params: &SimParams, quick: bool) {
     let suffix = if quick { "_quick" } else { "" };
     let iters = if quick { 3 } else { 4 };
@@ -215,6 +278,7 @@ fn execute_legs(params: &SimParams, quick: bool) {
     }
     println!("\nratio = measured/model; the model over-approximates halos (c = Nb), so");
     println!("ratios below 1 are expected at tiny scale — perf_check bands them.");
+    records.extend(plan_vs_local(suffix, if quick { 3 } else { 7 }));
 
     if json_flag() {
         write_bench_json(BENCH_SWEEPS_JSON_PATH, &records).expect("write BENCH_sweeps.json");

@@ -18,8 +18,8 @@
 //!
 //! Around those sit [`staging`] (§7.1.1 chunked-broadcast ingestion, plus
 //! a checksummed retransmitting frame protocol), [`netmodel`] (analytic
-//! network timing), and [`sse_state`]/[`plan_common`] (per-rank tensor
-//! state and result assembly).
+//! network timing), and [`sse_state`]/[`plan_common`] (the OMEN plan's
+//! per-rank row stores, and result assembly for both plans).
 //!
 //! The measured side of Tables 4/5 comes out of the [`VolumeLedger`]
 //! every operation records into; the analytic side lives in `omen-perf`,
@@ -64,8 +64,10 @@ pub mod topology;
 pub mod transport;
 pub mod volume;
 
-pub use dace_plan::{run_dace_plan, tile_atoms_with_halo, tile_d_entries, tile_pi_entries};
-pub use mpi_sim::{payload_bytes, run_world, Comm};
+pub use dace_plan::{
+    run_dace_plan, tile_atoms_with_halo, tile_d_entries, tile_pi_entries, DacePlan, DaceTile,
+};
+pub use mpi_sim::{payload_bytes, run_world, run_world_on, Comm};
 pub use netmodel::Network;
 pub use omen_plan::run_omen_plan;
 pub use plan_common::{CombinedG, PlanResult, RankSse};

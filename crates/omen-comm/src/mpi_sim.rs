@@ -191,23 +191,35 @@ where
     R: Send,
     F: Fn(Comm) -> R + Sync,
 {
-    assert!(nranks >= 1);
-    let world = crate::transport::channel_world(nranks);
-    let mut results: Vec<Option<R>> = (0..nranks).map(|_| None).collect();
+    run_world_on(&mut vec![(); nranks], ledger, |comm, _| f(comm))
+}
+
+/// [`run_world`] over one persistent state per rank: rank `r` runs `f`
+/// with exclusive access to `states[r]`, so buffers a plan sized on its
+/// first execution stay warm for the next.
+pub fn run_world_on<S, R, F>(states: &mut [S], ledger: VolumeLedger, f: F) -> Vec<R>
+where
+    S: Send,
+    R: Send,
+    F: Fn(Comm, &mut S) -> R + Sync,
+{
+    assert!(!states.is_empty(), "a world needs at least one rank");
+    let world = crate::transport::channel_world(states.len());
     std::thread::scope(|s| {
         let handles: Vec<_> = world
             .into_iter()
-            .map(|transport| {
+            .zip(states.iter_mut())
+            .map(|(transport, state)| {
                 let ledger = ledger.clone();
                 let f = &f;
-                s.spawn(move || f(Comm::from_transport(Box::new(transport), ledger)))
+                s.spawn(move || f(Comm::from_transport(Box::new(transport), ledger), state))
             })
             .collect();
-        for (rank, h) in handles.into_iter().enumerate() {
-            results[rank] = Some(h.join().expect("rank panicked"));
-        }
-    });
-    results.into_iter().map(|r| r.unwrap()).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]

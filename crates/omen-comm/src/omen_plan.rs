@@ -11,12 +11,12 @@
 //! multiplicative communication volume the data-centric variant removes.
 
 use crate::mpi_sim::{run_world, Comm};
-use crate::plan_common::{assemble, initial_d, initial_g, CombinedG, PlanResult, RankSse};
+use crate::plan_common::{assemble, CombinedG, PlanResult, RankSse};
 use crate::sse_state::{LocalD, LocalG};
 use crate::topology::OmenGrid;
 use crate::volume::VolumeLedger;
-use omen_linalg::C64;
-use omen_sse::{pi_round_update, sigma_round_update, DTensor, GTensor, SseProblem};
+use omen_linalg::{Workspace, C64};
+use omen_sse::{pi_round_update_into, sigma_round_update_ws, DTensor, GTensor, SseProblem};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The `(k', e')` rows rank `r` must fetch in round `(q, m)`, excluding
@@ -66,8 +66,6 @@ pub fn run_omen_plan(
 
     let outputs = run_world(nranks, ledger.clone(), |comm: Comm| {
         let me = comm.rank();
-        let (gl_own, gg_own) = initial_g(prob, grid, me, g_l, g_g);
-        let (dl_own, dg_own) = initial_d(prob, grid, me, d_l, d_g);
         let owned = grid.owned_pairs(me);
 
         // Σ accumulators for owned pairs.
@@ -77,6 +75,10 @@ pub fn run_omen_plan(
             .collect();
         // Π results for owned phonon points.
         let mut pi_out: crate::plan_common::RankRows = Vec::new();
+        // One scratch workspace and one Π update list for the whole rank.
+        let mut ws = Workspace::new();
+        let mut pi_updates = Vec::new();
+        let mut flops = 0u64;
 
         for q in 0..prob.nq {
             for m in 0..prob.nw {
@@ -84,21 +86,13 @@ pub fn run_omen_plan(
                 let base_tag = round * 8;
                 let root = grid.owner_phonon(q, m, prob.nw);
 
-                // --- 1. broadcast D^≷(q, m) ---
-                let mut row_l = if me == root {
-                    (0..nentries)
-                        .flat_map(|en| dl_own.get_block(q, m, en).to_vec())
-                        .collect()
-                } else {
-                    Vec::new()
+                // --- 1. broadcast D^≷(q, m) from the rank the GF phase
+                // left it on ---
+                let owned_row = |d: &DTensor| -> Vec<C64> {
+                    let entries = if me == root { 0..nentries } else { 0..0 };
+                    entries.flat_map(|en| d.block(q, m, en)).copied().collect()
                 };
-                let mut row_g = if me == root {
-                    (0..nentries)
-                        .flat_map(|en| dg_own.get_block(q, m, en).to_vec())
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                let (mut row_l, mut row_g) = (owned_row(d_l), owned_row(d_g));
                 comm.bcast(root, base_tag, &mut row_l);
                 comm.bcast(root, base_tag + 1, &mut row_g);
                 let mut round_dl = LocalD::new(nentries);
@@ -121,11 +115,10 @@ pub fn run_omen_plan(
                     }
                     let mut buf = Vec::with_capacity(to_send.len() * 2 * na * bsz);
                     for &(k, e) in &to_send {
-                        for a in 0..na {
-                            buf.extend_from_slice(gl_own.get_block(k, e, a));
-                        }
-                        for a in 0..na {
-                            buf.extend_from_slice(gg_own.get_block(k, e, a));
+                        for g in [g_l, g_g] {
+                            for a in 0..na {
+                                buf.extend_from_slice(g.block(k, e, a));
+                            }
                         }
                     }
                     comm.send(r, base_tag + 2, buf);
@@ -150,26 +143,35 @@ pub fn run_omen_plan(
                         extra_g.insert_row(k, e, buf[off + na * bsz..off + 2 * na * bsz].to_vec());
                     }
                 }
-                let view_l = CombinedG {
-                    own: &gl_own,
-                    extra: &extra_l,
+                let view = |own, extra| CombinedG {
+                    owns: |k, e| grid.owner_pair(k, e) == me,
+                    own,
+                    extra,
                 };
-                let view_g = CombinedG {
-                    own: &gg_own,
-                    extra: &extra_g,
-                };
+                let (view_l, view_g) = (view(g_l, &extra_l), view(g_g, &extra_g));
 
                 // --- 3. compute Σ and partial Π ---
                 let mut pi_partial_l = vec![C64::ZERO; nentries * 9];
                 let mut pi_partial_g = vec![C64::ZERO; nentries * 9];
                 for &(k, e) in &owned {
                     let (acc_l, acc_g) = sig.get_mut(&(k, e)).unwrap();
-                    sigma_round_update(
+                    flops += sigma_round_update_ws(
                         prob, q, m, k, e, &view_l, &view_g, &round_dl, &round_dg, acc_l, acc_g,
+                        &mut ws,
                     );
-                    for (p, c_l, c_g) in
-                        pi_round_update(prob, q, m, k, e, &view_l, &view_g, &all_pairs)
-                    {
+                    flops += pi_round_update_into(
+                        prob,
+                        q,
+                        m,
+                        k,
+                        e,
+                        &view_l,
+                        &view_g,
+                        &all_pairs,
+                        &mut ws,
+                        &mut pi_updates,
+                    );
+                    for &(p, c_l, c_g) in &pi_updates {
                         let a = prob.device.neighbors.pairs[p].from;
                         let de = prob.npairs() + a;
                         for x in 0..9 {
@@ -196,6 +198,7 @@ pub fn run_omen_plan(
                 .map(|((k, e), (l, g))| ((k, e), l, g))
                 .collect(),
             pi: pi_out,
+            flops,
         }
     });
 

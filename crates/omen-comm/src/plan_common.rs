@@ -1,10 +1,9 @@
-//! Shared scaffolding of the distributed SSE plans: initial data
-//! distributions, rank outputs, and result assembly.
+//! Shared scaffolding of the distributed SSE plans: rank outputs, result
+//! assembly, and the OMEN plan's per-round view of `G^≷`.
 
-use crate::sse_state::{LocalD, LocalG};
-use crate::topology::OmenGrid;
+use crate::sse_state::LocalG;
 use omen_linalg::C64;
-use omen_sse::{DLayout, DTensor, GBlocks, GLayout, GTensor, SseProblem};
+use omen_sse::{DLayout, GBlocks, GLayout, GTensor, SseOutput, SseProblem};
 
 /// Per-point lesser/greater row pair keyed by its grid point: one rank's
 /// share of a tensor, as `((i, j), row_l, row_g)` triples.
@@ -16,127 +15,88 @@ pub struct RankSse {
     pub sigma: RankRows,
     /// Owned `Π^≷(q, m)` rows (full `nentries · 9`, unscaled).
     pub pi: RankRows,
+    /// Flops the rank's stages performed.
+    pub flops: u64,
 }
 
 /// Assembled plan output (scaled; comparable to
-/// [`omen_sse::reference::sse_reference`]).
-pub struct PlanResult {
-    /// `Σ^<` in `PairMajor` layout.
-    pub sigma_l: GTensor,
-    /// `Σ^>`.
-    pub sigma_g: GTensor,
-    /// `Π^<` in `PointMajor` layout.
-    pub pi_l: DTensor,
-    /// `Π^>`.
-    pub pi_g: DTensor,
+/// [`omen_sse::reference::sse_reference`]): `Σ^≷` in `PairMajor`, `Π^≷` in
+/// `PointMajor` layout, `flops` summed over the ranks in rank order.
+pub type PlanResult = SseOutput;
+
+/// One owned row pair as `((i, j), row_l, row_g)`, borrowed from a rank.
+pub type RowRef<'r> = ((usize, usize), &'r [C64], &'r [C64]);
+
+/// Shapes `out` as a zeroed plan output: `Σ^≷` `PairMajor`, `Π^≷`
+/// `PointMajor`, no flops. Allocation-free once `out` is warm.
+pub fn reset_output(prob: &SseProblem, out: &mut SseOutput) {
+    let (na, norb) = (prob.na(), prob.norb());
+    for sigma in [&mut out.sigma_l, &mut out.sigma_g] {
+        sigma.reset(prob.nk, prob.ne, na, norb, GLayout::PairMajor);
+    }
+    for pi in [&mut out.pi_l, &mut out.pi_g] {
+        pi.reset(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
+    }
+    out.flops = 0;
 }
 
-/// Extracts the initial per-rank `G^≷` distribution: the `(k, e)` rows the
-/// GF phase left on this rank (no communication — this is the plan's
-/// starting state).
-pub fn initial_g(
+/// Writes one rank's owned rows into the (reset) output, applying the
+/// problem scales. Every `(k, e)` and `(q, m)` has exactly one owner, so
+/// rows are stored, not accumulated.
+pub fn deposit_rows<'r>(
     prob: &SseProblem,
-    grid: &OmenGrid,
-    rank: usize,
-    g_l: &GTensor,
-    g_g: &GTensor,
-) -> (LocalG, LocalG) {
-    let bsz = prob.norb() * prob.norb();
-    let na = prob.na();
-    let mut ll = LocalG::new(na, bsz);
-    let mut lg = LocalG::new(na, bsz);
-    for (k, e) in grid.owned_pairs(rank) {
-        let mut row_l = Vec::with_capacity(na * bsz);
-        let mut row_g = Vec::with_capacity(na * bsz);
-        for a in 0..na {
-            row_l.extend_from_slice(g_l.block(k, e, a));
-            row_g.extend_from_slice(g_g.block(k, e, a));
+    out: &mut SseOutput,
+    sigma: impl IntoIterator<Item = RowRef<'r>>,
+    pi: impl IntoIterator<Item = RowRef<'r>>,
+) {
+    fn store(dst: &mut [C64], o: usize, src: &[C64], scale: f64) {
+        for (d, s) in dst[o..o + src.len()].iter_mut().zip(src) {
+            *d = s.scale(scale);
         }
-        ll.insert_row(k, e, row_l);
-        lg.insert_row(k, e, row_g);
     }
-    (ll, lg)
+    for ((k, e), row_l, row_g) in sigma {
+        let o = out.sigma_l.offset(k, e, 0);
+        store(out.sigma_l.as_mut_slice(), o, row_l, prob.scale_sigma);
+        store(out.sigma_g.as_mut_slice(), o, row_g, prob.scale_sigma);
+    }
+    for ((q, m), row_l, row_g) in pi {
+        let o = out.pi_l.offset(q, m, 0);
+        store(out.pi_l.as_mut_slice(), o, row_l, prob.scale_pi);
+        store(out.pi_g.as_mut_slice(), o, row_g, prob.scale_pi);
+    }
 }
 
-/// Extracts the initial per-rank `D^≷` distribution (phonon-point owners).
-pub fn initial_d(
-    prob: &SseProblem,
-    grid: &OmenGrid,
-    rank: usize,
-    d_l: &DTensor,
-    d_g: &DTensor,
-) -> (LocalD, LocalD) {
-    let nentries = prob.npairs() + prob.na();
-    let mut ll = LocalD::new(nentries);
-    let mut lg = LocalD::new(nentries);
-    for q in 0..prob.nq {
-        for m in 0..prob.nw {
-            if grid.owner_phonon(q, m, prob.nw) == rank {
-                let mut row_l = Vec::with_capacity(nentries * 9);
-                let mut row_g = Vec::with_capacity(nentries * 9);
-                for en in 0..nentries {
-                    row_l.extend_from_slice(d_l.block(q, m, en));
-                    row_g.extend_from_slice(d_g.block(q, m, en));
-                }
-                ll.insert_row(q, m, row_l);
-                lg.insert_row(q, m, row_g);
-            }
-        }
-    }
-    (ll, lg)
+fn row_refs(rows: &RankRows) -> impl Iterator<Item = RowRef<'_>> {
+    rows.iter().map(|(at, l, g)| (*at, &l[..], &g[..]))
 }
 
 /// Assembles rank outputs into full tensors, applying the problem scales.
 pub fn assemble(prob: &SseProblem, rank_outputs: Vec<RankSse>) -> PlanResult {
-    let norb = prob.norb();
-    let bsz = norb * norb;
-    let na = prob.na();
-    let mut sigma_l = GTensor::zeros(prob.nk, prob.ne, na, norb, GLayout::PairMajor);
-    let mut sigma_g = GTensor::zeros(prob.nk, prob.ne, na, norb, GLayout::PairMajor);
-    let mut pi_l = DTensor::zeros(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
-    let mut pi_g = DTensor::zeros(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
-    for out in rank_outputs {
-        for ((k, e), row_l, row_g) in out.sigma {
-            for a in 0..na {
-                for (x, v) in sigma_l.block_mut(k, e, a).iter_mut().enumerate() {
-                    *v += row_l[a * bsz + x].scale(prob.scale_sigma);
-                }
-                for (x, v) in sigma_g.block_mut(k, e, a).iter_mut().enumerate() {
-                    *v += row_g[a * bsz + x].scale(prob.scale_sigma);
-                }
-            }
-        }
-        let nentries = prob.npairs() + na;
-        for ((q, m), row_l, row_g) in out.pi {
-            for en in 0..nentries {
-                for x in 0..9 {
-                    pi_l.block_mut(q, m, en)[x] += row_l[en * 9 + x].scale(prob.scale_pi);
-                    pi_g.block_mut(q, m, en)[x] += row_g[en * 9 + x].scale(prob.scale_pi);
-                }
-            }
-        }
+    let mut out = SseOutput::empty();
+    reset_output(prob, &mut out);
+    for rank in &rank_outputs {
+        deposit_rows(prob, &mut out, row_refs(&rank.sigma), row_refs(&rank.pi));
+        out.flops += rank.flops;
     }
-    PlanResult {
-        sigma_l,
-        sigma_g,
-        pi_l,
-        pi_g,
-    }
+    out
 }
 
-/// A read-through view over two `LocalG` stores: the rank's resident data
-/// plus the blocks received this round.
-pub struct CombinedG<'a> {
-    /// Resident store.
-    pub own: &'a LocalG,
+/// A rank's view of `G^≷` in one round: the rows the GF phase left on it
+/// (read in place from the phase's output) plus the rows received this
+/// round. A row that is neither is not resident, and reading it panics.
+pub struct CombinedG<'a, F: Fn(usize, usize) -> bool> {
+    /// `true` for the `(k, e)` rows this rank owns.
+    pub owns: F,
+    /// The GF phase's tensor; only owned rows may be read.
+    pub own: &'a GTensor,
     /// Received-this-round store.
     pub extra: &'a LocalG,
 }
 
-impl GBlocks for CombinedG<'_> {
+impl<F: Fn(usize, usize) -> bool> GBlocks for CombinedG<'_, F> {
     fn gblock(&self, k: usize, e: usize, a: usize) -> &[C64] {
-        if self.own.has(k, e) {
-            self.own.get_block(k, e, a)
+        if (self.owns)(k, e) {
+            self.own.block(k, e, a)
         } else {
             self.extra.get_block(k, e, a)
         }

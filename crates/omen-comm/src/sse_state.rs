@@ -1,18 +1,17 @@
-//! Per-rank block stores for the distributed SSE plans.
+//! Per-rank row stores of the OMEN plan.
 //!
-//! A rank never holds the full 5-D/6-D tensors; it holds the blocks its
-//! decomposition assigns it (plus halos), keyed by grid point. The stores
-//! implement the `omen-sse` access traits so the point kernels run
-//! unchanged on distributed data.
+//! A rank never holds the full 5-D/6-D tensors; it holds the rows its
+//! decomposition assigns it plus the rows each round delivers, keyed by
+//! grid point. The stores implement the `omen-sse` access traits so the
+//! point kernels run unchanged on distributed data. (The data-centric
+//! plan keeps dense tile tensors instead; see [`crate::dace_plan`].)
 
 use omen_linalg::C64;
 use omen_sse::{DBlocks, GBlocks};
 use std::collections::HashMap;
 
-/// Per-rank storage of `G` (or `Σ`) atom blocks for a set of `(k, e)`
-/// points. Each stored point carries the full `na · bsz` atom-block row;
-/// unpopulated atom blocks are zero (and must never be read — the plans
-/// only access atoms covered by the decomposition's halo).
+/// Per-rank storage of `G` atom blocks for a set of `(k, e)` points. Each
+/// stored point carries the full `na · bsz` atom-block row.
 pub struct LocalG {
     /// Atoms.
     pub na: usize,
@@ -42,16 +41,6 @@ impl LocalG {
         self.map.insert((k, e), row);
     }
 
-    /// Writes one atom block into `(k, e)`, creating the row if needed.
-    pub fn insert_block(&mut self, k: usize, e: usize, a: usize, block: &[C64]) {
-        assert_eq!(block.len(), self.bsz, "block length");
-        let row = self
-            .map
-            .entry((k, e))
-            .or_insert_with(|| vec![C64::ZERO; self.na * self.bsz]);
-        row[a * self.bsz..(a + 1) * self.bsz].copy_from_slice(block);
-    }
-
     /// The atom block `a` of point `(k, e)`.
     pub fn get_block(&self, k: usize, e: usize, a: usize) -> &[C64] {
         let row = self
@@ -59,21 +48,6 @@ impl LocalG {
             .get(&(k, e))
             .unwrap_or_else(|| panic!("G block ({k},{e}) not resident on this rank"));
         &row[a * self.bsz..(a + 1) * self.bsz]
-    }
-
-    /// Number of resident points.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when no point is resident.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Resident points in unspecified order.
-    pub fn points(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.map.keys().copied()
     }
 }
 
@@ -111,30 +85,6 @@ impl LocalD {
         self.map.insert((q, m), row);
     }
 
-    /// Writes one entry block, creating the row if needed.
-    pub fn insert_block(&mut self, q: usize, m: usize, entry: usize, block: &[C64]) {
-        assert_eq!(block.len(), 9, "block length");
-        let n = self.nentries;
-        let row = self
-            .map
-            .entry((q, m))
-            .or_insert_with(|| vec![C64::ZERO; n * 9]);
-        row[entry * 9..entry * 9 + 9].copy_from_slice(block);
-    }
-
-    /// Adds one entry block (for reductions at the destination).
-    pub fn add_block(&mut self, q: usize, m: usize, entry: usize, block: &[C64]) {
-        assert_eq!(block.len(), 9, "block length");
-        let n = self.nentries;
-        let row = self
-            .map
-            .entry((q, m))
-            .or_insert_with(|| vec![C64::ZERO; n * 9]);
-        for (dst, src) in row[entry * 9..entry * 9 + 9].iter_mut().zip(block) {
-            *dst += *src;
-        }
-    }
-
     /// The entry block of `(q, m)`.
     pub fn get_block(&self, q: usize, m: usize, entry: usize) -> &[C64] {
         let row = self
@@ -142,16 +92,6 @@ impl LocalD {
             .get(&(q, m))
             .unwrap_or_else(|| panic!("D block ({q},{m}) not resident on this rank"));
         &row[entry * 9..entry * 9 + 9]
-    }
-
-    /// Number of resident points.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when no point is resident.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -169,13 +109,13 @@ mod tests {
     #[test]
     fn local_g_round_trip() {
         let mut g = LocalG::new(4, 4);
-        assert!(g.is_empty());
-        g.insert_block(1, 2, 3, &[c64(1.0, 0.0); 4]);
+        assert!(!g.has(1, 2));
+        let mut row = vec![C64::ZERO; 16];
+        row[12..].fill(c64(1.0, 0.0));
+        g.insert_row(1, 2, row);
         assert!(g.has(1, 2));
         assert_eq!(g.get_block(1, 2, 3)[0], c64(1.0, 0.0));
-        // Unwritten atoms default to zero.
         assert_eq!(g.get_block(1, 2, 0)[0], C64::ZERO);
-        assert_eq!(g.len(), 1);
         assert_eq!(g.gblock(1, 2, 3)[1], c64(1.0, 0.0));
     }
 
@@ -187,13 +127,14 @@ mod tests {
     }
 
     #[test]
-    fn local_d_add_accumulates() {
+    fn local_d_round_trip() {
         let mut d = LocalD::new(5);
-        d.add_block(0, 1, 2, &[c64(1.0, 1.0); 9]);
-        d.add_block(0, 1, 2, &[c64(2.0, -1.0); 9]);
+        assert!(!d.has(0, 1));
+        let mut row = vec![C64::ZERO; 45];
+        row[18..27].fill(c64(3.0, 0.0));
+        d.insert_row(0, 1, row);
+        assert!(d.has(0, 1));
         assert_eq!(d.get_block(0, 1, 2)[4], c64(3.0, 0.0));
         assert_eq!(d.dblock(0, 1, 2)[0], c64(3.0, 0.0));
-        assert!(!d.is_empty());
-        assert_eq!(d.len(), 1);
     }
 }

@@ -11,6 +11,12 @@
 //!
 //! All variants compute the same physics; the test suite asserts
 //! elementwise agreement (exact for transformed, ~1e-3 relative for f16).
+//!
+//! The transformed schedule is built from the per-pair leaf stages of
+//! [`stages`], generalised over an energy window; `omen-comm`'s
+//! data-centric plan runs the same leaves on its atom×energy tiles. The
+//! per-round kernels of [`point_kernels`] are the reference loop nest cut
+//! at `(qz, ω)` for the OMEN plan.
 
 pub mod flops;
 pub mod kernel;
@@ -18,6 +24,7 @@ pub mod mixed;
 pub mod point_kernels;
 pub mod problem;
 pub mod reference;
+pub mod stages;
 pub mod tensors;
 pub mod transformed;
 
@@ -27,10 +34,7 @@ pub mod testutil;
 pub use flops::{sse_flops_dace, sse_flops_omen, SseFlopParams};
 pub use kernel::{KernelState, MixedKernel, ReferenceKernel, SseKernel, TransformedKernel};
 pub use mixed::{sse_mixed, sse_mixed_into, MixedConfig, MixedScratch};
-pub use point_kernels::{
-    pi_round_update, pi_round_update_into, sigma_round_update, sigma_round_update_atoms,
-    sigma_round_update_atoms_ws, sigma_round_update_ws, DBlocks, GBlocks,
-};
+pub use point_kernels::{pi_round_update_into, sigma_round_update_ws, DBlocks, GBlocks};
 pub use problem::{compute_rev_pair, SseProblem};
 pub use reference::{
     d_combination, d_combination_from, sse_reference, sse_reference_into, trace_product, SseOutput,

@@ -23,9 +23,9 @@
 
 use crate::problem::SseProblem;
 use crate::reference::SseOutput;
-use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
-use crate::transformed::{build_transients_into, Transients};
-use omen_linalg::{sbsmm_f16_packed, BatchDims, F16APanels, F16BPanels, Normalization, C64};
+use crate::tensors::{DTensor, GLayout, GTensor};
+use crate::transformed::{build_transients_into, pi_stage, Transients};
+use omen_linalg::{sbsmm_f16_packed, BatchDims, F16APanels, F16BPanels, Normalization};
 use rayon::prelude::*;
 
 /// Configuration of the mixed-precision kernel.
@@ -240,68 +240,10 @@ pub fn sse_mixed_into(
         }
     }
 
-    // Π stays double-precision: reuse stage D of the transformed kernel.
-    let flops_d = pi_stage_f64(prob, tr, &mut out.pi_l, &mut out.pi_g);
+    // Π stays double-precision: stage D of the transformed kernel.
+    let flops_d = pi_stage(prob, tr, &mut out.pi_l, &mut out.pi_g);
 
     out.flops = tr.flops + flops_c + flops_d;
-}
-
-/// The double-precision Π stage shared with the transformed kernel,
-/// writing into reusable output tensors.
-fn pi_stage_f64(prob: &SseProblem, tr: &Transients, pi_l: &mut DTensor, pi_g: &mut DTensor) -> u64 {
-    let norb = prob.norb();
-    let bsz = norb * norb;
-    let na = prob.na();
-    let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
-    let npairs = prob.npairs();
-    pi_l.reset(nq, nw, npairs, na, DLayout::PointMajor);
-    pi_g.reset(nq, nw, npairs, na, DLayout::PointMajor);
-    let mut flops = 0u64;
-    let pairs = &prob.device.neighbors.pairs;
-    // `p` indexes `pairs` and `rev_pair` in lockstep; an iterator zip
-    // would obscure the pair/reverse-pair relationship.
-    #[allow(clippy::needless_range_loop)]
-    for p in 0..npairs {
-        let a = pairs[p].from;
-        let rev = prob.rev_pair[p];
-        for q in 0..nq {
-            for m in 0..nw {
-                let steps = prob.omega_steps(m);
-                if steps >= ne {
-                    continue;
-                }
-                let mut c_l = [C64::ZERO; D_BSZ];
-                let mut c_g = [C64::ZERO; D_BSZ];
-                for k in 0..nk {
-                    let kq = prob.k_plus_q(k, q);
-                    for e in 0..ne - steps {
-                        for i in 0..3 {
-                            let x_l = &tr.hg_l[tr.hg_offset(rev, i, kq, e + steps)..];
-                            let x_g = &tr.hg_g[tr.hg_offset(rev, i, kq, e + steps)..];
-                            for j in 0..3 {
-                                let y_g = &tr.hg_g[tr.hg_offset(p, j, k, e)..];
-                                let y_l = &tr.hg_l[tr.hg_offset(p, j, k, e)..];
-                                c_l[j * 3 + i] +=
-                                    crate::reference::trace_product(&x_l[..bsz], &y_g[..bsz], norb);
-                                c_g[j * 3 + i] +=
-                                    crate::reference::trace_product(&x_g[..bsz], &y_l[..bsz], norb);
-                                flops += 2 * 8 * bsz as u64;
-                            }
-                        }
-                    }
-                }
-                let pe = pi_l.pair_entry(p);
-                let de = pi_l.diag_entry(a);
-                for x in 0..D_BSZ {
-                    pi_l.block_mut(q, m, pe)[x] += c_l[x].scale(prob.scale_pi);
-                    pi_l.block_mut(q, m, de)[x] += c_l[x].scale(prob.scale_pi);
-                    pi_g.block_mut(q, m, pe)[x] += c_g[x].scale(prob.scale_pi);
-                    pi_g.block_mut(q, m, de)[x] += c_g[x].scale(prob.scale_pi);
-                }
-            }
-        }
-    }
-    flops
 }
 
 #[cfg(test)]

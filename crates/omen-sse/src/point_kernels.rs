@@ -1,7 +1,7 @@
 //! Per-point SSE update kernels over abstract block storage.
 //!
-//! The distributed communication plans in `omen-comm` execute SSE with
-//! data scattered across simulated ranks; they cannot hand full
+//! The OMEN communication plan in `omen-comm` executes SSE round by round
+//! with rows scattered across simulated ranks; it cannot hand full
 //! [`GTensor`]s to the kernels. These helpers compute the contribution of
 //! a single `(qz, ω)` round to `Σ^≷(kz, E)` and `Π^≷(qz, ω)` through the
 //! [`GBlocks`]/[`DBlocks`] traits, and the test suite proves that summing
@@ -10,7 +10,9 @@
 use crate::problem::SseProblem;
 use crate::reference::{d_combination_from, trace_product};
 use crate::tensors::{DTensor, GTensor, D_BSZ};
-use omen_linalg::{small_gemm, small_gemm_pb, use_packed_kernel, BatchDims, Workspace, C64};
+use omen_linalg::{
+    small_gemm, small_gemm_pb, use_packed_kernel, BatchDims, PackedB, Workspace, C64,
+};
 
 /// Abstract access to `G^≷` atom-diagonal blocks.
 pub trait GBlocks {
@@ -37,31 +39,21 @@ impl DBlocks for DTensor {
     }
 }
 
-/// Adds the `(q, m)` round's contribution to `Σ^≷(k, e)` for every atom.
+/// `out = a · g`, through the pack of `g` where one was made.
+fn gemm_g(dims: BatchDims, a: &[C64], g: &[C64], pb: Option<&PackedB>, out: &mut [C64]) {
+    match pb {
+        Some(pb) => small_gemm_pb(dims, C64::ONE, a, pb, C64::ZERO, out),
+        None => small_gemm(dims, C64::ONE, a, g, C64::ZERO, out),
+    }
+}
+
+/// Adds the `(q, m)` round's contribution to `Σ^≷(k, e)` for every atom
+/// and returns the flops performed.
 ///
 /// `out_l`/`out_g` are the unscaled `Σ^≷` accumulators at `(k, e)`:
 /// `na · Norb²` elements, atom-blocked. The arithmetic is identical to the
-/// corresponding slice of [`crate::reference::sse_reference`].
-#[allow(clippy::too_many_arguments)]
-pub fn sigma_round_update(
-    prob: &SseProblem,
-    q: usize,
-    m: usize,
-    k: usize,
-    e: usize,
-    g_l: &impl GBlocks,
-    g_g: &impl GBlocks,
-    d_l: &impl DBlocks,
-    d_g: &impl DBlocks,
-    out_l: &mut [C64],
-    out_g: &mut [C64],
-) {
-    let mut ws = Workspace::new();
-    sigma_round_update_ws(prob, q, m, k, e, g_l, g_g, d_l, d_g, out_l, out_g, &mut ws);
-}
-
-/// [`sigma_round_update`] with workspace-held scratch (allocation-free
-/// once `ws` is warm).
+/// corresponding slice of [`crate::reference::sse_reference`]; scratch
+/// comes from `ws` (allocation-free once warm).
 #[allow(clippy::too_many_arguments)]
 pub fn sigma_round_update_ws(
     prob: &SseProblem,
@@ -76,119 +68,22 @@ pub fn sigma_round_update_ws(
     out_l: &mut [C64],
     out_g: &mut [C64],
     ws: &mut Workspace,
-) {
+) -> u64 {
     let na = prob.na();
-    sigma_round_core(
-        prob,
-        q,
-        m,
-        k,
-        e,
-        g_l,
-        g_g,
-        d_l,
-        d_g,
-        (0..na).map(|a| (a, a)),
-        na,
-        out_l,
-        out_g,
-        ws,
-    );
-}
-
-/// Subset variant of [`sigma_round_update`]: only the atoms in `atoms`
-/// are updated; output block `x` of `out_l`/`out_g` corresponds to
-/// `atoms[x]`. Used by the atom-tiled (DaCe) decomposition, where a rank
-/// owns a contiguous atom range plus a neighbor halo.
-#[allow(clippy::too_many_arguments)]
-pub fn sigma_round_update_atoms(
-    prob: &SseProblem,
-    q: usize,
-    m: usize,
-    k: usize,
-    e: usize,
-    g_l: &impl GBlocks,
-    g_g: &impl GBlocks,
-    d_l: &impl DBlocks,
-    d_g: &impl DBlocks,
-    atoms: &[usize],
-    out_l: &mut [C64],
-    out_g: &mut [C64],
-) {
-    let mut ws = Workspace::new();
-    sigma_round_update_atoms_ws(
-        prob, q, m, k, e, g_l, g_g, d_l, d_g, atoms, out_l, out_g, &mut ws,
-    );
-}
-
-/// [`sigma_round_update_atoms`] with workspace-held scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn sigma_round_update_atoms_ws(
-    prob: &SseProblem,
-    q: usize,
-    m: usize,
-    k: usize,
-    e: usize,
-    g_l: &impl GBlocks,
-    g_g: &impl GBlocks,
-    d_l: &impl DBlocks,
-    d_g: &impl DBlocks,
-    atoms: &[usize],
-    out_l: &mut [C64],
-    out_g: &mut [C64],
-    ws: &mut Workspace,
-) {
-    sigma_round_core(
-        prob,
-        q,
-        m,
-        k,
-        e,
-        g_l,
-        g_g,
-        d_l,
-        d_g,
-        atoms.iter().copied().enumerate(),
-        atoms.len(),
-        out_l,
-        out_g,
-        ws,
-    );
-}
-
-/// Shared implementation over an `(output block, atom)` iteration. The
-/// arithmetic is identical to the corresponding slice of
-/// [`crate::reference::sse_reference`].
-#[allow(clippy::too_many_arguments)]
-fn sigma_round_core(
-    prob: &SseProblem,
-    q: usize,
-    m: usize,
-    k: usize,
-    e: usize,
-    g_l: &impl GBlocks,
-    g_g: &impl GBlocks,
-    d_l: &impl DBlocks,
-    d_g: &impl DBlocks,
-    atoms: impl Iterator<Item = (usize, usize)>,
-    natoms: usize,
-    out_l: &mut [C64],
-    out_g: &mut [C64],
-    ws: &mut Workspace,
-) {
     let norb = prob.norb();
     let bsz = norb * norb;
     let dims = BatchDims::square(norb);
-    assert_eq!(out_l.len(), natoms * bsz, "Σ< accumulator length");
-    assert_eq!(out_g.len(), natoms * bsz, "Σ> accumulator length");
+    assert_eq!(out_l.len(), na * bsz, "Σ< accumulator length");
+    assert_eq!(out_g.len(), na * bsz, "Σ> accumulator length");
     let grads = &prob.device.gradients;
     let steps = prob.omega_steps(m);
     let kk = prob.k_minus_q(k, q);
     let emission = e >= steps;
     let absorption = e + steps < prob.ne;
     if !emission && !absorption {
-        return;
+        return 0;
     }
+    let mut flops = 0u64;
     let mut t1 = ws.take_buf(bsz);
     let mut t2 = ws.take_buf(bsz);
     let mut c_l = ws.take_buf(bsz);
@@ -197,26 +92,28 @@ fn sigma_round_core(
     // per pair into split-complex micro-panels (workspace-pooled, warm in
     // steady state) and reused across the three gradient directions.
     let packed = use_packed_kernel(dims);
-    let mut pb_em_l = ws.take_packed_b();
-    let mut pb_em_g = ws.take_packed_b();
-    let mut pb_ab_l = ws.take_packed_b();
-    let mut pb_ab_g = ws.take_packed_b();
+    let mut pbs: [PackedB; 4] = std::array::from_fn(|_| ws.take_packed_b());
 
-    for (ax, a) in atoms {
+    for a in 0..na {
         for (pair, b) in prob.pairs_of(a) {
             let rev = prob.rev_pair[pair];
             let dc_l = d_combination_from(d_l, q, m, pair, rev, a, b, prob.npairs());
             let dc_g = d_combination_from(d_g, q, m, pair, rev, a, b, prob.npairs());
             let grad_ab = &grads.grads[pair];
             let grad_ba = &grads.grads[rev];
+            // The terms of Σ^< then Σ^>, emission G(kz−qz, E−ω) before
+            // absorption G(kz−qz, E+ω).
+            let blocks = [
+                emission.then(|| g_l.gblock(kk, e - steps, b)),
+                absorption.then(|| g_l.gblock(kk, e + steps, b)),
+                emission.then(|| g_g.gblock(kk, e - steps, b)),
+                absorption.then(|| g_g.gblock(kk, e + steps, b)),
+            ];
             if packed {
-                if emission {
-                    pb_em_l.pack(norb, norb, g_l.gblock(kk, e - steps, b));
-                    pb_em_g.pack(norb, norb, g_g.gblock(kk, e - steps, b));
-                }
-                if absorption {
-                    pb_ab_l.pack(norb, norb, g_l.gblock(kk, e + steps, b));
-                    pb_ab_g.pack(norb, norb, g_g.gblock(kk, e + steps, b));
+                for (pb, block) in pbs.iter_mut().zip(blocks) {
+                    if let Some(block) = block {
+                        pb.pack(norb, norb, block);
+                    }
                 }
             }
             for i in 0..3 {
@@ -231,78 +128,18 @@ fn sigma_round_core(
                         c_g[x] = c_g[x].mul_add(gj[x], wg);
                     }
                 }
+                let terms = u64::from(emission) + u64::from(absorption);
+                flops += 2 * 3 * 8 * bsz as u64 + terms * 4 * dims.flops();
                 let gi = grad_ab[i].as_slice();
-                let out_l_blk = &mut out_l[ax * bsz..(ax + 1) * bsz];
-                if emission {
-                    if packed {
-                        small_gemm_pb(dims, C64::ONE, gi, &pb_em_l, C64::ZERO, &mut t1);
-                    } else {
-                        small_gemm(
-                            dims,
-                            C64::ONE,
-                            gi,
-                            g_l.gblock(kk, e - steps, b),
-                            C64::ZERO,
-                            &mut t1,
-                        );
-                    }
-                    small_gemm(dims, C64::ONE, &t1, &c_l, C64::ZERO, &mut t2);
-                    for (o, v) in out_l_blk.iter_mut().zip(&t2) {
-                        *o += *v;
-                    }
-                }
-                if absorption {
-                    if packed {
-                        small_gemm_pb(dims, C64::ONE, gi, &pb_ab_l, C64::ZERO, &mut t1);
-                    } else {
-                        small_gemm(
-                            dims,
-                            C64::ONE,
-                            gi,
-                            g_l.gblock(kk, e + steps, b),
-                            C64::ZERO,
-                            &mut t1,
-                        );
-                    }
-                    small_gemm(dims, C64::ONE, &t1, &c_g, C64::ZERO, &mut t2);
-                    for (o, v) in out_l_blk.iter_mut().zip(&t2) {
-                        *o += *v;
-                    }
-                }
-                let out_g_blk = &mut out_g[ax * bsz..(ax + 1) * bsz];
-                if emission {
-                    if packed {
-                        small_gemm_pb(dims, C64::ONE, gi, &pb_em_g, C64::ZERO, &mut t1);
-                    } else {
-                        small_gemm(
-                            dims,
-                            C64::ONE,
-                            gi,
-                            g_g.gblock(kk, e - steps, b),
-                            C64::ZERO,
-                            &mut t1,
-                        );
-                    }
-                    small_gemm(dims, C64::ONE, &t1, &c_g, C64::ZERO, &mut t2);
-                    for (o, v) in out_g_blk.iter_mut().zip(&t2) {
-                        *o += *v;
-                    }
-                }
-                if absorption {
-                    if packed {
-                        small_gemm_pb(dims, C64::ONE, gi, &pb_ab_g, C64::ZERO, &mut t1);
-                    } else {
-                        small_gemm(
-                            dims,
-                            C64::ONE,
-                            gi,
-                            g_g.gblock(kk, e + steps, b),
-                            C64::ZERO,
-                            &mut t1,
-                        );
-                    }
-                    small_gemm(dims, C64::ONE, &t1, &c_l, C64::ZERO, &mut t2);
-                    for (o, v) in out_g_blk.iter_mut().zip(&t2) {
+                // Emission pairs G with the same-component Dc, absorption
+                // with the opposite one.
+                let factors = [&c_l, &c_g, &c_g, &c_l];
+                for (x, (block, c)) in blocks.iter().zip(factors).enumerate() {
+                    let Some(block) = block else { continue };
+                    gemm_g(dims, gi, block, packed.then_some(&pbs[x]), &mut t1);
+                    small_gemm(dims, C64::ONE, &t1, c, C64::ZERO, &mut t2);
+                    let out = if x < 2 { &mut *out_l } else { &mut *out_g };
+                    for (o, v) in out[a * bsz..(a + 1) * bsz].iter_mut().zip(&t2) {
                         *o += *v;
                     }
                 }
@@ -312,35 +149,16 @@ fn sigma_round_core(
     for buf in [t1, t2, c_l, c_g] {
         ws.give_buf(buf);
     }
-    for pb in [pb_em_l, pb_em_g, pb_ab_l, pb_ab_g] {
-        ws.give_packed_b(pb);
-    }
+    pbs.into_iter().for_each(|pb| ws.give_packed_b(pb));
+    flops
 }
 
 /// The `(q, m)` round's `Π^≷` contribution from summation point `(k, e)`,
 /// restricted to the directed pairs in `pair_subset` (pass all pairs for a
-/// full evaluation). Returns `(pair, C^<_{3×3}, C^>_{3×3})` tuples; each
-/// contributes to both the pair entry `Π_ab` and the diagonal entry
-/// `Π_aa` of the pair's source atom.
-#[allow(clippy::too_many_arguments)]
-pub fn pi_round_update(
-    prob: &SseProblem,
-    q: usize,
-    m: usize,
-    k: usize,
-    e: usize,
-    g_l: &impl GBlocks,
-    g_g: &impl GBlocks,
-    pair_subset: &[usize],
-) -> Vec<(usize, [C64; D_BSZ], [C64; D_BSZ])> {
-    let mut ws = Workspace::new();
-    let mut out = Vec::new();
-    pi_round_update_into(prob, q, m, k, e, g_l, g_g, pair_subset, &mut ws, &mut out);
-    out
-}
-
-/// [`pi_round_update`] into a reusable vector with workspace-held scratch
-/// (allocation-free once `ws` and `out` are warm).
+/// full evaluation). Fills `out` with `(pair, C^<_{3×3}, C^>_{3×3})`
+/// tuples; each contributes to both the pair entry `Π_ab` and the diagonal
+/// entry `Π_aa` of the pair's source atom. Allocation-free once `ws` and
+/// `out` are warm; returns the flops performed.
 #[allow(clippy::too_many_arguments)]
 pub fn pi_round_update_into(
     prob: &SseProblem,
@@ -353,14 +171,14 @@ pub fn pi_round_update_into(
     pair_subset: &[usize],
     ws: &mut Workspace,
     out: &mut Vec<(usize, [C64; D_BSZ], [C64; D_BSZ])>,
-) {
+) -> u64 {
     out.clear();
     let norb = prob.norb();
     let bsz = norb * norb;
     let dims = BatchDims::square(norb);
     let steps = prob.omega_steps(m);
     if e + steps >= prob.ne {
-        return;
+        return 0;
     }
     let kq = prob.k_plus_q(k, q);
     let grads = &prob.device.gradients;
@@ -368,100 +186,37 @@ pub fn pi_round_update_into(
     let mut t1 = ws.take_buf(bsz);
     let mut t2 = ws.take_buf(bsz);
     // Pack the four G blocks of each pair once and sweep them across the
-    // 3×3 gradient-direction loop (see `sigma_round_core`).
+    // 3×3 gradient-direction loop (see `sigma_round_update_ws`).
     let packed = use_packed_kernel(dims);
-    let mut pb_l_a = ws.take_packed_b();
-    let mut pb_g_a = ws.take_packed_b();
-    let mut pb_l_b = ws.take_packed_b();
-    let mut pb_g_b = ws.take_packed_b();
+    let mut pbs: [PackedB; 4] = std::array::from_fn(|_| ws.take_packed_b());
     out.reserve(pair_subset.len());
     for &p in pair_subset {
         let a = pairs[p].from;
         let b = pairs[p].to;
-        let rev = prob.rev_pair[p];
         let grad_ab = &grads.grads[p];
-        let grad_ba = &grads.grads[rev];
+        let grad_ba = &grads.grads[prob.rev_pair[p]];
+        // Π^<: G^<_aa(E+ω)·G^>_bb(E); Π^>: G^>_aa(E+ω)·G^<_bb(E).
+        let blocks = [
+            g_l.gblock(kq, e + steps, a),
+            g_g.gblock(k, e, b),
+            g_g.gblock(kq, e + steps, a),
+            g_l.gblock(k, e, b),
+        ];
         if packed {
-            pb_l_a.pack(norb, norb, g_l.gblock(kq, e + steps, a));
-            pb_g_a.pack(norb, norb, g_g.gblock(kq, e + steps, a));
-            pb_g_b.pack(norb, norb, g_g.gblock(k, e, b));
-            pb_l_b.pack(norb, norb, g_l.gblock(k, e, b));
+            for (pb, block) in pbs.iter_mut().zip(blocks) {
+                pb.pack(norb, norb, block);
+            }
         }
+        let pb = |x: usize| packed.then_some(&pbs[x]);
         let mut c_l = [C64::ZERO; D_BSZ];
         let mut c_g = [C64::ZERO; D_BSZ];
         for i in 0..3 {
             for j in 0..3 {
-                if packed {
-                    small_gemm_pb(
-                        dims,
-                        C64::ONE,
-                        grad_ba[i].as_slice(),
-                        &pb_l_a,
-                        C64::ZERO,
-                        &mut t1,
-                    );
-                    small_gemm_pb(
-                        dims,
-                        C64::ONE,
-                        grad_ab[j].as_slice(),
-                        &pb_g_b,
-                        C64::ZERO,
-                        &mut t2,
-                    );
-                } else {
-                    small_gemm(
-                        dims,
-                        C64::ONE,
-                        grad_ba[i].as_slice(),
-                        g_l.gblock(kq, e + steps, a),
-                        C64::ZERO,
-                        &mut t1,
-                    );
-                    small_gemm(
-                        dims,
-                        C64::ONE,
-                        grad_ab[j].as_slice(),
-                        g_g.gblock(k, e, b),
-                        C64::ZERO,
-                        &mut t2,
-                    );
-                }
+                gemm_g(dims, grad_ba[i].as_slice(), blocks[0], pb(0), &mut t1);
+                gemm_g(dims, grad_ab[j].as_slice(), blocks[1], pb(1), &mut t2);
                 c_l[j * 3 + i] += trace_product(&t1, &t2, norb);
-                if packed {
-                    small_gemm_pb(
-                        dims,
-                        C64::ONE,
-                        grad_ba[i].as_slice(),
-                        &pb_g_a,
-                        C64::ZERO,
-                        &mut t1,
-                    );
-                    small_gemm_pb(
-                        dims,
-                        C64::ONE,
-                        grad_ab[j].as_slice(),
-                        &pb_l_b,
-                        C64::ZERO,
-                        &mut t2,
-                    );
-                } else {
-                    small_gemm(
-                        dims,
-                        C64::ONE,
-                        grad_ba[i].as_slice(),
-                        g_g.gblock(kq, e + steps, a),
-                        C64::ZERO,
-                        &mut t1,
-                    );
-                    small_gemm(
-                        dims,
-                        C64::ONE,
-                        grad_ab[j].as_slice(),
-                        g_l.gblock(k, e, b),
-                        C64::ZERO,
-                        &mut t2,
-                    );
-                }
+                gemm_g(dims, grad_ba[i].as_slice(), blocks[2], pb(2), &mut t1);
+                gemm_g(dims, grad_ab[j].as_slice(), blocks[3], pb(3), &mut t2);
                 c_g[j * 3 + i] += trace_product(&t1, &t2, norb);
             }
         }
@@ -469,9 +224,8 @@ pub fn pi_round_update_into(
     }
     ws.give_buf(t1);
     ws.give_buf(t2);
-    for pb in [pb_l_a, pb_g_a, pb_l_b, pb_g_b] {
-        ws.give_packed_b(pb);
-    }
+    pbs.into_iter().for_each(|pb| ws.give_packed_b(pb));
+    pair_subset.len() as u64 * 9 * (4 * dims.flops() + 2 * 8 * bsz as u64)
 }
 
 #[cfg(test)]
@@ -496,6 +250,9 @@ mod tests {
         let mut pi_l = DTensor::zeros(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
         let mut pi_g = DTensor::zeros(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
         let all_pairs: Vec<usize> = (0..prob.npairs()).collect();
+        let mut ws = Workspace::new();
+        let mut updates = Vec::new();
+        let mut flops = 0u64;
 
         for q in 0..prob.nq {
             for m in 0..prob.nw {
@@ -503,8 +260,8 @@ mod tests {
                     for e in 0..prob.ne {
                         let mut acc_l = vec![C64::ZERO; na * bsz];
                         let mut acc_g = vec![C64::ZERO; na * bsz];
-                        sigma_round_update(
-                            &prob, q, m, k, e, &gl, &gg, &dl, &dg, &mut acc_l, &mut acc_g,
+                        flops += sigma_round_update_ws(
+                            &prob, q, m, k, e, &gl, &gg, &dl, &dg, &mut acc_l, &mut acc_g, &mut ws,
                         );
                         for a in 0..na {
                             for (x, v) in sigma_l.block_mut(k, e, a).iter_mut().enumerate() {
@@ -514,9 +271,19 @@ mod tests {
                                 *v += acc_g[a * bsz + x];
                             }
                         }
-                        for (p, c_l, c_g) in
-                            pi_round_update(&prob, q, m, k, e, &gl, &gg, &all_pairs)
-                        {
+                        flops += pi_round_update_into(
+                            &prob,
+                            q,
+                            m,
+                            k,
+                            e,
+                            &gl,
+                            &gg,
+                            &all_pairs,
+                            &mut ws,
+                            &mut updates,
+                        );
+                        for &(p, c_l, c_g) in &updates {
                             let a = dev.neighbors.pairs[p].from;
                             let pe = pi_l.pair_entry(p);
                             let de = pi_l.diag_entry(a);
@@ -540,6 +307,10 @@ mod tests {
         assert!(dp < 1e-12, "Π< deviation {dp}");
         let dpg = pi_g.max_deviation(&reference.pi_g) / reference.pi_g.max_abs();
         assert!(dpg < 1e-12, "Π> deviation {dpg}");
+        // The rounds do the reference's GEMMs and traces, but rebuild the
+        // `Dc·∇H` blocks at every `(k, e)` instead of once per `(q, m)`.
+        let rebuilt = (3 * prob.npairs() * prob.nq * prob.nw * (prob.nk * prob.ne - 1)) as u64;
+        assert_eq!(flops, reference.flops + rebuilt * 2 * 3 * 8 * bsz as u64);
     }
 
     #[test]
@@ -552,15 +323,16 @@ mod tests {
         // e = 0 with only absorption possible; m such that steps >= ne is
         // impossible here, so test the Π window instead: e + steps >= ne.
         let e = prob.ne - 1;
-        let updates = pi_round_update(&prob, 0, 0, 0, e, &gl, &gg, &[0, 1]);
+        let mut ws = Workspace::new();
+        let mut updates = vec![(0, [C64::ZERO; D_BSZ], [C64::ZERO; D_BSZ])];
+        pi_round_update_into(&prob, 0, 0, 0, e, &gl, &gg, &[0, 1], &mut ws, &mut updates);
         assert!(updates.is_empty());
         // Σ at e=ne−1 has emission only; accumulator changes.
         let mut acc_l = vec![C64::ZERO; na * bsz];
         let mut acc_g = vec![C64::ZERO; na * bsz];
-        sigma_round_update(
-            &prob, 0, 0, 0, e, &gl, &gg, &dl, &dg, &mut acc_l, &mut acc_g,
+        sigma_round_update_ws(
+            &prob, 0, 0, 0, e, &gl, &gg, &dl, &dg, &mut acc_l, &mut acc_g, &mut ws,
         );
         assert!(acc_l.iter().any(|z| z.abs() > 0.0));
-        let _ = (dl, dg);
     }
 }

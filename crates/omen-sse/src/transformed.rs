@@ -19,11 +19,9 @@
 
 use crate::problem::SseProblem;
 use crate::reference::SseOutput;
+use crate::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
 use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
-use omen_linalg::{
-    give_tls_packed_b, sbsmm, sbsmm_pb, small_gemm, take_tls_packed_b, use_packed_kernel,
-    BatchDims, Strides, C64,
-};
+use omen_linalg::{give_tls_packed_b, small_gemm, take_tls_packed_b, BatchDims, C64};
 use rayon::prelude::*;
 
 /// Below this many complex elements in a stage's output, the per-call
@@ -161,30 +159,14 @@ pub fn build_transients_into(
     let chunk = 3 * nk * ne * bsz;
     let stage_a = |hg: &mut [C64], g: &GTensor| {
         for_each_chunk(hg, chunk, |p, out| {
-            let b = pairs[p].to;
-            for i in 0..3 {
-                let grad = grads.grads[p][i].as_slice();
-                for k in 0..nk {
-                    // One strided-batched GEMM over the contiguous energy
-                    // axis: A = ∇H (stride 0), B = G blocks (stride bsz).
-                    let g0 = g.offset(k, 0, b);
-                    let o0 = ((i * nk) + k) * ne * bsz;
-                    sbsmm(
-                        dims,
-                        ne,
-                        C64::ONE,
-                        grad,
-                        &g.as_slice()[g0..g0 + ne * bsz],
-                        C64::ZERO,
-                        &mut out[o0..o0 + ne * bsz],
-                        Strides {
-                            a: 0,
-                            b: bsz,
-                            c: bsz,
-                        },
-                    );
-                }
-            }
+            // AtomMajor: atom b's blocks are one contiguous [kz][E] run.
+            let g0 = g.offset(0, 0, pairs[p].to);
+            grad_g(
+                dims,
+                &grads.grads[p],
+                &g.as_slice()[g0..g0 + nk * ne * bsz],
+                out,
+            );
         });
     };
     stage_a(hg_l, g_l);
@@ -193,9 +175,8 @@ pub fn build_transients_into(
 
     // ---- stage B: hd[p][i][q][m] = Σ_j Dc^{ij}(q,m,p) · ∇H^j_ba ----
     let hd_len = npairs * 3 * nq * nw * bsz;
-    tr.hd_l.clear();
+    // No zeroing: `d_grad` overwrites every block.
     tr.hd_l.resize(hd_len, C64::ZERO);
-    tr.hd_g.clear();
     tr.hd_g.resize(hd_len, C64::ZERO);
     let hd_l = &mut tr.hd_l;
     let hd_g = &mut tr.hd_g;
@@ -205,20 +186,12 @@ pub fn build_transients_into(
             let a = pairs[p].from;
             let b = pairs[p].to;
             let rev = prob.rev_pair[p];
-            let grad_ba = &grads.grads[rev];
             for q in 0..nq {
                 for m in 0..nw {
                     let dc = crate::reference::d_combination(d, q, m, p, rev, a, b);
                     for i in 0..3 {
                         let o = ((i * nq + q) * nw + m) * bsz;
-                        let dst = &mut out[o..o + bsz];
-                        for j in 0..3 {
-                            let w = dc[j * 3 + i];
-                            let gj = grad_ba[j].as_slice();
-                            for x in 0..bsz {
-                                dst[x] = dst[x].mul_add(gj[x], w);
-                            }
-                        }
+                        d_grad(&dc, i, &grads.grads[rev], &mut out[o..o + bsz]);
                     }
                 }
             }
@@ -279,7 +252,6 @@ pub fn consume_transients(prob: &SseProblem, tr: &Transients) -> SseOutput {
 pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut SseOutput) {
     let norb = prob.norb();
     let bsz = norb * norb;
-    let dims = BatchDims::square(norb);
     let na = prob.na();
     let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
     out.sigma_l.reset(nk, ne, na, norb, GLayout::AtomMajor);
@@ -290,111 +262,40 @@ pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut Sse
     // ---- stage C: Σ^≷[a][k][e] via strided-batched GEMMs ----
     let atom_chunk = nk * ne * bsz;
     let offsets = &prob.device.neighbors.offsets;
+    let win = EnergyWindow::full(ne);
+    let (hg_chunk, hd_chunk) = (3 * nk * ne * bsz, 3 * nq * nw * bsz);
 
     let flops_c: u64 = {
         // Each atom owns a contiguous output chunk; atoms run in parallel
-        // when the Σ tensors are large enough to amortize dispatch. When
-        // the block shape amortizes packing, each ∇H·D block is packed
-        // once per (pair, i, qz, ω) into split-complex micro-panels
-        // (thread-local `PackedB`s, warm after the first atom) and swept by
-        // the FMA micro-kernel across the whole kz loop and all four Σ^≷
-        // updates; tiny blocks keep the scalar batched loop.
-        let packed = use_packed_kernel(dims);
+        // when the Σ tensors are large enough to amortize dispatch. The
+        // `∇H·D` packs are thread-local `PackedB`s, warm after the first
+        // atom.
         let sl = sigma_l.as_mut_slice();
         let sg = sigma_g.as_mut_slice();
         let par = sl.len() >= PAR_MIN_ELEMS;
         let atom_body = |a: usize, out_l: &mut [C64], out_g: &mut [C64]| -> u64 {
-            {
-                let mut flops = 0u64;
-                let strides = Strides {
-                    a: bsz,
-                    b: 0,
-                    c: bsz,
-                };
-                let mut pb_l = take_tls_packed_b();
-                let mut pb_g = take_tls_packed_b();
-                for p in offsets[a]..offsets[a + 1] {
-                    for i in 0..3 {
-                        for q in 0..nq {
-                            for m in 0..nw {
-                                let steps = prob.omega_steps(m);
-                                if steps >= ne {
-                                    continue;
-                                }
-                                let batch = ne - steps;
-                                let hd_l_blk = &tr.hd_l
-                                    [tr.hd_offset(p, i, q, m)..tr.hd_offset(p, i, q, m) + bsz];
-                                let hd_g_blk = &tr.hd_g
-                                    [tr.hd_offset(p, i, q, m)..tr.hd_offset(p, i, q, m) + bsz];
-                                if packed {
-                                    pb_l.pack(norb, norb, hd_l_blk);
-                                    pb_g.pack(norb, norb, hd_g_blk);
-                                }
-                                for k in 0..nk {
-                                    let kk = prob.k_minus_q(k, q);
-                                    let out_base = k * ne * bsz;
-                                    // Emission: Σ(e) += hg(e−steps) · hd,
-                                    // batched over e ∈ [steps, ne);
-                                    // absorption: Σ(e) += hg(e+steps) · hd',
-                                    // batched over e ∈ [0, ne−steps).
-                                    let a0 = tr.hg_offset(p, i, kk, 0);
-                                    let c0 = out_base + steps * bsz;
-                                    let a1 = tr.hg_offset(p, i, kk, steps);
-                                    let c1 = out_base;
-                                    if packed {
-                                        let mul = |hg: &[C64],
-                                                       ax: usize,
-                                                       pb: &omen_linalg::PackedB,
-                                                       out: &mut [C64],
-                                                       cx: usize| {
-                                            sbsmm_pb(
-                                                dims,
-                                                batch,
-                                                C64::ONE,
-                                                &hg[ax..ax + batch * bsz],
-                                                bsz,
-                                                pb,
-                                                C64::ONE,
-                                                &mut out[cx..cx + batch * bsz],
-                                                bsz,
-                                            );
-                                        };
-                                        mul(&tr.hg_l, a0, &pb_l, out_l, c0);
-                                        mul(&tr.hg_g, a0, &pb_g, out_g, c0);
-                                        mul(&tr.hg_l, a1, &pb_g, out_l, c1);
-                                        mul(&tr.hg_g, a1, &pb_l, out_g, c1);
-                                    } else {
-                                        let mul = |hg: &[C64],
-                                                       ax: usize,
-                                                       hd: &[C64],
-                                                       out: &mut [C64],
-                                                       cx: usize| {
-                                            sbsmm(
-                                                dims,
-                                                batch,
-                                                C64::ONE,
-                                                &hg[ax..ax + batch * bsz],
-                                                hd,
-                                                C64::ONE,
-                                                &mut out[cx..cx + batch * bsz],
-                                                strides,
-                                            );
-                                        };
-                                        mul(&tr.hg_l, a0, hd_l_blk, out_l, c0);
-                                        mul(&tr.hg_g, a0, hd_g_blk, out_g, c0);
-                                        mul(&tr.hg_l, a1, hd_g_blk, out_l, c1);
-                                        mul(&tr.hg_g, a1, hd_l_blk, out_g, c1);
-                                    }
-                                    flops += 4 * batch as u64 * dims.flops();
-                                }
-                            }
-                        }
-                    }
-                }
-                give_tls_packed_b(pb_l);
-                give_tls_packed_b(pb_g);
-                flops
-            }
+            let mut pb = [take_tls_packed_b(), take_tls_packed_b()];
+            let flops = (offsets[a]..offsets[a + 1])
+                .map(|p| {
+                    let (hg, hd) = (
+                        p * hg_chunk..(p + 1) * hg_chunk,
+                        p * hd_chunk..(p + 1) * hd_chunk,
+                    );
+                    sigma_pair(
+                        prob,
+                        &win,
+                        &tr.hg_l[hg.clone()],
+                        &tr.hg_g[hg],
+                        &tr.hd_l[hd.clone()],
+                        &tr.hd_g[hd],
+                        &mut pb,
+                        out_l,
+                        out_g,
+                    )
+                })
+                .sum();
+            pb.into_iter().for_each(give_tls_packed_b);
+            flops
         };
         if par {
             sl.par_chunks_mut(atom_chunk)
@@ -419,48 +320,36 @@ pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut Sse
         }
     }
 
-    // ---- stage D: Π^≷ from transient traces ----
-    let npairs = prob.npairs();
-    out.pi_l.reset(nq, nw, npairs, na, DLayout::PointMajor);
-    out.pi_g.reset(nq, nw, npairs, na, DLayout::PointMajor);
-    let pi_l = &mut out.pi_l;
-    let pi_g = &mut out.pi_g;
-    let mut flops_d = 0u64;
-    let pairs = &prob.device.neighbors.pairs;
-    // `p` indexes `pairs` and `rev_pair` in lockstep; an iterator zip
-    // would obscure the pair/reverse-pair relationship.
-    #[allow(clippy::needless_range_loop)]
-    for p in 0..npairs {
-        let a = pairs[p].from;
+    let flops_d = pi_stage(prob, tr, &mut out.pi_l, &mut out.pi_g);
+    out.flops = tr.flops + flops_c + flops_d;
+}
+
+/// Stage D: `Π^≷` (PointMajor) from the transient traces, in double
+/// precision — shared with the mixed-precision kernel, whose `Π` stays
+/// f64. Returns the flops performed.
+pub(crate) fn pi_stage(
+    prob: &SseProblem,
+    tr: &Transients,
+    pi_l: &mut DTensor,
+    pi_g: &mut DTensor,
+) -> u64 {
+    let (nq, nw, npairs) = (prob.nq, prob.nw, prob.npairs());
+    pi_l.reset(nq, nw, npairs, prob.na(), DLayout::PointMajor);
+    pi_g.reset(nq, nw, npairs, prob.na(), DLayout::PointMajor);
+    let win = EnergyWindow::full(prob.ne);
+    let chunk = 3 * prob.nk * prob.ne * tr.bsz;
+    let hg = |p: usize| p * chunk..(p + 1) * chunk;
+    let mut flops = 0u64;
+    for (p, pair) in prob.device.neighbors.pairs.iter().enumerate() {
         let rev = prob.rev_pair[p];
+        let (x_l, x_g) = (&tr.hg_l[hg(rev)], &tr.hg_g[hg(rev)]);
+        let (y_l, y_g) = (&tr.hg_l[hg(p)], &tr.hg_g[hg(p)]);
+        let pe = pi_l.pair_entry(p);
+        let de = pi_l.diag_entry(pair.from);
         for q in 0..nq {
             for m in 0..nw {
-                let steps = prob.omega_steps(m);
-                if steps >= ne {
-                    continue;
-                }
-                let mut c_l = [C64::ZERO; D_BSZ];
-                let mut c_g = [C64::ZERO; D_BSZ];
-                for k in 0..nk {
-                    let kq = prob.k_plus_q(k, q);
-                    for e in 0..ne - steps {
-                        for i in 0..3 {
-                            let x_l = &tr.hg_l[tr.hg_offset(rev, i, kq, e + steps)..];
-                            let x_g = &tr.hg_g[tr.hg_offset(rev, i, kq, e + steps)..];
-                            for j in 0..3 {
-                                let y_g = &tr.hg_g[tr.hg_offset(p, j, k, e)..];
-                                let y_l = &tr.hg_l[tr.hg_offset(p, j, k, e)..];
-                                c_l[j * 3 + i] +=
-                                    crate::reference::trace_product(&x_l[..bsz], &y_g[..bsz], norb);
-                                c_g[j * 3 + i] +=
-                                    crate::reference::trace_product(&x_g[..bsz], &y_l[..bsz], norb);
-                                flops_d += 2 * 8 * bsz as u64;
-                            }
-                        }
-                    }
-                }
-                let pe = pi_l.pair_entry(p);
-                let de = pi_l.diag_entry(a);
+                let (c_l, c_g, f) = pi_pair(prob, q, m, &win, x_l, x_g, y_l, y_g);
+                flops += f;
                 for x in 0..D_BSZ {
                     pi_l.block_mut(q, m, pe)[x] += c_l[x].scale(prob.scale_pi);
                     pi_l.block_mut(q, m, de)[x] += c_l[x].scale(prob.scale_pi);
@@ -470,8 +359,7 @@ pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut Sse
             }
         }
     }
-
-    out.flops = tr.flops + flops_c + flops_d;
+    flops
 }
 
 /// Sequential single-block helper mirroring the reference arithmetic; used

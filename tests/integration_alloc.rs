@@ -15,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dace_omen::comm::{DacePlan, DaceTiling, OmenGrid};
 use dace_omen::core::{OverlappedSweep, Simulation, SimulationConfig};
 use dace_omen::dataflow::{lower_sdfg, simulation_sdfg};
 use dace_omen::linalg::{
@@ -135,6 +136,28 @@ fn steady_state_hot_path_is_allocation_free() {
         &baseline_sigma[..],
         "warm SSE apply must be bit-identical to the warmup apply"
     );
+
+    // ---- DaCe plan tile compute: the transformed stages on a tile's
+    // resident tensors. One run builds the plan state and leaves G^≷/D^≷
+    // in the tile; the compute between collectives 2 and 3 then touches
+    // only buffers the plan owns. (A rank's payloads for the four
+    // collectives are the plan's only other per-iteration allocations.) ----
+    let tiling = DaceTiling::new(1, 1, prob.na(), prob.ne);
+    let grid = OmenGrid::new(1, 1, prob.nk, prob.ne);
+    let mut plan = DacePlan::new(&prob, &grid, &tiling);
+    let mut plan_out = SseOutput::empty();
+    plan.run(&prob, &gl, &gg, &dl, &dg, &mut plan_out);
+    // The run computed on a rank thread; warm this thread's pack arena too.
+    plan.tile_mut(0).compute(&prob);
+    let mut tile_flops = 0;
+    let tile_allocs = count_allocations(|| {
+        tile_flops = plan.tile_mut(0).compute(&prob);
+    });
+    assert_eq!(
+        tile_allocs, 0,
+        "DaceTile::compute allocated {tile_allocs} times on a warm plan"
+    );
+    assert_eq!(tile_flops, plan_out.flops, "same work as inside the run");
 
     // ---- Batched path: packed sbsmm (stage-C shape: A strided, B shared),
     // the prepacked-B sweep, and the fused f16 pack-and-convert. One

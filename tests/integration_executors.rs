@@ -243,6 +243,23 @@ fn distributed_is_bitwise_identical_to_serial_on_both_plans() {
 }
 
 #[test]
+fn distributed_runs_record_their_sse_flops() {
+    // The plans meter their stages per rank and sum in rank order, so the
+    // count is a pure function of the problem, not of thread timing.
+    for plan in [CommPlan::Dace, CommPlan::Omen] {
+        let flops =
+            |r: &SimulationResult| r.records.iter().map(|x| x.sse_flops).collect::<Vec<_>>();
+        let (a, b) = (run_distributed(plan, 2), run_distributed(plan, 2));
+        assert!(
+            flops(&a).iter().all(|&f| f > 0),
+            "{} meters SSE",
+            plan.name()
+        );
+        assert_eq!(flops(&a), flops(&b), "{} run to run", plan.name());
+    }
+}
+
+#[test]
 fn distributed_matches_standard_serial_physics() {
     // Against the ordinary (single-address-space) serial kernel the plans
     // agree to cross-schedule reassociation tolerance, accumulated over
