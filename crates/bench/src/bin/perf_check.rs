@@ -15,8 +15,10 @@
 //! 2. **Within-run floors** — machine-independent backstops computed
 //!    inside a single fresh file, applied only when that family's records
 //!    are present: the packed batched kernel must beat the scalar loop by
-//!    `--min-speedup` (default 1.2×) on the stage-C shape, and the
-//!    warm-started sweep must save Born iterations (strict, deterministic)
+//!    `--min-speedup` (default 1.2×) on the 12 × 12 stage-C shape, the
+//!    energy-plane stage C must beat the scalar loop by
+//!    [`MIN_PLANES_SPEEDUP`] on the 3 × 3 one, and the warm-started sweep
+//!    must save Born iterations (strict, deterministic)
 //!    while keeping at least `--min-sweep-speedup` (default 0.9×) of the
 //!    cold sweep's points/second. The iteration count is the real warm-
 //!    start gate — it is exact on every machine; the quick sweep's wall
@@ -25,8 +27,9 @@
 //!    backstop, not a speedup assertion. The full-mode records committed
 //!    in `BENCH_sweeps.json` carry the measured speedup.
 //!
-//! Gated records: names containing `packed`, or starting with `sweep_`,
-//! with the `_quick` suffix — full-mode records are committed for the
+//! Gated records: names containing `packed`, or starting with
+//! `sse_stage` (but not the `scalar` baselines) or `sweep_`, with the
+//! `_quick` suffix — full-mode records are committed for the
 //! README table but re-measured rarely.
 //!
 //! A third within-run floor bounds the fault-injection machinery: the
@@ -104,20 +107,29 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     arg_values(args, flag).pop()
 }
 
-/// `true` for records the gate covers: packed-kernel and sweep-service
-/// quick-mode entries. The `sweep_fault_*`, `sweep_trace*`, and
+/// `true` for records the gate covers: packed-kernel, energy-plane SSE
+/// stage and sweep-service quick-mode entries (their scalar baselines
+/// only feed the within-run floors). The `sweep_fault_*`, `sweep_trace*`, and
 /// `sweep_sched_*` records are excluded from the cross-run ratio table —
 /// they carry raw counters and nanosecond/microsecond-scale probes too
 /// noisy for a 2x machine-to-machine gate — and are instead consumed by
 /// the within-run overhead floors.
 fn gated(name: &str) -> bool {
-    (name.contains("packed") || name.starts_with("sweep_") || name.starts_with("comm45_"))
+    (name.contains("packed")
+        || name.starts_with("sse_stage")
+        || name.starts_with("sweep_")
+        || name.starts_with("comm45_"))
         && name.ends_with("_quick")
+        && !name.contains("scalar")
         && !name.contains("fault")
         && !name.contains("trace")
         && !name.contains("sched")
         && !name.contains(PLAN_VS_LOCAL)
 }
+
+/// Floor on the energy-plane stage C over the block-at-a-time scalar
+/// loop at `Norb = 3` (`table9_sbsmm`; committed full-mode ratio 5.4).
+const MIN_PLANES_SPEEDUP: f64 = 1.5;
 
 /// Name stem of the plan-wall ÷ local-wall ladder records.
 const PLAN_VS_LOCAL: &str = "comm45_plan_vs_local_";
@@ -233,25 +245,36 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
             .find(|r| r.name.starts_with(prefix) && r.name.ends_with("_quick"))
     };
     if fresh.iter().any(|r| r.name.starts_with("sbsmm_")) {
-        match (find("sbsmm_packed_sseC"), find("sbsmm_scalar_sseC")) {
-            (Some(packed), Some(scalar)) => {
-                let speedup = scalar.median_ns / packed.median_ns;
-                println!(
-                    "within-run: {} vs {}: {speedup:.2}x (floor {min_speedup:.2}x)",
-                    packed.name, scalar.name
-                );
-                if speedup < min_speedup {
-                    eprintln!(
-                        "perf_check: packed sbsmm speedup {speedup:.2}x fell below the \
-                         {min_speedup:.2}x floor"
-                    );
-                    out.failed_floors += 1;
-                }
-            }
-            _ => {
+        // (fast kernel, scalar loop of the same shape, floor)
+        for (fast, scalar, floor) in [
+            (
+                "sbsmm_packed_sseC_12x12",
+                "sbsmm_scalar_sseC_12x12",
+                min_speedup,
+            ),
+            (
+                "sse_stageC_planes_3x3",
+                "sbsmm_scalar_sseC_3x3",
+                MIN_PLANES_SPEEDUP,
+            ),
+        ] {
+            let (Some(fast), Some(scalar)) = (find(fast), find(scalar)) else {
                 eprintln!(
-                    "perf_check: {fresh_path} has sbsmm records but lacks the packed/scalar \
+                    "perf_check: {fresh_path} has sbsmm records but lacks the {fast}/{scalar} \
                      quick pair — the floor would be vacuous; failing"
+                );
+                out.failed_floors += 1;
+                continue;
+            };
+            let speedup = scalar.median_ns / fast.median_ns;
+            println!(
+                "within-run: {} vs {}: {speedup:.2}x (floor {floor:.2}x)",
+                fast.name, scalar.name
+            );
+            if speedup < floor {
+                eprintln!(
+                    "perf_check: {} speedup {speedup:.2}x fell below the {floor:.2}x floor",
+                    fast.name
                 );
                 out.failed_floors += 1;
             }

@@ -12,10 +12,165 @@ use omen_bench::{
     header, json_flag, quick_flag, row, timed_median, write_bench_json, BenchRecord,
     BENCH_JSON_PATH,
 };
+use omen_device::{DeviceConfig, DeviceStructure};
 use omen_linalg::{
     sbsmm, sbsmm_f16, sbsmm_f16_packed, sbsmm_padded, sbsmm_pb, sbsmm_scalar, BatchDims,
-    F16APanels, F16BPanels, Normalization, PackedB, SplitF16Batch, Strides, C64,
+    F16APanels, F16BPanels, Normalization, PackedB, PlaneScratch, SplitF16Batch, Strides, C64,
 };
+use omen_sse::stages::{pi_pair, sigma_pair, EnergyWindow};
+use omen_sse::testutil::{pi_pair_scalar, sigma_pair_scalar};
+use omen_sse::SseProblem;
+
+/// `n` operand values of GF-like magnitude.
+fn mk(n: usize, seed: usize) -> Vec<C64> {
+    (0..n)
+        .map(|i| {
+            omen_linalg::c64(
+                ((i * 7 + seed) as f64).sin() * 1e-3,
+                ((i * 3 + seed) as f64).cos() * 1e-3,
+            )
+        })
+        .collect()
+}
+
+/// The `Norb = 3` rows: stages C and D of one directed pair at the
+/// `sse_heavy` shape (`nk 4, ne 24, nq 4, nw 6`), the block-at-a-time
+/// scalar loops against the energy-plane kernels the leaves run. Pack and
+/// write-back are inside the timed region, as they are inside a solve.
+fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
+    let dev = DeviceStructure::build(DeviceConfig {
+        norb: 3,
+        ..DeviceConfig::tiny()
+    });
+    let prob = SseProblem::new(&dev, 4, 24, 4, 6, 1.0, 1.0);
+    let win = EnergyWindow::full(prob.ne);
+    let (norb, bsz) = (3, 9);
+    let stream = 3 * prob.nk * prob.ne * bsz;
+    let (hg_l, hg_g) = (mk(stream, 1), mk(stream, 2));
+    let (hr_l, hr_g) = (mk(stream, 3), mk(stream, 4));
+    let points = prob.nq * prob.nw;
+    let (hd_l, hd_g) = (mk(3 * points * bsz, 5), mk(3 * points * bsz, 6));
+    let mut out_l = vec![C64::ZERO; prob.nk * prob.ne * bsz];
+    let mut out_g = out_l.clone();
+    let mut scratch = PlaneScratch::default();
+    // A solve sweeps hundreds of pairs per call; one timed sample is a few.
+    let (pairs, reps) = if quick { (4, 5) } else { (32, 9) };
+
+    let mut flops_c = 0;
+    let t_planes = timed_median(reps, || {
+        for _ in 0..pairs {
+            flops_c = sigma_pair(
+                &prob,
+                &win,
+                &hg_l,
+                &hg_g,
+                &hd_l,
+                &hd_g,
+                &mut scratch,
+                &mut out_l,
+                &mut out_g,
+            );
+        }
+    });
+    let t_scalar = timed_median(reps, || {
+        for _ in 0..pairs {
+            sigma_pair_scalar(
+                &prob, &win, &hg_l, &hg_g, &hd_l, &hd_g, &mut out_l, &mut out_g,
+            );
+        }
+    });
+    let mut flops_d = 0;
+    let mut sum = C64::ZERO;
+    let t_dots = timed_median(reps, || {
+        for _ in 0..pairs {
+            flops_d = pi_pair(
+                &prob,
+                &win,
+                &hr_l,
+                &hr_g,
+                &hg_l,
+                &hg_g,
+                &mut scratch,
+                |_, _, c_l, c_g| sum += c_l[0] + c_g[8],
+            );
+        }
+    });
+    let t_trace = timed_median(reps, || {
+        for _ in 0..pairs {
+            for q in 0..prob.nq {
+                for m in 0..prob.nw {
+                    let (c_l, c_g) = pi_pair_scalar(&prob, q, m, &win, &hr_l, &hr_g, &hg_l, &hg_g);
+                    sum += c_l[0] + c_g[8];
+                }
+            }
+        }
+    });
+    std::hint::black_box(sum);
+
+    // Batch sizes: block products of stage C (8·Norb³ flops each), block
+    // traces of stage D (8·Norb²).
+    let unit_c = BatchDims::square(norb).flops();
+    let unit_d = 8 * bsz as u64;
+    println!(
+        "\nNorb = {norb} (sse_heavy shape, {pairs} pairs): stages C and D, scalar loop vs energy planes\n"
+    );
+    let w = [34, 12, 16, 12];
+    header(&["Kernel", "Time [ms]", "Useful Gflop/s", "vs scalar"], &w);
+    let mut records = Vec::new();
+    for (label, name, t, flops, unit, base) in [
+        (
+            "stage C, sbsmm_scalar per run",
+            "sbsmm_scalar_sseC",
+            t_scalar,
+            flops_c,
+            unit_c,
+            t_scalar,
+        ),
+        (
+            "stage C, planes_mac (sigma_pair)",
+            "sse_stageC_planes",
+            t_planes,
+            flops_c,
+            unit_c,
+            t_scalar,
+        ),
+        (
+            "stage D, trace_product per block",
+            "sse_stageD_scalar",
+            t_trace,
+            flops_d,
+            unit_d,
+            t_trace,
+        ),
+        (
+            "stage D, planes_dots (pi_pair)",
+            "sse_stageD_dots",
+            t_dots,
+            flops_d,
+            unit_d,
+            t_trace,
+        ),
+    ] {
+        let gflops = (flops * pairs) as f64 / t / 1e9;
+        row(
+            &[
+                label.into(),
+                format!("{:.3}", t * 1e3),
+                format!("{gflops:.2}"),
+                format!("{:.2}x", base / t),
+            ],
+            &w,
+        );
+        records.push(BenchRecord {
+            name: format!("{name}_{norb}x{norb}_b{}{suffix}", flops * pairs / unit),
+            n: norb,
+            median_ns: t * 1e9,
+            gflops,
+        });
+    }
+    println!("shape target: planes >= 2x the scalar loop on both stages");
+    records
+}
 
 fn main() {
     let quick = quick_flag();
@@ -33,16 +188,6 @@ fn main() {
         a: bsz,
         b: 0,
         c: bsz,
-    };
-    let mk = |n: usize, seed: usize| -> Vec<C64> {
-        (0..n)
-            .map(|i| {
-                omen_linalg::c64(
-                    ((i * 7 + seed) as f64).sin() * 1e-3,
-                    ((i * 3) as f64).cos() * 1e-3,
-                )
-            })
-            .collect()
     };
     let a = mk(batch * bsz, 1);
     let b = mk(bsz, 2);
@@ -125,6 +270,8 @@ fn main() {
     );
     println!("shape target: packed sbsmm >= 2x the scalar small_gemm loop on stage-C batches");
 
+    let norb3 = norb3_rows(quick, suffix);
+
     if json_flag() {
         let rec = |name: &str, t: f64| BenchRecord {
             name: format!("{name}_{norb}x{norb}_b{batch}{suffix}"),
@@ -132,13 +279,14 @@ fn main() {
             median_ns: t * 1e9,
             gflops: useful / t / 1e9,
         };
-        let records = vec![
+        let mut records = vec![
             rec("sbsmm_scalar_sseC", t_scalar),
             rec("sbsmm_packed_sseC", t_packed),
             rec("sbsmm_packed_pb_sseC", t_pb),
             rec("sbsmm_f16_scalar_sseC", t_f16),
             rec("sbsmm_f16_packed_sseC", t_f16p),
         ];
+        records.extend(norb3);
         write_bench_json(BENCH_JSON_PATH, &records).expect("write BENCH_kernels.json");
         println!("\nwrote {} records to {BENCH_JSON_PATH}", records.len());
     }

@@ -35,7 +35,7 @@ use crate::mpi_sim::{run_world_on, Comm};
 use crate::plan_common::{deposit_rows, reset_output, PlanResult, RowRef};
 use crate::topology::{DaceTiling, OmenGrid};
 use crate::volume::VolumeLedger;
-use omen_linalg::{BatchDims, PackedB, C64};
+use omen_linalg::{BatchDims, PlaneScratch, C64};
 use omen_sse::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
 use omen_sse::{d_combination_from, DBlocks, DTensor, GTensor, SseOutput, SseProblem, D_BSZ};
 
@@ -130,8 +130,9 @@ pub struct DaceTile {
     hg: [Vec<C64>; 2],
     hr: [Vec<C64>; 2],
     hd: [Vec<C64>; 2],
-    pb: [PackedB; 2],
-    /// Unscaled `Σ^≷`, `[own atom][kz][E − own.lo]`.
+    /// Pack scratch of stages C and D, sized by the first compute.
+    scratch: PlaneScratch,
+    /// Scaled `Σ^≷`, `[own atom][kz][E − own.lo]`.
     sig: [Vec<C64>; 2],
     /// Unscaled `Π^≷` partials, `[qz][ω][tile Π entry]`.
     pi: [Vec<C64>; 2],
@@ -195,7 +196,7 @@ impl DaceTile {
             hg: pair_of(stream),
             hr: pair_of(stream),
             hd: pair_of(3 * points * bsz),
-            pb: Default::default(),
+            scratch: PlaneScratch::default(),
             sig: pair_of((atoms.1 - atoms.0) * prob.nk * win.own_len() * bsz),
             pi: pair_of(points * npi * D_BSZ),
             sigma_rows: pair_of(shape.owned_pairs[rank].len() * prob.na() * bsz),
@@ -225,7 +226,7 @@ impl DaceTile {
             hg: [hg_l, hg_g],
             hr: [hr_l, hr_g],
             hd: [hd_l, hd_g],
-            pb,
+            scratch,
             sig: [sig_l, sig_g],
             pi,
             ..
@@ -271,23 +272,21 @@ impl DaceTile {
                         }
                     }
                 }
-                flops += sigma_pair(prob, win, hg_l, hg_g, hd_l, hd_g, pb, out_l, out_g);
-                for q in 0..nq {
-                    for m in 0..nw {
-                        let (c_l, c_g, f) = pi_pair(prob, q, m, win, hr_l, hr_g, hg_l, hg_g);
-                        flops += f;
-                        // The pair entry Π_ab and the diagonal entry Π_aa.
-                        let row = (q * nw + m) * *npi;
-                        for (acc, c) in pi.iter_mut().zip([c_l, c_g]) {
-                            for en in [p - first_pair, own_pairs + x] {
-                                let o = (row + en) * D_BSZ;
-                                for (v, c) in acc[o..o + D_BSZ].iter_mut().zip(c) {
-                                    *v += c;
-                                }
+                flops += sigma_pair(prob, win, hg_l, hg_g, hd_l, hd_g, scratch, out_l, out_g);
+                // The pair entry Π_ab and the diagonal entry Π_aa.
+                let entries = [p - first_pair, own_pairs + x];
+                let add = |q, m, c_l: &[C64; D_BSZ], c_g: &[C64; D_BSZ]| {
+                    let row = (q * nw + m) * *npi;
+                    for (acc, c) in pi.iter_mut().zip([c_l, c_g]) {
+                        for en in entries {
+                            let o = (row + en) * D_BSZ;
+                            for (v, c) in acc[o..o + D_BSZ].iter_mut().zip(c) {
+                                *v += *c;
                             }
                         }
                     }
-                }
+                };
+                flops += pi_pair(prob, win, hr_l, hr_g, hg_l, hg_g, scratch, add);
             }
         }
         flops
@@ -542,7 +541,8 @@ impl DacePlan {
             let sigma = DaceTile::owned(&shape.owned_pairs[rank], &tile.sigma_rows, na * bsz);
             let pi_len = (prob.npairs() + na) * D_BSZ;
             let pi = DaceTile::owned(&shape.phonon_points[rank], &tile.pi_rows, pi_len);
-            deposit_rows(prob, out, sigma, pi);
+            // Stage C scaled Σ on the way; Π partials are still raw.
+            deposit_rows(out, (1.0, prob.scale_pi), sigma, pi);
         }
         out.flops = flops.iter().sum();
         ledger

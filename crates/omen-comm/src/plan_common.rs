@@ -40,12 +40,14 @@ pub fn reset_output(prob: &SseProblem, out: &mut SseOutput) {
     out.flops = 0;
 }
 
-/// Writes one rank's owned rows into the (reset) output, applying the
-/// problem scales. Every `(k, e)` and `(q, m)` has exactly one owner, so
-/// rows are stored, not accumulated.
+/// Writes one rank's owned rows into the (reset) output, multiplying
+/// `Σ^≷` rows by `scale_sigma` and `Π^≷` rows by `scale_pi` (the problem
+/// scales, or `1.0` for rows that carry theirs already). Every `(k, e)`
+/// and `(q, m)` has exactly one owner, so rows are stored, not
+/// accumulated.
 pub fn deposit_rows<'r>(
-    prob: &SseProblem,
     out: &mut SseOutput,
+    (scale_sigma, scale_pi): (f64, f64),
     sigma: impl IntoIterator<Item = RowRef<'r>>,
     pi: impl IntoIterator<Item = RowRef<'r>>,
 ) {
@@ -56,13 +58,13 @@ pub fn deposit_rows<'r>(
     }
     for ((k, e), row_l, row_g) in sigma {
         let o = out.sigma_l.offset(k, e, 0);
-        store(out.sigma_l.as_mut_slice(), o, row_l, prob.scale_sigma);
-        store(out.sigma_g.as_mut_slice(), o, row_g, prob.scale_sigma);
+        store(out.sigma_l.as_mut_slice(), o, row_l, scale_sigma);
+        store(out.sigma_g.as_mut_slice(), o, row_g, scale_sigma);
     }
     for ((q, m), row_l, row_g) in pi {
         let o = out.pi_l.offset(q, m, 0);
-        store(out.pi_l.as_mut_slice(), o, row_l, prob.scale_pi);
-        store(out.pi_g.as_mut_slice(), o, row_g, prob.scale_pi);
+        store(out.pi_l.as_mut_slice(), o, row_l, scale_pi);
+        store(out.pi_g.as_mut_slice(), o, row_g, scale_pi);
     }
 }
 
@@ -75,7 +77,8 @@ pub fn assemble(prob: &SseProblem, rank_outputs: Vec<RankSse>) -> PlanResult {
     let mut out = SseOutput::empty();
     reset_output(prob, &mut out);
     for rank in &rank_outputs {
-        deposit_rows(prob, &mut out, row_refs(&rank.sigma), row_refs(&rank.pi));
+        let scales = (prob.scale_sigma, prob.scale_pi);
+        deposit_rows(&mut out, scales, row_refs(&rank.sigma), row_refs(&rank.pi));
         out.flops += rank.flops;
     }
     out

@@ -28,7 +28,7 @@ use omen_rgf::{
     BoundaryCache, BoundaryCacheStats, CacheMode, ElectronParams, ElectronSolver, GfSolver,
     PhaseTimes, PhononParams, PhononSolver,
 };
-use omen_sse::{DTensor, GLayout, GTensor, SseKernel, SseProblem};
+use omen_sse::{DLayout, DTensor, GLayout, GTensor, SseKernel, SseProblem};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -222,6 +222,10 @@ pub struct Simulation {
     /// next Born iteration — reuses the buffers: the self-consistent loop
     /// allocates hot-path scratch only during warmup.
     ws_pool: WorkspacePool,
+    /// The mixed Σ^≷/Π^≷ state. Empty until the first mixing step or
+    /// warm-start import sizes it: construction writes no tensor-sized
+    /// memory, so its cost does not depend on what the allocator has to
+    /// hand (docs/benchmarks.md, "what `setup_s` measures").
     sigma_l: GTensor,
     sigma_g: GTensor,
     pi_l: DTensor,
@@ -331,8 +335,6 @@ impl Simulation {
         let fgrid = FrequencyGrid::new(egrid.de, config.nw);
         let vds = config.mu_source - config.mu_drain;
         let potential = device.linear_potential(vds, config.ramp.0, config.ramp.1);
-        let (sigma_l, sigma_g, pi_l, pi_g) =
-            zero_tensors(&device, config.nk, config.ne, config.nk, config.nw);
         // The distributed executor pairs with the plan kernel: the SSE
         // phase *is* the inter-rank exchange, so the configured kernel
         // variant is superseded by the configured communication plan.
@@ -355,10 +357,10 @@ impl Simulation {
             potential,
             kernel,
             ws_pool: WorkspacePool::new(),
-            sigma_l,
-            sigma_g,
-            pi_l,
-            pi_g,
+            sigma_l: GTensor::default(),
+            sigma_g: GTensor::default(),
+            pi_l: DTensor::default(),
+            pi_g: DTensor::default(),
             conv_sl: GTensor::default(),
             conv_sg: GTensor::default(),
             el_bc,
@@ -455,6 +457,12 @@ impl Simulation {
         &*self.kernel
     }
 
+    /// Zeroed Σ^≷/Π^≷ tensors of this simulation's shape.
+    fn zero_state(&self) -> (GTensor, GTensor, DTensor, DTensor) {
+        let cfg = &self.config;
+        zero_tensors(&self.device, cfg.nk, cfg.ne, cfg.nk, cfg.nw)
+    }
+
     /// Born iterations completed so far (the driver owns the counter).
     pub fn iterations_done(&self) -> usize {
         self.iteration
@@ -472,11 +480,21 @@ impl Simulation {
     /// Exports this simulation's converged Σ/Π state and boundary caches
     /// as a warm start for a neighboring sweep point.
     pub fn warm_start_data(&self) -> WarmStartData {
+        let (sigma_l, sigma_g, pi_l, pi_g) = if self.sigma_l.as_slice().is_empty() {
+            self.zero_state()
+        } else {
+            (
+                self.sigma_l.clone(),
+                self.sigma_g.clone(),
+                self.pi_l.clone(),
+                self.pi_g.clone(),
+            )
+        };
         WarmStartData {
-            sigma_l: self.sigma_l.clone(),
-            sigma_g: self.sigma_g.clone(),
-            pi_l: self.pi_l.clone(),
-            pi_g: self.pi_g.clone(),
+            sigma_l,
+            sigma_g,
+            pi_l,
+            pi_g,
             el_bc: self.el_bc.clone(),
             ph_bc: self.ph_bc.clone(),
         }
@@ -513,14 +531,18 @@ impl Simulation {
         if self.iteration > 0 {
             return Err(WarmStartError::AlreadyRunning);
         }
-        let g = &self.sigma_l;
+        let (cfg, dev) = (&self.config, &self.device);
+        let (na, npairs) = (dev.num_atoms(), dev.neighbors.num_pairs());
         let d = &data.sigma_l;
-        if (g.nk, g.ne, g.na, g.norb, g.layout) != (d.nk, d.ne, d.na, d.norb, d.layout) {
+        if (d.nk, d.ne, d.na, d.norb, d.layout)
+            != (cfg.nk, cfg.ne, na, dev.material.norb, GLayout::PairMajor)
+        {
             return Err(WarmStartError::ShapeMismatch("electron Σ tensors"));
         }
-        let p = &self.pi_l;
         let q = &data.pi_l;
-        if (p.nq, p.nw, p.npairs, p.na, p.layout) != (q.nq, q.nw, q.npairs, q.na, q.layout) {
+        if (q.nq, q.nw, q.npairs, q.na, q.layout)
+            != (cfg.nk, cfg.nw, npairs, na, DLayout::PointMajor)
+        {
             return Err(WarmStartError::ShapeMismatch("phonon Π tensors"));
         }
         if let (Some(own), Some(donor)) = (&self.el_bc, &data.el_bc) {
@@ -533,18 +555,10 @@ impl Simulation {
                 return Err(WarmStartError::ShapeMismatch("phonon boundary cache"));
             }
         }
-        self.sigma_l
-            .as_mut_slice()
-            .copy_from_slice(data.sigma_l.as_slice());
-        self.sigma_g
-            .as_mut_slice()
-            .copy_from_slice(data.sigma_g.as_slice());
-        self.pi_l
-            .as_mut_slice()
-            .copy_from_slice(data.pi_l.as_slice());
-        self.pi_g
-            .as_mut_slice()
-            .copy_from_slice(data.pi_g.as_slice());
+        self.sigma_l.clone_from(&data.sigma_l);
+        self.sigma_g.clone_from(&data.sigma_g);
+        self.pi_l.clone_from(&data.pi_l);
+        self.pi_g.clone_from(&data.pi_g);
         if self.el_bc.is_some() {
             if let Some(donor) = &data.el_bc {
                 // The electron ballistic operator contains the
@@ -797,6 +811,10 @@ impl Simulation {
             times: gf_times,
         } = gf;
 
+        // The mixing step below is the state's first writer.
+        if self.sigma_l.as_slice().is_empty() {
+            (self.sigma_l, self.sigma_g, self.pi_l, self.pi_g) = self.zero_state();
+        }
         let sse_trace = omen_trace::PhaseGuard::enter("sse_phase");
         let t0 = Instant::now();
         // Inlined `sse_phase`: the kernel output borrows `self.kernel`,

@@ -37,7 +37,9 @@
 //!
 //! Items too small to amortize packing (see [`use_packed_kernel`]) run the
 //! retained scalar loop [`sbsmm_scalar`] / [`small_gemm`], which also
-//! serves as the correctness oracle for the property tests.
+//! serves as the correctness oracle for the property tests. Callers with
+//! long runs of such items — the SSE pair stages — vectorise across the
+//! batch instead, through the energy-plane kernels of [`crate::planes`].
 
 // The batched entry points mirror BLAS `gemmStridedBatched` signatures.
 #![allow(clippy::too_many_arguments)]
@@ -429,12 +431,7 @@ pub fn sbsmm_with(
 /// Records one batched-multiply invocation and its `8·m·n·k·batch`
 /// complex FLOPs against the trace registry (no-op while disarmed).
 fn count_sbsmm(dims: BatchDims, batch: usize) {
-    omen_trace::add2(
-        omen_trace::Counter::SbsmmCalls,
-        1,
-        omen_trace::Counter::SbsmmFlops,
-        8 * (dims.m as u64) * (dims.n as u64) * (dims.k as u64) * (batch as u64),
-    );
+    crate::planes::count_fused_run(dims.flops() * batch as u64);
 }
 
 /// The packed batch engine (bounds already checked, shape known

@@ -27,6 +27,7 @@ pub mod half;
 pub mod lu;
 pub mod mixed;
 pub mod norms;
+pub mod planes;
 pub mod sparse;
 pub mod workspace;
 
@@ -49,5 +50,9 @@ pub use mixed::{
     NORMALIZATION_TARGET,
 };
 pub use norms::{magnitude_distribution, max_abs, rel_err_fro, rel_err_max, MagnitudeDistribution};
+pub use planes::{
+    add_planes, count_fused_run, give_tls_plane_scratch, pack_planes, pack_split, planes_dots,
+    planes_mac, take_tls_plane_scratch, DotTile, PlaneScratch, SplitRun, PLANES_MAX_DIM,
+};
 pub use sparse::{csrmm, gemmi, CscMatrix, CsrMatrix};
 pub use workspace::{Workspace, WorkspaceLease, WorkspacePool};

@@ -2,9 +2,11 @@
 //! benches via the `testutil` feature of the crate's dev profile).
 
 use crate::problem::SseProblem;
-use crate::tensors::{DLayout, DTensor, GLayout, GTensor};
+use crate::reference::trace_product;
+use crate::stages::{EnergyWindow, Stencil};
+use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
 use omen_device::{DeviceConfig, DeviceStructure};
-use omen_linalg::c64;
+use omen_linalg::{c64, sbsmm_scalar, BatchDims, Strides, C64};
 
 /// The standard tiny device for kernel tests.
 pub fn tiny_device() -> DeviceStructure {
@@ -83,4 +85,98 @@ pub fn random_inputs(prob: &SseProblem, seed: u64) -> (GTensor, GTensor, DTensor
     let dl = mk_d(2_000_000);
     let dg = mk_d(3_000_000);
     (gl, gg, dl, dg)
+}
+
+/// Stage C one block at a time through [`sbsmm_scalar`]: the oracle of
+/// [`crate::stages::sigma_pair`] (same arguments, same scaled result up to
+/// rounding) and the baseline `table9_sbsmm` measures it against.
+#[allow(clippy::too_many_arguments)]
+pub fn sigma_pair_scalar(
+    prob: &SseProblem,
+    win: &EnergyWindow,
+    hg_l: &[C64],
+    hg_g: &[C64],
+    hd_l: &[C64],
+    hd_g: &[C64],
+    out_l: &mut [C64],
+    out_g: &mut [C64],
+) {
+    let bsz = prob.norb() * prob.norb();
+    let dims = BatchDims::square(prob.norb());
+    let (nk, nq, nw) = (prob.nk, prob.nq, prob.nw);
+    let (hw, ew) = (win.halo_len(), win.own_len());
+    let strides = Strides {
+        a: bsz,
+        b: 0,
+        c: bsz,
+    };
+    let mac = |n: usize, hg: &[C64], ax: usize, hd: &[C64], out: &mut [C64], cx: usize| {
+        if n > 0 {
+            let (a, c) = (&hg[ax * bsz..], &mut out[cx * bsz..]);
+            sbsmm_scalar(dims, n, C64::ONE, a, hd, C64::ONE, c, strides);
+        }
+    };
+    for i in 0..3 {
+        for q in 0..nq {
+            for m in 0..nw {
+                let st = Stencil::new(win, prob.omega_steps(m));
+                let hd0 = ((i * nq + q) * nw + m) * bsz;
+                let scaled = |hd: &[C64]| -> Vec<C64> {
+                    let block = hd[hd0..hd0 + bsz].iter();
+                    block.map(|z| z.scale(prob.scale_sigma)).collect()
+                };
+                let (dl, dg) = (scaled(hd_l), scaled(hd_g));
+                for k in 0..nk {
+                    let src = (i * nk + prob.k_minus_q(k, q)) * hw;
+                    let a_em = src + st.em_lo - st.steps - win.halo.0;
+                    let a_ab = src + win.own.0 + st.steps - win.halo.0;
+                    let c_em = k * ew + st.em_lo - win.own.0;
+                    mac(st.n_em, hg_l, a_em, &dl, out_l, c_em);
+                    mac(st.n_em, hg_g, a_em, &dg, out_g, c_em);
+                    mac(st.n_ab, hg_l, a_ab, &dg, out_l, k * ew);
+                    mac(st.n_ab, hg_g, a_ab, &dl, out_g, k * ew);
+                }
+            }
+        }
+    }
+}
+
+/// Stage D at one `(qz, ω_m)`, one [`trace_product`] per block pair: the
+/// oracle of [`crate::stages::pi_pair`] and its `table9_sbsmm` baseline.
+/// Returns `(C^<, C^>)`.
+#[allow(clippy::too_many_arguments)]
+pub fn pi_pair_scalar(
+    prob: &SseProblem,
+    q: usize,
+    m: usize,
+    win: &EnergyWindow,
+    x_l: &[C64],
+    x_g: &[C64],
+    y_l: &[C64],
+    y_g: &[C64],
+) -> ([C64; D_BSZ], [C64; D_BSZ]) {
+    let norb = prob.norb();
+    let bsz = norb * norb;
+    let steps = prob.omega_steps(m);
+    let e_hi = win.own.1.min(win.ne.saturating_sub(steps));
+    let blk = |dir: usize, k: usize, e: usize| {
+        let o = ((dir * prob.nk + k) * win.halo_len() + e - win.halo.0) * bsz;
+        o..o + bsz
+    };
+    let mut c_l = [C64::ZERO; D_BSZ];
+    let mut c_g = [C64::ZERO; D_BSZ];
+    for k in 0..prob.nk {
+        let kq = prob.k_plus_q(k, q);
+        for e in win.own.0..e_hi {
+            for i in 0..3 {
+                let xr = blk(i, kq, e + steps);
+                for j in 0..3 {
+                    let yr = blk(j, k, e);
+                    c_l[j * 3 + i] += trace_product(&x_l[xr.clone()], &y_g[yr.clone()], norb);
+                    c_g[j * 3 + i] += trace_product(&x_g[xr.clone()], &y_l[yr], norb);
+                }
+            }
+        }
+    }
+    (c_l, c_g)
 }

@@ -10,8 +10,11 @@
 //! 2. **Data layout** (❷): `G^≷`/`Σ^≷` are held `AtomMajor` (energy
 //!    innermost) so consecutive batch items sit at constant stride.
 //! 3. **Strided-batched multiplication** (❸): the per-energy small GEMMs
-//!    become one `sbsmm` call per `(pair, i, kz, qz, ω)` tuple with
-//!    `A`-stride `Norb²`, `B`-stride `0`, `C`-stride `Norb²`.
+//!    become one batched product per `(pair, i, kz, qz, ω)` tuple over a
+//!    contiguous energy run — the packed micro-kernel with `A`-stride
+//!    `Norb²`, `B`-stride `0`, `C`-stride `Norb²` for blocks that fill a
+//!    register tile, the energy run itself as the SIMD axis for tinier
+//!    ones (see [`crate::stages::sigma_pair`]).
 //! 4. **Map fusion** (❹): the stages share transients and loop structure.
 //!
 //! The kernel produces values elementwise-identical (up to floating-point
@@ -21,7 +24,7 @@ use crate::problem::SseProblem;
 use crate::reference::SseOutput;
 use crate::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
 use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
-use omen_linalg::{give_tls_packed_b, small_gemm, take_tls_packed_b, BatchDims, C64};
+use omen_linalg::{give_tls_plane_scratch, small_gemm, take_tls_plane_scratch, BatchDims, C64};
 use rayon::prelude::*;
 
 /// Below this many complex elements in a stage's output, the per-call
@@ -150,9 +153,8 @@ pub fn build_transients_into(
 
     // ---- stage A: hg[p][i][k][e] = ∇H^i_p · G_{to(p)}(k, e) ----
     let hg_len = npairs * 3 * nk * ne * bsz;
-    tr.hg_l.clear();
+    // No zeroing: `grad_g` overwrites every block (β = 0).
     tr.hg_l.resize(hg_len, C64::ZERO);
-    tr.hg_g.clear();
     tr.hg_g.resize(hg_len, C64::ZERO);
     let hg_l = &mut tr.hg_l;
     let hg_g = &mut tr.hg_g;
@@ -268,13 +270,12 @@ pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut Sse
     let flops_c: u64 = {
         // Each atom owns a contiguous output chunk; atoms run in parallel
         // when the Σ tensors are large enough to amortize dispatch. The
-        // `∇H·D` packs are thread-local `PackedB`s, warm after the first
-        // atom.
+        // pair scratch is a thread-local lease, warm after the first atom.
         let sl = sigma_l.as_mut_slice();
         let sg = sigma_g.as_mut_slice();
         let par = sl.len() >= PAR_MIN_ELEMS;
         let atom_body = |a: usize, out_l: &mut [C64], out_g: &mut [C64]| -> u64 {
-            let mut pb = [take_tls_packed_b(), take_tls_packed_b()];
+            let mut scratch = take_tls_plane_scratch();
             let flops = (offsets[a]..offsets[a + 1])
                 .map(|p| {
                     let (hg, hd) = (
@@ -288,13 +289,13 @@ pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut Sse
                         &tr.hg_g[hg],
                         &tr.hd_l[hd.clone()],
                         &tr.hd_g[hd],
-                        &mut pb,
+                        &mut scratch,
                         out_l,
                         out_g,
                     )
                 })
                 .sum();
-            pb.into_iter().for_each(give_tls_packed_b);
+            give_tls_plane_scratch(scratch);
             flops
         };
         if par {
@@ -311,14 +312,6 @@ pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut Sse
                 .sum()
         }
     };
-    if prob.scale_sigma != 1.0 {
-        for v in sigma_l.as_mut_slice() {
-            *v = v.scale(prob.scale_sigma);
-        }
-        for v in sigma_g.as_mut_slice() {
-            *v = v.scale(prob.scale_sigma);
-        }
-    }
 
     let flops_d = pi_stage(prob, tr, &mut out.pi_l, &mut out.pi_g);
     out.flops = tr.flops + flops_c + flops_d;
@@ -339,6 +332,7 @@ pub(crate) fn pi_stage(
     let win = EnergyWindow::full(prob.ne);
     let chunk = 3 * prob.nk * prob.ne * tr.bsz;
     let hg = |p: usize| p * chunk..(p + 1) * chunk;
+    let mut scratch = take_tls_plane_scratch();
     let mut flops = 0u64;
     for (p, pair) in prob.device.neighbors.pairs.iter().enumerate() {
         let rev = prob.rev_pair[p];
@@ -346,19 +340,18 @@ pub(crate) fn pi_stage(
         let (y_l, y_g) = (&tr.hg_l[hg(p)], &tr.hg_g[hg(p)]);
         let pe = pi_l.pair_entry(p);
         let de = pi_l.diag_entry(pair.from);
-        for q in 0..nq {
-            for m in 0..nw {
-                let (c_l, c_g, f) = pi_pair(prob, q, m, &win, x_l, x_g, y_l, y_g);
-                flops += f;
-                for x in 0..D_BSZ {
-                    pi_l.block_mut(q, m, pe)[x] += c_l[x].scale(prob.scale_pi);
-                    pi_l.block_mut(q, m, de)[x] += c_l[x].scale(prob.scale_pi);
-                    pi_g.block_mut(q, m, pe)[x] += c_g[x].scale(prob.scale_pi);
-                    pi_g.block_mut(q, m, de)[x] += c_g[x].scale(prob.scale_pi);
+        let add = |q, m, c_l: &[C64; D_BSZ], c_g: &[C64; D_BSZ]| {
+            for (pi, c) in [(&mut *pi_l, c_l), (&mut *pi_g, c_g)] {
+                for en in [pe, de] {
+                    for (v, c) in pi.block_mut(q, m, en).iter_mut().zip(c) {
+                        *v += c.scale(prob.scale_pi);
+                    }
                 }
             }
-        }
+        };
+        flops += pi_pair(prob, &win, x_l, x_g, y_l, y_g, &mut scratch, add);
     }
+    give_tls_plane_scratch(scratch);
     flops
 }
 

@@ -26,7 +26,7 @@ use dace_omen::rgf::testutil::test_system;
 use dace_omen::rgf::{rgf_solve_into, RgfInputs, RgfSolution};
 use dace_omen::sched::{run_with_arena, ArenaBuffers, BufferPlan, TaskDag};
 use dace_omen::sse::testutil::{random_inputs, tiny_device, tiny_problem};
-use dace_omen::sse::{sse_reference_into, SseOutput};
+use dace_omen::sse::{sse_reference_into, sse_transformed_into, GLayout, SseOutput, Transients};
 use dace_omen::trace;
 
 // Per-thread counters so the libtest harness's own threads (timers,
@@ -36,6 +36,11 @@ use dace_omen::trace;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Largest block requested while counting, per entry point:
+    /// `[alloc | realloc, alloc_zeroed]`. A block from the first two is
+    /// memory the caller goes on to write; a zeroed one may never be
+    /// touched.
+    static LARGEST: Cell<[usize; 2]> = const { Cell::new([0; 2]) };
 }
 
 /// Forwards to `System`, counting this thread's allocation events while
@@ -43,27 +48,32 @@ thread_local! {
 struct CountingAllocator;
 
 #[inline]
-fn record() {
+fn record(entry: usize, size: usize) {
     COUNTING.with(|on| {
         if on.get() {
             ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            LARGEST.with(|l| {
+                let mut largest = l.get();
+                largest[entry] = largest[entry].max(size);
+                l.set(largest);
+            });
         }
     });
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(0, layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(1, layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
+        record(0, new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -78,6 +88,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// Counts this thread's allocation events during `f`.
 fn count_allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(|n| n.set(0));
+    LARGEST.with(|l| l.set([0; 2]));
     COUNTING.with(|on| on.set(true));
     f();
     COUNTING.with(|on| on.set(false));
@@ -137,6 +148,28 @@ fn steady_state_hot_path_is_allocation_free() {
         "warm SSE apply must be bit-identical to the warmup apply"
     );
 
+    // ---- Transformed kernel: stages A–D on warm transients, output and
+    // this thread's pair scratch (plane packs, accumulators, `∇H·D`
+    // packs). ----
+    let gl_am = gl.to_layout(GLayout::AtomMajor);
+    let gg_am = gg.to_layout(GLayout::AtomMajor);
+    let mut tr = Transients::empty();
+    let mut tr_out = SseOutput::empty();
+    sse_transformed_into(&prob, &gl_am, &gg_am, &dl, &dg, &mut tr, &mut tr_out);
+    let baseline_sigma = tr_out.sigma_l.as_slice().to_vec();
+    let transformed_allocs = count_allocations(|| {
+        sse_transformed_into(&prob, &gl_am, &gg_am, &dl, &dg, &mut tr, &mut tr_out);
+    });
+    assert_eq!(
+        transformed_allocs, 0,
+        "sse_transformed_into allocated {transformed_allocs} times on warm storage"
+    );
+    assert_eq!(
+        tr_out.sigma_l.as_slice(),
+        &baseline_sigma[..],
+        "warm transformed apply must be bit-identical to the warmup apply"
+    );
+
     // ---- DaCe plan tile compute: the transformed stages on a tile's
     // resident tensors. One run builds the plan state and leaves G^≷/D^≷
     // in the tile; the compute between collectives 2 and 3 then touches
@@ -147,7 +180,8 @@ fn steady_state_hot_path_is_allocation_free() {
     let mut plan = DacePlan::new(&prob, &grid, &tiling);
     let mut plan_out = SseOutput::empty();
     plan.run(&prob, &gl, &gg, &dl, &dg, &mut plan_out);
-    // The run computed on a rank thread; warm this thread's pack arena too.
+    // The run computed on a rank thread and sized the tile's own pair
+    // scratch; warm this thread's pack arena too.
     plan.tile_mut(0).compute(&prob);
     let mut tile_flops = 0;
     let tile_allocs = count_allocations(|| {
@@ -221,6 +255,22 @@ fn steady_state_hot_path_is_allocation_free() {
         driver_sse_allocs, 0,
         "warm driver sse_phase allocated {driver_sse_allocs} times"
     );
+
+    // ---- Construction touches no large memory: `Simulation::new` must
+    // not obtain a tensor-sized block it then writes (the Σ/Π state stays
+    // empty until the first mixing step), so its cost cannot depend on
+    // whether the allocator serves such a block from warm heap or from
+    // fresh pages. On the demo grids a Σ tensor is 1.9 MiB. ----
+    let mut demo = None;
+    count_allocations(|| {
+        demo = Some(Simulation::new(SimulationConfig::demo()).expect("valid config"));
+    });
+    let [plain, _zeroed] = LARGEST.with(|l| l.get());
+    assert!(
+        plain < 64 << 10,
+        "Simulation::new requested a {plain}-byte block through alloc/realloc"
+    );
+    drop(demo);
 
     // ---- Liveness-driven arena walk: the lowered simulation SDFG's
     // buffers are reserved out of the Workspace pool at their first
