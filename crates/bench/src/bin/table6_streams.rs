@@ -28,7 +28,7 @@ use omen_bench::{
 use omen_core::{run_overlapped, ExecutorKind, Simulation, SimulationConfig, SimulationResult};
 use omen_dataflow::simulation_sdfg;
 use omen_device::{DeviceConfig, DeviceStructure};
-use omen_rgf::{CacheMode, ElectronParams, ElectronSolver};
+use omen_rgf::{CacheMode, ElectronParams, ElectronSolver, GfSolver};
 use omen_sched::lower_iteration;
 use omen_trace as trace;
 use std::time::Instant;
@@ -70,7 +70,7 @@ fn scaling_table(quick: bool) {
                         kzs.clone(),
                         es.clone(),
                     );
-                    std::hint::black_box(solver.solve(ik, ie, None, None, None));
+                    std::hint::black_box(solver.solve_point(ik, ie, None, None, None));
                 });
             })
         })

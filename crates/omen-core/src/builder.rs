@@ -235,9 +235,6 @@ impl SimulationConfig {
         if !(0.0 <= on && on < off && off <= 1.0) {
             return Err(ConfigError::InvalidRamp { on, off });
         }
-        if let ExecutorKind::Partitioned { ranks: 0 } = self.executor {
-            return Err(ConfigError::NoRanks);
-        }
         if let ExecutorKind::Distributed { ranks } = self.executor {
             if ranks == 0 {
                 return Err(ConfigError::NoRanks);
@@ -648,10 +645,6 @@ mod tests {
         check(&|c| c.ramp = (0.7, 0.3), |e| {
             matches!(e, ConfigError::InvalidRamp { .. })
         });
-        check(
-            &|c| c.executor = ExecutorKind::Partitioned { ranks: 0 },
-            |e| matches!(e, ConfigError::NoRanks),
-        );
         check(
             &|c| c.executor = ExecutorKind::Distributed { ranks: 0 },
             |e| matches!(e, ConfigError::NoRanks),

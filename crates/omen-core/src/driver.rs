@@ -9,24 +9,23 @@
 //! The driver is an execution engine, not a loop nest: point sweeps are
 //! pure per-point solves (side-effect-free workers returning
 //! contributions) folded into [`crate::observables::Observables`] accumulators by a pluggable
-//! [`PointExecutor`] — see [`crate::executor`] for the serial,
-//! thread-parallel, and rank-partitioned engines.
+//! [`PointExecutor`] — see [`crate::executor`] for the engine. When the
+//! loop ends is decided in one place, `BornLoop`, which both
+//! [`Simulation::run_with`] and the stream pipeline ([`crate::stream`])
+//! drive.
 
 use crate::builder::{ConfigError, SimulationConfig};
-use crate::executor::{
-    grid_points, DagExecutor, DistributedExecutor, ExecutorKind, PartitionedExecutor,
-    PointExecutor, RayonExecutor, SerialExecutor,
-};
+use crate::executor::{grid_points, ExecutorKind, GridPoint, PointExecutor};
 use crate::grids::{EnergyGrid, FrequencyGrid, MomentumGrid};
 use crate::observables::{
-    ElectronContribution, ElectronObservables, PhononContribution, PhononObservables,
+    ElectronContribution, ElectronObservables, Observables, PhononContribution, PhononObservables,
 };
 use crate::state::{pi_blocks_for_point, sigma_blocks_for_point, zero_tensors};
 use omen_device::DeviceStructure;
-use omen_linalg::WorkspacePool;
+use omen_linalg::{CMatrix, WorkspacePool};
 use omen_rgf::{
-    BoundaryCache, BoundaryCacheStats, CacheMode, ElectronParams, ElectronSolver, GfSolver,
-    PhaseTimes, PhononParams, PhononSolver,
+    BoundaryCache, BoundaryCacheStats, CacheMode, Carrier, ElectronParams, ElectronSolver,
+    GfSolver, PhaseTimes, PhononParams, PhononSolver, PointSolution, PointSolver,
 };
 use omen_sse::{DLayout, DTensor, GLayout, GTensor, SseKernel, SseProblem};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -405,47 +404,6 @@ impl Simulation {
         &self.config
     }
 
-    /// Typed interruption verdict (cancellation, deadline) at an
-    /// iteration boundary, shared by [`Simulation::run_with`] and the
-    /// stream pipeline.
-    pub(crate) fn interrupted(&self) -> Option<DriverError> {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Some(DriverError::Cancelled {
-                    iteration: self.iteration,
-                });
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Some(DriverError::DeadlineExceeded {
-                    iteration: self.iteration,
-                });
-            }
-        }
-        None
-    }
-
-    /// Clone of the most recent spectral data (stream finalization of a
-    /// run that performed no iterations).
-    pub(crate) fn last_spectral_clone(&self) -> Option<SpectralData> {
-        self.last_spectral.clone()
-    }
-
-    /// Whether the supervised NaN fault site fires for this run (see
-    /// [`Simulation::set_fault_key`]).
-    pub(crate) fn nan_injection_armed(&self) -> bool {
-        self.fault_key
-            .map(|k| omen_fault::should_inject(omen_fault::FaultSite::NanPoison, k))
-            .unwrap_or(false)
-    }
-
-    /// Poisons the convergence baseline (the armed NaN fault site firing
-    /// on the first iteration of a supervised run).
-    pub(crate) fn poison_current(&mut self) {
-        self.last_current = Some(f64::NAN);
-    }
-
     /// Replaces the SSE kernel with a custom [`SseKernel`] implementation
     /// (the enum on the config covers the built-in three).
     pub fn set_kernel(&mut self, kernel: Box<dyn SseKernel>) {
@@ -591,18 +549,12 @@ impl Simulation {
 
     /// The SSE problem bound to this simulation's grids and couplings.
     pub fn sse_problem(&self) -> SseProblem<'_> {
-        let scale_sigma =
-            self.config.coupling * self.config.coupling * self.fgrid.weight() * self.kgrid.weight();
-        let scale_pi =
-            self.config.coupling * self.config.coupling * self.egrid.weight() * self.kgrid.weight();
-        SseProblem::with_rev_pair(
+        sse_problem_of(
+            &self.config,
             &self.device,
-            self.config.nk,
-            self.config.ne,
-            self.config.nk,
-            self.config.nw,
-            scale_sigma,
-            scale_pi,
+            &self.egrid,
+            &self.kgrid,
+            &self.fgrid,
             &self.rev_pair,
         )
     }
@@ -629,17 +581,7 @@ impl Simulation {
     /// `(qz, ω)` point, returning the SSE input tensors plus the spectral
     /// observables.
     pub fn gf_phase(&self) -> GfPhaseOutput {
-        match self.config.executor {
-            ExecutorKind::Serial => self.gf_phase_with(&SerialExecutor),
-            ExecutorKind::Rayon { threads } => self.gf_phase_with(&RayonExecutor::new(threads)),
-            ExecutorKind::Partitioned { ranks } => {
-                self.gf_phase_with(&PartitionedExecutor::new(ranks))
-            }
-            ExecutorKind::Dag { threads } => self.gf_phase_with(&DagExecutor::new(threads)),
-            ExecutorKind::Distributed { ranks } => {
-                self.gf_phase_with(&DistributedExecutor::new(ranks))
-            }
-        }
+        self.gf_phase_with(&self.config.executor.engine())
     }
 
     /// Runs the GF phase through an explicit [`PointExecutor`].
@@ -665,60 +607,50 @@ impl Simulation {
         let eacc = ElectronObservables::new(dev, cfg.nk, evals.clone(), self.kgrid.weight(), w_e);
         let eparams = self.electron_params();
         let (sigma_l, sigma_g) = (&self.sigma_l, &self.sigma_g);
-        let el_bc = &self.el_bc;
-        let make_eworker = || {
-            let mut solver = ElectronSolver::new(
-                dev,
-                potential.clone(),
-                eparams,
-                cfg.cache_mode,
-                kvals.clone(),
-                evals.clone(),
-            )
-            .with_workspace_pool(ws_pool);
-            if let Some(cache) = el_bc {
-                solver = solver.with_shared_boundary(Arc::clone(cache));
-            }
-            move |(ik, ie): (usize, usize)| {
-                let out = if have_sigma {
-                    let (sr, sl, sg) = sigma_blocks_for_point(dev, sigma_l, sigma_g, ik, ie);
-                    solver.solve_point(ik, ie, Some(&sr), Some(&sl), Some(&sg))
-                } else {
-                    solver.solve_point(ik, ie, None, None, None)
-                };
-                ElectronContribution::from_solution(dev, ik, ie, &out)
-            }
-        };
         let eobs = {
             let _span = omen_trace::span!("gf_electrons");
-            exec.run(&grid_points(cfg.nk, cfg.ne), make_eworker, eacc)
+            let new_solver = || {
+                ElectronSolver::new(
+                    dev,
+                    potential.clone(),
+                    eparams,
+                    cfg.cache_mode,
+                    kvals.clone(),
+                    evals.clone(),
+                )
+                .with_workspace_pool(ws_pool)
+            };
+            sweep(
+                exec,
+                &grid_points(cfg.nk, cfg.ne),
+                new_solver,
+                &self.el_bc,
+                have_sigma
+                    .then_some(|ik, ie| sigma_blocks_for_point(dev, sigma_l, sigma_g, ik, ie)),
+                |ik, ie, out: &PointSolution| ElectronContribution::from_solution(dev, ik, ie, out),
+                eacc,
+            )
         };
 
         // --- phonons ---
         let pacc = PhononObservables::new(dev, cfg.nk, fvals.clone(), self.kgrid.weight(), w_ph);
         let pparams = self.phonon_params();
         let (pi_l, pi_g) = (&self.pi_l, &self.pi_g);
-        let ph_bc = &self.ph_bc;
-        let make_pworker = || {
-            let mut solver =
-                PhononSolver::new(dev, pparams, cfg.cache_mode, kvals.clone(), fvals.clone())
-                    .with_workspace_pool(ws_pool);
-            if let Some(cache) = ph_bc {
-                solver = solver.with_shared_boundary(Arc::clone(cache));
-            }
-            move |(iq, iw): (usize, usize)| {
-                let out = if have_sigma {
-                    let (pr, pl, pg) = pi_blocks_for_point(dev, pi_l, pi_g, iq, iw);
-                    solver.solve_point(iq, iw, Some(&pr), Some(&pl), Some(&pg))
-                } else {
-                    solver.solve_point(iq, iw, None, None, None)
-                };
-                PhononContribution::from_solution(dev, iq, iw, &out)
-            }
-        };
         let pobs = {
             let _span = omen_trace::span!("gf_phonons");
-            exec.run(&grid_points(cfg.nk, cfg.nw), make_pworker, pacc)
+            let new_solver = || {
+                PhononSolver::new(dev, pparams, cfg.cache_mode, kvals.clone(), fvals.clone())
+                    .with_workspace_pool(ws_pool)
+            };
+            sweep(
+                exec,
+                &grid_points(cfg.nk, cfg.nw),
+                new_solver,
+                &self.ph_bc,
+                have_sigma.then_some(|iq, iw| pi_blocks_for_point(dev, pi_l, pi_g, iq, iw)),
+                |iq, iw, out: &PointSolution| PhononContribution::from_solution(dev, iq, iw, out),
+                pacc,
+            )
         };
 
         let mut times = eobs.times;
@@ -752,20 +684,12 @@ impl Simulation {
         d_l: &DTensor,
         d_g: &DTensor,
     ) -> &omen_sse::SseOutput {
-        // Built inline from fields: a `self.sse_problem()` call would
-        // borrow all of `self` and conflict with `&mut self.kernel`.
-        let scale_sigma =
-            self.config.coupling * self.config.coupling * self.fgrid.weight() * self.kgrid.weight();
-        let scale_pi =
-            self.config.coupling * self.config.coupling * self.egrid.weight() * self.kgrid.weight();
-        let prob = SseProblem::with_rev_pair(
+        let prob = sse_problem_of(
+            &self.config,
             &self.device,
-            self.config.nk,
-            self.config.ne,
-            self.config.nk,
-            self.config.nw,
-            scale_sigma,
-            scale_pi,
+            &self.egrid,
+            &self.kgrid,
+            &self.fgrid,
             &self.rev_pair,
         );
         self.kernel.run(&prob, g_l, g_g, d_l, d_g)
@@ -775,17 +699,7 @@ impl Simulation {
     /// and the spectral data. The driver owns the iteration counter and
     /// the convergence baseline.
     pub fn iterate(&mut self) -> (IterationRecord, SpectralData) {
-        match self.config.executor {
-            ExecutorKind::Serial => self.iterate_with(&SerialExecutor),
-            ExecutorKind::Rayon { threads } => self.iterate_with(&RayonExecutor::new(threads)),
-            ExecutorKind::Partitioned { ranks } => {
-                self.iterate_with(&PartitionedExecutor::new(ranks))
-            }
-            ExecutorKind::Dag { threads } => self.iterate_with(&DagExecutor::new(threads)),
-            ExecutorKind::Distributed { ranks } => {
-                self.iterate_with(&DistributedExecutor::new(ranks))
-            }
-        }
+        self.iterate_with(&self.config.executor.engine())
     }
 
     /// One Born iteration through an explicit executor.
@@ -817,26 +731,13 @@ impl Simulation {
         }
         let sse_trace = omen_trace::PhaseGuard::enter("sse_phase");
         let t0 = Instant::now();
-        // Inlined `sse_phase`: the kernel output borrows `self.kernel`,
-        // and mixing below needs the sibling fields at the same time.
-        let scale_sigma =
-            self.config.coupling * self.config.coupling * self.fgrid.weight() * self.kgrid.weight();
-        let scale_pi =
-            self.config.coupling * self.config.coupling * self.egrid.weight() * self.kgrid.weight();
-        let prob = SseProblem::with_rev_pair(
-            &self.device,
-            self.config.nk,
-            self.config.ne,
-            self.config.nk,
-            self.config.nw,
-            scale_sigma,
-            scale_pi,
-            &self.rev_pair,
-        );
-        let sse = self.kernel.run(&prob, &g_l, &g_g, &d_l, &d_g);
+        let sse_flops = self.sse_phase(&g_l, &g_g, &d_l, &d_g).flops;
         let sse_seconds = t0.elapsed().as_secs_f64();
-        let sse_flops = sse.flops;
         drop(sse_trace);
+        // Re-borrowed through the field alone: the output stays in the
+        // kernel's double buffer until the next run, and mixing below
+        // needs the sibling fields mutably at the same time.
+        let sse = self.kernel.state().output();
 
         // Mix the self-energies (layout-normalize first, allocation-free).
         let mix = self.config.mixing;
@@ -886,13 +787,7 @@ impl Simulation {
 
     /// Runs the full self-consistent loop with the configured executor.
     pub fn run(&mut self) -> Result<SimulationResult, DriverError> {
-        match self.config.executor {
-            ExecutorKind::Serial => self.run_with(&SerialExecutor),
-            ExecutorKind::Rayon { threads } => self.run_with(&RayonExecutor::new(threads)),
-            ExecutorKind::Partitioned { ranks } => self.run_with(&PartitionedExecutor::new(ranks)),
-            ExecutorKind::Dag { threads } => self.run_with(&DagExecutor::new(threads)),
-            ExecutorKind::Distributed { ranks } => self.run_with(&DistributedExecutor::new(ranks)),
-        }
+        self.run_with(&self.config.executor.engine())
     }
 
     /// Runs the full self-consistent loop through an explicit executor.
@@ -912,51 +807,107 @@ impl Simulation {
         &mut self,
         exec: &E,
     ) -> Result<SimulationResult, DriverError> {
-        let mut records: Vec<IterationRecord> = Vec::new();
-        let mut spectral = None;
-        // Supervised NaN-poisoning fault site: one deterministic decision
-        // per (point, attempt) key, armed only by `set_fault_key`.
-        let inject_nan = self.nan_injection_armed();
-        let mut converged = false;
-        while self.iteration < self.config.max_iterations {
-            if let Some(err) = self.interrupted() {
-                return Err(err);
-            }
-            let (mut rec, spec) = self.iterate_with(exec);
-            if inject_nan && records.is_empty() {
-                rec.current = f64::NAN;
-                self.last_current = Some(f64::NAN);
-            }
-            if !rec.current.is_finite() {
-                return Err(DriverError::NonFinite {
-                    iteration: rec.iteration,
-                });
-            }
-            let done = rec.rel_change < self.config.tolerance && rec.iteration > 0;
-            let it = rec.iteration;
-            let rel = rec.rel_change;
-            records.push(rec);
-            spectral = Some(spec);
-            if self.seeded
-                && self.config.warm_divergence_after > 0
-                && records.len() >= self.config.warm_divergence_after
-                && rel.is_finite()
-                && rel > self.config.warm_divergence_threshold
-            {
-                return Err(DriverError::WarmDiverged {
-                    iteration: it,
-                    rel_change: rel,
-                });
-            }
-            if done {
-                converged = true;
-                break;
-            }
+        let mut born = BornLoop::new(self);
+        while born.admits(self) {
+            let step = self.iterate_with(exec);
+            born.judge(self, step);
         }
-        if self.config.require_convergence && !converged {
-            if let Some(last) = records.last() {
+        born.finish(self)
+    }
+}
+
+/// The Born loop's termination rule, kept apart from what runs an
+/// iteration: [`Simulation::run_with`] drives it around whole iterations,
+/// [`crate::stream::SweepPoint`] around iterations split at the phase
+/// boundary, and both reach the same verdicts.
+pub(crate) struct BornLoop {
+    records: Vec<IterationRecord>,
+    spectral: Option<SpectralData>,
+    /// Supervised NaN-poisoning fault site: one deterministic decision
+    /// per (point, attempt) key, armed only by `set_fault_key`.
+    inject_nan: bool,
+    converged: bool,
+    failure: Option<DriverError>,
+}
+
+impl BornLoop {
+    /// Loop state for one `run` of `sim`.
+    pub(crate) fn new(sim: &Simulation) -> BornLoop {
+        let inject_nan = sim
+            .fault_key
+            .map(|k| omen_fault::should_inject(omen_fault::FaultSite::NanPoison, k))
+            .unwrap_or(false);
+        BornLoop {
+            records: Vec::new(),
+            spectral: None,
+            inject_nan,
+            converged: false,
+            failure: None,
+        }
+    }
+
+    /// Pre-iteration checks: `true` when another iteration may start —
+    /// no verdict yet, the cap not reached, and neither the cancel token
+    /// nor the deadline fired at this iteration boundary.
+    pub(crate) fn admits(&mut self, sim: &Simulation) -> bool {
+        if self.converged || self.failure.is_some() || sim.iteration >= sim.config.max_iterations {
+            return false;
+        }
+        let iteration = sim.iteration;
+        if sim.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            self.failure = Some(DriverError::Cancelled { iteration });
+        } else if sim.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.failure = Some(DriverError::DeadlineExceeded { iteration });
+        }
+        self.failure.is_none()
+    }
+
+    /// Post-iteration verdict on the iteration `sim` just finished;
+    /// `true` when the loop goes on.
+    pub(crate) fn judge(
+        &mut self,
+        sim: &mut Simulation,
+        (mut rec, spec): (IterationRecord, SpectralData),
+    ) -> bool {
+        if self.inject_nan && self.records.is_empty() {
+            rec.current = f64::NAN;
+            sim.last_current = Some(f64::NAN);
+        }
+        if !rec.current.is_finite() {
+            self.failure = Some(DriverError::NonFinite {
+                iteration: rec.iteration,
+            });
+            return false;
+        }
+        let cfg = &sim.config;
+        let (iteration, rel_change) = (rec.iteration, rec.rel_change);
+        self.converged = rel_change < cfg.tolerance && iteration > 0;
+        self.records.push(rec);
+        self.spectral = Some(spec);
+        if sim.seeded
+            && cfg.warm_divergence_after > 0
+            && self.records.len() >= cfg.warm_divergence_after
+            && rel_change.is_finite()
+            && rel_change > cfg.warm_divergence_threshold
+        {
+            self.failure = Some(DriverError::WarmDiverged {
+                iteration,
+                rel_change,
+            });
+            return false;
+        }
+        !self.converged && sim.iteration < cfg.max_iterations
+    }
+
+    /// Resolves the loop into what `run` returns.
+    pub(crate) fn finish(self, sim: &Simulation) -> Result<SimulationResult, DriverError> {
+        if let Some(err) = self.failure {
+            return Err(err);
+        }
+        if sim.config.require_convergence && !self.converged {
+            if let Some(last) = self.records.last() {
                 return Err(DriverError::Unconverged {
-                    iterations: self.iteration,
+                    iterations: sim.iteration,
                     rel_change: last.rel_change,
                 });
             }
@@ -964,17 +915,80 @@ impl Simulation {
         // `max_iterations >= 1` is validated, so either this call or a
         // previous one has iterated; both leave `last_spectral` set. The
         // guard stays typed regardless — the run path does not panic.
-        let spectral = match spectral.or_else(|| self.last_spectral.clone()) {
-            Some(s) => s,
-            None => {
-                return Err(DriverError::Unconverged {
-                    iterations: 0,
-                    rel_change: f64::INFINITY,
-                })
-            }
-        };
-        Ok(SimulationResult { records, spectral })
+        let spectral = self.spectral.or_else(|| sim.last_spectral.clone()).ok_or(
+            DriverError::Unconverged {
+                iterations: 0,
+                rel_change: f64::INFINITY,
+            },
+        )?;
+        Ok(SimulationResult {
+            records: self.records,
+            spectral,
+        })
     }
+}
+
+/// [`Simulation::sse_problem`] over borrowed fields, for
+/// [`Simulation::sse_phase`], which holds `&mut self.kernel` next to it.
+fn sse_problem_of<'a>(
+    cfg: &SimulationConfig,
+    device: &'a DeviceStructure,
+    egrid: &EnergyGrid,
+    kgrid: &MomentumGrid,
+    fgrid: &FrequencyGrid,
+    rev_pair: &'a [usize],
+) -> SseProblem<'a> {
+    let scale_sigma = cfg.coupling * cfg.coupling * fgrid.weight() * kgrid.weight();
+    let scale_pi = cfg.coupling * cfg.coupling * egrid.weight() * kgrid.weight();
+    SseProblem::with_rev_pair(
+        device,
+        cfg.nk,
+        cfg.ne,
+        cfg.nk,
+        cfg.nw,
+        scale_sigma,
+        scale_pi,
+        rev_pair,
+    )
+}
+
+/// One GF sweep of either carrier: every worker builds a solver on the
+/// shared boundary cache, solves its points under this iteration's
+/// scattering blocks (`None` while ballistic) and hands `exec` the
+/// point's pure contribution.
+fn sweep<'a, E, C, O>(
+    exec: &E,
+    points: &[GridPoint],
+    new_solver: impl Fn() -> PointSolver<'a, C> + Sync,
+    boundary: &Option<Arc<BoundaryCache>>,
+    scattering: Option<impl Fn(usize, usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) + Sync>,
+    contribution: impl Fn(usize, usize, &PointSolution) -> O::Contribution + Sync,
+    acc: O,
+) -> O
+where
+    E: PointExecutor,
+    C: Carrier + Send,
+    C::Spec: Send,
+    O: Observables,
+{
+    let (scattering, contribution) = (&scattering, &contribution);
+    let make_worker = || {
+        let mut solver = new_solver();
+        if let Some(cache) = boundary {
+            solver = solver.with_shared_boundary(Arc::clone(cache));
+        }
+        move |(i, j): GridPoint| {
+            let out = match scattering {
+                Some(blocks) => {
+                    let (r, l, g) = blocks(i, j);
+                    solver.solve_point(i, j, Some(&r), Some(&l), Some(&g))
+                }
+                None => solver.solve_point(i, j, None, None, None),
+            };
+            contribution(i, j, &out)
+        }
+    };
+    exec.run(points, make_worker, acc)
 }
 
 fn mix_g(state: &mut GTensor, new: &GTensor, mix: f64) {

@@ -1,20 +1,16 @@
-//! Pluggable execution engines for the GF phase's point sweeps.
+//! The execution engine of the GF phase's point sweeps.
 //!
 //! The paper's central observation (§4, Fig. 5) is that the GF phase is a
-//! pure map over independent `(kz, E)` / `(qz, ω)` points; everything else
-//! is reduction. A [`PointExecutor`] owns *how* that map runs:
-//!
-//! * [`SerialExecutor`] — one worker, global point order (the seed
-//!   driver's behavior);
-//! * [`RayonExecutor`] — rayon-style work-stealing over scoped worker
-//!   threads; contributions are re-ordered to global point order before
-//!   accumulation, so results are **bit-identical** to serial;
-//! * [`PartitionedExecutor`] — splits the point set into contiguous
-//!   per-rank partitions with `omen-comm`'s balanced-range machinery, runs
-//!   each rank's partition on its own worker, and merges per-rank
-//!   observables in rank order — the in-process analogue of the paper's
-//!   rank decomposition (equal to serial up to floating-point
-//!   reassociation in the merge tree).
+//! pure map over independent `(kz, E)` / `(qz, ω)` points followed by one
+//! ordered reduction. A [`PointExecutor`] owns *how* that map runs, and
+//! there is one engine: [`DagExecutor`] lowers the sweep onto
+//! `omen-sched`'s task DAG — the runtime that also executes lowered SDFG
+//! schedules. Contributions land in per-point slots and fold in global
+//! point order, so results are **bit-identical** at every worker count,
+//! and with one worker the engine *is* [`SerialExecutor`]'s loop on the
+//! calling thread: serial is the DAG with one worker. All three
+//! [`ExecutorKind`] values run on it; they differ in worker count and in
+//! whether the SSE phase goes through a communication plan.
 //!
 //! Workers are created per-thread from a factory closure: GF solvers carry
 //! mutable caches, so each worker gets its own cheap solver instance
@@ -29,7 +25,6 @@
 //! iterations the hot path runs allocation-free on warm buffers.
 
 use crate::observables::Observables;
-use omen_comm::split_range;
 
 /// One `(i, j)` grid point of a sweep: `(ik, ie)` for electrons,
 /// `(iq, iw)` for phonons.
@@ -76,249 +71,26 @@ impl PointExecutor for SerialExecutor {
     }
 }
 
-/// Thread-parallel executor with work stealing.
-///
-/// Points are claimed dynamically from a shared counter (uniform-cost
-/// points balance statically, but boundary-condition convergence varies
-/// per point, so stealing wins at the margins). Contributions are indexed
-/// by point position and accumulated in global point order afterwards,
-/// making the result bit-identical to [`SerialExecutor`] regardless of
-/// the thread count.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RayonExecutor {
-    /// Worker threads (0 = all available cores).
-    pub threads: usize,
-}
-
-impl RayonExecutor {
-    /// An executor over `threads` workers (0 = auto).
-    pub fn new(threads: usize) -> Self {
-        RayonExecutor { threads }
-    }
-
-    /// The effective worker count: the explicit setting, else rayon's
-    /// ambient thread count (which honors `ThreadPool::install` bounds).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            rayon::current_num_threads()
-        }
-    }
-}
-
-impl PointExecutor for RayonExecutor {
-    fn name(&self) -> &'static str {
-        "rayon"
-    }
-
-    fn run<O, W, F>(&self, points: &[GridPoint], make_worker: F, mut acc: O) -> O
-    where
-        O: Observables,
-        W: FnMut(GridPoint) -> O::Contribution + Send,
-        F: Fn() -> W + Sync,
-    {
-        let nthreads = self.effective_threads().min(points.len()).max(1);
-        if nthreads <= 1 {
-            return SerialExecutor.run(points, make_worker, acc);
-        }
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<O::Contribution>> = Vec::with_capacity(points.len());
-        slots.resize_with(points.len(), || None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nthreads)
-                .map(|_| {
-                    let next = &next;
-                    let make_worker = &make_worker;
-                    s.spawn(move || {
-                        let mut worker = make_worker();
-                        let mut local: Vec<(usize, O::Contribution)> = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= points.len() {
-                                break;
-                            }
-                            local.push((idx, worker(points[idx])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (idx, c) in h.join().expect("worker thread panicked") {
-                    slots[idx] = Some(c);
-                }
-            }
-        });
-        // Deterministic fold in global point order.
-        for c in slots.into_iter().flatten() {
-            acc.accumulate(&c);
-        }
-        acc
-    }
-}
-
-/// Rank-decomposed executor: the in-process analogue of distributing
-/// points over MPI ranks.
-///
-/// The point set is split into `ranks` contiguous balanced partitions
-/// (via [`omen_comm::split_range`], the same machinery the communication
-/// plans use); each "rank" accumulates its partition into its own
-/// [`Observables`], and the per-rank observables are merged in rank order
-/// — exercising the same merge path a distributed reduction would.
-///
-/// Like a real rank decomposition, every rank owns a full-size
-/// accumulator (memory scales with `ranks`); this engine is for
-/// exercising the partition/merge path at laptop rank counts, not for
-/// saving memory.
-#[derive(Clone, Copy, Debug)]
-pub struct PartitionedExecutor {
-    /// Simulated rank count.
-    pub ranks: usize,
-}
-
-impl PartitionedExecutor {
-    /// An executor over `ranks` partitions. `ranks = 0` is clamped to one
-    /// partition at run time (constructors never panic; the builder
-    /// rejects `ranks = 0` with [`crate::builder::ConfigError::NoRanks`]).
-    pub fn new(ranks: usize) -> Self {
-        PartitionedExecutor { ranks }
-    }
-}
-
-impl PointExecutor for PartitionedExecutor {
-    fn name(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn run<O, W, F>(&self, points: &[GridPoint], make_worker: F, mut acc: O) -> O
-    where
-        O: Observables,
-        W: FnMut(GridPoint) -> O::Contribution + Send,
-        F: Fn() -> W + Sync,
-    {
-        let ranks = self.ranks.min(points.len()).max(1);
-        if ranks <= 1 {
-            return SerialExecutor.run(points, make_worker, acc);
-        }
-        let mut partials: Vec<O> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..ranks)
-                .map(|rank| {
-                    let (lo, hi) = split_range(points.len(), ranks, rank);
-                    let make_worker = &make_worker;
-                    let local = acc.fresh();
-                    s.spawn(move || {
-                        let mut worker = make_worker();
-                        let mut local = local;
-                        for &p in &points[lo..hi] {
-                            let c = worker(p);
-                            local.accumulate(&c);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank thread panicked"))
-                .collect()
-        });
-        // Merge in rank order (deterministic reduction tree).
-        for partial in partials.drain(..) {
-            acc.merge(partial);
-        }
-        acc
-    }
-}
-
-/// Rank-decomposed executor for the *distributed* Born loop: each
-/// rank-thread owns a contiguous point partition (the same
-/// [`omen_comm::split_range`] decomposition the communication plans use
-/// for their initial `G^≷` distribution) and solves it to completion.
-///
-/// Unlike [`PartitionedExecutor`], which merges whole per-rank
-/// accumulators (reassociating the reduction), contributions here land in
-/// per-point slots and fold in global point order — so the GF phase is
-/// **bit-identical** to [`SerialExecutor`] at every rank count. That is
-/// what lets `ExecutorKind::Distributed` pin the full Born loop bitwise
-/// against serial while the SSE phase really exchanges data through
-/// `omen-comm`'s plans (see `omen_comm::PlanKernel`).
-#[derive(Clone, Copy, Debug)]
-pub struct DistributedExecutor {
-    /// Simulated rank count.
-    pub ranks: usize,
-}
-
-impl DistributedExecutor {
-    /// An executor over `ranks` rank-threads. `ranks = 0` is clamped to
-    /// one at run time (the builder rejects it with
-    /// [`crate::builder::ConfigError::NoRanks`]).
-    pub fn new(ranks: usize) -> Self {
-        DistributedExecutor { ranks }
-    }
-}
-
-impl PointExecutor for DistributedExecutor {
-    fn name(&self) -> &'static str {
-        "distributed"
-    }
-
-    fn run<O, W, F>(&self, points: &[GridPoint], make_worker: F, mut acc: O) -> O
-    where
-        O: Observables,
-        W: FnMut(GridPoint) -> O::Contribution + Send,
-        F: Fn() -> W + Sync,
-    {
-        let ranks = self.ranks.min(points.len()).max(1);
-        if ranks <= 1 {
-            return SerialExecutor.run(points, make_worker, acc);
-        }
-        let mut slots: Vec<Option<O::Contribution>> = Vec::with_capacity(points.len());
-        slots.resize_with(points.len(), || None);
-        std::thread::scope(|s| {
-            let mut rest: &mut [Option<O::Contribution>] = &mut slots;
-            for rank in 0..ranks {
-                let (lo, hi) = split_range(points.len(), ranks, rank);
-                let (chunk, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                let make_worker = &make_worker;
-                s.spawn(move || {
-                    let mut worker = make_worker();
-                    for (slot, &p) in chunk.iter_mut().zip(&points[lo..hi]) {
-                        *slot = Some(worker(p));
-                    }
-                });
-            }
-        });
-        // Deterministic fold in global point order.
-        for c in slots.into_iter().flatten() {
-            acc.accumulate(&c);
-        }
-        acc
-    }
-}
-
-/// Task-DAG executor: the sweep lowered through `omen-sched`.
-///
-/// Where [`RayonExecutor`] claims points from an atomic counter, this
-/// engine materializes the sweep as an `omen_sched::TaskDag` — the same
-/// runtime that executes lowered SDFG schedules — and drains it on the
-/// scheduler's panic-isolating worker pool. A GF sweep is a pure map,
-/// so the DAG is edge-free here; the value is that the *driver's* point
-/// sweeps and the *dataflow graph's* lowered schedules now run on one
-/// scheduler, with `Counter::SchedTasks` accounting for both.
-///
-/// Contributions land in per-point slots and fold in global point order,
-/// so results are **bit-identical** to [`SerialExecutor`] (the
-/// `RayonExecutor` discipline). A panicking point solve propagates as a
-/// panic after the sweep drains — point workers are deterministic solver
-/// code; isolation with retry is the stream/service layer's job.
+/// The parallel sweep engine: one edge-free `omen_sched::TaskDag` task
+/// per point, drained on the scheduler's worker pool (`Counter::SchedTasks`
+/// accounts for sweeps and lowered schedules alike). Workers claim the
+/// lowest unsolved point — boundary-condition convergence varies per
+/// point, so dynamic claiming beats a static split at the margins. With
+/// one worker (or one point) the sweep runs [`SerialExecutor`]'s loop
+/// inline. A panicking point solve propagates as a panic after the sweep
+/// drains — point workers are deterministic solver code; isolation with
+/// retry is the stream/service layer's job.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DagExecutor {
     /// Worker threads (0 = all available cores).
     pub threads: usize,
 }
+
+/// [`DagExecutor`] under the name of the former atomic-claim engine.
+pub type RayonExecutor = DagExecutor;
+
+/// [`DagExecutor`] under the name of the former static rank split.
+pub type DistributedExecutor = DagExecutor;
 
 impl DagExecutor {
     /// An executor over `threads` scheduler workers (0 = auto).
@@ -383,31 +155,21 @@ impl PointExecutor for DagExecutor {
     }
 }
 
-/// Executor selection for [`crate::builder::SimulationConfig`] — the
-/// enum-shaped convenience over the trait (custom executors plug in via
+/// Executor selection for [`crate::builder::SimulationConfig`]: worker
+/// counts for [`DagExecutor`] (custom executors plug in via
 /// [`crate::driver::Simulation::run_with`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutorKind {
-    /// [`SerialExecutor`].
+    /// One worker: the sweep runs inline on the calling thread.
     Serial,
-    /// [`RayonExecutor`] with the given thread count (0 = auto).
+    /// The given number of workers (0 = auto).
     Rayon {
         /// Worker threads (0 = all available cores).
         threads: usize,
     },
-    /// [`PartitionedExecutor`] with the given rank count.
-    Partitioned {
-        /// Simulated rank count.
-        ranks: usize,
-    },
-    /// [`DagExecutor`] with the given thread count (0 = auto).
-    Dag {
-        /// Scheduler worker threads (0 = all available cores).
-        threads: usize,
-    },
-    /// [`DistributedExecutor`] with the given rank count: the full Born
-    /// loop runs rank-decomposed, with the SSE phase exchanging data
-    /// through a communication plan (`omen_comm::PlanKernel`).
+    /// One worker per rank, and the full Born loop runs rank-decomposed:
+    /// the SSE phase exchanges data through a communication plan
+    /// (`omen_comm::PlanKernel`).
     Distributed {
         /// Simulated rank count.
         ranks: usize,
@@ -426,10 +188,17 @@ impl ExecutorKind {
         match self {
             ExecutorKind::Serial => "serial",
             ExecutorKind::Rayon { .. } => "rayon",
-            ExecutorKind::Partitioned { .. } => "partitioned",
-            ExecutorKind::Dag { .. } => "dag",
             ExecutorKind::Distributed { .. } => "distributed",
         }
+    }
+
+    /// The sweep engine this selection runs on.
+    pub(crate) fn engine(&self) -> DagExecutor {
+        DagExecutor::new(match *self {
+            ExecutorKind::Serial => 1,
+            ExecutorKind::Rayon { threads } => threads,
+            ExecutorKind::Distributed { ranks } => ranks,
+        })
     }
 }
 
@@ -447,9 +216,9 @@ pub fn grid_points(n0: usize, n1: usize) -> Vec<GridPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observables::Observables;
 
     /// A toy accumulator: ordered list of visited points + a weighted sum.
+    #[derive(Default)]
     struct Trace {
         visited: Vec<GridPoint>,
         sum: f64,
@@ -458,21 +227,9 @@ mod tests {
     impl Observables for Trace {
         type Contribution = (GridPoint, f64);
 
-        fn fresh(&self) -> Self {
-            Trace {
-                visited: Vec::new(),
-                sum: 0.0,
-            }
-        }
-
         fn accumulate(&mut self, c: &Self::Contribution) {
             self.visited.push(c.0);
             self.sum += c.1;
-        }
-
-        fn merge(&mut self, other: Self) {
-            self.visited.extend(other.visited);
-            self.sum += other.sum;
         }
     }
 
@@ -480,10 +237,7 @@ mod tests {
         exec.run(
             points,
             || |p: GridPoint| (p, (p.0 * 31 + p.1) as f64 * 0.125),
-            Trace {
-                visited: Vec::new(),
-                sum: 0.0,
-            },
+            Trace::default(),
         )
     }
 
@@ -492,73 +246,55 @@ mod tests {
         let points = grid_points(3, 17);
         for visited in [
             run_with(&SerialExecutor, &points).visited,
-            run_with(&RayonExecutor::new(4), &points).visited,
-            run_with(&PartitionedExecutor::new(5), &points).visited,
             run_with(&DagExecutor::new(4), &points).visited,
-            run_with(&DistributedExecutor::new(4), &points).visited,
+            run_with(&ExecutorKind::default().engine(), &points).visited,
         ] {
             let mut sorted = visited.clone();
             sorted.sort_unstable();
-            let mut want = points.clone();
-            want.sort_unstable();
-            assert_eq!(sorted, want, "every point exactly once");
+            assert_eq!(sorted, points, "every point exactly once");
         }
+    }
+
+    /// Slot-ordered folding: same visit order, hence bit-equal sums.
+    fn assert_bitwise_serial(exec: &DagExecutor) {
+        let points = grid_points(4, 9);
+        let serial = run_with(&SerialExecutor, &points);
+        let got = run_with(exec, &points);
+        assert_eq!(serial.visited, got.visited, "{exec:?}");
+        assert_eq!(serial.sum.to_bits(), got.sum.to_bits());
     }
 
     #[test]
     fn rayon_order_is_bitwise_serial() {
-        let points = grid_points(4, 9);
-        let serial = run_with(&SerialExecutor, &points);
-        let rayon = run_with(&RayonExecutor::new(3), &points);
-        // Not just the same set: the same order, hence bit-equal sums.
-        assert_eq!(serial.visited, rayon.visited);
-        assert_eq!(serial.sum.to_bits(), rayon.sum.to_bits());
-    }
-
-    #[test]
-    fn partitioned_preserves_partition_order() {
-        let points = grid_points(2, 10);
-        let part = run_with(&PartitionedExecutor::new(4), &points);
-        // Contiguous partitions merged in rank order reproduce the global
-        // order exactly.
-        assert_eq!(part.visited, points);
-        // Exact sum here (dyadic values), same as serial.
-        let serial = run_with(&SerialExecutor, &points);
-        assert_eq!(serial.sum, part.sum);
+        assert_bitwise_serial(&RayonExecutor::new(3));
     }
 
     #[test]
     fn dag_order_is_bitwise_serial() {
-        let points = grid_points(4, 9);
-        let serial = run_with(&SerialExecutor, &points);
-        let dag = run_with(&DagExecutor::new(3), &points);
-        // Slot-ordered folding: same visit order, hence bit-equal sums.
-        assert_eq!(serial.visited, dag.visited);
-        assert_eq!(serial.sum.to_bits(), dag.sum.to_bits());
+        assert_bitwise_serial(&DagExecutor::new(3));
     }
 
     #[test]
     fn distributed_order_is_bitwise_serial() {
-        let points = grid_points(4, 9);
-        let serial = run_with(&SerialExecutor, &points);
-        for ranks in [1, 2, 3, 4, 36] {
-            let dist = run_with(&DistributedExecutor::new(ranks), &points);
-            // Slot-ordered folding: same visit order, hence bit-equal sums.
-            assert_eq!(serial.visited, dist.visited, "ranks = {ranks}");
-            assert_eq!(serial.sum.to_bits(), dist.sum.to_bits());
+        for ranks in [1, 2, 3, 4, 36, 50] {
+            assert_bitwise_serial(&DistributedExecutor::new(ranks));
         }
     }
 
     #[test]
     fn degenerate_sizes_handled() {
         let empty: Vec<GridPoint> = Vec::new();
-        assert_eq!(run_with(&RayonExecutor::new(8), &empty).visited.len(), 0);
-        assert_eq!(
-            run_with(&DistributedExecutor::new(8), &empty).visited.len(),
-            0
-        );
+        assert_eq!(run_with(&DagExecutor::new(8), &empty).visited.len(), 0);
+        assert_eq!(run_with(&DagExecutor::new(0), &empty).visited.len(), 0);
         let one = grid_points(1, 1);
-        assert_eq!(run_with(&PartitionedExecutor::new(7), &one).visited, one);
-        assert_eq!(run_with(&DistributedExecutor::new(7), &one).visited, one);
+        assert_eq!(run_with(&DagExecutor::new(7), &one).visited, one);
+    }
+
+    #[test]
+    fn kinds_select_worker_counts_on_the_one_engine() {
+        assert_eq!(ExecutorKind::Serial.engine().threads, 1);
+        assert_eq!(ExecutorKind::Rayon { threads: 3 }.engine().threads, 3);
+        assert_eq!(ExecutorKind::default().engine().threads, 0, "auto");
+        assert_eq!(ExecutorKind::Distributed { ranks: 4 }.engine().threads, 4);
     }
 }

@@ -9,11 +9,11 @@
 //! * [`builder`] — validated configuration ([`SimulationBuilder`],
 //!   [`ConfigError`]) with the [`SimulationConfig::tiny`] /
 //!   [`SimulationConfig::demo`] presets;
-//! * [`executor`] — pluggable [`PointExecutor`] engines for the
-//!   embarrassingly-parallel point sweeps (serial, thread-parallel,
-//!   rank-partitioned);
-//! * [`observables`] — per-point contributions folded into mergeable
-//!   [`Observables`] accumulators;
+//! * [`executor`] — the [`PointExecutor`] seam and its one engine for the
+//!   embarrassingly-parallel point sweeps ([`DagExecutor`]; serial is the
+//!   same engine with one worker);
+//! * [`observables`] — per-point contributions folded in point order
+//!   into [`Observables`] accumulators;
 //! * [`driver`] — the [`Simulation`] Born loop dispatching through the
 //!   [`omen_sse::SseKernel`] trait;
 //! * [`stream`] — the overlapped sweep pipeline ([`run_overlapped`])
@@ -38,8 +38,8 @@ pub use driver::{
     SpectralData, WarmStartData, WarmStartError,
 };
 pub use executor::{
-    grid_points, DagExecutor, DistributedExecutor, ExecutorKind, GridPoint, PartitionedExecutor,
-    PointExecutor, RayonExecutor, SerialExecutor,
+    grid_points, DagExecutor, DistributedExecutor, ExecutorKind, GridPoint, PointExecutor,
+    RayonExecutor, SerialExecutor,
 };
 pub use grids::{EnergyGrid, FrequencyGrid, MomentumGrid};
 pub use observables::{

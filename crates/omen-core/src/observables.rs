@@ -1,4 +1,4 @@
-//! Mergeable observable accumulators for the GF phase.
+//! Observable accumulators for the GF phase.
 //!
 //! The paper's GF phase is embarrassingly parallel over points; what makes
 //! naive parallelization awkward is that every point solve feeds *many*
@@ -7,16 +7,12 @@
 //!
 //! * a per-point **contribution** — the pure output of one solve, with no
 //!   integration weights applied;
-//! * an [`Observables`] accumulator — owns the weighted sums and tensors,
-//!   consumes contributions in a deterministic order, and **merges** with
-//!   accumulators of other partitions (the in-process analogue of the
-//!   per-rank reduction in the paper's distributed runs).
+//! * an [`Observables`] accumulator — owns the weighted sums and tensors
+//!   and consumes contributions in a deterministic order.
 //!
 //! Accumulation order is what fixes floating-point reproducibility:
-//! executors feed contributions in global point order, so serial and
-//! thread-parallel runs are bit-identical; partitioned runs merge one
-//! contiguous partition at a time (a different — but still deterministic —
-//! summation tree).
+//! executors feed contributions in global point order, so runs are
+//! bit-identical at every worker count.
 
 use omen_device::DeviceStructure;
 use omen_linalg::C64;
@@ -25,26 +21,16 @@ use omen_sse::{DLayout, DTensor, GLayout, GTensor};
 
 use crate::state::{extract_electron_blocks, extract_phonon_blocks};
 
-/// A mergeable accumulator of per-point contributions.
+/// An accumulator of per-point contributions.
 ///
-/// Laws (relied on by the executors):
-/// * `accumulate` must be independent of *when* it is called — only the
-///   order of contributions matters;
-/// * `merge` must combine disjoint point sets: `fresh` + accumulate over
-///   partition A, then merge of (`fresh` + partition B) must equal
-///   accumulating A then B up to floating-point reassociation.
+/// Law (relied on by the executors): `accumulate` must be independent of
+/// *when* it is called — only the order of contributions matters.
 pub trait Observables: Sized + Send {
     /// The per-point contribution type.
     type Contribution: Send;
 
-    /// A zeroed accumulator of the same shape.
-    fn fresh(&self) -> Self;
-
     /// Folds one point's contribution in.
     fn accumulate(&mut self, c: &Self::Contribution);
-
-    /// Absorbs another partition's accumulator.
-    fn merge(&mut self, other: Self);
 }
 
 /// Pure output of one electron `(kz, E)` point solve — no integration
@@ -174,37 +160,6 @@ impl ElectronObservables {
 impl Observables for ElectronObservables {
     type Contribution = ElectronContribution;
 
-    fn fresh(&self) -> Self {
-        ElectronObservables {
-            g_l: GTensor::zeros(
-                self.g_l.nk,
-                self.g_l.ne,
-                self.g_l.na,
-                self.g_l.norb,
-                GLayout::PairMajor,
-            ),
-            g_g: GTensor::zeros(
-                self.g_g.nk,
-                self.g_g.ne,
-                self.g_g.na,
-                self.g_g.norb,
-                GLayout::PairMajor,
-            ),
-            el_current_spectrum: vec![
-                vec![0.0; self.el_current.len()];
-                self.el_current_spectrum.len()
-            ],
-            el_current: vec![0.0; self.el_current.len()],
-            el_energy_current: vec![0.0; self.el_energy_current.len()],
-            el_density: vec![0.0; self.el_density.len()],
-            contacts: (0.0, 0.0),
-            times: PhaseTimes::default(),
-            w_k: self.w_k,
-            w_e: self.w_e,
-            energies: self.energies.clone(),
-        }
-    }
-
     fn accumulate(&mut self, c: &Self::Contribution) {
         let bsz = self.g_l.bsz();
         for a in 0..self.g_l.na {
@@ -227,26 +182,6 @@ impl Observables for ElectronObservables {
         self.contacts.0 += c.contact.0 * self.w_e;
         self.contacts.1 += c.contact.1 * self.w_e;
         self.times.accumulate(&c.times);
-    }
-
-    fn merge(&mut self, other: Self) {
-        add_tensor_g(&mut self.g_l, &other.g_l);
-        add_tensor_g(&mut self.g_g, &other.g_g);
-        for (row, orow) in self
-            .el_current_spectrum
-            .iter_mut()
-            .zip(&other.el_current_spectrum)
-        {
-            for (v, o) in row.iter_mut().zip(orow) {
-                *v += o;
-            }
-        }
-        add_vec(&mut self.el_current, &other.el_current);
-        add_vec(&mut self.el_energy_current, &other.el_energy_current);
-        add_vec(&mut self.el_density, &other.el_density);
-        self.contacts.0 += other.contacts.0;
-        self.contacts.1 += other.contacts.1;
-        self.times.accumulate(&other.times);
     }
 }
 
@@ -359,32 +294,6 @@ impl PhononObservables {
 impl Observables for PhononObservables {
     type Contribution = PhononContribution;
 
-    fn fresh(&self) -> Self {
-        PhononObservables {
-            d_l: DTensor::zeros(
-                self.d_l.nq,
-                self.d_l.nw,
-                self.d_l.npairs,
-                self.d_l.na,
-                DLayout::PointMajor,
-            ),
-            d_g: DTensor::zeros(
-                self.d_g.nq,
-                self.d_g.nw,
-                self.d_g.npairs,
-                self.d_g.na,
-                DLayout::PointMajor,
-            ),
-            ph_energy_current: vec![0.0; self.ph_energy_current.len()],
-            ph_energy_density: vec![0.0; self.ph_energy_density.len()],
-            ph_dos: vec![vec![0.0; self.ph_energy_density.len()]; self.ph_dos.len()],
-            times: PhaseTimes::default(),
-            w_k: self.w_k,
-            w_ph: self.w_ph,
-            omegas: self.omegas.clone(),
-        }
-    }
-
     fn accumulate(&mut self, c: &Self::Contribution) {
         let nentries = self.d_l.nentries();
         for en in 0..nentries {
@@ -404,36 +313,5 @@ impl Observables for PhononObservables {
             self.ph_dos[c.iw][a] += spec * self.w_k;
         }
         self.times.accumulate(&c.times);
-    }
-
-    fn merge(&mut self, other: Self) {
-        add_tensor_d(&mut self.d_l, &other.d_l);
-        add_tensor_d(&mut self.d_g, &other.d_g);
-        add_vec(&mut self.ph_energy_current, &other.ph_energy_current);
-        add_vec(&mut self.ph_energy_density, &other.ph_energy_density);
-        for (row, orow) in self.ph_dos.iter_mut().zip(&other.ph_dos) {
-            for (v, o) in row.iter_mut().zip(orow) {
-                *v += o;
-            }
-        }
-        self.times.accumulate(&other.times);
-    }
-}
-
-fn add_vec(dst: &mut [f64], src: &[f64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
-fn add_tensor_g(dst: &mut GTensor, src: &GTensor) {
-    for (d, s) in dst.as_mut_slice().iter_mut().zip(src.as_slice()) {
-        *d += *s;
-    }
-}
-
-fn add_tensor_d(dst: &mut DTensor, src: &DTensor) {
-    for (d, s) in dst.as_mut_slice().iter_mut().zip(src.as_slice()) {
-        *d += *s;
     }
 }

@@ -284,7 +284,7 @@ pub fn zero_tensors(
 mod tests {
     use super::*;
     use omen_device::DeviceConfig;
-    use omen_rgf::{CacheMode, ElectronParams, ElectronSolver};
+    use omen_rgf::{CacheMode, ElectronParams, ElectronSolver, GfSolver};
 
     #[test]
     fn electron_extraction_matches_slab_blocks() {
@@ -297,7 +297,7 @@ mod tests {
             vec![0.0],
             vec![0.1],
         );
-        let out = solver.solve(0, 0, None, None, None);
+        let out = solver.solve_point(0, 0, None, None, None);
         let (mut gl, mut gg, _, _) = zero_tensors(&dev, 1, 1, 1, 1);
         extract_electron_blocks(&dev, &out.sol, 0, 0, &mut gl, &mut gg);
         // Atom 0 is slab 0, offset 0: its block equals the top-left
@@ -361,7 +361,7 @@ mod tests {
             vec![0.3],
             vec![0.02],
         );
-        let out = solver.solve(0, 0, None, None, None);
+        let out = solver.solve_point(0, 0, None, None, None);
         let (_, _, mut dl, mut dg) = zero_tensors(&dev, 1, 1, 1, 1);
         extract_phonon_blocks(&dev, &out.sol, 0, 0, &mut dl, &mut dg);
         // For every pair p = (a → b) and its reverse, the lesser blocks

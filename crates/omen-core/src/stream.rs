@@ -10,18 +10,17 @@
 //! reproduced here as a two-stage thread pipeline over owned driver
 //! instances.
 //!
-//! [`SweepPoint`] adapts a [`Simulation`] to the pipeline by mirroring
-//! [`Simulation::run_with`]'s loop exactly — interruption checks at
-//! iteration boundaries, the NaN/finite guard, the warm-divergence
-//! watchdog, tolerance and `require_convergence` semantics — split at
-//! the phase boundary via [`Simulation::finish_iteration`]. With the
-//! per-point executor set to [`crate::SerialExecutor`], every point's
+//! [`SweepPoint`] adapts a [`Simulation`] to the pipeline: it drives the
+//! same `BornLoop` termination rule as [`Simulation::run_with`] —
+//! interruption checks at iteration boundaries, the NaN/finite guard, the
+//! warm-divergence watchdog, tolerance and `require_convergence`
+//! semantics live there, once — and adds only the split at the phase
+//! boundary via [`Simulation::finish_iteration`]. With the per-point
+//! executor set to [`crate::ExecutorKind::Serial`], every point's
 //! arithmetic is the exact serial instruction stream, so overlapped
 //! results are **bit-identical** to a serial sweep.
 
-use crate::driver::{
-    DriverError, GfPhaseOutput, IterationRecord, Simulation, SimulationResult, SpectralData,
-};
+use crate::driver::{BornLoop, DriverError, GfPhaseOutput, Simulation, SimulationResult};
 use omen_sched::{PipelinedPoint, StreamExecutor, StreamOutcome};
 
 /// Verdict of one sweep point out of the overlapped pipeline.
@@ -53,26 +52,17 @@ pub struct SweepPoint {
     sim: Simulation,
     /// GF output handed from the GF stage to the SSE stage.
     pending: Option<GfPhaseOutput>,
-    records: Vec<IterationRecord>,
-    spectral: Option<SpectralData>,
-    /// Terminal verdict, set once the mirrored `run_with` loop decides.
-    verdict: Option<Result<(), DriverError>>,
-    converged: bool,
-    inject_nan: bool,
+    born: BornLoop,
 }
 
 impl SweepPoint {
     /// Wraps a simulation for pipelined execution.
     pub fn new(sim: Simulation) -> SweepPoint {
-        let inject_nan = sim.nan_injection_armed();
+        let born = BornLoop::new(&sim);
         SweepPoint {
             sim,
             pending: None,
-            records: Vec::new(),
-            spectral: None,
-            verdict: None,
-            converged: false,
-            inject_nan,
+            born,
         }
     }
 
@@ -81,50 +71,20 @@ impl SweepPoint {
         &self.sim
     }
 
-    /// Finalizes the mirrored loop into the verdict `run_with` would
-    /// have returned.
+    /// The verdict `run_with` would have returned.
     pub fn into_outcome(self) -> OverlapOutcome {
-        if let Some(Err(err)) = self.verdict {
-            return OverlapOutcome::Failed(err);
+        match self.born.finish(&self.sim) {
+            Ok(result) => OverlapOutcome::Finished(result),
+            Err(err) => OverlapOutcome::Failed(err),
         }
-        if self.sim.config().require_convergence && !self.converged {
-            if let Some(last) = self.records.last() {
-                return OverlapOutcome::Failed(DriverError::Unconverged {
-                    iterations: self.sim.iterations_done(),
-                    rel_change: last.rel_change,
-                });
-            }
-        }
-        let spectral = match self.spectral.or_else(|| self.sim.last_spectral_clone()) {
-            Some(s) => s,
-            None => {
-                return OverlapOutcome::Failed(DriverError::Unconverged {
-                    iterations: 0,
-                    rel_change: f64::INFINITY,
-                })
-            }
-        };
-        OverlapOutcome::Finished(SimulationResult {
-            records: self.records,
-            spectral,
-        })
     }
 }
 
 impl PipelinedPoint for SweepPoint {
     fn gf_stage(&mut self) {
-        if self.verdict.is_some() {
-            return;
+        if self.born.admits(&self.sim) {
+            self.pending = Some(self.sim.gf_phase());
         }
-        if self.sim.iterations_done() >= self.sim.config().max_iterations {
-            self.verdict = Some(Ok(()));
-            return;
-        }
-        if let Some(err) = self.sim.interrupted() {
-            self.verdict = Some(Err(err));
-            return;
-        }
-        self.pending = Some(self.sim.gf_phase());
     }
 
     fn sse_stage(&mut self) -> bool {
@@ -132,45 +92,8 @@ impl PipelinedPoint for SweepPoint {
             // The GF stage declined to run: the loop is over.
             return false;
         };
-        let (mut rec, spec) = self.sim.finish_iteration(gf);
-        if self.inject_nan && self.records.is_empty() {
-            rec.current = f64::NAN;
-            self.sim.poison_current();
-        }
-        if !rec.current.is_finite() {
-            self.verdict = Some(Err(DriverError::NonFinite {
-                iteration: rec.iteration,
-            }));
-            return false;
-        }
-        let done = rec.rel_change < self.sim.config().tolerance && rec.iteration > 0;
-        let it = rec.iteration;
-        let rel = rec.rel_change;
-        self.records.push(rec);
-        self.spectral = Some(spec);
-        let cfg = self.sim.config();
-        if self.sim.is_seeded()
-            && cfg.warm_divergence_after > 0
-            && self.records.len() >= cfg.warm_divergence_after
-            && rel.is_finite()
-            && rel > cfg.warm_divergence_threshold
-        {
-            self.verdict = Some(Err(DriverError::WarmDiverged {
-                iteration: it,
-                rel_change: rel,
-            }));
-            return false;
-        }
-        if done {
-            self.converged = true;
-            self.verdict = Some(Ok(()));
-            return false;
-        }
-        if self.sim.iterations_done() >= cfg.max_iterations {
-            self.verdict = Some(Ok(()));
-            return false;
-        }
-        true
+        let step = self.sim.finish_iteration(gf);
+        self.born.judge(&mut self.sim, step)
     }
 }
 
@@ -308,6 +231,129 @@ mod tests {
         // Same inputs, same pipeline: identical results across reruns.
         let (a, b) = (first[0].finished().unwrap(), second[0].finished().unwrap());
         assert_eq!(a.current().to_bits(), b.current().to_bits());
+    }
+
+    /// Every way the Born loop ends, through `Simulation::run` and through
+    /// the pipeline: one termination rule, so identical verdicts.
+    #[test]
+    fn every_exit_matches_the_serial_run() {
+        use crate::driver::CancelToken;
+        type Build<'a> = Box<dyn Fn() -> Simulation + 'a>;
+        type Expect = fn(&Result<SimulationResult, DriverError>) -> bool;
+        // Only simulations given a fault key consult the plan; this test
+        // is the only one in the binary that sets one.
+        omen_fault::install(
+            omen_fault::FaultPlan::disabled().with_rate(omen_fault::FaultSite::NanPoison, 1.0),
+        );
+        let sim = |tweak: &dyn Fn(&mut SimulationConfig)| {
+            let mut cfg = SimulationConfig::tiny();
+            cfg.executor = ExecutorKind::Serial;
+            tweak(&mut cfg);
+            Simulation::new(cfg).expect("valid config")
+        };
+        let capped = |cfg: &mut SimulationConfig| {
+            cfg.max_iterations = 2;
+            cfg.tolerance = 1e-14; // unreachable in 2 iterations
+        };
+        let donor = {
+            let mut d = sim(&|_| {});
+            d.run().expect("donor run");
+            d.warm_start_data()
+        };
+        let cases: Vec<(&str, Build, Expect)> = vec![
+            ("converged", Box::new(|| sim(&|_| {})), |r| {
+                r.as_ref()
+                    .is_ok_and(|r| r.records.len() < 20 && r.converged(1e-3))
+            }),
+            (
+                "cap exhausted, best effort",
+                Box::new(|| sim(&capped)),
+                |r| r.as_ref().is_ok_and(|r| r.records.len() == 2),
+            ),
+            (
+                "cap exhausted under require_convergence",
+                Box::new(|| {
+                    sim(&|cfg| {
+                        capped(cfg);
+                        cfg.require_convergence = true;
+                    })
+                }),
+                |r| matches!(r, Err(DriverError::Unconverged { iterations: 2, .. })),
+            ),
+            (
+                "cancelled",
+                Box::new(|| {
+                    let mut s = sim(&|_| {});
+                    let token = CancelToken::new();
+                    token.cancel();
+                    s.set_cancel_token(token);
+                    s
+                }),
+                |r| matches!(r, Err(DriverError::Cancelled { iteration: 0 })),
+            ),
+            (
+                "deadline exceeded",
+                Box::new(|| {
+                    let mut s = sim(&|_| {});
+                    s.set_deadline(std::time::Instant::now());
+                    s
+                }),
+                |r| matches!(r, Err(DriverError::DeadlineExceeded { iteration: 0 })),
+            ),
+            (
+                "armed NaN fault",
+                Box::new(|| {
+                    let mut s = sim(&|_| {});
+                    s.set_fault_key(1);
+                    s
+                }),
+                |r| matches!(r, Err(DriverError::NonFinite { iteration: 0 })),
+            ),
+            (
+                "warm divergence watchdog",
+                Box::new(|| {
+                    let mut s = sim(&|cfg| {
+                        cfg.mu_drain += 0.05; // move the fixed point
+                        cfg.warm_divergence_after = 2;
+                        cfg.warm_divergence_threshold = 1e-12;
+                    });
+                    s.warm_start_from(&donor).expect("shapes match");
+                    s
+                }),
+                |r| matches!(r, Err(DriverError::WarmDiverged { .. })),
+            ),
+            (
+                "second run after the cap",
+                Box::new(|| {
+                    let mut s = sim(&capped);
+                    s.run().expect("first run");
+                    s
+                }),
+                |r| {
+                    r.as_ref()
+                        .is_ok_and(|r| r.records.is_empty() && r.current() > 0.0)
+                },
+            ),
+        ];
+        for (name, build, expect) in &cases {
+            let serial = build().run();
+            assert!(
+                expect(&serial),
+                "{name}: unexpected serial verdict {serial:?}"
+            );
+            let overlapped = run_overlapped(vec![build()], 2).pop().expect("one point");
+            match (serial, overlapped) {
+                (Ok(s), OverlapOutcome::Finished(o)) => {
+                    assert_eq!(s.records.len(), o.records.len(), "{name}");
+                    for (a, b) in s.records.iter().zip(&o.records) {
+                        assert_eq!(a.current.to_bits(), b.current.to_bits(), "{name}");
+                    }
+                    assert_eq!(s.current().to_bits(), o.current().to_bits(), "{name}");
+                }
+                (Err(s), OverlapOutcome::Failed(o)) => assert_eq!(s, o, "{name}"),
+                (s, o) => panic!("{name}: serial {s:?} vs overlapped {o:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Property-based partition-split coverage: for *any* grid shape and
-//! rank count, the rank-decomposed executors must reproduce the serial
-//! fold — bitwise for [`DistributedExecutor`] (slot-ordered folding),
-//! and as the same contribution *set* for [`PartitionedExecutor`]
-//! (whose rank-order merge may reassociate sums).
+//! Property-based sweep coverage: for *any* grid shape and worker count,
+//! the sweep engine must reproduce the serial fold bitwise (slot-ordered
+//! folding), however its workers happen to split the points.
 
 use omen_core::{
-    grid_points, DistributedExecutor, GridPoint, Observables, PartitionedExecutor, PointExecutor,
-    SerialExecutor,
+    grid_points, DistributedExecutor, GridPoint, Observables, PointExecutor, SerialExecutor,
 };
 use proptest::prelude::*;
 
@@ -30,18 +27,9 @@ impl Probe {
 impl Observables for Probe {
     type Contribution = (GridPoint, f64);
 
-    fn fresh(&self) -> Probe {
-        Probe::empty()
-    }
-
     fn accumulate(&mut self, c: &Self::Contribution) {
         self.visited.push(c.0);
         self.sum += c.1;
-    }
-
-    fn merge(&mut self, other: Probe) {
-        self.visited.extend(other.visited);
-        self.sum += other.sum;
     }
 }
 
@@ -56,7 +44,8 @@ fn run<E: PointExecutor>(exec: &E, points: &[GridPoint]) -> Probe {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // Every partition split of every grid folds bitwise like serial.
+    // Every split of every grid over any worker count folds bitwise like
+    // serial.
     #[test]
     fn distributed_split_is_bitwise_serial(
         n0 in 1usize..6,
@@ -68,26 +57,5 @@ proptest! {
         let dist = run(&DistributedExecutor::new(ranks), &points);
         prop_assert_eq!(&serial.visited, &dist.visited, "global point order preserved");
         prop_assert_eq!(serial.sum.to_bits(), dist.sum.to_bits());
-    }
-
-    // Partitioned merging visits the same set exactly once and agrees
-    // with serial up to the reassociation of the per-rank merge tree.
-    #[test]
-    fn partitioned_split_observables_match(
-        n0 in 1usize..6,
-        n1 in 1usize..48,
-        ranks in 1usize..16,
-    ) {
-        let points = grid_points(n0, n1);
-        let serial = run(&SerialExecutor, &points);
-        let part = run(&PartitionedExecutor::new(ranks), &points);
-        // Contiguous partitions merged in rank order reproduce the
-        // global visit order exactly.
-        prop_assert_eq!(&serial.visited, &part.visited);
-        let scale = serial.sum.abs().max(1e-300);
-        prop_assert!(
-            ((serial.sum - part.sum) / scale).abs() < 1e-12,
-            "serial {} vs partitioned {}", serial.sum, part.sum
-        );
     }
 }

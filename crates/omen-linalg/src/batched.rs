@@ -6,7 +6,7 @@
 //! ~6% *useful* flops, Table 9); the paper's custom DaCe tasklet (SBSMM)
 //! avoids padding and is 5.76× faster. We reproduce both strategies:
 //!
-//! * [`sbsmm`] / [`sbsmm_par`] — the specialized no-padding kernel (DaCe
+//! * [`sbsmm`] — the specialized no-padding kernel (DaCe
 //!   analogue), routed through the **packed split-complex micro-kernel**;
 //! * [`sbsmm_padded`] — a vendor-library stand-in that rounds every operand
 //!   up to a tuning size (default 16) and performs the full padded product,
@@ -47,7 +47,6 @@
 use crate::complex::{c64, C64};
 use crate::dense::CMatrix;
 use crate::gemm::{fma_available, gemm, run_micro_kernel, Op, MR, NR};
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Dimensions of one batch item: `C (m×n) = A (m×k) · B (k×n)`.
@@ -96,28 +95,6 @@ impl Strides {
         }
     }
 }
-
-/// Typed error of [`sbsmm_par`]: the `C` stride is smaller than one output
-/// item, so parallel batch items would alias the same output elements.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StrideOverlap {
-    /// The offending `C` stride.
-    pub stride_c: usize,
-    /// The output item size `m * n` it must be at least.
-    pub item_len: usize,
-}
-
-impl std::fmt::Display for StrideOverlap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "sbsmm_par requires non-overlapping C items: stride {} < item size {}",
-            self.stride_c, self.item_len
-        )
-    }
-}
-
-impl std::error::Error for StrideOverlap {}
 
 // ---------------------------------------------------------------------------
 // Split-complex micro-panel packing.
@@ -306,10 +283,12 @@ pub fn use_packed_kernel(dims: BatchDims) -> bool {
 /// batched call through an arena sizes the buffers; every later call with
 /// shapes no larger is allocation-free.
 ///
-/// The default entry points ([`sbsmm`], [`sbsmm_pb`], …) use a
-/// thread-local arena; holders of a [`crate::workspace::Workspace`] can
+/// The default entry points ([`sbsmm`], [`sbsmm_pb`], [`small_gemm_pb`])
+/// use a thread-local arena; holders of a [`crate::workspace::Workspace`]
 /// route through its arena instead
-/// ([`crate::workspace::Workspace::batch_arena`] + [`sbsmm_with`]).
+/// ([`crate::workspace::Workspace::batch_arena`] + [`sbsmm_with`]) and
+/// keep shared-operand packs in its pool
+/// ([`crate::workspace::Workspace::take_packed_b`]).
 #[derive(Default)]
 pub struct BatchArena {
     pub(crate) a_re: Vec<f64>,
@@ -350,30 +329,15 @@ impl BatchArena {
 }
 
 thread_local! {
-    /// Per-thread arena of the convenience entry points. Rayon workers
-    /// each warm their own; steady-state batched calls are allocation-free.
+    /// Per-thread arena of the convenience entry points. Every thread
+    /// that calls them warms its own; steady-state batched calls are
+    /// allocation-free.
     static BATCH_ARENA: RefCell<BatchArena> = RefCell::new(BatchArena::default());
-
-    /// Per-thread free list of [`PackedB`] packs for callers that hoist
-    /// shared-operand packing across calls inside parallel regions (where
-    /// no [`crate::workspace::Workspace`] is at hand).
-    static PACKED_B_POOL: RefCell<Vec<PackedB>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` with this thread's [`BatchArena`].
 pub fn with_batch_arena<R>(f: impl FnOnce(&mut BatchArena) -> R) -> R {
     BATCH_ARENA.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-/// Checks a warm [`PackedB`] out of this thread's pool (allocation-free
-/// once the pool has been populated by [`give_tls_packed_b`]).
-pub fn take_tls_packed_b() -> PackedB {
-    PACKED_B_POOL.with(|cell| cell.borrow_mut().pop().unwrap_or_default())
-}
-
-/// Returns a [`PackedB`] to this thread's pool for reuse.
-pub fn give_tls_packed_b(pb: PackedB) {
-    PACKED_B_POOL.with(|cell| cell.borrow_mut().push(pb));
 }
 
 // ---------------------------------------------------------------------------
@@ -476,108 +440,6 @@ fn sbsmm_packed(
         };
         sweep_tiles(fma, m, n, k, alpha, a_re, a_im, &pb.re, &pb.im, cv);
     }
-}
-
-/// Rayon-parallel version of [`sbsmm`]; batch items are independent so they
-/// partition perfectly across worker threads (the GPU analogy: one thread
-/// block per batch item). Shared (stride-0) operands are packed once on
-/// the calling thread; each worker packs per-item operands into its own
-/// thread-local arena.
-///
-/// # Errors
-/// Returns [`StrideOverlap`] when `strides.c < m * n`, i.e. when parallel
-/// output items would alias.
-pub fn sbsmm_par(
-    dims: BatchDims,
-    batch: usize,
-    alpha: C64,
-    a: &[C64],
-    b: &[C64],
-    beta: C64,
-    c: &mut [C64],
-    strides: Strides,
-) -> Result<(), StrideOverlap> {
-    let item_len = dims.m * dims.n;
-    if batch > 1 && strides.c < item_len {
-        return Err(StrideOverlap {
-            stride_c: strides.c,
-            item_len,
-        });
-    }
-    check_bounds(dims, batch, a.len(), b.len(), c.len(), strides);
-    if batch == 0 || item_len == 0 {
-        return Ok(());
-    }
-    let BatchDims { m, n, k } = dims;
-    if alpha != C64::ZERO {
-        count_sbsmm(dims, batch);
-    }
-    // For batch == 1 the stride is unused; clamp the chunk size so a
-    // stride-0 descriptor still yields a full output item.
-    let chunk = strides.c.max(item_len);
-    if alpha == C64::ZERO || !use_packed_kernel(dims) {
-        c.par_chunks_mut(chunk)
-            .take(batch)
-            .enumerate()
-            .for_each(|(idx, cv)| {
-                let av = &a[idx * strides.a..idx * strides.a + m * k];
-                let bv = &b[idx * strides.b..idx * strides.b + k * n];
-                small_gemm(dims, alpha, av, bv, beta, &mut cv[..item_len]);
-            });
-        return Ok(());
-    }
-    let fma = fma_available();
-    // Pre-pack shared operands on the calling thread, in buffers taken
-    // *out* of the TLS pool so the calling thread can still act as a rayon
-    // worker (workers borrow their own arena per item).
-    let mut shared_a = take_tls_packed_b(); // reuse the pack storage as raw planes
-    let mut shared_b = take_tls_packed_b();
-    if strides.a == 0 {
-        let len = m.div_ceil(MR) * MR * k;
-        shared_a.re.resize(len, 0.0);
-        shared_a.im.resize(len, 0.0);
-        pack_a_panels(&a[..m * k], m, k, &mut shared_a.re, &mut shared_a.im);
-    }
-    if strides.b == 0 {
-        shared_b.pack(k, n, &b[..k * n]);
-    }
-    {
-        let (shared_a, shared_b) = (&shared_a, &shared_b);
-        c.par_chunks_mut(chunk)
-            .take(batch)
-            .enumerate()
-            .for_each(|(idx, cv)| {
-                with_batch_arena(|arena| {
-                    arena.ensure_a(m, k);
-                    let BatchArena {
-                        a_re,
-                        a_im,
-                        item_b,
-                        shared_b: _,
-                    } = arena;
-                    let cv = &mut cv[..item_len];
-                    scale_c(beta, cv);
-                    let (pa_re, pa_im): (&[f64], &[f64]) = if strides.a == 0 {
-                        (&shared_a.re, &shared_a.im)
-                    } else {
-                        let av = &a[idx * strides.a..idx * strides.a + m * k];
-                        pack_a_panels(av, m, k, a_re, a_im);
-                        (a_re, a_im)
-                    };
-                    let pb: &PackedB = if strides.b == 0 {
-                        shared_b
-                    } else {
-                        let bv = &b[idx * strides.b..idx * strides.b + k * n];
-                        item_b.pack(k, n, bv);
-                        item_b
-                    };
-                    sweep_tiles(fma, m, n, k, alpha, pa_re, pa_im, &pb.re, &pb.im, cv);
-                });
-            });
-    }
-    give_tls_packed_b(shared_a);
-    give_tls_packed_b(shared_b);
-    Ok(())
 }
 
 /// Strided-batched multiply against a pre-packed `B`:
@@ -926,42 +788,6 @@ mod tests {
         let mut c3 = c0[..s.c].to_vec();
         small_gemm_pb(dims, C64::ONE, &a[..s.a], &pb, C64::ONE, &mut c3);
         assert!(max_err(&c3, &c1[..s.c]) < 1e-12);
-    }
-
-    #[test]
-    fn sbsmm_par_matches_serial() {
-        let dims = BatchDims { m: 8, n: 5, k: 9 };
-        let s = Strides::packed(dims);
-        let batch = 33;
-        let a = fill(batch * s.a, 3);
-        let b = fill(batch * s.b, 4);
-        let mut c1 = vec![C64::ZERO; batch * s.c];
-        let mut c2 = vec![C64::ZERO; batch * s.c];
-        sbsmm(dims, batch, C64::ONE, &a, &b, C64::ZERO, &mut c1, s);
-        sbsmm_par(dims, batch, C64::ONE, &a, &b, C64::ZERO, &mut c2, s).unwrap();
-        assert!(max_err(&c1, &c2) == 0.0, "parallel must be bit-identical");
-    }
-
-    #[test]
-    fn sbsmm_par_overlap_is_typed_error() {
-        let dims = BatchDims::square(4);
-        let s = Strides {
-            a: 16,
-            b: 16,
-            c: 8, // < m*n: items alias
-        };
-        let a = fill(64, 1);
-        let b = fill(64, 2);
-        let mut c = vec![C64::ZERO; 64];
-        let err = sbsmm_par(dims, 4, C64::ONE, &a, &b, C64::ZERO, &mut c, s).unwrap_err();
-        assert_eq!(
-            err,
-            StrideOverlap {
-                stride_c: 8,
-                item_len: 16
-            }
-        );
-        assert!(err.to_string().contains("non-overlapping"));
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! [`mixed`] for the fused f16 pack-and-convert); `OMEN_FORCE_SCALAR=1`
 //! pins the runtime dispatch to the portable instantiation.
 //!
-//! Everything is implemented from scratch over `std` (plus `rayon` for the
-//! batch-parallel kernels) so the repository carries no linear-algebra
-//! dependencies, mirroring the paper's "one external HPC library (BLAS)"
+//! Everything is implemented from scratch over `std` so the repository
+//! carries no linear-algebra dependencies, mirroring the paper's "one external HPC library (BLAS)"
 //! portability claim — here, zero.
 
 pub mod batched;
@@ -32,9 +31,8 @@ pub mod sparse;
 pub mod workspace;
 
 pub use batched::{
-    give_tls_packed_b, sbsmm, sbsmm_padded, sbsmm_par, sbsmm_pb, sbsmm_scalar, sbsmm_with,
-    small_gemm, small_gemm_pb, take_tls_packed_b, use_packed_kernel, BatchArena, BatchDims,
-    PackedB, StrideOverlap, Strides,
+    sbsmm, sbsmm_padded, sbsmm_pb, sbsmm_scalar, sbsmm_with, small_gemm, small_gemm_pb,
+    use_packed_kernel, BatchArena, BatchDims, PackedB, Strides,
 };
 pub use blocktridiag::BlockTriDiag;
 pub use complex::{c64, C64};

@@ -258,54 +258,6 @@ proptest! {
     }
 
     #[test]
-    fn sbsmm_par_matches_serial_packed(
-        m in 1usize..16,
-        n in 1usize..16,
-        k in 1usize..16,
-        batch in 1usize..8,
-        coeffs in (arb_c64(), arb_c64()),
-    ) {
-        let dims = BatchDims { m, n, k };
-        let s = Strides::packed(dims);
-        let (alpha, beta) = coeffs;
-        let mk = |len: usize, tag: usize| -> Vec<C64> {
-            (0..len)
-                .map(|i| c64(((i * 7 + tag) as f64).sin(), ((i * 3 + tag) as f64).cos()))
-                .collect()
-        };
-        let a = mk(batch * s.a, 1);
-        let b = mk(batch * s.b, 2);
-        let c0 = mk(batch * s.c, 3);
-        let mut c1 = c0.clone();
-        let mut c2 = c0.clone();
-        sbsmm(dims, batch, alpha, &a, &b, beta, &mut c1, s);
-        sbsmm_par(dims, batch, alpha, &a, &b, beta, &mut c2, s).unwrap();
-        let dev = c1.iter().zip(&c2).map(|(x, y)| (*x - *y).abs()).fold(0.0, f64::max);
-        prop_assert!(dev == 0.0, "parallel must be bit-identical, dev {dev:e}");
-    }
-
-    #[test]
-    fn sbsmm_par_rejects_overlapping_strides(
-        n in 1usize..8,
-        deficit in 1usize..8,
-        batch in 2usize..5,
-    ) {
-        // Any C stride short of one item is a typed error, not a panic.
-        let dims = BatchDims::square(n);
-        let item = n * n;
-        prop_assume!(deficit <= item);
-        let s = Strides { a: item, b: item, c: item - deficit };
-        let a = vec![C64::ZERO; batch * item];
-        let b = vec![C64::ZERO; batch * item];
-        let mut c = vec![C64::ZERO; batch * item];
-        let err = sbsmm_par(dims, batch, C64::ONE, &a, &b, C64::ZERO, &mut c, s);
-        prop_assert_eq!(
-            err,
-            Err(StrideOverlap { stride_c: item - deficit, item_len: item })
-        );
-    }
-
-    #[test]
     fn f16_packed_matches_scalar_f16(
         m in 1usize..14,
         n in 1usize..14,

@@ -22,7 +22,7 @@ pub use observables::{
     interface_current, orbital_occupation,
 };
 pub use points::{
-    CacheMode, ElectronParams, ElectronSolver, GfSolver, PhaseTimes, PhononParams, PhononSolver,
-    PointSolution,
+    CacheMode, Carrier, ElectronParams, ElectronSolver, Electrons, GfSolver, PhaseTimes,
+    PhononParams, PhononSolver, PointSolution, PointSolver,
 };
 pub use rgf::{rgf_flops_model, rgf_solve, rgf_solve_into, RgfInputs, RgfSolution};

@@ -1,6 +1,7 @@
-//! Per-point GF solvers: assembly ("specialization"), boundary conditions,
-//! and RGF for electron `(kz, E)` and phonon `(qz, ω)` points, with the
-//! three caching modes of §7.1.2.
+//! The per-point GF solver: assembly ("specialization"), boundary
+//! conditions, and RGF for electron `(kz, E)` and phonon `(qz, ω)` points,
+//! with the three caching modes of §7.1.2 — one body ([`PointSolver`])
+//! generic over the [`Carrier`] that supplies the operator and occupations.
 //!
 //! For each energy-momentum point the GF phase performs:
 //! (a) **specialization** — assembling `H(kz)`, `S(kz)` (or `Φ(qz)`) from
@@ -19,7 +20,7 @@ use crate::boundary::{
 };
 use crate::rgf::{rgf_solve_into, RgfInputs, RgfSolution};
 use omen_device::DeviceStructure;
-use omen_linalg::{c64, BlockTriDiag, CMatrix, WorkspaceLease, WorkspacePool};
+use omen_linalg::{c64, BlockTriDiag, CMatrix, Workspace, WorkspaceLease, WorkspacePool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -165,27 +166,140 @@ pub struct PointSolution {
     pub times: PhaseTimes,
 }
 
-/// Electron GF solver bound to one device, potential profile, and cache
-/// policy. One instance serves all `(kz, E)` points across the
-/// self-consistent iteration.
-pub struct ElectronSolver<'a> {
-    device: &'a DeviceStructure,
+/// What tells the two carriers of the GF phase apart: the operator `M`, the
+/// payload a specialization caches, and the contact occupations.
+/// Everything else of a point solve — cache policy, boundary resolution,
+/// self-energy folding, RGF — is [`PointSolver`], written once.
+pub trait Carrier {
+    /// The cached specialization: `(H, S)` per `kz`, `Φ` per `qz`.
+    type Spec;
+    /// Name for diagnostics ([`GfSolver::carrier`]).
+    const NAME: &'static str;
+    /// Boson sign convention of the contact `Σ^≷` (`contact_sigma_lg`).
+    const BOSON: bool;
+    /// Block-tridiagonal operators held by one [`Carrier::Spec`].
+    const SPEC_OPERATORS: usize;
+
+    /// RGF block size of this carrier on `device`.
+    fn block_size(device: &DeviceStructure) -> usize;
+    /// Assembles the momentum-`k` operators from the material data.
+    fn specialize(&self, device: &DeviceStructure, k: f64) -> Self::Spec;
+    /// The ballistic `M` at energy/frequency `x`.
+    fn assemble(&self, spec: &Self::Spec, x: f64) -> BlockTriDiag;
+    /// Left/right contact occupations at `x`.
+    fn occupations(&self, x: f64) -> (f64, f64);
+    /// Surface-GF algorithm, decimation tolerance and iteration cap.
+    fn boundary(&self) -> (BoundaryMethod, f64, usize);
+}
+
+/// Electrons: `M = (E + iη)·S − H`, Fermi-occupied source and drain.
+pub struct Electrons {
     potential: Vec<f64>,
-    /// Parameters (public: adjusted between runs by the driver).
-    pub params: ElectronParams,
+    params: ElectronParams,
+}
+
+impl Carrier for Electrons {
+    type Spec = (BlockTriDiag, BlockTriDiag);
+    const NAME: &'static str = "electron";
+    const BOSON: bool = false;
+    const SPEC_OPERATORS: usize = 2;
+
+    fn block_size(device: &DeviceStructure) -> usize {
+        device.block_size_el()
+    }
+
+    fn specialize(&self, device: &DeviceStructure, kz: f64) -> Self::Spec {
+        (
+            device.hamiltonian_with_potential(kz, &self.potential),
+            device.overlap(kz),
+        )
+    }
+
+    fn assemble(&self, (h, s): &Self::Spec, e: f64) -> BlockTriDiag {
+        s.linear_comb(c64(e, self.params.eta), h, c64(-1.0, 0.0))
+    }
+
+    fn occupations(&self, e: f64) -> (f64, f64) {
+        let p = &self.params;
+        (fermi(e, p.mu_source, p.kt), fermi(e, p.mu_drain, p.kt))
+    }
+
+    fn boundary(&self) -> (BoundaryMethod, f64, usize) {
+        (
+            self.params.method,
+            self.params.bc_tol,
+            self.params.bc_max_iter,
+        )
+    }
+}
+
+/// Phonons: `M = (ω + iη)²·I − Φ`, both contacts Bose-occupied at the
+/// same heat-sink temperature.
+impl Carrier for PhononParams {
+    type Spec = BlockTriDiag;
+    const NAME: &'static str = "phonon";
+    const BOSON: bool = true;
+    const SPEC_OPERATORS: usize = 1;
+
+    fn block_size(device: &DeviceStructure) -> usize {
+        device.block_size_ph()
+    }
+
+    fn specialize(&self, device: &DeviceStructure, qz: f64) -> Self::Spec {
+        device.dynamical(qz)
+    }
+
+    fn assemble(&self, phi: &Self::Spec, w: f64) -> BlockTriDiag {
+        let (bnum, bs) = (phi.num_blocks(), phi.block_size());
+        let z2 = c64(w, self.eta) * c64(w, self.eta);
+        let mut m = BlockTriDiag::zeros(bnum, bs);
+        for b in 0..bnum {
+            m.diag[b] = CMatrix::from_diag(&vec![z2; bs]);
+            m.diag[b] -= &phi.diag[b];
+        }
+        for b in 0..bnum - 1 {
+            m.upper[b] = phi.upper[b].scaled(c64(-1.0, 0.0));
+            m.lower[b] = phi.lower[b].scaled(c64(-1.0, 0.0));
+        }
+        m
+    }
+
+    fn occupations(&self, w: f64) -> (f64, f64) {
+        let n = bose(w, self.kt);
+        (n, n)
+    }
+
+    fn boundary(&self) -> (BoundaryMethod, f64, usize) {
+        (self.method, self.bc_tol, self.bc_max_iter)
+    }
+}
+
+/// GF solver of one [`Carrier`] bound to one device and cache policy. One
+/// instance serves all points of its `k × x` grid (`(kz, E)` or
+/// `(qz, ω)`) across the self-consistent iteration.
+pub struct PointSolver<'a, C: Carrier> {
+    device: &'a DeviceStructure,
+    carrier: C,
     mode: CacheMode,
-    kz_values: Vec<f64>,
-    energies: Vec<f64>,
-    spec_cache: Vec<Option<(BlockTriDiag, BlockTriDiag)>>, // per kz: (H, S)
-    bc_cache: Vec<Option<BoundarySelfEnergies>>,           // per (ik, ie)
+    k_values: Vec<f64>,
+    x_values: Vec<f64>,
+    spec_cache: Vec<Option<C::Spec>>,            // per k
+    bc_cache: Vec<Option<BoundarySelfEnergies>>, // per (ik, ix)
     shared_bc: Option<Arc<BoundaryCache>>,
     /// Scratch arena threaded through the boundary and RGF solves; a
     /// pool-backed lease when the solver was built with
-    /// [`ElectronSolver::with_workspace_pool`].
+    /// [`PointSolver::with_workspace_pool`].
     ws: WorkspaceLease<'a>,
 }
 
-impl<'a> ElectronSolver<'a> {
+/// Electron GF solver over `(kz, E)` points, bound to a potential profile.
+pub type ElectronSolver<'a> = PointSolver<'a, Electrons>;
+
+/// Phonon GF solver: solves `(ω² − Φ(qz) − Π^R)·D^R = I` per `(qz, ω)`
+/// point.
+pub type PhononSolver<'a> = PointSolver<'a, PhononParams>;
+
+impl<'a> PointSolver<'a, Electrons> {
     /// Creates a solver for the grid `kz_values × energies`.
     pub fn new(
         device: &'a DeviceStructure,
@@ -195,17 +309,45 @@ impl<'a> ElectronSolver<'a> {
         kz_values: Vec<f64>,
         energies: Vec<f64>,
     ) -> Self {
-        let nk = kz_values.len();
-        let ne = energies.len();
-        ElectronSolver {
+        let carrier = Electrons { potential, params };
+        PointSolver::over(device, carrier, mode, kz_values, energies)
+    }
+}
+
+impl<'a> PointSolver<'a, PhononParams> {
+    /// Creates a solver for the grid `qz_values × omegas` (ω > 0).
+    pub fn new(
+        device: &'a DeviceStructure,
+        params: PhononParams,
+        mode: CacheMode,
+        qz_values: Vec<f64>,
+        omegas: Vec<f64>,
+    ) -> Self {
+        assert!(
+            omegas.iter().all(|&w| w > 0.0),
+            "phonon frequencies must be positive"
+        );
+        PointSolver::over(device, params, mode, qz_values, omegas)
+    }
+}
+
+impl<'a, C: Carrier> PointSolver<'a, C> {
+    fn over(
+        device: &'a DeviceStructure,
+        carrier: C,
+        mode: CacheMode,
+        k_values: Vec<f64>,
+        x_values: Vec<f64>,
+    ) -> Self {
+        let (nk, nx) = (k_values.len(), x_values.len());
+        PointSolver {
             device,
-            potential,
-            params,
+            carrier,
             mode,
-            kz_values,
-            energies,
-            spec_cache: vec![None; nk],
-            bc_cache: vec![None; nk * ne],
+            k_values,
+            x_values,
+            spec_cache: (0..nk).map(|_| None).collect(),
+            bc_cache: vec![None; nk * nx],
             shared_bc: None,
             ws: WorkspaceLease::detached(),
         }
@@ -225,82 +367,52 @@ impl<'a> ElectronSolver<'a> {
     pub fn with_shared_boundary(mut self, cache: Arc<BoundaryCache>) -> Self {
         assert_eq!(
             cache.len(),
-            self.kz_values.len() * self.energies.len(),
+            self.k_values.len() * self.x_values.len(),
             "shared boundary cache sized for a different grid"
         );
         self.shared_bc = Some(cache);
         self
     }
+}
 
-    /// The cache policy in force.
-    pub fn mode(&self) -> CacheMode {
-        self.mode
-    }
-
-    /// Approximate resident bytes of the caches (the memory side of the
-    /// compute-memory tradeoff).
-    pub fn cache_bytes(&self) -> usize {
-        let bs = self.device.block_size_el();
-        let bnum = self.device.bnum();
-        let spec = self
-            .spec_cache
-            .iter()
-            .flatten()
-            .count()
-            * 2 // H and S
-            * (bnum * 3) // diag + upper + lower (over-estimate by 2 blocks)
-            * bs * bs * 16;
-        let bc = self.bc_cache.iter().flatten().count() * 4 * bs * bs * 16;
-        spec + bc
-    }
-
-    /// Solves point `(ik, ie)` given the scattering self-energy blocks
-    /// (`None` for the ballistic first iteration).
-    pub fn solve(
+impl<C: Carrier> GfSolver for PointSolver<'_, C> {
+    fn solve_point(
         &mut self,
         ik: usize,
-        ie: usize,
+        ix: usize,
         sigma_r_scatt: Option<&[CMatrix]>,
         sigma_l_scatt: Option<&[CMatrix]>,
         sigma_g_scatt: Option<&[CMatrix]>,
     ) -> PointSolution {
-        let kz = self.kz_values[ik];
-        let e = self.energies[ie];
+        let k = self.k_values[ik];
+        let x = self.x_values[ix];
         let bnum = self.device.bnum();
-        let bs = self.device.block_size_el();
+        let bs = C::block_size(self.device);
         let mut times = PhaseTimes::default();
 
         // --- (a) specialization ---
         let t0 = Instant::now();
-        let use_spec_cache = self.mode == CacheMode::CacheBcSpec;
-        // Fill the cache on a miss, then borrow from it — the operator
-        // pair is large (2·bnum·3 blocks), so no per-point clones.
+        // Fill the cache on a miss, then borrow from it — the operators
+        // are large (up to 2·bnum·3 blocks), so no per-point clones.
         let local_spec;
-        let (h, s) = if use_spec_cache {
-            if self.spec_cache[ik].is_none() {
-                let h = self.device.hamiltonian_with_potential(kz, &self.potential);
-                let s = self.device.overlap(kz);
-                self.spec_cache[ik] = Some((h, s));
+        let spec = if self.mode == CacheMode::CacheBcSpec {
+            let slot = &mut self.spec_cache[ik];
+            if slot.is_none() {
+                *slot = Some(self.carrier.specialize(self.device, k));
             }
-            let (h, s) = self.spec_cache[ik].as_ref().unwrap();
-            (h, s)
+            slot.as_ref().unwrap()
         } else {
-            local_spec = (
-                self.device.hamiltonian_with_potential(kz, &self.potential),
-                self.device.overlap(kz),
-            );
-            (&local_spec.0, &local_spec.1)
+            local_spec = self.carrier.specialize(self.device, k);
+            &local_spec
         };
         times.specialization = t0.elapsed();
 
-        // M = (E + iη)·S − H.
-        let zc = c64(e, self.params.eta);
-        let mut m = s.linear_comb(zc, h, c64(-1.0, 0.0));
+        let mut m = self.carrier.assemble(spec, x);
 
         // --- (b) boundary conditions (ballistic lead blocks) ---
         let t1 = Instant::now();
-        let bc_key = ik * self.energies.len() + ie;
-        let use_bc_cache = self.mode != CacheMode::NoCache;
+        let bc_key = ik * self.x_values.len() + ix;
+        let (method, bc_tol, bc_max_iter) = self.carrier.boundary();
         // Same cache-or-local discipline as the specialization: reads go
         // through a borrow; only the two Γ blocks handed to the caller
         // are cloned (on both paths — the cache must keep its copy).
@@ -310,48 +422,43 @@ impl<'a> ElectronSolver<'a> {
         let bse = if let Some(shared) = &self.shared_bc {
             local_bse = shared.resolve(
                 bc_key,
-                self.params.method,
+                method,
                 &m.diag[0],
                 &m.upper[0],
                 &m.lower[0],
                 &m.diag[bnum - 1],
                 &m.upper[bnum - 2],
                 &m.lower[bnum - 2],
-                self.params.bc_tol,
-                self.params.bc_max_iter,
+                bc_tol,
+                bc_max_iter,
                 &mut self.ws,
             );
             &local_bse
-        } else if use_bc_cache {
-            if self.bc_cache[bc_key].is_none() {
-                self.bc_cache[bc_key] = Some(boundary_self_energies_ws(
-                    self.params.method,
+        } else {
+            let compute = |ws: &mut Workspace| {
+                boundary_self_energies_ws(
+                    method,
                     &m.diag[0],
                     &m.upper[0],
                     &m.lower[0],
                     &m.diag[bnum - 1],
                     &m.upper[bnum - 2],
                     &m.lower[bnum - 2],
-                    self.params.bc_tol,
-                    self.params.bc_max_iter,
-                    &mut self.ws,
-                ));
+                    bc_tol,
+                    bc_max_iter,
+                    ws,
+                )
+            };
+            if self.mode != CacheMode::NoCache {
+                let slot = &mut self.bc_cache[bc_key];
+                if slot.is_none() {
+                    *slot = Some(compute(&mut self.ws));
+                }
+                slot.as_ref().unwrap()
+            } else {
+                local_bse = compute(&mut self.ws);
+                &local_bse
             }
-            self.bc_cache[bc_key].as_ref().unwrap()
-        } else {
-            local_bse = boundary_self_energies_ws(
-                self.params.method,
-                &m.diag[0],
-                &m.upper[0],
-                &m.lower[0],
-                &m.diag[bnum - 1],
-                &m.upper[bnum - 2],
-                &m.lower[bnum - 2],
-                self.params.bc_tol,
-                self.params.bc_max_iter,
-                &mut self.ws,
-            );
-            &local_bse
         };
         times.boundary = t1.elapsed();
 
@@ -366,20 +473,17 @@ impl<'a> ElectronSolver<'a> {
             }
         }
 
-        // Boundary Σ^≷ with contact Fermi factors.
-        let f_l = fermi(e, self.params.mu_source, self.params.kt);
-        let f_r = fermi(e, self.params.mu_drain, self.params.kt);
-        let (sl_l, sg_l) = contact_sigma_lg(&bse.left, f_l, false);
-        let (sl_r, sg_r) = contact_sigma_lg(&bse.right, f_r, false);
+        // Boundary Σ^≷ with the contact occupation factors.
+        let (occ_l, occ_r) = self.carrier.occupations(x);
+        let (sl_l, sg_l) = contact_sigma_lg(&bse.left, occ_l, C::BOSON);
+        let (sl_r, sg_r) = contact_sigma_lg(&bse.right, occ_r, C::BOSON);
 
-        let mut sigma_l = match sigma_l_scatt {
+        let blocks_or_zero = |scatt: Option<&[CMatrix]>| match scatt {
             Some(s) => s.to_vec(),
             None => vec![CMatrix::zeros(bs, bs); bnum],
         };
-        let mut sigma_g = match sigma_g_scatt {
-            Some(s) => s.to_vec(),
-            None => vec![CMatrix::zeros(bs, bs); bnum],
-        };
+        let mut sigma_l = blocks_or_zero(sigma_l_scatt);
+        let mut sigma_g = blocks_or_zero(sigma_g_scatt);
         sigma_l[0] += &sl_l;
         sigma_g[0] += &sg_l;
         sigma_l[bnum - 1] += &sl_r;
@@ -408,268 +512,20 @@ impl<'a> ElectronSolver<'a> {
             times,
         }
     }
-}
-
-impl GfSolver for ElectronSolver<'_> {
-    fn solve_point(
-        &mut self,
-        i: usize,
-        j: usize,
-        sigma_r: Option<&[CMatrix]>,
-        sigma_l: Option<&[CMatrix]>,
-        sigma_g: Option<&[CMatrix]>,
-    ) -> PointSolution {
-        self.solve(i, j, sigma_r, sigma_l, sigma_g)
-    }
 
     fn carrier(&self) -> &'static str {
-        "electron"
+        C::NAME
     }
 
     fn cache_bytes(&self) -> usize {
-        ElectronSolver::cache_bytes(self)
-    }
-}
-
-/// Phonon GF solver: solves `(ω² − Φ(qz) − Π^R)·D^R = I` per `(qz, ω)`
-/// point with Bose-occupied contacts at the lattice temperature.
-pub struct PhononSolver<'a> {
-    device: &'a DeviceStructure,
-    /// Parameters (public: adjusted between runs by the driver).
-    pub params: PhononParams,
-    mode: CacheMode,
-    qz_values: Vec<f64>,
-    omegas: Vec<f64>,
-    spec_cache: Vec<Option<BlockTriDiag>>, // per qz: Φ
-    bc_cache: Vec<Option<BoundarySelfEnergies>>,
-    shared_bc: Option<Arc<BoundaryCache>>,
-    /// Scratch arena threaded through the boundary and RGF solves.
-    ws: WorkspaceLease<'a>,
-}
-
-impl<'a> PhononSolver<'a> {
-    /// Creates a solver for the grid `qz_values × omegas` (ω > 0).
-    pub fn new(
-        device: &'a DeviceStructure,
-        params: PhononParams,
-        mode: CacheMode,
-        qz_values: Vec<f64>,
-        omegas: Vec<f64>,
-    ) -> Self {
-        assert!(
-            omegas.iter().all(|&w| w > 0.0),
-            "phonon frequencies must be positive"
-        );
-        let nq = qz_values.len();
-        let nw = omegas.len();
-        PhononSolver {
-            device,
-            params,
-            mode,
-            qz_values,
-            omegas,
-            spec_cache: vec![None; nq],
-            bc_cache: vec![None; nq * nw],
-            shared_bc: None,
-            ws: WorkspaceLease::detached(),
-        }
-    }
-
-    /// Swaps the solver's scratch arena for a lease on `pool` (see
-    /// [`ElectronSolver::with_workspace_pool`]).
-    pub fn with_workspace_pool(mut self, pool: &'a WorkspacePool) -> Self {
-        self.ws = pool.lease();
-        self
-    }
-
-    /// Routes boundary-condition lookups through a shared cache (see
-    /// [`ElectronSolver::with_shared_boundary`]).
-    pub fn with_shared_boundary(mut self, cache: Arc<BoundaryCache>) -> Self {
-        assert_eq!(
-            cache.len(),
-            self.qz_values.len() * self.omegas.len(),
-            "shared boundary cache sized for a different grid"
-        );
-        self.shared_bc = Some(cache);
-        self
-    }
-
-    /// Solves point `(iq, iw)` with optional scattering `Π` blocks.
-    pub fn solve(
-        &mut self,
-        iq: usize,
-        iw: usize,
-        pi_r_scatt: Option<&[CMatrix]>,
-        pi_l_scatt: Option<&[CMatrix]>,
-        pi_g_scatt: Option<&[CMatrix]>,
-    ) -> PointSolution {
-        let qz = self.qz_values[iq];
-        let w = self.omegas[iw];
+        let bs = C::block_size(self.device);
         let bnum = self.device.bnum();
-        let bs = self.device.block_size_ph();
-        let mut times = PhaseTimes::default();
-
-        let t0 = Instant::now();
-        let use_spec_cache = self.mode == CacheMode::CacheBcSpec;
-        // Cache-or-local borrow: no per-point clone of Φ (bnum·3 blocks).
-        let local_phi;
-        let phi = if use_spec_cache {
-            if self.spec_cache[iq].is_none() {
-                self.spec_cache[iq] = Some(self.device.dynamical(qz));
-            }
-            self.spec_cache[iq].as_ref().unwrap()
-        } else {
-            local_phi = self.device.dynamical(qz);
-            &local_phi
-        };
-        times.specialization = t0.elapsed();
-
-        // M = (ω + iη)² I − Φ.
-        let z2 = c64(w, self.params.eta) * c64(w, self.params.eta);
-        let mut m = BlockTriDiag::zeros(bnum, bs);
-        for b in 0..bnum {
-            m.diag[b] = CMatrix::from_diag(&vec![z2; bs]);
-            m.diag[b] -= &phi.diag[b];
-        }
-        for b in 0..bnum - 1 {
-            m.upper[b] = phi.upper[b].scaled(c64(-1.0, 0.0));
-            m.lower[b] = phi.lower[b].scaled(c64(-1.0, 0.0));
-        }
-
-        let t1 = Instant::now();
-        let bc_key = iq * self.omegas.len() + iw;
-        let use_bc_cache = self.mode != CacheMode::NoCache;
-        // Cache-or-local borrow, mirroring the electron solver.
-        let local_bse;
-        let bse = if let Some(shared) = &self.shared_bc {
-            local_bse = shared.resolve(
-                bc_key,
-                self.params.method,
-                &m.diag[0],
-                &m.upper[0],
-                &m.lower[0],
-                &m.diag[bnum - 1],
-                &m.upper[bnum - 2],
-                &m.lower[bnum - 2],
-                self.params.bc_tol,
-                self.params.bc_max_iter,
-                &mut self.ws,
-            );
-            &local_bse
-        } else if use_bc_cache {
-            if self.bc_cache[bc_key].is_none() {
-                self.bc_cache[bc_key] = Some(boundary_self_energies_ws(
-                    self.params.method,
-                    &m.diag[0],
-                    &m.upper[0],
-                    &m.lower[0],
-                    &m.diag[bnum - 1],
-                    &m.upper[bnum - 2],
-                    &m.lower[bnum - 2],
-                    self.params.bc_tol,
-                    self.params.bc_max_iter,
-                    &mut self.ws,
-                ));
-            }
-            self.bc_cache[bc_key].as_ref().unwrap()
-        } else {
-            local_bse = boundary_self_energies_ws(
-                self.params.method,
-                &m.diag[0],
-                &m.upper[0],
-                &m.lower[0],
-                &m.diag[bnum - 1],
-                &m.upper[bnum - 2],
-                &m.lower[bnum - 2],
-                self.params.bc_tol,
-                self.params.bc_max_iter,
-                &mut self.ws,
-            );
-            &local_bse
-        };
-        times.boundary = t1.elapsed();
-
-        m.diag[0] -= &bse.left;
-        m.diag[bnum - 1] -= &bse.right;
-        if let Some(pr) = pi_r_scatt {
-            for (b, blk) in pr.iter().enumerate() {
-                let neg = blk.scaled(c64(-1.0, 0.0));
-                m.diag[b] += &neg;
-            }
-        }
-
-        // Bose-occupied contacts (both at the same heat-sink temperature).
-        let n = bose(w, self.params.kt);
-        let (pl_l, pg_l) = contact_sigma_lg(&bse.left, n, true);
-        let (pl_r, pg_r) = contact_sigma_lg(&bse.right, n, true);
-
-        let mut pi_l = match pi_l_scatt {
-            Some(s) => s.to_vec(),
-            None => vec![CMatrix::zeros(bs, bs); bnum],
-        };
-        let mut pi_g = match pi_g_scatt {
-            Some(s) => s.to_vec(),
-            None => vec![CMatrix::zeros(bs, bs); bnum],
-        };
-        pi_l[0] += &pl_l;
-        pi_g[0] += &pg_l;
-        pi_l[bnum - 1] += &pl_r;
-        pi_g[bnum - 1] += &pg_r;
-
-        let t2 = Instant::now();
-        let mut sol = RgfSolution::empty();
-        rgf_solve_into(
-            &RgfInputs {
-                m: &m,
-                sigma_l: &pi_l,
-                sigma_g: &pi_g,
-            },
-            &mut self.ws,
-            &mut sol,
-        );
-        times.rgf = t2.elapsed();
-
-        PointSolution {
-            sol,
-            m,
-            boundary_lg_left: (pl_l, pg_l),
-            boundary_lg_right: (pl_r, pg_r),
-            gamma: (bse.gamma_left.clone(), bse.gamma_right.clone()),
-            times,
-        }
-    }
-}
-
-impl PhononSolver<'_> {
-    /// Approximate resident bytes of the caches (mirrors
-    /// [`ElectronSolver::cache_bytes`]).
-    pub fn cache_bytes(&self) -> usize {
-        let bs = self.device.block_size_ph();
-        let bnum = self.device.bnum();
-        let spec = self.spec_cache.iter().flatten().count() * (bnum * 3) * bs * bs * 16;
+        let spec = self.spec_cache.iter().flatten().count()
+            * C::SPEC_OPERATORS
+            * (bnum * 3) // diag + upper + lower (over-estimate by 2 blocks)
+            * bs * bs * 16;
         let bc = self.bc_cache.iter().flatten().count() * 4 * bs * bs * 16;
         spec + bc
-    }
-}
-
-impl GfSolver for PhononSolver<'_> {
-    fn solve_point(
-        &mut self,
-        i: usize,
-        j: usize,
-        sigma_r: Option<&[CMatrix]>,
-        sigma_l: Option<&[CMatrix]>,
-        sigma_g: Option<&[CMatrix]>,
-    ) -> PointSolution {
-        self.solve(i, j, sigma_r, sigma_l, sigma_g)
-    }
-
-    fn carrier(&self) -> &'static str {
-        "phonon"
-    }
-
-    fn cache_bytes(&self) -> usize {
-        PhononSolver::cache_bytes(self)
     }
 }
 
@@ -682,23 +538,30 @@ mod tests {
         DeviceStructure::build(DeviceConfig::tiny())
     }
 
-    fn grids() -> (Vec<f64>, Vec<f64>) {
-        (vec![0.0, 1.0], vec![-0.5, 0.0, 0.5])
+    /// One solver per carrier over a 2 × 3 grid, with its block size.
+    fn both_carriers(
+        dev: &DeviceStructure,
+        mode: CacheMode,
+    ) -> [(Box<dyn GfSolver + '_>, usize); 2] {
+        let (ks, es, ws) = (
+            vec![0.0, 1.0],
+            vec![-0.5, 0.0, 0.5],
+            vec![0.005, 0.01, 0.02],
+        );
+        let pot = dev.linear_potential(0.2, 0.25, 0.75);
+        let el = ElectronSolver::new(dev, pot, ElectronParams::default(), mode, ks.clone(), es);
+        let ph = PhononSolver::new(dev, PhononParams::default(), mode, ks, ws);
+        [
+            (Box::new(el), dev.block_size_el()),
+            (Box::new(ph), dev.block_size_ph()),
+        ]
     }
 
     #[test]
     fn electron_point_solves_and_is_physical() {
         let dev = device();
-        let (ks, es) = grids();
-        let mut solver = ElectronSolver::new(
-            &dev,
-            vec![0.0; dev.num_atoms()],
-            ElectronParams::default(),
-            CacheMode::NoCache,
-            ks,
-            es,
-        );
-        let out = solver.solve(0, 1, None, None, None);
+        let [(mut solver, _), _] = both_carriers(&dev, CacheMode::NoCache);
+        let out = solver.solve_point(0, 1, None, None, None);
         assert_eq!(out.sol.gr_diag.len(), dev.bnum());
         for n in 0..dev.bnum() {
             assert!(out.sol.gl_diag[n].is_anti_hermitian(1e-8), "G<[{n}]");
@@ -710,14 +573,8 @@ mod tests {
     #[test]
     fn phonon_point_solves() {
         let dev = device();
-        let mut solver = PhononSolver::new(
-            &dev,
-            PhononParams::default(),
-            CacheMode::NoCache,
-            vec![0.5],
-            vec![0.005, 0.01],
-        );
-        let out = solver.solve(0, 0, None, None, None);
+        let [_, (mut solver, _)] = both_carriers(&dev, CacheMode::NoCache);
+        let out = solver.solve_point(0, 0, None, None, None);
         for n in 0..dev.bnum() {
             assert!(out.sol.gl_diag[n].is_anti_hermitian(1e-8), "D<[{n}]");
         }
@@ -726,79 +583,68 @@ mod tests {
     #[test]
     fn cache_modes_agree_bitwise() {
         let dev = device();
-        let (ks, es) = grids();
-        let pot = dev.linear_potential(0.2, 0.25, 0.75);
-        let mk = |mode| {
-            ElectronSolver::new(
-                &dev,
-                pot.clone(),
-                ElectronParams::default(),
-                mode,
-                ks.clone(),
-                es.clone(),
-            )
-        };
-        let mut s_none = mk(CacheMode::NoCache);
-        let mut s_bc = mk(CacheMode::CacheBc);
-        let mut s_full = mk(CacheMode::CacheBcSpec);
-        for round in 0..2 {
-            for ik in 0..2 {
-                for ie in 0..3 {
-                    let a = s_none.solve(ik, ie, None, None, None);
-                    let b = s_bc.solve(ik, ie, None, None, None);
-                    let c = s_full.solve(ik, ie, None, None, None);
-                    let dev_ab = (&a.sol.gr_diag[0] - &b.sol.gr_diag[0]).max_abs();
-                    let dev_ac = (&a.sol.gr_diag[0] - &c.sol.gr_diag[0]).max_abs();
-                    assert!(dev_ab < 1e-13, "round {round} ({ik},{ie}): {dev_ab}");
-                    assert!(dev_ac < 1e-13, "round {round} ({ik},{ie}): {dev_ac}");
+        let [none, bc, full] = [
+            CacheMode::NoCache,
+            CacheMode::CacheBc,
+            CacheMode::CacheBcSpec,
+        ]
+        .map(|mode| both_carriers(&dev, mode));
+        for (((mut s_none, _), (mut s_bc, _)), (mut s_full, _)) in
+            none.into_iter().zip(bc).zip(full)
+        {
+            let who = s_none.carrier();
+            for round in 0..2 {
+                for ik in 0..2 {
+                    for ix in 0..3 {
+                        let [a, b, c] = [&mut s_none, &mut s_bc, &mut s_full]
+                            .map(|s| s.solve_point(ik, ix, None, None, None));
+                        let dev_ab = (&a.sol.gr_diag[0] - &b.sol.gr_diag[0]).max_abs();
+                        let dev_ac = (&a.sol.gr_diag[0] - &c.sol.gr_diag[0]).max_abs();
+                        assert!(dev_ab < 1e-13, "{who} round {round} ({ik},{ix}): {dev_ab}");
+                        assert!(dev_ac < 1e-13, "{who} round {round} ({ik},{ix}): {dev_ac}");
+                    }
                 }
             }
+            // Cache sizes reflect the policy.
+            assert_eq!(s_none.cache_bytes(), 0);
+            assert!(s_bc.cache_bytes() > 0);
+            assert!(s_full.cache_bytes() > s_bc.cache_bytes());
         }
-        // Cache sizes reflect the policy.
-        assert_eq!(s_none.cache_bytes(), 0);
-        assert!(s_bc.cache_bytes() > 0);
-        assert!(s_full.cache_bytes() > s_bc.cache_bytes());
     }
 
     #[test]
     fn scattering_sigma_changes_solution() {
         let dev = device();
-        let (ks, es) = grids();
-        let bs = dev.block_size_el();
-        let mut solver = ElectronSolver::new(
-            &dev,
-            vec![0.0; dev.num_atoms()],
-            ElectronParams::default(),
-            CacheMode::NoCache,
-            ks,
-            es,
-        );
-        let ballistic = solver.solve(0, 1, None, None, None);
-        // A small anti-Hermitian Σ^R (lifetime broadening).
-        let sr: Vec<CMatrix> = (0..dev.bnum())
-            .map(|_| CMatrix::from_diag(&vec![c64(0.0, -0.01); bs]))
-            .collect();
-        let scattered = solver.solve(0, 1, Some(&sr), None, None);
-        let diff = (&ballistic.sol.gr_diag[2] - &scattered.sol.gr_diag[2]).max_abs();
-        assert!(diff > 1e-6, "Σ^R must affect G^R (diff {diff})");
+        for (mut solver, bs) in both_carriers(&dev, CacheMode::NoCache) {
+            let ballistic = solver.solve_point(0, 1, None, None, None);
+            // A small anti-Hermitian Σ^R (lifetime broadening).
+            let sr: Vec<CMatrix> = (0..dev.bnum())
+                .map(|_| CMatrix::from_diag(&vec![c64(0.0, -0.01); bs]))
+                .collect();
+            let scattered = solver.solve_point(0, 1, Some(&sr), None, None);
+            let diff = (&ballistic.sol.gr_diag[2] - &scattered.sol.gr_diag[2]).max_abs();
+            assert!(diff > 1e-6, "Σ^R must affect G^R (diff {diff})");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma_r blocks")]
+    fn short_scattering_blocks_are_rejected_for_phonons_too() {
+        let dev = device();
+        let [_, (mut phonons, bs)] = both_carriers(&dev, CacheMode::NoCache);
+        let short = vec![CMatrix::zeros(bs, bs); dev.bnum() - 1];
+        phonons.solve_point(0, 0, Some(&short), None, None);
     }
 
     #[test]
     fn timings_populated() {
         let dev = device();
-        let (ks, es) = grids();
-        let mut solver = ElectronSolver::new(
-            &dev,
-            vec![0.0; dev.num_atoms()],
-            ElectronParams::default(),
-            CacheMode::CacheBcSpec,
-            ks,
-            es,
-        );
-        let first = solver.solve(1, 0, None, None, None);
-        assert!(first.times.total() > Duration::ZERO);
-        // Second call hits both caches: boundary time collapses.
-        let second = solver.solve(1, 0, None, None, None);
-        assert!(second.times.boundary <= first.times.boundary);
+        for (mut solver, _) in both_carriers(&dev, CacheMode::CacheBcSpec) {
+            let first = solver.solve_point(1, 0, None, None, None);
+            assert!(first.times.total() > Duration::ZERO);
+            // Second call hits both caches: boundary time collapses.
+            let second = solver.solve_point(1, 0, None, None, None);
+            assert!(second.times.boundary <= first.times.boundary);
+        }
     }
 }

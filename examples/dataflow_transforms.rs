@@ -68,12 +68,12 @@ fn main() {
 
     // ── From IR to execution ────────────────────────────────────────
     // The transformed graph is not just an analysis artifact: lower one
-    // Born iteration into the task DAG the `ExecutorKind::Dag` engine
-    // runs, then drive a small bias sweep through the overlapped GF/SSE
+    // Born iteration into the task DAG the sweep engine runs (every
+    // `ExecutorKind` schedules its points onto it), then drive a small bias sweep through the overlapped GF/SSE
     // stream pipeline with tracing armed.
     let cfg = {
         let mut c = SimulationConfig::tiny();
-        c.executor = ExecutorKind::Dag { threads: 2 };
+        c.executor = ExecutorKind::Rayon { threads: 2 };
         c.max_iterations = 4;
         c
     };

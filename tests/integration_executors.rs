@@ -1,12 +1,10 @@
-//! Executor equivalence: the `PointExecutor` engines must produce the
-//! same physics. The thread-parallel and DAG engines re-order
-//! contributions back to global point order, so they are *bit-identical*
-//! to serial; the rank-partitioned engine reduces per-rank partials in
-//! rank order, which reassociates floating-point sums — identical to
-//! near machine precision.
+//! Executor equivalence: every way of selecting the sweep engine must
+//! produce the same physics. The engine re-orders contributions back to
+//! global point order, so it is *bit-identical* to serial at every worker
+//! count, under each of its names.
 
 use dace_omen::core::{
-    CommPlan, DagExecutor, ExecutorKind, PartitionedExecutor, PlanKernel, RayonExecutor,
+    CommPlan, DagExecutor, DistributedExecutor, ExecutorKind, PlanKernel, RayonExecutor,
     SerialExecutor, Simulation, SimulationConfig, SimulationResult,
 };
 
@@ -17,6 +15,16 @@ fn run_with_kind(kind: ExecutorKind) -> SimulationResult {
     Simulation::new(cfg)
         .expect("valid config")
         .run()
+        .expect("run succeeds")
+}
+
+/// The same run as [`run_with_kind`] through an explicit engine.
+fn run_with_engine(engine: &DagExecutor) -> SimulationResult {
+    let mut cfg = SimulationConfig::tiny();
+    cfg.max_iterations = 6;
+    Simulation::new(cfg)
+        .expect("valid config")
+        .run_with(engine)
         .expect("run succeeds")
 }
 
@@ -59,7 +67,7 @@ fn rayon_is_bitwise_identical_to_serial() {
 #[test]
 fn dag_engine_is_bitwise_identical_to_serial() {
     let serial = run_with_kind(ExecutorKind::Serial);
-    let dag = run_with_kind(ExecutorKind::Dag { threads: 3 });
+    let dag = run_with_engine(&DagExecutor::new(3));
     assert_eq!(serial.records.len(), dag.records.len());
     for (s, d) in serial.records.iter().zip(&dag.records) {
         assert_eq!(
@@ -98,36 +106,11 @@ fn dag_thread_counts_do_not_change_results() {
     let serial = run_with_kind(ExecutorKind::Serial);
     // threads: 0 = auto; 1 falls back to the serial engine internally.
     for threads in [0, 1, 2, 5] {
-        let d = run_with_kind(ExecutorKind::Dag { threads });
+        let d = run_with_engine(&DagExecutor::new(threads));
         assert_eq!(
             serial.current().to_bits(),
             d.current().to_bits(),
             "dag threads = {threads}"
-        );
-    }
-}
-
-#[test]
-fn partitioned_matches_serial_to_machine_precision() {
-    let serial = run_with_kind(ExecutorKind::Serial);
-    let part = run_with_kind(ExecutorKind::Partitioned { ranks: 3 });
-    assert_eq!(serial.records.len(), part.records.len());
-    let s = serial.current();
-    let p = part.current();
-    assert!(
-        ((s - p) / s).abs() < 1e-9,
-        "partitioned current {p} vs serial {s}"
-    );
-    for (n, (a, b)) in serial
-        .spectral
-        .el_current
-        .iter()
-        .zip(&part.spectral.el_current)
-        .enumerate()
-    {
-        assert!(
-            (a - b).abs() <= 1e-9 * a.abs().max(1e-300),
-            "interface {n}: {a} vs {b}"
         );
     }
 }
@@ -155,16 +138,15 @@ fn explicit_executors_match_config_dispatch() {
         .expect("valid config")
         .run_with(&DagExecutor::new(2))
         .expect("run succeeds");
-    let part = Simulation::new(cfg)
+    let dist = Simulation::new(cfg)
         .expect("valid config")
-        .run_with(&PartitionedExecutor::new(2))
+        .run_with(&DistributedExecutor::new(2))
         .expect("run succeeds");
 
     assert_eq!(via_config.current().to_bits(), serial.current().to_bits());
     assert_eq!(serial.current().to_bits(), rayon.current().to_bits());
     assert_eq!(serial.current().to_bits(), dag.current().to_bits());
-    let (s, p) = (serial.current(), part.current());
-    assert!(((s - p) / s).abs() < 1e-9, "partitioned {p} vs serial {s}");
+    assert_eq!(serial.current().to_bits(), dist.current().to_bits());
 }
 
 fn run_distributed(plan: CommPlan, ranks: usize) -> SimulationResult {
@@ -293,13 +275,12 @@ fn thread_and_rank_counts_do_not_change_results() {
             "rayon threads = {threads}"
         );
     }
-    let serial = run_with_kind(ExecutorKind::Serial);
     for ranks in [1, 2, 5, 16] {
-        let r = run_with_kind(ExecutorKind::Partitioned { ranks });
-        let (s, p) = (serial.current(), r.current());
-        assert!(
-            ((s - p) / s).abs() < 1e-9,
-            "partitioned ranks = {ranks}: {p} vs {s}"
+        let r = run_with_engine(&DistributedExecutor::new(ranks));
+        assert_eq!(
+            base.current().to_bits(),
+            r.current().to_bits(),
+            "ranks = {ranks}"
         );
     }
 }

@@ -6,6 +6,7 @@ use dace_omen::device::{DeviceConfig, DeviceStructure};
 use dace_omen::linalg::c64;
 use dace_omen::rgf::{
     caroli_transmission, dense_solve, interface_current, CacheMode, ElectronParams, ElectronSolver,
+    GfSolver,
 };
 
 #[test]
@@ -19,7 +20,7 @@ fn device_point_matches_dense_reference() {
         vec![0.3],
         vec![0.2],
     );
-    let out = solver.solve(0, 0, None, None, None);
+    let out = solver.solve_point(0, 0, None, None, None);
     // Reassemble the dense problem from the folded M and Σ blocks the
     // solver actually used (boundary conditions included).
     let bs = dev.block_size_el();
@@ -53,7 +54,7 @@ fn ballistic_device_landauer_consistency() {
         vec![0.0],
         vec![0.15],
     );
-    let out = solver.solve(0, 0, None, None, None);
+    let out = solver.solve_point(0, 0, None, None, None);
     let t = caroli_transmission(&out.m, &out.gamma.0, &out.gamma.1);
     assert!(t > 0.05, "energy must be inside a band (T = {t})");
     for n in 0..dev.bnum() - 1 {
