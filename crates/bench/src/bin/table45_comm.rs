@@ -27,9 +27,9 @@
 //!
 //! The last thing `--execute` does is the distributed rung of the
 //! ladder: on one set of `G^≷`/`D^≷` tensors, in this process, it times a
-//! warm `TransformedKernel` and both warm plan kernels on 2 ranks and
-//! records `comm45_plan_vs_local_{dace|omen}_r2[_quick]` with `n` = the
-//! host's cores, `median_ns` = the plan's wall and `gflops` = plan wall ÷
+//! warm `TransformedKernel` on one worker and both warm plan kernels on 2
+//! ranks and records `comm45_plan_vs_local_{dace|omen}_r2[_quick]` with
+//! `n` = the host's cores, `median_ns` = the plan's wall and `gflops` = plan wall ÷
 //! local wall. The DaCe plan runs the local kernel's stages on half the
 //! atoms per rank, so with two cores `perf_check` holds its ratio to 1.5.
 use omen_bench::{
@@ -197,6 +197,8 @@ fn plan_vs_local(suffix: &str, reps: usize) -> Vec<BenchRecord> {
         nk: 2,
         ne: 24,
         nw: 2,
+        // The rung's denominator is the local kernel on one worker.
+        executor: ExecutorKind::Serial,
         ..SimulationConfig::demo()
     };
     let sim = Simulation::new(cfg).expect("ladder config is valid");

@@ -29,7 +29,7 @@ use omen_core::{run_overlapped, ExecutorKind, Simulation, SimulationConfig, Simu
 use omen_dataflow::simulation_sdfg;
 use omen_device::{DeviceConfig, DeviceStructure};
 use omen_rgf::{CacheMode, ElectronParams, ElectronSolver, GfSolver};
-use omen_sched::lower_iteration;
+use omen_sched::{lower_iteration, TaskDag};
 use omen_trace as trace;
 use std::time::Instant;
 
@@ -52,27 +52,26 @@ fn scaling_table(quick: bool) {
     let es: Vec<f64> = (0..ne)
         .map(|i| -0.8 + 1.6 * i as f64 / (ne - 1) as f64)
         .collect();
+    // The solver's own engine: one edge-free scheduler task per point.
+    let mut points = TaskDag::new();
+    for _ in 0..nk * ne {
+        points.add_task("gf_point", &[]);
+    }
     let run_with = |threads: usize| -> f64 {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
         timed_min(2, || {
-            pool.install(|| {
-                use rayon::prelude::*;
-                (0..nk * ne).into_par_iter().for_each(|idx| {
-                    let (ik, ie) = (idx / ne, idx % ne);
-                    let mut solver = ElectronSolver::new(
-                        &dev,
-                        vec![0.0; dev.num_atoms()],
-                        ElectronParams::default(),
-                        CacheMode::NoCache,
-                        kzs.clone(),
-                        es.clone(),
-                    );
-                    std::hint::black_box(solver.solve_point(ik, ie, None, None, None));
-                });
-            })
+            let solves = points.run(threads, |idx| {
+                let (ik, ie) = (idx / ne, idx % ne);
+                let mut solver = ElectronSolver::new(
+                    &dev,
+                    vec![0.0; dev.num_atoms()],
+                    ElectronParams::default(),
+                    CacheMode::NoCache,
+                    kzs.clone(),
+                    es.clone(),
+                );
+                std::hint::black_box(solver.solve_point(ik, ie, None, None, None));
+            });
+            solves.expect("point solves do not panic");
         })
     };
     let auto = std::thread::available_parallelism()

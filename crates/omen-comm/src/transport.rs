@@ -6,7 +6,7 @@
 //! [`VolumeLedger`](crate::volume::VolumeLedger) accounting — while this
 //! module owns the *mechanics* of moving an [`Envelope`] from one rank to
 //! another. Today the only implementation is [`ChannelTransport`]
-//! (crossbeam channels between in-process rank threads, exactly what the
+//! (`std::sync::mpsc` channels between in-process rank threads, exactly what the
 //! SC'19 artifact's laptop-scale harness needs); the trait is the seam
 //! where sockets or shared-memory rings plug in without touching the
 //! plans or the driver.
@@ -15,8 +15,8 @@
 //! reliable, and free of any accounting. Everything the paper measures
 //! (Tables 4/5 volumes, §6.1 collectives) lives one layer up in `Comm`.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use omen_linalg::C64;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// One in-flight message: source rank, user tag, and the complex payload.
 #[derive(Debug)]
@@ -53,7 +53,7 @@ pub trait Transport: Send {
     fn recv_any(&self) -> Envelope;
 }
 
-/// In-process transport: one unbounded crossbeam channel per rank.
+/// In-process transport: one unbounded `mpsc` channel per rank.
 ///
 /// Built in sets via [`channel_world`]; each instance holds every rank's
 /// sender plus its own receiver, so a world is just `nranks` of these
@@ -96,7 +96,7 @@ pub fn channel_world(nranks: usize) -> Vec<ChannelTransport> {
     let mut senders = Vec::with_capacity(nranks);
     let mut receivers = Vec::with_capacity(nranks);
     for _ in 0..nranks {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(rx);
     }

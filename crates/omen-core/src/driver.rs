@@ -940,16 +940,20 @@ fn sse_problem_of<'a>(
 ) -> SseProblem<'a> {
     let scale_sigma = cfg.coupling * cfg.coupling * fgrid.weight() * kgrid.weight();
     let scale_pi = cfg.coupling * cfg.coupling * egrid.weight() * kgrid.weight();
-    SseProblem::with_rev_pair(
-        device,
-        cfg.nk,
-        cfg.ne,
-        cfg.nk,
-        cfg.nw,
-        scale_sigma,
-        scale_pi,
-        rev_pair,
-    )
+    SseProblem {
+        // The SSE tasks run on the sweep engine's worker count.
+        workers: cfg.executor.engine().effective_threads(),
+        ..SseProblem::with_rev_pair(
+            device,
+            cfg.nk,
+            cfg.ne,
+            cfg.nk,
+            cfg.nw,
+            scale_sigma,
+            scale_pi,
+            rev_pair,
+        )
+    }
 }
 
 /// One GF sweep of either carrier: every worker builds a solver on the

@@ -285,8 +285,7 @@ pub fn use_packed_kernel(dims: BatchDims) -> bool {
 ///
 /// The default entry points ([`sbsmm`], [`sbsmm_pb`], [`small_gemm_pb`])
 /// use a thread-local arena; holders of a [`crate::workspace::Workspace`]
-/// route through its arena instead
-/// ([`crate::workspace::Workspace::batch_arena`] + [`sbsmm_with`]) and
+/// hold one too ([`crate::workspace::Workspace::batch_arena`]) and
 /// keep shared-operand packs in its pool
 /// ([`crate::workspace::Workspace::take_packed_b`]).
 #[derive(Default)]
@@ -361,23 +360,6 @@ pub fn sbsmm(
     c: &mut [C64],
     strides: Strides,
 ) {
-    with_batch_arena(|arena| sbsmm_with(arena, dims, batch, alpha, a, b, beta, c, strides));
-}
-
-/// [`sbsmm`] drawing pack buffers from a caller-supplied arena (e.g.
-/// [`crate::workspace::Workspace::batch_arena`]) instead of the
-/// thread-local one.
-pub fn sbsmm_with(
-    arena: &mut BatchArena,
-    dims: BatchDims,
-    batch: usize,
-    alpha: C64,
-    a: &[C64],
-    b: &[C64],
-    beta: C64,
-    c: &mut [C64],
-    strides: Strides,
-) {
     check_bounds(dims, batch, a.len(), b.len(), c.len(), strides);
     if batch == 0 {
         return;
@@ -389,7 +371,7 @@ pub fn sbsmm_with(
         sbsmm_scalar_unchecked(dims, batch, alpha, a, b, beta, c, strides);
         return;
     }
-    sbsmm_packed(arena, dims, batch, alpha, a, b, beta, c, strides);
+    with_batch_arena(|arena| sbsmm_packed(arena, dims, batch, alpha, a, b, beta, c, strides));
 }
 
 /// Records one batched-multiply invocation and its `8·m·n·k·batch`

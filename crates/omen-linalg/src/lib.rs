@@ -31,8 +31,8 @@ pub mod sparse;
 pub mod workspace;
 
 pub use batched::{
-    sbsmm, sbsmm_padded, sbsmm_pb, sbsmm_scalar, sbsmm_with, small_gemm, small_gemm_pb,
-    use_packed_kernel, BatchArena, BatchDims, PackedB, Strides,
+    sbsmm, sbsmm_padded, sbsmm_pb, sbsmm_scalar, small_gemm, small_gemm_pb, use_packed_kernel,
+    BatchArena, BatchDims, PackedB, Strides,
 };
 pub use blocktridiag::BlockTriDiag;
 pub use complex::{c64, C64};
@@ -49,8 +49,8 @@ pub use mixed::{
 };
 pub use norms::{magnitude_distribution, max_abs, rel_err_fro, rel_err_max, MagnitudeDistribution};
 pub use planes::{
-    add_planes, count_fused_run, give_tls_plane_scratch, pack_planes, pack_split, planes_dots,
-    planes_mac, take_tls_plane_scratch, DotTile, PlaneScratch, SplitRun, PLANES_MAX_DIM,
+    add_planes, count_fused_run, pack_planes, pack_split, planes_dots, planes_mac, DotTile,
+    PlaneScratch, SplitRun, PLANES_MAX_DIM,
 };
 pub use sparse::{csrmm, gemmi, CscMatrix, CsrMatrix};
 pub use workspace::{Workspace, WorkspaceLease, WorkspacePool};

@@ -29,7 +29,6 @@
 use crate::batched::PackedB;
 use crate::complex::{c64, C64};
 use crate::gemm::fma_available;
-use std::cell::RefCell;
 
 /// `f64` lanes of one vector step (one AVX2 register).
 const LANES: usize = 4;
@@ -56,23 +55,6 @@ pub struct PlaneScratch {
     pub w: [Vec<C64>; 2],
     /// Shared-`B` packs of the packed branch.
     pub pb: [PackedB; 2],
-}
-
-thread_local! {
-    /// Per-thread free list of [`PlaneScratch`]es for callers inside
-    /// parallel regions.
-    static SCRATCH_POOL: RefCell<Vec<PlaneScratch>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Checks a warm [`PlaneScratch`] out of this thread's pool
-/// (allocation-free once [`give_tls_plane_scratch`] has populated it).
-pub fn take_tls_plane_scratch() -> PlaneScratch {
-    SCRATCH_POOL.with(|cell| cell.borrow_mut().pop().unwrap_or_default())
-}
-
-/// Returns a [`PlaneScratch`] to this thread's pool for reuse.
-pub fn give_tls_plane_scratch(scratch: PlaneScratch) {
-    SCRATCH_POOL.with(|cell| cell.borrow_mut().push(scratch));
 }
 
 /// Records one fused run of plane-kernel sweeps and the flops it

@@ -128,9 +128,8 @@ impl Workspace {
         self.free_packed_b.push(pb);
     }
 
-    /// The workspace's split-complex pack arena, for routing batched
-    /// multiplications ([`crate::batched::sbsmm_with`]) through
-    /// workspace-held buffers instead of the thread-local arena.
+    /// The workspace's split-complex pack arena: workspace-held buffers
+    /// for the batched kernels instead of the thread-local arena.
     pub fn batch_arena(&mut self) -> &mut BatchArena {
         &mut self.batch
     }

@@ -14,8 +14,8 @@
 //!   with polling ([`JobHandle::state`]), cancellation
 //!   ([`JobHandle::cancel`]) and blocking await
 //!   ([`JobHandle::await_observables`]);
-//! * **runtime** — a hand-rolled thread pool over the vendored
-//!   `crossbeam` channel and `parking_lot` mutex/condvar shims; a worker
+//! * **runtime** — a hand-rolled thread pool over a `std::sync::mpsc`
+//!   channel and the vendored `parking_lot` mutex/condvar shim; a worker
 //!   owns a job end-to-end so points run sequentially *within* a job
 //!   (each warm-starts from its neighbor) while distinct jobs run
 //!   concurrently;

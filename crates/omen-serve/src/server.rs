@@ -1,5 +1,5 @@
 //! The sweep service: a hand-rolled thread-pool + channel runtime over
-//! the vendored `crossbeam`/`parking_lot` shims.
+//! `std::sync::mpsc` and the vendored `parking_lot` shim.
 //!
 //! [`SweepServer::start`] spawns worker threads that block on a shared
 //! job channel. [`SweepClient::submit`] validates a [`SweepSpec`],
@@ -26,7 +26,6 @@ use crate::cache::{CacheConfig, CacheStats, SweepCache};
 use crate::checkpoint::CheckpointJournal;
 use crate::job::{JobMetrics, JobResult, JobState, PointObservables};
 use crate::sweep::SweepSpec;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use omen_core::{
     CancelToken, ConfigError, DriverError, Simulation, SimulationResult, WarmStartData,
 };
@@ -37,6 +36,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -268,7 +268,7 @@ pub struct SweepServer {
 impl SweepServer {
     /// Starts the worker pool.
     pub fn start(config: ServerConfig) -> SweepServer {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let inner = Arc::new(Inner {
             jobs: Mutex::new(HashMap::new()),
             changed: Condvar::new(),

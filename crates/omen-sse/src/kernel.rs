@@ -11,7 +11,10 @@
 //! Kernels are *stateful*: `run` takes `&mut self` and writes into
 //! double-buffered output tensors owned by the kernel (see
 //! [`KernelState`]), so a warm Born loop re-applies the kernel without
-//! touching the heap. The previous iteration's output stays readable in
+//! touching the heap. [`TransformedKernel`] and [`MixedKernel`] run on
+//! [`SseProblem::workers`] scheduler workers (one, unless a driver sets
+//! its executor's count) and keep one pair scratch per worker next to
+//! their transients. The previous iteration's output stays readable in
 //! the other buffer, which is what makes [`SseKernel::output_delta`] — the
 //! relative Σ change between consecutive Born iterations — free to
 //! compute.

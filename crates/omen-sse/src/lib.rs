@@ -14,7 +14,11 @@
 //!
 //! The transformed schedule is built from the per-pair leaf stages of
 //! [`stages`], generalised over an energy window; `omen-comm`'s
-//! data-centric plan runs the same leaves on its atom×energy tiles. The
+//! data-centric plan runs the same leaves on its atom×energy tiles. In one
+//! address space the transformed and mixed kernels run them as per-atom
+//! tasks of `omen_sched::TaskDag` — the GF sweeps' engine — on
+//! [`SseProblem::workers`] workers, bit-identical at every count and
+//! inline on the calling thread with one. The
 //! per-round kernels of [`point_kernels`] are the reference loop nest cut
 //! at `(qz, ω)` for the OMEN plan.
 
@@ -40,7 +44,4 @@ pub use reference::{
     d_combination, d_combination_from, sse_reference, sse_reference_into, trace_product, SseOutput,
 };
 pub use tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
-pub use transformed::{
-    build_transients, build_transients_into, consume_transients, consume_transients_into,
-    sse_transformed, sse_transformed_into, Transients,
-};
+pub use transformed::{build_transients_into, sse_transformed, sse_transformed_into, Transients};

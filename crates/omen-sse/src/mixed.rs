@@ -15,7 +15,10 @@
 //! batch and the micro-kernel pack buffers — previously two separate
 //! materializations of the same data — are one array at half the bytes.
 //! Stage C then runs the packed FMA micro-kernel with f64 accumulation
-//! ([`omen_linalg::sbsmm_f16_packed`]).
+//! ([`omen_linalg::sbsmm_f16_packed`]) over the transformed kernel's loop
+//! nest ([`crate::stages`]), as its per-atom tasks
+//! ([`crate::transformed`]). A per-tensor factor needs the whole tensor,
+//! so the transients are built and converted on the calling thread first.
 //!
 //! Disabling normalization reproduces the divergence of Fig. 7b: SSE
 //! inputs span ~20 decades and the small magnitudes flush to zero in raw
@@ -23,10 +26,10 @@
 
 use crate::problem::SseProblem;
 use crate::reference::SseOutput;
-use crate::tensors::{DTensor, GLayout, GTensor};
-use crate::transformed::{build_transients_into, pi_stage, Transients};
+use crate::stages::{sigma_steps, EnergyWindow, SigmaStep};
+use crate::tensors::{DTensor, GTensor};
+use crate::transformed::{build_transients_into, run_atom_tasks, Transients};
 use omen_linalg::{sbsmm_f16_packed, BatchDims, F16APanels, F16BPanels, Normalization};
-use rayon::prelude::*;
 
 /// Configuration of the mixed-precision kernel.
 #[derive(Clone, Copy, Debug)]
@@ -105,8 +108,17 @@ pub fn sse_mixed_into(
     scratch: &mut MixedScratch,
     out: &mut SseOutput,
 ) {
-    build_transients_into(prob, g_l, g_g, d_l, d_g, &mut scratch.tr);
-    let tr = &scratch.tr;
+    let MixedScratch {
+        tr,
+        hg_l16,
+        hg_g16,
+        hd_l16,
+        hd_g16,
+    } = scratch;
+    // One factor per tensor needs every transient before the first
+    // conversion, so stages A and B and the conversion run here, on the
+    // calling thread; stages C and D are the per-atom tasks.
+    build_transients_into(prob, g_l, g_g, d_l, d_g, tr);
 
     let norb = prob.norb();
     let bsz = norb * norb;
@@ -118,137 +130,51 @@ pub fn sse_mixed_into(
     // packed micro-kernel sweeps).
     let n_hg = tr.hg_l.len() / bsz;
     let n_hd = tr.hd_l.len() / bsz;
-    scratch
-        .hg_l16
-        .pack_from_c64(&tr.hg_l, norb, norb, n_hg, bsz, cfg.normalization);
-    scratch
-        .hg_g16
-        .pack_from_c64(&tr.hg_g, norb, norb, n_hg, bsz, cfg.normalization);
-    scratch
-        .hd_l16
-        .pack_from_c64(&tr.hd_l, norb, norb, n_hd, bsz, cfg.normalization);
-    scratch
-        .hd_g16
-        .pack_from_c64(&tr.hd_g, norb, norb, n_hd, bsz, cfg.normalization);
-    let (hg_l16, hg_g16) = (&scratch.hg_l16, &scratch.hg_g16);
-    let (hd_l16, hd_g16) = (&scratch.hd_l16, &scratch.hd_g16);
-    let na = prob.na();
-    let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
-    out.sigma_l.reset(nk, ne, na, norb, GLayout::AtomMajor);
-    out.sigma_g.reset(nk, ne, na, norb, GLayout::AtomMajor);
-    let sigma_l = &mut out.sigma_l;
-    let sigma_g = &mut out.sigma_g;
+    hg_l16.pack_from_c64(&tr.hg_l, norb, norb, n_hg, bsz, cfg.normalization);
+    hg_g16.pack_from_c64(&tr.hg_g, norb, norb, n_hg, bsz, cfg.normalization);
+    hd_l16.pack_from_c64(&tr.hd_l, norb, norb, n_hd, bsz, cfg.normalization);
+    hd_g16.pack_from_c64(&tr.hd_g, norb, norb, n_hd, bsz, cfg.normalization);
+    let (hg16, hd16) = ([&*hg_l16, &*hg_g16], [&*hd_l16, &*hd_g16]);
+    // `denorm[side][d]` undoes the factors of `hg[side] · hd[d]`.
+    let denorm = hg16.map(|hg| hd16.map(|hd| 1.0 / (hg.factor * hd.factor)));
+    let win = EnergyWindow::full(prob.ne);
+    // Panel items per directed pair (`hg` items are e-contiguous).
+    let (hg_items, hd_items) = (3 * prob.nk * prob.ne, 3 * prob.nq * prob.nw);
 
-    let atom_chunk = nk * ne * bsz;
-    let offsets = &prob.device.neighbors.offsets;
-    let denorm_ll = 1.0 / (hg_l16.factor * hd_l16.factor);
-    let denorm_lg = 1.0 / (hg_l16.factor * hd_g16.factor);
-    let denorm_gg = 1.0 / (hg_g16.factor * hd_g16.factor);
-    let denorm_gl = 1.0 / (hg_g16.factor * hd_l16.factor);
-
-    let flops_c: u64 = {
-        let sl = sigma_l.as_mut_slice();
-        let sg = sigma_g.as_mut_slice();
-        sl.par_chunks_mut(atom_chunk)
-            .zip(sg.par_chunks_mut(atom_chunk))
-            .enumerate()
-            .map(|(a, (out_l, out_g))| {
-                let mut flops = 0u64;
-                for p in offsets[a]..offsets[a + 1] {
-                    for i in 0..3 {
-                        for q in 0..nq {
-                            for m in 0..nw {
-                                let steps = prob.omega_steps(m);
-                                if steps >= ne {
-                                    continue;
-                                }
-                                let batch = ne - steps;
-                                // Panel item of the shared ∇H·D block.
-                                let hd_item = tr.hd_offset(p, i, q, m) / bsz;
-                                for k in 0..nk {
-                                    let kk = prob.k_minus_q(k, q);
-                                    let out_base = k * ne * bsz;
-                                    // Panel items of the hg(e=0) / hg(e=steps)
-                                    // batches (hg items are e-contiguous).
-                                    let a0 = tr.hg_offset(p, i, kk, 0) / bsz;
-                                    let a1 = tr.hg_offset(p, i, kk, steps) / bsz;
-                                    let c0 = out_base + steps * bsz;
-                                    let c1 = out_base;
-                                    let n_el = batch * bsz;
-                                    // Emission.
-                                    sbsmm_f16_packed(
-                                        dims,
-                                        batch,
-                                        hg_l16,
-                                        a0,
-                                        hd_l16,
-                                        hd_item,
-                                        denorm_ll,
-                                        &mut out_l[c0..c0 + n_el],
-                                        bsz,
-                                    );
-                                    sbsmm_f16_packed(
-                                        dims,
-                                        batch,
-                                        hg_g16,
-                                        a0,
-                                        hd_g16,
-                                        hd_item,
-                                        denorm_gg,
-                                        &mut out_g[c0..c0 + n_el],
-                                        bsz,
-                                    );
-                                    // Absorption.
-                                    sbsmm_f16_packed(
-                                        dims,
-                                        batch,
-                                        hg_l16,
-                                        a1,
-                                        hd_g16,
-                                        hd_item,
-                                        denorm_lg,
-                                        &mut out_l[c1..c1 + n_el],
-                                        bsz,
-                                    );
-                                    sbsmm_f16_packed(
-                                        dims,
-                                        batch,
-                                        hg_g16,
-                                        a1,
-                                        hd_l16,
-                                        hd_item,
-                                        denorm_gl,
-                                        &mut out_g[c1..c1 + n_el],
-                                        bsz,
-                                    );
-                                    flops += 4 * batch as u64 * dims.flops();
-                                }
-                            }
-                        }
-                    }
-                }
-                flops
-            })
-            .sum()
-    };
-    if prob.scale_sigma != 1.0 {
-        for v in sigma_l.as_mut_slice() {
-            *v = v.scale(prob.scale_sigma);
+    // Stage C in binary16 on the transformed kernel's loop nest; Π stays
+    // double precision: its stage D.
+    run_atom_tasks(prob, tr, out, |a, _, mut sigma, _| {
+        let mut flops = 0;
+        for (p, _) in prob.pairs_of(a) {
+            let mut hd_item = 0;
+            flops += sigma_steps(prob, &win, |step| match step {
+                SigmaStep::Block(block) => hd_item = p * hd_items + block,
+                SigmaStep::Mac { n, side, ax, d, cx } => sbsmm_f16_packed(
+                    dims,
+                    n,
+                    hg16[side],
+                    p * hg_items + ax,
+                    hd16[d],
+                    hd_item,
+                    denorm[side][d],
+                    &mut sigma[side][cx * bsz..(cx + n) * bsz],
+                    bsz,
+                ),
+            });
         }
-        for v in sigma_g.as_mut_slice() {
-            *v = v.scale(prob.scale_sigma);
+        if prob.scale_sigma != 1.0 {
+            for v in sigma.iter_mut().flat_map(|s| s.iter_mut()) {
+                *v = v.scale(prob.scale_sigma);
+            }
         }
-    }
-
-    // Π stays double-precision: stage D of the transformed kernel.
-    let flops_d = pi_stage(prob, tr, &mut out.pi_l, &mut out.pi_g);
-
-    out.flops = tr.flops + flops_c + flops_d;
+        flops
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensors::GLayout;
     use crate::testutil::{random_inputs, tiny_device, tiny_problem};
     use crate::transformed::sse_transformed;
 

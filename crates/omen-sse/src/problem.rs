@@ -34,6 +34,10 @@ pub struct SseProblem<'a> {
     /// across problem constructions (the Born loop rebuilds the problem
     /// every iteration and must stay allocation-free).
     pub rev_pair: Cow<'a, [usize]>,
+    /// Workers the transformed and mixed kernels run their per-atom tasks
+    /// on. The constructors set 1 — everything inline on the calling
+    /// thread; a driver copies its executor's worker count here.
+    pub workers: usize,
 }
 
 /// The reverse-pair table of `device`: entry `p` is the index of the
@@ -137,6 +141,7 @@ impl<'a> SseProblem<'a> {
             scale_sigma,
             scale_pi,
             rev_pair,
+            workers: 1,
         }
     }
 

@@ -19,38 +19,28 @@
 //!
 //! The kernel produces values elementwise-identical (up to floating-point
 //! reassociation) to [`crate::reference::sse_reference`].
+//!
+//! One application is a set of per-atom tasks (`run_atom_tasks`) on
+//! [`SseProblem::workers`] workers of `omen_sched::TaskDag`, the engine of
+//! the GF sweeps: stages A–C for an atom's directed pairs into its own
+//! `Σ^≷` chunk, then stage D for the same pairs into the `Π^≷` entries
+//! only that atom owns. Ownership fixes the order of every addition, so
+//! the output is bit-identical at every worker count; one worker runs the
+//! tasks inline on the calling thread.
 
 use crate::problem::SseProblem;
-use crate::reference::SseOutput;
+use crate::reference::{d_combination, SseOutput};
 use crate::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
-use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
-use omen_linalg::{give_tls_plane_scratch, small_gemm, take_tls_plane_scratch, BatchDims, C64};
-use rayon::prelude::*;
+use crate::tensors::{DLayout, DTensor, GLayout, GTensor};
+use omen_linalg::{BatchDims, PlaneScratch, C64};
+use omen_sched::TaskDag;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-/// Below this many complex elements in a stage's output, the per-call
-/// heap cost of parallel dispatch (job buffers, scoped threads) outweighs
-/// the speedup; the serial loop is both faster and allocation-free, which
-/// keeps warm Born iterations on test-sized devices off the heap
-/// entirely (pinned by `tests/integration_alloc.rs`).
-const PAR_MIN_ELEMS: usize = 1 << 16;
-
-/// Runs `f` over `chunk`-sized pieces of `buf` — in parallel when the
-/// buffer is large enough to amortize dispatch, serially otherwise.
-fn for_each_chunk<F>(buf: &mut [C64], chunk: usize, f: F)
-where
-    F: Fn(usize, &mut [C64]) + Sync + Send,
-{
-    if buf.len() >= PAR_MIN_ELEMS {
-        buf.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(i, c)| f(i, c));
-    } else {
-        buf.chunks_mut(chunk).enumerate().for_each(|(i, c)| f(i, c));
-    }
-}
-
-/// The transient arrays produced by map fission (step ❶), kept public so
-/// the mixed-precision kernel can reuse stage A/B outputs.
+/// The kernel's reusable storage: the transient arrays produced by map
+/// fission (step ❶) — public so the mixed-precision kernel can convert
+/// them — and one pair-stage scratch per worker.
+#[derive(Default)]
 pub struct Transients {
     /// `∇H·G^<` blocks: layout `[pair][i][kz][E][Norb²]`.
     pub hg_l: Vec<C64>,
@@ -62,69 +52,137 @@ pub struct Transients {
     pub hd_g: Vec<C64>,
     /// Flops spent building the transients (stages A and B).
     pub flops: u64,
-    nk: usize,
-    ne: usize,
-    nq: usize,
-    nw: usize,
-    bsz: usize,
+    /// Plane packs, accumulators and `∇H·D` packs of stages C and D, one
+    /// per worker, warm after the first application.
+    scratch: Vec<PlaneScratch>,
 }
 
 impl Transients {
-    /// Empty transients, the reusable slot for [`build_transients_into`].
+    /// Empty storage, the reusable slot of the `_into` entry points.
     /// Performs no allocation.
     pub fn empty() -> Self {
-        Transients {
-            hg_l: Vec::new(),
-            hg_g: Vec::new(),
-            hd_l: Vec::new(),
-            hd_g: Vec::new(),
-            flops: 0,
-            nk: 0,
-            ne: 0,
-            nq: 0,
-            nw: 0,
-            bsz: 0,
+        Transients::default()
+    }
+
+    /// Sizes the four tensors for `prob` — no zeroing: stages A and B
+    /// overwrite every block — and records the flops of those stages.
+    fn size_for(&mut self, prob: &SseProblem) {
+        let dims = BatchDims::square(prob.norb());
+        let (npairs, nk, ne, nq, nw) = (prob.npairs(), prob.nk, prob.ne, prob.nq, prob.nw);
+        let (hg_chunk, hd_chunk, _) = chunk_lens(prob);
+        for hg in [&mut self.hg_l, &mut self.hg_g] {
+            hg.resize(npairs * hg_chunk, C64::ZERO);
+        }
+        for hd in [&mut self.hd_l, &mut self.hd_g] {
+            hd.resize(npairs * hd_chunk, C64::ZERO);
+        }
+        let flops_a = 2 * (npairs * 3 * nk * ne) as u64 * dims.flops();
+        let flops_b = 2 * (npairs * nq * nw * 3 * 3) as u64 * 8 * (dims.m * dims.n) as u64;
+        self.flops = flops_a + flops_b;
+    }
+}
+
+/// Elements of one directed pair's `hg` and `hd` streams and of one
+/// atom's `Σ` block rows.
+fn chunk_lens(prob: &SseProblem) -> (usize, usize, usize) {
+    let bsz = prob.norb() * prob.norb();
+    let run = prob.nk * prob.ne * bsz;
+    (3 * run, 3 * prob.nq * prob.nw * bsz, run)
+}
+
+/// Atom `a`'s share of the transients: the streams of its directed pairs,
+/// `[pair − first pair of a][i][…]`, lesser and greater.
+pub(crate) struct AtomChunks<'a> {
+    hg: [&'a mut [C64]; 2],
+    hd: [&'a mut [C64]; 2],
+}
+
+/// `buf` cut at atom boundaries, `per_pair` elements for each of an atom's
+/// directed pairs (the pair list is grouped by source atom).
+fn by_atom<'a>(
+    mut buf: &'a mut [C64],
+    offsets: &'a [usize],
+    per_pair: usize,
+) -> impl Iterator<Item = &'a mut [C64]> {
+    offsets.windows(2).map(move |w| {
+        let (head, tail) = std::mem::take(&mut buf).split_at_mut((w[1] - w[0]) * per_pair);
+        buf = tail;
+        head
+    })
+}
+
+/// Every atom's share of the (sized) transients, in atom order.
+fn atom_chunks<'a>(
+    prob: &'a SseProblem,
+    hg: [&'a mut [C64]; 2],
+    hd: [&'a mut [C64]; 2],
+) -> impl Iterator<Item = AtomChunks<'a>> {
+    let (hg_chunk, hd_chunk, _) = chunk_lens(prob);
+    let offsets = &prob.device.neighbors.offsets;
+    let [hg_l, hg_g] = hg.map(|hg| by_atom(hg, offsets, hg_chunk));
+    let [hd_l, hd_g] = hd.map(|hd| by_atom(hd, offsets, hd_chunk));
+    (hg_l.zip(hg_g))
+        .zip(hd_l.zip(hd_g))
+        .map(|((hg_l, hg_g), (hd_l, hd_g))| AtomChunks {
+            hg: [hg_l, hg_g],
+            hd: [hd_l, hd_g],
+        })
+}
+
+/// Stages A and B for the directed pairs `p = a → b` of atom `a`:
+/// `hg[p][i][k][e] = ∇H^i_p · G_b(k, e)` and
+/// `hd[p][i][q][m] = Σ_j Dc^{ij}(q, m, p) · ∇H^j_ba`.
+fn build_atom(
+    prob: &SseProblem,
+    g: [&GTensor; 2],
+    d: [&DTensor; 2],
+    a: usize,
+    chunks: &mut AtomChunks,
+) {
+    let dims = BatchDims::square(prob.norb());
+    let bsz = dims.m * dims.n;
+    let (nq, nw) = (prob.nq, prob.nw);
+    let (hg_chunk, hd_chunk, g_run) = chunk_lens(prob);
+    let grads = &prob.device.gradients.grads;
+    for g in g {
+        assert_eq!(
+            g.layout,
+            GLayout::AtomMajor,
+            "transformed kernel expects AtomMajor G"
+        );
+    }
+    for (n, (p, b)) in prob.pairs_of(a).enumerate() {
+        for (hg, g) in chunks.hg.iter_mut().zip(g) {
+            // AtomMajor: atom b's blocks are one contiguous [kz][E] run.
+            let g0 = g.offset(0, 0, b);
+            grad_g(
+                dims,
+                &grads[p],
+                &g.as_slice()[g0..g0 + g_run],
+                &mut hg[n * hg_chunk..(n + 1) * hg_chunk],
+            );
+        }
+        let rev = prob.rev_pair[p];
+        for (hd, d) in chunks.hd.iter_mut().zip(d) {
+            let out = &mut hd[n * hd_chunk..(n + 1) * hd_chunk];
+            for q in 0..nq {
+                for m in 0..nw {
+                    let dc = d_combination(d, q, m, p, rev, a, b);
+                    for i in 0..3 {
+                        let o = ((i * nq + q) * nw + m) * bsz;
+                        d_grad(&dc, i, &grads[rev], &mut out[o..o + bsz]);
+                    }
+                }
+            }
         }
     }
-
-    /// Offset of `hg[pair][i][k][e]`.
-    #[inline]
-    pub fn hg_offset(&self, pair: usize, i: usize, k: usize, e: usize) -> usize {
-        (((pair * 3 + i) * self.nk + k) * self.ne + e) * self.bsz
-    }
-
-    /// Offset of `hd[pair][i][q][m]`.
-    #[inline]
-    pub fn hd_offset(&self, pair: usize, i: usize, q: usize, m: usize) -> usize {
-        (((pair * 3 + i) * self.nq + q) * self.nw + m) * self.bsz
-    }
 }
 
-impl Default for Transients {
-    fn default() -> Self {
-        Transients::empty()
-    }
-}
-
-/// Stage A + B: builds the `∇H·G` and `∇H·D` transients.
+/// Stage A + B into reusable storage, on the calling thread: a warm
+/// `Transients` makes the rebuild allocation-free.
 ///
 /// `g_l`/`g_g` must be `AtomMajor` (the data-layout transformation);
 /// `d_l`/`d_g` may be in either layout.
-pub fn build_transients(
-    prob: &SseProblem,
-    g_l: &GTensor,
-    g_g: &GTensor,
-    d_l: &DTensor,
-    d_g: &DTensor,
-) -> Transients {
-    let mut tr = Transients::empty();
-    build_transients_into(prob, g_l, g_g, d_l, d_g, &mut tr);
-    tr
-}
-
-/// [`build_transients`] into reusable storage: the four transient tensors
-/// keep their buffers across calls, so a warm `Transients` makes the
-/// stage-A/B rebuild allocation-free.
 pub fn build_transients_into(
     prob: &SseProblem,
     g_l: &GTensor,
@@ -133,86 +191,18 @@ pub fn build_transients_into(
     d_g: &DTensor,
     tr: &mut Transients,
 ) {
-    assert_eq!(
-        g_l.layout,
-        GLayout::AtomMajor,
-        "transformed kernel expects AtomMajor G"
+    tr.size_for(prob);
+    let (hg, hd) = (
+        [&mut tr.hg_l[..], &mut tr.hg_g[..]],
+        [&mut tr.hd_l[..], &mut tr.hd_g[..]],
     );
-    assert_eq!(
-        g_g.layout,
-        GLayout::AtomMajor,
-        "transformed kernel expects AtomMajor G"
-    );
-    let norb = prob.norb();
-    let bsz = norb * norb;
-    let dims = BatchDims::square(norb);
-    let npairs = prob.npairs();
-    let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
-    let grads = &prob.device.gradients;
-    let pairs = &prob.device.neighbors.pairs;
-
-    // ---- stage A: hg[p][i][k][e] = ∇H^i_p · G_{to(p)}(k, e) ----
-    let hg_len = npairs * 3 * nk * ne * bsz;
-    // No zeroing: `grad_g` overwrites every block (β = 0).
-    tr.hg_l.resize(hg_len, C64::ZERO);
-    tr.hg_g.resize(hg_len, C64::ZERO);
-    let hg_l = &mut tr.hg_l;
-    let hg_g = &mut tr.hg_g;
-    let chunk = 3 * nk * ne * bsz;
-    let stage_a = |hg: &mut [C64], g: &GTensor| {
-        for_each_chunk(hg, chunk, |p, out| {
-            // AtomMajor: atom b's blocks are one contiguous [kz][E] run.
-            let g0 = g.offset(0, 0, pairs[p].to);
-            grad_g(
-                dims,
-                &grads.grads[p],
-                &g.as_slice()[g0..g0 + nk * ne * bsz],
-                out,
-            );
-        });
-    };
-    stage_a(hg_l, g_l);
-    stage_a(hg_g, g_g);
-    let flops_a = 2 * (npairs * 3 * nk * ne) as u64 * dims.flops();
-
-    // ---- stage B: hd[p][i][q][m] = Σ_j Dc^{ij}(q,m,p) · ∇H^j_ba ----
-    let hd_len = npairs * 3 * nq * nw * bsz;
-    // No zeroing: `d_grad` overwrites every block.
-    tr.hd_l.resize(hd_len, C64::ZERO);
-    tr.hd_g.resize(hd_len, C64::ZERO);
-    let hd_l = &mut tr.hd_l;
-    let hd_g = &mut tr.hd_g;
-    let chunk_b = 3 * nq * nw * bsz;
-    let stage_b = |hd: &mut [C64], d: &DTensor| {
-        for_each_chunk(hd, chunk_b, |p, out| {
-            let a = pairs[p].from;
-            let b = pairs[p].to;
-            let rev = prob.rev_pair[p];
-            for q in 0..nq {
-                for m in 0..nw {
-                    let dc = crate::reference::d_combination(d, q, m, p, rev, a, b);
-                    for i in 0..3 {
-                        let o = ((i * nq + q) * nw + m) * bsz;
-                        d_grad(&dc, i, &grads.grads[rev], &mut out[o..o + bsz]);
-                    }
-                }
-            }
-        });
-    };
-    stage_b(hd_l, d_l);
-    stage_b(hd_g, d_g);
-    let flops_b = 2 * (npairs * nq * nw * 3 * 3) as u64 * 8 * bsz as u64;
-
-    tr.flops = flops_a + flops_b;
-    tr.nk = nk;
-    tr.ne = ne;
-    tr.nq = nq;
-    tr.nw = nw;
-    tr.bsz = bsz;
+    for (a, mut chunks) in atom_chunks(prob, hg, hd).enumerate() {
+        build_atom(prob, [g_l, g_g], [d_l, d_g], a, &mut chunks);
+    }
 }
 
-/// Stage C + D: consumes the transients, producing `Σ^≷` (AtomMajor) and
-/// `Π^≷` (PointMajor).
+/// Evaluates `Σ^≷` (AtomMajor) and `Π^≷` (PointMajor) with the
+/// transformed schedule.
 pub fn sse_transformed(
     prob: &SseProblem,
     g_l: &GTensor,
@@ -226,9 +216,10 @@ pub fn sse_transformed(
     out
 }
 
-/// [`sse_transformed`] with reusable transient and output storage: a warm
-/// `(tr, out)` pair re-runs stages A–D without reallocating any of the
-/// large intermediate tensors.
+/// [`sse_transformed`] with reusable transient, scratch and output
+/// storage: a warm `(tr, out)` pair re-runs stages A–D on one worker
+/// without touching the heap. An atom's task builds the transients of its
+/// own pairs (stages A and B) right before stage C consumes them.
 pub fn sse_transformed_into(
     prob: &SseProblem,
     g_l: &GTensor,
@@ -238,146 +229,173 @@ pub fn sse_transformed_into(
     tr: &mut Transients,
     out: &mut SseOutput,
 ) {
-    build_transients_into(prob, g_l, g_g, d_l, d_g, tr);
-    consume_transients_into(prob, tr, out);
+    let (g, d) = ([g_l, g_g], [d_l, d_g]);
+    run_atom_tasks(prob, tr, out, |a, chunks, [out_l, out_g], scratch| {
+        build_atom(prob, g, d, a, chunks);
+        // Stage C: the atom's pairs, in order, into its own `Σ^≷` chunk.
+        let (hg_chunk, hd_chunk, _) = chunk_lens(prob);
+        let win = EnergyWindow::full(prob.ne);
+        let [hg_l, hg_g] = &chunks.hg;
+        let [hd_l, hd_g] = &chunks.hd;
+        (hg_l.chunks(hg_chunk).zip(hg_g.chunks(hg_chunk)))
+            .zip(hd_l.chunks(hd_chunk).zip(hd_g.chunks(hd_chunk)))
+            .map(|((hg_l, hg_g), (hd_l, hd_g))| {
+                sigma_pair(prob, &win, hg_l, hg_g, hd_l, hd_g, scratch, out_l, out_g)
+            })
+            .sum()
+    });
 }
 
-/// The Σ/Π assembly from prebuilt transients (shared with the
-/// mixed-precision kernel for its stage D).
-pub fn consume_transients(prob: &SseProblem, tr: &Transients) -> SseOutput {
-    let mut out = SseOutput::empty();
-    consume_transients_into(prob, tr, &mut out);
-    out
-}
-
-/// [`consume_transients`] into reusable output storage.
-pub fn consume_transients_into(prob: &SseProblem, tr: &Transients, out: &mut SseOutput) {
-    let norb = prob.norb();
-    let bsz = norb * norb;
-    let na = prob.na();
-    let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
-    out.sigma_l.reset(nk, ne, na, norb, GLayout::AtomMajor);
-    out.sigma_g.reset(nk, ne, na, norb, GLayout::AtomMajor);
-    let sigma_l = &mut out.sigma_l;
-    let sigma_g = &mut out.sigma_g;
-
-    // ---- stage C: Σ^≷[a][k][e] via strided-batched GEMMs ----
-    let atom_chunk = nk * ne * bsz;
-    let offsets = &prob.device.neighbors.offsets;
-    let win = EnergyWindow::full(ne);
-    let (hg_chunk, hd_chunk) = (3 * nk * ne * bsz, 3 * nq * nw * bsz);
-
-    let flops_c: u64 = {
-        // Each atom owns a contiguous output chunk; atoms run in parallel
-        // when the Σ tensors are large enough to amortize dispatch. The
-        // pair scratch is a thread-local lease, warm after the first atom.
-        let sl = sigma_l.as_mut_slice();
-        let sg = sigma_g.as_mut_slice();
-        let par = sl.len() >= PAR_MIN_ELEMS;
-        let atom_body = |a: usize, out_l: &mut [C64], out_g: &mut [C64]| -> u64 {
-            let mut scratch = take_tls_plane_scratch();
-            let flops = (offsets[a]..offsets[a + 1])
-                .map(|p| {
-                    let (hg, hd) = (
-                        p * hg_chunk..(p + 1) * hg_chunk,
-                        p * hd_chunk..(p + 1) * hd_chunk,
-                    );
-                    sigma_pair(
-                        prob,
-                        &win,
-                        &tr.hg_l[hg.clone()],
-                        &tr.hg_g[hg],
-                        &tr.hd_l[hd.clone()],
-                        &tr.hd_g[hd],
-                        &mut scratch,
-                        out_l,
-                        out_g,
-                    )
-                })
-                .sum();
-            give_tls_plane_scratch(scratch);
-            flops
-        };
-        if par {
-            sl.par_chunks_mut(atom_chunk)
-                .zip(sg.par_chunks_mut(atom_chunk))
-                .enumerate()
-                .map(|(a, (out_l, out_g))| atom_body(a, out_l, out_g))
-                .sum()
-        } else {
-            sl.chunks_mut(atom_chunk)
-                .zip(sg.chunks_mut(atom_chunk))
-                .enumerate()
-                .map(|(a, (out_l, out_g))| atom_body(a, out_l, out_g))
-                .sum()
-        }
-    };
-
-    let flops_d = pi_stage(prob, tr, &mut out.pi_l, &mut out.pi_g);
-    out.flops = tr.flops + flops_c + flops_d;
-}
-
-/// Stage D: `Π^≷` (PointMajor) from the transient traces, in double
-/// precision — shared with the mixed-precision kernel, whose `Π` stays
-/// f64. Returns the flops performed.
-pub(crate) fn pi_stage(
+/// One application of a transformed-schedule kernel as tasks that follow
+/// ownership, so every output element receives the same additions in the
+/// same order at any worker count:
+///
+/// * task `a < Na` — `sigma(a, chunks, Σ^≷_aa, scratch)`: whatever the
+///   kernel does with atom `a`'s transients and its own `[kz][E]` chunk of
+///   `Σ^≷` (stage C, preceded by stages A and B where they are fused in);
+/// * task `Na + a` — stage D for the pairs of atom `a`, once the tasks of
+///   `a` and of its neighbours have finished with the `∇H·G` it reads.
+///
+/// With one worker (`prob.workers`, capped by the atom count) the tasks
+/// run in this order on the calling thread and a warm `(tr, out)` sees no
+/// heap traffic; with more they are one `omen_sched::TaskDag` run. `sigma`
+/// returns the flops it performed.
+pub(crate) fn run_atom_tasks(
     prob: &SseProblem,
-    tr: &Transients,
-    pi_l: &mut DTensor,
-    pi_g: &mut DTensor,
+    tr: &mut Transients,
+    out: &mut SseOutput,
+    sigma: impl Fn(usize, &mut AtomChunks, [&mut [C64]; 2], &mut PlaneScratch) -> u64 + Sync,
+) {
+    let (na, npairs) = (prob.na(), prob.npairs());
+    let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
+    let SseOutput {
+        sigma_l,
+        sigma_g,
+        pi_l,
+        pi_g,
+        flops,
+    } = out;
+    sigma_l.reset(nk, ne, na, prob.norb(), GLayout::AtomMajor);
+    sigma_g.reset(nk, ne, na, prob.norb(), GLayout::AtomMajor);
+    pi_l.reset(nq, nw, npairs, na, DLayout::PointMajor);
+    pi_g.reset(nq, nw, npairs, na, DLayout::PointMajor);
+    let pi = Mutex::new([pi_l, pi_g]);
+
+    let workers = prob.workers.clamp(1, na.max(1));
+    tr.size_for(prob);
+    let Transients {
+        hg_l,
+        hg_g,
+        hd_l,
+        hd_g,
+        flops: flops_ab,
+        scratch,
+    } = tr;
+    if scratch.len() < workers {
+        scratch.resize_with(workers, PlaneScratch::default);
+    }
+    let (hg_chunk, _, atom_chunk) = chunk_lens(prob);
+    let sigma_chunks = (sigma_l.as_mut_slice().chunks_mut(atom_chunk))
+        .zip(sigma_g.as_mut_slice().chunks_mut(atom_chunk));
+    let (hg, hd) = (
+        [&mut hg_l[..], &mut hg_g[..]],
+        [&mut hd_l[..], &mut hd_g[..]],
+    );
+    let atoms = atom_chunks(prob, hg, hd).zip(sigma_chunks);
+
+    let flops_cd: u64 = if workers == 1 {
+        let scratch = &mut scratch[0];
+        let flops_c: u64 = atoms
+            .enumerate()
+            .map(|(a, (mut chunks, (out_l, out_g)))| sigma(a, &mut chunks, [out_l, out_g], scratch))
+            .sum();
+        let hg = |p: usize| {
+            let run = p * hg_chunk..(p + 1) * hg_chunk;
+            [&hg_l[run.clone()], &hg_g[run]]
+        };
+        let flops_d: u64 = (0..na).map(|a| pi_atom(prob, a, hg, scratch, &pi)).sum();
+        flops_c + flops_d
+    } else {
+        let pairs = &prob.device.neighbors.pairs;
+        let offsets = &prob.device.neighbors.offsets;
+        let mut dag = TaskDag::new();
+        for _ in 0..na {
+            dag.add_task("sse_sigma", &[]);
+        }
+        let mut deps = Vec::new();
+        for a in 0..na {
+            deps.clear();
+            deps.push(a);
+            deps.extend(prob.pairs_of(a).map(|(_, b)| b));
+            dag.add_task("sse_pi", &deps);
+        }
+        // A finished stage-C task publishes its atom's `∇H·G` for the
+        // stage-D tasks the DAG releases after it.
+        let cells: Vec<_> = atoms.map(|atom| Mutex::new(Some(atom))).collect();
+        let built: Vec<OnceLock<[&[C64]; 2]>> = (0..na).map(|_| OnceLock::new()).collect();
+        let hg = |p: usize| {
+            let from = pairs[p].from;
+            let [l, g] = *built[from]
+                .get()
+                .expect("stage D runs after its ∇H·G tasks");
+            let run = (p - offsets[from]) * hg_chunk..(p + 1 - offsets[from]) * hg_chunk;
+            [&l[run.clone()], &g[run]]
+        };
+        let idle = Mutex::new(scratch[..workers].iter_mut().collect::<Vec<_>>());
+        let flops_cd = AtomicU64::new(0);
+        dag.run(workers, |t| {
+            let lease = idle.lock().expect("scratch pool").pop();
+            let scratch = lease.expect("one scratch per worker");
+            let flops = if t < na {
+                let atom = cells[t].lock().expect("task cell").take();
+                let (mut chunks, (out_l, out_g)) = atom.expect("a task runs once");
+                let flops = sigma(t, &mut chunks, [out_l, out_g], scratch);
+                let hg = chunks.hg.map(|hg| &*hg);
+                built[t].set(hg).expect("a task runs once");
+                flops
+            } else {
+                pi_atom(prob, t - na, hg, scratch, &pi)
+            };
+            flops_cd.fetch_add(flops, Ordering::Relaxed);
+            idle.lock().expect("scratch pool").push(scratch);
+        })
+        .unwrap_or_else(|err| panic!("SSE task panicked: {err}"));
+        flops_cd.into_inner()
+    };
+    *flops = *flops_ab + flops_cd;
+}
+
+/// Stage D for the directed pairs `p = a → b` of atom `a`, in double
+/// precision: `Π^≷_ab` and their sum `Π^≷_aa` from the transient traces.
+/// `hg(p)` is pair `p`'s `∇H·G^≷` stream. No other atom's task adds to
+/// these entries and the pairs run in index order, so an element's terms
+/// arrive in global pair order whatever the interleaving; the lock only
+/// makes the tensors' shared borrow exclusive for one `(qz, ω)` point.
+/// Returns the flops performed.
+fn pi_atom<'h>(
+    prob: &SseProblem,
+    a: usize,
+    hg: impl Fn(usize) -> [&'h [C64]; 2],
+    scratch: &mut PlaneScratch,
+    pi: &Mutex<[&mut DTensor; 2]>,
 ) -> u64 {
-    let (nq, nw, npairs) = (prob.nq, prob.nw, prob.npairs());
-    pi_l.reset(nq, nw, npairs, prob.na(), DLayout::PointMajor);
-    pi_g.reset(nq, nw, npairs, prob.na(), DLayout::PointMajor);
     let win = EnergyWindow::full(prob.ne);
-    let chunk = 3 * prob.nk * prob.ne * tr.bsz;
-    let hg = |p: usize| p * chunk..(p + 1) * chunk;
-    let mut scratch = take_tls_plane_scratch();
-    let mut flops = 0u64;
-    for (p, pair) in prob.device.neighbors.pairs.iter().enumerate() {
-        let rev = prob.rev_pair[p];
-        let (x_l, x_g) = (&tr.hg_l[hg(rev)], &tr.hg_g[hg(rev)]);
-        let (y_l, y_g) = (&tr.hg_l[hg(p)], &tr.hg_g[hg(p)]);
-        let pe = pi_l.pair_entry(p);
-        let de = pi_l.diag_entry(pair.from);
-        let add = |q, m, c_l: &[C64; D_BSZ], c_g: &[C64; D_BSZ]| {
-            for (pi, c) in [(&mut *pi_l, c_l), (&mut *pi_g, c_g)] {
-                for en in [pe, de] {
+    let mut flops = 0;
+    for (p, _) in prob.pairs_of(a) {
+        let [x_l, x_g] = hg(prob.rev_pair[p]);
+        let [y_l, y_g] = hg(p);
+        flops += pi_pair(prob, &win, x_l, x_g, y_l, y_g, scratch, |q, m, c_l, c_g| {
+            let mut pi = pi.lock().expect("Π lock");
+            for (pi, c) in pi.iter_mut().zip([c_l, c_g]) {
+                for en in [pi.pair_entry(p), pi.diag_entry(a)] {
                     for (v, c) in pi.block_mut(q, m, en).iter_mut().zip(c) {
                         *v += c.scale(prob.scale_pi);
                     }
                 }
             }
-        };
-        flops += pi_pair(prob, &win, x_l, x_g, y_l, y_g, &mut scratch, add);
+        });
     }
-    give_tls_plane_scratch(scratch);
     flops
-}
-
-/// Sequential single-block helper mirroring the reference arithmetic; used
-/// in unit tests of the transient construction.
-pub fn check_transient_block(
-    prob: &SseProblem,
-    g: &GTensor,
-    pair: usize,
-    i: usize,
-    k: usize,
-    e: usize,
-) -> Vec<C64> {
-    let norb = prob.norb();
-    let dims = BatchDims::square(norb);
-    let b = prob.device.neighbors.pairs[pair].to;
-    let mut out = vec![C64::ZERO; norb * norb];
-    small_gemm(
-        dims,
-        C64::ONE,
-        prob.device.gradients.grads[pair][i].as_slice(),
-        g.block(k, e, b),
-        C64::ZERO,
-        &mut out,
-    );
-    out
 }
 
 #[cfg(test)]
@@ -385,6 +403,30 @@ mod tests {
     use super::*;
     use crate::reference::sse_reference;
     use crate::testutil::{random_inputs, tiny_device, tiny_problem};
+    use omen_linalg::small_gemm;
+
+    /// `∇H^i_pair · G_to(pair)(k, e)` by a single direct product.
+    fn direct_transient_block(
+        prob: &SseProblem,
+        g: &GTensor,
+        pair: usize,
+        i: usize,
+        k: usize,
+        e: usize,
+    ) -> Vec<C64> {
+        let norb = prob.norb();
+        let b = prob.device.neighbors.pairs[pair].to;
+        let mut out = vec![C64::ZERO; norb * norb];
+        small_gemm(
+            BatchDims::square(norb),
+            C64::ONE,
+            prob.device.gradients.grads[pair][i].as_slice(),
+            g.block(k, e, b),
+            C64::ZERO,
+            &mut out,
+        );
+        out
+    }
 
     #[test]
     fn transformed_matches_reference() {
@@ -440,11 +482,13 @@ mod tests {
         let gl_am = gl.to_layout(GLayout::AtomMajor);
         let gg_am = gg.to_layout(GLayout::AtomMajor);
         let (_, _, dl, dg) = random_inputs(&prob, 9);
-        let tr = build_transients(&prob, &gl_am, &gg_am, &dl, &dg);
+        let mut tr = Transients::empty();
+        build_transients_into(&prob, &gl_am, &gg_am, &dl, &dg, &mut tr);
         let bsz = prob.norb() * prob.norb();
         for &(p, i, k, e) in &[(0usize, 0usize, 0usize, 0usize), (3, 2, 1, 4), (7, 1, 1, 2)] {
-            let want = check_transient_block(&prob, &gl_am, p, i, k, e);
-            let got = &tr.hg_l[tr.hg_offset(p, i, k, e)..tr.hg_offset(p, i, k, e) + bsz];
+            let want = direct_transient_block(&prob, &gl_am, p, i, k, e);
+            let at = (((p * 3 + i) * prob.nk + k) * prob.ne + e) * bsz;
+            let got = &tr.hg_l[at..at + bsz];
             let dev: f64 = want
                 .iter()
                 .zip(got)

@@ -57,6 +57,60 @@ proptest! {
     }
 }
 
+// ---- task-parallel kernels against their one-worker evaluation ----
+
+use omen_sse::{MixedKernel, SseKernel, SseOutput, TransformedKernel};
+
+fn bits(out: &SseOutput) -> Vec<u64> {
+    let g = [&out.sigma_l, &out.sigma_g].map(|t| t.as_slice());
+    let d = [&out.pi_l, &out.pi_g].map(|t| t.as_slice());
+    (g.into_iter().chain(d).flatten())
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .collect()
+}
+
+#[test]
+fn kernels_are_bitwise_identical_at_every_worker_count() {
+    let tiny = DeviceStructure::build(DeviceConfig::tiny());
+    // The benchmark's `sweep_warm` shape: 160 704 elements of `∇H·G`,
+    // above the size at which stage A used to fork.
+    let wide = DeviceStructure::build(DeviceConfig {
+        nx: 6,
+        ny: 4,
+        norb: 3,
+        ..DeviceConfig::demo()
+    });
+    let kernels: [fn() -> Box<dyn SseKernel>; 2] = [
+        || Box::new(TransformedKernel::new()),
+        || Box::new(MixedKernel::default()),
+    ];
+    for (dev, nk, ne, nw) in [(&tiny, 2, 6, 2), (&wide, 2, 24, 2)] {
+        let mut prob = SseProblem::new(dev, nk, ne, nk, nw, 0.7, 1.3);
+        let (gl, gg, dl, dg) = random_inputs(&prob, 11);
+        for new_kernel in kernels {
+            let mut kernel = new_kernel();
+            let one = kernel.run(&prob, &gl, &gg, &dl, &dg).clone();
+            assert!(one.sigma_l.max_abs() > 0.0 && one.pi_l.max_abs() > 0.0);
+            for workers in [2, 3, 5] {
+                prob.workers = workers;
+                let mut kernel = new_kernel();
+                let what = format!(
+                    "{} on {workers} workers, {} atoms",
+                    kernel.name(),
+                    prob.na()
+                );
+                let got = kernel.run(&prob, &gl, &gg, &dl, &dg);
+                assert_eq!(got.flops, one.flops, "{what}");
+                assert!(
+                    bits(got) == bits(&one),
+                    "{what}: Σ≷/Π≷ differ from one worker"
+                );
+            }
+            prob.workers = 1;
+        }
+    }
+}
+
 // ---- the pair leaves (stages C and D) against their scalar oracles ----
 
 use omen_linalg::{c64, PlaneScratch, C64};

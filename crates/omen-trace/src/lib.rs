@@ -404,7 +404,7 @@ pub struct EventRecord {
 /// One completed phase: wall time plus the delta of every registry
 /// counter across the phase window. Exact per-stage attribution for a
 /// single simulation at a time (counters are process-global, so the
-/// deltas include work rayon workers did on the phase's behalf).
+/// deltas include work scheduler workers did on the phase's behalf).
 #[derive(Clone, Debug)]
 pub struct PhaseRecord {
     /// Phase name.

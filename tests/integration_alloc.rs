@@ -16,8 +16,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dace_omen::comm::{DacePlan, DaceTiling, OmenGrid};
-use dace_omen::core::{OverlappedSweep, Simulation, SimulationConfig};
+use dace_omen::core::{ExecutorKind, OverlappedSweep, Simulation, SimulationConfig};
 use dace_omen::dataflow::{lower_sdfg, simulation_sdfg};
+use dace_omen::device::{DeviceConfig, DeviceStructure};
 use dace_omen::linalg::{
     c64, sbsmm, sbsmm_f16_packed, sbsmm_pb, BatchDims, F16APanels, F16BPanels, Normalization,
     PackedB, Strides, Workspace, C64,
@@ -26,7 +27,9 @@ use dace_omen::rgf::testutil::test_system;
 use dace_omen::rgf::{rgf_solve_into, RgfInputs, RgfSolution};
 use dace_omen::sched::{run_with_arena, ArenaBuffers, BufferPlan, TaskDag};
 use dace_omen::sse::testutil::{random_inputs, tiny_device, tiny_problem};
-use dace_omen::sse::{sse_reference_into, sse_transformed_into, GLayout, SseOutput, Transients};
+use dace_omen::sse::{
+    sse_reference_into, sse_transformed_into, GLayout, SseOutput, SseProblem, Transients,
+};
 use dace_omen::trace;
 
 // Per-thread counters so the libtest harness's own threads (timers,
@@ -149,26 +152,47 @@ fn steady_state_hot_path_is_allocation_free() {
     );
 
     // ---- Transformed kernel: stages A–D on warm transients, output and
-    // this thread's pair scratch (plane packs, accumulators, `∇H·D`
-    // packs). ----
+    // the kernel's pair scratch (plane packs, accumulators, `∇H·D`
+    // packs), on one worker at every size: the tiny problem, and the
+    // benchmark's `sse_heavy` shape, whose 435 456-element `∇H·G` used to
+    // take a parallel fork with per-call job buffers and threads. ----
     let gl_am = gl.to_layout(GLayout::AtomMajor);
     let gg_am = gg.to_layout(GLayout::AtomMajor);
-    let mut tr = Transients::empty();
-    let mut tr_out = SseOutput::empty();
-    sse_transformed_into(&prob, &gl_am, &gg_am, &dl, &dg, &mut tr, &mut tr_out);
-    let baseline_sigma = tr_out.sigma_l.as_slice().to_vec();
-    let transformed_allocs = count_allocations(|| {
-        sse_transformed_into(&prob, &gl_am, &gg_am, &dl, &dg, &mut tr, &mut tr_out);
+    let heavy_dev = DeviceStructure::build(DeviceConfig {
+        nx: 8,
+        ny: 4,
+        norb: 3,
+        ..DeviceConfig::demo()
     });
-    assert_eq!(
-        transformed_allocs, 0,
-        "sse_transformed_into allocated {transformed_allocs} times on warm storage"
+    let heavy = SseProblem::new(&heavy_dev, 4, 24, 4, 6, 1.0, 1.0);
+    let (hgl, hgg, hdl, hdg) = random_inputs(&heavy, 17);
+    let (hgl, hgg) = (
+        hgl.to_layout(GLayout::AtomMajor),
+        hgg.to_layout(GLayout::AtomMajor),
     );
-    assert_eq!(
-        tr_out.sigma_l.as_slice(),
-        &baseline_sigma[..],
-        "warm transformed apply must be bit-identical to the warmup apply"
-    );
+    for (prob, gl, gg, dl, dg) in [
+        (&prob, &gl_am, &gg_am, &dl, &dg),
+        (&heavy, &hgl, &hgg, &hdl, &hdg),
+    ] {
+        let mut tr = Transients::empty();
+        let mut tr_out = SseOutput::empty();
+        sse_transformed_into(prob, gl, gg, dl, dg, &mut tr, &mut tr_out);
+        let baseline_sigma = tr_out.sigma_l.as_slice().to_vec();
+        let transformed_allocs = count_allocations(|| {
+            sse_transformed_into(prob, gl, gg, dl, dg, &mut tr, &mut tr_out);
+        });
+        assert_eq!(
+            transformed_allocs,
+            0,
+            "sse_transformed_into allocated {transformed_allocs} times on warm storage ({} atoms)",
+            prob.na()
+        );
+        assert_eq!(
+            tr_out.sigma_l.as_slice(),
+            &baseline_sigma[..],
+            "warm transformed apply must be bit-identical to the warmup apply"
+        );
+    }
 
     // ---- DaCe plan tile compute: the transformed stages on a tile's
     // resident tensors. One run builds the plan state and leaves G^≷/D^≷
@@ -241,8 +265,14 @@ fn steady_state_hot_path_is_allocation_free() {
     // repeat calls without touching the heap. Two warmup calls fill both
     // halves of the double buffer; the third call must allocate nothing.
     // (The GF phase is excluded by design: its per-point observable
-    // accumulators are built per phase, not per kernel application.) ----
-    let mut sim = Simulation::new(SimulationConfig::tiny()).expect("valid config");
+    // accumulators are built per phase, not per kernel application. One
+    // worker, spelled out: a parallel SSE phase allocates its scheduler
+    // run just as a parallel GF phase does.) ----
+    let mut sim = Simulation::new(SimulationConfig {
+        executor: ExecutorKind::Serial,
+        ..SimulationConfig::tiny()
+    })
+    .expect("valid config");
     let gf = sim.gf_phase();
     let (g_l, g_g, d_l, d_g) = (gf.g_l, gf.g_g, gf.d_l, gf.d_g);
     sim.sse_phase(&g_l, &g_g, &d_l, &d_g);
