@@ -47,12 +47,9 @@
 //! `sweep_trace*` records are excluded from the cross-run ratio table
 //! like the fault records.
 //!
-//! Two floors gate the overlapped executor (`table6_streams --execute`
-//! records): the pipelined sweep must not run slower than the serial one
-//! on a ≥2-point sweep (`--min-overlap-speedup`, default 1.0), and the
-//! lowered-DAG scheduler bookkeeping per Born iteration
-//! (`sweep_sched_overhead_quick.median_ns`) must stay under
-//! `--max-sched-overhead` (default 2 %) of a warm point's wall time.
+//! One floor gates the overlapped sweep (`table6_streams --execute`
+//! records): it must not run slower than the serial one on a ≥2-point
+//! sweep (`--min-overlap-speedup`, default 1.0).
 //!
 //! A communication-volume band gates the distributed Born loop
 //! (`table45_comm --execute` records): every `comm45_*_quick` record
@@ -78,18 +75,18 @@
 //! baseline/fresh pairs): `PATH` must be well-formed chrome://tracing
 //! JSON containing at least one `gf_phase`, one `sse_phase`, and one
 //! `comm_*` duration event. Adding `--require-overlap NAME1,NAME2`
-//! switches the artifact check to the overlapped-executor contract:
-//! both names must appear and overlap in wall-clock time on different
-//! threads.
+//! switches the artifact check to the overlapped-sweep contract: both
+//! names must appear and overlap in wall-clock time on different threads
+//! (`gf_phase,gf_phase`: two points' GF phases ran at once).
 //!
 //! ```text
 //! perf_check --baseline BENCH_kernels.json --fresh fresh_kernels.json \
 //!            --baseline BENCH_sweeps.json  --fresh fresh_sweeps.json \
 //!            [--tolerance 2.0] [--min-speedup 1.2] [--min-sweep-speedup 0.9] \
 //!            [--max-fault-overhead 0.02] [--max-trace-overhead 0.02] \
-//!            [--min-overlap-speedup 1.0] [--max-sched-overhead 0.02] \
+//!            [--min-overlap-speedup 1.0] \
 //!            [--min-comm-ratio 0.15] [--max-comm-ratio 1.5] \
-//!            [--trace-out trace.json] [--require-overlap gf_phase,sse_phase]
+//!            [--trace-out trace.json] [--require-overlap gf_phase,gf_phase]
 //! ```
 
 use omen_bench::{parse_bench_json, BenchRecord};
@@ -109,8 +106,8 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 
 /// `true` for records the gate covers: packed-kernel, energy-plane SSE
 /// stage and sweep-service quick-mode entries (their scalar baselines
-/// only feed the within-run floors). The `sweep_fault_*`, `sweep_trace*`, and
-/// `sweep_sched_*` records are excluded from the cross-run ratio table —
+/// only feed the within-run floors). The `sweep_fault_*` and
+/// `sweep_trace*` records are excluded from the cross-run ratio table —
 /// they carry raw counters and nanosecond/microsecond-scale probes too
 /// noisy for a 2x machine-to-machine gate — and are instead consumed by
 /// the within-run overhead floors.
@@ -123,7 +120,6 @@ fn gated(name: &str) -> bool {
         && !name.contains("scalar")
         && !name.contains("fault")
         && !name.contains("trace")
-        && !name.contains("sched")
         && !name.contains(PLAN_VS_LOCAL)
 }
 
@@ -155,7 +151,6 @@ struct Floors {
     max_fault_overhead: f64,
     max_trace_overhead: f64,
     min_overlap_speedup: f64,
-    max_sched_overhead: f64,
     min_comm_ratio: f64,
     max_comm_ratio: f64,
 }
@@ -168,7 +163,6 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
         max_fault_overhead,
         max_trace_overhead,
         min_overlap_speedup,
-        max_sched_overhead,
         min_comm_ratio,
         max_comm_ratio,
     } = floors;
@@ -375,13 +369,13 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
                 out.failed_floors += 1;
             }
         }
-        // Stream-overlap floor: on a ≥2-point sweep the pipelined
-        // executor must not be slower than the serial one. Both walls
+        // Stream-overlap floor: on a ≥2-point sweep the overlapped
+        // schedule must not be slower than the serial one. Both walls
         // come from the same run of `table6_streams --execute`, so the
         // ratio is machine-independent. Exempt: a 1-point sweep has
         // nothing to overlap, and a single-core machine (the overlap
         // record's `n` carries the bench host's available parallelism)
-        // cannot run the two stage threads concurrently at all.
+        // cannot run two points concurrently at all.
         if let (Some(serial), Some(overlap)) =
             (find("sweep_stream_serial"), find("sweep_stream_overlap"))
         {
@@ -402,28 +396,6 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
                     "perf_check: overlapped sweep ran {speedup:.2}x the serial wall on {} \
                      points, below the {min_overlap_speedup:.2}x floor",
                     serial.n
-                );
-                out.failed_floors += 1;
-            }
-        }
-        // Scheduler-overhead floor: the lowered-DAG bookkeeping per Born
-        // iteration (`sweep_sched_overhead.median_ns`) must be invisible
-        // next to a warm point's wall time.
-        if let (Some(sched), Some(warm)) = (find("sweep_sched_overhead"), find("sweep_warm")) {
-            let overhead = sched.median_ns / warm.median_ns;
-            println!(
-                "within-run: DAG scheduler {} tasks x {:.1} us bookkeeping -> {:.4}% of a warm \
-                 point (cap {:.1}%)",
-                sched.n,
-                sched.median_ns / 1e3,
-                100.0 * overhead,
-                100.0 * max_sched_overhead
-            );
-            if overhead.is_nan() || overhead > max_sched_overhead {
-                eprintln!(
-                    "perf_check: DAG scheduler costs {:.4}% of a warm point, above the {:.1}% cap",
-                    100.0 * overhead,
-                    100.0 * max_sched_overhead
                 );
                 out.failed_floors += 1;
             }
@@ -497,11 +469,11 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
 /// Validates an exported chrome://tracing artifact. Without
 /// `require_overlap`, the artifact must carry duration events from each
 /// instrumented subsystem — GF, SSE, and at least one communication
-/// plan. With `require_overlap = Some((a, b))` — the overlapped-executor
+/// plan. With `require_overlap = Some((a, b))` — the overlapped-sweep
 /// artifact, which runs no comm leg — the requirement is instead that
 /// events named `a` and `b` exist and *overlap in wall-clock time on
-/// different threads*: the pipelined concurrency, proven straight off
-/// the exported file.
+/// different threads*: the sweep's concurrency, proven straight off the
+/// exported file.
 fn check_trace_artifact(path: &str, require_overlap: Option<(&str, &str)>) -> bool {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -536,7 +508,7 @@ fn check_trace_artifact(path: &str, require_overlap: Option<(&str, &str)>) -> bo
         if ok && overlap <= 0.0 {
             eprintln!(
                 "perf_check: trace {path} shows no cross-thread overlap between {a} and {b} — \
-                 the pipeline ran serially"
+                 the sweep ran serially"
             );
             ok = false;
         }
@@ -602,9 +574,6 @@ fn main() -> ExitCode {
     let min_overlap_speedup: f64 = arg_value(&args, "--min-overlap-speedup")
         .map(|t| t.parse().expect("--min-overlap-speedup must be a number"))
         .unwrap_or(1.0);
-    let max_sched_overhead: f64 = arg_value(&args, "--max-sched-overhead")
-        .map(|t| t.parse().expect("--max-sched-overhead must be a number"))
-        .unwrap_or(0.02);
     let min_comm_ratio: f64 = arg_value(&args, "--min-comm-ratio")
         .map(|t| t.parse().expect("--min-comm-ratio must be a number"))
         .unwrap_or(0.15);
@@ -633,7 +602,6 @@ fn main() -> ExitCode {
         max_fault_overhead,
         max_trace_overhead,
         min_overlap_speedup,
-        max_sched_overhead,
         min_comm_ratio,
         max_comm_ratio,
     };

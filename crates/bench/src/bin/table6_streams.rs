@@ -2,34 +2,31 @@
 //! by worker-thread counts over independent energy-momentum points; the
 //! shape to reproduce is diminishing-but-real gains up to high counts.
 //!
-//! `--execute` adds the real overlapped executor: the same bias sweep run
-//! serially and through `omen_core::run_overlapped` (GF phase of point
-//! *k+1* against SSE phase of point *k*), with `omen-trace` armed so the
-//! measured GF/SSE overlap fraction can be compared against the
-//! `omen_perf::StreamModel` pipeline prediction built from the serial
-//! run's phase timings. A scheduler-overhead probe times the lowered-DAG
-//! bookkeeping (`lower_iteration` + an inline walk) per Born iteration.
+//! `--execute` adds the real overlapped sweep: the same bias sweep run
+//! serially and through `omen_core::run_overlapped` (whole points as
+//! scheduler tasks, two at a time), with `omen-trace` armed so the
+//! measured overlap fraction can be compared against the two-resource
+//! `omen_perf::StreamModel` built from the serial run's phase timings —
+//! a floor for the symmetric workers, not a prediction.
 //!
-//! With `--json` the execute leg merges four records into
+//! With `--json` the execute leg merges three records into
 //! `BENCH_sweeps.json`: `sweep_stream_serial*` (`n` = sweep points,
 //! `median_ns` = wall per point), `sweep_stream_overlap*` (`n` = the
 //! machine's available parallelism — `perf_check` exempts single-core
 //! runs from the speedup floor — `gflops` = the *measured* overlap
 //! fraction), `sweep_stream_model*` (`n` = pipelined tasks, `median_ns`
-//! = modeled pipelined wall per point, `gflops` = modeled speedup), and
-//! `sweep_sched_overhead*` (`n` = DAG tasks per iteration, `median_ns` =
-//! scheduler bookkeeping per iteration). `--quick` shrinks both legs;
-//! `--trace-out PATH` exports the overlapped run as chrome-trace JSON.
+//! = modeled pipelined wall per point, `gflops` = modeled speedup).
+//! `--quick` shrinks both legs; `--trace-out PATH` exports the
+//! overlapped run as chrome-trace JSON.
 
 use omen_bench::{
-    arg_value, header, json_flag, quick_flag, row, timed_median, timed_min, write_bench_json,
-    BenchRecord, BENCH_SWEEPS_JSON_PATH,
+    arg_value, header, json_flag, quick_flag, row, timed_min, write_bench_json, BenchRecord,
+    BENCH_SWEEPS_JSON_PATH,
 };
 use omen_core::{run_overlapped, ExecutorKind, Simulation, SimulationConfig, SimulationResult};
-use omen_dataflow::simulation_sdfg;
 use omen_device::{DeviceConfig, DeviceStructure};
 use omen_rgf::{CacheMode, ElectronParams, ElectronSolver, GfSolver};
-use omen_sched::{lower_iteration, TaskDag};
+use omen_sched::TaskDag;
 use omen_trace as trace;
 use std::time::Instant;
 
@@ -117,7 +114,7 @@ fn sweep_sims(points: usize, iters: usize) -> Vec<Simulation> {
 }
 
 /// The `--execute` leg: serial vs overlapped wall, model vs measured
-/// overlap, and the scheduler-overhead probe.
+/// overlap.
 fn execute_leg(quick: bool) {
     let suffix = if quick { "_quick" } else { "" };
     let (points, iters) = if quick { (4, 4) } else { (8, 6) };
@@ -149,11 +146,11 @@ fn execute_leg(quick: bool) {
     }
     let tasks: usize = serial.iter().map(|r| r.records.len()).sum();
 
-    // The Table 6 pipeline model, evaluated at the serial run's measured
-    // per-iteration GF/SSE stage costs.
+    // The two-resource pipeline model, evaluated at the serial run's
+    // measured per-iteration GF/SSE stage costs.
     let model = omen_perf::StreamModel::from_trace(&serial_snap, tasks);
 
-    // --- the same sweep through the real overlapped executor ---
+    // --- the same sweep, whole points as scheduler tasks ---
     let mut overlap_secs = f64::INFINITY;
     let mut snap = trace::TraceSnapshot::default();
     let mut outcomes = Vec::new();
@@ -170,7 +167,7 @@ fn execute_leg(quick: bool) {
         }
     }
 
-    // The pipeline must not change the physics: bit-identical currents.
+    // The schedule must not change the physics: bit-identical currents.
     for (s, o) in serial.iter().zip(&outcomes) {
         let o = o.finished().expect("overlapped sweep point");
         assert_eq!(
@@ -183,20 +180,6 @@ fn execute_leg(quick: bool) {
     let gf_busy = snap.phase_ns("gf_phase") as f64 * 1e-9;
     let sse_busy = snap.phase_ns("sse_phase") as f64 * 1e-9;
     let measured = omen_perf::measured_overlap_fraction(gf_busy, sse_busy, overlap_secs);
-
-    // --- scheduler bookkeeping per Born iteration: lower + bind + walk
-    // the DAG with no-op bodies, no physics ---
-    let sdfg = simulation_sdfg();
-    let cfg = SimulationConfig::tiny();
-    let plan = lower_iteration(&sdfg, cfg.nk, cfg.ne, cfg.nw).expect("simulation SDFG lowers");
-    let tasks_per_iter = plan.dag.len();
-    let sched_secs = timed_median(if quick { 20 } else { 100 }, || {
-        let plan = lower_iteration(&sdfg, cfg.nk, cfg.ne, cfg.nw).expect("simulation SDFG lowers");
-        plan.dag.run_inline(|t| {
-            std::hint::black_box(t);
-        });
-    });
-    let sched_ns = sched_secs * 1e9;
 
     let w = [14, 12, 12, 12];
     header(&["variant", "wall [s]", "points/s", "overlap"], &w);
@@ -228,16 +211,12 @@ fn execute_leg(quick: bool) {
         &w,
     );
     println!(
-        "\nmeasured {:.2}x vs modeled {:.2}x speedup over {tasks} pipelined tasks \
-         (gf {:.1} ms, sse {:.1} ms per task)",
+        "\nmeasured {:.2}x vs modeled {:.2}x (pipeline floor) speedup over {tasks} iterations \
+         (gf {:.1} ms, sse {:.1} ms per iteration)",
         serial_secs / overlap_secs,
         model.speedup(),
         1e3 * model.gf_s,
         1e3 * model.sse_s
-    );
-    println!(
-        "scheduler: {tasks_per_iter} DAG tasks/iteration, {:.1} us bookkeeping/iteration",
-        sched_ns / 1e3
     );
 
     if let Some(path) = arg_value("--trace-out") {
@@ -266,12 +245,6 @@ fn execute_leg(quick: bool) {
                 n: tasks,
                 median_ns: per_point(model.pipelined_wall()),
                 gflops: model.speedup(),
-            },
-            BenchRecord {
-                name: format!("sweep_sched_overhead{suffix}"),
-                n: tasks_per_iter,
-                median_ns: sched_ns,
-                gflops: 0.0,
             },
         ];
         write_bench_json(BENCH_SWEEPS_JSON_PATH, &records).expect("write BENCH_sweeps.json");

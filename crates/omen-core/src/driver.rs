@@ -10,9 +10,9 @@
 //! pure per-point solves (side-effect-free workers returning
 //! contributions) folded into [`crate::observables::Observables`] accumulators by a pluggable
 //! [`PointExecutor`] — see [`crate::executor`] for the engine. When the
-//! loop ends is decided in one place, `BornLoop`, which both
-//! [`Simulation::run_with`] and the stream pipeline ([`crate::stream`])
-//! drive.
+//! loop ends is decided in one place, `BornLoop`, which
+//! [`Simulation::run_with`] drives (an overlapped sweep,
+//! [`crate::stream`], calls each point's own `run`).
 
 use crate::builder::{ConfigError, SimulationConfig};
 use crate::executor::{grid_points, ExecutorKind, GridPoint, PointExecutor};
@@ -713,8 +713,8 @@ impl Simulation {
     /// kernel, self-energy mixing, and the convergence bookkeeping.
     ///
     /// This is [`Simulation::iterate_with`] split at the phase boundary,
-    /// so the stream pipeline (see [`crate::stream`]) can run the GF
-    /// phase of sweep point *k+1* while point *k* sits in this call.
+    /// so a caller can hold, time or trace the GF phase's output before
+    /// the SSE phase consumes it.
     pub fn finish_iteration(&mut self, gf: GfPhaseOutput) -> (IterationRecord, SpectralData) {
         let GfPhaseOutput {
             g_l,
@@ -817,9 +817,8 @@ impl Simulation {
 }
 
 /// The Born loop's termination rule, kept apart from what runs an
-/// iteration: [`Simulation::run_with`] drives it around whole iterations,
-/// [`crate::stream::SweepPoint`] around iterations split at the phase
-/// boundary, and both reach the same verdicts.
+/// iteration: [`Simulation::run_with`] drives it around whole iterations
+/// of whichever executor it is handed.
 pub(crate) struct BornLoop {
     records: Vec<IterationRecord>,
     spectral: Option<SpectralData>,

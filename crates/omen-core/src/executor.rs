@@ -4,11 +4,12 @@
 //! pure map over independent `(kz, E)` / `(qz, ω)` points followed by one
 //! ordered reduction. A [`PointExecutor`] owns *how* that map runs, and
 //! there is one engine: [`DagExecutor`] lowers the sweep onto
-//! `omen-sched`'s task DAG — the runtime that also executes lowered SDFG
-//! schedules. Contributions land in per-point slots and fold in global
-//! point order, so results are **bit-identical** at every worker count,
-//! and with one worker the engine *is* [`SerialExecutor`]'s loop on the
-//! calling thread: serial is the DAG with one worker. All three
+//! `omen-sched`'s task DAG — the runtime the SSE kernels' stages and the
+//! points of an overlapped sweep run on too. Contributions land in
+//! per-point slots and fold in global point order, so results are
+//! **bit-identical** at every worker count, and with one worker the
+//! engine *is* [`SerialExecutor`]'s loop on the calling thread: serial
+//! is the DAG with one worker. All three
 //! [`ExecutorKind`] values run on it; they differ in worker count and in
 //! whether the SSE phase goes through a communication plan.
 //!
@@ -73,13 +74,13 @@ impl PointExecutor for SerialExecutor {
 
 /// The parallel sweep engine: one edge-free `omen_sched::TaskDag` task
 /// per point, drained on the scheduler's worker pool (`Counter::SchedTasks`
-/// accounts for sweeps and lowered schedules alike). Workers claim the
+/// counts the tasks of every run alike). Workers claim the
 /// lowest unsolved point — boundary-condition convergence varies per
 /// point, so dynamic claiming beats a static split at the margins. With
 /// one worker (or one point) the sweep runs [`SerialExecutor`]'s loop
 /// inline. A panicking point solve propagates as a panic after the sweep
 /// drains — point workers are deterministic solver code; isolation with
-/// retry is the stream/service layer's job.
+/// retry is the service layer's job.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DagExecutor {
     /// Worker threads (0 = all available cores).

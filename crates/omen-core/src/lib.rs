@@ -16,9 +16,9 @@
 //!   into [`Observables`] accumulators;
 //! * [`driver`] — the [`Simulation`] Born loop dispatching through the
 //!   [`omen_sse::SseKernel`] trait;
-//! * [`stream`] — the overlapped sweep pipeline ([`run_overlapped`])
-//!   running the GF phase of point *k+1* against the SSE phase of
-//!   point *k* on `omen-sched`'s stream executor.
+//! * [`stream`] — the overlapped sweep ([`run_overlapped`]): whole
+//!   sweep points as tasks of the same `omen-sched` engine, at most
+//!   `window` of them live at once.
 
 pub mod builder;
 pub mod driver;
@@ -51,7 +51,7 @@ pub use state::{
     extract_electron_blocks, extract_phonon_blocks, pi_blocks_for_point, sigma_blocks_for_point,
     zero_tensors,
 };
-pub use stream::{run_overlapped, OverlapOutcome, OverlappedSweep, SweepPoint};
+pub use stream::{run_overlapped, OverlapOutcome};
 pub use thermal::{
     electro_thermal_report, equilibrium_energy, fit_temperature, ElectroThermalReport, KB_EV_PER_K,
 };

@@ -1,29 +1,23 @@
-//! Overlapped sweep execution: the Table 6 streams model, run for real.
+//! Overlapped sweep execution: whole sweep points as scheduler tasks.
 //!
-//! A bias/temperature sweep runs many independent [`Simulation`]s, and
-//! each Born iteration inside one alternates a GF phase (the parallel
-//! RGF bulk) and an SSE phase (the self-energy reduction). Serially the
-//! two phases of one point and the points of the sweep all queue behind
-//! each other. The [`omen_sched::StreamExecutor`] pipeline runs the GF
-//! phase of sweep point *k+1* concurrently with the SSE phase of point
-//! *k* — the overlap the paper's Table 6 models with CUDA streams,
-//! reproduced here as a two-stage thread pipeline over owned driver
-//! instances.
-//!
-//! [`SweepPoint`] adapts a [`Simulation`] to the pipeline: it drives the
-//! same `BornLoop` termination rule as [`Simulation::run_with`] —
-//! interruption checks at iteration boundaries, the NaN/finite guard, the
-//! warm-divergence watchdog, tolerance and `require_convergence`
-//! semantics live there, once — and adds only the split at the phase
-//! boundary via [`Simulation::finish_iteration`]. With the per-point
-//! executor set to [`crate::ExecutorKind::Serial`], every point's
-//! arithmetic is the exact serial instruction stream, so overlapped
-//! results are **bit-identical** to a serial sweep.
+//! A bias/temperature sweep runs many independent [`Simulation`]s.
+//! [`run_overlapped`] puts them on the sweep engine the GF and SSE phases
+//! already use — one edge-free [`omen_sched::TaskDag`] task per point on
+//! `window` workers. A point's Born loop is a chain of strictly
+//! sequential GF → SSE → GF … stages with no edge to any other point, so
+//! the chain *is* one task: each task calls the point's own
+//! [`Simulation::run`], unsplit, which makes every outcome
+//! **bit-identical** to the serial run of the same simulation whatever
+//! the window. Two symmetric workers finish `T` iterations of stage
+//! costs `g`, `s` in `T·(g+s)/2`; the two-resource pipeline
+//! `omen_perf::StreamModel` describes (`T·max(g,s) + min(g,s)`) is the
+//! floor such a schedule has to beat.
 
-use crate::driver::{BornLoop, DriverError, GfPhaseOutput, Simulation, SimulationResult};
-use omen_sched::{PipelinedPoint, StreamExecutor, StreamOutcome};
+use crate::driver::{DriverError, Simulation, SimulationResult};
+use omen_sched::TaskDag;
+use std::sync::Mutex;
 
-/// Verdict of one sweep point out of the overlapped pipeline.
+/// Verdict of one sweep point out of [`run_overlapped`].
 #[derive(Debug)]
 pub enum OverlapOutcome {
     /// The point ran to a usable result (converged or best-effort,
@@ -32,8 +26,8 @@ pub enum OverlapOutcome {
     /// The point failed with the same typed error a serial
     /// [`Simulation::run`] would have produced.
     Failed(DriverError),
-    /// A stage panicked; the pipeline isolated it and every other point
-    /// completed normally.
+    /// The point's task panicked; the scheduler isolated it and every
+    /// other point completed normally.
     Panicked,
 }
 
@@ -47,119 +41,53 @@ impl OverlapOutcome {
     }
 }
 
-/// A [`Simulation`] adapted to the two-stage GF/SSE pipeline.
-pub struct SweepPoint {
-    sim: Simulation,
-    /// GF output handed from the GF stage to the SSE stage.
-    pending: Option<GfPhaseOutput>,
-    born: BornLoop,
-}
-
-impl SweepPoint {
-    /// Wraps a simulation for pipelined execution.
-    pub fn new(sim: Simulation) -> SweepPoint {
-        let born = BornLoop::new(&sim);
-        SweepPoint {
-            sim,
-            pending: None,
-            born,
-        }
+/// Runs every simulation to its verdict on `window` scheduler workers
+/// (clamped to ≥ 1; 1 is the serial order on one worker), returning the
+/// verdicts in input order.
+///
+/// Workers claim the lowest-index ready task, so points are admitted in
+/// input order and at most `window` simulations hold live tensors at
+/// once: a task takes its simulation out of the point's slot, runs it,
+/// and drops it before returning — only the verdict outlives the task.
+/// A panicking point unwinds inside its own task (its slot lock is long
+/// released) and reads as [`OverlapOutcome::Panicked`].
+pub fn run_overlapped(sims: Vec<Simulation>, window: usize) -> Vec<OverlapOutcome> {
+    if sims.is_empty() {
+        return Vec::new();
     }
-
-    /// The wrapped simulation (e.g. to harvest warm-start data).
-    pub fn simulation(&self) -> &Simulation {
-        &self.sim
-    }
-
-    /// The verdict `run_with` would have returned.
-    pub fn into_outcome(self) -> OverlapOutcome {
-        match self.born.finish(&self.sim) {
+    let mut dag = TaskDag::new();
+    let slots: Vec<Mutex<Option<Simulation>>> = sims
+        .into_iter()
+        .map(|sim| {
+            dag.add_task("sweep_point", &[]);
+            Mutex::new(Some(sim))
+        })
+        .collect();
+    let outcomes: Vec<Mutex<Option<OverlapOutcome>>> =
+        slots.iter().map(|_| Mutex::new(None)).collect();
+    // `DagRunError::panicked` names exactly the tasks that stored no
+    // outcome, so the empty slots below carry the same information.
+    let _ = dag.run(window.max(1), |t| {
+        let mut sim = slots[t]
+            .lock()
+            .expect("slot lock")
+            .take()
+            .expect("the scheduler runs each task once");
+        let outcome = match sim.run() {
             Ok(result) => OverlapOutcome::Finished(result),
             Err(err) => OverlapOutcome::Failed(err),
-        }
-    }
-}
-
-impl PipelinedPoint for SweepPoint {
-    fn gf_stage(&mut self) {
-        if self.born.admits(&self.sim) {
-            self.pending = Some(self.sim.gf_phase());
-        }
-    }
-
-    fn sse_stage(&mut self) -> bool {
-        let Some(gf) = self.pending.take() else {
-            // The GF stage declined to run: the loop is over.
-            return false;
         };
-        let step = self.sim.finish_iteration(gf);
-        self.born.judge(&mut self.sim, step)
-    }
-}
-
-// Whole simulations move between the pipeline's stage threads by value.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<SweepPoint>();
-};
-
-/// A persistent overlapped-sweep engine: the pipeline's stage workers
-/// and coordinator scratch survive across [`OverlappedSweep::run`]
-/// calls, so a warm sweep's coordinating thread allocates nothing.
-pub struct OverlappedSweep {
-    exec: StreamExecutor<SweepPoint>,
-    points: Vec<SweepPoint>,
-    out: Vec<StreamOutcome<SweepPoint>>,
-}
-
-impl OverlappedSweep {
-    /// An engine with a bounded in-flight window (clamped to ≥ 2): at
-    /// most `window` simulations hold live tensors at once.
-    pub fn new(window: usize) -> OverlappedSweep {
-        OverlappedSweep {
-            exec: StreamExecutor::new(window),
-            points: Vec::new(),
-            out: Vec::new(),
-        }
-    }
-
-    /// The bounded in-flight window.
-    pub fn window(&self) -> usize {
-        self.exec.window()
-    }
-
-    /// Runs every simulation through the GF/SSE pipeline, returning
-    /// verdicts in input order.
-    pub fn run(&mut self, sims: Vec<Simulation>) -> Vec<OverlapOutcome> {
-        let mut out = Vec::with_capacity(sims.len());
-        self.run_into(sims, &mut out);
-        out
-    }
-
-    /// Like [`OverlappedSweep::run`], but writes the verdicts into `out`
-    /// (cleared first). With the engine warm and `out` reused from the
-    /// previous sweep, the coordinating thread allocates nothing — the
-    /// contract the allocation integration test pins.
-    pub fn run_into(&mut self, sims: Vec<Simulation>, out: &mut Vec<OverlapOutcome>) {
-        self.points.clear();
-        self.points.extend(sims.into_iter().map(SweepPoint::new));
-        self.out.clear();
-        self.exec.run_into(&mut self.points, &mut self.out);
-        out.clear();
-        out.extend(self.out.drain(..).map(|o| {
-            if o.panicked {
-                OverlapOutcome::Panicked
-            } else {
-                o.point.into_outcome()
-            }
-        }));
-    }
-}
-
-/// One-shot convenience over [`OverlappedSweep`]: runs `sims` through a
-/// fresh pipeline with the given in-flight window.
-pub fn run_overlapped(sims: Vec<Simulation>, window: usize) -> Vec<OverlapOutcome> {
-    OverlappedSweep::new(window).run(sims)
+        drop(sim);
+        *outcomes[t].lock().expect("outcome lock") = Some(outcome);
+    });
+    outcomes
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("outcome lock")
+                .unwrap_or(OverlapOutcome::Panicked)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -167,6 +95,8 @@ mod tests {
     use super::*;
     use crate::builder::SimulationConfig;
     use crate::executor::ExecutorKind;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn sweep_sims(n: usize) -> Vec<Simulation> {
         (0..n)
@@ -221,20 +151,125 @@ mod tests {
         assert!(outcomes[2].finished().is_some());
     }
 
+    /// Pass-through to the transformed kernel that counts the simulations
+    /// holding live tensors (kernels that ran and are not yet dropped),
+    /// and panics in application `panic_at` if one is set.
+    struct Probe {
+        inner: omen_sse::TransformedKernel,
+        runs: usize,
+        panic_at: Option<usize>,
+        /// `[live now, most ever live]`.
+        live: Arc<[AtomicUsize; 2]>,
+    }
+
+    impl Probe {
+        fn install(sim: &mut Simulation, panic_at: Option<usize>, live: &Arc<[AtomicUsize; 2]>) {
+            sim.set_kernel(Box::new(Probe {
+                inner: omen_sse::TransformedKernel::new(),
+                runs: 0,
+                panic_at,
+                live: Arc::clone(live),
+            }));
+        }
+    }
+
+    impl omen_sse::SseKernel for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn run(
+            &mut self,
+            prob: &omen_sse::SseProblem,
+            g_l: &omen_sse::GTensor,
+            g_g: &omen_sse::GTensor,
+            d_l: &omen_sse::DTensor,
+            d_g: &omen_sse::DTensor,
+        ) -> &omen_sse::SseOutput {
+            self.runs += 1;
+            if self.runs == 1 {
+                let live = 1 + self.live[0].fetch_add(1, Ordering::SeqCst);
+                self.live[1].fetch_max(live, Ordering::SeqCst);
+            }
+            assert_ne!(Some(self.runs), self.panic_at, "probe: armed panic");
+            self.inner.run(prob, g_l, g_g, d_l, d_g)
+        }
+        fn state(&self) -> &omen_sse::KernelState {
+            self.inner.state()
+        }
+        fn state_mut(&mut self) -> &mut omen_sse::KernelState {
+            self.inner.state_mut()
+        }
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            if self.runs > 0 {
+                self.live[0].fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    fn serial_sweep(n: usize) -> Vec<SimulationResult> {
+        sweep_sims(n)
+            .into_iter()
+            .map(|mut s| s.run().expect("serial run"))
+            .collect()
+    }
+
+    fn assert_bitwise(serial: &SimulationResult, o: &OverlapOutcome) {
+        let o = o.finished().expect("clean overlapped run");
+        assert_eq!(serial.records.len(), o.records.len());
+        assert_eq!(serial.current().to_bits(), o.current().to_bits());
+    }
+
     #[test]
-    fn warm_engine_reruns_sweeps() {
-        let mut engine = OverlappedSweep::new(2);
-        let first = engine.run(sweep_sims(2));
-        assert!(first.iter().all(|o| o.finished().is_some()));
-        let second = engine.run(sweep_sims(2));
-        assert!(second.iter().all(|o| o.finished().is_some()));
-        // Same inputs, same pipeline: identical results across reruns.
-        let (a, b) = (first[0].finished().unwrap(), second[0].finished().unwrap());
-        assert_eq!(a.current().to_bits(), b.current().to_bits());
+    fn window_bounds_live_simulations() {
+        let live = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+        let mut sims = sweep_sims(5);
+        for sim in &mut sims {
+            Probe::install(sim, None, &live);
+        }
+        let outcomes = run_overlapped(sims, 2);
+        assert!(outcomes.iter().all(|o| o.finished().is_some()));
+        let most = live[1].load(Ordering::SeqCst);
+        assert!(
+            (1..=2).contains(&most),
+            "{most} simulations held live tensors at once under window 2"
+        );
+        assert_eq!(live[0].load(Ordering::SeqCst), 0, "every point was dropped");
+    }
+
+    #[test]
+    fn panicking_point_is_isolated() {
+        let serial = serial_sweep(3);
+        let live = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+        let mut sims = sweep_sims(3);
+        Probe::install(&mut sims[1], Some(2), &live);
+        let outcomes = run_overlapped(sims, 2);
+        assert!(matches!(outcomes[1], OverlapOutcome::Panicked));
+        assert_bitwise(&serial[0], &outcomes[0]);
+        assert_bitwise(&serial[2], &outcomes[2]);
+        assert_eq!(live[0].load(Ordering::SeqCst), 0, "the unwind dropped it");
+    }
+
+    /// At every window — one worker, two, more workers than points —
+    /// each point runs all of its iterations and lands in its input slot.
+    #[test]
+    fn all_points_complete_in_order_with_full_rounds() {
+        let serial = serial_sweep(3);
+        // 0 clamps to 1 (the serial order on one worker); 8 > n.
+        for window in [0, 1, 2, 8] {
+            let outcomes = run_overlapped(sweep_sims(3), window);
+            assert_eq!(outcomes.len(), serial.len(), "window {window}");
+            for (s, o) in serial.iter().zip(&outcomes) {
+                assert_bitwise(s, o);
+            }
+        }
+        assert!(run_overlapped(Vec::new(), 2).is_empty());
     }
 
     /// Every way the Born loop ends, through `Simulation::run` and through
-    /// the pipeline: one termination rule, so identical verdicts.
+    /// `run_overlapped`: one termination rule, so identical verdicts.
     #[test]
     fn every_exit_matches_the_serial_run() {
         use crate::driver::CancelToken;

@@ -1,18 +1,21 @@
-//! The Table 6 streams model: GF/SSE phase overlap across sweep points.
+//! A two-resource streams model: GF/SSE phase overlap across sweep points.
 //!
-//! The paper's Table 6 predicts what CUDA streams buy when the Green's
-//! function phase of one task runs concurrently with the scattering
-//! self-energy phase of the previous one. This module states that model
-//! for the two-stage thread pipeline `omen-core::stream` actually runs:
-//! `T` tasks whose GF stage costs `g` seconds and SSE stage `s` seconds
-//! take `T·(g+s)` serially, but only `T·max(g,s) + min(g,s)` pipelined —
-//! the smaller stage hides behind the larger one on every task but the
-//! first (or last), saving `(T−1)·min(g,s)`.
+//! In the spirit of the paper's Table 6 (what concurrent streams buy),
+//! this module models a sweep on two dedicated resources, one per phase:
+//! `T` iterations whose GF stage costs `g` seconds and SSE stage `s`
+//! seconds take `T·(g+s)` serially, but only `T·max(g,s) + min(g,s)`
+//! when every GF stage may run beside another iteration's SSE stage —
+//! the smaller stage hides behind the larger one on every iteration but
+//! the first (or last), saving `(T−1)·min(g,s)`. Two *symmetric* workers
+//! running whole points (`omen_core::run_overlapped`) finish in
+//! `T·(g+s)/2`, never later than that, so for them the model is a floor
+//! on the speedup rather than a prediction.
 //!
 //! [`measured_overlap_fraction`] inverts the model against reality: from
 //! the busy seconds each phase actually recorded (`omen-trace` phase
 //! windows) and the measured wall time of the overlapped sweep, it
-//! recovers what fraction of the smaller stage was truly hidden.
+//! recovers what fraction of the smaller stage was hidden (clamped at
+//! 1, which symmetric workers reach whenever the stages are unequal).
 
 use omen_trace::TraceSnapshot;
 

@@ -3,16 +3,11 @@
 //! A [`TaskDag`] is the runtime form of a lowered SDFG: tasks in
 //! schedule order with forward-only dependency edges (producers have
 //! smaller indices than consumers, exactly the invariant
-//! `omen_dataflow::lower` guarantees). Execution offers two modes:
-//!
-//! * [`TaskDag::run_inline`] — dependency order on the calling thread,
-//!   zero scheduling machinery. This is the mode the liveness-driven
-//!   arena ([`crate::arena`]) pairs with for its zero-alloc warm path.
-//! * [`TaskDag::run`] — a scoped worker pool draining a lowest-index-
-//!   first ready queue. Each task runs under `catch_unwind`: a panic is
-//!   isolated (counted in `Counter::SchedPanics`), its dependents are
-//!   skipped, every independent task still runs, and the error names
-//!   both sets.
+//! `omen_dataflow::lower` guarantees). [`TaskDag::run`] executes it on a
+//! scoped worker pool draining a lowest-index-first ready queue. Each
+//! task runs under `catch_unwind`: a panic is isolated (counted in
+//! `Counter::SchedPanics`), its dependents are skipped, every
+//! independent task still runs, and the error names both sets.
 //!
 //! Determinism of *results* is the caller's job (write into per-task
 //! slots, fold in index order — the `DagExecutor` idiom in `omen-core`);
@@ -98,16 +93,6 @@ impl TaskDag {
         id
     }
 
-    /// Builds the runtime DAG from a lowered SDFG schedule.
-    pub fn from_lowered(lowered: &omen_dataflow::LoweredDag) -> TaskDag {
-        let mut dag = TaskDag::new();
-        for (t, task) in lowered.tasks.iter().enumerate() {
-            let deps = lowered.deps_of(t);
-            dag.add_task(&task.name, &deps);
-        }
-        dag
-    }
-
     /// Number of tasks.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -126,16 +111,6 @@ impl TaskDag {
     /// Producers task `t` waits for.
     pub fn deps_of(&self, t: usize) -> &[usize] {
         &self.deps[t]
-    }
-
-    /// Runs every task on the calling thread in index (= dependency)
-    /// order. No queueing, no locking, no allocation: the companion of
-    /// the arena's zero-alloc warm path.
-    pub fn run_inline<F: FnMut(usize)>(&self, mut f: F) {
-        for t in 0..self.len() {
-            trace_add(Counter::SchedTasks, 1);
-            f(t);
-        }
     }
 
     /// Runs the DAG on `threads` scoped workers (at least one), honoring
@@ -303,14 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_runs_in_index_order() {
-        let dag = diamond();
-        let mut order = Vec::new();
-        dag.run_inline(|t| order.push(t));
-        assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn parallel_run_honors_dependencies() {
         let dag = diamond();
         let done = [(); 4].map(|_| AtomicUsize::new(0));
@@ -347,16 +314,6 @@ mod tests {
         // The independent sibling still ran; the dependent did not.
         assert_eq!(ran[2].load(Ordering::SeqCst), 1);
         assert_eq!(ran[3].load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn from_lowered_simulation_sdfg() {
-        let lowered = omen_dataflow::lower_sdfg(&omen_dataflow::simulation_sdfg()).unwrap();
-        let dag = TaskDag::from_lowered(&lowered);
-        assert_eq!(dag.len(), 3);
-        assert_eq!(dag.label(2), "sse_kernel");
-        assert_eq!(dag.deps_of(2), &[0, 1]);
-        dag.run(2, |_| {}).expect("clean run");
     }
 
     #[test]

@@ -2,32 +2,24 @@
 //!
 //! The executable half of the data-centric thesis: where
 //! `omen-dataflow` *analyzes* the SDFG (symbolic memlet volumes → the
-//! paper's communication argument), this crate *runs* it.
+//! paper's communication argument), this crate *runs* task graphs.
 //!
-//! * [`dag`] — [`TaskDag`]: the runtime DAG lowered from the graph
-//!   (tasklets → tasks, memlets → forward dependency edges), executed
-//!   inline or on a panic-isolating worker pool.
-//! * [`arena`] — memlet liveness intervals drive buffer reservation out
-//!   of the `omen-linalg` [`Workspace`](omen_linalg::Workspace) arena:
-//!   allocate at first write, release at last read, zero-alloc warm.
-//! * [`stream`] — the two-stage GF/SSE pipeline overlapping the GF
-//!   phase of sweep point *k+1* with the SSE phase of point *k*
-//!   (bounded in-flight window, owned points moving between persistent
-//!   workers — the Table 6 streams model, executed).
-//! * [`lower`] — binds the lowered tasklet names of the simulation
-//!   SDFG to typed per-point work items ([`BoundTask`]) the `omen-core`
-//!   driver dispatches onto its `GfSolver`/`SseKernel` entry points.
+//! * [`dag`] — [`TaskDag`]: tasks in schedule order with forward
+//!   dependency edges, executed by [`TaskDag::run`] on a panic-isolating
+//!   worker pool. It is the one thing in the workspace that schedules
+//!   work: the GF point sweeps, the SSE kernels' stages and the points
+//!   of an overlapped sweep are all `TaskDag` runs their callers build
+//!   directly.
+//! * [`lower`] — [`lower_iteration`]: the simulation SDFG lowered,
+//!   expanded over concrete grids and bound to typed per-point work
+//!   items ([`BoundTask`]) — the graph the Fig. 5 reproduction bins
+//!   print and the repository benchmark measures.
 //!
-//! Everything is instrumented through `omen-trace`
-//! (`Counter::SchedTasks`/`Counter::SchedPanics`, stage spans), so
-//! `omen-perf` can attribute measured overlap against the model.
+//! Runs are instrumented through `omen-trace`
+//! (`Counter::SchedTasks`/`Counter::SchedPanics`).
 
-pub mod arena;
 pub mod dag;
 pub mod lower;
-pub mod stream;
 
-pub use arena::{run_with_arena, ArenaBuffers, BufferPlan};
 pub use dag::{DagRunError, DelayPlan, TaskDag};
 pub use lower::{lower_iteration, BoundTask, IterationPlan, PlanError};
-pub use stream::{PipelinedPoint, StreamExecutor, StreamOutcome};

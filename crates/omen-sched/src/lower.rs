@@ -5,9 +5,11 @@
 //! module expands those scopes over concrete grid extents and binds the
 //! tasklet names of the paper's simulation SDFG to typed work items
 //! ([`BoundTask`]): per-`(kz, E)` electron RGF solves, per-`(qz, ω)`
-//! phonon solves, and the monolithic SSE update. The driver in
-//! `omen-core` maps each [`BoundTask`] onto the real `GfSolver` /
-//! `SseKernel` entry points; this crate never touches physics.
+//! phonon solves, and the monolithic SSE update. This is the lowering
+//! the Fig. 5 reproduction bins print and the repository benchmark
+//! measures (`sched.lower_ms`, `sched.dag_tasks`); the driver's own
+//! sweeps are [`TaskDag`] runs it builds directly, one edge-free task
+//! per point, and never pass through here.
 
 use crate::dag::TaskDag;
 use omen_dataflow::{lower_sdfg, GraphError, LoweredDag, Sdfg};
@@ -30,10 +32,9 @@ pub enum BoundTask {
         /// Frequency grid index.
         iw: usize,
     },
-    /// The monolithic SSE update (Σ/Π from all G/D) — kept as one task
-    /// because only the monolithic kernel is bit-reproducible against
-    /// the serial driver (the per-point SSE kernels are 1e-12-accurate,
-    /// not bitwise).
+    /// The monolithic SSE update (Σ/Π from all G/D): one task, as the
+    /// SDFG has one `sse_kernel` tasklet. Its 6-D map runs inside the
+    /// kernel.
     Sse,
 }
 
@@ -85,9 +86,9 @@ impl From<GraphError> for PlanError {
     }
 }
 
-/// One Born iteration lowered, expanded, and bound: the task DAG the
-/// DAG engine executes, with [`BoundTask`] payloads index-aligned to
-/// the DAG's tasks, plus the symbolic schedule (for buffer planning).
+/// One Born iteration lowered, expanded, and bound: a task DAG with
+/// [`BoundTask`] payloads index-aligned to its tasks, plus the symbolic
+/// schedule it was expanded from.
 #[derive(Clone, Debug)]
 pub struct IterationPlan {
     /// The runtime DAG (forward edges, schedule order).
@@ -164,7 +165,7 @@ pub fn lower_iteration(
                 }
             }
             // The SSE tasklet stays monolithic: its 6-D map runs *inside*
-            // the kernel, which is the bit-reproducible unit.
+            // the kernel.
             "sse_kernel" => tasks.push(BoundTask::Sse),
             other => return Err(PlanError::UnboundTasklet(other.to_string())),
         }
@@ -220,7 +221,7 @@ mod tests {
         for t in 0..sse {
             assert!(plan.dag.deps_of(t).is_empty());
         }
-        // Liveness survives the expansion for buffer planning.
+        // Liveness survives the expansion.
         assert!(plan.lowered.interval("G").is_some());
     }
 

@@ -221,9 +221,9 @@ impl ChromeTraceStats {
     }
 
     /// Maximum wall-clock overlap (µs) between any duration event named
-    /// `a` and any named `b` on *different* threads — the stream
-    /// executor's gf/sse concurrency, measured straight off the
-    /// exported artifact.
+    /// `a` and any named `b` on *different* threads — an overlapped
+    /// sweep's concurrency, measured straight off the exported
+    /// artifact.
     pub fn overlap_us(&self, a: &str, b: &str) -> f64 {
         let mut best: f64 = 0.0;
         for wa in self.windows.iter().filter(|w| w.name == a) {

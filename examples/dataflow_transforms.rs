@@ -1,8 +1,8 @@
 //! §5.1-5.2 / Fig. 5: deriving the communication-avoiding decomposition
 //! from the data-centric IR — build the SSE SDFG, re-tile the map two
 //! ways, and read the volumes off the memlets — then close the loop:
-//! lower the transformed graph into an executable task DAG, run the
-//! sweep through the overlapped GF/SSE stream pipeline, and print the
+//! lower the transformed graph into a task DAG, run a bias sweep with
+//! whole points as tasks of the same scheduler, and print the
 //! model-vs-measured attribution table including the overlap row.
 //!
 //! Run with:
@@ -68,9 +68,10 @@ fn main() {
 
     // ── From IR to execution ────────────────────────────────────────
     // The transformed graph is not just an analysis artifact: lower one
-    // Born iteration into the task DAG the sweep engine runs (every
-    // `ExecutorKind` schedules its points onto it), then drive a small bias sweep through the overlapped GF/SSE
-    // stream pipeline with tracing armed.
+    // Born iteration into a task DAG — the structure every
+    // `ExecutorKind` schedules its point sweeps as — then run a small
+    // bias sweep two points at a time on the same scheduler, with
+    // tracing armed.
     let cfg = {
         let mut c = SimulationConfig::tiny();
         c.executor = ExecutorKind::Rayon { threads: 2 };
@@ -98,7 +99,8 @@ fn main() {
             .collect()
     };
 
-    // Serial leg: per-stage busy time feeds the Table 6 stream model.
+    // Serial leg: per-stage busy time feeds the two-resource stream
+    // model, the floor the overlapped schedule has to beat.
     trace::reset();
     trace::arm();
     let t0 = Instant::now();
@@ -114,7 +116,7 @@ fn main() {
     let tasks: usize = serial.iter().map(|r| r.records.len()).sum();
     let model = StreamModel::from_trace(&serial_snap, tasks);
 
-    // Overlapped leg: GF of point k+1 concurrent with SSE of point k.
+    // Overlapped leg: two whole points at a time.
     trace::reset();
     trace::arm();
     let t0 = Instant::now();
@@ -142,7 +144,7 @@ fn main() {
     );
 
     // Attribution over the overlapped trace: RGF/SSE flop models plus
-    // the stream-pipeline overlap row.
+    // the overlap row (hidden seconds against the stream model's).
     let prob = serial_sims[0].sse_problem();
     let params = SimParams {
         na: prob.na(),

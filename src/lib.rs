@@ -12,8 +12,8 @@
 //! * [`sse`] — scattering self-energy kernels (reference / transformed /
 //!   mixed precision);
 //! * [`dataflow`] — SDFG-lite IR with movement analysis and lowering;
-//! * [`sched`] — executable task-DAG runtime: memlet-derived
-//!   dependencies, liveness-driven arena buffers, GF/SSE stream overlap;
+//! * [`sched`] — executable task-DAG runtime: forward dependency
+//!   edges, a panic-isolating worker pool, the iteration lowering;
 //! * [`comm`] — simulated MPI, the two SSE communication plans, staging;
 //! * [`perf`] — analytic performance/communication/scaling models;
 //! * [`core`] — the self-consistent simulation and electro-thermal

@@ -16,8 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dace_omen::comm::{DacePlan, DaceTiling, OmenGrid};
-use dace_omen::core::{ExecutorKind, OverlappedSweep, Simulation, SimulationConfig};
-use dace_omen::dataflow::{lower_sdfg, simulation_sdfg};
+use dace_omen::core::{ExecutorKind, Simulation, SimulationConfig};
 use dace_omen::device::{DeviceConfig, DeviceStructure};
 use dace_omen::linalg::{
     c64, sbsmm, sbsmm_f16_packed, sbsmm_pb, BatchDims, F16APanels, F16BPanels, Normalization,
@@ -25,7 +24,6 @@ use dace_omen::linalg::{
 };
 use dace_omen::rgf::testutil::test_system;
 use dace_omen::rgf::{rgf_solve_into, RgfInputs, RgfSolution};
-use dace_omen::sched::{run_with_arena, ArenaBuffers, BufferPlan, TaskDag};
 use dace_omen::sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use dace_omen::sse::{
     sse_reference_into, sse_transformed_into, GLayout, SseOutput, SseProblem, Transients,
@@ -301,66 +299,6 @@ fn steady_state_hot_path_is_allocation_free() {
         "Simulation::new requested a {plain}-byte block through alloc/realloc"
     );
     drop(demo);
-
-    // ---- Liveness-driven arena walk: the lowered simulation SDFG's
-    // buffers are reserved out of the Workspace pool at their first
-    // write and returned at their last use. The first walk populates
-    // the pool; the warm walk must reuse every buffer without touching
-    // the heap. ----
-    let lowered = lower_sdfg(&simulation_sdfg()).expect("simulation SDFG lowers");
-    let dag = TaskDag::from_lowered(&lowered);
-    let plan = BufferPlan::from_liveness(&lowered, |name| match name {
-        "G" | "Sigma" => 96,
-        "D" | "Pi" => 48,
-        other => panic!("unplanned container {other}"),
-    });
-    let mut arena_ws = Workspace::new();
-    let mut bufs = ArenaBuffers::for_plan(&plan);
-    run_with_arena(&dag, &plan, &mut arena_ws, &mut bufs, |_, _| {});
-
-    let arena_allocs = count_allocations(|| {
-        run_with_arena(&dag, &plan, &mut arena_ws, &mut bufs, |t, bufs| {
-            if let Some(g) = bufs.by_name_mut(&plan, "G") {
-                g[t] = C64::ZERO;
-            }
-        });
-    });
-    assert_eq!(
-        arena_allocs, 0,
-        "warm arena walk allocated {arena_allocs} times"
-    );
-
-    // ---- Overlapped sweep coordinator: a warm `OverlappedSweep` engine
-    // keeps its stage workers, queues, and point/outcome storage across
-    // runs, so re-running a same-sized sweep allocates nothing on the
-    // coordinating thread. (The stage threads allocate for the physics;
-    // the per-thread counter scopes the assertion to coordination.) ----
-    let sweep_sims = || -> Vec<Simulation> {
-        (0..2)
-            .map(|i| {
-                let mut cfg = SimulationConfig::tiny();
-                cfg.max_iterations = 2;
-                cfg.mu_drain = 0.01 * i as f64;
-                Simulation::new(cfg).expect("valid config")
-            })
-            .collect()
-    };
-    let mut engine = OverlappedSweep::new(2);
-    let mut outcomes = Vec::new();
-    engine.run_into(sweep_sims(), &mut outcomes);
-    assert!(outcomes.iter().all(|o| o.finished().is_some()));
-    // Build (and allocate) the next sweep's simulations outside the
-    // counted region: the engine's job is coordination.
-    let sims = sweep_sims();
-
-    let coord_allocs = count_allocations(|| {
-        engine.run_into(sims, &mut outcomes);
-    });
-    assert!(outcomes.iter().all(|o| o.finished().is_some()));
-    assert_eq!(
-        coord_allocs, 0,
-        "warm overlapped-sweep coordinator allocated {coord_allocs} times"
-    );
 
     // ---- Disarmed tracing: the kernels above are instrumented with
     // omen-trace counters and spans, so the warm point path now passes
