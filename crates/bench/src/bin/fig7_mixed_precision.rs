@@ -3,8 +3,13 @@
 //! normalization (b).
 use omen_core::{KernelVariant, Simulation, SimulationConfig};
 use omen_linalg::{magnitude_distribution, Normalization};
+use std::process::ExitCode;
 
-fn main() {
+/// Ceiling on the normalized f16 run's converged current difference
+/// (measured: 3.8e-6).
+const MAX_NORMALIZED_REL_DIFF: f64 = 1e-5;
+
+fn main() -> ExitCode {
     println!("Fig. 7: double- vs half-precision SSE\n");
     let mut cfg = SimulationConfig::tiny();
     cfg.coupling = 0.01;
@@ -64,10 +69,23 @@ fn main() {
         );
     }
     let last = h64.len() - 1;
+    let rel_norm = ((h16[h16.len() - 1] - h64[last]) / h64[last]).abs();
     println!(
         "\nconverged relative difference: normalized {:.2e}, unnormalized {:.2e}",
-        ((h16[h16.len() - 1] - h64[last]) / h64[last]).abs(),
+        rel_norm,
         ((h16raw[h16raw.len() - 1] - h64[last]) / h64[last]).abs()
     );
     println!("paper: 1.2e-6 with normalization, 3e-3 without");
+    // Self-check for CI: every current finite, normalization within 1e-5.
+    let finite = [&h64, &h16, &h16raw]
+        .iter()
+        .all(|h| h.iter().all(|i| i.is_finite()));
+    if !finite || rel_norm.is_nan() || rel_norm >= MAX_NORMALIZED_REL_DIFF {
+        eprintln!(
+            "fig7: finite currents {finite}, normalized difference {rel_norm:.2e} (limit \
+             {MAX_NORMALIZED_REL_DIFF:.0e})"
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -1,6 +1,8 @@
 //! Table 9: strided-batched small-matrix multiplication — padded
 //! vendor-style batched GEMM vs the specialized SBSMM (scalar loop vs the
-//! packed split-complex micro-kernel) vs the fused f16 panel path.
+//! packed split-complex micro-kernel). The paper's Tensor-Core row has no
+//! counterpart here: binary16 is a quantisation of the operands, not an
+//! arithmetic rate of its own.
 //!
 //! The batch uses the transformed SSE kernel's stage-C shape: `12 × 12`
 //! items, `A` strided (`Norb²`), `B` shared (stride `0`), accumulating
@@ -14,8 +16,7 @@ use omen_bench::{
 };
 use omen_device::{DeviceConfig, DeviceStructure};
 use omen_linalg::{
-    sbsmm, sbsmm_f16, sbsmm_f16_packed, sbsmm_padded, sbsmm_pb, sbsmm_scalar, BatchDims,
-    F16APanels, F16BPanels, Normalization, PackedB, PlaneScratch, SplitF16Batch, Strides, C64,
+    sbsmm, sbsmm_padded, sbsmm_pb, sbsmm_scalar, BatchDims, PackedB, PlaneScratch, Strides, C64,
 };
 use omen_sse::stages::{pi_pair, sigma_pair, EnergyWindow};
 use omen_sse::testutil::{pi_pair_scalar, sigma_pair_scalar};
@@ -223,23 +224,6 @@ fn main() {
         sbsmm_pb(dims, batch, C64::ONE, &a, s.a, &pb, C64::ZERO, &mut c, s.c)
     });
 
-    // f16: scalar split-plane reference vs the fused panel path.
-    let a16 = SplitF16Batch::from_c64(&a, Normalization::PerTensor);
-    let b16 = SplitF16Batch::from_c64(&b, Normalization::PerTensor);
-    let t_f16 = timed_median(reps, || {
-        c.fill(C64::ZERO);
-        sbsmm_f16(dims, batch, &a16, &b16, &mut c, s)
-    });
-    let mut ap = F16APanels::empty();
-    ap.pack_from_c64(&a, norb, norb, batch, bsz, Normalization::PerTensor);
-    let mut bp = F16BPanels::empty();
-    bp.pack_from_c64(&b, norb, norb, 1, bsz, Normalization::PerTensor);
-    let denorm = 1.0 / (ap.factor * bp.factor);
-    let t_f16p = timed_median(reps, || {
-        c.fill(C64::ZERO);
-        sbsmm_f16_packed(dims, batch, &ap, 0, &bp, 0, denorm, &mut c, bsz);
-    });
-
     let w = [28, 12, 16, 12];
     header(&["Kernel", "Time [ms]", "Useful Gflop/s", "vs scalar"], &w);
     let entries: &[(&str, f64)] = &[
@@ -247,8 +231,6 @@ fn main() {
         ("SBSMM scalar (seed loop)", t_scalar),
         ("SBSMM packed micro-kernel", t_packed),
         ("SBSMM packed, prepacked B", t_pb),
-        ("SBSMM-16 scalar split-cplx", t_f16),
-        ("SBSMM-16 fused f16 panels", t_f16p),
     ];
     for (name, t) in entries {
         row(
@@ -268,6 +250,11 @@ fn main() {
     println!(
         "paper (V100): cuBLAS 4.62 ms vs SBSMM 0.70 ms (5.76x); Tensor-Core f16 0.13 ms (31x)"
     );
+    println!(
+        "f16: on this CPU binary16 is a quantisation of the operands (quantize_f16) with no \
+         arithmetic rate of its own; Table 11 / Fig. 9 use omen-perf::scaling's modelled \
+         sse_mixed rate"
+    );
     println!("shape target: packed sbsmm >= 2x the scalar small_gemm loop on stage-C batches");
 
     let norb3 = norb3_rows(quick, suffix);
@@ -283,8 +270,6 @@ fn main() {
             rec("sbsmm_scalar_sseC", t_scalar),
             rec("sbsmm_packed_sseC", t_packed),
             rec("sbsmm_packed_pb_sseC", t_pb),
-            rec("sbsmm_f16_scalar_sseC", t_f16),
-            rec("sbsmm_f16_packed_sseC", t_f16p),
         ];
         records.extend(norb3);
         write_bench_json(BENCH_JSON_PATH, &records).expect("write BENCH_kernels.json");

@@ -29,7 +29,7 @@ fn needed_points(
     q: usize,
     m: usize,
 ) -> BTreeSet<(usize, usize)> {
-    let steps = m + 1;
+    let steps = prob.omega_steps(m);
     let mut need = BTreeSet::new();
     for (k, e) in grid.owned_pairs(rank) {
         let kk = prob.k_minus_q(k, q);

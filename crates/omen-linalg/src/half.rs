@@ -10,8 +10,9 @@
 
 /// An IEEE 754 binary16 value stored as raw bits.
 ///
-/// Arithmetic is not implemented directly on `F16`; kernels convert to `f32`,
-/// multiply, and accumulate in `f64` — mirroring Tensor Core semantics.
+/// Arithmetic is not implemented on `F16`: values widen exactly to `f64`
+/// ([`crate::quantize_f16`]), and the double-precision kernels multiply and
+/// accumulate them — f16 operands, wide accumulation, as on Tensor Cores.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 #[repr(transparent)]
 pub struct F16(pub u16);
@@ -157,8 +158,8 @@ pub fn f16_bits_to_f32(bits: u16) -> f32 {
 
 /// Rounds an `f64` value through binary16 storage precision and back.
 ///
-/// This is the "store to half" operation the mixed-precision SSE kernel uses
-/// on every tensor element after normalization.
+/// This is the "store to half" operation [`crate::quantize_f16`] applies
+/// to every tensor element after normalization.
 #[inline]
 pub fn round_through_f16(value: f64) -> f64 {
     F16::from_f64(value).to_f64()

@@ -5,13 +5,14 @@
 //! BLAS-style GEMM (all transpose variants), LU solves, CSR/CSC sparse
 //! products (cuSPARSE `csrmm2` / cuBLAS `gemmi` analogues), block-tridiagonal
 //! containers, the specialized strided-batched small-matrix multiply (SBSMM)
-//! of the paper's §5.3, and the mixed-precision split-complex path of §5.4.
+//! of the paper's §5.3, and the binary16 operand quantization of §5.4
+//! ([`quantize_f16`]).
 //!
 //! Both the dense GEMM ([`gemm()`]) and the batched SBSMM ([`sbsmm`]) run the
 //! same split-complex register-tiled FMA micro-kernel over packed
-//! micro-panels (see [`batched`] for the batch-level pack design and
-//! [`mixed`] for the fused f16 pack-and-convert); `OMEN_FORCE_SCALAR=1`
-//! pins the runtime dispatch to the portable instantiation.
+//! micro-panels (see [`batched`] for the batch-level pack design);
+//! `OMEN_FORCE_SCALAR=1` pins the runtime dispatch to the portable
+//! instantiation.
 //!
 //! Everything is implemented from scratch over `std` so the repository
 //! carries no linear-algebra dependencies, mirroring the paper's "one external HPC library (BLAS)"
@@ -43,10 +44,7 @@ pub use gemm::{
 };
 pub use half::{F16, F16_MAX, F16_MIN_POSITIVE, F16_MIN_SUBNORMAL};
 pub use lu::{invert, solve, Lu, LuFactors, SingularMatrix};
-pub use mixed::{
-    sbsmm_f16, sbsmm_f16_packed, F16APanels, F16BPanels, Normalization, SplitF16Batch,
-    NORMALIZATION_TARGET,
-};
+pub use mixed::{quantize_f16, Normalization, NORMALIZATION_TARGET};
 pub use norms::{magnitude_distribution, max_abs, rel_err_fro, rel_err_max, MagnitudeDistribution};
 pub use planes::{
     add_planes, count_fused_run, pack_planes, pack_split, planes_dots, planes_mac, DotTile,

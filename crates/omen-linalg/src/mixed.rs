@@ -1,36 +1,22 @@
-//! Mixed-precision (binary16) batched multiplication with normalization —
-//! the Tensor-Core SSE path of §5.4.
+//! Mixed-precision (binary16) operands with normalization — the
+//! Tensor-Core SSE path of §5.4.
 //!
-//! The paper converts the SSE tensors to *split-complex* format (contiguous
-//! real plane followed by imaginary plane), normalizes by per-tensor scale
-//! factors derived from magnitudes, clamps out-of-range values, multiplies
-//! in half precision and accumulates in double. Denormalization multiplies
-//! by the inverse factors. Without the normalization step, the tensor values
-//! (spanning ~1e-21..1e-1, Fig. 7a) underflow binary16 and the converged
-//! current is wrong by ~3e-3 relative; with it, the error drops to ~1e-6.
+//! The paper normalizes the SSE tensors by per-tensor scale factors
+//! derived from their magnitudes, clamps out-of-range values, multiplies
+//! in half precision and accumulates in double. Without the normalization
+//! step, the tensor values (spanning ~1e-21..1e-1, Fig. 7a) underflow
+//! binary16 and the converged current is wrong by ~3e-3 relative; with it,
+//! the error drops to ~1e-6.
 //!
-//! # Fused pack-and-convert
-//!
-//! Two storage strategies coexist:
-//!
-//! * [`SplitF16Batch`] + [`sbsmm_f16`] / [`sbsmm_f16_raw`] — plain
-//!   split-complex planes swept by a scalar loop. Retained as the
-//!   correctness reference.
-//! * [`F16APanels`] / [`F16BPanels`] + [`sbsmm_f16_packed`] — the
-//!   production path: normalization, clamping, f16 rounding **and**
-//!   micro-panel packing happen in one pass over the `C64` source
-//!   (`pack_from_c64`), so the transients are materialized exactly once,
-//!   in half the bytes of the f64 pack buffers. At sweep time each panel
-//!   is widened to `f64` staging (cache-resident, amortized across the
-//!   register tiles that consume it) and accumulated by the same
-//!   split-complex FMA micro-kernel as the f64 batched path — f16
-//!   storage, f64 accumulation, exactly the paper's Tensor-Core
-//!   configuration.
+//! A CPU has no binary16 arithmetic rate of its own, so here the precision
+//! is a property of the operands alone: [`quantize_f16`] replaces every
+//! element by the value its normalized, clamped binary16 encodes (divided
+//! back by the factor), and the double-precision kernels multiply and
+//! accumulate what is left — f16 operands, f64 accumulation, the paper's
+//! Tensor-Core configuration.
 
-use crate::batched::{sweep_tiles, with_batch_arena, BatchDims, Strides};
 use crate::complex::{c64, C64};
-use crate::gemm::{fma_available, MR, NR};
-use crate::half::{clamp_to_f16_range, F16};
+use crate::half::{clamp_to_f16_range, round_through_f16};
 
 /// Normalization policy for the f16 conversion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,77 +31,6 @@ pub enum Normalization {
 /// two normalized values (`~target²`) stay far from both the f16 overflow
 /// threshold (65504) and the subnormal floor.
 pub const NORMALIZATION_TARGET: f64 = 64.0;
-
-/// A batch of split-complex matrices stored in binary16 with a common
-/// normalization factor.
-#[derive(Clone, Debug)]
-pub struct SplitF16Batch {
-    /// Real plane, rounded to f16.
-    pub re: Vec<F16>,
-    /// Imaginary plane, rounded to f16.
-    pub im: Vec<F16>,
-    /// The multiplicative factor applied before rounding; stored value =
-    /// `round_f16(x * factor)`. `1.0` when unnormalized.
-    pub factor: f64,
-}
-
-impl SplitF16Batch {
-    /// An empty batch, the reusable slot for
-    /// [`SplitF16Batch::convert_from`]. Performs no allocation.
-    pub fn empty() -> Self {
-        SplitF16Batch {
-            re: Vec::new(),
-            im: Vec::new(),
-            factor: 1.0,
-        }
-    }
-
-    /// Converts a `C64` slice, choosing the factor from the slice's max
-    /// magnitude when `normalization == PerTensor`.
-    pub fn from_c64(data: &[C64], normalization: Normalization) -> Self {
-        let mut out = SplitF16Batch::empty();
-        out.convert_from(data, normalization);
-        out
-    }
-
-    /// Re-converts into this batch's storage, reusing the plane buffers
-    /// (allocation-free once they are large enough).
-    pub fn convert_from(&mut self, data: &[C64], normalization: Normalization) {
-        self.factor = norm_factor(data, normalization);
-        let factor = self.factor;
-        self.re.clear();
-        self.im.clear();
-        self.re.extend(
-            data.iter()
-                .map(|z| F16::from_f64(clamp_to_f16_range(z.re * factor))),
-        );
-        self.im.extend(
-            data.iter()
-                .map(|z| F16::from_f64(clamp_to_f16_range(z.im * factor))),
-        );
-    }
-
-    /// Number of stored complex elements.
-    pub fn len(&self) -> usize {
-        self.re.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.re.is_empty()
-    }
-
-    /// Reconstructs the (denormalized) `C64` values — i.e. what the f16
-    /// representation actually encodes. Used for error analysis (Fig. 7a).
-    pub fn to_c64(&self) -> Vec<C64> {
-        let inv = 1.0 / self.factor;
-        self.re
-            .iter()
-            .zip(self.im.iter())
-            .map(|(r, i)| c64(r.to_f64() * inv, i.to_f64() * inv))
-            .collect()
-    }
-}
 
 /// The normalization factor for a `C64` slice: `target / max|x|` under
 /// `PerTensor`, `1.0` otherwise (or for an all-zero tensor).
@@ -136,362 +51,25 @@ fn norm_factor(data: &[C64], normalization: Normalization) -> f64 {
     }
 }
 
-#[inline]
-fn to_f16(x: f64, factor: f64) -> F16 {
-    F16::from_f64(clamp_to_f16_range(x * factor))
-}
-
-/// A batch of `m × k` matrices stored as split-complex binary16
-/// **`MR`-row micro-panels** with a common normalization factor — the
-/// left-operand half of the fused pack-and-convert path (see the module
-/// docs). Produced in one pass over the `C64` source by
-/// [`F16APanels::pack_from_c64`]; consumed by [`sbsmm_f16_packed`].
-#[derive(Clone, Debug, Default)]
-pub struct F16APanels {
-    re: Vec<F16>,
-    im: Vec<F16>,
-    m: usize,
-    k: usize,
-    items: usize,
-    /// The multiplicative factor applied before rounding; stored value =
-    /// `round_f16(x * factor)`. `1.0` when unnormalized.
-    pub factor: f64,
-}
-
-impl F16APanels {
-    /// Empty panels, the reusable slot for [`F16APanels::pack_from_c64`].
-    /// Performs no allocation.
-    pub fn empty() -> Self {
-        F16APanels {
-            factor: 1.0,
-            ..Default::default()
-        }
+/// Quantizes `data` in place to binary16 operands: each real and
+/// imaginary part `x` becomes `round_f16(clamp(x · factor)) / factor`, the
+/// value its stored binary16 stands for. The factor comes from the whole
+/// slice (see [`Normalization`]); without normalization, magnitudes below
+/// the binary16 subnormal floor flush to zero. Returns the factor.
+pub fn quantize_f16(data: &mut [C64], normalization: Normalization) -> f64 {
+    let factor = norm_factor(data, normalization);
+    let q = |x: f64| round_through_f16(clamp_to_f16_range(x * factor)) / factor;
+    for z in data.iter_mut() {
+        *z = c64(q(z.re), q(z.im));
     }
-
-    /// Packed elements of one item: `ceil(m/MR) * MR * k`.
-    #[inline]
-    pub fn item_len(&self) -> usize {
-        self.m.div_ceil(MR) * MR * self.k
-    }
-
-    /// Number of packed items.
-    pub fn items(&self) -> usize {
-        self.items
-    }
-
-    /// Fused pack-and-convert: normalizes (factor chosen from the max
-    /// magnitude of the **whole** `data` slice, matching
-    /// [`SplitF16Batch::convert_from`]), clamps, rounds to binary16, and
-    /// lays the result out as split-complex `MR`-row panels — one pass,
-    /// reusing this batch's buffers (allocation-free once warm). Item `i`
-    /// is the column-major `m × k` matrix at `data[i * stride..]`.
-    pub fn pack_from_c64(
-        &mut self,
-        data: &[C64],
-        m: usize,
-        k: usize,
-        items: usize,
-        stride: usize,
-        normalization: Normalization,
-    ) {
-        assert!(
-            items == 0 || (items - 1) * stride + m * k <= data.len(),
-            "F16APanels: data too short"
-        );
-        self.m = m;
-        self.k = k;
-        self.items = items;
-        self.factor = norm_factor(data, normalization);
-        let factor = self.factor;
-        let ilen = self.item_len();
-        self.re.resize(items * ilen, F16::ZERO);
-        self.im.resize(items * ilen, F16::ZERO);
-        let mp = m.div_ceil(MR);
-        for it in 0..items {
-            let src = &data[it * stride..it * stride + m * k];
-            let dst_re = &mut self.re[it * ilen..(it + 1) * ilen];
-            let dst_im = &mut self.im[it * ilen..(it + 1) * ilen];
-            for ip in 0..mp {
-                let ir = ip * MR;
-                let rows = MR.min(m - ir);
-                let base = ip * k * MR;
-                for p in 0..k {
-                    let col = &src[p * m..p * m + m];
-                    let o = base + p * MR;
-                    for i in 0..rows {
-                        let z = col[ir + i];
-                        dst_re[o + i] = to_f16(z.re, factor);
-                        dst_im[o + i] = to_f16(z.im, factor);
-                    }
-                    for i in rows..MR {
-                        dst_re[o + i] = F16::ZERO;
-                        dst_im[o + i] = F16::ZERO;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The right-operand counterpart of [`F16APanels`]: a batch of `k × n`
-/// matrices as split-complex binary16 **`NR`-column micro-panels**.
-#[derive(Clone, Debug, Default)]
-pub struct F16BPanels {
-    re: Vec<F16>,
-    im: Vec<F16>,
-    k: usize,
-    n: usize,
-    items: usize,
-    /// Normalization factor, as in [`F16APanels::factor`].
-    pub factor: f64,
-}
-
-impl F16BPanels {
-    /// Empty panels; buffers materialize on first pack.
-    pub fn empty() -> Self {
-        F16BPanels {
-            factor: 1.0,
-            ..Default::default()
-        }
-    }
-
-    /// Packed elements of one item: `ceil(n/NR) * NR * k`.
-    #[inline]
-    pub fn item_len(&self) -> usize {
-        self.n.div_ceil(NR) * NR * self.k
-    }
-
-    /// Number of packed items.
-    pub fn items(&self) -> usize {
-        self.items
-    }
-
-    /// Fused pack-and-convert of `items` column-major `k × n` matrices;
-    /// see [`F16APanels::pack_from_c64`].
-    pub fn pack_from_c64(
-        &mut self,
-        data: &[C64],
-        k: usize,
-        n: usize,
-        items: usize,
-        stride: usize,
-        normalization: Normalization,
-    ) {
-        assert!(
-            items == 0 || (items - 1) * stride + k * n <= data.len(),
-            "F16BPanels: data too short"
-        );
-        self.k = k;
-        self.n = n;
-        self.items = items;
-        self.factor = norm_factor(data, normalization);
-        let factor = self.factor;
-        let ilen = self.item_len();
-        self.re.resize(items * ilen, F16::ZERO);
-        self.im.resize(items * ilen, F16::ZERO);
-        let np = n.div_ceil(NR);
-        for it in 0..items {
-            let src = &data[it * stride..it * stride + k * n];
-            let dst_re = &mut self.re[it * ilen..(it + 1) * ilen];
-            let dst_im = &mut self.im[it * ilen..(it + 1) * ilen];
-            for jp in 0..np {
-                let jr = jp * NR;
-                let cols = NR.min(n - jr);
-                let base = jp * k * NR;
-                for p in 0..k {
-                    let o = base + p * NR;
-                    for j in 0..cols {
-                        let z = src[(jr + j) * k + p];
-                        dst_re[o + j] = to_f16(z.re, factor);
-                        dst_im[o + j] = to_f16(z.im, factor);
-                    }
-                    for j in cols..NR {
-                        dst_re[o + j] = F16::ZERO;
-                        dst_im[o + j] = F16::ZERO;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Widens f16 panel planes into `f64` staging (exact; every binary16 value
-/// is representable).
-fn widen(re: &[F16], im: &[F16], out_re: &mut Vec<f64>, out_im: &mut Vec<f64>) {
-    out_re.resize(re.len(), 0.0);
-    out_im.resize(im.len(), 0.0);
-    for (d, s) in out_re.iter_mut().zip(re) {
-        *d = s.to_f64();
-    }
-    for (d, s) in out_im.iter_mut().zip(im) {
-        *d = s.to_f64();
-    }
-}
-
-/// The packed mixed-precision batched multiply:
-/// `C[i] += denorm · A[a_item0 + i] · B[b_item]` for `i < batch`, where the
-/// operands are pre-packed f16 micro-panels and the accumulation runs in
-/// `f64` through the split-complex FMA micro-kernel.
-///
-/// `B` is a single shared item (the transformed SSE stage-C shape, B-stride
-/// 0); its panels are widened once per call, `A` items once each, both into
-/// thread-local staging — zero steady-state allocations. `denorm` is
-/// typically `1 / (a.factor * b.factor)`.
-#[allow(clippy::too_many_arguments)]
-pub fn sbsmm_f16_packed(
-    dims: BatchDims,
-    batch: usize,
-    a: &F16APanels,
-    a_item0: usize,
-    b: &F16BPanels,
-    b_item: usize,
-    denorm: f64,
-    c: &mut [C64],
-    stride_c: usize,
-) {
-    let BatchDims { m, n, k } = dims;
-    assert_eq!((a.m, a.k), (m, k), "A panel shape mismatch");
-    assert_eq!((b.k, b.n), (k, n), "B panel shape mismatch");
-    if batch == 0 {
-        return;
-    }
-    assert!(a_item0 + batch <= a.items, "A panel batch out of range");
-    assert!(b_item < b.items, "B panel item out of range");
-    assert!(
-        (batch - 1) * stride_c + m * n <= c.len(),
-        "C slice too short for batch"
-    );
-    let fma = fma_available();
-    let alen = a.item_len();
-    let blen = b.item_len();
-    let alpha = c64(denorm, 0.0);
-    with_batch_arena(|arena| {
-        let bb = &mut arena.item_b;
-        widen(
-            &b.re[b_item * blen..(b_item + 1) * blen],
-            &b.im[b_item * blen..(b_item + 1) * blen],
-            &mut bb.re,
-            &mut bb.im,
-        );
-        for idx in 0..batch {
-            let it = a_item0 + idx;
-            widen(
-                &a.re[it * alen..(it + 1) * alen],
-                &a.im[it * alen..(it + 1) * alen],
-                &mut arena.a_re,
-                &mut arena.a_im,
-            );
-            let cv = &mut c[idx * stride_c..idx * stride_c + m * n];
-            sweep_tiles(
-                fma,
-                m,
-                n,
-                k,
-                alpha,
-                &arena.a_re,
-                &arena.a_im,
-                &arena.item_b.re,
-                &arena.item_b.im,
-                cv,
-            );
-        }
-    });
-}
-
-/// Strided-batched multiply in emulated Tensor-Core arithmetic:
-/// `C[b] += A[b] · B[b]` where `A`, `B` are f16 split-complex batches.
-///
-/// Products are formed in `f32` (each factor is an exact f16 value) and
-/// accumulated in `f64`, exactly the paper's configuration ("the difference
-/// over accumulation \[is\] done in double-precision"). The output is
-/// denormalized by `1/(factor_A · factor_B)` and accumulated into `c`.
-pub fn sbsmm_f16(
-    dims: BatchDims,
-    batch: usize,
-    a: &SplitF16Batch,
-    b: &SplitF16Batch,
-    c: &mut [C64],
-    strides: Strides,
-) {
-    let denorm = 1.0 / (a.factor * b.factor);
-    sbsmm_f16_raw(dims, batch, &a.re, &a.im, &b.re, &b.im, denorm, c, strides);
-}
-
-/// Plane-level variant of [`sbsmm_f16`]: operates on raw split-complex f16
-/// planes with an explicit denormalization factor, so callers can slice
-/// into larger tensors (the SSE stage-C loop does).
-#[allow(clippy::too_many_arguments)]
-pub fn sbsmm_f16_raw(
-    dims: BatchDims,
-    batch: usize,
-    a_re: &[F16],
-    a_im: &[F16],
-    b_re: &[F16],
-    b_im: &[F16],
-    denorm: f64,
-    c: &mut [C64],
-    strides: Strides,
-) {
-    let BatchDims { m, n, k } = dims;
-    assert!(
-        batch == 0 || (batch - 1) * strides.a + m * k <= a_re.len(),
-        "A too short"
-    );
-    assert_eq!(a_re.len(), a_im.len(), "A planes mismatch");
-    assert!(
-        batch == 0 || (batch - 1) * strides.b + k * n <= b_re.len(),
-        "B too short"
-    );
-    assert_eq!(b_re.len(), b_im.len(), "B planes mismatch");
-    assert!(
-        batch == 0 || (batch - 1) * strides.c + m * n <= c.len(),
-        "C too short"
-    );
-
-    for idx in 0..batch {
-        let a0 = idx * strides.a;
-        let b0 = idx * strides.b;
-        let c0 = idx * strides.c;
-        for j in 0..n {
-            for i in 0..m {
-                // f64 accumulators (Tensor Cores accumulate in >= f32; the
-                // paper uses double for the reduction).
-                let mut acc_re = 0.0f64;
-                let mut acc_im = 0.0f64;
-                for l in 0..k {
-                    let ar = a_re[a0 + l * m + i].to_f32();
-                    let ai = a_im[a0 + l * m + i].to_f32();
-                    let br = b_re[b0 + j * k + l].to_f32();
-                    let bi = b_im[b0 + j * k + l].to_f32();
-                    // Split-complex multiply: 4 real MACs in f32.
-                    acc_re += (ar * br - ai * bi) as f64;
-                    acc_im += (ar * bi + ai * br) as f64;
-                }
-                c[c0 + j * m + i] += c64(acc_re * denorm, acc_im * denorm);
-            }
-        }
-    }
-}
-
-/// Maximum elementwise relative representation error introduced by the f16
-/// conversion of `data` under the given policy. Diagnostic for Fig. 7.
-pub fn f16_representation_error(data: &[C64], normalization: Normalization) -> f64 {
-    let batch = SplitF16Batch::from_c64(data, normalization);
-    let back = batch.to_c64();
-    let scale = data.iter().map(|z| z.abs()).fold(0.0, f64::max);
-    if scale == 0.0 {
-        return 0.0;
-    }
-    data.iter()
-        .zip(back.iter())
-        .map(|(x, y)| (*x - *y).abs() / scale)
-        .fold(0.0, f64::max)
+    factor
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::{sbsmm, BatchDims};
+    use crate::batched::{sbsmm, BatchDims, Strides};
+    use crate::half::F16_MAX;
 
     fn fill(nel: usize, magnitude: f64) -> Vec<C64> {
         (0..nel)
@@ -512,6 +90,20 @@ mod tests {
             / scale
     }
 
+    fn quantized(data: &[C64], normalization: Normalization) -> Vec<C64> {
+        let mut q = data.to_vec();
+        quantize_f16(&mut q, normalization);
+        q
+    }
+
+    /// `A[b] · B[b]` for every item of a packed batch, in f64.
+    fn multiply(dims: BatchDims, batch: usize, a: &[C64], b: &[C64]) -> Vec<C64> {
+        let s = Strides::packed(dims);
+        let mut c = vec![C64::ZERO; batch * s.c];
+        sbsmm(dims, batch, C64::ONE, a, b, C64::ZERO, &mut c, s);
+        c
+    }
+
     #[test]
     fn normalized_multiply_close_to_f64() {
         let dims = BatchDims::square(12);
@@ -520,13 +112,14 @@ mod tests {
         // Small magnitudes like real SSE inputs (G ~ 1e-6 .. 1e-3).
         let a = fill(batch * s.a, 1e-5);
         let b = fill(batch * s.b, 1e-4);
-        let a16 = SplitF16Batch::from_c64(&a, Normalization::PerTensor);
-        let b16 = SplitF16Batch::from_c64(&b, Normalization::PerTensor);
-        let mut c16 = vec![C64::ZERO; batch * s.c];
-        sbsmm_f16(dims, batch, &a16, &b16, &mut c16, s);
-        let mut c64ref = vec![C64::ZERO; batch * s.c];
-        sbsmm(dims, batch, C64::ONE, &a, &b, C64::ZERO, &mut c64ref, s);
-        let err = rel_err(&c16, &c64ref);
+        let (a16, b16) = (
+            quantized(&a, Normalization::PerTensor),
+            quantized(&b, Normalization::PerTensor),
+        );
+        let err = rel_err(
+            &multiply(dims, batch, &a16, &b16),
+            &multiply(dims, batch, &a, &b),
+        );
         assert!(err < 2e-3, "normalized f16 error too large: {err}");
     }
 
@@ -537,31 +130,23 @@ mod tests {
         // Magnitude below the f16 subnormal floor: raw conversion loses all.
         let a = fill(s.a, 1e-11);
         let b = fill(s.b, 1e-11);
-        let a_raw = SplitF16Batch::from_c64(&a, Normalization::None);
-        let b_raw = SplitF16Batch::from_c64(&b, Normalization::None);
-        let mut c_raw = vec![C64::ZERO; s.c];
-        sbsmm_f16(dims, 1, &a_raw, &b_raw, &mut c_raw, s);
+        let a_raw = quantized(&a, Normalization::None);
         assert!(
-            c_raw.iter().all(|z| z.abs() == 0.0),
+            a_raw.iter().all(|z| z.abs() == 0.0),
             "raw f16 must flush to zero"
         );
 
         // Normalized conversion of the same data preserves the product.
-        let a_n = SplitF16Batch::from_c64(&a, Normalization::PerTensor);
-        let b_n = SplitF16Batch::from_c64(&b, Normalization::PerTensor);
-        let mut c_n = vec![C64::ZERO; s.c];
-        sbsmm_f16(dims, 1, &a_n, &b_n, &mut c_n, s);
-        let mut c_ref = vec![C64::ZERO; s.c];
-        sbsmm(dims, 1, C64::ONE, &a, &b, C64::ZERO, &mut c_ref, s);
-        assert!(rel_err(&c_n, &c_ref) < 2e-3);
+        let a_n = quantized(&a, Normalization::PerTensor);
+        let b_n = quantized(&b, Normalization::PerTensor);
+        let err = rel_err(&multiply(dims, 1, &a_n, &b_n), &multiply(dims, 1, &a, &b));
+        assert!(err < 2e-3);
     }
 
     #[test]
     fn clamping_prevents_infinities() {
-        let data = vec![c64(1e9, -1e9); 4];
-        let raw = SplitF16Batch::from_c64(&data, Normalization::None);
-        assert!(raw.re.iter().all(|h| !h.is_infinite()));
-        assert!(raw.im.iter().all(|h| !h.is_infinite()));
+        let raw = quantized(&[c64(1e9, -1e9); 4], Normalization::None);
+        assert!(raw.iter().all(|z| z.re == F16_MAX && z.im == -F16_MAX));
     }
 
     #[test]
@@ -573,8 +158,8 @@ mod tests {
                 c64(mag * ((i as f64).sin()), -mag * ((i as f64).cos()))
             })
             .collect();
-        let e_norm = f16_representation_error(&data, Normalization::PerTensor);
-        let e_raw = f16_representation_error(&data, Normalization::None);
+        let e_norm = rel_err(&quantized(&data, Normalization::PerTensor), &data);
+        let e_raw = rel_err(&quantized(&data, Normalization::None), &data);
         assert!(
             e_norm < e_raw || e_raw == 0.0,
             "normalization should reduce representation error ({e_norm} vs {e_raw})"
@@ -584,18 +169,8 @@ mod tests {
 
     #[test]
     fn zero_tensor_factor_is_one() {
-        let z = vec![C64::ZERO; 8];
-        let b = SplitF16Batch::from_c64(&z, Normalization::PerTensor);
-        assert_eq!(b.factor, 1.0);
-        assert!(b.to_c64().iter().all(|v| v.abs() == 0.0));
-    }
-
-    #[test]
-    fn round_trip_length() {
-        let data = fill(24, 1.0);
-        let b = SplitF16Batch::from_c64(&data, Normalization::PerTensor);
-        assert_eq!(b.len(), 24);
-        assert!(!b.is_empty());
-        assert_eq!(b.to_c64().len(), 24);
+        let mut z = vec![C64::ZERO; 8];
+        assert_eq!(quantize_f16(&mut z, Normalization::PerTensor), 1.0);
+        assert!(z.iter().all(|v| v.abs() == 0.0));
     }
 }

@@ -258,63 +258,6 @@ proptest! {
     }
 
     #[test]
-    fn f16_packed_matches_scalar_f16(
-        m in 1usize..14,
-        n in 1usize..14,
-        k in 1usize..14,
-        batch in 1usize..5,
-        mag in -6.0f64..0.0,
-    ) {
-        // The fused f16 panel path (f16 storage, f64 accumulation through
-        // the micro-kernel) must agree with the scalar split-plane
-        // reference to f32-accumulation tolerance: both quantize
-        // identically, only the accumulation arithmetic differs.
-        let dims = BatchDims { m, n, k };
-        let magnitude = 10f64.powf(mag);
-        let mk = |len: usize, tag: usize| -> Vec<C64> {
-            (0..len)
-                .map(|i| {
-                    c64(
-                        ((i * 37 + tag) as f64).sin() * magnitude,
-                        ((i * 17 + tag) as f64).cos() * magnitude,
-                    )
-                })
-                .collect()
-        };
-        let a = mk(batch * m * k, 1);
-        let b = mk(k * n, 2); // shared B (stage-C shape)
-        let s = Strides { a: m * k, b: 0, c: m * n };
-        let a16 = SplitF16Batch::from_c64(&a, Normalization::PerTensor);
-        let b16 = SplitF16Batch::from_c64(&b, Normalization::PerTensor);
-        let mut c_ref = vec![C64::ZERO; batch * m * n];
-        mixed::sbsmm_f16_raw(
-            dims, batch, &a16.re, &a16.im, &b16.re, &b16.im,
-            1.0 / (a16.factor * b16.factor), &mut c_ref, s,
-        );
-        let mut ap = F16APanels::empty();
-        ap.pack_from_c64(&a, m, k, batch, m * k, Normalization::PerTensor);
-        let mut bp = F16BPanels::empty();
-        bp.pack_from_c64(&b, k, n, 1, k * n, Normalization::PerTensor);
-        prop_assert_eq!(ap.items(), batch);
-        let denorm = 1.0 / (ap.factor * bp.factor);
-        let mut c_got = vec![C64::ZERO; batch * m * n];
-        sbsmm_f16_packed(dims, batch, &ap, 0, &bp, 0, denorm, &mut c_got, m * n);
-        // Identical quantization => identical factors.
-        prop_assert_eq!(ap.factor, a16.factor);
-        prop_assert_eq!(bp.factor, b16.factor);
-        let scale = c_ref.iter().map(|z| z.abs()).fold(1e-300, f64::max);
-        let dev = c_got
-            .iter()
-            .zip(&c_ref)
-            .map(|(x, y)| (*x - *y).abs())
-            .fold(0.0, f64::max);
-        // f32 product-difference rounding in the scalar path vs exact f64
-        // FMA in the packed path: bounded by k ulps of f32.
-        let tol = 4.0 * k as f64 * (f32::EPSILON as f64) * scale;
-        prop_assert!(dev <= tol, "{m}x{n}x{k}: dev {dev:e} > tol {tol:e}");
-    }
-
-    #[test]
     fn sbsmm_matches_gemm(batch in 1usize..5, n in 1usize..8) {
         let dims = BatchDims::square(n);
         let s = Strides::packed(dims);

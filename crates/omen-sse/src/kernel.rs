@@ -19,12 +19,12 @@
 //! relative Σ change between consecutive Born iterations — free to
 //! compute.
 
-use crate::mixed::{sse_mixed_into, MixedConfig, MixedScratch};
+use crate::mixed::{mixed_into, MixedConfig};
 use crate::problem::SseProblem;
 use crate::reference::{sse_reference_into, SseOutput};
 use crate::tensors::{DLayout, DTensor, GLayout, GTensor};
 use crate::transformed::{sse_transformed_into, Transients};
-use omen_linalg::Workspace;
+use omen_linalg::{Workspace, C64};
 
 /// Reusable state shared by every kernel implementation: layout-conversion
 /// staging tensors and the double-buffered outputs.
@@ -261,13 +261,16 @@ impl SseKernel for TransformedKernel {
     }
 }
 
-/// The Tensor-Core-emulating binary16 kernel (§5.4).
+/// The Tensor-Core-emulating binary16 kernel (§5.4): the transformed
+/// schedule with binary16-quantised stage-C operands.
 #[derive(Default)]
 pub struct MixedKernel {
     /// Normalization policy of the f16 conversion.
     pub config: MixedConfig,
     state: KernelState,
-    scratch: MixedScratch,
+    tr: Transients,
+    /// The quantised copies of the `∇H·G^≷` transients.
+    hg16: [Vec<C64>; 2],
 }
 
 impl MixedKernel {
@@ -275,8 +278,7 @@ impl MixedKernel {
     pub fn new(config: MixedConfig) -> Self {
         MixedKernel {
             config,
-            state: KernelState::new(),
-            scratch: MixedScratch::empty(),
+            ..Default::default()
         }
     }
 }
@@ -300,14 +302,13 @@ impl SseKernel for MixedKernel {
         let gg = staged_g(g_g, GLayout::AtomMajor, &mut self.state.gg_conv);
         let dl = staged_d(d_l, DLayout::PointMajor, &mut self.state.dl_conv);
         let dg = staged_d(d_g, DLayout::PointMajor, &mut self.state.dg_conv);
-        sse_mixed_into(
+        mixed_into(
             prob,
-            gl,
-            gg,
-            dl,
-            dg,
+            [gl, gg],
+            [dl, dg],
             self.config,
-            &mut self.scratch,
+            &mut self.tr,
+            &mut self.hg16,
             &mut self.state.out[cur],
         );
         omen_trace::add(omen_trace::Counter::SseFlops, self.state.out[cur].flops);

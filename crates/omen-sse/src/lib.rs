@@ -7,14 +7,16 @@
 //! * [`transformed::sse_transformed`] — the DaCe-transformed kernel
 //!   (map fission, data relayout, strided-batched GEMM, fusion; Fig. 6);
 //! * [`mixed::sse_mixed`] — the Tensor-Core-emulating binary16 variant
-//!   with per-tensor normalization (§5.4).
+//!   with per-tensor normalization (§5.4): the transformed schedule with
+//!   its stage-C operands quantised to binary16.
 //!
 //! All variants compute the same physics; the test suite asserts
 //! elementwise agreement (exact for transformed, ~1e-3 relative for f16).
 //!
 //! The transformed schedule is built from the per-pair leaf stages of
 //! [`stages`], generalised over an energy window; `omen-comm`'s
-//! data-centric plan runs the same leaves on its atom×energy tiles. In one
+//! data-centric plan runs the same leaves on its atom×energy tiles, and the
+//! mixed kernel runs them on quantised operands. In one
 //! address space the transformed and mixed kernels run them as per-atom
 //! tasks of `omen_sched::TaskDag` — the GF sweeps' engine — on
 //! [`SseProblem::workers`] workers, bit-identical at every count and
@@ -37,7 +39,7 @@ pub mod testutil;
 
 pub use flops::{sse_flops_dace, sse_flops_omen, SseFlopParams};
 pub use kernel::{KernelState, MixedKernel, ReferenceKernel, SseKernel, TransformedKernel};
-pub use mixed::{sse_mixed, sse_mixed_into, MixedConfig, MixedScratch};
+pub use mixed::{sse_mixed, MixedConfig};
 pub use point_kernels::{pi_round_update_into, sigma_round_update_ws, DBlocks, GBlocks};
 pub use problem::{compute_rev_pair, SseProblem};
 pub use reference::{

@@ -1,35 +1,29 @@
-//! SSE-16: the mixed-precision SSE kernel of §5.4.
+//! SSE-16: the mixed-precision SSE kernel of §5.4, as the transformed
+//! schedule on binary16 operands.
 //!
-//! The dominant stage-C multiplications of the transformed kernel run in
-//! emulated Tensor-Core arithmetic: the transient tensors are converted to
-//! split-complex binary16 with per-tensor normalization factors derived
-//! from their magnitudes, out-of-range values are clamped, the `f16 × f16`
-//! products accumulate in double precision, and the output is denormalized
-//! by the inverse factors. Π^≷ stays in double precision (its cost is a
-//! factor `Norb` smaller).
-//!
-//! The conversion is the **fused pack-and-convert** pass of
-//! `omen_linalg::mixed`: each transient tensor is normalized, rounded to
-//! binary16 and laid out as split-complex micro-panels in a single sweep
-//! ([`omen_linalg::F16APanels`] / [`omen_linalg::F16BPanels`]), so the f16
-//! batch and the micro-kernel pack buffers — previously two separate
-//! materializations of the same data — are one array at half the bytes.
-//! Stage C then runs the packed FMA micro-kernel with f64 accumulation
-//! ([`omen_linalg::sbsmm_f16_packed`]) over the transformed kernel's loop
-//! nest ([`crate::stages`]), as its per-atom tasks
-//! ([`crate::transformed`]). A per-tensor factor needs the whole tensor,
-//! so the transients are built and converted on the calling thread first.
+//! Stages A and B build the double-precision transients on the calling
+//! thread: a per-tensor normalization factor needs the whole tensor. Then
+//! [`omen_linalg::quantize_f16`] rounds every `∇H·D` block in place, and a
+//! copy of each `∇H·G` tensor, to the value its normalized, clamped
+//! binary16 encodes. Stage C is the transformed kernel's own
+//! [`crate::stages::sigma_pair`] on those operands, as per-atom tasks
+//! ([`crate::transformed`]): f16 operands, f64 products and accumulation,
+//! the paper's Tensor-Core configuration. Stage D reads the unquantised
+//! `∇H·G`, so `Π^≷` stays double precision (its cost is a factor `Norb`
+//! smaller).
 //!
 //! Disabling normalization reproduces the divergence of Fig. 7b: SSE
 //! inputs span ~20 decades and the small magnitudes flush to zero in raw
 //! binary16.
 
+use crate::kernel::{MixedKernel, SseKernel};
 use crate::problem::SseProblem;
 use crate::reference::SseOutput;
-use crate::stages::{sigma_steps, EnergyWindow, SigmaStep};
 use crate::tensors::{DTensor, GTensor};
-use crate::transformed::{build_transients_into, run_atom_tasks, Transients};
-use omen_linalg::{sbsmm_f16_packed, BatchDims, F16APanels, F16BPanels, Normalization};
+use crate::transformed::{
+    build_transients_into, chunk_lens, run_atom_tasks, sigma_atom, Transients,
+};
+use omen_linalg::{quantize_f16, Normalization, C64};
 
 /// Configuration of the mixed-precision kernel.
 #[derive(Clone, Copy, Debug)]
@@ -47,41 +41,8 @@ impl Default for MixedConfig {
     }
 }
 
-/// Reusable storage of the mixed-precision kernel: the double-precision
-/// transients plus their four fused f16 micro-panel conversions (the `hg`
-/// tensors as left-operand panels, the `hd` tensors as right-operand
-/// panels).
-pub struct MixedScratch {
-    /// Stage A/B transients (double precision).
-    pub tr: Transients,
-    hg_l16: F16APanels,
-    hg_g16: F16APanels,
-    hd_l16: F16BPanels,
-    hd_g16: F16BPanels,
-}
-
-impl MixedScratch {
-    /// Empty scratch; buffers materialize on first use.
-    pub fn empty() -> Self {
-        MixedScratch {
-            tr: Transients::empty(),
-            hg_l16: F16APanels::empty(),
-            hg_g16: F16APanels::empty(),
-            hd_l16: F16BPanels::empty(),
-            hd_g16: F16BPanels::empty(),
-        }
-    }
-}
-
-impl Default for MixedScratch {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
-/// Evaluates `Σ^≷`/`Π^≷` with the stage-C multiplications in emulated
-/// Tensor-Core binary16. Inputs as in
-/// [`crate::transformed::sse_transformed`] (AtomMajor `G`).
+/// Evaluates `Σ^≷`/`Π^≷` with the stage-C operands in binary16: one
+/// application of a fresh [`MixedKernel`].
 pub fn sse_mixed(
     prob: &SseProblem,
     g_l: &GTensor,
@@ -90,114 +51,139 @@ pub fn sse_mixed(
     d_g: &DTensor,
     cfg: MixedConfig,
 ) -> SseOutput {
-    let mut scratch = MixedScratch::empty();
-    let mut out = SseOutput::empty();
-    sse_mixed_into(prob, g_l, g_g, d_l, d_g, cfg, &mut scratch, &mut out);
-    out
+    MixedKernel::new(cfg).run(prob, g_l, g_g, d_l, d_g).clone()
 }
 
-/// [`sse_mixed`] with reusable transient/conversion/output storage.
-#[allow(clippy::too_many_arguments)]
-pub fn sse_mixed_into(
+/// One [`MixedKernel`] application (AtomMajor `G`) into the kernel's
+/// storage: the transients `tr` and the quantised `∇H·G` copies `hg16`,
+/// allocation-free once warm.
+pub(crate) fn mixed_into(
     prob: &SseProblem,
-    g_l: &GTensor,
-    g_g: &GTensor,
-    d_l: &DTensor,
-    d_g: &DTensor,
+    [g_l, g_g]: [&GTensor; 2],
+    [d_l, d_g]: [&DTensor; 2],
     cfg: MixedConfig,
-    scratch: &mut MixedScratch,
+    tr: &mut Transients,
+    hg16: &mut [Vec<C64>; 2],
     out: &mut SseOutput,
 ) {
-    let MixedScratch {
-        tr,
-        hg_l16,
-        hg_g16,
-        hd_l16,
-        hd_g16,
-    } = scratch;
-    // One factor per tensor needs every transient before the first
-    // conversion, so stages A and B and the conversion run here, on the
-    // calling thread; stages C and D are the per-atom tasks.
     build_transients_into(prob, g_l, g_g, d_l, d_g, tr);
-
-    let norb = prob.norb();
-    let bsz = norb * norb;
-    let dims = BatchDims::square(norb);
-
-    // Fused pack-and-convert: normalize, clamp, round to binary16 and lay
-    // out as split-complex micro-panels in one pass over each transient
-    // (the paper's "split-complex format", here already in the shape the
-    // packed micro-kernel sweeps).
-    let n_hg = tr.hg_l.len() / bsz;
-    let n_hd = tr.hd_l.len() / bsz;
-    hg_l16.pack_from_c64(&tr.hg_l, norb, norb, n_hg, bsz, cfg.normalization);
-    hg_g16.pack_from_c64(&tr.hg_g, norb, norb, n_hg, bsz, cfg.normalization);
-    hd_l16.pack_from_c64(&tr.hd_l, norb, norb, n_hd, bsz, cfg.normalization);
-    hd_g16.pack_from_c64(&tr.hd_g, norb, norb, n_hd, bsz, cfg.normalization);
-    let (hg16, hd16) = ([&*hg_l16, &*hg_g16], [&*hd_l16, &*hd_g16]);
-    // `denorm[side][d]` undoes the factors of `hg[side] · hd[d]`.
-    let denorm = hg16.map(|hg| hd16.map(|hd| 1.0 / (hg.factor * hd.factor)));
-    let win = EnergyWindow::full(prob.ne);
-    // Panel items per directed pair (`hg` items are e-contiguous).
-    let (hg_items, hd_items) = (3 * prob.nk * prob.ne, 3 * prob.nq * prob.nw);
-
-    // Stage C in binary16 on the transformed kernel's loop nest; Π stays
-    // double precision: its stage D.
-    run_atom_tasks(prob, tr, out, |a, _, mut sigma, _| {
-        let mut flops = 0;
-        for (p, _) in prob.pairs_of(a) {
-            let mut hd_item = 0;
-            flops += sigma_steps(prob, &win, |step| match step {
-                SigmaStep::Block(block) => hd_item = p * hd_items + block,
-                SigmaStep::Mac { n, side, ax, d, cx } => sbsmm_f16_packed(
-                    dims,
-                    n,
-                    hg16[side],
-                    p * hg_items + ax,
-                    hd16[d],
-                    hd_item,
-                    denorm[side][d],
-                    &mut sigma[side][cx * bsz..(cx + n) * bsz],
-                    bsz,
-                ),
-            });
-        }
-        if prob.scale_sigma != 1.0 {
-            for v in sigma.iter_mut().flat_map(|s| s.iter_mut()) {
-                *v = v.scale(prob.scale_sigma);
-            }
-        }
-        flops
+    for hd in [&mut tr.hd_l, &mut tr.hd_g] {
+        quantize_f16(hd, cfg.normalization);
+    }
+    for (q, hg) in hg16.iter_mut().zip([&tr.hg_l, &tr.hg_g]) {
+        q.clear();
+        q.extend_from_slice(hg);
+        quantize_f16(q, cfg.normalization);
+    }
+    let [q_l, q_g] = &*hg16;
+    let offsets = &prob.device.neighbors.offsets;
+    let (hg_chunk, _, _) = chunk_lens(prob);
+    run_atom_tasks(prob, tr, out, |a, chunks, out, scratch| {
+        let run = offsets[a] * hg_chunk..offsets[a + 1] * hg_chunk;
+        let hg = [&q_l[run.clone()], &q_g[run]];
+        let [hd_l, hd_g] = &chunks.hd;
+        sigma_atom(prob, hg, [hd_l, hd_g], scratch, out)
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::TransformedKernel;
+    use crate::stages::EnergyWindow;
     use crate::tensors::GLayout;
-    use crate::testutil::{random_inputs, tiny_device, tiny_problem};
+    use crate::testutil::{random_inputs, sigma_pair_scalar, tiny_device, tiny_problem};
     use crate::transformed::sse_transformed;
+    use omen_device::{DeviceConfig, DeviceStructure};
 
     fn rel_dev_g(a: &GTensor, b: &GTensor) -> f64 {
         a.max_deviation(b) / b.max_abs().max(1e-300)
     }
 
+    /// `Σ^≷` (AtomMajor) from stage C one block at a time
+    /// ([`sigma_pair_scalar`]) on the `quantize_f16`'d transients.
+    fn sigma_scalar_f16(
+        prob: &SseProblem,
+        [g_l, g_g]: [&GTensor; 2],
+        [d_l, d_g]: [&DTensor; 2],
+    ) -> [Vec<C64>; 2] {
+        let mut tr = Transients::empty();
+        build_transients_into(prob, g_l, g_g, d_l, d_g, &mut tr);
+        for t in [&mut tr.hg_l, &mut tr.hg_g, &mut tr.hd_l, &mut tr.hd_g] {
+            quantize_f16(t, Normalization::PerTensor);
+        }
+        let (hg_chunk, hd_chunk, run) = chunk_lens(prob);
+        let win = EnergyWindow::full(prob.ne);
+        let mut s_l = vec![C64::ZERO; prob.na() * run];
+        let mut s_g = s_l.clone();
+        for a in 0..prob.na() {
+            let (o_l, o_g) = (&mut s_l[a * run..][..run], &mut s_g[a * run..][..run]);
+            for (p, _) in prob.pairs_of(a) {
+                let hg = p * hg_chunk..(p + 1) * hg_chunk;
+                let hd = p * hd_chunk..(p + 1) * hd_chunk;
+                let (hg_l, hg_g) = (&tr.hg_l[hg.clone()], &tr.hg_g[hg]);
+                let (hd_l, hd_g) = (&tr.hd_l[hd.clone()], &tr.hd_g[hd]);
+                sigma_pair_scalar(prob, &win, hg_l, hg_g, hd_l, hd_g, o_l, o_g);
+            }
+        }
+        [s_l, s_g]
+    }
+
     #[test]
     fn normalized_f16_close_to_f64() {
-        let dev = tiny_device();
-        let prob = tiny_problem(&dev);
-        let (gl, gg, dl, dg) = random_inputs(&prob, 77);
-        let gl = gl.to_layout(GLayout::AtomMajor);
-        let gg = gg.to_layout(GLayout::AtomMajor);
-        let exact = sse_transformed(&prob, &gl, &gg, &dl, &dg);
-        let mixed = sse_mixed(&prob, &gl, &gg, &dl, &dg, MixedConfig::default());
-        let err_l = rel_dev_g(&mixed.sigma_l, &exact.sigma_l);
-        let err_g = rel_dev_g(&mixed.sigma_g, &exact.sigma_g);
-        assert!(err_l < 5e-3, "Σ< f16 error {err_l}");
-        assert!(err_g < 5e-3, "Σ> f16 error {err_g}");
-        // Π is double precision: should agree tightly.
-        let err_pi = mixed.pi_l.max_deviation(&exact.pi_l) / exact.pi_l.max_abs().max(1e-300);
-        assert!(err_pi < 1e-12, "Π must stay f64-exact: {err_pi}");
+        let devices = [
+            tiny_device(),
+            DeviceStructure::build(DeviceConfig {
+                norb: 3,
+                ..DeviceConfig::tiny()
+            }),
+            // 6×6 blocks take stage C's packed `sbsmm_pb` path.
+            DeviceStructure::build(DeviceConfig {
+                nx: 4,
+                norb: 6,
+                ..DeviceConfig::tiny()
+            }),
+        ];
+        let probs = [
+            tiny_problem(&devices[0]),
+            SseProblem::new(&devices[1], 2, 8, 2, 3, 0.7, 1.3),
+            SseProblem::new(&devices[2], 2, 6, 2, 2, 1.0, 1.0),
+        ];
+        for prob in &probs {
+            let norb = prob.norb();
+            let (gl, gg, dl, dg) = random_inputs(prob, 77);
+            let gl = gl.to_layout(GLayout::AtomMajor);
+            let gg = gg.to_layout(GLayout::AtomMajor);
+            let mut transformed = TransformedKernel::new();
+            let exact = transformed.run(prob, &gl, &gg, &dl, &dg);
+            let mut kernel = MixedKernel::default();
+            let mixed = kernel.run(prob, &gl, &gg, &dl, &dg);
+            let err_l = rel_dev_g(&mixed.sigma_l, &exact.sigma_l);
+            let err_g = rel_dev_g(&mixed.sigma_g, &exact.sigma_g);
+            assert!(err_l < 5e-3, "Norb {norb}: Σ< f16 error {err_l}");
+            assert!(err_g < 5e-3, "Norb {norb}: Σ> f16 error {err_g}");
+            // Σ is stage C on quantised operands, nothing else.
+            let want = sigma_scalar_f16(prob, [&gl, &gg], [&dl, &dg]);
+            for (got, want) in [&mixed.sigma_l, &mixed.sigma_g].into_iter().zip(want) {
+                let scale = want.iter().map(|z| z.abs()).fold(1e-300, f64::max);
+                let dev = (got.as_slice().iter().zip(&want))
+                    .map(|(x, y)| (*x - *y).abs())
+                    .fold(0.0, f64::max);
+                assert!(dev / scale < 1e-13, "Norb {norb}: Σ vs oracle {dev:e}");
+            }
+            // Π is stage D on the unquantised `∇H·G`: the transformed
+            // kernel's bits, and the same work.
+            for (m, e) in [(&mixed.pi_l, &exact.pi_l), (&mixed.pi_g, &exact.pi_g)] {
+                let bits = |t: &DTensor| {
+                    let values = t.as_slice().iter();
+                    values
+                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(m), bits(e), "Norb {norb}: Π must be f64-exact");
+            }
+            assert_eq!(mixed.flops, exact.flops);
+        }
     }
 
     #[test]

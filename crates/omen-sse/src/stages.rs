@@ -2,8 +2,9 @@
 //! pair at a time over an [`EnergyWindow`].
 //!
 //! [`crate::transformed`] calls them on slices of its materialised
-//! transients with the full window; the atom×energy tiles of
-//! `omen-comm`'s data-centric plan call the same functions on per-pair
+//! transients with the full window, and [`crate::mixed`] calls stage C on
+//! binary16-quantised copies of the same transients; the atom×energy tiles
+//! of `omen-comm`'s data-centric plan call the same functions on per-pair
 //! stream buffers with their own window — one kernel, two schedules. All
 //! operands are slices, so any block store that can hand out a contiguous
 //! energy run feeds them.
@@ -109,67 +110,6 @@ impl Stencil {
     }
 }
 
-/// One step of a pair's stage-C loop nest, in execution order.
-pub(crate) enum SigmaStep {
-    /// The pair's `∇H·D` blocks `[(i·Nqz + qz)·Nω + m]`, lesser and
-    /// greater, are the right operands of the updates that follow.
-    Block(usize),
-    /// `side[cx..] += side[ax..] · ∇H·D[d]` over `n > 0` energies, offsets
-    /// in blocks: `ax` into the pair's `[i][kz][E − halo.lo]` stream, `cx`
-    /// into `Σ_aa`'s `[kz][E − own.lo]`.
-    Mac {
-        n: usize,
-        side: usize,
-        ax: usize,
-        d: usize,
-        cx: usize,
-    },
-}
-
-/// The `(i, qz, ω, kz)` loop nest of stage C for one directed pair, shared
-/// by the double-precision and binary16 kernels: per `(i, qz, ω)` one
-/// [`SigmaStep::Block`], then per `kz` the emission updates of both sides
-/// followed by the absorption updates. Returns the flops of the updates.
-pub(crate) fn sigma_steps(
-    prob: &SseProblem,
-    win: &EnergyWindow,
-    mut step: impl FnMut(SigmaStep),
-) -> u64 {
-    let dims = BatchDims::square(prob.norb());
-    let (nk, nq, nw) = (prob.nk, prob.nq, prob.nw);
-    let (hw, ew) = (win.halo_len(), win.own_len());
-    let mut flops = 0u64;
-    for i in 0..3 {
-        for q in 0..nq {
-            for m in 0..nw {
-                let st = Stencil::new(win, prob.omega_steps(m));
-                if st.n_em + st.n_ab == 0 {
-                    continue;
-                }
-                step(SigmaStep::Block((i * nq + q) * nw + m));
-                let mut mac = |n, side, ax, d, cx| {
-                    if n > 0 {
-                        step(SigmaStep::Mac { n, side, ax, d, cx });
-                    }
-                };
-                for k in 0..nk {
-                    let from = (i * nk + prob.k_minus_q(k, q)) * hw;
-                    let a_em = from + st.em_lo - st.steps - win.halo.0;
-                    let a_ab = from + win.own.0 + st.steps - win.halo.0;
-                    let c_em = k * ew + st.em_lo - win.own.0;
-                    let c_ab = k * ew;
-                    mac(st.n_em, 0, a_em, 0, c_em);
-                    mac(st.n_em, 1, a_em, 1, c_em);
-                    mac(st.n_ab, 0, a_ab, 1, c_ab);
-                    mac(st.n_ab, 1, a_ab, 0, c_ab);
-                    flops += 2 * (st.n_em + st.n_ab) as u64 * dims.flops();
-                }
-            }
-        }
-    }
-    flops
-}
-
 /// Stage C for one directed pair `a → b`: adds the pair's share of the
 /// scaled `Σ^≷_aa` over the window's own energies.
 ///
@@ -184,9 +124,9 @@ pub(crate) fn sigma_steps(
 /// Tiny blocks turn the batch into the SIMD axis instead: the pair's `hg`
 /// stream is packed once into energy planes, every update is a
 /// [`planes_mac`] over an energy run, and the accumulated planes are added
-/// to `out` once. Either way an output element receives its `(i, qz, ω)`
-/// terms in loop order, emission before absorption, whatever the window.
-/// Returns the flops performed.
+/// to `out` once. Either way the loop nest is `(i, qz, ω, kz)`, and an
+/// output element receives its `(i, qz, ω)` terms in loop order, emission
+/// before absorption, whatever the window. Returns the flops performed.
 #[allow(clippy::too_many_arguments)]
 pub fn sigma_pair(
     prob: &SseProblem,
@@ -202,6 +142,7 @@ pub fn sigma_pair(
     let norb = prob.norb();
     let bsz = norb * norb;
     let dims = BatchDims::square(norb);
+    let (nk, nq, nw) = (prob.nk, prob.nq, prob.nw);
     let (hw, ew) = (win.halo_len(), win.own_len());
     let packed = use_packed_kernel(dims);
     // Lesser and greater side by side; an update reads and writes the
@@ -225,29 +166,59 @@ pub fn sigma_pair(
             acc.resize(prob.nk * acc_run, 0.0);
         }
     }
-    let flops = sigma_steps(prob, win, |step| match step {
-        SigmaStep::Block(block) => {
-            for ((w, pb), hd) in w.iter_mut().zip(pb.iter_mut()).zip([hd_l, hd_g]) {
-                w.clear();
-                let block = &hd[block * bsz..(block + 1) * bsz];
-                w.extend(block.iter().map(|z| z.scale(prob.scale_sigma)));
-                if packed {
-                    pb.pack(norb, norb, w);
+    let mut flops = 0u64;
+    for i in 0..3 {
+        for q in 0..nq {
+            for m in 0..nw {
+                let st = Stencil::new(win, prob.omega_steps(m));
+                if st.n_em + st.n_ab == 0 {
+                    continue;
+                }
+                // The pair's `∇H·D` blocks `[i][qz][ω]`, lesser and greater,
+                // are the right operands of every update below.
+                let block = (i * nq + q) * nw + m;
+                for ((w, pb), hd) in w.iter_mut().zip(pb.iter_mut()).zip([hd_l, hd_g]) {
+                    w.clear();
+                    let block = &hd[block * bsz..(block + 1) * bsz];
+                    w.extend(block.iter().map(|z| z.scale(prob.scale_sigma)));
+                    if packed {
+                        pb.pack(norb, norb, w);
+                    }
+                }
+                // `side[cx..] += side[ax..] · ∇H·D[d]` over `n` energies,
+                // offsets in blocks: `ax` into the pair's
+                // `[i][kz][E − halo.lo]` stream, `cx` into `Σ_aa`'s
+                // `[kz][E − own.lo]`.
+                let mut mac = |n: usize, side: usize, ax: usize, d: usize, cx: usize| {
+                    if n == 0 {
+                        return;
+                    }
+                    if packed {
+                        let (a, c) = (&hg[side][ax * bsz..], &mut out[side][cx * bsz..]);
+                        sbsmm_pb(dims, n, C64::ONE, a, bsz, &pb[d], C64::ONE, c, bsz);
+                    } else {
+                        // `2·Norb²` planes per `(i, kz)` run, the energy
+                        // inside a plane.
+                        let a = &src[side][(ax / hw) * src_run + ax % hw..];
+                        let c = &mut acc[side][(cx / ew) * acc_run + cx % ew..];
+                        planes_mac(norb, n, a, hw, &w[d], c, ew);
+                    }
+                };
+                for k in 0..nk {
+                    let from = (i * nk + prob.k_minus_q(k, q)) * hw;
+                    let a_em = from + st.em_lo - st.steps - win.halo.0;
+                    let a_ab = from + win.own.0 + st.steps - win.halo.0;
+                    let c_em = k * ew + st.em_lo - win.own.0;
+                    let c_ab = k * ew;
+                    mac(st.n_em, 0, a_em, 0, c_em);
+                    mac(st.n_em, 1, a_em, 1, c_em);
+                    mac(st.n_ab, 0, a_ab, 1, c_ab);
+                    mac(st.n_ab, 1, a_ab, 0, c_ab);
+                    flops += 2 * (st.n_em + st.n_ab) as u64 * dims.flops();
                 }
             }
         }
-        SigmaStep::Mac { n, side, ax, d, cx } if packed => {
-            let (a, c) = (&hg[side][ax * bsz..], &mut out[side][cx * bsz..]);
-            sbsmm_pb(dims, n, C64::ONE, a, bsz, &pb[d], C64::ONE, c, bsz);
-        }
-        SigmaStep::Mac { n, side, ax, d, cx } => {
-            // `2·Norb²` planes per `(i, kz)` run, the energy inside a
-            // plane.
-            let a = &src[side][(ax / hw) * src_run + ax % hw..];
-            let c = &mut acc[side][(cx / ew) * acc_run + cx % ew..];
-            planes_mac(norb, n, a, hw, &w[d], c, ew);
-        }
-    });
+    }
     if !packed {
         for (acc, out) in acc.iter().zip(out) {
             add_planes(norb, ew, acc, out);

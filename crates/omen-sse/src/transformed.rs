@@ -38,8 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The kernel's reusable storage: the transient arrays produced by map
-/// fission (step ❶) — public so the mixed-precision kernel can convert
-/// them — and one pair-stage scratch per worker.
+/// fission (step ❶), as [`build_transients_into`] leaves them, and one
+/// pair-stage scratch per worker.
 #[derive(Default)]
 pub struct Transients {
     /// `∇H·G^<` blocks: layout `[pair][i][kz][E][Norb²]`.
@@ -84,7 +84,7 @@ impl Transients {
 
 /// Elements of one directed pair's `hg` and `hd` streams and of one
 /// atom's `Σ` block rows.
-fn chunk_lens(prob: &SseProblem) -> (usize, usize, usize) {
+pub(crate) fn chunk_lens(prob: &SseProblem) -> (usize, usize, usize) {
     let bsz = prob.norb() * prob.norb();
     let run = prob.nk * prob.ne * bsz;
     (3 * run, 3 * prob.nq * prob.nw * bsz, run)
@@ -94,7 +94,7 @@ fn chunk_lens(prob: &SseProblem) -> (usize, usize, usize) {
 /// `[pair − first pair of a][i][…]`, lesser and greater.
 pub(crate) struct AtomChunks<'a> {
     hg: [&'a mut [C64]; 2],
-    hd: [&'a mut [C64]; 2],
+    pub(crate) hd: [&'a mut [C64]; 2],
 }
 
 /// `buf` cut at atom boundaries, `per_pair` elements for each of an atom's
@@ -230,20 +230,31 @@ pub fn sse_transformed_into(
     out: &mut SseOutput,
 ) {
     let (g, d) = ([g_l, g_g], [d_l, d_g]);
-    run_atom_tasks(prob, tr, out, |a, chunks, [out_l, out_g], scratch| {
+    run_atom_tasks(prob, tr, out, |a, chunks, out, scratch| {
         build_atom(prob, g, d, a, chunks);
-        // Stage C: the atom's pairs, in order, into its own `Σ^≷` chunk.
-        let (hg_chunk, hd_chunk, _) = chunk_lens(prob);
-        let win = EnergyWindow::full(prob.ne);
-        let [hg_l, hg_g] = &chunks.hg;
-        let [hd_l, hd_g] = &chunks.hd;
-        (hg_l.chunks(hg_chunk).zip(hg_g.chunks(hg_chunk)))
-            .zip(hd_l.chunks(hd_chunk).zip(hd_g.chunks(hd_chunk)))
-            .map(|((hg_l, hg_g), (hd_l, hd_g))| {
-                sigma_pair(prob, &win, hg_l, hg_g, hd_l, hd_g, scratch, out_l, out_g)
-            })
-            .sum()
+        let ([hg_l, hg_g], [hd_l, hd_g]) = (&chunks.hg, &chunks.hd);
+        sigma_atom(prob, [hg_l, hg_g], [hd_l, hd_g], scratch, out)
     });
+}
+
+/// Stage C for one atom: its directed pairs, in order, into its own
+/// `Σ^≷` chunk, from the atom's `∇H·G` (`hg`) and `∇H·D` (`hd`) streams.
+/// Returns the flops performed.
+pub(crate) fn sigma_atom(
+    prob: &SseProblem,
+    [hg_l, hg_g]: [&[C64]; 2],
+    [hd_l, hd_g]: [&[C64]; 2],
+    scratch: &mut PlaneScratch,
+    [out_l, out_g]: [&mut [C64]; 2],
+) -> u64 {
+    let (hg_chunk, hd_chunk, _) = chunk_lens(prob);
+    let win = EnergyWindow::full(prob.ne);
+    (hg_l.chunks(hg_chunk).zip(hg_g.chunks(hg_chunk)))
+        .zip(hd_l.chunks(hd_chunk).zip(hd_g.chunks(hd_chunk)))
+        .map(|((hg_l, hg_g), (hd_l, hd_g))| {
+            sigma_pair(prob, &win, hg_l, hg_g, hd_l, hd_g, scratch, out_l, out_g)
+        })
+        .sum()
 }
 
 /// One application of a transformed-schedule kernel as tasks that follow

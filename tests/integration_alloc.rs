@@ -18,15 +18,13 @@ use std::cell::Cell;
 use dace_omen::comm::{DacePlan, DaceTiling, OmenGrid};
 use dace_omen::core::{ExecutorKind, Simulation, SimulationConfig};
 use dace_omen::device::{DeviceConfig, DeviceStructure};
-use dace_omen::linalg::{
-    c64, sbsmm, sbsmm_f16_packed, sbsmm_pb, BatchDims, F16APanels, F16BPanels, Normalization,
-    PackedB, Strides, Workspace, C64,
-};
+use dace_omen::linalg::{c64, sbsmm, sbsmm_pb, BatchDims, PackedB, Strides, Workspace, C64};
 use dace_omen::rgf::testutil::test_system;
 use dace_omen::rgf::{rgf_solve_into, RgfInputs, RgfSolution};
 use dace_omen::sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use dace_omen::sse::{
-    sse_reference_into, sse_transformed_into, GLayout, SseOutput, SseProblem, Transients,
+    sse_reference_into, sse_transformed_into, GLayout, MixedConfig, MixedKernel, SseKernel,
+    SseOutput, SseProblem, Transients,
 };
 use dace_omen::trace;
 
@@ -215,10 +213,24 @@ fn steady_state_hot_path_is_allocation_free() {
     );
     assert_eq!(tile_flops, plan_out.flops, "same work as inside the run");
 
-    // ---- Batched path: packed sbsmm (stage-C shape: A strided, B shared),
-    // the prepacked-B sweep, and the fused f16 pack-and-convert. One
-    // warmup call sizes the thread-local BatchArena and the panel
-    // buffers; the second pass must not touch the heap. ----
+    // ---- Mixed-precision kernel: the transformed schedule on quantised
+    // operands, warm at the `sse_heavy` shape on one worker — its
+    // transients, the two quantised `∇H·G` copies, the pair scratch and
+    // the double-buffered outputs (two warmup runs fill both halves). ----
+    let mut mixed = MixedKernel::new(MixedConfig::default());
+    mixed.run(&heavy, &hgl, &hgg, &hdl, &hdg);
+    mixed.run(&heavy, &hgl, &hgg, &hdl, &hdg);
+    let mixed_allocs = count_allocations(|| {
+        mixed.run(&heavy, &hgl, &hgg, &hdl, &hdg);
+    });
+    assert_eq!(
+        mixed_allocs, 0,
+        "warm MixedKernel::run allocated {mixed_allocs} times"
+    );
+
+    // ---- Batched path: packed sbsmm (stage-C shape: A strided, B shared)
+    // and the prepacked-B sweep. One warmup call sizes the thread-local
+    // BatchArena; the second pass must not touch the heap. ----
     let dims = BatchDims::square(12);
     let bsz = 12 * 12;
     let batch = 32;
@@ -233,24 +245,15 @@ fn steady_state_hot_path_is_allocation_free() {
     let b: Vec<C64> = (0..bsz).map(|i| c64(1e-3, i as f64 * 1e-5)).collect();
     let mut c = vec![C64::ZERO; batch * bsz];
     let mut pb = PackedB::empty();
-    let mut a16 = F16APanels::empty();
-    let mut b16 = F16BPanels::empty();
     // Warmup.
     sbsmm(dims, batch, C64::ONE, &a, &b, C64::ZERO, &mut c, s);
     pb.pack(12, 12, &b);
     sbsmm_pb(dims, batch, C64::ONE, &a, s.a, &pb, C64::ONE, &mut c, s.c);
-    a16.pack_from_c64(&a, 12, 12, batch, bsz, Normalization::PerTensor);
-    b16.pack_from_c64(&b, 12, 12, 1, bsz, Normalization::PerTensor);
-    let denorm = 1.0 / (a16.factor * b16.factor);
-    sbsmm_f16_packed(dims, batch, &a16, 0, &b16, 0, denorm, &mut c, bsz);
 
     let batched_allocs = count_allocations(|| {
         sbsmm(dims, batch, C64::ONE, &a, &b, C64::ZERO, &mut c, s);
         pb.pack(12, 12, &b);
         sbsmm_pb(dims, batch, C64::ONE, &a, s.a, &pb, C64::ONE, &mut c, s.c);
-        a16.pack_from_c64(&a, 12, 12, batch, bsz, Normalization::PerTensor);
-        b16.pack_from_c64(&b, 12, 12, 1, bsz, Normalization::PerTensor);
-        sbsmm_f16_packed(dims, batch, &a16, 0, &b16, 0, denorm, &mut c, bsz);
     });
     assert_eq!(
         batched_allocs, 0,
