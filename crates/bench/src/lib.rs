@@ -202,8 +202,8 @@ pub fn sse_eager(
             let rev = prob.rev_pair[pair];
             for q in 0..prob.nq {
                 for m in 0..prob.nw {
-                    let dc_l = d_combination(d_l, q, m, pair, rev, a, b);
-                    let dc_g = d_combination(d_g, q, m, pair, rev, a, b);
+                    let dc_l = d_combination(d_l, q, m, pair, rev, a, b, prob.npairs());
+                    let dc_g = d_combination(d_g, q, m, pair, rev, a, b, prob.npairs());
                     let steps = prob.omega_steps(m);
                     for i in 0..3 {
                         let mut c_l = CMatrix::zeros(norb, norb);

@@ -32,12 +32,12 @@
 //! [`run_dace_plan`] is the cold one-shot wrapper.
 
 use crate::mpi_sim::{run_world_on, Comm};
-use crate::plan_common::{deposit_rows, reset_output, PlanResult, RowRef};
+use crate::plan_common::{deposit_rows, owned_rows, reset_output, PlanResult};
 use crate::topology::{DaceTiling, OmenGrid};
 use crate::volume::VolumeLedger;
 use omen_linalg::{BatchDims, PlaneScratch, C64};
 use omen_sse::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
-use omen_sse::{d_combination_from, DBlocks, DTensor, GTensor, SseOutput, SseProblem, D_BSZ};
+use omen_sse::{d_combination, DBlocks, DTensor, GTensor, SseOutput, SseProblem, D_BSZ};
 
 fn sorted_unique(mut v: Vec<usize>) -> Vec<usize> {
     v.sort_unstable();
@@ -263,8 +263,8 @@ impl DaceTile {
                 grad_g(dims, &grads[rev], &g_g[ga..ga + run], hr_g);
                 for q in 0..nq {
                     for m in 0..nw {
-                        let dc_l = d_combination_from(&td_l, q, m, p, rev, a, b, npairs);
-                        let dc_g = d_combination_from(&td_g, q, m, p, rev, a, b, npairs);
+                        let dc_l = d_combination(&td_l, q, m, p, rev, a, b, npairs);
+                        let dc_g = d_combination(&td_g, q, m, p, rev, a, b, npairs);
                         for i in 0..3 {
                             let o = ((i * nq + q) * nw + m) * bsz;
                             d_grad(&dc_l, i, &grads[rev], &mut hd_l[o..o + bsz]);
@@ -445,17 +445,6 @@ impl DaceTile {
         }
         flops
     }
-
-    /// The owned rows of `rows`, `len` elements each, keyed by `points`.
-    fn owned<'r>(
-        points: &'r [(usize, usize)],
-        rows: &'r [Vec<C64>; 2],
-        len: usize,
-    ) -> impl Iterator<Item = RowRef<'r>> {
-        let [l, g] = rows;
-        let rows = l.chunks_exact(len).zip(g.chunks_exact(len));
-        points.iter().zip(rows).map(|(&at, (l, g))| (at, l, g))
-    }
 }
 
 /// The data-centric plan for one `(problem shape, grid, tiling)`: the
@@ -538,9 +527,9 @@ impl DacePlan {
         reset_output(prob, out);
         let (na, bsz) = (prob.na(), prob.norb() * prob.norb());
         for (rank, tile) in tiles.iter().enumerate() {
-            let sigma = DaceTile::owned(&shape.owned_pairs[rank], &tile.sigma_rows, na * bsz);
+            let sigma = owned_rows(&shape.owned_pairs[rank], &tile.sigma_rows, na * bsz);
             let pi_len = (prob.npairs() + na) * D_BSZ;
-            let pi = DaceTile::owned(&shape.phonon_points[rank], &tile.pi_rows, pi_len);
+            let pi = owned_rows(&shape.phonon_points[rank], &tile.pi_rows, pi_len);
             // Stage C scaled Σ on the way; Π partials are still raw.
             deposit_rows(out, (1.0, prob.scale_pi), sigma, pi);
         }

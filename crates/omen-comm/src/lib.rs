@@ -70,7 +70,7 @@ pub use dace_plan::{
 pub use mpi_sim::{payload_bytes, run_world, run_world_on, Comm};
 pub use netmodel::Network;
 pub use omen_plan::run_omen_plan;
-pub use plan_common::{CombinedG, PlanResult, RankSse};
+pub use plan_common::{CombinedG, PlanResult};
 pub use plan_kernel::{CommPlan, PlanKernel};
 pub use sse_state::{LocalD, LocalG};
 pub use staging::{

@@ -9,14 +9,19 @@
 //!
 //! Every `G` row is replicated `O(Nqz·Nω)` times over the iteration — the
 //! multiplicative communication volume the data-centric variant removes.
+//!
+//! A round's compute is `omen-sse`'s one untransformed loop nest,
+//! [`omen_round`], over the rank's points: `Σ^≷` is bitwise
+//! `sse_reference`'s at every rank count, `Π^≷` at one rank and within
+//! 1e-12 at more, where the reduction sums the ranks' partials.
 
 use crate::mpi_sim::{run_world, Comm};
-use crate::plan_common::{assemble, CombinedG, PlanResult, RankSse};
+use crate::plan_common::{deposit_rows, owned_rows, reset_output, CombinedG, PlanResult};
 use crate::sse_state::{LocalD, LocalG};
 use crate::topology::OmenGrid;
 use crate::volume::VolumeLedger;
 use omen_linalg::{Workspace, C64};
-use omen_sse::{pi_round_update_into, sigma_round_update_ws, DTensor, GTensor, SseProblem};
+use omen_sse::{omen_round, DTensor, GTensor, SseOutput, SseProblem, D_BSZ};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The `(k', e')` rows rank `r` must fetch in round `(q, m)`, excluding
@@ -46,6 +51,16 @@ fn needed_points(
     need
 }
 
+/// One rank's rows, unscaled: `Σ^≷` of the `(k, e)` points it owns and
+/// the reduced `Π^≷` of the `(q, m)` rounds it roots, each in point order.
+struct RankRows {
+    owned: Vec<(usize, usize)>,
+    sigma: [Vec<C64>; 2],
+    rooted: Vec<(usize, usize)>,
+    pi: [Vec<C64>; 2],
+    flops: u64,
+}
+
 /// Executes the OMEN-decomposed SSE on `grid.nranks()` simulated ranks and
 /// returns the assembled self-energies plus the byte ledger.
 pub fn run_omen_plan(
@@ -62,22 +77,14 @@ pub fn run_omen_plan(
     let bsz = prob.norb() * prob.norb();
     let na = prob.na();
     let nentries = prob.npairs() + na;
-    let all_pairs: Vec<usize> = (0..prob.npairs()).collect();
 
     let outputs = run_world(nranks, ledger.clone(), |comm: Comm| {
         let me = comm.rank();
         let owned = grid.owned_pairs(me);
-
-        // Σ accumulators for owned pairs.
-        let mut sig: BTreeMap<(usize, usize), (Vec<C64>, Vec<C64>)> = owned
-            .iter()
-            .map(|&p| (p, (vec![C64::ZERO; na * bsz], vec![C64::ZERO; na * bsz])))
-            .collect();
-        // Π results for owned phonon points.
-        let mut pi_out: crate::plan_common::RankRows = Vec::new();
-        // One scratch workspace and one Π update list for the whole rank.
+        let mut sigma = [(); 2].map(|_| vec![C64::ZERO; owned.len() * na * bsz]);
+        let mut rooted = Vec::new();
+        let mut pi = [Vec::new(), Vec::new()];
         let mut ws = Workspace::new();
-        let mut pi_updates = Vec::new();
         let mut flops = 0u64;
 
         for q in 0..prob.nq {
@@ -151,66 +158,56 @@ pub fn run_omen_plan(
                 let (view_l, view_g) = (view(g_l, &extra_l), view(g_g, &extra_g));
 
                 // --- 3. compute Σ and partial Π ---
-                let mut pi_partial_l = vec![C64::ZERO; nentries * 9];
-                let mut pi_partial_g = vec![C64::ZERO; nentries * 9];
-                for &(k, e) in &owned {
-                    let (acc_l, acc_g) = sig.get_mut(&(k, e)).unwrap();
-                    flops += sigma_round_update_ws(
-                        prob, q, m, k, e, &view_l, &view_g, &round_dl, &round_dg, acc_l, acc_g,
-                        &mut ws,
-                    );
-                    flops += pi_round_update_into(
-                        prob,
-                        q,
-                        m,
-                        k,
-                        e,
-                        &view_l,
-                        &view_g,
-                        &all_pairs,
-                        &mut ws,
-                        &mut pi_updates,
-                    );
-                    for &(p, c_l, c_g) in &pi_updates {
-                        let a = prob.device.neighbors.pairs[p].from;
-                        let de = prob.npairs() + a;
-                        for x in 0..9 {
-                            pi_partial_l[p * 9 + x] += c_l[x];
-                            pi_partial_l[de * 9 + x] += c_l[x];
-                            pi_partial_g[p * 9 + x] += c_g[x];
-                            pi_partial_g[de * 9 + x] += c_g[x];
-                        }
-                    }
-                }
+                let mut pi_partial = [(); 2].map(|_| vec![C64::ZERO; nentries * D_BSZ]);
+                flops += omen_round(
+                    prob,
+                    (q, m),
+                    owned.iter().copied(),
+                    [&view_l, &view_g],
+                    [&round_dl, &round_dg],
+                    sigma.each_mut().map(|s| &mut s[..]),
+                    pi_partial.each_mut().map(|p| &mut p[..]),
+                    &mut ws,
+                );
 
                 // --- 4. reduce Π^≷(q, m) to the owner ---
-                comm.reduce_sum(root, base_tag + 3, &mut pi_partial_l);
-                comm.reduce_sum(root, base_tag + 4, &mut pi_partial_g);
+                let [pi_partial_l, pi_partial_g] = &mut pi_partial;
+                comm.reduce_sum(root, base_tag + 3, pi_partial_l);
+                comm.reduce_sum(root, base_tag + 4, pi_partial_g);
                 if me == root {
-                    pi_out.push(((q, m), pi_partial_l, pi_partial_g));
+                    rooted.push((q, m));
+                    for (rows, part) in pi.iter_mut().zip(&pi_partial) {
+                        rows.extend_from_slice(part);
+                    }
                 }
             }
         }
-
-        RankSse {
-            sigma: sig
-                .into_iter()
-                .map(|((k, e), (l, g))| ((k, e), l, g))
-                .collect(),
-            pi: pi_out,
+        RankRows {
+            owned,
+            sigma,
+            rooted,
+            pi,
             flops,
         }
     });
 
-    (assemble(prob, outputs), ledger)
+    let mut out = SseOutput::empty();
+    reset_output(prob, &mut out);
+    for rank in &outputs {
+        let sigma = owned_rows(&rank.owned, &rank.sigma, na * bsz);
+        let pi = owned_rows(&rank.rooted, &rank.pi, nentries * D_BSZ);
+        deposit_rows(&mut out, (prob.scale_sigma, prob.scale_pi), sigma, pi);
+        out.flops += rank.flops;
+    }
+    (out, ledger)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::volume::OpKind;
+    use omen_sse::sse_reference;
     use omen_sse::testutil::{random_inputs, tiny_device, tiny_problem};
-    use omen_sse::{sse_reference, GLayout};
 
     #[test]
     fn omen_plan_matches_reference() {
@@ -221,16 +218,12 @@ mod tests {
         let grid = OmenGrid::new(2, 3, prob.nk, prob.ne);
         let (result, ledger) = run_omen_plan(&prob, &gl, &gg, &dl, &dg, &grid);
 
-        let ds = result.sigma_l.max_deviation(&reference.sigma_l)
-            / reference.sigma_l.max_abs().max(1e-300);
-        assert!(ds < 1e-10, "Σ< deviation {ds}");
-        let dsg = result.sigma_g.max_deviation(&reference.sigma_g)
-            / reference.sigma_g.max_abs().max(1e-300);
-        assert!(dsg < 1e-10, "Σ> deviation {dsg}");
-        let dp = result.pi_l.max_deviation(&reference.pi_l) / reference.pi_l.max_abs().max(1e-300);
-        assert!(dp < 1e-10, "Π< deviation {dp}");
-        let dpg = result.pi_g.max_deviation(&reference.pi_g) / reference.pi_g.max_abs().max(1e-300);
-        assert!(dpg < 1e-10, "Π> deviation {dpg}");
+        assert_eq!(result.sigma_l.max_deviation(&reference.sigma_l), 0.0);
+        assert_eq!(result.sigma_g.max_deviation(&reference.sigma_g), 0.0);
+        let dp = result.pi_l.max_deviation(&reference.pi_l) / reference.pi_l.max_abs();
+        assert!(dp <= 1e-12, "Π< deviation {dp}");
+        let dpg = result.pi_g.max_deviation(&reference.pi_g) / reference.pi_g.max_abs();
+        assert!(dpg <= 1e-12, "Π> deviation {dpg}");
 
         // Collective structure: 2 broadcasts + 2 reductions per round.
         let rounds = (prob.nq * prob.nw) as u64;
@@ -250,11 +243,10 @@ mod tests {
         let reference = sse_reference(&prob, &gl, &gg, &dl, &dg);
         let grid = OmenGrid::new(1, 1, prob.nk, prob.ne);
         let (result, ledger) = run_omen_plan(&prob, &gl, &gg, &dl, &dg, &grid);
-        let ds = result.sigma_l.max_deviation(&reference.sigma_l)
-            / reference.sigma_l.max_abs().max(1e-300);
-        assert!(ds < 1e-10);
+        assert_eq!(result.sigma_l.max_deviation(&reference.sigma_l), 0.0);
+        assert_eq!(result.pi_l.max_deviation(&reference.pi_l), 0.0);
+        assert_eq!(result.flops, reference.flops);
         assert_eq!(ledger.total_bytes(), 0, "single rank: all traffic local");
-        let _ = GLayout::PairMajor;
     }
 
     #[test]

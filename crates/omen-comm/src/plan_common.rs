@@ -1,23 +1,9 @@
-//! Shared scaffolding of the distributed SSE plans: rank outputs, result
-//! assembly, and the OMEN plan's per-round view of `G^≷`.
+//! Shared scaffolding of the distributed SSE plans: result assembly from
+//! the ranks' owned rows, and the OMEN plan's per-round view of `G^≷`.
 
 use crate::sse_state::LocalG;
 use omen_linalg::C64;
 use omen_sse::{DLayout, GBlocks, GLayout, GTensor, SseOutput, SseProblem};
-
-/// Per-point lesser/greater row pair keyed by its grid point: one rank's
-/// share of a tensor, as `((i, j), row_l, row_g)` triples.
-pub type RankRows = Vec<((usize, usize), Vec<C64>, Vec<C64>)>;
-
-/// Per-rank SSE results handed back by a plan's rank closure.
-pub struct RankSse {
-    /// Owned `Σ^≷(k, e)` rows (full `na · bsz`, unscaled).
-    pub sigma: RankRows,
-    /// Owned `Π^≷(q, m)` rows (full `nentries · 9`, unscaled).
-    pub pi: RankRows,
-    /// Flops the rank's stages performed.
-    pub flops: u64,
-}
 
 /// Assembled plan output (scaled; comparable to
 /// [`omen_sse::reference::sse_reference`]): `Σ^≷` in `PairMajor`, `Π^≷` in
@@ -68,20 +54,17 @@ pub fn deposit_rows<'r>(
     }
 }
 
-fn row_refs(rows: &RankRows) -> impl Iterator<Item = RowRef<'_>> {
-    rows.iter().map(|(at, l, g)| (*at, &l[..], &g[..]))
-}
-
-/// Assembles rank outputs into full tensors, applying the problem scales.
-pub fn assemble(prob: &SseProblem, rank_outputs: Vec<RankSse>) -> PlanResult {
-    let mut out = SseOutput::empty();
-    reset_output(prob, &mut out);
-    for rank in &rank_outputs {
-        let scales = (prob.scale_sigma, prob.scale_pi);
-        deposit_rows(&mut out, scales, row_refs(&rank.sigma), row_refs(&rank.pi));
-        out.flops += rank.flops;
-    }
-    out
+/// A rank's owned rows keyed by their grid points: `rows` holds one row
+/// of `len` elements per point of `points`, in that order, lesser then
+/// greater.
+pub fn owned_rows<'r>(
+    points: &'r [(usize, usize)],
+    rows: &'r [Vec<C64>; 2],
+    len: usize,
+) -> impl Iterator<Item = RowRef<'r>> {
+    let [l, g] = rows;
+    let rows = l.chunks_exact(len).zip(g.chunks_exact(len));
+    points.iter().zip(rows).map(|(&at, (l, g))| (at, l, g))
 }
 
 /// A rank's view of `G^≷` in one round: the rows the GF phase left on it

@@ -11,8 +11,9 @@
 //! Both plans are deterministic functions of their inputs (per-rank
 //! partial sums are combined in fixed rank order), so a Born loop running
 //! this kernel is bitwise-reproducible across runs and thread
-//! interleavings. The OMEN plan runs the reference loop nest per round
-//! and agrees with `sse_reference` to ≤ 1e-10; the DaCe plan runs the
+//! interleavings. The OMEN plan runs the reference's loop nest per round:
+//! its `Σ^≷` is bitwise `sse_reference`'s, its `Π^≷` bitwise at one rank
+//! and within 1e-12 at more; the DaCe plan runs the
 //! transformed stages tile-locally and agrees with `TransformedKernel` to
 //! ≤ 1e-12 (`Σ^≷` bitwise; pinned by `tests/dace_tiles.rs`).
 //!

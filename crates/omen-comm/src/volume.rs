@@ -5,8 +5,7 @@
 //! communication-volume experiments (Tables 4–5) read out; it is the
 //! measured counterpart of the analytic model in `omen-perf`.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Kind of communication operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,6 +69,11 @@ impl VolumeLedger {
         }
     }
 
+    /// The counters; a rank that panicked mid-record poisons the ledger.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("volume ledger poisoned")
+    }
+
     /// Records `bytes` injected by `rank` under `kind`. `new_call` marks
     /// the start of a logical operation (an `MPI_*` invocation).
     pub fn record(&self, kind: OpKind, rank: usize, bytes: u64, new_call: bool) {
@@ -79,7 +83,7 @@ impl VolumeLedger {
             omen_trace::Counter::CommCalls,
             u64::from(new_call),
         );
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.bytes[kind.index()] += bytes;
         if new_call {
             g.calls[kind.index()] += 1;
@@ -91,43 +95,37 @@ impl VolumeLedger {
 
     /// Total bytes over all kinds.
     pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().bytes.iter().sum()
+        self.lock().bytes.iter().sum()
     }
 
     /// Bytes of one kind.
     pub fn bytes(&self, kind: OpKind) -> u64 {
-        self.inner.lock().bytes[kind.index()]
+        self.lock().bytes[kind.index()]
     }
 
     /// Logical operation count of one kind.
     pub fn calls(&self, kind: OpKind) -> u64 {
-        self.inner.lock().calls[kind.index()]
+        self.lock().calls[kind.index()]
     }
 
     /// Total logical operations (≈ MPI invocation count).
     pub fn total_calls(&self) -> u64 {
-        self.inner.lock().calls.iter().sum()
+        self.lock().calls.iter().sum()
     }
 
     /// Per-rank injected bytes (copy).
     pub fn per_rank_sent(&self) -> Vec<u64> {
-        self.inner.lock().per_rank_sent.clone()
+        self.lock().per_rank_sent.clone()
     }
 
     /// Largest per-rank injected volume.
     pub fn max_rank_bytes(&self) -> u64 {
-        self.inner
-            .lock()
-            .per_rank_sent
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
+        self.lock().per_rank_sent.iter().copied().max().unwrap_or(0)
     }
 
     /// Resets all counters.
     pub fn reset(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let n = g.per_rank_sent.len();
         *g = Inner {
             per_rank_sent: vec![0; n],

@@ -8,8 +8,7 @@
 //! reproduction: *analysis* — deriving the data-movement expressions the
 //! paper uses to discover the communication-avoiding variant — and
 //! *execution* — [`crate::lower`] turns the memlets into a dependency
-//! DAG with buffer liveness that `omen-sched` runs against the real
-//! kernels.
+//! DAG that `omen-sched` expands over the concrete point grids.
 
 use crate::symbolic::Expr;
 use std::collections::{BTreeSet, HashMap};
@@ -185,7 +184,7 @@ pub struct Memlet {
     /// Direction: `false` carries `data` *into* node `to` (a read);
     /// `true` means node `to` *produces* `data` (a write). Lowering
     /// turns write→read pairs on the same container into dependency
-    /// edges and liveness intervals.
+    /// edges.
     pub write: bool,
     /// The node this memlet attaches to (index into the state arena).
     pub to: usize,

@@ -4,12 +4,9 @@
 //! computations, memlets carry every byte that moves. This module makes
 //! that literal for the reproduction. [`lower_sdfg`] flattens an
 //! [`Sdfg`]'s tasklets (with their enclosing parametric maps) into
-//! [`TaskSpec`]s in schedule order, converts write→read memlet pairs on
-//! the same container into dependency [`edges`](LoweredDag::edges), and
-//! derives per-container [liveness intervals](DataInterval) — first
-//! write to last use — that `omen-sched` uses to check buffers out of a
-//! `Workspace` arena no earlier and return them no later than the
-//! memlets require.
+//! [`TaskSpec`]s in schedule order and converts write→read memlet pairs on
+//! the same container into dependency [`edges`](LoweredDag::edges), which
+//! `omen-sched` expands over the concrete point grids.
 //!
 //! The lowering is pure analysis: binding task names to real kernels
 //! (RGF solves, the SSE kernel) happens downstream in `omen-sched`, so
@@ -46,21 +43,8 @@ pub struct TaskSpec {
     pub writes: Vec<String>,
 }
 
-/// Liveness of one data container across the lowered schedule: the
-/// buffer must exist from the first task that writes it through the last
-/// task that touches it, and not a task longer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DataInterval {
-    /// Container name.
-    pub data: String,
-    /// Schedule position of the first writer (allocation point).
-    pub first_write: usize,
-    /// Schedule position of the last reader or writer (release point).
-    pub last_use: usize,
-}
-
-/// The executable lowering of an [`Sdfg`]: tasks in schedule order,
-/// dependency edges, and buffer liveness.
+/// The executable lowering of an [`Sdfg`]: tasks in schedule order and
+/// their dependency edges.
 #[derive(Clone, Debug, Default)]
 pub struct LoweredDag {
     /// Tasks in schedule (state, then arena) order.
@@ -69,8 +53,6 @@ pub struct LoweredDag {
     /// overwrites) a container the producer writes. Edges always point
     /// forward, so the task order is already a topological order.
     pub edges: Vec<(usize, usize)>,
-    /// Liveness interval per written container, in first-write order.
-    pub liveness: Vec<DataInterval>,
 }
 
 impl LoweredDag {
@@ -81,11 +63,6 @@ impl LoweredDag {
             .filter(|&&(_, c)| c == t)
             .map(|&(p, _)| p)
             .collect()
-    }
-
-    /// The liveness interval of `data`, if it is written in the graph.
-    pub fn interval(&self, data: &str) -> Option<&DataInterval> {
-        self.liveness.iter().find(|i| i.data == data)
     }
 }
 
@@ -165,7 +142,7 @@ fn collect_tasks(state: &State, state_idx: usize, out: &mut Vec<TaskSpec>) {
     }
 }
 
-/// Derives edges and liveness from the collected tasks.
+/// Derives the edges of the collected tasks.
 fn finish(mut dag: LoweredDag) -> Result<LoweredDag, GraphError> {
     // Writers and readers per container, in schedule order.
     let mut writers: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -201,25 +178,6 @@ fn finish(mut dag: LoweredDag) -> Result<LoweredDag, GraphError> {
     edges.sort_unstable();
     edges.dedup();
     dag.edges = edges;
-    // Containers never written are graph inputs — the caller owns them;
-    // only written containers get arena-managed lifetimes.
-    let mut liveness: Vec<DataInterval> = writers
-        .iter()
-        .map(|(&data, ws)| {
-            let first_write = ws[0];
-            let last_read = readers
-                .get(data)
-                .and_then(|rs| rs.iter().copied().max())
-                .unwrap_or(first_write);
-            DataInterval {
-                data: data.to_string(),
-                first_write,
-                last_use: last_read.max(*ws.last().expect("non-empty")),
-            }
-        })
-        .collect();
-    liveness.sort_by_key(|i| (i.first_write, i.last_use));
-    dag.liveness = liveness;
     Ok(dag)
 }
 
@@ -243,26 +201,6 @@ mod tests {
         assert!(dag.edges.contains(&(0, 2)), "G: RGF_electrons -> sse");
         assert!(dag.edges.contains(&(1, 2)), "D: RGF_phonons -> sse");
         assert_eq!(dag.deps_of(2), vec![0, 1]);
-        // Liveness: G lives from the electron solve through the SSE read;
-        // Sigma is born and released at the SSE task.
-        assert_eq!(
-            dag.interval("G"),
-            Some(&DataInterval {
-                data: "G".into(),
-                first_write: 0,
-                last_use: 2
-            })
-        );
-        assert_eq!(
-            dag.interval("Sigma"),
-            Some(&DataInterval {
-                data: "Sigma".into(),
-                first_write: 2,
-                last_use: 2
-            })
-        );
-        // H is a pure input: no interval, the caller owns it.
-        assert!(dag.interval("H").is_none());
     }
 
     #[test]
@@ -297,14 +235,6 @@ mod tests {
         s.add_memlet(Memlet::write("T", c(1.0), w2));
         let dag = lower_state(&s).unwrap();
         assert_eq!(dag.edges, vec![(0, 1)]);
-        assert_eq!(
-            dag.interval("T"),
-            Some(&DataInterval {
-                data: "T".into(),
-                first_write: 0,
-                last_use: 1
-            })
-        );
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //! derivative blocks, structural data) from a parallel filesystem; naive
 //! per-rank reads cost ~30 minutes at scale, chunked broadcast staging
 //! brings it under a minute. Here we define the on-disk format — a
-//! deterministic little-endian layout built with `bytes` — so the staging
-//! simulation in `omen-comm` ships real payloads, and a loader that
-//! round-trips a [`DeviceStructure`].
+//! deterministic little-endian layout over plain byte slices — so the
+//! staging simulation in `omen-comm` ships real payloads, and a loader
+//! that round-trips a [`DeviceStructure`].
 
 use crate::structure::{DeviceConfig, DeviceStructure};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic number identifying the material file format ("OMENMAT1").
 pub const MAGIC: u64 = 0x4F4D_454E_4D41_5431;
@@ -43,98 +42,96 @@ impl std::error::Error for IngestError {}
 /// gradient table plus per-pair geometry — the bulky part CP2K would
 /// produce — so the byte volume scales like the real ingestion problem:
 /// `O(pairs · 3 · Norb²)` doubles.
-pub fn serialize_structure(dev: &DeviceStructure) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u64_le(MAGIC);
+pub fn serialize_structure(dev: &DeviceStructure) -> Vec<u8> {
     let c = &dev.config;
-    buf.put_u64_le(c.nx as u64);
-    buf.put_u64_le(c.ny as u64);
-    buf.put_u64_le(c.cols_per_slab as u64);
-    buf.put_u64_le(c.norb as u64);
-    buf.put_f64_le(c.ax);
-    buf.put_f64_le(c.ay);
-    buf.put_f64_le(c.az);
-    buf.put_f64_le(c.cutoff);
-    buf.put_u64_le(c.seed);
+    let mut buf = Vec::with_capacity(serialized_size(dev.neighbors.num_pairs(), c.norb));
+    for n in [
+        MAGIC,
+        c.nx as u64,
+        c.ny as u64,
+        c.cols_per_slab as u64,
+        c.norb as u64,
+    ] {
+        buf.extend_from_slice(&n.to_le_bytes());
+    }
+    for x in [c.ax, c.ay, c.az, c.cutoff] {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+    buf.extend_from_slice(&c.seed.to_le_bytes());
 
     // Bulk payload: per-pair displacement + gradient blocks.
-    buf.put_u64_le(dev.neighbors.num_pairs() as u64);
+    buf.extend_from_slice(&(dev.neighbors.num_pairs() as u64).to_le_bytes());
     let mut checksum = 0.0f64;
     for (p, g) in dev.neighbors.pairs.iter().zip(dev.gradients.grads.iter()) {
-        buf.put_u64_le(p.from as u64);
-        buf.put_u64_le(p.to as u64);
-        buf.put_i8(p.z_image);
-        for d in 0..3 {
-            buf.put_f64_le(p.delta[d]);
+        buf.extend_from_slice(&(p.from as u64).to_le_bytes());
+        buf.extend_from_slice(&(p.to as u64).to_le_bytes());
+        buf.extend_from_slice(&p.z_image.to_le_bytes());
+        for d in p.delta {
+            buf.extend_from_slice(&d.to_le_bytes());
         }
         for mat in g.iter() {
             for z in mat.as_slice() {
-                buf.put_f64_le(z.re);
-                buf.put_f64_le(z.im);
+                buf.extend_from_slice(&z.re.to_le_bytes());
+                buf.extend_from_slice(&z.im.to_le_bytes());
                 checksum += z.re.abs() + z.im.abs();
             }
         }
     }
-    buf.put_f64_le(checksum);
-    buf.freeze()
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf
+}
+
+/// Little-endian reads off the front of a byte slice; running out of
+/// bytes is [`IngestError::Truncated`].
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], IngestError> {
+        let (head, tail) = self.0.split_first_chunk().ok_or(IngestError::Truncated)?;
+        self.0 = tail;
+        Ok(*head)
+    }
+
+    fn u64(&mut self) -> Result<u64, IngestError> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, IngestError> {
+        self.take().map(f64::from_le_bytes)
+    }
 }
 
 /// Parses a material file, rebuilds the device from its configuration, and
 /// verifies the payload against the regenerated gradient table.
-pub fn deserialize_structure(mut data: &[u8]) -> Result<DeviceStructure, IngestError> {
-    let need = |data: &[u8], n: usize| {
-        if data.remaining() < n {
-            Err(IngestError::Truncated)
-        } else {
-            Ok(())
-        }
-    };
-    need(data, 8)?;
-    if data.get_u64_le() != MAGIC {
+pub fn deserialize_structure(data: &[u8]) -> Result<DeviceStructure, IngestError> {
+    let mut data = Reader(data);
+    if data.u64()? != MAGIC {
         return Err(IngestError::BadMagic);
     }
-    need(data, 8 * 4 + 8 * 4 + 8)?;
-    let nx = data.get_u64_le() as usize;
-    let ny = data.get_u64_le() as usize;
-    let cols_per_slab = data.get_u64_le() as usize;
-    let norb = data.get_u64_le() as usize;
-    let ax = data.get_f64_le();
-    let ay = data.get_f64_le();
-    let az = data.get_f64_le();
-    let cutoff = data.get_f64_le();
-    let seed = data.get_u64_le();
     let config = DeviceConfig {
-        nx,
-        ny,
-        cols_per_slab,
-        norb,
-        ax,
-        ay,
-        az,
-        cutoff,
-        seed,
+        nx: data.u64()? as usize,
+        ny: data.u64()? as usize,
+        cols_per_slab: data.u64()? as usize,
+        norb: data.u64()? as usize,
+        ax: data.f64()?,
+        ay: data.f64()?,
+        az: data.f64()?,
+        cutoff: data.f64()?,
+        seed: data.u64()?,
     };
     let dev = DeviceStructure::build(config);
 
-    need(data, 8)?;
-    let npairs = data.get_u64_le() as usize;
+    let npairs = data.u64()? as usize;
     if npairs != dev.neighbors.num_pairs() {
         return Err(IngestError::ChecksumMismatch);
     }
-    let per_pair = 8 + 8 + 1 + 3 * 8 + 3 * norb * norb * 16;
-    need(data, npairs * per_pair + 8)?;
     let mut checksum = 0.0f64;
     for g in dev.gradients.grads.iter() {
-        let _from = data.get_u64_le();
-        let _to = data.get_u64_le();
-        let _m = data.get_i8();
-        for _ in 0..3 {
-            let _ = data.get_f64_le();
-        }
+        // from, to, z image, displacement
+        data.take::<{ 8 + 8 + 1 + 3 * 8 }>()?;
         for mat in g.iter() {
             for z in mat.as_slice() {
-                let re = data.get_f64_le();
-                let im = data.get_f64_le();
+                let (re, im) = (data.f64()?, data.f64()?);
                 // Regeneration is deterministic, so the comparison can be
                 // bit-exact — any corrupted payload bit is detected.
                 if re.to_bits() != z.re.to_bits() || im.to_bits() != z.im.to_bits() {
@@ -144,7 +141,7 @@ pub fn deserialize_structure(mut data: &[u8]) -> Result<DeviceStructure, IngestE
             }
         }
     }
-    let stored = data.get_f64_le();
+    let stored = data.f64()?;
     if (stored - checksum).abs() > 1e-6 * checksum.max(1.0) {
         return Err(IngestError::ChecksumMismatch);
     }

@@ -1,5 +1,5 @@
 //! The sweep service: a hand-rolled thread-pool + channel runtime over
-//! `std::sync::mpsc` and the vendored `parking_lot` shim.
+//! `std::sync::mpsc` and `std::sync::{Mutex, Condvar}`.
 //!
 //! [`SweepServer::start`] spawns worker threads that block on a shared
 //! job channel. [`SweepClient::submit`] validates a [`SweepSpec`],
@@ -31,15 +31,18 @@ use omen_core::{
 };
 use omen_fault::FaultSite;
 use omen_trace::{Counter, CounterSet};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// A panic while holding one of the server's locks leaves the state it
+/// guards unknown, so the poison propagates as a panic.
+const POISONED: &str = "server lock poisoned";
 
 /// Reserved queue id that tells a worker to exit.
 const SHUTDOWN: u64 = u64::MAX;
@@ -171,7 +174,7 @@ impl SweepClient {
         }
         spec.validate().map_err(SubmitError::Invalid)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner.jobs.lock().insert(
+        self.inner.jobs.lock().expect(POISONED).insert(
             id,
             JobEntry {
                 spec,
@@ -181,7 +184,7 @@ impl SweepClient {
             },
         );
         if self.tx.send(id).is_err() {
-            self.inner.jobs.lock().remove(&id);
+            self.inner.jobs.lock().expect(POISONED).remove(&id);
             return Err(SubmitError::Shutdown);
         }
         Ok(JobHandle {
@@ -211,7 +214,9 @@ impl JobHandle {
 
     /// Current lifecycle state.
     pub fn state(&self) -> JobState {
-        self.inner.jobs.lock()[&self.id].state.clone()
+        self.inner.jobs.lock().expect(POISONED)[&self.id]
+            .state
+            .clone()
     }
 
     /// Requests cancellation. A queued job cancels immediately; a running
@@ -219,7 +224,7 @@ impl JobHandle {
     /// and aborts, so cancellation lands in bounded time even mid-solve.
     /// Completed points stay available as the partial result.
     pub fn cancel(&self) {
-        let mut jobs = self.inner.jobs.lock();
+        let mut jobs = self.inner.jobs.lock().expect(POISONED);
         if let Some(entry) = jobs.get_mut(&self.id) {
             entry.cancel.cancel();
             if entry.state == JobState::Queued {
@@ -233,7 +238,7 @@ impl JobHandle {
 
     /// Blocks until the job reaches a terminal state.
     pub fn wait(&self) -> Result<JobResult, JobError> {
-        let mut jobs = self.inner.jobs.lock();
+        let mut jobs = self.inner.jobs.lock().expect(POISONED);
         loop {
             let entry = &jobs[&self.id];
             match &entry.state {
@@ -248,7 +253,7 @@ impl JobHandle {
                 JobState::Failed(msg) => return Err(JobError::Failed(msg.clone())),
                 JobState::Queued | JobState::Running { .. } => {}
             }
-            jobs = self.inner.changed.wait(jobs);
+            jobs = self.inner.changed.wait(jobs).expect(POISONED);
         }
     }
 
@@ -315,12 +320,12 @@ impl SweepServer {
 
     /// Warm-start cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.lock().stats()
+        self.inner.cache.lock().expect(POISONED).stats()
     }
 
     /// Bytes currently held by the warm-start cache.
     pub fn cache_bytes(&self) -> usize {
-        self.inner.cache.lock().bytes()
+        self.inner.cache.lock().expect(POISONED).bytes()
     }
 }
 
@@ -340,7 +345,7 @@ impl Drop for SweepServer {
 fn worker_loop(inner: &Inner) {
     loop {
         let id = {
-            let rx = inner.queue.lock();
+            let rx = inner.queue.lock().expect(POISONED);
             match rx.recv() {
                 Ok(id) => id,
                 Err(_) => return,
@@ -373,7 +378,7 @@ enum PointFailure {
 /// every point after the first finds a same-sweep donor in the cache.
 fn run_job(inner: &Inner, id: u64) {
     let (spec, cancel) = {
-        let mut jobs = inner.jobs.lock();
+        let mut jobs = inner.jobs.lock().expect(POISONED);
         let Some(entry) = jobs.get_mut(&id) else {
             return;
         };
@@ -432,7 +437,7 @@ fn run_job(inner: &Inner, id: u64) {
             counters.record(Counter::PointsSolved, 1);
             counters.record(Counter::ResumedPoints, 1);
             result.points.push(*point);
-            let mut jobs = inner.jobs.lock();
+            let mut jobs = inner.jobs.lock().expect(POISONED);
             if let Some(entry) = jobs.get_mut(&id) {
                 entry.state = JobState::Running {
                     completed: i + 1,
@@ -478,6 +483,7 @@ fn run_job(inner: &Inner, id: u64) {
                 inner
                     .cache
                     .lock()
+                    .expect(POISONED)
                     .insert(scenario, spec.axis, value, point.data);
                 if let Some(journal) = &journal {
                     // Best effort: a failed journal write costs at most
@@ -496,7 +502,7 @@ fn run_job(inner: &Inner, id: u64) {
             }
         }
         {
-            let mut jobs = inner.jobs.lock();
+            let mut jobs = inner.jobs.lock().expect(POISONED);
             if let Some(entry) = jobs.get_mut(&id) {
                 entry.state = JobState::Running {
                     completed: i + 1,
@@ -558,7 +564,11 @@ fn run_point(
         let mut warm = false;
         let mut donor_value = None;
         if try_warm {
-            let donor = inner.cache.lock().nearest(scenario, spec.axis, value);
+            let donor = inner
+                .cache
+                .lock()
+                .expect(POISONED)
+                .nearest(scenario, spec.axis, value);
             match donor {
                 Some((dv, mut data)) => {
                     counters.record(Counter::CacheHits, 1);
@@ -609,7 +619,12 @@ fn run_point(
             // The donor seeded a failing solve: pull it out of
             // circulation and restart this point cold.
             if let Some(dv) = donor_value {
-                if inner.cache.lock().quarantine(scenario, spec.axis, dv) {
+                if inner
+                    .cache
+                    .lock()
+                    .expect(POISONED)
+                    .quarantine(scenario, spec.axis, dv)
+                {
                     counters.record(Counter::Quarantined, 1);
                 }
             }
@@ -644,7 +659,7 @@ fn finish(
 ) {
     result.metrics = JobMetrics::from_counters(counters, t0.elapsed().as_secs_f64());
     {
-        let mut jobs = inner.jobs.lock();
+        let mut jobs = inner.jobs.lock().expect(POISONED);
         if let Some(entry) = jobs.get_mut(&id) {
             entry.result = Some(result);
             entry.state = state;

@@ -21,8 +21,8 @@
 //! tasks of `omen_sched::TaskDag` — the GF sweeps' engine — on
 //! [`SseProblem::workers`] workers, bit-identical at every count and
 //! inline on the calling thread with one. The
-//! per-round kernels of [`point_kernels`] are the reference loop nest cut
-//! at `(qz, ω)` for the OMEN plan.
+//! reference kernel and `omen-comm`'s OMEN plan run one untransformed
+//! loop nest, [`point_kernels::omen_round`], one `(qz, ω)` round at a time.
 
 pub mod flops;
 pub mod kernel;
@@ -40,10 +40,8 @@ pub mod testutil;
 pub use flops::{sse_flops_dace, sse_flops_omen, SseFlopParams};
 pub use kernel::{KernelState, MixedKernel, ReferenceKernel, SseKernel, TransformedKernel};
 pub use mixed::{sse_mixed, MixedConfig};
-pub use point_kernels::{pi_round_update_into, sigma_round_update_ws, DBlocks, GBlocks};
+pub use point_kernels::{d_combination, omen_round, trace_product, DBlocks, GBlocks};
 pub use problem::{compute_rev_pair, SseProblem};
-pub use reference::{
-    d_combination, d_combination_from, sse_reference, sse_reference_into, trace_product, SseOutput,
-};
+pub use reference::{sse_reference, sse_reference_into, SseOutput};
 pub use tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
 pub use transformed::{build_transients_into, sse_transformed, sse_transformed_into, Transients};

@@ -2,15 +2,22 @@
 //! physics-natural loop order, with one pair of small GEMMs per
 //! `(kz, E, qz, ω, pair, direction)` tuple and no transient reuse.
 //!
+//! The kernel is the `Nqz · Nω` rounds of [`omen_round`], the one
+//! untransformed loop nest, each over every `(kz, E)` point; `omen-comm`'s
+//! OMEN plan runs the same rounds over each rank's points, so its `Σ^≷`
+//! is bitwise this kernel's at every rank count, and its `Π^≷` at one
+//! rank (≤ 1e-12 otherwise, where its reduction reassociates).
+//!
 //! This is the baseline whose flop count the paper models as
 //! `64·Na·Nb·N3D·Nkz·Nqz·NE·Nω·Norb³` (§6.1.1). The transformed kernel in
 //! [`crate::transformed`] computes the *same values* with ~half the flops
 //! and strided-batched structure; the test suite asserts elementwise
 //! agreement between the two.
 
+use crate::point_kernels::omen_round;
 use crate::problem::SseProblem;
 use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
-use omen_linalg::{small_gemm, BatchDims, Workspace, C64};
+use omen_linalg::Workspace;
 
 /// Output of one SSE evaluation.
 #[derive(Clone)]
@@ -45,46 +52,6 @@ impl Default for SseOutput {
     fn default() -> Self {
         SseOutput::empty()
     }
-}
-
-/// The 3×3 phonon-block combination of Eq. (2):
-/// `Dc^{ij} = D^{ij}_ba − D^{ij}_bb − D^{ij}_aa + D^{ij}_ab`.
-#[inline]
-pub fn d_combination(
-    d: &DTensor,
-    q: usize,
-    w: usize,
-    pair: usize,
-    rev: usize,
-    a: usize,
-    b: usize,
-) -> [C64; D_BSZ] {
-    d_combination_from(d, q, w, pair, rev, a, b, d.npairs)
-}
-
-/// Generic variant of [`d_combination`] over any [`crate::point_kernels::DBlocks`] store (used by
-/// the distributed plans, whose `D` blocks live in per-rank hash maps).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn d_combination_from(
-    d: &impl crate::point_kernels::DBlocks,
-    q: usize,
-    w: usize,
-    pair: usize,
-    rev: usize,
-    a: usize,
-    b: usize,
-    npairs: usize,
-) -> [C64; D_BSZ] {
-    let d_ba = d.dblock(q, w, rev);
-    let d_bb = d.dblock(q, w, npairs + b);
-    let d_aa = d.dblock(q, w, npairs + a);
-    let d_ab = d.dblock(q, w, pair);
-    let mut out = [C64::ZERO; D_BSZ];
-    for x in 0..D_BSZ {
-        out[x] = d_ba[x] - d_bb[x] - d_aa[x] + d_ab[x];
-    }
-    out
 }
 
 /// Evaluates `Σ^≷` and `Π^≷` in the OMEN schedule.
@@ -127,198 +94,42 @@ pub fn sse_reference_into(
         DLayout::PointMajor,
         "reference expects PointMajor D"
     );
-    let norb = prob.norb();
-    let bsz = norb * norb;
-    let dims = BatchDims::square(norb);
     let na = prob.na();
     out.sigma_l
-        .reset(prob.nk, prob.ne, na, norb, GLayout::PairMajor);
+        .reset(prob.nk, prob.ne, na, prob.norb(), GLayout::PairMajor);
     out.sigma_g
-        .reset(prob.nk, prob.ne, na, norb, GLayout::PairMajor);
+        .reset(prob.nk, prob.ne, na, prob.norb(), GLayout::PairMajor);
     out.pi_l
         .reset(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
     out.pi_g
         .reset(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
-    let sigma_l = &mut out.sigma_l;
-    let sigma_g = &mut out.sigma_g;
-    let pi_l = &mut out.pi_l;
-    let pi_g = &mut out.pi_g;
-    let mut flops: u64 = 0;
-
-    let grads = &prob.device.gradients;
-    let mut t1 = ws.take_buf(bsz);
-    let mut t2 = ws.take_buf(bsz);
-    let mut cmat = ws.take_buf(bsz);
-    let mut c_l = ws.take_buf(bsz);
-    let mut c_g = ws.take_buf(bsz);
-
-    // ---------------- Σ^≷ ----------------
-    for a in 0..na {
-        for (pair, b) in prob.pairs_of(a) {
-            let rev = prob.rev_pair[pair];
-            let grad_ab = &grads.grads[pair]; // ∇H_ab
-            let grad_ba = &grads.grads[rev]; // ∇H_ba
-            for q in 0..prob.nq {
-                for m in 0..prob.nw {
-                    let dc_l = d_combination(d_l, q, m, pair, rev, a, b);
-                    let dc_g = d_combination(d_g, q, m, pair, rev, a, b);
-                    let steps = prob.omega_steps(m);
-                    for i in 0..3 {
-                        // C^≷_i = Σ_j Dc^≷[i][j] · ∇H^j_ba (3 scalar-matrix MACs).
-                        c_l.fill(C64::ZERO);
-                        c_g.fill(C64::ZERO);
-                        for j in 0..3 {
-                            let wl = dc_l[j * 3 + i];
-                            let wg = dc_g[j * 3 + i];
-                            let gj = grad_ba[j].as_slice();
-                            for x in 0..bsz {
-                                c_l[x] = c_l[x].mul_add(gj[x], wl);
-                                c_g[x] = c_g[x].mul_add(gj[x], wg);
-                            }
-                        }
-                        flops += 2 * 3 * 8 * bsz as u64;
-                        let gi = grad_ab[i].as_slice();
-
-                        for k in 0..prob.nk {
-                            let kk = prob.k_minus_q(k, q);
-                            for e in 0..prob.ne {
-                                // Emission: G^≷(kz−qz, E−ω) pairs with the
-                                // same-component Dc.
-                                if e >= steps {
-                                    let gl_blk = g_l.block(kk, e - steps, b);
-                                    small_gemm(dims, C64::ONE, gi, gl_blk, C64::ZERO, &mut t1);
-                                    small_gemm(dims, C64::ONE, &t1, &c_l, C64::ZERO, &mut t2);
-                                    acc(sigma_l.block_mut(k, e, a), &t2);
-                                    let gg_blk = g_g.block(kk, e - steps, b);
-                                    small_gemm(dims, C64::ONE, gi, gg_blk, C64::ZERO, &mut t1);
-                                    small_gemm(dims, C64::ONE, &t1, &c_g, C64::ZERO, &mut t2);
-                                    acc(sigma_g.block_mut(k, e, a), &t2);
-                                    flops += 4 * dims.flops();
-                                }
-                                // Absorption: G^≷(kz−qz, E+ω) pairs with the
-                                // opposite-component Dc.
-                                if e + steps < prob.ne {
-                                    let gl_blk = g_l.block(kk, e + steps, b);
-                                    small_gemm(dims, C64::ONE, gi, gl_blk, C64::ZERO, &mut t1);
-                                    small_gemm(dims, C64::ONE, &t1, &c_g, C64::ZERO, &mut t2);
-                                    acc(sigma_l.block_mut(k, e, a), &t2);
-                                    let gg_blk = g_g.block(kk, e + steps, b);
-                                    small_gemm(dims, C64::ONE, gi, gg_blk, C64::ZERO, &mut t1);
-                                    small_gemm(dims, C64::ONE, &t1, &c_l, C64::ZERO, &mut t2);
-                                    acc(sigma_g.block_mut(k, e, a), &t2);
-                                    flops += 4 * dims.flops();
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    // `PairMajor` Σ is one row per `(kz, E)` in this order.
+    let points = (0..prob.nk).flat_map(|k| (0..prob.ne).map(move |e| (k, e)));
+    let row = (prob.npairs() + na) * D_BSZ;
+    let mut flops = 0u64;
+    for q in 0..prob.nq {
+        for m in 0..prob.nw {
+            let o = out.pi_l.offset(q, m, 0);
+            flops += omen_round(
+                prob,
+                (q, m),
+                points.clone(),
+                [g_l, g_g],
+                [d_l, d_g],
+                [out.sigma_l.as_mut_slice(), out.sigma_g.as_mut_slice()],
+                [
+                    &mut out.pi_l.as_mut_slice()[o..o + row],
+                    &mut out.pi_g.as_mut_slice()[o..o + row],
+                ],
+                ws,
+            );
         }
     }
-    scale_g(sigma_l, prob.scale_sigma);
-    scale_g(sigma_g, prob.scale_sigma);
-
-    // ---------------- Π^≷ ----------------
-    // For each directed pair p = (a → b):
-    //   C_p^{ij}(q,ω) = Σ_{k,E} tr{ ∇H^i_ba·G^≷_aa(k+q, E+ω) ·
-    //                               ∇H^j_ab·G^≶_bb(k, E) }
-    // contributes to the pair entry Π_ab and the diagonal entry Π_aa.
-    for a in 0..na {
-        for (pair, b) in prob.pairs_of(a) {
-            let rev = prob.rev_pair[pair];
-            let grad_ab = &grads.grads[pair];
-            let grad_ba = &grads.grads[rev];
-            for q in 0..prob.nq {
-                for m in 0..prob.nw {
-                    let steps = prob.omega_steps(m);
-                    let mut cp_l = [C64::ZERO; D_BSZ];
-                    let mut cp_g = [C64::ZERO; D_BSZ];
-                    for k in 0..prob.nk {
-                        let kq = prob.k_plus_q(k, q);
-                        for e in 0..prob.ne.saturating_sub(steps) {
-                            for i in 0..3 {
-                                // X^i = ∇H^i_ba · G_aa(k+q, E+ω)
-                                for j in 0..3 {
-                                    // Π^<: G^<_aa(E+ω)·G^>_bb(E);
-                                    // Π^>: G^>_aa(E+ω)·G^<_bb(E).
-                                    small_gemm(
-                                        dims,
-                                        C64::ONE,
-                                        grad_ba[i].as_slice(),
-                                        g_l.block(kq, e + steps, a),
-                                        C64::ZERO,
-                                        &mut t1,
-                                    );
-                                    small_gemm(
-                                        dims,
-                                        C64::ONE,
-                                        grad_ab[j].as_slice(),
-                                        g_g.block(k, e, b),
-                                        C64::ZERO,
-                                        &mut t2,
-                                    );
-                                    cp_l[j * 3 + i] += trace_product(&t1, &t2, norb);
-                                    small_gemm(
-                                        dims,
-                                        C64::ONE,
-                                        grad_ba[i].as_slice(),
-                                        g_g.block(kq, e + steps, a),
-                                        C64::ZERO,
-                                        &mut t1,
-                                    );
-                                    small_gemm(
-                                        dims,
-                                        C64::ONE,
-                                        grad_ab[j].as_slice(),
-                                        g_l.block(k, e, b),
-                                        C64::ZERO,
-                                        &mut cmat,
-                                    );
-                                    cp_g[j * 3 + i] += trace_product(&t1, &cmat, norb);
-                                    flops += 4 * dims.flops() + 2 * 8 * bsz as u64;
-                                }
-                            }
-                        }
-                    }
-                    let pe = pi_l.pair_entry(pair);
-                    let de = pi_l.diag_entry(a);
-                    for x in 0..D_BSZ {
-                        pi_l.block_mut(q, m, pe)[x] += cp_l[x];
-                        pi_l.block_mut(q, m, de)[x] += cp_l[x];
-                        pi_g.block_mut(q, m, pe)[x] += cp_g[x];
-                        pi_g.block_mut(q, m, de)[x] += cp_g[x];
-                    }
-                }
-            }
-        }
-    }
-    scale_d(pi_l, prob.scale_pi);
-    scale_d(pi_g, prob.scale_pi);
-    for buf in [t1, t2, cmat, c_l, c_g] {
-        ws.give_buf(buf);
-    }
-
+    scale_g(&mut out.sigma_l, prob.scale_sigma);
+    scale_g(&mut out.sigma_g, prob.scale_sigma);
+    scale_d(&mut out.pi_l, prob.scale_pi);
+    scale_d(&mut out.pi_g, prob.scale_pi);
     out.flops = flops;
-}
-
-#[inline]
-fn acc(dst: &mut [C64], src: &[C64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += *s;
-    }
-}
-
-/// `tr(X · Y)` for column-major `n × n` slices.
-#[inline]
-pub fn trace_product(x: &[C64], y: &[C64], n: usize) -> C64 {
-    let mut acc = C64::ZERO;
-    for r in 0..n {
-        for s in 0..n {
-            // X[r, s] · Y[s, r]
-            acc = acc.mul_add(x[s * n + r], y[r * n + s]);
-        }
-    }
-    acc
 }
 
 fn scale_g(t: &mut GTensor, s: f64) {

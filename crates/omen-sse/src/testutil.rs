@@ -1,8 +1,8 @@
 //! Shared test fixtures for the SSE kernels (compiled only for tests and
 //! benches via the `testutil` feature of the crate's dev profile).
 
+use crate::point_kernels::trace_product;
 use crate::problem::SseProblem;
-use crate::reference::trace_product;
 use crate::stages::{EnergyWindow, Stencil};
 use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
 use omen_device::{DeviceConfig, DeviceStructure};

@@ -28,8 +28,9 @@
 //! the output is bit-identical at every worker count; one worker runs the
 //! tasks inline on the calling thread.
 
+use crate::point_kernels::d_combination;
 use crate::problem::SseProblem;
-use crate::reference::{d_combination, SseOutput};
+use crate::reference::SseOutput;
 use crate::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
 use crate::tensors::{DLayout, DTensor, GLayout, GTensor};
 use omen_linalg::{BatchDims, PlaneScratch, C64};
@@ -167,7 +168,7 @@ fn build_atom(
             let out = &mut hd[n * hd_chunk..(n + 1) * hd_chunk];
             for q in 0..nq {
                 for m in 0..nw {
-                    let dc = d_combination(d, q, m, p, rev, a, b);
+                    let dc = d_combination(d, q, m, p, rev, a, b, prob.npairs());
                     for i in 0..3 {
                         let o = ((i * nq + q) * nw + m) * bsz;
                         d_grad(&dc, i, &grads[rev], &mut out[o..o + bsz]);
