@@ -17,7 +17,11 @@
 //!    are present: the packed batched kernel must beat the scalar loop by
 //!    `--min-speedup` (default 1.2×) on the 12 × 12 stage-C shape, the
 //!    energy-plane stage C must beat the scalar loop by
-//!    [`MIN_PLANES_SPEEDUP`] on the 3 × 3 one, and the warm-started sweep
+//!    [`MIN_PLANES_SPEEDUP`] on the 3 × 3 one, the RGF row solve
+//!    (`rgf_row_warm_small_*`, energies as SIMD lanes) must beat the warm
+//!    per-point solve of the same system by [`MIN_ROW_SPEEDUP`] (both
+//!    from `rgf_point`; a file with `rgf_point_*` records but no row
+//!    record fails), and the warm-started sweep
 //!    must save Born iterations (strict, deterministic)
 //!    while keeping at least `--min-sweep-speedup` (default 0.9×) of the
 //!    cold sweep's points/second. The iteration count is the real warm-
@@ -126,6 +130,10 @@ fn gated(name: &str) -> bool {
 /// Floor on the energy-plane stage C over the block-at-a-time scalar
 /// loop at `Norb = 3` (`table9_sbsmm`; committed full-mode ratio 5.4).
 const MIN_PLANES_SPEEDUP: f64 = 1.5;
+
+/// Floor on the RGF row solve over the warm per-point solve, 12 × 12
+/// blocks (`rgf_point`; committed full-mode ratio in `BENCH_kernels.json`).
+const MIN_ROW_SPEEDUP: f64 = 1.5;
 
 /// Name stem of the plan-wall ÷ local-wall ladder records.
 const PLAN_VS_LOCAL: &str = "comm45_plan_vs_local_";
@@ -269,6 +277,33 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
                 eprintln!(
                     "perf_check: {} speedup {speedup:.2}x fell below the {floor:.2}x floor",
                     fast.name
+                );
+                out.failed_floors += 1;
+            }
+        }
+    }
+    if fresh.iter().any(|r| r.name.starts_with("rgf_point_")) {
+        match (find("rgf_row_warm_small"), find("rgf_point_warm_small")) {
+            (Some(lanes), Some(point)) => {
+                let speedup = lanes.gflops / point.gflops;
+                println!(
+                    "within-run: {} vs {}: {speedup:.2}x (floor {MIN_ROW_SPEEDUP:.2}x)",
+                    lanes.name, point.name
+                );
+                if speedup.is_nan() || speedup < MIN_ROW_SPEEDUP {
+                    eprintln!(
+                        "perf_check: {} speedup {speedup:.2}x fell below the \
+                         {MIN_ROW_SPEEDUP:.2}x floor",
+                        lanes.name
+                    );
+                    out.failed_floors += 1;
+                }
+            }
+            _ => {
+                eprintln!(
+                    "perf_check: {fresh_path} has rgf_point records but lacks the \
+                     rgf_row_warm_small/rgf_point_warm_small quick pair — the floor would be \
+                     vacuous; failing"
                 );
                 out.failed_floors += 1;
             }

@@ -1,20 +1,26 @@
 //! One-point RGF solve throughput: the warm-workspace allocation-free
-//! path (`rgf_solve_into`) vs the cold allocating wrapper (`rgf_solve`).
+//! path (`rgf_solve_into`) vs the cold allocating wrapper (`rgf_solve`),
+//! and — on blocks the lane kernel takes — the row solve
+//! (`rgf_row_into`), which advances one SIMD vector of energies together.
 //!
 //! This is the per-`(kz, E)` unit of work the GF phase repeats thousands
 //! of times per Born iteration; the warm/cold gap is what the `Workspace`
-//! arena buys. `--json` records both into `BENCH_kernels.json`;
-//! `--quick` shrinks the system for the CI smoke run.
+//! arena buys, the row/warm gap what energy lanes buy. `--json` records
+//! all of them into `BENCH_kernels.json` (`_quick` suffix under
+//! `--quick`, which shrinks the systems for the CI smoke run). The row
+//! leg solves `test_system` once per lane with the lane's energy shifted
+//! (`testutil::test_lanes`); its record holds the time per point.
 use omen_bench::{
     header, json_flag, quick_flag, row, timed_median, write_bench_json, BenchRecord,
     BENCH_JSON_PATH,
 };
 use omen_linalg::Workspace;
-use omen_rgf::testutil::test_system;
-use omen_rgf::{rgf_solve, rgf_solve_into, RgfInputs, RgfSolution};
+use omen_rgf::testutil::{test_lanes, test_system};
+use omen_rgf::{rgf_row_into, rgf_solve, rgf_solve_into, row_width, RgfInputs, RgfSolution};
 
 fn main() {
     let quick = quick_flag();
+    let suffix = if quick { "_quick" } else { "" };
     // Two regimes: small blocks where per-solve allocation is a visible
     // fraction of the work, and GEMM-bound blocks at executable scale.
     let configs: &[(&str, usize, usize, usize)] = if quick {
@@ -47,12 +53,39 @@ fn main() {
             std::hint::black_box(rgf_solve(&inputs));
         });
 
-        let w = [22, 14, 12, 10];
-        header(&["Path", "Time [ms]", "GFLOP/s", "vs cold"], &w);
-        for (name, t) in [
-            ("rgf_solve_into (warm)", t_warm),
-            ("rgf_solve (cold)", t_cold),
-        ] {
+        // Row path: one lane per energy, warm workspace; time per point.
+        let lanes = row_width(bs);
+        let t_row = (lanes > 1).then(|| {
+            let systems = test_lanes(nb, bs, 0.11, lanes);
+            let mut chunk: Vec<RgfInputs> = systems
+                .iter()
+                .map(|(m, sl, sg)| RgfInputs {
+                    m,
+                    sigma_l: sl,
+                    sigma_g: sg,
+                })
+                .collect();
+            let mut solve = || {
+                let lane_flops = rgf_row_into(&mut chunk[..], &mut ws, |_, row| {
+                    std::hint::black_box(row.n);
+                });
+                assert_eq!(
+                    lane_flops as f64, flops,
+                    "per-lane flops are per-point flops"
+                );
+            };
+            solve(); // warmup
+            timed_median(reps, solve) / lanes as f64
+        });
+
+        let w = [30, 14, 12, 10];
+        header(&["Path", "Time/point [ms]", "GFLOP/s", "vs cold"], &w);
+        let paths = [
+            Some(("rgf_solve_into (warm)", t_warm)),
+            Some(("rgf_solve (cold)", t_cold)),
+            t_row.map(|t| ("rgf_row_into (warm, lanes)", t)),
+        ];
+        for (name, t) in paths.into_iter().flatten() {
             row(
                 &[
                     name.into(),
@@ -64,20 +97,19 @@ fn main() {
             );
         }
         println!();
-        records.push(BenchRecord {
-            name: format!("rgf_point_warm_{tag}_nb{nb}_bs{bs}"),
+        let record = |path: &str, t: f64| BenchRecord {
+            name: format!("{path}_{tag}_nb{nb}_bs{bs}{suffix}"),
             n: bs,
-            median_ns: t_warm * 1e9,
-            gflops: flops / t_warm / 1e9,
-        });
-        records.push(BenchRecord {
-            name: format!("rgf_point_cold_{tag}_nb{nb}_bs{bs}"),
-            n: bs,
-            median_ns: t_cold * 1e9,
-            gflops: flops / t_cold / 1e9,
-        });
+            median_ns: t * 1e9,
+            gflops: flops / t / 1e9,
+        };
+        records.push(record("rgf_point_warm", t_warm));
+        records.push(record("rgf_point_cold", t_cold));
+        if let Some(t) = t_row {
+            records.push(record("rgf_row_warm", t));
+        }
     }
-    println!("warm path is allocation-free (see tests/integration_alloc.rs)");
+    println!("warm and row paths are allocation-free (see tests/integration_alloc.rs)");
 
     if json_flag() {
         write_bench_json(BENCH_JSON_PATH, &records).expect("write BENCH_kernels.json");

@@ -6,10 +6,12 @@
 //! mixes, and repeats until the electrical current converges (the paper:
 //! 20–100 Born iterations).
 //!
-//! The driver is an execution engine, not a loop nest: point sweeps are
-//! pure per-point solves (side-effect-free workers returning
-//! contributions) folded into [`crate::observables::Observables`] accumulators by a pluggable
-//! [`PointExecutor`] — see [`crate::executor`] for the engine. When the
+//! The driver is an execution engine, not a loop nest: a sweep is pure
+//! row solves — the energies of one momentum in chunks of
+//! [`omen_rgf::row_width`], side-effect-free workers returning
+//! contributions — folded into [`crate::observables::Observables`]
+//! accumulators in point order by a pluggable [`PointExecutor`] — see
+//! [`crate::executor`] for the engine. When the
 //! loop ends is decided in one place, `BornLoop`, which
 //! [`Simulation::run_with`] drives (an overlapped sweep,
 //! [`crate::stream`], calls each point's own `run`).
@@ -17,17 +19,17 @@
 use crate::builder::{ConfigError, SimulationConfig};
 use crate::executor::{grid_points, ExecutorKind, GridPoint, PointExecutor};
 use crate::grids::{EnergyGrid, FrequencyGrid, MomentumGrid};
-use crate::observables::{
-    ElectronContribution, ElectronObservables, Observables, PhononContribution, PhononObservables,
-};
-use crate::state::{pi_blocks_for_point, sigma_blocks_for_point, zero_tensors};
+use crate::observables::{ElectronObservables, GfChunk, Observables, PhononObservables, Rows};
+use crate::state::{zero_tensors, PiScattering, SigmaScattering};
 use omen_device::DeviceStructure;
-use omen_linalg::{CMatrix, WorkspacePool};
+use omen_linalg::WorkspacePool;
 use omen_rgf::{
-    BoundaryCache, BoundaryCacheStats, CacheMode, Carrier, ElectronParams, ElectronSolver,
-    GfSolver, PhaseTimes, PhononParams, PhononSolver, PointSolution, PointSolver,
+    row_width, BoundaryCache, BoundaryCacheStats, CacheMode, Carrier, ElectronParams,
+    ElectronSolver, GfSolver, PhaseTimes, PhononParams, PhononSolver, PointSolver, RowSink,
+    Scattering,
 };
 use omen_sse::{DLayout, DTensor, GLayout, GTensor, SseKernel, SseProblem};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -620,14 +622,18 @@ impl Simulation {
                 )
                 .with_workspace_pool(ws_pool)
             };
+            let scattering = have_sigma.then_some(SigmaScattering {
+                dev,
+                sigma_l,
+                sigma_g,
+            });
             sweep(
                 exec,
-                &grid_points(cfg.nk, cfg.ne),
+                (cfg.nk, cfg.ne, row_width(dev.block_size_el())),
                 new_solver,
                 &self.el_bc,
-                have_sigma
-                    .then_some(|ik, ie| sigma_blocks_for_point(dev, sigma_l, sigma_g, ik, ie)),
-                |ik, ie, out: &PointSolution| ElectronContribution::from_solution(dev, ik, ie, out),
+                scattering.as_ref(),
+                |ik, ies| Rows::electrons(dev, ik, ies),
                 eacc,
             )
         };
@@ -642,13 +648,14 @@ impl Simulation {
                 PhononSolver::new(dev, pparams, cfg.cache_mode, kvals.clone(), fvals.clone())
                     .with_workspace_pool(ws_pool)
             };
+            let scattering = have_sigma.then_some(PiScattering { dev, pi_l, pi_g });
             sweep(
                 exec,
-                &grid_points(cfg.nk, cfg.nw),
+                (cfg.nk, cfg.nw, row_width(dev.block_size_ph())),
                 new_solver,
                 &self.ph_bc,
-                have_sigma.then_some(|iq, iw| pi_blocks_for_point(dev, pi_l, pi_g, iq, iw)),
-                |iq, iw, out: &PointSolution| PhononContribution::from_solution(dev, iq, iw, out),
+                scattering.as_ref(),
+                |iq, iws| Rows::phonons(dev, iq, iws),
                 pacc,
             )
         };
@@ -955,43 +962,49 @@ fn sse_problem_of<'a>(
     }
 }
 
-/// One GF sweep of either carrier: every worker builds a solver on the
-/// shared boundary cache, solves its points under this iteration's
-/// scattering blocks (`None` while ballistic) and hands `exec` the
-/// point's pure contribution.
-fn sweep<'a, E, C, O>(
+/// One GF sweep of either carrier over its `nk × nx` grid. The unit of
+/// work is `(k, chunk)`: `width` consecutive energies of one momentum
+/// (the last chunk of a row may be shorter). Every worker builds a solver
+/// on the shared boundary cache, solves its units under this iteration's
+/// scattering self-energies (`None` while ballistic) into `rows`' builder
+/// and hands `exec` the unit's contributions, which fold in unit order —
+/// global point order.
+fn sweep<'a, E, C, O, P, S>(
     exec: &E,
-    points: &[GridPoint],
+    (nk, nx, width): (usize, usize, usize),
     new_solver: impl Fn() -> PointSolver<'a, C> + Sync,
     boundary: &Option<Arc<BoundaryCache>>,
-    scattering: Option<impl Fn(usize, usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) + Sync>,
-    contribution: impl Fn(usize, usize, &PointSolution) -> O::Contribution + Sync,
+    scattering: Option<&S>,
+    rows: impl Fn(usize, Range<usize>) -> Rows<'a, P> + Sync,
     acc: O,
 ) -> O
 where
     E: PointExecutor,
     C: Carrier + Send,
     C::Spec: Send,
-    O: Observables,
+    O: Observables<Contribution = GfChunk<P>>,
+    P: Send,
+    S: Scattering + Sync,
+    Rows<'a, P>: RowSink,
 {
-    let (scattering, contribution) = (&scattering, &contribution);
+    let rows = &rows;
     let make_worker = || {
         let mut solver = new_solver();
         if let Some(cache) = boundary {
             solver = solver.with_shared_boundary(Arc::clone(cache));
         }
-        move |(i, j): GridPoint| {
-            let out = match scattering {
-                Some(blocks) => {
-                    let (r, l, g) = blocks(i, j);
-                    solver.solve_point(i, j, Some(&r), Some(&l), Some(&g))
-                }
-                None => solver.solve_point(i, j, None, None, None),
-            };
-            contribution(i, j, &out)
+        move |(i, chunk): GridPoint| {
+            let xs = chunk * width..nx.min((chunk + 1) * width);
+            let mut sink = rows(i, xs.clone());
+            let scattering = scattering.map(|s| s as &dyn Scattering);
+            let times = solver.solve_row(i, xs, scattering, &mut sink);
+            GfChunk {
+                points: sink.points,
+                times,
+            }
         }
     };
-    exec.run(points, make_worker, acc)
+    exec.run(&grid_points(nk, nx.div_ceil(width)), make_worker, acc)
 }
 
 fn mix_g(state: &mut GTensor, new: &GTensor, mix: f64) {

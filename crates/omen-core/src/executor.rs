@@ -5,11 +5,15 @@
 //! ordered reduction. A [`PointExecutor`] owns *how* that map runs, and
 //! there is one engine: [`DagExecutor`] lowers the sweep onto
 //! `omen-sched`'s task DAG — the runtime the SSE kernels' stages and the
-//! points of an overlapped sweep run on too. Contributions land in
-//! per-point slots and fold in global point order, so results are
-//! **bit-identical** at every worker count, and with one worker the
-//! engine *is* [`SerialExecutor`]'s loop on the calling thread: serial
-//! is the DAG with one worker. All three
+//! points of an overlapped sweep run on too. The executor maps **units**
+//! named by a [`GridPoint`]; the driver's GF sweeps make a unit
+//! `(k, energy chunk)` — the energies of one momentum that a row solve
+//! advances together (`omen_rgf::row_width`: one SIMD vector of lanes on
+//! blocks up to `SMALL_DIM`, one point on larger ones). Contributions land
+//! in per-unit slots and fold in unit order, which is global point order,
+//! so results are **bit-identical** at every worker count, and with one
+//! worker the engine *is* [`SerialExecutor`]'s loop on the calling
+//! thread: serial is the DAG with one worker. All three
 //! [`ExecutorKind`] values run on it; they differ in worker count and in
 //! whether the SSE phase goes through a communication plan.
 //!
@@ -27,15 +31,17 @@
 
 use crate::observables::Observables;
 
-/// One `(i, j)` grid point of a sweep: `(ik, ie)` for electrons,
-/// `(iq, iw)` for phonons.
+/// One `(i, j)` unit of a sweep: a grid point `(ik, ie)` / `(iq, iw)`, or
+/// — in the driver's GF sweeps — `(k, chunk)`, chunk `j` of momentum
+/// `k`'s energies.
 pub type GridPoint = (usize, usize);
 
-/// An execution engine for embarrassingly-parallel point sweeps.
+/// An execution engine for embarrassingly-parallel sweeps.
 ///
 /// `make_worker` is called once per worker thread; the returned closure
-/// solves single points. The executor feeds every point exactly once and
-/// returns the accumulator after folding all contributions in.
+/// solves one unit. The executor feeds every unit exactly once and
+/// returns the accumulator after folding all contributions in, in the
+/// order of `points`.
 pub trait PointExecutor {
     /// Short identifier for logs and benchmark tables.
     fn name(&self) -> &'static str;
@@ -73,9 +79,9 @@ impl PointExecutor for SerialExecutor {
 }
 
 /// The parallel sweep engine: one edge-free `omen_sched::TaskDag` task
-/// per point, drained on the scheduler's worker pool (`Counter::SchedTasks`
+/// per unit, drained on the scheduler's worker pool (`Counter::SchedTasks`
 /// counts the tasks of every run alike). Workers claim the
-/// lowest unsolved point — boundary-condition convergence varies per
+/// lowest unsolved unit — boundary-condition convergence varies per
 /// point, so dynamic claiming beats a static split at the margins. With
 /// one worker (or one point) the sweep runs [`SerialExecutor`]'s loop
 /// inline. A panicking point solve propagates as a panic after the sweep
@@ -127,7 +133,7 @@ impl PointExecutor for DagExecutor {
         }
         let mut dag = omen_sched::TaskDag::new();
         for _ in points {
-            dag.add_task("gf_point", &[]);
+            dag.add_task("gf_unit", &[]);
         }
         // Workers carry mutable solver caches, so the shared task closure
         // leases them from a pool (scheduler workers outnumber leases only

@@ -12,7 +12,8 @@
 //! * [`executor`] — the [`PointExecutor`] seam and its one engine for the
 //!   embarrassingly-parallel point sweeps ([`DagExecutor`]; serial is the
 //!   same engine with one worker);
-//! * [`observables`] — per-point contributions folded in point order
+//! * [`observables`] — per-point contributions, built from the block
+//!   rows a GF row solve hands over ([`Rows`]), folded in point order
 //!   into [`Observables`] accumulators;
 //! * [`driver`] — the [`Simulation`] Born loop dispatching through the
 //!   [`omen_sse::SseKernel`] trait;
@@ -43,14 +44,12 @@ pub use executor::{
 };
 pub use grids::{EnergyGrid, FrequencyGrid, MomentumGrid};
 pub use observables::{
-    ElectronContribution, ElectronObservables, Observables, PhononContribution, PhononObservables,
+    ElectronContribution, ElectronObservables, GfChunk, Observables, PhononContribution,
+    PhononObservables, Rows,
 };
 pub use omen_comm::{CommPlan, PlanKernel};
 pub use omen_rgf::BoundaryCacheStats;
-pub use state::{
-    extract_electron_blocks, extract_phonon_blocks, pi_blocks_for_point, sigma_blocks_for_point,
-    zero_tensors,
-};
+pub use state::{pi_blocks_for_point, sigma_blocks_for_point, zero_tensors};
 pub use stream::{run_overlapped, OverlapOutcome};
 pub use thermal::{
     electro_thermal_report, equilibrium_energy, fit_temperature, ElectroThermalReport, KB_EV_PER_K,

@@ -6,31 +6,43 @@
 //! currents). This module factors that into:
 //!
 //! * a per-point **contribution** — the pure output of one solve, with no
-//!   integration weights applied;
+//!   integration weights applied — built by [`Rows`] from the block rows
+//!   a solver hands over ([`omen_rgf::RowSink`]), the same way whether
+//!   the row was solved on energy lanes or point by point;
 //! * an [`Observables`] accumulator — owns the weighted sums and tensors
-//!   and consumes contributions in a deterministic order.
+//!   and consumes one sweep unit's [`GfChunk`] of contributions at a time,
+//!   in a deterministic order.
 //!
 //! Accumulation order is what fixes floating-point reproducibility:
-//! executors feed contributions in global point order, so runs are
+//! executors feed chunks in unit order and a chunk holds its points in
+//! energy order, so contributions fold in global point order and runs are
 //! bit-identical at every worker count.
 
 use omen_device::DeviceStructure;
-use omen_linalg::C64;
-use omen_rgf::{contact_current, interface_current, PhaseTimes, PointSolution};
-use omen_sse::{DLayout, DTensor, GLayout, GTensor};
-
-use crate::state::{extract_electron_blocks, extract_phonon_blocks};
+use omen_linalg::{CMatrix, C64};
+use omen_rgf::{contact_current, interface_current, PhaseTimes, RgfRow, RowSink};
+use omen_sse::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
+use std::ops::Range;
 
 /// An accumulator of per-point contributions.
 ///
 /// Law (relied on by the executors): `accumulate` must be independent of
 /// *when* it is called — only the order of contributions matters.
 pub trait Observables: Sized + Send {
-    /// The per-point contribution type.
+    /// The per-unit contribution type.
     type Contribution: Send;
 
-    /// Folds one point's contribution in.
+    /// Folds one unit's contribution in.
     fn accumulate(&mut self, c: &Self::Contribution);
+}
+
+/// One sweep unit's output: its points' contributions in energy order and
+/// the unit's sub-phase timings.
+pub struct GfChunk<P> {
+    /// One contribution per point of the unit.
+    pub points: Vec<P>,
+    /// Sub-phase timings of the unit's solve.
+    pub times: PhaseTimes,
 }
 
 /// Pure output of one electron `(kz, E)` point solve — no integration
@@ -40,9 +52,9 @@ pub struct ElectronContribution {
     pub ik: usize,
     /// Energy index.
     pub ie: usize,
-    /// Extracted per-atom `G^<` blocks (atom-ordered, `Norb²` each).
+    /// Per-atom `G^<` blocks (atom-ordered, `Norb²` each).
     pub gl: Vec<C64>,
-    /// Extracted per-atom `G^>` blocks.
+    /// Per-atom `G^>` blocks.
     pub gg: Vec<C64>,
     /// Raw interface currents `j_n` (length `bnum − 1`).
     pub interface_j: Vec<f64>,
@@ -50,60 +62,170 @@ pub struct ElectronContribution {
     pub density: Vec<f64>,
     /// Raw Meir-Wingreen contact currents (left, right).
     pub contact: (f64, f64),
-    /// Sub-phase timings of the solve.
-    pub times: PhaseTimes,
 }
 
-impl ElectronContribution {
-    /// Extracts the contribution of a solved electron point.
-    pub fn from_solution(dev: &DeviceStructure, ik: usize, ie: usize, out: &PointSolution) -> Self {
-        let nb = dev.bnum();
-        let norb = dev.material.norb;
-        let na = dev.num_atoms();
+/// Pure output of one phonon `(qz, ω)` point solve.
+pub struct PhononContribution {
+    /// Momentum index.
+    pub iq: usize,
+    /// Frequency index.
+    pub iw: usize,
+    /// `D^<` entry blocks (entry-ordered as [`DTensor`], `3×3` each).
+    pub dl: Vec<C64>,
+    /// `D^>` entry blocks.
+    pub dg: Vec<C64>,
+    /// Raw interface energy-current integrands `j_n`.
+    pub interface_j: Vec<f64>,
+    /// Raw per-atom mode occupations.
+    pub occupation: Vec<f64>,
+    /// Raw per-atom spectral weights (DOS integrand).
+    pub spectral: Vec<f64>,
+}
 
-        // Per-atom G^≷ blocks via a single-point scratch tensor (PairMajor
-        // with nk = ne = 1 stores blocks contiguously in atom order).
-        let mut gl_t = GTensor::zeros(1, 1, na, norb, GLayout::PairMajor);
-        let mut gg_t = GTensor::zeros(1, 1, na, norb, GLayout::PairMajor);
-        extract_electron_blocks(dev, &out.sol, 0, 0, &mut gl_t, &mut gg_t);
+/// The row-fed builder of one sweep unit's contributions: lane `e` of a
+/// row solve is point `points[e]`. Each block row fills what the
+/// observables read of it — the per-atom blocks of the atoms in that slab
+/// (and, for phonons, the pair blocks that cross to the next slab), the
+/// interface current into the next slab, and the contact current at
+/// either end — so no whole solution is ever held.
+pub struct Rows<'d, P> {
+    dev: &'d DeviceStructure,
+    /// The unit's contributions, lane order.
+    pub points: Vec<P>,
+}
 
-        let interface_j = (0..nb - 1)
-            .map(|n| interface_current(&out.m.upper[n], &out.sol.gl_lower[n]))
-            .collect();
-        let density = dev
-            .lattice
-            .atoms
-            .iter()
-            .map(|atom| {
-                let r0 = atom.slab_offset * norb;
-                (0..norb)
-                    .map(|o| out.sol.gl_diag[atom.slab][(r0 + o, r0 + o)].im)
-                    .sum()
+impl<'d> Rows<'d, ElectronContribution> {
+    /// Empty contributions for the electron points `(ik, ie)`, `ie ∈ ies`.
+    pub fn electrons(dev: &'d DeviceStructure, ik: usize, ies: Range<usize>) -> Self {
+        let (nb, na) = (dev.bnum(), dev.num_atoms());
+        let bsz = dev.material.norb * dev.material.norb;
+        let points = ies
+            .map(|ie| ElectronContribution {
+                ik,
+                ie,
+                gl: vec![C64::ZERO; na * bsz],
+                gg: vec![C64::ZERO; na * bsz],
+                interface_j: vec![0.0; nb - 1],
+                density: vec![0.0; na],
+                contact: (0.0, 0.0),
             })
             .collect();
-        let contact = (
-            contact_current(
-                &out.boundary_lg_left.0,
-                &out.boundary_lg_left.1,
-                &out.sol.gl_diag[0],
-                &out.sol.gg_diag[0],
-            ),
-            contact_current(
-                &out.boundary_lg_right.0,
-                &out.boundary_lg_right.1,
-                &out.sol.gl_diag[nb - 1],
-                &out.sol.gg_diag[nb - 1],
-            ),
-        );
-        ElectronContribution {
-            ik,
-            ie,
-            gl: gl_t.into_vec(),
-            gg: gg_t.into_vec(),
-            interface_j,
-            density,
-            contact,
-            times: out.times,
+        Rows { dev, points }
+    }
+}
+
+impl<'d> Rows<'d, PhononContribution> {
+    /// Empty contributions for the phonon points `(iq, iw)`, `iw ∈ iws`.
+    pub fn phonons(dev: &'d DeviceStructure, iq: usize, iws: Range<usize>) -> Self {
+        let (nb, na) = (dev.bnum(), dev.num_atoms());
+        let entries = dev.neighbors.num_pairs() + na;
+        let points = iws
+            .map(|iw| PhononContribution {
+                iq,
+                iw,
+                dl: vec![C64::ZERO; entries * D_BSZ],
+                dg: vec![C64::ZERO; entries * D_BSZ],
+                interface_j: vec![0.0; nb - 1],
+                occupation: vec![0.0; na],
+                spectral: vec![0.0; na],
+            })
+            .collect();
+        Rows { dev, points }
+    }
+}
+
+impl RowSink for Rows<'_, ElectronContribution> {
+    fn row(&mut self, lane: usize, row: &RgfRow<'_>, [left, right]: [&(CMatrix, CMatrix); 2]) {
+        let (dev, c, n) = (self.dev, &mut self.points[lane], row.n);
+        let norb = dev.material.norb;
+        let bsz = norb * norb;
+        for (a, atom) in dev.lattice.atoms.iter().enumerate() {
+            if atom.slab != n {
+                continue;
+            }
+            let r0 = atom.slab_offset * norb;
+            let blk = a * bsz..(a + 1) * bsz;
+            copy_subblock(row.gl_diag, r0, r0, norb, &mut c.gl[blk.clone()]);
+            copy_subblock(row.gg_diag, r0, r0, norb, &mut c.gg[blk]);
+            c.density[a] = (0..norb).map(|o| row.gl_diag[(r0 + o, r0 + o)].im).sum();
+        }
+        if let Some(cp) = &row.coupling {
+            c.interface_j[n] = interface_current(cp.upper, cp.gl_lower);
+        }
+        if n == 0 {
+            c.contact.0 = contact_current(&left.0, &left.1, row.gl_diag, row.gg_diag);
+        }
+        if n + 1 == dev.bnum() {
+            c.contact.1 = contact_current(&right.0, &right.1, row.gl_diag, row.gg_diag);
+        }
+    }
+}
+
+impl RowSink for Rows<'_, PhononContribution> {
+    /// Same-slab entries come from the slab's diagonal blocks, adjacent-
+    /// slab pairs from `D≷[n+1][n]` (via `D[s][s+1] = −(D[s+1][s])†` for
+    /// the upper one); pairs through a periodic z-image with `a == b`
+    /// reuse the atom diagonal (the `qz` phase is already in `Φ(qz)`).
+    fn row(&mut self, lane: usize, row: &RgfRow<'_>, _: [&(CMatrix, CMatrix); 2]) {
+        const N3D: usize = 3;
+        let (dev, c, n) = (self.dev, &mut self.points[lane], row.n);
+        let npairs = dev.neighbors.num_pairs();
+        let entry = |en: usize| en * D_BSZ..(en + 1) * D_BSZ;
+        for (a, atom) in dev.lattice.atoms.iter().enumerate() {
+            if atom.slab != n {
+                continue;
+            }
+            let r0 = atom.slab_offset * N3D;
+            copy_subblock(row.gl_diag, r0, r0, N3D, &mut c.dl[entry(npairs + a)]);
+            copy_subblock(row.gg_diag, r0, r0, N3D, &mut c.dg[entry(npairs + a)]);
+            // Boson convention D^< = n·(D^R − D^A): the occupation is
+            // −Im diag(D^<) (opposite sign to electrons).
+            let diag = |m: &CMatrix, x: usize| m[(r0 + x, r0 + x)].im;
+            c.occupation[a] = (0..N3D).map(|x| -diag(row.gl_diag, x)).sum();
+            c.spectral[a] = (0..N3D).map(|x| -2.0 * diag(row.gr_diag, x)).sum();
+        }
+        for (p, pair) in dev.neighbors.pairs.iter().enumerate() {
+            let (fa, ta) = (dev.lattice.atoms[pair.from], dev.lattice.atoms[pair.to]);
+            let (r0, c0) = (fa.slab_offset * N3D, ta.slab_offset * N3D);
+            let (dl, dg) = (&mut c.dl[entry(p)], &mut c.dg[entry(p)]);
+            match (ta.slab as i64 - fa.slab as i64, &row.coupling) {
+                (0, _) if fa.slab == n => {
+                    copy_subblock(row.gl_diag, r0, c0, N3D, dl);
+                    copy_subblock(row.gg_diag, r0, c0, N3D, dg);
+                }
+                // D[s][s+1] = −(D[s+1][s])† for lesser/greater functions.
+                (1, Some(cp)) if fa.slab == n => {
+                    copy_subblock_adjoint_neg(cp.gl_lower, c0, r0, N3D, dl);
+                    copy_subblock_adjoint_neg(cp.gg_lower, c0, r0, N3D, dg);
+                }
+                (-1, Some(cp)) if ta.slab == n => {
+                    copy_subblock(cp.gl_lower, r0, c0, N3D, dl);
+                    copy_subblock(cp.gg_lower, r0, c0, N3D, dg);
+                }
+                (-1..=1, _) => {}
+                _ => unreachable!("neighbor list spans non-adjacent slabs"),
+            }
+        }
+        if let Some(cp) = &row.coupling {
+            c.interface_j[n] = interface_current(cp.upper, cp.gl_lower);
+        }
+    }
+}
+
+/// `dst = src[r0.., c0..]` (an `n × n` sub-block, column-major `dst`).
+fn copy_subblock(src: &CMatrix, r0: usize, c0: usize, n: usize, dst: &mut [C64]) {
+    for j in 0..n {
+        for i in 0..n {
+            dst[j * n + i] = src[(r0 + i, c0 + j)];
+        }
+    }
+}
+
+/// `dst = −(src[r0.., c0..])†`.
+fn copy_subblock_adjoint_neg(src: &CMatrix, r0: usize, c0: usize, n: usize, dst: &mut [C64]) {
+    for j in 0..n {
+        for i in 0..n {
+            dst[j * n + i] = -src[(r0 + j, c0 + i)].conj();
         }
     }
 }
@@ -158,9 +280,16 @@ impl ElectronObservables {
 }
 
 impl Observables for ElectronObservables {
-    type Contribution = ElectronContribution;
+    type Contribution = GfChunk<ElectronContribution>;
 
-    fn accumulate(&mut self, c: &Self::Contribution) {
+    fn accumulate(&mut self, chunk: &Self::Contribution) {
+        chunk.points.iter().for_each(|c| self.add_point(c));
+        self.times.accumulate(&chunk.times);
+    }
+}
+
+impl ElectronObservables {
+    fn add_point(&mut self, c: &ElectronContribution) {
         let bsz = self.g_l.bsz();
         for a in 0..self.g_l.na {
             self.g_l
@@ -181,71 +310,6 @@ impl Observables for ElectronObservables {
         }
         self.contacts.0 += c.contact.0 * self.w_e;
         self.contacts.1 += c.contact.1 * self.w_e;
-        self.times.accumulate(&c.times);
-    }
-}
-
-/// Pure output of one phonon `(qz, ω)` point solve.
-pub struct PhononContribution {
-    /// Momentum index.
-    pub iq: usize,
-    /// Frequency index.
-    pub iw: usize,
-    /// Extracted `D^<` entry blocks (entry-ordered, `3×3` each).
-    pub dl: Vec<C64>,
-    /// Extracted `D^>` entry blocks.
-    pub dg: Vec<C64>,
-    /// Raw interface energy-current integrands `j_n`.
-    pub interface_j: Vec<f64>,
-    /// Raw per-atom mode occupations.
-    pub occupation: Vec<f64>,
-    /// Raw per-atom spectral weights (DOS integrand).
-    pub spectral: Vec<f64>,
-    /// Sub-phase timings of the solve.
-    pub times: PhaseTimes,
-}
-
-impl PhononContribution {
-    /// Extracts the contribution of a solved phonon point.
-    pub fn from_solution(dev: &DeviceStructure, iq: usize, iw: usize, out: &PointSolution) -> Self {
-        let nb = dev.bnum();
-        let na = dev.num_atoms();
-        let npairs = dev.neighbors.num_pairs();
-
-        let mut dl_t = DTensor::zeros(1, 1, npairs, na, DLayout::PointMajor);
-        let mut dg_t = DTensor::zeros(1, 1, npairs, na, DLayout::PointMajor);
-        extract_phonon_blocks(dev, &out.sol, 0, 0, &mut dl_t, &mut dg_t);
-
-        let interface_j = (0..nb - 1)
-            .map(|n| interface_current(&out.m.upper[n], &out.sol.gl_lower[n]))
-            .collect();
-        let mut occupation = Vec::with_capacity(na);
-        let mut spectral = Vec::with_capacity(na);
-        for atom in dev.lattice.atoms.iter() {
-            let r0 = atom.slab_offset * 3;
-            // Boson convention D^< = n·(D^R − D^A): the occupation is
-            // −Im diag(D^<) (opposite sign to electrons).
-            occupation.push(
-                (0..3)
-                    .map(|x| -out.sol.gl_diag[atom.slab][(r0 + x, r0 + x)].im)
-                    .sum(),
-            );
-            spectral.push(
-                (0..3)
-                    .map(|x| -2.0 * out.sol.gr_diag[atom.slab][(r0 + x, r0 + x)].im)
-                    .sum(),
-            );
-        }
-        PhononContribution {
-            iq,
-            iw,
-            dl: dl_t.into_vec(),
-            dg: dg_t.into_vec(),
-            interface_j,
-            occupation,
-            spectral,
-            times: out.times,
-        }
     }
 }
 
@@ -292,17 +356,24 @@ impl PhononObservables {
 }
 
 impl Observables for PhononObservables {
-    type Contribution = PhononContribution;
+    type Contribution = GfChunk<PhononContribution>;
 
-    fn accumulate(&mut self, c: &Self::Contribution) {
+    fn accumulate(&mut self, chunk: &Self::Contribution) {
+        chunk.points.iter().for_each(|c| self.add_point(c));
+        self.times.accumulate(&chunk.times);
+    }
+}
+
+impl PhononObservables {
+    fn add_point(&mut self, c: &PhononContribution) {
         let nentries = self.d_l.nentries();
         for en in 0..nentries {
             self.d_l
                 .block_mut(c.iq, c.iw, en)
-                .copy_from_slice(&c.dl[en * omen_sse::D_BSZ..(en + 1) * omen_sse::D_BSZ]);
+                .copy_from_slice(&c.dl[en * D_BSZ..(en + 1) * D_BSZ]);
             self.d_g
                 .block_mut(c.iq, c.iw, en)
-                .copy_from_slice(&c.dg[en * omen_sse::D_BSZ..(en + 1) * omen_sse::D_BSZ]);
+                .copy_from_slice(&c.dg[en * D_BSZ..(en + 1) * D_BSZ]);
         }
         let w = self.omegas[c.iw];
         for (n, &j) in c.interface_j.iter().enumerate() {
@@ -312,6 +383,5 @@ impl Observables for PhononObservables {
             self.ph_energy_density[a] += w * occ * self.w_ph;
             self.ph_dos[c.iw][a] += spec * self.w_k;
         }
-        self.times.accumulate(&c.times);
     }
 }

@@ -1,162 +1,16 @@
-//! Extraction of the SSE input tensors from RGF slab solutions, and
-//! scattering of self-energy tensors back into per-slab solver inputs.
+//! Scattering of self-energy tensors back into per-slab solver inputs.
 //!
-//! RGF produces Green's functions as slab-sized blocks; the SSE kernels
-//! consume per-atom blocks (`Norb × Norb` for electrons, `3 × 3` per
-//! neighbor pair for phonons). This module performs the (lossless for the
-//! diagonal parts) conversions, using `G^<[n][n+1] = −(G^<[n+1][n])†` for
-//! the inter-slab pair blocks.
+//! The SSE kernels produce per-atom blocks (`Norb × Norb` for electrons,
+//! `3 × 3` per neighbor pair for phonons); RGF consumes slab-sized
+//! blocks. This module converts the former into the latter, a point or a
+//! single slab block at a time ([`omen_rgf::Scattering`]); the opposite
+//! direction, slab rows into per-atom contributions, is
+//! [`crate::observables::Rows`].
 
 use omen_device::DeviceStructure;
 use omen_linalg::{c64, CMatrix, C64};
-use omen_rgf::RgfSolution;
+use omen_rgf::Scattering;
 use omen_sse::{DLayout, DTensor, GLayout, GTensor};
-
-/// Copies the per-atom diagonal blocks of one electron RGF solution into
-/// `G^≷` tensors at `(ik, ie)`.
-pub fn extract_electron_blocks(
-    dev: &DeviceStructure,
-    sol: &RgfSolution,
-    ik: usize,
-    ie: usize,
-    g_l: &mut GTensor,
-    g_g: &mut GTensor,
-) {
-    let norb = dev.material.norb;
-    for (a, atom) in dev.lattice.atoms.iter().enumerate() {
-        let r0 = atom.slab_offset * norb;
-        copy_subblock(
-            &sol.gl_diag[atom.slab],
-            r0,
-            r0,
-            norb,
-            g_l.block_mut(ik, ie, a),
-        );
-        copy_subblock(
-            &sol.gg_diag[atom.slab],
-            r0,
-            r0,
-            norb,
-            g_g.block_mut(ik, ie, a),
-        );
-    }
-}
-
-/// Copies the phonon pair/diagonal blocks of one phonon RGF solution into
-/// `D^≷` tensors at `(iq, iw)`.
-///
-/// * Same-slab pairs come from the slab diagonal blocks;
-/// * adjacent-slab pairs from the first off-diagonal blocks (using the
-///   anti-Hermiticity identity for the upper one);
-/// * pairs through a periodic z-image with `a == b` reuse the atom
-///   diagonal (the qz phase is already encoded in `Φ(qz)`).
-pub fn extract_phonon_blocks(
-    dev: &DeviceStructure,
-    sol: &RgfSolution,
-    iq: usize,
-    iw: usize,
-    d_l: &mut DTensor,
-    d_g: &mut DTensor,
-) {
-    let n3d = 3;
-    // Diagonal entries.
-    for (a, atom) in dev.lattice.atoms.iter().enumerate() {
-        let r0 = atom.slab_offset * n3d;
-        let en = d_l.diag_entry(a);
-        copy_subblock(
-            &sol.gl_diag[atom.slab],
-            r0,
-            r0,
-            n3d,
-            d_l.block_mut(iq, iw, en),
-        );
-        copy_subblock(
-            &sol.gg_diag[atom.slab],
-            r0,
-            r0,
-            n3d,
-            d_g.block_mut(iq, iw, en),
-        );
-    }
-    // Pair entries.
-    for (p, pair) in dev.neighbors.pairs.iter().enumerate() {
-        let fa = dev.lattice.atoms[pair.from];
-        let ta = dev.lattice.atoms[pair.to];
-        let r0 = fa.slab_offset * n3d;
-        let c0 = ta.slab_offset * n3d;
-        let en = d_l.pair_entry(p);
-        match ta.slab as i64 - fa.slab as i64 {
-            0 => {
-                copy_subblock(
-                    &sol.gl_diag[fa.slab],
-                    r0,
-                    c0,
-                    n3d,
-                    d_l.block_mut(iq, iw, en),
-                );
-                copy_subblock(
-                    &sol.gg_diag[fa.slab],
-                    r0,
-                    c0,
-                    n3d,
-                    d_g.block_mut(iq, iw, en),
-                );
-            }
-            1 => {
-                // D[s][s+1] = −(D[s+1][s])† for lesser/greater functions.
-                copy_subblock_adjoint_neg(
-                    &sol.gl_lower[fa.slab],
-                    c0,
-                    r0,
-                    n3d,
-                    d_l.block_mut(iq, iw, en),
-                );
-                copy_subblock_adjoint_neg(
-                    &sol.gg_lower[fa.slab],
-                    c0,
-                    r0,
-                    n3d,
-                    d_g.block_mut(iq, iw, en),
-                );
-            }
-            -1 => {
-                copy_subblock(
-                    &sol.gl_lower[ta.slab],
-                    r0,
-                    c0,
-                    n3d,
-                    d_l.block_mut(iq, iw, en),
-                );
-                copy_subblock(
-                    &sol.gg_lower[ta.slab],
-                    r0,
-                    c0,
-                    n3d,
-                    d_g.block_mut(iq, iw, en),
-                );
-            }
-            _ => unreachable!("neighbor list spans non-adjacent slabs"),
-        }
-    }
-}
-
-/// `dst = src[r0.., c0..]` (an `n × n` sub-block, column-major `dst`).
-fn copy_subblock(src: &CMatrix, r0: usize, c0: usize, n: usize, dst: &mut [C64]) {
-    for j in 0..n {
-        for i in 0..n {
-            dst[j * n + i] = src[(r0 + i, c0 + j)];
-        }
-    }
-}
-
-/// `dst = −(src[r0.., c0..])†`.
-fn copy_subblock_adjoint_neg(src: &CMatrix, r0: usize, c0: usize, n: usize, dst: &mut [C64]) {
-    for j in 0..n {
-        for i in 0..n {
-            dst[j * n + i] = -src[(r0 + j, c0 + i)].conj();
-        }
-    }
-}
 
 /// Converts per-atom `Σ^≷` blocks at `(ik, ie)` into per-slab
 /// block-diagonal matrices for the RGF solver, plus the retarded part
@@ -174,28 +28,58 @@ pub fn sigma_blocks_for_point(
     ik: usize,
     ie: usize,
 ) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) {
+    slab_blocks(dev.bnum(), dev.block_size_el(), |b, out| {
+        sigma_block_into(dev, sigma_l, sigma_g, ik, ie, b, out)
+    })
+}
+
+/// Slab `b`'s `[Σ^R, Σ^<, Σ^>]` of [`sigma_blocks_for_point`], into `out`.
+pub(crate) fn sigma_block_into(
+    dev: &DeviceStructure,
+    sigma_l: &GTensor,
+    sigma_g: &GTensor,
+    ik: usize,
+    ie: usize,
+    b: usize,
+    [sr, sl, sg]: [&mut CMatrix; 3],
+) {
     let norb = dev.material.norb;
     let bs = dev.block_size_el();
-    let nb = dev.bnum();
-    let mut sl = vec![CMatrix::zeros(bs, bs); nb];
-    let mut sg = vec![CMatrix::zeros(bs, bs); nb];
+    sl.resize(bs, bs);
+    sg.resize(bs, bs);
     for (a, atom) in dev.lattice.atoms.iter().enumerate() {
-        let r0 = atom.slab_offset * norb;
-        write_subblock_times_i(&mut sl[atom.slab], r0, norb, sigma_l.block(ik, ie, a));
-        write_subblock_times_i(&mut sg[atom.slab], r0, norb, sigma_g.block(ik, ie, a));
+        if atom.slab == b {
+            let r0 = atom.slab_offset * norb;
+            write_subblock_times_i(sl, r0, norb, sigma_l.block(ik, ie, a));
+            write_subblock_times_i(sg, r0, norb, sigma_g.block(ik, ie, a));
+        }
     }
     // Project Σ^≷ onto their anti-Hermitian parts (exact in continuum;
     // restores the symmetry the finite stencil slightly breaks) and form
     // Σ^R.
-    let mut sr = Vec::with_capacity(nb);
-    for b in 0..nb {
-        sl[b].anti_hermitianize();
-        sg[b].anti_hermitianize();
-        let mut r = &sg[b] - &sl[b];
-        r.scale_inplace(c64(0.5, 0.0));
-        sr.push(r);
+    retarded_from(sr, sl, sg);
+}
+
+/// Anti-Hermitian projections of `Σ^≷` and `Σ^R = (Σ^> − Σ^<) / 2`.
+fn retarded_from(sr: &mut CMatrix, sl: &mut CMatrix, sg: &mut CMatrix) {
+    sl.anti_hermitianize();
+    sg.anti_hermitianize();
+    sr.copy_from(sg);
+    *sr -= &*sl;
+    sr.scale_inplace(c64(0.5, 0.0));
+}
+
+/// The three block vectors of a point, `nb` slabs of `bs × bs`.
+fn slab_blocks(
+    nb: usize,
+    bs: usize,
+    mut block: impl FnMut(usize, [&mut CMatrix; 3]),
+) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) {
+    let [mut r, mut l, mut g] = [0; 3].map(|_| vec![CMatrix::zeros(bs, bs); nb]);
+    for (b, ((r, l), g)) in r.iter_mut().zip(&mut l).zip(&mut g).enumerate() {
+        block(b, [r, l, g]);
     }
-    (sr, sl, sg)
+    (r, l, g)
 }
 
 /// Converts `Π^≷` entries at `(iq, iw)` into per-slab inputs, keeping the
@@ -210,37 +94,80 @@ pub fn pi_blocks_for_point(
     iq: usize,
     iw: usize,
 ) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) {
+    slab_blocks(dev.bnum(), dev.block_size_ph(), |b, out| {
+        pi_block_into(dev, pi_l, pi_g, iq, iw, b, out)
+    })
+}
+
+/// Slab `b`'s `[Π^R, Π^<, Π^>]` of [`pi_blocks_for_point`], into `out`.
+pub(crate) fn pi_block_into(
+    dev: &DeviceStructure,
+    pi_l: &DTensor,
+    pi_g: &DTensor,
+    iq: usize,
+    iw: usize,
+    b: usize,
+    [pr, pl, pg]: [&mut CMatrix; 3],
+) {
     let n3d = 3;
     let bs = dev.block_size_ph();
-    let nb = dev.bnum();
-    let mut pl = vec![CMatrix::zeros(bs, bs); nb];
-    let mut pg = vec![CMatrix::zeros(bs, bs); nb];
+    pl.resize(bs, bs);
+    pg.resize(bs, bs);
     for (a, atom) in dev.lattice.atoms.iter().enumerate() {
-        let r0 = atom.slab_offset * n3d;
-        let en = pi_l.diag_entry(a);
-        write_subblock_times_i(&mut pl[atom.slab], r0, n3d, pi_l.block(iq, iw, en));
-        write_subblock_times_i(&mut pg[atom.slab], r0, n3d, pi_g.block(iq, iw, en));
+        if atom.slab == b {
+            let r0 = atom.slab_offset * n3d;
+            let en = pi_l.diag_entry(a);
+            write_subblock_times_i(pl, r0, n3d, pi_l.block(iq, iw, en));
+            write_subblock_times_i(pg, r0, n3d, pi_g.block(iq, iw, en));
+        }
     }
     for (p, pair) in dev.neighbors.pairs.iter().enumerate() {
         let fa = dev.lattice.atoms[pair.from];
         let ta = dev.lattice.atoms[pair.to];
-        if fa.slab == ta.slab && pair.from != pair.to {
+        if fa.slab == b && ta.slab == b && pair.from != pair.to {
             let r0 = fa.slab_offset * n3d;
             let c0 = ta.slab_offset * n3d;
             let en = pi_l.pair_entry(p);
-            add_subblock_at_times_i(&mut pl[fa.slab], r0, c0, n3d, pi_l.block(iq, iw, en));
-            add_subblock_at_times_i(&mut pg[fa.slab], r0, c0, n3d, pi_g.block(iq, iw, en));
+            add_subblock_at_times_i(pl, r0, c0, n3d, pi_l.block(iq, iw, en));
+            add_subblock_at_times_i(pg, r0, c0, n3d, pi_g.block(iq, iw, en));
         }
     }
-    let mut pr = Vec::with_capacity(nb);
-    for b in 0..nb {
-        pl[b].anti_hermitianize();
-        pg[b].anti_hermitianize();
-        let mut r = &pg[b] - &pl[b];
-        r.scale_inplace(c64(0.5, 0.0));
-        pr.push(r);
+    retarded_from(pr, pl, pg);
+}
+
+/// The electron scattering self-energies of a Born iteration, as the GF
+/// solvers read them.
+pub(crate) struct SigmaScattering<'a> {
+    pub dev: &'a DeviceStructure,
+    pub sigma_l: &'a GTensor,
+    pub sigma_g: &'a GTensor,
+}
+
+impl Scattering for SigmaScattering<'_> {
+    fn point(&self, ik: usize, ie: usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) {
+        sigma_blocks_for_point(self.dev, self.sigma_l, self.sigma_g, ik, ie)
     }
-    (pr, pl, pg)
+
+    fn block(&self, ik: usize, ie: usize, b: usize, out: [&mut CMatrix; 3]) {
+        sigma_block_into(self.dev, self.sigma_l, self.sigma_g, ik, ie, b, out)
+    }
+}
+
+/// The phonon scattering self-energies of a Born iteration.
+pub(crate) struct PiScattering<'a> {
+    pub dev: &'a DeviceStructure,
+    pub pi_l: &'a DTensor,
+    pub pi_g: &'a DTensor,
+}
+
+impl Scattering for PiScattering<'_> {
+    fn point(&self, iq: usize, iw: usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) {
+        pi_blocks_for_point(self.dev, self.pi_l, self.pi_g, iq, iw)
+    }
+
+    fn block(&self, iq: usize, iw: usize, b: usize, out: [&mut CMatrix; 3]) {
+        pi_block_into(self.dev, self.pi_l, self.pi_g, iq, iw, b, out)
+    }
 }
 
 /// Writes `i · src` into the diagonal sub-block at `r0` (the Eq. (2)/(3)
@@ -283,6 +210,7 @@ pub fn zero_tensors(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observables::Rows;
     use omen_device::DeviceConfig;
     use omen_rgf::{CacheMode, ElectronParams, ElectronSolver, GfSolver};
 
@@ -298,12 +226,14 @@ mod tests {
             vec![0.1],
         );
         let out = solver.solve_point(0, 0, None, None, None);
-        let (mut gl, mut gg, _, _) = zero_tensors(&dev, 1, 1, 1, 1);
-        extract_electron_blocks(&dev, &out.sol, 0, 0, &mut gl, &mut gg);
+        let mut rows = Rows::electrons(&dev, 0, 0..1);
+        out.feed(0, &mut rows);
+        let gl = &rows.points[0].gl;
         // Atom 0 is slab 0, offset 0: its block equals the top-left
         // sub-block of the slab solution.
         let norb = dev.material.norb;
-        let blk = gl.block(0, 0, 0);
+        let bsz = norb * norb;
+        let blk = &gl[..bsz];
         for j in 0..norb {
             for i in 0..norb {
                 assert_eq!(blk[j * norb + i], out.sol.gl_diag[0][(i, j)]);
@@ -311,7 +241,7 @@ mod tests {
         }
         // Extracted diagonal blocks stay anti-Hermitian.
         for a in 0..dev.num_atoms() {
-            let b = gl.block(0, 0, a);
+            let b = &gl[a * bsz..(a + 1) * bsz];
             for i in 0..norb {
                 for j in 0..norb {
                     let z = b[j * norb + i] + b[i * norb + j].conj();
@@ -319,7 +249,6 @@ mod tests {
                 }
             }
         }
-        let _ = gg;
     }
 
     #[test]
@@ -362,8 +291,10 @@ mod tests {
             vec![0.02],
         );
         let out = solver.solve_point(0, 0, None, None, None);
-        let (_, _, mut dl, mut dg) = zero_tensors(&dev, 1, 1, 1, 1);
-        extract_phonon_blocks(&dev, &out.sol, 0, 0, &mut dl, &mut dg);
+        let mut rows = Rows::phonons(&dev, 0, 0..1);
+        out.feed(0, &mut rows);
+        let (_, _, mut dl, _) = zero_tensors(&dev, 1, 1, 1, 1);
+        dl.as_mut_slice().copy_from_slice(&rows.points[0].dl);
         // For every pair p = (a → b) and its reverse, the lesser blocks
         // satisfy D_ba = −(D_ab)† (anti-Hermiticity of the full D^<).
         for (p, pair) in dev.neighbors.pairs.iter().enumerate() {
@@ -395,6 +326,5 @@ mod tests {
                 }
             }
         }
-        let _ = dg;
     }
 }

@@ -47,8 +47,8 @@ pub use lu::{invert, solve, Lu, LuFactors, SingularMatrix};
 pub use mixed::{quantize_f16, Normalization, NORMALIZATION_TARGET};
 pub use norms::{magnitude_distribution, max_abs, rel_err_fro, rel_err_max, MagnitudeDistribution};
 pub use planes::{
-    add_planes, count_fused_run, pack_planes, pack_split, planes_dots, planes_mac, DotTile,
-    PlaneScratch, SplitRun, PLANES_MAX_DIM,
+    add_planes, count_fused_run, pack_planes, pack_split, planes_dots, planes_gemm, planes_mac,
+    DotTile, PlaneScratch, SplitRun, LANES, PLANES_MAX_DIM,
 };
 pub use sparse::{csrmm, gemmi, CscMatrix, CsrMatrix};
 pub use workspace::{Workspace, WorkspaceLease, WorkspacePool};

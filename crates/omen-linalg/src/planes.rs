@@ -13,25 +13,29 @@
 //! * [`planes_mac`] — `C[e] += A[e] · W` for every `e` of a run, as
 //!   complex-scalar × energy-vector FMAs (SSE stage C);
 //! * [`planes_dots`] — a 3 × 3 tile of complex dot products over one
-//!   contiguous split-complex run (SSE stage D).
+//!   contiguous split-complex run (SSE stage D);
+//! * [`planes_gemm`] — `C[e] = α·A[e]·op(B[e]) + β·C[e]` over a chunk of
+//!   energy lanes whose operands all differ, the block products of the
+//!   RGF row solve (`omen-rgf`), on blocks up to `SMALL_DIM`.
 //!
-//! Both are one generic body instantiated twice, AVX2+FMA and portable,
+//! Each is one generic body instantiated twice, AVX2+FMA and portable,
 //! behind the same runtime dispatch as the micro-kernel
 //! (`OMEN_FORCE_SCALAR=1` pins the portable one). Within an instantiation
 //! the arithmetic of one output element never depends on where in a run
-//! it sits (vector step or scalar tail), so [`planes_mac`] is bitwise
-//! reproducible under any split of the energy axis.
+//! it sits (vector step or scalar tail), so [`planes_mac`] and
+//! [`planes_gemm`] are bitwise reproducible under any split of the energy
+//! axis.
 //!
 //! The kernels do no accounting of their own: a caller fuses many sweeps
 //! over one pack into a run and reports it once through
 //! [`count_fused_run`].
 
-use crate::batched::PackedB;
+use crate::batched::{BatchDims, PackedB};
 use crate::complex::{c64, C64};
-use crate::gemm::fma_available;
+use crate::gemm::{fma_available, Op};
 
 /// `f64` lanes of one vector step (one AVX2 register).
-const LANES: usize = 4;
+pub const LANES: usize = 4;
 
 /// Largest block dimension [`planes_mac`] is instantiated for. Every
 /// larger square block takes the packed micro-kernel
@@ -324,6 +328,347 @@ unsafe fn mac_block_avx2<const N: usize>(
 }
 
 // ---------------------------------------------------------------------------
+// RGF: block products with the energy lanes as the SIMD axis.
+// ---------------------------------------------------------------------------
+
+/// One SIMD step over energy lanes: the arithmetic of [`planes_gemm`],
+/// written once and instantiated for an AVX2 register (four lanes), a
+/// fused scalar lane (the same operations one lane at a time, for the
+/// tail of a run) and a plain scalar lane (the portable instantiation).
+///
+/// # Safety
+/// Every method may run only on a CPU with the instruction set the
+/// instantiation uses (AVX2 + FMA for [`Avx`]; the scalar lanes run
+/// anywhere); `load` and `store` also need `p` valid for `WIDTH` `f64`s.
+trait Lane: Copy {
+    /// Lanes per step.
+    const WIDTH: usize;
+    unsafe fn load(p: *const f64) -> Self;
+    unsafe fn store(self, p: *mut f64);
+    unsafe fn splat(x: f64) -> Self;
+    unsafe fn mul(self, b: Self) -> Self;
+    /// `c + self·b`, fused where the instantiation fuses.
+    unsafe fn madd(self, b: Self, c: Self) -> Self;
+    /// `c − self·b`, fused where the instantiation fuses.
+    unsafe fn nmadd(self, b: Self, c: Self) -> Self;
+}
+
+/// A scalar lane with hardware FMA: the operations of an AVX2 lane.
+#[derive(Clone, Copy)]
+struct Fused(f64);
+
+impl Lane for Fused {
+    const WIDTH: usize = 1;
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Fused(*p)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        *p = self.0;
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        Fused(x)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        Fused(self.0 * b.0)
+    }
+    #[inline(always)]
+    unsafe fn madd(self, b: Self, c: Self) -> Self {
+        Fused(self.0.mul_add(b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn nmadd(self, b: Self, c: Self) -> Self {
+        Fused((-self.0).mul_add(b.0, c.0))
+    }
+}
+
+/// A scalar lane without FMA: the portable instantiation.
+#[derive(Clone, Copy)]
+struct Plain(f64);
+
+impl Lane for Plain {
+    const WIDTH: usize = 1;
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Plain(*p)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        *p = self.0;
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        Plain(x)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        Plain(self.0 * b.0)
+    }
+    #[inline(always)]
+    unsafe fn madd(self, b: Self, c: Self) -> Self {
+        Plain(c.0 + self.0 * b.0)
+    }
+    #[inline(always)]
+    unsafe fn nmadd(self, b: Self, c: Self) -> Self {
+        Plain(c.0 - self.0 * b.0)
+    }
+}
+
+/// Four lanes in one AVX2 register. Only ever inlined into
+/// [`gemm_avx2`], whose `target_feature` lets the intrinsics inline.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx(std::arch::x86_64::__m256d);
+
+#[cfg(target_arch = "x86_64")]
+impl Lane for Avx {
+    const WIDTH: usize = LANES;
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Avx(std::arch::x86_64::_mm256_loadu_pd(p))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        std::arch::x86_64::_mm256_storeu_pd(p, self.0)
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        Avx(std::arch::x86_64::_mm256_set1_pd(x))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        Avx(std::arch::x86_64::_mm256_mul_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn madd(self, b: Self, c: Self) -> Self {
+        Avx(std::arch::x86_64::_mm256_fmadd_pd(self.0, b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn nmadd(self, b: Self, c: Self) -> Self {
+        Avx(std::arch::x86_64::_mm256_fnmadd_pd(self.0, b.0, c.0))
+    }
+}
+
+/// Shape and scalars of one [`planes_gemm`] call, in `f64` offsets: an
+/// element is `2·lanes` values, its `im` plane `lanes` after its `re`.
+#[derive(Clone, Copy)]
+struct LaneGemm {
+    dims: BatchDims,
+    lanes: usize,
+    alpha: C64,
+    beta: C64,
+    conj_b: bool,
+}
+
+impl LaneGemm {
+    /// Offset of element `(i, j)` of a column-major block with `rows` rows.
+    #[inline(always)]
+    fn at(&self, rows: usize, i: usize, j: usize) -> usize {
+        2 * (j * rows + i) * self.lanes
+    }
+
+    /// Offset of element `(l, j)` of `op(B)`: `B[l, j]`, or `B[j, l]` to be
+    /// conjugated.
+    #[inline(always)]
+    fn at_b(&self, l: usize, j: usize) -> usize {
+        if self.conj_b {
+            self.at(self.dims.n, j, l)
+        } else {
+            self.at(self.dims.k, l, j)
+        }
+    }
+
+    /// The `MR × NR` output tile at `(i0, j0)`, lanes `e..e + V::WIDTH`:
+    /// `acc = Σ_l A[i, l]·op(B)[l, j]` from zero in `l` order, four fused
+    /// operations per complex MAC, then `C = α·acc + β·C`.
+    ///
+    /// # Safety
+    /// The three planes must hold the whole block at every lane read, and
+    /// the CPU must run `V` (see [`Lane`]).
+    #[inline(always)]
+    unsafe fn tile<V: Lane, const MR: usize, const NR: usize, const CONJ: bool>(
+        &self,
+        i0: usize,
+        j0: usize,
+        e: usize,
+        a: *const f64,
+        b: *const f64,
+        c: *mut f64,
+    ) {
+        let (ls, m) = (self.lanes, self.dims.m);
+        // Element strides: down a column of A, along `l` in A and op(B),
+        // and across the tile's columns of op(B).
+        let (a_row, a_l) = (2 * ls, 2 * m * ls);
+        let (b_l, b_col) = (self.at_b(1, 0), self.at_b(0, 1));
+        let (mut pa, mut pb) = (a.add(self.at(m, i0, 0) + e), b.add(self.at_b(0, j0) + e));
+        let zero = V::splat(0.0);
+        let mut re = [[zero; NR]; MR];
+        let mut im = [[zero; NR]; MR];
+        for _ in 0..self.dims.k {
+            let mut ar = [zero; MR];
+            let mut ai = [zero; MR];
+            for r in 0..MR {
+                let p = pa.add(r * a_row);
+                (ar[r], ai[r]) = (V::load(p), V::load(p.add(ls)));
+            }
+            pa = pa.add(a_l);
+            for q in 0..NR {
+                let p = pb.add(q * b_col);
+                let (br, bi) = (V::load(p), V::load(p.add(ls)));
+                for r in 0..MR {
+                    let (x, y) = (&mut re[r][q], &mut im[r][q]);
+                    *x = ar[r].madd(br, *x);
+                    if CONJ {
+                        *x = ai[r].madd(bi, *x);
+                        *y = ar[r].nmadd(bi, *y);
+                    } else {
+                        *x = ai[r].nmadd(bi, *x);
+                        *y = ar[r].madd(bi, *y);
+                    }
+                    *y = ai[r].madd(br, *y);
+                }
+            }
+            pb = pb.add(b_l);
+        }
+        let (alpha, beta) = (self.alpha, self.beta);
+        let (ar, ai) = (V::splat(alpha.re), V::splat(alpha.im));
+        let (br, bi) = (V::splat(beta.re), V::splat(beta.im));
+        for r in 0..MR {
+            for q in 0..NR {
+                let p = c.add(self.at(m, i0 + r, j0 + q) + e);
+                let (mut x, mut y) = (re[r][q], im[r][q]);
+                if alpha != C64::ONE {
+                    (x, y) = (ai.nmadd(y, ar.mul(x)), ai.madd(x, ar.mul(y)));
+                }
+                if beta != C64::ZERO {
+                    let (cr, ci) = (V::load(p), V::load(p.add(ls)));
+                    x = bi.nmadd(ci, br.madd(cr, x));
+                    y = bi.madd(cr, br.madd(ci, y));
+                }
+                x.store(p);
+                y.store(p.add(ls));
+            }
+        }
+    }
+
+    /// Every output tile, lanes `from..to` in steps of `V::WIDTH`.
+    ///
+    /// # Safety
+    /// As for [`LaneGemm::tile`], and `V::WIDTH` must divide `to − from`.
+    #[inline(always)]
+    unsafe fn run<V: Lane>(&self, from: usize, to: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+        if self.conj_b {
+            self.tiles::<V, true>(from, to, a, b, c);
+        } else {
+            self.tiles::<V, false>(from, to, a, b, c);
+        }
+    }
+
+    /// [`LaneGemm::run`] for one `op(B)`.
+    ///
+    /// # Safety
+    /// As for [`LaneGemm::run`].
+    #[inline(always)]
+    unsafe fn tiles<V: Lane, const CONJ: bool>(
+        &self,
+        from: usize,
+        to: usize,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        let (m, n) = (self.dims.m, self.dims.n);
+        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        for j0 in (0..n).step_by(2) {
+            for i0 in (0..m).step_by(2) {
+                for e in (from..to).step_by(V::WIDTH) {
+                    match (m - i0 > 1, n - j0 > 1) {
+                        (true, true) => self.tile::<V, 2, 2, CONJ>(i0, j0, e, a, b, c),
+                        (true, false) => self.tile::<V, 2, 1, CONJ>(i0, j0, e, a, b, c),
+                        (false, true) => self.tile::<V, 1, 2, CONJ>(i0, j0, e, a, b, c),
+                        (false, false) => self.tile::<V, 1, 1, CONJ>(i0, j0, e, a, b, c),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `C[e] = α·A[e]·op(B)[e] + β·C[e]` for every lane `e < lanes`, with
+/// `op ∈ {N, C}`: a chunk of equally shaped block products — one per
+/// energy of an RGF row solve — with the energies as the SIMD axis.
+///
+/// Operands are **lane blocks**: split-complex `[element][re|im][lane]`,
+/// elements column-major as in [`crate::CMatrix`] (`A` is `m × k`, `B` is
+/// `k × n` for [`Op::N`] and `n × k` for [`Op::C`], `C` is `m × n`), so
+/// element `x` holds its `lanes` real parts from `2·x·lanes` and its
+/// imaginary parts right after. Blocks up to [`crate::gemm::SMALL_DIM`]
+/// are the intended shape (2 × 2 register tiles, no packing).
+///
+/// Same contract as [`planes_mac`]: within one dispatch instantiation an
+/// output element receives the same fused operations in the same order
+/// whether its lane sits in a vector step or the scalar tail, so a lane's
+/// result does not depend on which other lanes share the call. `C` is
+/// not read when `β = 0`. Does no accounting of its own (see
+/// [`count_fused_run`]).
+///
+/// # Panics
+/// If `op_b` is [`Op::T`] or a lane block is too short for its shape.
+#[allow(clippy::too_many_arguments)] // BLAS-style parameter list
+pub fn planes_gemm(
+    dims: BatchDims,
+    lanes: usize,
+    alpha: C64,
+    a: &[f64],
+    b: &[f64],
+    op_b: Op,
+    beta: C64,
+    c: &mut [f64],
+) {
+    assert!(op_b != Op::T, "planes_gemm: op(B) is N or C");
+    let BatchDims { m, n, k } = dims;
+    assert!(a.len() >= 2 * m * k * lanes, "planes_gemm: A too short");
+    assert!(b.len() >= 2 * k * n * lanes, "planes_gemm: B too short");
+    assert!(c.len() >= 2 * m * n * lanes, "planes_gemm: C too short");
+    let g = LaneGemm {
+        dims,
+        lanes,
+        alpha,
+        beta,
+        conj_b: op_b == Op::C,
+    };
+    if lanes == 0 || m == 0 || n == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: `fma_available` says the CPU has AVX2 + FMA; the asserts
+        // above say every lane of every element is in bounds.
+        unsafe { gemm_avx2(&g, a, b, c) };
+        return;
+    }
+    // SAFETY: as above; a one-lane step divides any lane count.
+    unsafe { g.run::<Plain>(0, lanes, a, b, c) };
+}
+
+/// AVX2/FMA instantiation of [`planes_gemm`]: four lanes per step, the
+/// lanes past the last full step one at a time with the same fused
+/// operations.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA; the planes must hold every lane.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gemm_avx2(g: &LaneGemm, a: &[f64], b: &[f64], c: &mut [f64]) {
+    let full = g.lanes / LANES * LANES;
+    g.run::<Avx>(0, full, a, b, c);
+    g.run::<Fused>(full, g.lanes, a, b, c);
+}
+
+// ---------------------------------------------------------------------------
 // Stage D: a 3 × 3 tile of complex dot products.
 // ---------------------------------------------------------------------------
 
@@ -576,6 +921,65 @@ mod tests {
         dots(false, &x, &y, &mut plain);
         for (f, p) in fused.sum().iter().zip(&plain.sum()) {
             assert!((*f - *p).abs() < 1e-13);
+        }
+    }
+
+    /// Lane `e` of a `lanes`-wide lane block as its own one-lane block.
+    fn lane_of(block: &[f64], lanes: usize, e: usize) -> Vec<f64> {
+        let elems = block.len() / (2 * lanes);
+        (0..2 * elems).map(|p| block[p * lanes + e]).collect()
+    }
+
+    #[test]
+    fn lane_gemm_does_not_depend_on_the_chunk() {
+        // Each lane of a 9-lane call (two vector steps and a tail) equals
+        // the same lane computed alone, bit for bit, for both ops and
+        // with β = 1 reading C.
+        let (dims, lanes) = (BatchDims { m: 5, n: 4, k: 3 }, 9);
+        let f = |len: usize, seed: u64| -> Vec<f64> {
+            noise(len, seed).iter().flat_map(|z| [z.re, z.im]).collect()
+        };
+        for op_b in [Op::N, Op::C] {
+            let (a, b) = (f(15 * lanes, 8), f(12 * lanes, 9));
+            let mut whole = f(20 * lanes, 10);
+            let c0 = whole.clone();
+            planes_gemm(dims, lanes, C64::ONE, &a, &b, op_b, C64::ONE, &mut whole);
+            for e in 0..lanes {
+                let mut alone = lane_of(&c0, lanes, e);
+                let (ae, be) = (lane_of(&a, lanes, e), lane_of(&b, lanes, e));
+                planes_gemm(dims, 1, C64::ONE, &ae, &be, op_b, C64::ONE, &mut alone);
+                assert_eq!(alone, lane_of(&whole, lanes, e), "{op_b:?} lane {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_gemm_instantiations_agree_to_rounding() {
+        if !fma_available() {
+            return; // one instantiation only on this host (or forced)
+        }
+        let lanes = 6;
+        let g = LaneGemm {
+            dims: BatchDims::square(12),
+            lanes,
+            alpha: c64(0.5, -0.25),
+            beta: c64(1.0, 0.5),
+            conj_b: true,
+        };
+        let f = |seed: u64| -> Vec<f64> {
+            noise(144 * lanes, seed)
+                .iter()
+                .flat_map(|z| [z.re, z.im])
+                .collect()
+        };
+        let (a, b) = (f(11), f(12));
+        let (mut fused, mut plain) = (f(13), f(13));
+        // SAFETY: this host has AVX2 + FMA; every plane holds all lanes.
+        unsafe { gemm_avx2(&g, &a, &b, &mut fused) };
+        // SAFETY: as above.
+        unsafe { g.run::<Plain>(0, lanes, &a, &b, &mut plain) };
+        for (x, y) in fused.iter().zip(&plain) {
+            assert!((x - y).abs() < 1e-13, "{x} vs {y}");
         }
     }
 

@@ -35,6 +35,9 @@ pub struct Workspace {
     free_vecs: Vec<Vec<CMatrix>>,
     /// Free raw element buffers, checked out best-fit by capacity.
     free_bufs: Vec<Vec<C64>>,
+    /// Free split-complex plane buffers (the lane blocks of the RGF row
+    /// solve), checked out best-fit by capacity.
+    free_planes: Vec<Vec<f64>>,
     /// Free pre-packed-operand packs for the batched kernels.
     free_packed_b: Vec<PackedB>,
     /// Split-complex pack arena of the batched SBSMM path.
@@ -116,6 +119,24 @@ impl Workspace {
         self.free_bufs.push(b);
     }
 
+    /// Checks out a plane buffer of `len` `f64`s (contents unspecified:
+    /// every user overwrites before reading), reusing the smallest pooled
+    /// one that fits.
+    pub fn take_planes(&mut self, len: usize) -> Vec<f64> {
+        let best = (self.free_planes.iter().enumerate())
+            .filter(|(_, b)| b.capacity() >= len)
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(i, _)| i);
+        let mut b = best.map_or_else(Vec::new, |i| self.free_planes.swap_remove(i));
+        b.resize(len, 0.0);
+        b
+    }
+
+    /// Returns a plane buffer to the pool.
+    pub fn give_planes(&mut self, b: Vec<f64>) {
+        self.free_planes.push(b);
+    }
+
     /// Checks out a [`PackedB`] pack (warm when one was given back). The
     /// per-point SSE kernels pack each shared `G` block once per pair and
     /// sweep it across the three gradient directions.
@@ -168,6 +189,7 @@ impl Workspace {
         self.free.clear();
         self.free_vecs.clear();
         self.free_bufs.clear();
+        self.free_planes.clear();
         self.free_packed_b.clear();
         self.batch.reset();
         self.lu = LuFactors::new();
@@ -177,7 +199,8 @@ impl Workspace {
     pub fn pooled_bytes(&self) -> usize {
         let mats: usize = self.free.iter().map(|m| m.capacity() * 16).sum();
         let bufs: usize = self.free_bufs.iter().map(|b| b.capacity() * 16).sum();
-        mats + bufs
+        let planes: usize = self.free_planes.iter().map(|b| b.capacity() * 8).sum();
+        mats + bufs + planes
     }
 }
 

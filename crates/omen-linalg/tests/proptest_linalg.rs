@@ -258,6 +258,65 @@ proptest! {
     }
 
     #[test]
+    fn planes_gemm_matches_gemm(
+        m in 1usize..=16,
+        n in 1usize..=16,
+        k in 1usize..=16,
+        lanes in 1usize..=9,
+        conj in 0usize..2,
+        pick in (0usize..2, 0usize..3),
+        coeffs in (arb_c64(), arb_c64()),
+        seed in 0u64..1_000_000,
+    ) {
+        // Every lane of the lane-block kernel against `gemm` on that lane's
+        // blocks: vector steps and scalar tails (lanes 1–9), op(B) ∈ {N, C},
+        // α ∈ {1, any} and β ∈ {0, 1, any}.
+        let op_b = if conj == 1 { Op::C } else { Op::N };
+        let alpha = if pick.0 == 0 { C64::ONE } else { coeffs.0 };
+        let beta = [C64::ZERO, C64::ONE, coeffs.1][pick.1];
+        let block = |r: usize, c: usize, lane: usize, tag: u64| {
+            CMatrix::from_fn(r, c, |i, j| {
+                let t = (i * 31 + j * 7 + lane * 101) as f64 * 0.37 + (seed + tag) as f64 * 1e-4;
+                c64(t.sin(), (t * 0.7).cos())
+            })
+        };
+        let (br, bc) = if op_b == Op::C { (n, k) } else { (k, n) };
+        let a: Vec<CMatrix> = (0..lanes).map(|e| block(m, k, e, 1)).collect();
+        let b: Vec<CMatrix> = (0..lanes).map(|e| block(br, bc, e, 2)).collect();
+        let c0: Vec<CMatrix> = (0..lanes).map(|e| block(m, n, e, 3)).collect();
+        // Lane blocks: element x of lane e at re 2·x·lanes + e, im + lanes.
+        let pack = |blocks: &[CMatrix]| -> Vec<f64> {
+            let len = blocks[0].as_slice().len();
+            let mut out = vec![0.0; 2 * len * lanes];
+            for (e, blk) in blocks.iter().enumerate() {
+                for (x, z) in blk.as_slice().iter().enumerate() {
+                    out[2 * x * lanes + e] = z.re;
+                    out[(2 * x + 1) * lanes + e] = z.im;
+                }
+            }
+            out
+        };
+        let mut got = pack(&c0);
+        planes_gemm(BatchDims { m, n, k }, lanes, alpha, &pack(&a), &pack(&b), op_b, beta, &mut got);
+        let amax = a.iter().map(|x| x.max_abs()).fold(0.0, f64::max);
+        let bmax = b.iter().map(|x| x.max_abs()).fold(0.0, f64::max);
+        let cmax = c0.iter().map(|x| x.max_abs()).fold(0.0, f64::max);
+        let scale = alpha.abs() * k as f64 * amax * bmax + beta.abs() * cmax;
+        let tol = 8.0 * f64::EPSILON * scale.max(1.0);
+        for e in 0..lanes {
+            let mut want = c0[e].clone();
+            gemm(alpha, &a[e], Op::N, &b[e], op_b, beta, &mut want);
+            for (x, w) in want.as_slice().iter().enumerate() {
+                let g = c64(got[2 * x * lanes + e], got[(2 * x + 1) * lanes + e]);
+                prop_assert!(
+                    (g - *w).abs() <= tol,
+                    "{m}x{n}x{k} lane {e}/{lanes} {op_b:?}: {g} vs {w} (tol {tol:e})"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn sbsmm_matches_gemm(batch in 1usize..5, n in 1usize..8) {
         let dims = BatchDims::square(n);
         let s = Strides::packed(dims);

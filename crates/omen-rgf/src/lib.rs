@@ -8,6 +8,7 @@ pub mod dense_ref;
 pub mod observables;
 pub mod points;
 pub mod rgf;
+pub mod rows;
 pub mod testutil;
 
 pub use bccache::{BoundaryCache, BoundaryCacheStats};
@@ -22,7 +23,8 @@ pub use observables::{
     interface_current, orbital_occupation,
 };
 pub use points::{
-    CacheMode, Carrier, ElectronParams, ElectronSolver, Electrons, GfSolver, PhaseTimes,
-    PhononParams, PhononSolver, PointSolution, PointSolver,
+    CacheMode, Carrier, ElectronParams, ElectronSolver, Electrons, GfSolver, Part, PhaseTimes,
+    PhononParams, PhononSolver, PointSolution, PointSolver, RowSink, Scattering,
 };
 pub use rgf::{rgf_flops_model, rgf_solve, rgf_solve_into, RgfInputs, RgfSolution};
+pub use rows::{rgf_row_into, row_width, RgfCoupling, RgfRow, RowInputs};

@@ -19,8 +19,11 @@ use crate::boundary::{
     bose, boundary_self_energies_ws, contact_sigma_lg, fermi, BoundaryMethod, BoundarySelfEnergies,
 };
 use crate::rgf::{rgf_solve_into, RgfInputs, RgfSolution};
+use crate::rows::{rgf_row_into, row_width, RgfCoupling, RgfRow, RowInputs};
 use omen_device::DeviceStructure;
-use omen_linalg::{c64, BlockTriDiag, CMatrix, Workspace, WorkspaceLease, WorkspacePool};
+use omen_linalg::{c64, BlockTriDiag, CMatrix, Workspace, WorkspaceLease, WorkspacePool, C64};
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,12 +127,15 @@ impl Default for PhononParams {
 /// interface of [`ElectronSolver`] (`(kz, E)` points) and
 /// [`PhononSolver`] (`(qz, ω)` points).
 ///
-/// The trait is what the driver's execution engine programs against: a
-/// point sweep is `solve_point` over every `(i, j)` of the grid, with the
-/// optional scattering self-energy blocks of the current Born iteration.
-/// Construction stays on the concrete types (their parameter sets differ);
-/// construction is cheap — caches start empty — so parallel executors
-/// build one solver per worker.
+/// The trait is what the driver's execution engine programs against. Its
+/// unit is a **row**: a run of consecutive `j` of one `i` (energies of one
+/// momentum), solved together by [`GfSolver::solve_row`] under the current
+/// Born iteration's scattering self-energies and handed, block row by
+/// block row, to a [`RowSink`]. [`GfSolver::solve_point`] solves one
+/// point and returns its whole solution: the per-point oracle path.
+/// Construction stays on the concrete types (their parameter sets
+/// differ); construction is cheap — caches start empty — so parallel
+/// executors build one solver per worker.
 pub trait GfSolver {
     /// Solves grid point `(i, j)` given optional retarded/lesser/greater
     /// scattering self-energy blocks (`None` on the ballistic first
@@ -143,11 +149,65 @@ pub trait GfSolver {
         sigma_g: Option<&[CMatrix]>,
     ) -> PointSolution;
 
+    /// Solves points `(i, j)` for every `j` of `js`, feeding point `j`'s
+    /// block rows to `sink` as lane `j − js.start`; returns the sub-phase
+    /// timings of the whole row. The default solves point by point.
+    fn solve_row(
+        &mut self,
+        i: usize,
+        js: Range<usize>,
+        scattering: Option<&dyn Scattering>,
+        sink: &mut dyn RowSink,
+    ) -> PhaseTimes {
+        solve_row_by_points(self, i, js, scattering, sink)
+    }
+
     /// The carrier this solver models (diagnostics/logging).
     fn carrier(&self) -> &'static str;
 
     /// Approximate resident bytes of the solver's caches.
     fn cache_bytes(&self) -> usize;
+}
+
+/// [`GfSolver::solve_row`] as a loop over [`GfSolver::solve_point`].
+fn solve_row_by_points<S: GfSolver + ?Sized>(
+    solver: &mut S,
+    i: usize,
+    js: Range<usize>,
+    scattering: Option<&dyn Scattering>,
+    sink: &mut dyn RowSink,
+) -> PhaseTimes {
+    let mut times = PhaseTimes::default();
+    for (lane, j) in js.enumerate() {
+        let out = match scattering {
+            Some(blocks) => {
+                let (r, l, g) = blocks.point(i, j);
+                solver.solve_point(i, j, Some(&r), Some(&l), Some(&g))
+            }
+            None => solver.solve_point(i, j, None, None, None),
+        };
+        out.feed(lane, sink);
+        times.accumulate(&out.times);
+    }
+    times
+}
+
+/// The scattering self-energies of one Born iteration as the GF solvers
+/// read them: a point's slab blocks at once, or one slab block. Both
+/// must give the same bits.
+pub trait Scattering {
+    /// `(Σ^R, Σ^<, Σ^>)`, one block per slab, at grid point `(i, j)`.
+    fn point(&self, i: usize, j: usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>);
+    /// Slab `b`'s `[Σ^R, Σ^<, Σ^>]` at grid point `(i, j)`, into `out`.
+    fn block(&self, i: usize, j: usize, b: usize, out: [&mut CMatrix; 3]);
+}
+
+/// Where a row's solution goes: every block row of every lane, bottom-up
+/// within a lane ([`RgfRow`]), with the point's contact `(Σ^<, Σ^>)`
+/// blocks, left then right. The observables are built from exactly this.
+pub trait RowSink {
+    /// Block row `row.n` of lane `lane`.
+    fn row(&mut self, lane: usize, row: &RgfRow<'_>, boundary_lg: [&(CMatrix, CMatrix); 2]);
 }
 
 /// Output of one GF point solve.
@@ -164,6 +224,59 @@ pub struct PointSolution {
     pub gamma: (CMatrix, CMatrix),
     /// Sub-phase timings of this solve.
     pub times: PhaseTimes,
+}
+
+impl PointSolution {
+    /// Hands this solution to `sink` as lane `lane`, block rows bottom-up
+    /// as a row solve emits them.
+    pub fn feed(&self, lane: usize, sink: &mut dyn RowSink) {
+        let s = &self.sol;
+        let nb = s.gr_diag.len();
+        for n in (0..nb).rev() {
+            let coupling = (n + 1 < nb).then(|| RgfCoupling {
+                upper: &self.m.upper[n],
+                gr_upper: &s.gr_upper[n],
+                gr_lower: &s.gr_lower[n],
+                gl_lower: &s.gl_lower[n],
+                gg_lower: &s.gg_lower[n],
+            });
+            let row = RgfRow {
+                n,
+                gr_diag: &s.gr_diag[n],
+                gl_diag: &s.gl_diag[n],
+                gg_diag: &s.gg_diag[n],
+                coupling,
+            };
+            sink.row(
+                lane,
+                &row,
+                [&self.boundary_lg_left, &self.boundary_lg_right],
+            );
+        }
+    }
+}
+
+/// One block of a block-tridiagonal operator: row `n`'s diagonal block,
+/// or its coupling to row `n + 1`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Part {
+    /// `A[n][n]`.
+    Diag,
+    /// `A[n][n+1]`.
+    Upper,
+    /// `A[n+1][n]`.
+    Lower,
+}
+
+impl Part {
+    /// This part's block `n` of `m`.
+    pub fn of(self, m: &BlockTriDiag, n: usize) -> &CMatrix {
+        match self {
+            Part::Diag => &m.diag[n],
+            Part::Upper => &m.upper[n],
+            Part::Lower => &m.lower[n],
+        }
+    }
 }
 
 /// What tells the two carriers of the GF phase apart: the operator `M`, the
@@ -184,8 +297,9 @@ pub trait Carrier {
     fn block_size(device: &DeviceStructure) -> usize;
     /// Assembles the momentum-`k` operators from the material data.
     fn specialize(&self, device: &DeviceStructure, k: f64) -> Self::Spec;
-    /// The ballistic `M` at energy/frequency `x`.
-    fn assemble(&self, spec: &Self::Spec, x: f64) -> BlockTriDiag;
+    /// Block `part` of row `n` of the ballistic `M` at energy/frequency
+    /// `x`, into `out`: a block row is assembled when a sweep reaches it.
+    fn block(&self, spec: &Self::Spec, x: f64, part: Part, n: usize, out: &mut CMatrix);
     /// Left/right contact occupations at `x`.
     fn occupations(&self, x: f64) -> (f64, f64);
     /// Surface-GF algorithm, decimation tolerance and iteration cap.
@@ -215,8 +329,19 @@ impl Carrier for Electrons {
         )
     }
 
-    fn assemble(&self, (h, s): &Self::Spec, e: f64) -> BlockTriDiag {
-        s.linear_comb(c64(e, self.params.eta), h, c64(-1.0, 0.0))
+    fn block(&self, (h, s): &Self::Spec, e: f64, part: Part, n: usize, out: &mut CMatrix) {
+        // `S·(E + iη) + H·(−1)` elementwise, as `BlockTriDiag::linear_comb`.
+        let (alpha, beta) = (c64(e, self.params.eta), c64(-1.0, 0.0));
+        let (s, h) = (part.of(s, n), part.of(h, n));
+        out.resize_for_overwrite(s.rows(), s.cols());
+        for ((o, s), h) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(s.as_slice())
+            .zip(h.as_slice())
+        {
+            *o = *s * alpha + *h * beta;
+        }
     }
 
     fn occupations(&self, e: f64) -> (f64, f64) {
@@ -249,19 +374,20 @@ impl Carrier for PhononParams {
         device.dynamical(qz)
     }
 
-    fn assemble(&self, phi: &Self::Spec, w: f64) -> BlockTriDiag {
-        let (bnum, bs) = (phi.num_blocks(), phi.block_size());
-        let z2 = c64(w, self.eta) * c64(w, self.eta);
-        let mut m = BlockTriDiag::zeros(bnum, bs);
-        for b in 0..bnum {
-            m.diag[b] = CMatrix::from_diag(&vec![z2; bs]);
-            m.diag[b] -= &phi.diag[b];
+    fn block(&self, phi: &Self::Spec, w: f64, part: Part, n: usize, out: &mut CMatrix) {
+        let p = part.of(phi, n);
+        out.copy_from(p);
+        if part == Part::Diag {
+            // (ω + iη)²·I − Φ[n][n]
+            let z2 = c64(w, self.eta) * c64(w, self.eta);
+            for j in 0..p.cols() {
+                for i in 0..p.rows() {
+                    out[(i, j)] = if i == j { z2 } else { C64::ZERO } - p[(i, j)];
+                }
+            }
+        } else {
+            out.scale_inplace(c64(-1.0, 0.0));
         }
-        for b in 0..bnum - 1 {
-            m.upper[b] = phi.upper[b].scaled(c64(-1.0, 0.0));
-            m.lower[b] = phi.lower[b].scaled(c64(-1.0, 0.0));
-        }
-        m
     }
 
     fn occupations(&self, w: f64) -> (f64, f64) {
@@ -375,6 +501,139 @@ impl<'a, C: Carrier> PointSolver<'a, C> {
     }
 }
 
+/// The momentum's specialization: built into the cache slot under
+/// [`CacheMode::CacheBcSpec`] (once), else into `local` (every call).
+fn specialization<'s, C: Carrier>(
+    carrier: &C,
+    device: &DeviceStructure,
+    mode: CacheMode,
+    slot: &'s mut Option<C::Spec>,
+    local: &'s mut Option<C::Spec>,
+    k: f64,
+) -> &'s C::Spec {
+    let slot = if mode == CacheMode::CacheBcSpec {
+        slot
+    } else {
+        local
+    };
+    slot.get_or_insert_with(|| carrier.specialize(device, k))
+}
+
+/// The point's boundary self-energies from the end blocks of its ballistic
+/// `M` (`[M[0][0], M[0][1], M[1][0], M[N][N], M[N−1][N], M[N][N−1]]`): a
+/// shared cache (cross-worker, cross-iteration) takes precedence, then
+/// the solver-local one unless caching is off; reads borrow, a miss
+/// computes and fills.
+fn boundary<'c>(
+    (method, tol, max_iter): (BoundaryMethod, f64, usize),
+    mode: CacheMode,
+    shared: Option<&BoundaryCache>,
+    slot: &'c mut Option<BoundarySelfEnergies>,
+    key: usize,
+    [d0, u0, l0, dn, un, ln]: [&CMatrix; 6],
+    ws: &mut Workspace,
+) -> Cow<'c, BoundarySelfEnergies> {
+    if let Some(shared) = shared {
+        return Cow::Owned(shared.resolve(key, method, d0, u0, l0, dn, un, ln, tol, max_iter, ws));
+    }
+    let compute = |ws: &mut Workspace| {
+        boundary_self_energies_ws(method, d0, u0, l0, dn, un, ln, tol, max_iter, ws)
+    };
+    if mode == CacheMode::NoCache {
+        return Cow::Owned(compute(ws));
+    }
+    Cow::Borrowed(slot.get_or_insert_with(|| compute(ws)))
+}
+
+/// What a row solve keeps of one lane's boundary: its energy, the
+/// retarded blocks folded into `M`, and the contact `(Σ^<, Σ^>)`.
+struct LaneBoundary {
+    x: f64,
+    left: CMatrix,
+    right: CMatrix,
+    lg: [(CMatrix, CMatrix); 2],
+}
+
+/// One row's [`RowInputs`]: `M`'s blocks from the cached specialization,
+/// boundary and scattering `Σ^R` folded into the diagonal and `Σ^≷`
+/// assembled as each block row is reached, in the per-point path's
+/// order (so `M` and `Σ^≷` are that path's bits).
+struct ChunkInputs<'s, C: Carrier> {
+    carrier: &'s C,
+    spec: &'s C::Spec,
+    lanes: &'s [LaneBoundary],
+    scattering: Option<&'s dyn Scattering>,
+    nb: usize,
+    bs: usize,
+    /// Grid point of lane 0.
+    i: usize,
+    j0: usize,
+    /// Scratch for a scattering `Σ^R` block.
+    sr: CMatrix,
+}
+
+impl<C: Carrier> RowInputs for ChunkInputs<'_, C> {
+    fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    fn num_blocks(&self) -> usize {
+        self.nb
+    }
+
+    fn block_size(&self) -> usize {
+        self.bs
+    }
+
+    fn row(&mut self, e: usize, n: usize, diag: &mut CMatrix, sl: &mut CMatrix, sg: &mut CMatrix) {
+        let lane = &self.lanes[e];
+        let last = self.nb - 1;
+        self.carrier.block(self.spec, lane.x, Part::Diag, n, diag);
+        if n == 0 {
+            *diag -= &lane.left;
+        }
+        if n == last {
+            *diag -= &lane.right;
+        }
+        match self.scattering {
+            Some(blocks) => {
+                blocks.block(self.i, self.j0 + e, n, [&mut self.sr, sl, sg]);
+                self.sr.scale_inplace(c64(-1.0, 0.0));
+                *diag += &self.sr;
+            }
+            None => {
+                sl.resize(self.bs, self.bs);
+                sg.resize(self.bs, self.bs);
+            }
+        }
+        for (end, (l, g)) in [(0, &lane.lg[0]), (last, &lane.lg[1])] {
+            if n == end {
+                *sl += l;
+                *sg += g;
+            }
+        }
+    }
+
+    fn coupling(&mut self, e: usize, n: usize, upper: &mut CMatrix, lower: &mut CMatrix) {
+        let x = self.lanes[e].x;
+        self.carrier.block(self.spec, x, Part::Upper, n, upper);
+        self.carrier.block(self.spec, x, Part::Lower, n, lower);
+    }
+}
+
+/// The whole ballistic `M` at `x`: `nb` block rows of size `bs`.
+fn assemble<C: Carrier>(carrier: &C, spec: &C::Spec, x: f64, nb: usize, bs: usize) -> BlockTriDiag {
+    let mut m = BlockTriDiag::zeros(nb, bs);
+    for n in 0..nb {
+        carrier.block(spec, x, Part::Diag, n, &mut m.diag[n]);
+    }
+    for n in 0..nb - 1 {
+        carrier.block(spec, x, Part::Upper, n, &mut m.upper[n]);
+        carrier.block(spec, x, Part::Lower, n, &mut m.lower[n]);
+    }
+    m
+}
+
 impl<C: Carrier> GfSolver for PointSolver<'_, C> {
     fn solve_point(
         &mut self,
@@ -384,7 +643,6 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
         sigma_l_scatt: Option<&[CMatrix]>,
         sigma_g_scatt: Option<&[CMatrix]>,
     ) -> PointSolution {
-        let k = self.k_values[ik];
         let x = self.x_values[ix];
         let bnum = self.device.bnum();
         let bs = C::block_size(self.device);
@@ -392,74 +650,42 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
 
         // --- (a) specialization ---
         let t0 = Instant::now();
-        // Fill the cache on a miss, then borrow from it — the operators
-        // are large (up to 2·bnum·3 blocks), so no per-point clones.
-        let local_spec;
-        let spec = if self.mode == CacheMode::CacheBcSpec {
-            let slot = &mut self.spec_cache[ik];
-            if slot.is_none() {
-                *slot = Some(self.carrier.specialize(self.device, k));
-            }
-            slot.as_ref().unwrap()
-        } else {
-            local_spec = self.carrier.specialize(self.device, k);
-            &local_spec
-        };
+        // Borrowed from the cache (the operators are large, up to
+        // 2·bnum·3 blocks), so no per-point clones.
+        let mut local = None;
+        let slot = &mut self.spec_cache[ik];
+        let spec = specialization(
+            &self.carrier,
+            self.device,
+            self.mode,
+            slot,
+            &mut local,
+            self.k_values[ik],
+        );
         times.specialization = t0.elapsed();
 
-        let mut m = self.carrier.assemble(spec, x);
+        let mut m = assemble(&self.carrier, spec, x, bnum, bs);
 
         // --- (b) boundary conditions (ballistic lead blocks) ---
         let t1 = Instant::now();
-        let bc_key = ik * self.x_values.len() + ix;
-        let (method, bc_tol, bc_max_iter) = self.carrier.boundary();
-        // Same cache-or-local discipline as the specialization: reads go
-        // through a borrow; only the two Γ blocks handed to the caller
-        // are cloned (on both paths — the cache must keep its copy).
-        // A shared cache (cross-worker, cross-iteration) takes precedence
-        // over the solver-local one.
-        let local_bse;
-        let bse = if let Some(shared) = &self.shared_bc {
-            local_bse = shared.resolve(
-                bc_key,
-                method,
-                &m.diag[0],
-                &m.upper[0],
-                &m.lower[0],
-                &m.diag[bnum - 1],
-                &m.upper[bnum - 2],
-                &m.lower[bnum - 2],
-                bc_tol,
-                bc_max_iter,
-                &mut self.ws,
-            );
-            &local_bse
-        } else {
-            let compute = |ws: &mut Workspace| {
-                boundary_self_energies_ws(
-                    method,
-                    &m.diag[0],
-                    &m.upper[0],
-                    &m.lower[0],
-                    &m.diag[bnum - 1],
-                    &m.upper[bnum - 2],
-                    &m.lower[bnum - 2],
-                    bc_tol,
-                    bc_max_iter,
-                    ws,
-                )
-            };
-            if self.mode != CacheMode::NoCache {
-                let slot = &mut self.bc_cache[bc_key];
-                if slot.is_none() {
-                    *slot = Some(compute(&mut self.ws));
-                }
-                slot.as_ref().unwrap()
-            } else {
-                local_bse = compute(&mut self.ws);
-                &local_bse
-            }
-        };
+        let ends = [
+            &m.diag[0],
+            &m.upper[0],
+            &m.lower[0],
+            &m.diag[bnum - 1],
+            &m.upper[bnum - 2],
+            &m.lower[bnum - 2],
+        ];
+        let key = ik * self.x_values.len() + ix;
+        let bse = boundary(
+            self.carrier.boundary(),
+            self.mode,
+            self.shared_bc.as_deref(),
+            &mut self.bc_cache[key],
+            key,
+            ends,
+            &mut self.ws,
+        );
         times.boundary = t1.elapsed();
 
         // Fold boundary and scattering Σ^R into M.
@@ -513,6 +739,102 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
         }
     }
 
+    /// Blocks up to `SMALL_DIM` take the lane path: the row's energies are
+    /// the lanes of one [`rgf_row_into`] recursion, chunk width
+    /// [`row_width`]; specialization happens once per row, boundaries stay
+    /// per point. Larger blocks solve point by point.
+    fn solve_row(
+        &mut self,
+        ik: usize,
+        xs: Range<usize>,
+        scattering: Option<&dyn Scattering>,
+        sink: &mut dyn RowSink,
+    ) -> PhaseTimes {
+        let (nb, bs) = (self.device.bnum(), C::block_size(self.device));
+        if row_width(bs) == 1 {
+            return solve_row_by_points(self, ik, xs, scattering, sink);
+        }
+        let PointSolver {
+            device,
+            carrier,
+            mode,
+            k_values,
+            x_values,
+            spec_cache,
+            bc_cache,
+            shared_bc,
+            ws,
+        } = self;
+        let mut times = PhaseTimes::default();
+
+        let t0 = Instant::now();
+        let mut local = None;
+        let k = k_values[ik];
+        let spec = specialization(&*carrier, device, *mode, &mut spec_cache[ik], &mut local, k);
+        times.specialization = t0.elapsed();
+
+        let t1 = Instant::now();
+        let mut ends: [CMatrix; 6] = std::array::from_fn(|_| ws.take(bs, bs));
+        let lanes: Vec<LaneBoundary> = xs
+            .clone()
+            .map(|ix| {
+                let x = x_values[ix];
+                for (m, (part, n)) in ends.iter_mut().zip([
+                    (Part::Diag, 0),
+                    (Part::Upper, 0),
+                    (Part::Lower, 0),
+                    (Part::Diag, nb - 1),
+                    (Part::Upper, nb - 2),
+                    (Part::Lower, nb - 2),
+                ]) {
+                    carrier.block(spec, x, part, n, m);
+                }
+                let key = ik * x_values.len() + ix;
+                let bse = boundary(
+                    carrier.boundary(),
+                    *mode,
+                    shared_bc.as_deref(),
+                    &mut bc_cache[key],
+                    key,
+                    ends.each_ref(),
+                    ws,
+                );
+                let (occ_l, occ_r) = carrier.occupations(x);
+                LaneBoundary {
+                    x,
+                    left: bse.left.clone(),
+                    right: bse.right.clone(),
+                    lg: [
+                        contact_sigma_lg(&bse.left, occ_l, C::BOSON),
+                        contact_sigma_lg(&bse.right, occ_r, C::BOSON),
+                    ],
+                }
+            })
+            .collect();
+        ends.into_iter().for_each(|m| ws.give(m));
+        times.boundary = t1.elapsed();
+
+        let t2 = Instant::now();
+        let mut inputs = ChunkInputs {
+            carrier: &*carrier,
+            spec,
+            lanes: &lanes,
+            scattering,
+            nb,
+            bs,
+            i: ik,
+            j0: xs.start,
+            sr: ws.take(bs, bs),
+        };
+        rgf_row_into(&mut inputs, ws, |e, row| {
+            let lg = &lanes[e].lg;
+            sink.row(e, row, [&lg[0], &lg[1]]);
+        });
+        ws.give(inputs.sr);
+        times.rgf = t2.elapsed();
+        times
+    }
+
     fn carrier(&self) -> &'static str {
         C::NAME
     }
@@ -532,6 +854,7 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense_ref::{dense_solve, DenseSolution};
     use omen_device::DeviceConfig;
 
     fn device() -> DeviceStructure {
@@ -634,6 +957,169 @@ mod tests {
         let [_, (mut phonons, bs)] = both_carriers(&dev, CacheMode::NoCache);
         let short = vec![CMatrix::zeros(bs, bs); dev.bnum() - 1];
         phonons.solve_point(0, 0, Some(&short), None, None);
+    }
+
+    /// Every block a sink receives, per lane and block row: the row's
+    /// blocks in [`RgfRow`] order, then the contact `Σ≷` pairs.
+    #[derive(Default)]
+    struct Collect(Vec<Vec<Vec<CMatrix>>>);
+
+    impl RowSink for Collect {
+        fn row(&mut self, lane: usize, row: &RgfRow<'_>, lg: [&(CMatrix, CMatrix); 2]) {
+            if self.0.len() <= lane {
+                self.0.resize_with(lane + 1, Vec::new);
+            }
+            let rows = &mut self.0[lane];
+            if rows.len() <= row.n {
+                rows.resize_with(row.n + 1, Vec::new);
+            }
+            let mut blocks = vec![row.gr_diag, row.gl_diag, row.gg_diag];
+            if let Some(c) = &row.coupling {
+                blocks.extend([c.upper, c.gr_upper, c.gr_lower, c.gl_lower, c.gg_lower]);
+            }
+            blocks.extend([&lg[0].0, &lg[0].1, &lg[1].0, &lg[1].1]);
+            rows[row.n] = blocks.into_iter().cloned().collect();
+        }
+    }
+
+    /// A fixed scattering self-energy: `Σ^R = −iγ`, `Σ^< = iγ/2`,
+    /// `Σ^> = −iγ/2` with a slab-dependent `γ`.
+    struct Broadening(usize);
+
+    impl Scattering for Broadening {
+        fn point(&self, i: usize, j: usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) {
+            let mut out = (Vec::new(), Vec::new(), Vec::new());
+            for b in 0..8 {
+                let mut m: [CMatrix; 3] = std::array::from_fn(|_| CMatrix::zeros(0, 0));
+                let [r, l, g] = &mut m;
+                self.block(i, j, b, [r, l, g]);
+                let [r, l, g] = m;
+                out.0.push(r);
+                out.1.push(l);
+                out.2.push(g);
+            }
+            out
+        }
+
+        fn block(&self, i: usize, j: usize, b: usize, [r, l, g]: [&mut CMatrix; 3]) {
+            let gamma = 0.01 * (1.0 + b as f64 + 0.1 * (i + j) as f64);
+            let diag = |z: C64| {
+                CMatrix::from_fn(self.0, self.0, |p, q| if p == q { z } else { C64::ZERO })
+            };
+            *r = diag(c64(0.0, -gamma));
+            *l = diag(c64(0.0, 0.5 * gamma));
+            *g = diag(c64(0.0, -0.5 * gamma));
+        }
+    }
+
+    /// Electron and phonon solvers over a 2 × 7 grid (a vector step and
+    /// a tail of lanes), with their block sizes.
+    fn row_carriers(dev: &DeviceStructure) -> [(Box<dyn GfSolver + '_>, usize); 2] {
+        let ks = vec![0.0, 1.0];
+        let es: Vec<f64> = (0..7).map(|j| -0.6 + 0.2 * j as f64).collect();
+        let ws: Vec<f64> = (1..=7).map(|j| 0.004 * j as f64).collect();
+        let pot = dev.linear_potential(0.2, 0.25, 0.75);
+        let mode = CacheMode::CacheBcSpec;
+        let el = ElectronSolver::new(dev, pot, ElectronParams::default(), mode, ks.clone(), es);
+        let ph = PhononSolver::new(dev, PhononParams::default(), mode, ks, ws);
+        [
+            (Box::new(el), dev.block_size_el()),
+            (Box::new(ph), dev.block_size_ph()),
+        ]
+    }
+
+    #[test]
+    fn row_solve_matches_point_solves_on_both_carriers() {
+        let dev = device();
+        assert_eq!(dev.bnum(), 8, "Broadening covers eight slabs");
+        for (mut solver, bs) in row_carriers(&dev) {
+            assert!(row_width(bs) > 1, "{bs}x{bs} blocks take the lane path");
+            let who = solver.carrier();
+            let scatt = Broadening(bs);
+            for scattering in [None, Some(&scatt as &dyn Scattering)] {
+                let mut rows = Collect::default();
+                solver.solve_row(1, 0..7, scattering, &mut rows);
+                for (j, got) in rows.0.iter().enumerate() {
+                    let out = match scattering {
+                        Some(s) => {
+                            let (r, l, g) = s.point(1, j);
+                            solver.solve_point(1, j, Some(&r), Some(&l), Some(&g))
+                        }
+                        None => solver.solve_point(1, j, None, None, None),
+                    };
+                    let mut want = Collect::default();
+                    out.feed(0, &mut want);
+                    for (n, (g, w)) in got.iter().zip(&want.0[0]).enumerate() {
+                        for (x, y) in g.iter().zip(w) {
+                            let dev = (x - y).max_abs() / y.max_abs().max(f64::MIN_POSITIVE);
+                            assert!(dev <= 1e-12, "{who} point {j} row {n}: {dev:e}");
+                        }
+                    }
+                    // Against the dense inverse of the point's folded M.
+                    let (mut sl, mut sg) = match scattering {
+                        Some(s) => {
+                            let (_, l, g) = s.point(1, j);
+                            (l, g)
+                        }
+                        None => (
+                            vec![CMatrix::zeros(bs, bs); 8],
+                            vec![CMatrix::zeros(bs, bs); 8],
+                        ),
+                    };
+                    sl[0] += &out.boundary_lg_left.0;
+                    sg[0] += &out.boundary_lg_left.1;
+                    sl[7] += &out.boundary_lg_right.0;
+                    sg[7] += &out.boundary_lg_right.1;
+                    let dense = dense_solve(&out.m, &sl, &sg);
+                    for (n, blocks) in got.iter().enumerate() {
+                        // (dense matrix, block (r, c), index in the row)
+                        let mut want = vec![
+                            (&dense.gr, (n, n), 0),
+                            (&dense.gl, (n, n), 1),
+                            (&dense.gg, (n, n), 2),
+                        ];
+                        if n + 1 < 8 {
+                            want.extend([
+                                (&dense.gr, (n, n + 1), 4),
+                                (&dense.gr, (n + 1, n), 5),
+                                (&dense.gl, (n + 1, n), 6),
+                                (&dense.gg, (n + 1, n), 7),
+                            ]);
+                        }
+                        for (full, (r, c), at) in want {
+                            let want = DenseSolution::block(full, bs, r, c);
+                            let dev = (&blocks[at] - &want).max_abs();
+                            assert!(dev < 1e-9, "{who} point {j} row {n}: dense {dev:e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_solve_is_bitwise_under_every_chunking_on_both_carriers() {
+        let dev = device();
+        for (mut solver, bs) in row_carriers(&dev) {
+            let scatt = Broadening(bs);
+            let mut whole = Collect::default();
+            solver.solve_row(0, 0..7, Some(&scatt), &mut whole);
+            for cuts in [&[1, 2, 3, 4, 5, 6][..], &[3], &[4], &[2, 6]] {
+                let mut at = 0;
+                for &cut in cuts.iter().chain([&7]) {
+                    let mut part = Collect::default();
+                    solver.solve_row(0, at..cut, Some(&scatt), &mut part);
+                    for (lane, rows) in part.0.iter().enumerate() {
+                        assert!(
+                            rows == &whole.0[at + lane],
+                            "{} cuts {cuts:?}",
+                            solver.carrier()
+                        );
+                    }
+                    at = cut;
+                }
+            }
+        }
     }
 
     #[test]

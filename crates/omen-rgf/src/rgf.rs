@@ -11,6 +11,35 @@
 //!
 //! Every block this module produces is validated against the dense
 //! reference solver in the test suite.
+//!
+//! # What one block row costs
+//!
+//! [`RgfSolution::flops`] counts `8·bs³` per `bs × bs` block product and
+//! [`lu_flops`]`(bs, bs)` per block inverse, and is pinned by a test to
+//! `8·(37·bnum − 33)·bs³ + bnum·lu_flops(bs, bs)`: 37 products per block
+//! row, 4 fewer on the first forward row and none backward on the last.
+//! Each product, what it produces and who reads it:
+//!
+//! | sweep | products | produces | read by |
+//! |---|---|---|---|
+//! | forward, `n > 0` | 2: `L·gL[n−1]·U` | the Schur term folded into `M[n][n]` before `gL[n] = M⁻¹` | every later step |
+//! | forward | 2 + 2 (`n > 0`): `L·g≷[n−1]·L†`, `gL·Σ≷·gL†`, per `≷` | left-connected `g≷[n]` | the backward `≷` steps |
+//! | backward | 2: `G^R[n+1][n+1]·L·gL` | `G^R[n+1][n]` | nothing — no observable reads it |
+//! | backward | 2: `gL·U·G^R[n+1][n+1]` | `G^R[n][n+1]` | the `G^R[n][n]` step |
+//! | backward | 2: `G^R[n][n+1]·L·gL` | `G^R[n][n]` | the next row's steps; phonon spectral function |
+//! | backward | 1: `gu = gL·U` | shared by both `≷` steps | them |
+//! | backward | 3 + 3, per `≷`: `gu·G≷[n+1]·U†·gL†`, `gu·G^R[n+1]·L·g≷` | `G≷[n][n]` | per-atom `G≷`/`D≷` blocks (SSE input), densities, contact currents |
+//! | backward | 4, per `≷`: `G^R[n+1]·L·g≷`, `G≷[n+1]·U†·gL†` | `G≷[n+1][n]` | interface currents (`G^<` with `M[n][n+1]`), cross-slab phonon pair blocks |
+//!
+//! So 10 forward and 27 backward per row. The paper's §6.1.1 model
+//! ([`rgf_flops_model`]) counts 26: the counted/model ratio is 1.49–1.50
+//! at `bnum` 6–12 (the inverse term included). Two terms account for
+//! that: `G^R[n+1][n]` is computed and never read (2 products), and each
+//! `≷` step evaluates `G^R[n+1]·L·g≷` and `G≷[n+1]·U†·gL†` twice, once
+//! inside `T1`/`T3` and once for `G≷[n+1][n]` (8 products per row, which
+//! a reordering could share). Both are kept: the row solve
+//! ([`crate::rows`]) repeats this algebra exactly, so its per-lane count
+//! is this one.
 
 use crate::dense_ref::DenseSolution;
 use omen_linalg::{
@@ -496,6 +525,23 @@ mod tests {
         // The paper's model grows the same way.
         let model_ratio = rgf_flops_model(12, 3) as f64 / rgf_flops_model(6, 3) as f64;
         assert!((model_ratio - ratio).abs() < 0.6);
+    }
+
+    #[test]
+    fn flops_are_pinned_to_37_products_per_block_row() {
+        for bs in [3usize, 12, 32] {
+            for nb in [1usize, 2, 3, 6, 12] {
+                let (m, sl, sg) = test_system(nb, bs, 0.3);
+                let sol = rgf_solve(&RgfInputs {
+                    m: &m,
+                    sigma_l: &sl,
+                    sigma_g: &sg,
+                });
+                let want =
+                    8 * (37 * nb as u64 - 33) * (bs as u64).pow(3) + nb as u64 * lu_flops(bs, bs);
+                assert_eq!(sol.flops, want, "nb {nb}, bs {bs}");
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,581 @@
+//! RGF on energy-lane planes: one recursion for a chunk of consecutive
+//! energies of one momentum.
+//!
+//! Every energy of a `k` has the same block structure, so the chunk's
+//! `bs × bs` block products are one batch whose operands all differ — the
+//! paper's §5.4 point (Table 9) about thousands of identically shaped
+//! tiny products, applied to the GF phase: change the layout so the batch
+//! is the SIMD axis. Each block of the recursion is held as a **lane
+//! block**, split-complex `[element][re|im][lane]` with the elements
+//! column-major, and every product is one [`planes_gemm`] over the chunk.
+//!
+//! [`rgf_row_into`] is [`crate::rgf::rgf_solve_into`]'s algebra in the
+//! same order — the same 37 products per block row (see that module),
+//! adds, subtractions and adjoints — so each lane's flop count is the
+//! per-point count exactly. Block inverses stay per lane: the lane is
+//! unpacked, inverted by [`Workspace::invert_into`] (pivoted LU) and
+//! repacked. Nothing of the operator is staged: [`RowInputs`] assembles a
+//! block row's `M`, `Σ^R` folding and `Σ^≷` when the sweep reaches it, and
+//! the backward sweep hands each finished block row to a caller's closure
+//! instead of writing a whole solution, so only rows `n` and `n + 1` of
+//! the output are ever live. What persists across the two sweeps is the
+//! three left-connected lane blocks per row.
+//!
+//! Within one dispatch instantiation a lane's arithmetic does not depend
+//! on which other energies share its chunk ([`planes_gemm`]'s contract,
+//! and every other step is per lane or elementwise), so a row solve is
+//! bitwise reproducible under any split of the energy axis into chunks.
+//! Against the per-point path it differs only in how each block product
+//! rounds (≤ 1e-12, pinned by the tests below).
+
+use crate::rgf::RgfInputs;
+use omen_linalg::gemm::SMALL_DIM;
+use omen_linalg::lu::lu_flops;
+use omen_linalg::{count_fused_run, gemm_flops, planes_gemm, BatchDims, CMatrix, Op, Workspace};
+use omen_linalg::{C64, LANES};
+
+/// Energies one row solve advances together for blocks of size `bs`: one
+/// SIMD vector of lanes where the lane kernel runs (`bs ≤ SMALL_DIM`),
+/// else one point — larger blocks take the per-point packed-GEMM path.
+pub fn row_width(bs: usize) -> usize {
+    if bs <= SMALL_DIM {
+        LANES
+    } else {
+        1
+    }
+}
+
+/// What a row solve reads, block row by block row, for each lane (one
+/// energy) of its chunk.
+pub trait RowInputs {
+    /// Energies in the chunk.
+    fn lanes(&self) -> usize;
+    /// Block rows (`bnum`).
+    fn num_blocks(&self) -> usize;
+    /// Block size.
+    fn block_size(&self) -> usize;
+    /// Block row `n` of lane `e`: `M[n][n]` with every retarded
+    /// self-energy folded in, and `Σ^<[n]`, `Σ^>[n]` (boundary plus
+    /// scattering).
+    fn row(&mut self, e: usize, n: usize, diag: &mut CMatrix, sl: &mut CMatrix, sg: &mut CMatrix);
+    /// `M[n][n+1]` and `M[n+1][n]` of lane `e`.
+    fn coupling(&mut self, e: usize, n: usize, upper: &mut CMatrix, lower: &mut CMatrix);
+}
+
+/// One staged point per lane.
+impl RowInputs for [RgfInputs<'_>] {
+    fn lanes(&self) -> usize {
+        self.len()
+    }
+
+    fn num_blocks(&self) -> usize {
+        self[0].m.num_blocks()
+    }
+
+    fn block_size(&self) -> usize {
+        self[0].m.block_size()
+    }
+
+    fn row(&mut self, e: usize, n: usize, diag: &mut CMatrix, sl: &mut CMatrix, sg: &mut CMatrix) {
+        let inp = &self[e];
+        diag.copy_from(&inp.m.diag[n]);
+        sl.copy_from(&inp.sigma_l[n]);
+        sg.copy_from(&inp.sigma_g[n]);
+    }
+
+    fn coupling(&mut self, e: usize, n: usize, upper: &mut CMatrix, lower: &mut CMatrix) {
+        upper.copy_from(&self[e].m.upper[n]);
+        lower.copy_from(&self[e].m.lower[n]);
+    }
+}
+
+/// The blocks coupling a finished row `n` to row `n + 1`.
+pub struct RgfCoupling<'a> {
+    /// `M[n][n+1]` (the interface current reads it with `G^<[n+1][n]`).
+    pub upper: &'a CMatrix,
+    /// `G^R[n][n+1]`.
+    pub gr_upper: &'a CMatrix,
+    /// `G^R[n+1][n]`.
+    pub gr_lower: &'a CMatrix,
+    /// `G^<[n+1][n]`.
+    pub gl_lower: &'a CMatrix,
+    /// `G^>[n+1][n]`.
+    pub gg_lower: &'a CMatrix,
+}
+
+/// Block row `n` of one point's solution as the backward sweep finishes
+/// it: rows arrive from `bnum − 1` down to 0.
+pub struct RgfRow<'a> {
+    /// Block row index.
+    pub n: usize,
+    /// `G^R[n][n]`.
+    pub gr_diag: &'a CMatrix,
+    /// `G^<[n][n]`.
+    pub gl_diag: &'a CMatrix,
+    /// `G^>[n][n]`.
+    pub gg_diag: &'a CMatrix,
+    /// The coupling to row `n + 1`; `None` on the last row.
+    pub coupling: Option<RgfCoupling<'a>>,
+}
+
+/// Shape of one chunk's lane blocks.
+#[derive(Clone, Copy)]
+struct Lanes {
+    bs: usize,
+    lanes: usize,
+    /// `f64`s per lane block.
+    len: usize,
+}
+
+impl Lanes {
+    /// `c = a·op(b) + β·c` on every lane.
+    fn mul(&self, a: &[f64], b: &[f64], op_b: Op, beta: C64, c: &mut [f64]) {
+        let dims = BatchDims::square(self.bs);
+        planes_gemm(dims, self.lanes, C64::ONE, a, b, op_b, beta, c);
+    }
+
+    /// `c = a·b` on every lane.
+    fn mm(&self, a: &[f64], b: &[f64], c: &mut [f64]) {
+        self.mul(a, b, Op::N, C64::ZERO, c);
+    }
+
+    /// `c = a·b†` on every lane.
+    fn mm_c(&self, a: &[f64], b: &[f64], c: &mut [f64]) {
+        self.mul(a, b, Op::C, C64::ZERO, c);
+    }
+
+    /// Writes `m` into lane `e` of `dst`.
+    fn pack(&self, m: &CMatrix, e: usize, dst: &mut [f64]) {
+        let l = self.lanes;
+        for (x, z) in m.as_slice().iter().enumerate() {
+            (dst[2 * x * l + e], dst[(2 * x + 1) * l + e]) = (z.re, z.im);
+        }
+    }
+
+    /// Reads lane `e` of `src` into `m`.
+    fn unpack(&self, src: &[f64], e: usize, m: &mut CMatrix) {
+        let l = self.lanes;
+        m.resize_for_overwrite(self.bs, self.bs);
+        for (x, z) in m.as_mut_slice().iter_mut().enumerate() {
+            (z.re, z.im) = (src[2 * x * l + e], src[(2 * x + 1) * l + e]);
+        }
+    }
+
+    /// `dst = src†` on every lane.
+    fn adjoint(&self, src: &[f64], dst: &mut [f64]) {
+        let (bs, l) = (self.bs, self.lanes);
+        for j in 0..bs {
+            for i in 0..bs {
+                let (s, d) = (2 * (j * bs + i) * l, 2 * (i * bs + j) * l);
+                dst[d..d + l].copy_from_slice(&src[s..s + l]);
+                for (d, s) in dst[d + l..d + 2 * l].iter_mut().zip(&src[s + l..s + 2 * l]) {
+                    *d = -s;
+                }
+            }
+        }
+    }
+}
+
+fn add(dst: &mut [f64], src: &[f64]) {
+    dst.iter_mut().zip(src).for_each(|(d, s)| *d += s);
+}
+
+fn sub(dst: &mut [f64], src: &[f64]) {
+    dst.iter_mut().zip(src).for_each(|(d, s)| *d -= s);
+}
+
+fn neg(dst: &mut [f64]) {
+    dst.iter_mut().for_each(|d| *d = -*d);
+}
+
+/// Lane block `n` of a run of blocks.
+fn at(run: &[f64], n: usize, len: usize) -> &[f64] {
+    &run[n * len..(n + 1) * len]
+}
+
+/// Left-connected lesser/greater lane block, `sigma` consumed:
+/// `out = gL (Σ≷ + L g≷_prev L†) gL†` (the `prev` term only for `n > 0`).
+fn left_connected_lg(
+    s: &Lanes,
+    sigma: &mut [f64],
+    prev: Option<(&[f64], &[f64])>, // (L[n−1], g≷_left[n−1])
+    g: &[f64],
+    [t1, t2]: [&mut [f64]; 2],
+    out: &mut [f64],
+) -> u64 {
+    let mut products = 2;
+    if let Some((l, p)) = prev {
+        s.mm(l, p, t1);
+        s.mm_c(t1, l, t2);
+        add(sigma, t2);
+        products += 2;
+    }
+    s.mm(g, sigma, t1);
+    s.mm_c(t1, g, out);
+    products
+}
+
+/// One lesser/greater backward step, as `backward_lg_step` of the
+/// per-point recursion: `diag = g≷_left + T1 + T3 − T3†` and
+/// `lower = −(G^R[n+1]·L·g≷_left + G≷[n+1]·U†·gL†)`.
+#[allow(clippy::too_many_arguments)]
+fn backward_lg_step(
+    s: &Lanes,
+    gu: &[f64],
+    gl_n: &[f64],
+    u: &[f64],
+    l: &[f64],
+    g_conn_next: &[f64],
+    g_less_next: &[f64],
+    g_less_left: &[f64],
+    [t1, t2, t3, t4]: [&mut [f64]; 4],
+    diag: &mut [f64],
+    lower: &mut [f64],
+) -> u64 {
+    s.mm(gu, g_less_next, t1);
+    s.mm_c(t1, u, t2);
+    s.mm_c(t2, gl_n, t1);
+    s.mm(gu, g_conn_next, t2);
+    s.mm(t2, l, t4);
+    s.mm(t4, g_less_left, t3);
+    diag.copy_from_slice(g_less_left);
+    add(diag, t1);
+    add(diag, t3);
+    s.adjoint(t3, t4);
+    sub(diag, t4);
+    s.mm(g_conn_next, l, t1);
+    s.mm(t1, g_less_left, lower);
+    s.mm_c(g_less_next, u, t1);
+    s.mul(t1, gl_n, Op::C, C64::ONE, lower);
+    neg(lower);
+    10
+}
+
+/// Unpacks block row `n` of every lane and hands it to `emit`.
+fn emit_row(
+    s: &Lanes,
+    mats: &mut [CMatrix; 8],
+    n: usize,
+    diag: [&[f64]; 3],
+    coupling: Option<[&[f64]; 5]>,
+    emit: &mut impl FnMut(usize, &RgfRow<'_>),
+) {
+    let [gr, gl, gg, upper, gr_upper, gr_lower, gl_lower, gg_lower] = mats;
+    for e in 0..s.lanes {
+        for (src, m) in diag.iter().zip([&mut *gr, &mut *gl, &mut *gg]) {
+            s.unpack(src, e, m);
+        }
+        if let Some(c) = &coupling {
+            let to = [
+                &mut *upper,
+                &mut *gr_upper,
+                &mut *gr_lower,
+                &mut *gl_lower,
+                &mut *gg_lower,
+            ];
+            for (src, m) in c.iter().zip(to) {
+                s.unpack(src, e, m);
+            }
+        }
+        let coupling = coupling.is_some().then_some(RgfCoupling {
+            upper,
+            gr_upper,
+            gr_lower,
+            gl_lower,
+            gg_lower,
+        });
+        let row = RgfRow {
+            n,
+            gr_diag: gr,
+            gl_diag: gl,
+            gg_diag: gg,
+            coupling,
+        };
+        emit(e, &row);
+    }
+}
+
+/// Solves every lane of `inp` with RGF on lane blocks, handing each
+/// finished block row of lane `e` to `emit(e, row)` — rows `bnum − 1`
+/// down to 0, lanes in order within a row. Returns the flops each lane
+/// performed, equal to [`crate::RgfSolution::flops`] of the same point.
+///
+/// Scratch — one plane buffer of `(3·bnum + 20)` lane blocks and a few
+/// `bs × bs` matrices — comes from `ws`, so a warm workspace makes the
+/// solve allocation-free. The block products report to the trace as one
+/// fused run ([`count_fused_run`]).
+pub fn rgf_row_into<I: RowInputs + ?Sized>(
+    inp: &mut I,
+    ws: &mut Workspace,
+    mut emit: impl FnMut(usize, &RgfRow<'_>),
+) -> u64 {
+    let (nb, bs, lanes) = (inp.num_blocks(), inp.block_size(), inp.lanes());
+    let s = Lanes {
+        bs,
+        lanes,
+        len: 2 * bs * bs * lanes,
+    };
+    let len = s.len;
+    let g3 = gemm_flops(bs, bs, bs);
+    let (mut products, mut inverses) = (0u64, 0u64);
+
+    let mut buf = ws.take_planes((3 * nb + 20) * len);
+    let (left, scratch) = buf.split_at_mut(3 * nb * len);
+    let (g_left, rest) = left.split_at_mut(nb * len);
+    let (gl_left, gg_left) = rest.split_at_mut(nb * len);
+    let mut blocks = scratch.chunks_exact_mut(len);
+    let mut next = || blocks.next().expect("20 scratch lane blocks");
+    let [t1, t2, t3, t4, eff, sl, sg, up, lo, gu] = std::array::from_fn::<_, 10, _>(|_| next());
+    let [mut grd, mut dl, mut dg, mut gr_next, mut gl_next, mut gg_next] =
+        std::array::from_fn::<_, 6, _>(|_| next());
+    let [gr_upper, gr_lower, gl_lower, gg_lower] = std::array::from_fn::<_, 4, _>(|_| next());
+    let mut mats: [CMatrix; 8] = std::array::from_fn(|_| ws.take(bs, bs));
+
+    // ---------- forward sweep: left-connected quantities ----------
+    for n in 0..nb {
+        for e in 0..lanes {
+            let [a, b, c, ..] = &mut mats;
+            inp.row(e, n, a, b, c);
+            s.pack(a, e, eff);
+            s.pack(b, e, sl);
+            s.pack(c, e, sg);
+            if n > 0 {
+                inp.coupling(e, n - 1, a, b);
+                s.pack(a, e, up);
+                s.pack(b, e, lo);
+            }
+        }
+        if n > 0 {
+            // M[n][n] − L[n−1] · gL[n−1] · U[n−1]
+            s.mm(lo, at(g_left, n - 1, len), t1);
+            s.mm(t1, up, t2);
+            products += 2;
+            sub(eff, t2);
+        }
+        let g = &mut g_left[n * len..(n + 1) * len];
+        for e in 0..lanes {
+            let [a, b, ..] = &mut mats;
+            s.unpack(eff, e, a);
+            ws.invert_into(a, b);
+            s.pack(b, e, g);
+        }
+        inverses += 1;
+        let g = at(g_left, n, len);
+        for (sigma, run) in [(&mut *sl, &mut *gl_left), (&mut *sg, &mut *gg_left)] {
+            let (before, from_n) = run.split_at_mut(n * len);
+            let prev = (n > 0).then(|| (&*lo, at(before, n - 1, len)));
+            let out = &mut from_n[..len];
+            products += left_connected_lg(&s, sigma, prev, g, [&mut *t1, &mut *t2], out);
+        }
+    }
+
+    // ---------- backward sweep: fully-connected blocks ----------
+    gr_next.copy_from_slice(at(g_left, nb - 1, len));
+    gl_next.copy_from_slice(at(gl_left, nb - 1, len));
+    gg_next.copy_from_slice(at(gg_left, nb - 1, len));
+    emit_row(
+        &s,
+        &mut mats,
+        nb - 1,
+        [gr_next, gl_next, gg_next],
+        None,
+        &mut emit,
+    );
+
+    for n in (0..nb.saturating_sub(1)).rev() {
+        for e in 0..lanes {
+            let [a, b, ..] = &mut mats;
+            inp.coupling(e, n, a, b);
+            s.pack(a, e, up);
+            s.pack(b, e, lo);
+        }
+        let gl_n = at(g_left, n, len);
+
+        // Retarded off-diagonals:
+        // G[n+1][n] = −G[n+1][n+1] · L · gL[n]
+        s.mm(gr_next, lo, t1);
+        s.mm(t1, gl_n, gr_lower);
+        neg(gr_lower);
+        // G[n][n+1] = −gL[n] · U · G[n+1][n+1]
+        s.mm(gl_n, up, t1);
+        s.mm(t1, gr_next, gr_upper);
+        neg(gr_upper);
+        // Retarded diagonal: G[n][n] = gL[n] − G[n][n+1]·L·gL[n].
+        grd.copy_from_slice(gl_n);
+        s.mm(gr_upper, lo, t1);
+        s.mm(t1, gl_n, t2);
+        sub(grd, t2);
+        // gu = gL[n]·U, shared by the lesser and greater steps below.
+        s.mm(gl_n, up, gu);
+        products += 7;
+
+        for (g_less_next, g_less_left, diag, lower) in [
+            (&*gl_next, at(gl_left, n, len), &mut *dl, &mut *gl_lower),
+            (&*gg_next, at(gg_left, n, len), &mut *dg, &mut *gg_lower),
+        ] {
+            let t = [&mut *t1, &mut *t2, &mut *t3, &mut *t4];
+            products += backward_lg_step(
+                &s,
+                gu,
+                gl_n,
+                up,
+                lo,
+                gr_next,
+                g_less_next,
+                g_less_left,
+                t,
+                diag,
+                lower,
+            );
+        }
+        let coupling = [&*up, gr_upper, gr_lower, gl_lower, gg_lower];
+        emit_row(&s, &mut mats, n, [grd, dl, dg], Some(coupling), &mut emit);
+        // Row n is the next step's row n + 1.
+        std::mem::swap(&mut grd, &mut gr_next);
+        std::mem::swap(&mut dl, &mut gl_next);
+        std::mem::swap(&mut dg, &mut gg_next);
+    }
+
+    for m in mats {
+        ws.give(m);
+    }
+    ws.give_planes(buf);
+    count_fused_run(products * g3 * lanes as u64);
+    products * g3 + inverses * lu_flops(bs, bs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dense_ref::dense_solve;
+    use crate::rgf::{rgf_solve_into, RgfSolution};
+    use crate::testutil::test_lanes;
+    use omen_linalg::BlockTriDiag;
+
+    type System = (BlockTriDiag, Vec<CMatrix>, Vec<CMatrix>);
+
+    /// Solves `systems` as consecutive chunks of the given widths and
+    /// rebuilds each lane's rows into a whole solution (`flops` set).
+    fn solve_chunked(systems: &[System], widths: &[usize]) -> Vec<RgfSolution> {
+        let (nb, bs) = (systems[0].0.num_blocks(), systems[0].0.block_size());
+        let mut sols: Vec<RgfSolution> = (0..systems.len())
+            .map(|_| RgfSolution {
+                gr_diag: vec![CMatrix::zeros(bs, bs); nb],
+                gr_upper: vec![CMatrix::zeros(bs, bs); nb - 1],
+                gr_lower: vec![CMatrix::zeros(bs, bs); nb - 1],
+                gl_diag: vec![CMatrix::zeros(bs, bs); nb],
+                gg_diag: vec![CMatrix::zeros(bs, bs); nb],
+                gl_lower: vec![CMatrix::zeros(bs, bs); nb - 1],
+                gg_lower: vec![CMatrix::zeros(bs, bs); nb - 1],
+                flops: 0,
+            })
+            .collect();
+        let mut ws = Workspace::new();
+        let mut start = 0;
+        for &w in widths {
+            let mut inputs: Vec<RgfInputs> = systems[start..start + w]
+                .iter()
+                .map(|(m, sl, sg)| RgfInputs {
+                    m,
+                    sigma_l: sl,
+                    sigma_g: sg,
+                })
+                .collect();
+            let chunk = &mut sols[start..start + w];
+            let mut next_row = vec![nb; w];
+            let flops = rgf_row_into(&mut inputs[..], &mut ws, |e, row| {
+                assert_eq!(row.n + 1, next_row[e], "rows arrive bottom-up");
+                next_row[e] = row.n;
+                let (sol, n) = (&mut chunk[e], row.n);
+                sol.gr_diag[n].copy_from(row.gr_diag);
+                sol.gl_diag[n].copy_from(row.gl_diag);
+                sol.gg_diag[n].copy_from(row.gg_diag);
+                assert_eq!(row.coupling.is_some(), n + 1 < nb);
+                if let Some(c) = &row.coupling {
+                    assert_eq!(c.upper, &systems[start + e].0.upper[n]);
+                    sol.gr_upper[n].copy_from(c.gr_upper);
+                    sol.gr_lower[n].copy_from(c.gr_lower);
+                    sol.gl_lower[n].copy_from(c.gl_lower);
+                    sol.gg_lower[n].copy_from(c.gg_lower);
+                }
+            });
+            assert_eq!(next_row, vec![0; w], "every row of every lane");
+            chunk.iter_mut().for_each(|s| s.flops = flops);
+            start += w;
+        }
+        assert_eq!(start, systems.len());
+        sols
+    }
+
+    fn blocks(s: &RgfSolution) -> impl Iterator<Item = &CMatrix> {
+        s.gr_diag
+            .iter()
+            .chain(&s.gl_diag)
+            .chain(&s.gg_diag)
+            .chain(&s.gr_upper)
+            .chain(&s.gr_lower)
+            .chain(&s.gl_lower)
+            .chain(&s.gg_lower)
+    }
+
+    #[test]
+    fn row_solve_matches_the_point_solve_per_lane() {
+        // Vector steps and scalar tails, one block row and several, odd
+        // and full-tile block sizes up to SMALL_DIM.
+        for (nb, bs, lanes) in [(1, 4, 3), (2, 3, 5), (5, 12, 4), (4, 16, 6), (3, 7, 9)] {
+            let systems = test_lanes(nb, bs, 0.23, lanes);
+            let rows = solve_chunked(&systems, &[lanes]);
+            let mut ws = Workspace::new();
+            for (e, ((m, sl, sg), got)) in systems.iter().zip(&rows).enumerate() {
+                let mut want = RgfSolution::empty();
+                let inp = RgfInputs {
+                    m,
+                    sigma_l: sl,
+                    sigma_g: sg,
+                };
+                rgf_solve_into(&inp, &mut ws, &mut want);
+                assert_eq!(got.flops, want.flops, "nb {nb} bs {bs}: flops per lane");
+                for (g, w) in blocks(got).zip(blocks(&want)) {
+                    let dev = (g - w).max_abs() / w.max_abs().max(f64::MIN_POSITIVE);
+                    assert!(
+                        dev <= 1e-12,
+                        "nb {nb} bs {bs} lane {e}: relative deviation {dev:e}"
+                    );
+                }
+                let dense = dense_solve(m, sl, sg);
+                let dev = got.max_deviation_from_dense(&dense, bs);
+                assert!(
+                    dev < 1e-9,
+                    "nb {nb} bs {bs} lane {e}: dense deviation {dev:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_solve_is_bitwise_under_every_chunking() {
+        let systems = test_lanes(4, 6, 0.71, 7);
+        let whole = solve_chunked(&systems, &[7]);
+        for widths in [
+            &[1, 1, 1, 1, 1, 1, 1][..],
+            &[3, 4],
+            &[4, 3],
+            &[5, 2],
+            &[2, 4, 1],
+        ] {
+            let split = solve_chunked(&systems, widths);
+            for (e, (a, b)) in whole.iter().zip(&split).enumerate() {
+                for (x, y) in blocks(a).zip(blocks(b)) {
+                    assert_eq!(x.as_slice(), y.as_slice(), "chunks {widths:?}, lane {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_width_is_one_vector_on_lane_kernel_blocks() {
+        assert_eq!(row_width(12), LANES);
+        assert_eq!(row_width(SMALL_DIM), LANES);
+        assert_eq!(row_width(SMALL_DIM + 1), 1);
+    }
+}

@@ -50,3 +50,22 @@ pub fn test_system(nb: usize, bs: usize, seed: f64) -> (BlockTriDiag, Vec<CMatri
     };
     (m, mk_sigma(seed + 0.4), mk_sigma(seed + 2.9))
 }
+
+/// One [`test_system`] per energy lane of a row solve: the same system
+/// with lane `e`'s energy shifted by `0.01·e` (its diagonal blocks by
+/// `0.01·e·I`), as consecutive energies of one momentum differ.
+pub fn test_lanes(
+    nb: usize,
+    bs: usize,
+    seed: f64,
+    lanes: usize,
+) -> Vec<(BlockTriDiag, Vec<CMatrix>, Vec<CMatrix>)> {
+    (0..lanes)
+        .map(|e| {
+            let (mut m, sl, sg) = test_system(nb, bs, seed);
+            let shift = CMatrix::from_diag(&vec![c64(0.01 * e as f64, 0.0); bs]);
+            m.diag.iter_mut().for_each(|d| *d += &shift);
+            (m, sl, sg)
+        })
+        .collect()
+}

@@ -3,8 +3,9 @@
 //!
 //! A counting global allocator wraps `System`; after one warmup call to
 //! populate the [`Workspace`] arena and the reusable outputs, a second
-//! `rgf_solve_into` and a second `sse_reference_into` must perform **zero**
-//! heap allocations. This pins the tentpole property of the
+//! `rgf_solve_into`, a second row solve (`rgf_row_into`, energies as SIMD
+//! lanes) and a second `sse_reference_into` must perform **zero** heap
+//! allocations. This pins the tentpole property of the
 //! packed-GEMM/workspace redesign — a future `CMatrix::zeros`, `clone()`,
 //! or allocating `matmul` sneaking back into the hot path fails this test.
 //!
@@ -19,8 +20,8 @@ use dace_omen::comm::{DacePlan, DaceTiling, OmenGrid};
 use dace_omen::core::{ExecutorKind, Simulation, SimulationConfig};
 use dace_omen::device::{DeviceConfig, DeviceStructure};
 use dace_omen::linalg::{c64, sbsmm, sbsmm_pb, BatchDims, PackedB, Strides, Workspace, C64};
-use dace_omen::rgf::testutil::test_system;
-use dace_omen::rgf::{rgf_solve_into, RgfInputs, RgfSolution};
+use dace_omen::rgf::testutil::{test_lanes, test_system};
+use dace_omen::rgf::{rgf_row_into, rgf_solve_into, row_width, RgfInputs, RgfSolution};
 use dace_omen::sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use dace_omen::sse::{
     sse_reference_into, sse_transformed_into, GLayout, MixedConfig, MixedKernel, SseKernel,
@@ -123,6 +124,45 @@ fn steady_state_hot_path_is_allocation_free() {
     assert!(
         sol.gr_diag[0].approx_eq(&baseline_gr, 0.0),
         "warm solve must be bit-identical to the warmup solve"
+    );
+
+    // ---- RGF row solve: one chunk of energy lanes at the benchmark's
+    // `sse_heavy` shape (8 block rows of 12 × 12, one SIMD vector of
+    // lanes). The lane blocks come from one workspace plane buffer, the
+    // per-lane unpack/invert/emit matrices from the same workspace. ----
+    let (nb, bs) = (8, 12);
+    let lanes = row_width(bs);
+    assert!(lanes > 1, "12 × 12 blocks take the lane path");
+    let systems = test_lanes(nb, bs, 0.13, lanes);
+    let mut chunk: Vec<RgfInputs> = systems
+        .iter()
+        .map(|(m, sl, sg)| RgfInputs {
+            m,
+            sigma_l: sl,
+            sigma_g: sg,
+        })
+        .collect();
+    let mut row_ws = Workspace::new();
+    let mut checksum = |row_ws: &mut Workspace| {
+        let mut sum = 0.0;
+        rgf_row_into(&mut chunk[..], row_ws, |_, row| {
+            sum += row.gl_diag[(0, 0)].im
+        });
+        sum
+    };
+    let baseline_sum = checksum(&mut row_ws);
+    let mut warm_sum = 0.0;
+    let row_allocs = count_allocations(|| {
+        warm_sum = checksum(&mut row_ws);
+    });
+    assert_eq!(
+        row_allocs, 0,
+        "rgf_row_into allocated {row_allocs} times on a warm workspace"
+    );
+    assert_eq!(
+        warm_sum.to_bits(),
+        baseline_sum.to_bits(),
+        "warm row solve must be bit-identical to the warmup solve"
     );
 
     // ---- SSE: one full reference-kernel application ----
