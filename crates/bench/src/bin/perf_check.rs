@@ -21,7 +21,10 @@
 //!    (`rgf_row_warm_small_*`, energies as SIMD lanes) must beat the warm
 //!    per-point solve of the same system by [`MIN_ROW_SPEEDUP`] (both
 //!    from `rgf_point`; a file with `rgf_point_*` records but no row
-//!    record fails), and the warm-started sweep
+//!    record fails), the Sancho-Rubio decimation on energy lanes
+//!    (`sr_lanes_warm_*`) must beat the lead-by-lead one (`sr_point_warm_*`)
+//!    by [`MIN_SR_LANES_SPEEDUP`] (same bin, same rule), and the
+//!    warm-started sweep
 //!    must save Born iterations (strict, deterministic)
 //!    while keeping at least `--min-sweep-speedup` (default 0.9×) of the
 //!    cold sweep's points/second. The iteration count is the real warm-
@@ -134,6 +137,10 @@ const MIN_PLANES_SPEEDUP: f64 = 1.5;
 /// Floor on the RGF row solve over the warm per-point solve, 12 × 12
 /// blocks (`rgf_point`; committed full-mode ratio in `BENCH_kernels.json`).
 const MIN_ROW_SPEEDUP: f64 = 1.5;
+
+/// Floor on the lane decimation over the lead-by-lead one, 12 × 12 leads
+/// (`rgf_point`; committed ratios in `BENCH_kernels.json`).
+const MIN_SR_LANES_SPEEDUP: f64 = 2.0;
 
 /// Name stem of the plan-wall ÷ local-wall ladder records.
 const PLAN_VS_LOCAL: &str = "comm45_plan_vs_local_";
@@ -283,27 +290,32 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
         }
     }
     if fresh.iter().any(|r| r.name.starts_with("rgf_point_")) {
-        match (find("rgf_row_warm_small"), find("rgf_point_warm_small")) {
-            (Some(lanes), Some(point)) => {
-                let speedup = lanes.gflops / point.gflops;
-                println!(
-                    "within-run: {} vs {}: {speedup:.2}x (floor {MIN_ROW_SPEEDUP:.2}x)",
-                    lanes.name, point.name
-                );
-                if speedup.is_nan() || speedup < MIN_ROW_SPEEDUP {
-                    eprintln!(
-                        "perf_check: {} speedup {speedup:.2}x fell below the \
-                         {MIN_ROW_SPEEDUP:.2}x floor",
-                        lanes.name
-                    );
-                    out.failed_floors += 1;
-                }
-            }
-            _ => {
+        // (lane path, per-point path of the same work, floor)
+        for (lanes, point, floor) in [
+            (
+                "rgf_row_warm_small",
+                "rgf_point_warm_small",
+                MIN_ROW_SPEEDUP,
+            ),
+            ("sr_lanes_warm", "sr_point_warm", MIN_SR_LANES_SPEEDUP),
+        ] {
+            let (Some(lanes), Some(point)) = (find(lanes), find(point)) else {
                 eprintln!(
                     "perf_check: {fresh_path} has rgf_point records but lacks the \
-                     rgf_row_warm_small/rgf_point_warm_small quick pair — the floor would be \
-                     vacuous; failing"
+                     {lanes}/{point} quick pair — the floor would be vacuous; failing"
+                );
+                out.failed_floors += 1;
+                continue;
+            };
+            let speedup = lanes.gflops / point.gflops;
+            println!(
+                "within-run: {} vs {}: {speedup:.2}x (floor {floor:.2}x)",
+                lanes.name, point.name
+            );
+            if speedup.is_nan() || speedup < floor {
+                eprintln!(
+                    "perf_check: {} speedup {speedup:.2}x fell below the {floor:.2}x floor",
+                    lanes.name
                 );
                 out.failed_floors += 1;
             }

@@ -2,6 +2,9 @@
 //! path (`rgf_solve_into`) vs the cold allocating wrapper (`rgf_solve`),
 //! and — on blocks the lane kernel takes — the row solve
 //! (`rgf_row_into`), which advances one SIMD vector of energies together.
+//! A last leg times the boundary decimation the same two ways: one lead at
+//! a time (`surface_gf_ws`, Sancho-Rubio) against one SIMD vector of leads
+//! (`sancho_rubio_lanes`), on the first block row of the same lanes.
 //!
 //! This is the per-`(kz, E)` unit of work the GF phase repeats thousands
 //! of times per Born iteration; the warm/cold gap is what the `Workspace`
@@ -14,9 +17,15 @@ use omen_bench::{
     header, json_flag, quick_flag, row, timed_median, write_bench_json, BenchRecord,
     BENCH_JSON_PATH,
 };
-use omen_linalg::Workspace;
+use omen_linalg::{gemm_flops, CMatrix, Workspace};
 use omen_rgf::testutil::{test_lanes, test_system};
-use omen_rgf::{rgf_row_into, rgf_solve, rgf_solve_into, row_width, RgfInputs, RgfSolution};
+use omen_rgf::{
+    rgf_row_into, rgf_solve, rgf_solve_into, row_width, sancho_rubio_lanes, surface_gf_ws,
+    BoundaryMethod, RgfInputs, RgfSolution,
+};
+
+/// Products per decimation step (`omen_rgf::boundary`).
+const SR_PRODUCTS: u64 = 6;
 
 fn main() {
     let quick = quick_flag();
@@ -110,9 +119,79 @@ fn main() {
         }
     }
     println!("warm and row paths are allocation-free (see tests/integration_alloc.rs)");
+    records.extend(decimation(suffix, if quick { 101 } else { 401 }));
 
     if json_flag() {
         write_bench_json(BENCH_JSON_PATH, &records).expect("write BENCH_kernels.json");
         println!("wrote {} records to {BENCH_JSON_PATH}", records.len());
     }
+}
+
+/// The decimation leg: the left leads `[M[0][0], M[1][0], M[0][1]]` of one
+/// SIMD vector of `test_lanes` energies on 12 × 12 blocks, solved lead by
+/// lead and as lanes; time and flops per lead.
+fn decimation(suffix: &str, reps: usize) -> Vec<BenchRecord> {
+    let bs = 12;
+    let (tol, max_iter) = (1e-13, 200);
+    let systems = test_lanes(2, bs, 0.11, row_width(bs));
+    let leads: Vec<[&CMatrix; 3]> = systems
+        .iter()
+        .map(|(m, _, _)| [&m.diag[0], &m.lower[0], &m.upper[0]])
+        .collect();
+    let per_lead = leads.len() as f64;
+    let mut ws = Workspace::new();
+    let mut point = || {
+        leads
+            .iter()
+            .map(|[d, a, b]| {
+                surface_gf_ws(BoundaryMethod::SanchoRubio, d, a, b, tol, max_iter, &mut ws)
+                    .iterations
+            })
+            .collect::<Vec<_>>()
+    };
+    let iterations = point(); // warmup
+    let t_point = timed_median(reps, || {
+        std::hint::black_box(point());
+    }) / per_lead;
+    let lanes = sancho_rubio_lanes(&leads, tol, max_iter, &mut ws); // warmup
+    let lane_iterations: Vec<usize> = lanes.iter().map(|s| s.iterations).collect();
+    assert_eq!(
+        lane_iterations, iterations,
+        "each lane runs its per-point steps"
+    );
+    let t_lanes = timed_median(reps, || {
+        std::hint::black_box(sancho_rubio_lanes(&leads, tol, max_iter, &mut ws));
+    }) / per_lead;
+
+    let steps: usize = iterations.iter().sum();
+    let flops = (steps as u64 * SR_PRODUCTS * gemm_flops(bs, bs, bs)) as f64 / per_lead;
+    println!(
+        "Sancho-Rubio decimation ({bs}x{bs}, {} leads, steps {iterations:?})\n",
+        leads.len()
+    );
+    let w = [30, 14, 12, 10];
+    header(&["Path", "Time/lead [us]", "GFLOP/s", "vs point"], &w);
+    let paths = [
+        ("surface_gf_ws (per lead)", t_point),
+        ("sancho_rubio_lanes (lanes)", t_lanes),
+    ];
+    for (name, t) in paths {
+        row(
+            &[
+                name.into(),
+                format!("{:.1}", t * 1e6),
+                format!("{:.2}", flops / t / 1e9),
+                format!("{:.2}x", t_point / t),
+            ],
+            &w,
+        );
+    }
+    println!();
+    let record = |path: &str, t: f64| BenchRecord {
+        name: format!("{path}_warm_bs{bs}{suffix}"),
+        n: bs,
+        median_ns: t * 1e9,
+        gflops: flops / t / 1e9,
+    };
+    vec![record("sr_point", t_point), record("sr_lanes", t_lanes)]
 }

@@ -466,12 +466,12 @@ impl Simulation {
     /// * the donor's Σ^≷/Π^≷ become the initial scattering self-energies,
     ///   so the first GF phase starts dressed instead of ballistic and the
     ///   Born loop converges in fewer iterations;
-    /// * the donor's boundary caches carry over — intact when
-    ///   `boundary_changed` is `false` (temperature/coupling sweeps never
-    ///   enter the ballistic operator `M`), demoted to surface-GF seeds
-    ///   when `true` (bias sweeps shift the potential in the lead blocks;
-    ///   seeds are refined to this point's own equations, so warm results
-    ///   stay exact).
+    /// * the donor's phonon boundary cache carries over, and so does its
+    ///   electron one when `boundary_changed` is `false`
+    ///   (temperature/coupling sweeps never enter the ballistic operator
+    ///   `M`); when `true` (bias sweeps shift the potential in the lead
+    ///   blocks) the electron boundaries are decimated afresh, exactly as
+    ///   a cold run decimates them.
     ///
     /// Convergence is still judged by this simulation's own tolerance
     /// against its own current history: seeding changes the starting
@@ -482,7 +482,7 @@ impl Simulation {
 
     /// [`Simulation::warm_start_from`] with an explicit flag for whether
     /// the sweep axis changed the ballistic boundary operators (`true` is
-    /// always safe; `false` skips even the seed refinement).
+    /// always safe; `false` reuses the donor's electron boundaries).
     pub fn warm_start_with(
         &mut self,
         data: &WarmStartData,
@@ -519,17 +519,13 @@ impl Simulation {
         self.sigma_g.clone_from(&data.sigma_g);
         self.pi_l.clone_from(&data.pi_l);
         self.pi_g.clone_from(&data.pi_g);
-        if self.el_bc.is_some() {
+        // The electron ballistic operator contains the electrostatic
+        // potential: a bias step invalidates the donor's self-energies, and
+        // decimating them afresh on energy lanes costs less than refining
+        // the donor's surface GFs by fixed-point iteration.
+        if self.el_bc.is_some() && !boundary_changed {
             if let Some(donor) = &data.el_bc {
-                // The electron ballistic operator contains the
-                // electrostatic potential: a bias step invalidates the
-                // cached self-energies but their surface GFs remain
-                // excellent iteration seeds.
-                self.el_bc = Some(Arc::new(if boundary_changed {
-                    donor.seed_clone()
-                } else {
-                    donor.fresh_clone()
-                }));
+                self.el_bc = Some(Arc::new(donor.fresh_clone()));
             }
         }
         if self.ph_bc.is_some() {
@@ -1078,6 +1074,7 @@ mod tests {
     use super::*;
     use crate::builder::KernelVariant;
     use omen_linalg::Normalization;
+    use omen_rgf::BoundarySelfEnergies;
 
     fn sim(cfg: SimulationConfig) -> Simulation {
         Simulation::new(cfg).expect("valid test config")
@@ -1408,8 +1405,20 @@ mod tests {
         assert_eq!(el1.misses, nbc_el as u64, "no recomputation");
     }
 
+    /// Every electron boundary of `sim`'s cache, read as hits.
+    fn electron_boundaries(sim: &Simulation) -> Vec<Arc<BoundarySelfEnergies>> {
+        let cache = sim.el_bc.as_ref().expect("caching config");
+        let mut out = vec![None; cache.len()];
+        cache.resolve_row(
+            0..cache.len(),
+            |_| panic!("every point was solved"),
+            |e, bse| out[e] = Some(bse),
+        );
+        out.into_iter().flatten().collect()
+    }
+
     #[test]
-    fn warm_start_after_bias_step_refines_boundaries() {
+    fn bias_step_warm_start_decimates_electron_boundaries_afresh() {
         let mut donor = sim(SimulationConfig::tiny());
         donor.run().expect("run succeeds");
         let data = donor.warm_start_data();
@@ -1417,15 +1426,22 @@ mod tests {
         // Small bias step: same scenario shape, shifted drain potential.
         let mut cfg = SimulationConfig::tiny();
         cfg.mu_drain += 0.01;
-        let mut warm = sim(cfg);
+        let mut warm = sim(cfg.clone());
         warm.warm_start_with(&data, true).expect("shapes match");
         warm.iterate();
+        let mut cold = sim(cfg);
+        cold.iterate();
         let (el, ph) = warm.boundary_stats().expect("caching config");
-        // Electron boundaries re-refine from the donor's surface GFs …
-        assert!(
-            el.refined + el.fallbacks > 0,
-            "electron leads must consume the seeds"
-        );
+        // Electron boundaries are decimated as a cold run decimates them …
+        let npoints = (warm.config.nk * warm.config.ne) as u64;
+        assert_eq!((el.hits, el.misses), (0, npoints));
+        let (warm_bc, cold_bc) = (electron_boundaries(&warm), electron_boundaries(&cold));
+        assert_eq!(warm_bc.len(), cold_bc.len());
+        for (w, c) in warm_bc.iter().zip(&cold_bc) {
+            assert_eq!(w.left.as_slice(), c.left.as_slice());
+            assert_eq!(w.right.as_slice(), c.right.as_slice());
+            assert_eq!(w.iterations, c.iterations);
+        }
         // … while phonon boundaries carry over exactly (pure hits).
         assert_eq!(ph.misses, 0, "phonon boundaries never recompute");
         assert!(ph.hits > 0);

@@ -18,7 +18,11 @@
 //! electrons, `Π^<_B = n_B·(Π^R_B − Π^A_B)` with the Bose factor for
 //! phonons.
 
-use omen_linalg::{matmul, matmul3, matmul3_into, CMatrix, Workspace, C64};
+use crate::rows::{below, sub, Lanes};
+use omen_linalg::{
+    count_fused_run, gemm_flops, matmul, matmul3, matmul3_into, matmul_into, CMatrix, Workspace,
+    C64,
+};
 
 /// Surface Green's function algorithm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,8 +40,6 @@ pub struct SurfaceGf {
     pub g: CMatrix,
     /// Iterations used.
     pub iterations: usize,
-    /// Final residual `‖g − (D − α g β)⁻¹‖_max`.
-    pub residual: f64,
 }
 
 /// Computes the lead surface Green's function solving
@@ -46,7 +48,7 @@ pub struct SurfaceGf {
 /// (e.g. the exact band centre of a 1-D chain) the decimation's first step
 /// amplifies by `1/η`; broadenings below ~1e-7 of the bandwidth can then
 /// converge to a spurious fixed point. Callers should keep `η ≳ 1e-6` of
-/// the bandwidth and check [`SurfaceGf::residual`].
+/// the bandwidth and check [`surface_residual`].
 ///
 /// Solves
 /// `g = (D − α · g · β)⁻¹`, where `D` is the principal-layer block of
@@ -83,28 +85,10 @@ pub fn surface_gf_ws(
     }
 }
 
-fn residual_of(
-    g: &CMatrix,
-    d: &CMatrix,
-    alpha: &CMatrix,
-    beta: &CMatrix,
-    ws: &mut Workspace,
-) -> f64 {
-    // ‖g − (D − α g β)⁻¹‖.
-    let mut agb = ws.take(d.rows(), d.cols());
-    let mut t = ws.take(d.rows(), d.cols());
-    let mut refreshed = ws.take(d.rows(), d.cols());
-    matmul3_into(alpha, g, beta, &mut t, &mut agb);
-    t.copy_from(d);
-    t -= &agb;
-    ws.invert_into(&t, &mut refreshed);
-    refreshed -= g;
-    let res = refreshed.max_abs();
-    ws.give(agb);
-    ws.give(t);
-    ws.give(refreshed);
-    res
-}
+/// One decimation step is six products: `a·g₀` and `b·g₀` once each, then
+/// `(a·g₀)·b` and `(b·g₀)·a` for the effective blocks and `(a·g₀)·a`,
+/// `(b·g₀)·b` for the next couplings.
+const SR_PRODUCTS: u64 = 6;
 
 fn sancho_rubio(
     d: &CMatrix,
@@ -115,15 +99,9 @@ fn sancho_rubio(
     ws: &mut Workspace,
 ) -> SurfaceGf {
     let n = d.rows();
-    let mut es = ws.take(n, n); // surface effective block
-    let mut eb = ws.take(n, n); // bulk effective block
-    let mut a = ws.take(n, n);
-    let mut b = ws.take(n, n);
-    let mut g0 = ws.take(n, n);
-    let mut agb = ws.take(n, n);
-    let mut bga = ws.take(n, n);
-    let mut t = ws.take(n, n);
-    let mut next = ws.take(n, n);
+    // es/eb: surface and bulk effective blocks.
+    let [mut es, mut eb, mut a, mut b, mut g0, mut ag, mut bg, mut agb, mut bga, mut next] =
+        std::array::from_fn(|_| ws.take(n, n));
     es.copy_from(d);
     eb.copy_from(d);
     a.copy_from(alpha0);
@@ -132,31 +110,143 @@ fn sancho_rubio(
     while iterations < max_iter {
         iterations += 1;
         ws.invert_into(&eb, &mut g0);
-        matmul3_into(&a, &g0, &b, &mut t, &mut agb);
-        matmul3_into(&b, &g0, &a, &mut t, &mut bga);
+        matmul_into(&a, &g0, &mut ag);
+        matmul_into(&b, &g0, &mut bg);
+        matmul_into(&ag, &b, &mut agb);
+        matmul_into(&bg, &a, &mut bga);
         es -= &agb;
         eb -= &agb;
         eb -= &bga;
         // a ← a·g·a, b ← b·g·b (via `next` so the operands stay intact).
-        matmul3_into(&a, &g0, &a, &mut t, &mut next);
+        matmul_into(&ag, &a, &mut next);
         std::mem::swap(&mut a, &mut next);
-        matmul3_into(&b, &g0, &b, &mut t, &mut next);
+        matmul_into(&bg, &b, &mut next);
         std::mem::swap(&mut b, &mut next);
-        if a.max_abs().max(b.max_abs()) < tol {
+        // `max(|a|, |b|) < tol`, stopping at the first element above it.
+        if [&a, &b]
+            .iter()
+            .all(|m| m.as_slice().iter().all(|&z| below(z, tol)))
+        {
             break;
         }
     }
     let mut g = CMatrix::zeros(n, n);
     ws.invert_into(&es, &mut g);
-    for sc in [es, eb, a, b, g0, agb, bga, t, next] {
+    for sc in [es, eb, a, b, g0, ag, bg, agb, bga, next] {
         ws.give(sc);
     }
-    let residual = residual_of(&g, d, alpha0, beta0, ws);
-    SurfaceGf {
-        g,
-        iterations,
-        residual,
+    SurfaceGf { g, iterations }
+}
+
+/// [`BoundaryMethod::SanchoRubio`] for a chunk of leads at once — one per
+/// energy of a row solve — on energy-lane blocks (split-complex
+/// `[element][re|im][lane]`, see [`crate::rows`]). `leads[e]` is lane
+/// `e`'s `[D, α, β]`, all of one block size.
+///
+/// The algebra is `sancho_rubio`'s in the same order: every product is one
+/// [`omen_linalg::planes_gemm`] over the lanes still iterating, the bulk
+/// block's inverse is per lane. A **convergence mask** freezes a lane as
+/// soon as its `max(|a|, |b|) < tol`: its surface block is inverted and
+/// the lane leaves the chunk, so each lead runs exactly the iterations of
+/// its per-point solve and the trace counts the flops of active lanes
+/// only. A lane's arithmetic does not depend on which leads share the
+/// call (`planes_gemm`'s contract; everything else is per lane or
+/// elementwise), so the result is bitwise reproducible under any split of
+/// a row into chunks; against the per-point solve it differs by how each
+/// block product rounds.
+pub fn sancho_rubio_lanes(
+    leads: &[[&CMatrix; 3]],
+    tol: f64,
+    max_iter: usize,
+    ws: &mut Workspace,
+) -> Vec<SurfaceGf> {
+    let Some([d0, ..]) = leads.first() else {
+        return Vec::new();
+    };
+    let n = d0.rows();
+    let mut s = Lanes::new(n, leads.len());
+    let mut buf = ws.take_planes(10 * s.len);
+    let mut blocks = buf.chunks_exact_mut(s.len);
+    let mut next_block = || blocks.next().expect("ten lane blocks");
+    let [es, eb, mut a, mut b, g0, ag, bg, agb, bga, mut next] =
+        std::array::from_fn::<_, 10, _>(|_| next_block());
+    let (mut m, mut inv) = (ws.take(n, n), ws.take(n, n));
+    for (e, [d, alpha, beta]) in leads.iter().enumerate() {
+        s.pack(d, e, es);
+        s.pack(d, e, eb);
+        s.pack(alpha, e, a);
+        s.pack(beta, e, b);
     }
+
+    // Lane `e` of the blocks is lead `active[e]`.
+    let mut active: Vec<usize> = (0..leads.len()).collect();
+    let mut out: Vec<Option<SurfaceGf>> = leads.iter().map(|_| None).collect();
+    let mut keep = Vec::with_capacity(leads.len());
+    let (g3, mut products) = (gemm_flops(n, n, n), 0u64);
+    let mut iterations = 0;
+    while !active.is_empty() && iterations < max_iter {
+        iterations += 1;
+        let len = s.len;
+        for e in 0..s.lanes {
+            s.unpack(eb, e, &mut m);
+            ws.invert_into(&m, &mut inv);
+            s.pack(&inv, e, g0);
+        }
+        s.mm(a, g0, ag);
+        s.mm(b, g0, bg);
+        s.mm(ag, b, agb);
+        s.mm(bg, a, bga);
+        sub(&mut es[..len], &agb[..len]);
+        sub(&mut eb[..len], &agb[..len]);
+        sub(&mut eb[..len], &bga[..len]);
+        s.mm(ag, a, next);
+        std::mem::swap(&mut a, &mut next);
+        s.mm(bg, b, next);
+        std::mem::swap(&mut b, &mut next);
+        products += SR_PRODUCTS * s.lanes as u64;
+
+        keep.clear();
+        for (e, &lead) in active.iter().enumerate() {
+            if s.below(a, e, tol) && s.below(b, e, tol) {
+                out[lead] = Some(finish_lane(&s, es, e, iterations, &mut m, ws));
+            } else {
+                keep.push(e);
+            }
+        }
+        if keep.len() < s.lanes {
+            for block in [&mut *es, &mut *eb, &mut *a, &mut *b] {
+                s.retain(&keep, block);
+            }
+            active = keep.iter().map(|&e| active[e]).collect();
+            s = Lanes::new(n, keep.len());
+        }
+    }
+    for (e, &lead) in active.iter().enumerate() {
+        out[lead] = Some(finish_lane(&s, es, e, iterations, &mut m, ws));
+    }
+
+    ws.give(m);
+    ws.give(inv);
+    ws.give_planes(buf);
+    count_fused_run(products * g3);
+    out.into_iter()
+        .map(|g| g.expect("every lead finishes"))
+        .collect()
+}
+
+/// Lane `e`'s surface GF, the inverse of its surface block `es`.
+fn finish_lane(
+    s: &Lanes,
+    es: &[f64],
+    e: usize,
+    iterations: usize,
+    m: &mut CMatrix,
+    ws: &mut Workspace,
+) -> SurfaceGf {
+    s.unpack(es, e, m);
+    let mut g = CMatrix::zeros(s.bs, s.bs);
+    ws.invert_into(m, &mut g);
+    SurfaceGf { g, iterations }
 }
 
 fn fixed_point(
@@ -170,28 +260,10 @@ fn fixed_point(
     let n = d.rows();
     let mut g = CMatrix::zeros(n, n);
     ws.invert_into(d, &mut g);
-    fixed_point_from(g, d, alpha, beta, tol, max_iter, ws)
-}
-
-/// The damped fixed-point iteration starting from an explicit initial
-/// guess `g` (the cold start uses `g = D⁻¹`; warm starts hand over a
-/// neighboring sweep point's converged surface GF).
-fn fixed_point_from(
-    mut g: CMatrix,
-    d: &CMatrix,
-    alpha: &CMatrix,
-    beta: &CMatrix,
-    tol: f64,
-    max_iter: usize,
-    ws: &mut Workspace,
-) -> SurfaceGf {
-    let n = d.rows();
     let mut agb = ws.take(n, n);
     let mut t = ws.take(n, n);
     let mut next = ws.take(n, n);
     let mut iterations = 0;
-    #[allow(unused_assignments)]
-    let mut res = f64::INFINITY;
     while iterations < max_iter {
         iterations += 1;
         matmul3_into(alpha, &g, beta, &mut t, &mut agb);
@@ -199,7 +271,7 @@ fn fixed_point_from(
         t -= &agb;
         ws.invert_into(&t, &mut next);
         next -= &g;
-        res = next.max_abs();
+        let res = next.max_abs();
         // Damped update stabilizes the linear iteration near band edges:
         // g ← (g + next)/2, where `next` currently holds `next − g`.
         next.scale_inplace(C64::from_re(0.5));
@@ -211,53 +283,7 @@ fn fixed_point_from(
     for sc in [agb, t, next] {
         ws.give(sc);
     }
-    let residual = residual_of(&g, d, alpha, beta, ws);
-    SurfaceGf {
-        g,
-        iterations,
-        residual,
-    }
-}
-
-/// Outcome of a seeded (warm-started) surface-GF refinement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SeedOutcome {
-    /// The damped fixed-point refinement of the seed converged.
-    Refined,
-    /// The refinement stalled; the solve fell back to Sancho-Rubio.
-    Fallback,
-}
-
-/// Refines a warm-start `seed` surface GF (e.g. a neighboring sweep
-/// point's converged `g_s`) by damped fixed-point iteration (at most
-/// `refine_iter` steps), falling back to a cold Sancho-Rubio decimation
-/// (at most `max_iter` steps) when the seed is too far from the new fixed
-/// point to converge.
-///
-/// The result always satisfies the *new* point's fixed-point equation to
-/// `tol` (checked via [`SurfaceGf::residual`]): seeding changes the
-/// iteration path, never the equation being solved, so a warm boundary is
-/// as exact as a cold one.
-#[allow(clippy::too_many_arguments)]
-pub fn surface_gf_seeded(
-    seed: CMatrix,
-    d: &CMatrix,
-    alpha: &CMatrix,
-    beta: &CMatrix,
-    tol: f64,
-    refine_iter: usize,
-    max_iter: usize,
-    ws: &mut Workspace,
-) -> (SurfaceGf, SeedOutcome) {
-    let refined = fixed_point_from(seed, d, alpha, beta, tol, refine_iter, ws);
-    // Accept only a genuinely converged refinement; a seed from a distant
-    // bias point can stall the linear iteration.
-    if refined.residual <= tol * 10.0 {
-        return (refined, SeedOutcome::Refined);
-    }
-    let mut cold = sancho_rubio(d, alpha, beta, tol, max_iter, ws);
-    cold.iterations += refined.iterations;
-    (cold, SeedOutcome::Fallback)
+    SurfaceGf { g, iterations }
 }
 
 /// Both boundary self-energies of a homogeneous block-tridiagonal system.
@@ -271,11 +297,6 @@ pub struct BoundarySelfEnergies {
     pub gamma_left: CMatrix,
     /// Right broadening `Γ_R`.
     pub gamma_right: CMatrix,
-    /// Left lead surface Green's function (kept as the warm-start seed
-    /// for adjacent sweep points).
-    pub g_left: CMatrix,
-    /// Right lead surface Green's function.
-    pub g_right: CMatrix,
     /// Decimation iterations spent (left + right).
     pub iterations: usize,
 }
@@ -346,54 +367,35 @@ pub fn boundary_self_energies_ws(
     )
 }
 
-/// [`boundary_self_energies_ws`] warm-started from a neighboring sweep
-/// point's surface GFs (see [`surface_gf_seeded`]). Returns the seed
-/// outcome of each lead alongside the (exact) self-energies.
-#[allow(clippy::too_many_arguments)]
-pub fn boundary_self_energies_seeded_ws(
-    seed_left: CMatrix,
-    seed_right: CMatrix,
-    d_first: &CMatrix,
-    upper_first: &CMatrix,
-    lower_first: &CMatrix,
-    d_last: &CMatrix,
-    upper_last: &CMatrix,
-    lower_last: &CMatrix,
+/// [`boundary_self_energies_ws`] for a chunk of points, `ends[e]` being
+/// lane `e`'s `[D_first, U_first, L_first, D_last, U_last, L_last]`: under
+/// Sancho-Rubio each lead is one [`sancho_rubio_lanes`] call over the
+/// chunk and every point folds its own surface GFs; the fixed point stays
+/// per point.
+pub(crate) fn boundary_self_energies_lanes(
+    method: BoundaryMethod,
+    ends: &[[CMatrix; 6]],
     tol: f64,
-    refine_iter: usize,
     max_iter: usize,
     ws: &mut Workspace,
-) -> (BoundarySelfEnergies, SeedOutcome, SeedOutcome) {
-    let (left_surface, left_outcome) = surface_gf_seeded(
-        seed_left,
-        d_first,
-        lower_first,
-        upper_first,
-        tol,
-        refine_iter,
-        max_iter,
-        ws,
-    );
-    let (right_surface, right_outcome) = surface_gf_seeded(
-        seed_right,
-        d_last,
-        upper_last,
-        lower_last,
-        tol,
-        refine_iter,
-        max_iter,
-        ws,
-    );
-    let bse = fold_boundaries(
-        left_surface,
-        right_surface,
-        upper_first,
-        lower_first,
-        upper_last,
-        lower_last,
-        ws,
-    );
-    (bse, left_outcome, right_outcome)
+) -> Vec<BoundarySelfEnergies> {
+    if method == BoundaryMethod::FixedPoint {
+        return ends
+            .iter()
+            .map(|[d0, u0, l0, dn, un, ln]| {
+                boundary_self_energies_ws(method, d0, u0, l0, dn, un, ln, tol, max_iter, ws)
+            })
+            .collect();
+    }
+    // The leads couple as in `boundary_self_energies_ws`.
+    let left: Vec<[&CMatrix; 3]> = ends.iter().map(|[d0, u0, l0, ..]| [d0, l0, u0]).collect();
+    let right: Vec<[&CMatrix; 3]> = ends.iter().map(|[.., dn, un, ln]| [dn, un, ln]).collect();
+    let left = sancho_rubio_lanes(&left, tol, max_iter, ws);
+    let right = sancho_rubio_lanes(&right, tol, max_iter, ws);
+    ends.iter()
+        .zip(left.into_iter().zip(right))
+        .map(|([_, u0, l0, _, un, ln], (l, r))| fold_boundaries(l, r, u0, l0, un, ln, ws))
+        .collect()
 }
 
 /// Folds the two lead surface GFs into boundary self-energies:
@@ -425,8 +427,6 @@ fn fold_boundaries(
         gamma_right: gamma(&right),
         left,
         right,
-        g_left: left_surface.g,
-        g_right: right_surface.g,
         iterations: left_surface.iterations + right_surface.iterations,
     }
 }
@@ -464,17 +464,32 @@ pub fn bose(w: f64, kt: f64) -> f64 {
 /// Both satisfy `Σ^> − Σ^< = Σ^R − Σ^A`, the identity the RGF lesser
 /// recursion relies on.
 pub fn contact_sigma_lg(sigma_r: &CMatrix, occ: f64, boson: bool) -> (CMatrix, CMatrix) {
-    let ra = sigma_r - &sigma_r.adjoint(); // Σ^R − Σ^A
-    if boson {
-        (
-            ra.scaled(C64::from_re(occ)),
-            ra.scaled(C64::from_re(1.0 + occ)),
-        )
+    let mut lg = (CMatrix::zeros(0, 0), CMatrix::zeros(0, 0));
+    contact_sigma_lg_into(sigma_r, occ, boson, &mut lg);
+    lg
+}
+
+/// [`contact_sigma_lg`] into caller-owned blocks.
+pub(crate) fn contact_sigma_lg_into(
+    sigma_r: &CMatrix,
+    occ: f64,
+    boson: bool,
+    (sl, sg): &mut (CMatrix, CMatrix),
+) {
+    let (fl, fg) = if boson {
+        (occ, 1.0 + occ)
     } else {
-        (
-            ra.scaled(C64::from_re(-occ)),
-            ra.scaled(C64::from_re(1.0 - occ)),
-        )
+        (-occ, 1.0 - occ)
+    };
+    let (fl, fg) = (C64::from_re(fl), C64::from_re(fg));
+    let n = sigma_r.rows();
+    sl.resize_for_overwrite(n, n);
+    sg.resize_for_overwrite(n, n);
+    for j in 0..n {
+        for i in 0..n {
+            let ra = sigma_r[(i, j)] - sigma_r[(j, i)].conj(); // Σ^R − Σ^A
+            (sl[(i, j)], sg[(i, j)]) = (ra * fl, ra * fg);
+        }
     }
 }
 
@@ -536,7 +551,8 @@ mod tests {
             "decimation took {} iterations",
             s.iterations
         );
-        assert!(s.residual < 1e-8, "residual {}", s.residual);
+        let residual = surface_residual(&s.g, &d, &a, &b);
+        assert!(residual < 1e-8, "residual {residual}");
     }
 
     #[test]
@@ -609,30 +625,103 @@ mod tests {
         assert!(bose(2.0, 0.025) < 1e-12);
     }
 
-    #[test]
-    fn seeded_refinement_is_exact() {
-        // Solve at E, then warm-start a nearby energy E+δ from it: the
-        // refinement must converge and agree with a cold decimation solve.
-        let (d, a, b) = chain_blocks(3.0, 1e-4, 0.0, 1.0, 2);
-        let cold = surface_gf(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-12, 300);
-        let (d2, a2, b2) = chain_blocks(3.02, 1e-4, 0.0, 1.0, 2);
-        let cold2 = surface_gf(BoundaryMethod::SanchoRubio, &d2, &a2, &b2, 1e-12, 300);
-        let mut ws = Workspace::new();
-        let (warm, outcome) =
-            surface_gf_seeded(cold.g.clone(), &d2, &a2, &b2, 1e-12, 5000, 300, &mut ws);
-        assert_eq!(outcome, SeedOutcome::Refined);
-        assert!(warm.residual < 1e-11, "residual {}", warm.residual);
-        assert!(
-            warm.g.approx_eq(&cold2.g, 1e-8),
-            "warm and cold surface GFs disagree"
-        );
+    /// A lead of `bs` orbitals at energy `e`: orbital `i` a chain of
+    /// hopping ≈ −1 at on-site energy `5·i`, so its band is `5·i ± 2` and
+    /// the bands do not overlap, with every block entry non-zero.
+    fn lead(bs: usize, e: f64, eta: f64) -> [CMatrix; 3] {
+        let mut h = CMatrix::from_fn(bs, bs, |i, j| {
+            let (x, y) = ((i + 2 * j) as f64, (2 * i + j) as f64);
+            c64(0.1 * x.sin(), 0.06 * y.cos())
+        });
+        h.hermitianize();
+        let onsite = |i: usize, j: usize| {
+            if i == j {
+                c64(e - 5.0 * i as f64, eta)
+            } else {
+                C64::ZERO
+            }
+        };
+        let d = CMatrix::from_fn(bs, bs, |i, j| onsite(i, j) - h[(i, j)]);
+        let alpha = CMatrix::from_fn(bs, bs, |i, j| {
+            let (x, y) = ((i * j) as f64 + 0.3, (i + j) as f64);
+            if i == j {
+                c64(-1.0, 0.0)
+            } else {
+                c64(0.05 * x.cos(), 0.025 * y.sin())
+            }
+        });
+        let beta = alpha.adjoint();
+        [d, alpha, beta]
+    }
 
-        // A hopeless seed with a tiny refinement budget must fall back to
-        // decimation and still land on the exact answer.
-        let garbage = CMatrix::identity(2).scaled(c64(1e6, -1e6));
-        let (fb, fb_outcome) = surface_gf_seeded(garbage, &d2, &a2, &b2, 1e-12, 10, 300, &mut ws);
-        assert_eq!(fb_outcome, SeedOutcome::Fallback);
-        assert!(fb.g.approx_eq(&cold2.g, 1e-8));
+    fn lead_refs(leads: &[[CMatrix; 3]]) -> Vec<[&CMatrix; 3]> {
+        leads.iter().map(|l| l.each_ref()).collect()
+    }
+
+    #[test]
+    fn sancho_rubio_lanes_match_the_point_decimation() {
+        // Two energies inside the lowest band (slow, ~log2(1/η) steps) and
+        // two above its edge at 2 (fast): the lanes of one call converge at
+        // different steps, and each must still run exactly its per-point
+        // iterations.
+        let edge = [1.9, 2.1, 1.8, 2.4];
+        let mut ws = Workspace::new();
+        for bs in 1..=16 {
+            for lanes in 1..=4 {
+                let leads: Vec<[CMatrix; 3]> = (0..lanes)
+                    .map(|k| lead(bs, edge[(k + bs) % 4], 1e-5))
+                    .collect();
+                let got = sancho_rubio_lanes(&lead_refs(&leads), 1e-13, 200, &mut ws);
+                let mut counts = Vec::new();
+                for (e, ([d, a, b], got)) in leads.iter().zip(&got).enumerate() {
+                    let want =
+                        surface_gf_ws(BoundaryMethod::SanchoRubio, d, a, b, 1e-13, 200, &mut ws);
+                    assert_eq!(
+                        got.iterations, want.iterations,
+                        "bs {bs}, {lanes} lanes, lane {e}: iterations"
+                    );
+                    let dev = (&got.g - &want.g).max_abs() / want.g.max_abs();
+                    assert!(dev <= 1e-12, "bs {bs}, {lanes} lanes, lane {e}: {dev:e}");
+                    counts.push(got.iterations);
+                }
+                if lanes == 4 {
+                    assert!(
+                        counts.iter().any(|&c| c != counts[0]),
+                        "bs {bs}: every lane converged at step {}",
+                        counts[0]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sancho_rubio_lanes_are_bitwise_under_every_chunking() {
+        let leads: Vec<[CMatrix; 3]> = (0..7)
+            .map(|k| lead(6, 1.7 + 0.1 * k as f64, 1e-5))
+            .collect();
+        let refs = lead_refs(&leads);
+        let mut ws = Workspace::new();
+        let whole = sancho_rubio_lanes(&refs, 1e-13, 200, &mut ws);
+        for widths in [
+            &[1, 1, 1, 1, 1, 1, 1][..],
+            &[3, 4],
+            &[4, 3],
+            &[5, 2],
+            &[2, 4, 1],
+        ] {
+            let mut at = 0;
+            for &w in widths {
+                let part = sancho_rubio_lanes(&refs[at..at + w], 1e-13, 200, &mut ws);
+                for (k, p) in part.iter().enumerate() {
+                    let want = &whole[at + k];
+                    assert_eq!(p.iterations, want.iterations, "chunks {widths:?}");
+                    assert_eq!(p.g.as_slice(), want.g.as_slice(), "chunks {widths:?}");
+                }
+                at += w;
+            }
+        }
+        assert!(sancho_rubio_lanes(&[], 1e-13, 200, &mut ws).is_empty());
     }
 
     #[test]

@@ -16,13 +16,13 @@
 
 use crate::bccache::BoundaryCache;
 use crate::boundary::{
-    bose, boundary_self_energies_ws, contact_sigma_lg, fermi, BoundaryMethod, BoundarySelfEnergies,
+    bose, boundary_self_energies_lanes, boundary_self_energies_ws, contact_sigma_lg,
+    contact_sigma_lg_into, fermi, BoundaryMethod, BoundarySelfEnergies,
 };
 use crate::rgf::{rgf_solve_into, RgfInputs, RgfSolution};
 use crate::rows::{rgf_row_into, row_width, RgfCoupling, RgfRow, RowInputs};
 use omen_device::DeviceStructure;
 use omen_linalg::{c64, BlockTriDiag, CMatrix, Workspace, WorkspaceLease, WorkspacePool, C64};
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -409,13 +409,16 @@ pub struct PointSolver<'a, C: Carrier> {
     mode: CacheMode,
     k_values: Vec<f64>,
     x_values: Vec<f64>,
-    spec_cache: Vec<Option<C::Spec>>,            // per k
-    bc_cache: Vec<Option<BoundarySelfEnergies>>, // per (ik, ix)
-    shared_bc: Option<Arc<BoundaryCache>>,
+    spec_cache: Vec<Option<C::Spec>>, // per k
+    /// Boundary self-energies per `(ik, ix)`: the solver's own unless
+    /// caching is off, or one shared across workers and iterations.
+    bc: Option<Arc<BoundaryCache>>,
     /// Scratch arena threaded through the boundary and RGF solves; a
     /// pool-backed lease when the solver was built with
     /// [`PointSolver::with_workspace_pool`].
     ws: WorkspaceLease<'a>,
+    /// A row solve's lanes, kept for their capacity.
+    lanes: Vec<LaneBoundary>,
 }
 
 /// Electron GF solver over `(kz, E)` points, bound to a potential profile.
@@ -473,9 +476,9 @@ impl<'a, C: Carrier> PointSolver<'a, C> {
             k_values,
             x_values,
             spec_cache: (0..nk).map(|_| None).collect(),
-            bc_cache: vec![None; nk * nx],
-            shared_bc: None,
+            bc: (mode != CacheMode::NoCache).then(|| Arc::new(BoundaryCache::new(nk * nx))),
             ws: WorkspaceLease::detached(),
+            lanes: Vec::new(),
         }
     }
 
@@ -488,15 +491,15 @@ impl<'a, C: Carrier> PointSolver<'a, C> {
     }
 
     /// Routes boundary-condition lookups through a cache shared across
-    /// workers and Born iterations (and, via seeding, across sweep
-    /// points); takes precedence over the solver-local cache.
+    /// workers and Born iterations (and, via [`BoundaryCache::fresh_clone`],
+    /// across sweep points); replaces the solver's own.
     pub fn with_shared_boundary(mut self, cache: Arc<BoundaryCache>) -> Self {
         assert_eq!(
             cache.len(),
             self.k_values.len() * self.x_values.len(),
             "shared boundary cache sized for a different grid"
         );
-        self.shared_bc = Some(cache);
+        self.bc = Some(cache);
         self
     }
 }
@@ -519,39 +522,64 @@ fn specialization<'s, C: Carrier>(
     slot.get_or_insert_with(|| carrier.specialize(device, k))
 }
 
-/// The point's boundary self-energies from the end blocks of its ballistic
-/// `M` (`[M[0][0], M[0][1], M[1][0], M[N][N], M[N−1][N], M[N][N−1]]`): a
-/// shared cache (cross-worker, cross-iteration) takes precedence, then
-/// the solver-local one unless caching is off; reads borrow, a miss
-/// computes and fills.
-fn boundary<'c>(
-    (method, tol, max_iter): (BoundaryMethod, f64, usize),
-    mode: CacheMode,
-    shared: Option<&BoundaryCache>,
-    slot: &'c mut Option<BoundarySelfEnergies>,
-    key: usize,
-    [d0, u0, l0, dn, un, ln]: [&CMatrix; 6],
-    ws: &mut Workspace,
-) -> Cow<'c, BoundarySelfEnergies> {
-    if let Some(shared) = shared {
-        return Cow::Owned(shared.resolve(key, method, d0, u0, l0, dn, un, ln, tol, max_iter, ws));
+/// Resolves the boundary self-energies of points `keys` (one row of the
+/// grid), handing point `keys.start + e` to `put(e, ·)`: through `cache`
+/// when caching — hits first, then every miss by one `solve` call — else
+/// every point by `solve`.
+fn resolve_boundaries(
+    cache: Option<&BoundaryCache>,
+    keys: Range<usize>,
+    solve: impl FnOnce(&[usize]) -> Vec<BoundarySelfEnergies>,
+    mut put: impl FnMut(usize, Arc<BoundarySelfEnergies>),
+) {
+    match cache {
+        Some(cache) => cache.resolve_row(keys, solve, put),
+        None => {
+            let all: Vec<usize> = (0..keys.len()).collect();
+            for (e, bse) in solve(&all).into_iter().enumerate() {
+                put(e, Arc::new(bse));
+            }
+        }
     }
-    let compute = |ws: &mut Workspace| {
-        boundary_self_energies_ws(method, d0, u0, l0, dn, un, ln, tol, max_iter, ws)
-    };
-    if mode == CacheMode::NoCache {
-        return Cow::Owned(compute(ws));
-    }
-    Cow::Borrowed(slot.get_or_insert_with(|| compute(ws)))
 }
 
-/// What a row solve keeps of one lane's boundary: its energy, the
-/// retarded blocks folded into `M`, and the contact `(Σ^<, Σ^>)`.
+/// The blocks of the ballistic `M` at `x` that the boundary reads,
+/// `[M[0][0], M[0][1], M[1][0], M[N][N], M[N−1][N], M[N][N−1]]`, in
+/// workspace blocks.
+fn lead_blocks<C: Carrier>(
+    carrier: &C,
+    spec: &C::Spec,
+    x: f64,
+    (nb, bs): (usize, usize),
+    ws: &mut Workspace,
+) -> [CMatrix; 6] {
+    let mut ends: [CMatrix; 6] = std::array::from_fn(|_| ws.take(bs, bs));
+    for (m, (part, n)) in ends.iter_mut().zip([
+        (Part::Diag, 0),
+        (Part::Upper, 0),
+        (Part::Lower, 0),
+        (Part::Diag, nb - 1),
+        (Part::Upper, nb - 2),
+        (Part::Lower, nb - 2),
+    ]) {
+        carrier.block(spec, x, part, n, m);
+    }
+    ends
+}
+
+/// What a row solve keeps of one lane's boundary: its energy, its
+/// self-energies as resolved (shared with the cache, not copied), and the
+/// contact `(Σ^<, Σ^>)`, left then right, in workspace blocks.
 struct LaneBoundary {
     x: f64,
-    left: CMatrix,
-    right: CMatrix,
+    bse: Option<Arc<BoundarySelfEnergies>>,
     lg: [(CMatrix, CMatrix); 2],
+}
+
+impl LaneBoundary {
+    fn bse(&self) -> &BoundarySelfEnergies {
+        self.bse.as_deref().expect("boundary resolved")
+    }
 }
 
 /// One row's [`RowInputs`]: `M`'s blocks from the cached specialization,
@@ -590,10 +618,10 @@ impl<C: Carrier> RowInputs for ChunkInputs<'_, C> {
         let last = self.nb - 1;
         self.carrier.block(self.spec, lane.x, Part::Diag, n, diag);
         if n == 0 {
-            *diag -= &lane.left;
+            *diag -= &lane.bse().left;
         }
         if n == last {
-            *diag -= &lane.right;
+            *diag -= &lane.bse().right;
         }
         match self.scattering {
             Some(blocks) => {
@@ -677,15 +705,21 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
             &m.lower[bnum - 2],
         ];
         let key = ik * self.x_values.len() + ix;
-        let bse = boundary(
-            self.carrier.boundary(),
-            self.mode,
-            self.shared_bc.as_deref(),
-            &mut self.bc_cache[key],
-            key,
-            ends,
-            &mut self.ws,
+        let (method, tol, max_iter) = self.carrier.boundary();
+        let [d0, u0, l0, dn, un, ln] = ends;
+        let ws = &mut self.ws;
+        let mut resolved = None;
+        resolve_boundaries(
+            self.bc.as_deref(),
+            key..key + 1,
+            |_| {
+                let bse =
+                    boundary_self_energies_ws(method, d0, u0, l0, dn, un, ln, tol, max_iter, ws);
+                vec![bse]
+            },
+            |_, bse| resolved = Some(bse),
         );
+        let bse = resolved.expect("boundary resolved");
         times.boundary = t1.elapsed();
 
         // Fold boundary and scattering Σ^R into M.
@@ -741,8 +775,10 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
 
     /// Blocks up to `SMALL_DIM` take the lane path: the row's energies are
     /// the lanes of one [`rgf_row_into`] recursion, chunk width
-    /// [`row_width`]; specialization happens once per row, boundaries stay
-    /// per point. Larger blocks solve point by point.
+    /// [`row_width`]; specialization happens once per row, and the row's
+    /// uncached boundaries are decimated together, one
+    /// [`crate::sancho_rubio_lanes`] call per lead. Larger blocks solve
+    /// point by point.
     fn solve_row(
         &mut self,
         ik: usize,
@@ -761,9 +797,9 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
             k_values,
             x_values,
             spec_cache,
-            bc_cache,
-            shared_bc,
+            bc,
             ws,
+            lanes,
         } = self;
         let mut times = PhaseTimes::default();
 
@@ -774,51 +810,40 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
         times.specialization = t0.elapsed();
 
         let t1 = Instant::now();
-        let mut ends: [CMatrix; 6] = std::array::from_fn(|_| ws.take(bs, bs));
-        let lanes: Vec<LaneBoundary> = xs
-            .clone()
-            .map(|ix| {
-                let x = x_values[ix];
-                for (m, (part, n)) in ends.iter_mut().zip([
-                    (Part::Diag, 0),
-                    (Part::Upper, 0),
-                    (Part::Lower, 0),
-                    (Part::Diag, nb - 1),
-                    (Part::Upper, nb - 2),
-                    (Part::Lower, nb - 2),
-                ]) {
-                    carrier.block(spec, x, part, n, m);
-                }
-                let key = ik * x_values.len() + ix;
-                let bse = boundary(
-                    carrier.boundary(),
-                    *mode,
-                    shared_bc.as_deref(),
-                    &mut bc_cache[key],
-                    key,
-                    ends.each_ref(),
-                    ws,
-                );
-                let (occ_l, occ_r) = carrier.occupations(x);
-                LaneBoundary {
-                    x,
-                    left: bse.left.clone(),
-                    right: bse.right.clone(),
-                    lg: [
-                        contact_sigma_lg(&bse.left, occ_l, C::BOSON),
-                        contact_sigma_lg(&bse.right, occ_r, C::BOSON),
-                    ],
-                }
-            })
-            .collect();
-        ends.into_iter().for_each(|m| ws.give(m));
+        lanes.extend(xs.clone().map(|ix| LaneBoundary {
+            x: x_values[ix],
+            bse: None,
+            lg: std::array::from_fn(|_| (ws.take(bs, bs), ws.take(bs, bs))),
+        }));
+        let (method, tol, max_iter) = carrier.boundary();
+        let row = ik * x_values.len();
+        let solve = |misses: &[usize]| {
+            let ends: Vec<[CMatrix; 6]> = misses
+                .iter()
+                .map(|&e| lead_blocks(&*carrier, spec, x_values[xs.start + e], (nb, bs), ws))
+                .collect();
+            let solved = boundary_self_energies_lanes(method, &ends, tol, max_iter, ws);
+            ends.into_iter().flatten().for_each(|m| ws.give(m));
+            solved
+        };
+        let keys = row + xs.start..row + xs.end;
+        resolve_boundaries(bc.as_deref(), keys, solve, |e, bse| {
+            lanes[e].bse = Some(bse)
+        });
+        for lane in lanes.iter_mut() {
+            let (occ_l, occ_r) = carrier.occupations(lane.x);
+            let bse = lane.bse.as_deref().expect("boundary resolved");
+            let [left, right] = &mut lane.lg;
+            contact_sigma_lg_into(&bse.left, occ_l, C::BOSON, left);
+            contact_sigma_lg_into(&bse.right, occ_r, C::BOSON, right);
+        }
         times.boundary = t1.elapsed();
 
         let t2 = Instant::now();
         let mut inputs = ChunkInputs {
             carrier: &*carrier,
             spec,
-            lanes: &lanes,
+            lanes,
             scattering,
             nb,
             bs,
@@ -831,6 +856,9 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
             sink.row(e, row, [&lg[0], &lg[1]]);
         });
         ws.give(inputs.sr);
+        for [(ll, lr), (gl, gr)] in lanes.drain(..).map(|lane| lane.lg) {
+            [ll, lr, gl, gr].into_iter().for_each(|m| ws.give(m));
+        }
         times.rgf = t2.elapsed();
         times
     }
@@ -846,8 +874,7 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
             * C::SPEC_OPERATORS
             * (bnum * 3) // diag + upper + lower (over-estimate by 2 blocks)
             * bs * bs * 16;
-        let bc = self.bc_cache.iter().flatten().count() * 4 * bs * bs * 16;
-        spec + bc
+        spec + self.bc.as_ref().map_or(0, |bc| bc.bytes())
     }
 }
 
@@ -1098,13 +1125,46 @@ mod tests {
     }
 
     #[test]
+    fn row_boundaries_match_the_point_decimation_on_both_carriers() {
+        // The points solve on a solver of their own, so their boundaries
+        // are decimated point by point and the row's on lanes. At η = 1e-5
+        // the tiny device's decimation is itself sensitive at ~1e-12 (one
+        // ulp more in `M[0][0]` moves `Σ_L` by up to 4e-12), and the two
+        // paths round their products differently: they agree to that
+        // conditioning, not to 1e-12.
+        let dev = device();
+        let pairs = row_carriers(&dev).into_iter().zip(row_carriers(&dev));
+        for ((mut row_solver, _), (mut points, _)) in pairs {
+            let who = row_solver.carrier();
+            let mut rows = Collect::default();
+            row_solver.solve_row(1, 0..7, None, &mut rows);
+            for (j, got) in rows.0.iter().enumerate() {
+                let out = points.solve_point(1, j, None, None, None);
+                let (l, r) = (&out.boundary_lg_left, &out.boundary_lg_right);
+                // Every row's blocks end with the contact Σ≷ pairs.
+                let got = &got[0][got[0].len() - 4..];
+                for (g, w) in got.iter().zip([&l.0, &l.1, &r.0, &r.1]) {
+                    let dev = (g - w).max_abs() / w.max_abs().max(f64::MIN_POSITIVE);
+                    assert!(dev <= 1e-10, "{who} point {j}: contact Σ≷ {dev:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn row_solve_is_bitwise_under_every_chunking_on_both_carriers() {
         let dev = device();
-        for (mut solver, bs) in row_carriers(&dev) {
+        for (carrier, (mut solver, bs)) in row_carriers(&dev).into_iter().enumerate() {
             let scatt = Broadening(bs);
             let mut whole = Collect::default();
             solver.solve_row(0, 0..7, Some(&scatt), &mut whole);
             for cuts in [&[1, 2, 3, 4, 5, 6][..], &[3], &[4], &[2, 6]] {
+                // A fresh solver, so the boundaries are decimated under
+                // this chunking too.
+                let (mut solver, _) = row_carriers(&dev)
+                    .into_iter()
+                    .nth(carrier)
+                    .expect("carrier");
                 let mut at = 0;
                 for &cut in cuts.iter().chain([&7]) {
                     let mut part = Collect::default();

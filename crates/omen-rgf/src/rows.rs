@@ -31,8 +31,8 @@
 use crate::rgf::RgfInputs;
 use omen_linalg::gemm::SMALL_DIM;
 use omen_linalg::lu::lu_flops;
+use omen_linalg::{c64, C64, LANES};
 use omen_linalg::{count_fused_run, gemm_flops, planes_gemm, BatchDims, CMatrix, Op, Workspace};
-use omen_linalg::{C64, LANES};
 
 /// Energies one row solve advances together for blocks of size `bs`: one
 /// SIMD vector of lanes where the lane kernel runs (`bs ≤ SMALL_DIM`),
@@ -120,14 +120,23 @@ pub struct RgfRow<'a> {
 
 /// Shape of one chunk's lane blocks.
 #[derive(Clone, Copy)]
-struct Lanes {
-    bs: usize,
-    lanes: usize,
+pub(crate) struct Lanes {
+    pub(crate) bs: usize,
+    pub(crate) lanes: usize,
     /// `f64`s per lane block.
-    len: usize,
+    pub(crate) len: usize,
 }
 
 impl Lanes {
+    /// `lanes` lanes of `bs × bs` blocks.
+    pub(crate) fn new(bs: usize, lanes: usize) -> Self {
+        Lanes {
+            bs,
+            lanes,
+            len: 2 * bs * bs * lanes,
+        }
+    }
+
     /// `c = a·op(b) + β·c` on every lane.
     fn mul(&self, a: &[f64], b: &[f64], op_b: Op, beta: C64, c: &mut [f64]) {
         let dims = BatchDims::square(self.bs);
@@ -135,7 +144,7 @@ impl Lanes {
     }
 
     /// `c = a·b` on every lane.
-    fn mm(&self, a: &[f64], b: &[f64], c: &mut [f64]) {
+    pub(crate) fn mm(&self, a: &[f64], b: &[f64], c: &mut [f64]) {
         self.mul(a, b, Op::N, C64::ZERO, c);
     }
 
@@ -145,7 +154,7 @@ impl Lanes {
     }
 
     /// Writes `m` into lane `e` of `dst`.
-    fn pack(&self, m: &CMatrix, e: usize, dst: &mut [f64]) {
+    pub(crate) fn pack(&self, m: &CMatrix, e: usize, dst: &mut [f64]) {
         let l = self.lanes;
         for (x, z) in m.as_slice().iter().enumerate() {
             (dst[2 * x * l + e], dst[(2 * x + 1) * l + e]) = (z.re, z.im);
@@ -153,11 +162,32 @@ impl Lanes {
     }
 
     /// Reads lane `e` of `src` into `m`.
-    fn unpack(&self, src: &[f64], e: usize, m: &mut CMatrix) {
+    pub(crate) fn unpack(&self, src: &[f64], e: usize, m: &mut CMatrix) {
         let l = self.lanes;
         m.resize_for_overwrite(self.bs, self.bs);
         for (x, z) in m.as_mut_slice().iter_mut().enumerate() {
             (z.re, z.im) = (src[2 * x * l + e], src[(2 * x + 1) * l + e]);
+        }
+    }
+
+    /// Whether lane `e` of `src` has [`CMatrix::max_abs`] `< tol` (for
+    /// `tol > 0`), stopping at the first element that says no.
+    pub(crate) fn below(&self, src: &[f64], e: usize, tol: f64) -> bool {
+        let l = self.lanes;
+        (0..self.bs * self.bs)
+            .all(|x| below(c64(src[2 * x * l + e], src[(2 * x + 1) * l + e]), tol))
+    }
+
+    /// Keeps lanes `keep` (ascending) of `block`, a lane block of this
+    /// shape, in place: its front becomes a `keep.len()`-lane block. Every
+    /// value moves to a lower or equal offset, so a forward walk never
+    /// overwrites one it has yet to read.
+    pub(crate) fn retain(&self, keep: &[usize], block: &mut [f64]) {
+        let (l, k) = (self.lanes, keep.len());
+        for p in 0..2 * self.bs * self.bs {
+            for (to, &from) in keep.iter().enumerate() {
+                block[p * k + to] = block[p * l + from];
+            }
         }
     }
 
@@ -180,7 +210,14 @@ fn add(dst: &mut [f64], src: &[f64]) {
     dst.iter_mut().zip(src).for_each(|(d, s)| *d += s);
 }
 
-fn sub(dst: &mut [f64], src: &[f64]) {
+/// `|z| < tol` as `max_abs` decides it: a NaN, which `f64::max` skips,
+/// passes.
+pub(crate) fn below(z: C64, tol: f64) -> bool {
+    let r = z.abs();
+    r < tol || r.is_nan()
+}
+
+pub(crate) fn sub(dst: &mut [f64], src: &[f64]) {
     dst.iter_mut().zip(src).for_each(|(d, s)| *d -= s);
 }
 
@@ -310,11 +347,7 @@ pub fn rgf_row_into<I: RowInputs + ?Sized>(
     mut emit: impl FnMut(usize, &RgfRow<'_>),
 ) -> u64 {
     let (nb, bs, lanes) = (inp.num_blocks(), inp.block_size(), inp.lanes());
-    let s = Lanes {
-        bs,
-        lanes,
-        len: 2 * bs * bs * lanes,
-    };
+    let s = Lanes::new(bs, lanes);
     let len = s.len;
     let g3 = gemm_flops(bs, bs, bs);
     let (mut products, mut inverses) = (0u64, 0u64);

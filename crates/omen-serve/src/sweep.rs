@@ -5,7 +5,7 @@
 //! sweep share everything except the swept value, which is what makes
 //! cross-point warm starts physically sound: the converged Σ/Π of a
 //! neighboring point is an excellent initial guess, and the boundary
-//! caches transfer exactly (or as refinement seeds — see
+//! caches transfer exactly wherever the axis leaves them valid (see
 //! [`SweepAxis::changes_boundaries`]).
 
 use omen_core::{ConfigError, SimulationConfig};
@@ -44,8 +44,8 @@ impl SweepAxis {
     /// operators `M`.
     ///
     /// The electron `M` contains the electrostatic potential, so a bias
-    /// step invalidates cached boundary self-energies (their surface GFs
-    /// remain refinement seeds). Temperature enters only the contact
+    /// step invalidates cached electron boundary self-energies and the
+    /// neighbor decimates its own. Temperature enters only the contact
     /// occupation factors and coupling only the SSE prefactor — neither
     /// touches `M`, so cached boundaries carry over exactly.
     pub fn changes_boundaries(self) -> bool {

@@ -4,8 +4,8 @@
 //! A counting global allocator wraps `System`; after one warmup call to
 //! populate the [`Workspace`] arena and the reusable outputs, a second
 //! `rgf_solve_into`, a second row solve (`rgf_row_into`, energies as SIMD
-//! lanes) and a second `sse_reference_into` must perform **zero** heap
-//! allocations. This pins the tentpole property of the
+//! lanes), a `GfSolver::solve_row` whose boundaries are all cached and a
+//! second `sse_reference_into` must perform **zero** heap allocations. This pins the tentpole property of the
 //! packed-GEMM/workspace redesign — a future `CMatrix::zeros`, `clone()`,
 //! or allocating `matmul` sneaking back into the hot path fails this test.
 //!
@@ -15,13 +15,19 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use dace_omen::comm::{DacePlan, DaceTiling, OmenGrid};
 use dace_omen::core::{ExecutorKind, Simulation, SimulationConfig};
 use dace_omen::device::{DeviceConfig, DeviceStructure};
-use dace_omen::linalg::{c64, sbsmm, sbsmm_pb, BatchDims, PackedB, Strides, Workspace, C64};
+use dace_omen::linalg::{
+    c64, sbsmm, sbsmm_pb, BatchDims, CMatrix, PackedB, Strides, Workspace, C64,
+};
 use dace_omen::rgf::testutil::{test_lanes, test_system};
-use dace_omen::rgf::{rgf_row_into, rgf_solve_into, row_width, RgfInputs, RgfSolution};
+use dace_omen::rgf::{
+    rgf_row_into, rgf_solve_into, row_width, BoundaryCache, CacheMode, ElectronParams,
+    ElectronSolver, GfSolver, RgfInputs, RgfRow, RgfSolution, RowSink,
+};
 use dace_omen::sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use dace_omen::sse::{
     sse_reference_into, sse_transformed_into, GLayout, MixedConfig, MixedKernel, SseKernel,
@@ -164,6 +170,49 @@ fn steady_state_hot_path_is_allocation_free() {
         baseline_sum.to_bits(),
         "warm row solve must be bit-identical to the warmup solve"
     );
+
+    // ---- GF row solve with every boundary cached: a chunk of energy
+    // lanes on a shared cache, as the driver's workers use one. A hit hands
+    // out the cached `Arc` and the contact Σ≷ are built in workspace
+    // blocks, so a warm all-hit row solve allocates nothing. ----
+    struct Checksum(f64);
+    impl RowSink for Checksum {
+        fn row(&mut self, _: usize, row: &RgfRow<'_>, lg: [&(CMatrix, CMatrix); 2]) {
+            self.0 += row.gl_diag[(0, 0)].im + lg[0].0[(0, 0)].im + lg[1].1[(0, 0)].im;
+        }
+    }
+    let gf_dev = DeviceStructure::build(DeviceConfig::tiny());
+    let lanes = row_width(gf_dev.block_size_el());
+    assert!(lanes > 1, "the tiny device's blocks take the lane path");
+    let energies: Vec<f64> = (0..lanes).map(|j| -0.3 + 0.1 * j as f64).collect();
+    let bc = Arc::new(BoundaryCache::new(lanes));
+    let mut solver = ElectronSolver::new(
+        &gf_dev,
+        gf_dev.linear_potential(0.2, 0.25, 0.75),
+        ElectronParams::default(),
+        CacheMode::CacheBcSpec,
+        vec![0.0],
+        energies,
+    )
+    .with_shared_boundary(Arc::clone(&bc));
+    let mut solved = Checksum(0.0);
+    solver.solve_row(0, 0..lanes, None, &mut solved);
+    solver.solve_row(0, 0..lanes, None, &mut Checksum(0.0));
+    let mut hit = Checksum(0.0);
+    let row_hit_allocs = count_allocations(|| {
+        solver.solve_row(0, 0..lanes, None, &mut hit);
+    });
+    assert_eq!(
+        row_hit_allocs, 0,
+        "an all-hit solve_row allocated {row_hit_allocs} times on a warm solver"
+    );
+    assert_eq!(
+        hit.0.to_bits(),
+        solved.0.to_bits(),
+        "hits are the solved bits"
+    );
+    let stats = bc.stats();
+    assert_eq!((stats.misses, stats.hits), (lanes as u64, 2 * lanes as u64));
 
     // ---- SSE: one full reference-kernel application ----
     let dev = tiny_device();
