@@ -1,10 +1,12 @@
 //! One-point RGF solve throughput: the warm-workspace allocation-free
-//! path (`rgf_solve_into`) vs the cold allocating wrapper (`rgf_solve`),
-//! and — on blocks the lane kernel takes — the row solve
-//! (`rgf_row_into`), which advances one SIMD vector of energies together.
-//! A last leg times the boundary decimation the same two ways: one lead at
-//! a time (`surface_gf_ws`, Sancho-Rubio) against one SIMD vector of leads
-//! (`sancho_rubio_lanes`), on the first block row of the same lanes.
+//! path (`rgf_solve_into`, the recursion on one lane) vs the cold
+//! allocating wrapper (`rgf_solve`), and — on blocks the lane kernel
+//! takes — the same recursion (`rgf_row_into`) on one SIMD vector of
+//! energies. A last leg times the boundary decimation the same two ways:
+//! one lead at a time (`surface_gf_ws`, a one-lead `sancho_rubio_lanes`)
+//! against one SIMD vector of leads, on the first block row of the same
+//! lanes. There is one copy of each algorithm, so the point/row records
+//! measure 1 lane against 4 of the same code.
 //!
 //! This is the per-`(kz, E)` unit of work the GF phase repeats thousands
 //! of times per Born iteration; the warm/cold gap is what the `Workspace`
@@ -62,7 +64,8 @@ fn main() {
             std::hint::black_box(rgf_solve(&inputs));
         });
 
-        // Row path: one lane per energy, warm workspace; time per point.
+        // Row path: one SIMD vector of energy lanes, warm workspace; time
+        // per point.
         let lanes = row_width(bs);
         let t_row = (lanes > 1).then(|| {
             let systems = test_lanes(nb, bs, 0.11, lanes);

@@ -144,10 +144,6 @@ pub(crate) struct SigmaScattering<'a> {
 }
 
 impl Scattering for SigmaScattering<'_> {
-    fn point(&self, ik: usize, ie: usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) {
-        sigma_blocks_for_point(self.dev, self.sigma_l, self.sigma_g, ik, ie)
-    }
-
     fn block(&self, ik: usize, ie: usize, b: usize, out: [&mut CMatrix; 3]) {
         sigma_block_into(self.dev, self.sigma_l, self.sigma_g, ik, ie, b, out)
     }
@@ -161,10 +157,6 @@ pub(crate) struct PiScattering<'a> {
 }
 
 impl Scattering for PiScattering<'_> {
-    fn point(&self, iq: usize, iw: usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) {
-        pi_blocks_for_point(self.dev, self.pi_l, self.pi_g, iq, iw)
-    }
-
     fn block(&self, iq: usize, iw: usize, b: usize, out: [&mut CMatrix; 3]) {
         pi_block_into(self.dev, self.pi_l, self.pi_g, iq, iw, b, out)
     }
@@ -227,7 +219,7 @@ mod tests {
         );
         let out = solver.solve_point(0, 0, None, None, None);
         let mut rows = Rows::electrons(&dev, 0, 0..1);
-        out.feed(0, &mut rows);
+        solver.solve_row(0, 0..1, None, &mut rows);
         let gl = &rows.points[0].gl;
         // Atom 0 is slab 0, offset 0: its block equals the top-left
         // sub-block of the slab solution.
@@ -290,9 +282,8 @@ mod tests {
             vec![0.3],
             vec![0.02],
         );
-        let out = solver.solve_point(0, 0, None, None, None);
         let mut rows = Rows::phonons(&dev, 0, 0..1);
-        out.feed(0, &mut rows);
+        solver.solve_row(0, 0..1, None, &mut rows);
         let (_, _, mut dl, _) = zero_tensors(&dev, 1, 1, 1, 1);
         dl.as_mut_slice().copy_from_slice(&rows.points[0].dl);
         // For every pair p = (a → b) and its reverse, the lesser blocks

@@ -92,6 +92,63 @@ thread_local! {
     static PACK_BUFS: RefCell<PackBufs> = RefCell::new(PackBufs::default());
 }
 
+/// A column-major matrix's storage as the kernels read it: a
+/// [`CMatrix`], or a one-lane lane block of [`crate::planes_gemm`] read as
+/// the `C64`s it holds. Only the row count is kept; the caller has
+/// checked the shape.
+#[derive(Clone, Copy)]
+pub(crate) struct Cols<'a> {
+    data: &'a [C64],
+    rows: usize,
+}
+
+impl<'a> Cols<'a> {
+    /// The `rows`-row column-major matrix stored in `data`.
+    pub(crate) fn new(data: &'a [C64], rows: usize) -> Self {
+        Cols { data, rows }
+    }
+
+    #[inline(always)]
+    fn col(self, j: usize) -> &'a [C64] {
+        &self.data[j * self.rows..(j + 1) * self.rows]
+    }
+
+    /// Element `(i, j)` of `op(M)`.
+    #[inline(always)]
+    fn fetch(self, op: Op, i: usize, j: usize) -> C64 {
+        match op {
+            Op::N => self.data[j * self.rows + i],
+            Op::T => self.data[i * self.rows + j],
+            Op::C => self.data[i * self.rows + j].conj(),
+        }
+    }
+}
+
+impl<'a> From<&'a CMatrix> for Cols<'a> {
+    fn from(m: &'a CMatrix) -> Self {
+        Cols::new(m.as_slice(), m.rows())
+    }
+}
+
+/// The output of [`gemm_cols`]: a mutable [`Cols`].
+pub(crate) struct ColsMut<'a> {
+    data: &'a mut [C64],
+    rows: usize,
+}
+
+impl<'a> ColsMut<'a> {
+    /// The `rows`-row column-major matrix stored in `data`.
+    pub(crate) fn new(data: &'a mut [C64], rows: usize) -> Self {
+        ColsMut { data, rows }
+    }
+
+    #[inline(always)]
+    fn col_mut(&mut self, j: usize) -> &mut [C64] {
+        let r = self.rows;
+        &mut self.data[j * r..(j + 1) * r]
+    }
+}
+
 /// `C = alpha * op_a(A) * op_b(B) + beta * C`.
 ///
 /// Shapes: `op_a(A)` is `m × k`, `op_b(B)` is `k × n`, `C` is `m × n`.
@@ -99,13 +156,31 @@ thread_local! {
 /// # Panics
 /// Panics if the operand shapes are inconsistent.
 pub fn gemm(alpha: C64, a: &CMatrix, op_a: Op, b: &CMatrix, op_b: Op, beta: C64, c: &mut CMatrix) {
-    let (m, n, k) = check_shapes(a, op_a, b, op_b, c);
+    let mnk = check_shapes(a, op_a, b, op_b, c);
+    let rows = c.rows();
+    let c = ColsMut::new(c.as_mut_slice(), rows);
+    gemm_cols(alpha, a.into(), op_a, b.into(), op_b, beta, c, mnk);
+}
 
+/// [`gemm`] on borrowed column-major storage of checked shapes
+/// `(m, n, k)`: the direct path when every dimension is at most
+/// [`SMALL_DIM`], else the packed one. Counts one `GemmCalls` and its
+/// `GemmFlops`.
+pub(crate) fn gemm_cols(
+    alpha: C64,
+    a: Cols<'_>,
+    op_a: Op,
+    b: Cols<'_>,
+    op_b: Op,
+    beta: C64,
+    c: ColsMut<'_>,
+    (m, n, k): (usize, usize, usize),
+) {
     // Scale C by beta first.
     if beta == C64::ZERO {
-        c.fill_zero();
+        c.data.fill(C64::ZERO);
     } else if beta != C64::ONE {
-        c.scale_inplace(beta);
+        c.data.iter_mut().for_each(|v| *v *= beta);
     }
     if alpha == C64::ZERO || m == 0 || n == 0 || k == 0 {
         return;
@@ -147,16 +222,6 @@ fn check_shapes(
     (m, n, k)
 }
 
-/// Fetches element `(i, j)` of `op(M)` where `M` is stored `r × c`.
-#[inline(always)]
-fn fetch(m: &CMatrix, op: Op, i: usize, j: usize) -> C64 {
-    match op {
-        Op::N => m[(i, j)],
-        Op::T => m[(j, i)],
-        Op::C => m[(j, i)].conj(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Small direct path (no packing, no allocation).
 // ---------------------------------------------------------------------------
@@ -165,11 +230,11 @@ fn fetch(m: &CMatrix, op: Op, i: usize, j: usize) -> C64 {
 /// (`k ≤ SMALL_DIM`), keeping the accumulation loop contiguous in `A`.
 fn gemm_small(
     alpha: C64,
-    a: &CMatrix,
+    a: Cols<'_>,
     op_a: Op,
-    b: &CMatrix,
+    b: Cols<'_>,
     op_b: Op,
-    c: &mut CMatrix,
+    mut c: ColsMut<'_>,
     m: usize,
     n: usize,
     k: usize,
@@ -178,7 +243,7 @@ fn gemm_small(
     let mut bcol = [C64::ZERO; SMALL_DIM];
     for j in 0..n {
         for (l, slot) in bcol.iter_mut().enumerate().take(k) {
-            *slot = fetch(b, op_b, l, j);
+            *slot = b.fetch(op_b, l, j);
         }
         let cj = c.col_mut(j);
         match op_a {
@@ -272,11 +337,11 @@ pub(crate) fn run_micro_kernel(
 /// micro-kernel.
 fn gemm_packed(
     alpha: C64,
-    a: &CMatrix,
+    a: Cols<'_>,
     op_a: Op,
-    b: &CMatrix,
+    b: Cols<'_>,
     op_b: Op,
-    c: &mut CMatrix,
+    mut c: ColsMut<'_>,
     m: usize,
     n: usize,
     k: usize,
@@ -417,7 +482,7 @@ fn micro_kernel_portable(
 /// row micro-panels of `MR` (k-major within a panel), zero-padding the
 /// tail rows so the micro-kernel never branches on the edge.
 fn pack_a(
-    a: &CMatrix,
+    a: Cols<'_>,
     op_a: Op,
     ic: usize,
     pc: usize,
@@ -478,7 +543,7 @@ fn pack_a(
 /// column micro-panels of `NR` (k-major within a panel), zero-padded like
 /// [`pack_a`].
 fn pack_b(
-    b: &CMatrix,
+    b: Cols<'_>,
     op_b: Op,
     pc: usize,
     jc: usize,
@@ -560,12 +625,13 @@ pub fn gemm_naive(
     if alpha == C64::ZERO || m == 0 || n == 0 || k == 0 {
         return;
     }
+    let b = Cols::from(b);
     match op_a {
         Op::N => {
             for j in 0..n {
                 let cj = c.col_mut(j);
                 for l in 0..k {
-                    let w = alpha * fetch(b, op_b, l, j);
+                    let w = alpha * b.fetch(op_b, l, j);
                     if w == C64::ZERO {
                         continue;
                     }
@@ -581,7 +647,7 @@ pub fn gemm_naive(
             let mut bcol = vec![C64::ZERO; k];
             for j in 0..n {
                 for (l, slot) in bcol.iter_mut().enumerate() {
-                    *slot = fetch(b, op_b, l, j);
+                    *slot = b.fetch(op_b, l, j);
                 }
                 let cj = c.col_mut(j);
                 for (i, ci) in cj.iter_mut().enumerate().take(m) {

@@ -15,8 +15,10 @@
 //! * [`planes_dots`] — a 3 × 3 tile of complex dot products over one
 //!   contiguous split-complex run (SSE stage D);
 //! * [`planes_gemm`] — `C[e] = α·A[e]·op(B[e]) + β·C[e]` over a chunk of
-//!   energy lanes whose operands all differ, the block products of the
-//!   RGF row solve (`omen-rgf`), on blocks up to `SMALL_DIM`.
+//!   energy lanes whose operands all differ, every block product of the
+//!   RGF recursion and the boundary decimation (`omen-rgf`): the lane
+//!   kernel on blocks up to `SMALL_DIM`, larger blocks one lane at a time
+//!   through [`crate::gemm()`]'s packed path.
 //!
 //! Each is one generic body instantiated twice, AVX2+FMA and portable,
 //! behind the same runtime dispatch as the micro-kernel
@@ -32,7 +34,7 @@
 
 use crate::batched::{BatchDims, PackedB};
 use crate::complex::{c64, C64};
-use crate::gemm::{fma_available, Op};
+use crate::gemm::{fma_available, gemm_cols, Cols, ColsMut, Op, SMALL_DIM};
 
 /// `f64` lanes of one vector step (one AVX2 register).
 pub const LANES: usize = 4;
@@ -605,18 +607,23 @@ impl LaneGemm {
 /// elements column-major as in [`crate::CMatrix`] (`A` is `m × k`, `B` is
 /// `k × n` for [`Op::N`] and `n × k` for [`Op::C`], `C` is `m × n`), so
 /// element `x` holds its `lanes` real parts from `2·x·lanes` and its
-/// imaginary parts right after. Blocks up to [`crate::gemm::SMALL_DIM`]
-/// are the intended shape (2 × 2 register tiles, no packing).
+/// imaginary parts right after.
 ///
-/// Same contract as [`planes_mac`]: within one dispatch instantiation an
-/// output element receives the same fused operations in the same order
-/// whether its lane sits in a vector step or the scalar tail, so a lane's
-/// result does not depend on which other lanes share the call. `C` is
-/// not read when `β = 0`. Does no accounting of its own (see
-/// [`count_fused_run`]).
+/// The block size picks the kernel. Blocks whose every dimension is at
+/// most [`SMALL_DIM`] run the lane kernel (2 × 2 register tiles, no
+/// packing). Same contract as [`planes_mac`]: within one dispatch
+/// instantiation an output element receives the same fused operations in
+/// the same order whether its lane sits in a vector step or the scalar
+/// tail, so a lane's result does not depend on which other lanes share
+/// the call. That kernel does no accounting of its own (see
+/// [`count_fused_run`]). Larger blocks take one lane, whose lane block is
+/// `CMatrix`'s column-major `C64` layout, and run [`crate::gemm()`] on it
+/// — its packed path, bit for bit, counted as one `GemmCalls`. `C` is not
+/// read when `β = 0`.
 ///
 /// # Panics
-/// If `op_b` is [`Op::T`] or a lane block is too short for its shape.
+/// If `op_b` is [`Op::T`], a lane block is too short for its shape, or
+/// blocks larger than [`SMALL_DIM`] come with more than one lane.
 #[allow(clippy::too_many_arguments)] // BLAS-style parameter list
 pub fn planes_gemm(
     dims: BatchDims,
@@ -633,6 +640,18 @@ pub fn planes_gemm(
     assert!(a.len() >= 2 * m * k * lanes, "planes_gemm: A too short");
     assert!(b.len() >= 2 * k * n * lanes, "planes_gemm: B too short");
     assert!(c.len() >= 2 * m * n * lanes, "planes_gemm: C too short");
+    if lanes == 0 {
+        return;
+    }
+    if m.max(n).max(k) > SMALL_DIM {
+        assert_eq!(lanes, 1, "planes_gemm: blocks over SMALL_DIM take one lane");
+        let b_rows = if op_b == Op::C { n } else { k };
+        let (a, b) = (as_c64(&a[..2 * m * k]), as_c64(&b[..2 * k * n]));
+        let c = ColsMut::new(as_c64_mut(&mut c[..2 * m * n]), m);
+        let (a, b) = (Cols::new(a, m), Cols::new(b, b_rows));
+        gemm_cols(alpha, a, Op::N, b, op_b, beta, c, (m, n, k));
+        return;
+    }
     let g = LaneGemm {
         dims,
         lanes,
@@ -640,7 +659,7 @@ pub fn planes_gemm(
         beta,
         conj_b: op_b == Op::C,
     };
-    if lanes == 0 || m == 0 || n == 0 {
+    if m == 0 || n == 0 {
         return;
     }
     #[cfg(target_arch = "x86_64")]
@@ -652,6 +671,26 @@ pub fn planes_gemm(
     }
     // SAFETY: as above; a one-lane step divides any lane count.
     unsafe { g.run::<Plain>(0, lanes, a, b, c) };
+}
+
+// `as_c64` relies on this layout.
+const _: () = assert!(
+    std::mem::size_of::<C64>() == 2 * std::mem::size_of::<f64>()
+        && std::mem::align_of::<C64>() == std::mem::align_of::<f64>()
+);
+
+/// A one-lane lane block as the `C64`s it holds.
+fn as_c64(x: &[f64]) -> &[C64] {
+    // SAFETY: `C64` is `repr(C)` over two `f64`s (size 16, alignment 8),
+    // so each consecutive pair of `f64`s is one `C64`; the length rounds
+    // down and the borrow carries over.
+    unsafe { std::slice::from_raw_parts(x.as_ptr().cast(), x.len() / 2) }
+}
+
+/// [`as_c64`], mutably.
+fn as_c64_mut(x: &mut [f64]) -> &mut [C64] {
+    // SAFETY: as for `as_c64`; the exclusive borrow carries over.
+    unsafe { std::slice::from_raw_parts_mut(x.as_mut_ptr().cast(), x.len() / 2) }
 }
 
 /// AVX2/FMA instantiation of [`planes_gemm`]: four lanes per step, the

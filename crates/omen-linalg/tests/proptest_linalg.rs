@@ -267,6 +267,7 @@ proptest! {
         pick in (0usize..2, 0usize..3),
         coeffs in (arb_c64(), arb_c64()),
         seed in 0u64..1_000_000,
+        packed in (17usize..=40, 17usize..=40, 17usize..=40),
     ) {
         // Every lane of the lane-block kernel against `gemm` on that lane's
         // blocks: vector steps and scalar tails (lanes 1–9), op(B) ∈ {N, C},
@@ -280,7 +281,26 @@ proptest! {
                 c64(t.sin(), (t * 0.7).cos())
             })
         };
-        let (br, bc) = if op_b == Op::C { (n, k) } else { (k, n) };
+        let b_shape = |k: usize, n: usize| if op_b == Op::C { (n, k) } else { (k, n) };
+
+        // Blocks over SMALL_DIM take one lane, whose lane block is the
+        // `C64` layout: the packed `gemm`, bit for bit.
+        let (pm, pn, pk) = packed;
+        let (a1, c1) = (block(pm, pk, 0, 4), block(pm, pn, 0, 6));
+        let (pbr, pbc) = b_shape(pk, pn);
+        let b1 = block(pbr, pbc, 0, 5);
+        let split = |x: &CMatrix| -> Vec<f64> {
+            x.as_slice().iter().flat_map(|z| [z.re, z.im]).collect()
+        };
+        let mut got = split(&c1);
+        planes_gemm(BatchDims { m: pm, n: pn, k: pk }, 1, alpha, &split(&a1), &split(&b1), op_b, beta, &mut got);
+        let mut want = c1.clone();
+        gemm(alpha, &a1, Op::N, &b1, op_b, beta, &mut want);
+        let want: Vec<u64> = split(&want).iter().map(|x| x.to_bits()).collect();
+        let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+        prop_assert!(got == want, "{pm}x{pn}x{pk} {op_b:?}: one lane is not gemm's bits");
+
+        let (br, bc) = b_shape(k, n);
         let a: Vec<CMatrix> = (0..lanes).map(|e| block(m, k, e, 1)).collect();
         let b: Vec<CMatrix> = (0..lanes).map(|e| block(br, bc, e, 2)).collect();
         let c0: Vec<CMatrix> = (0..lanes).map(|e| block(m, n, e, 3)).collect();

@@ -18,10 +18,9 @@
 //! electrons, `Π^<_B = n_B·(Π^R_B − Π^A_B)` with the Bose factor for
 //! phonons.
 
-use crate::rows::{below, sub, Lanes};
+use crate::rows::{row_width, sub, Lanes};
 use omen_linalg::{
-    count_fused_run, gemm_flops, matmul, matmul3, matmul3_into, matmul_into, CMatrix, Workspace,
-    C64,
+    count_fused_run, gemm_flops, matmul, matmul3, matmul3_into, CMatrix, Workspace, C64,
 };
 
 /// Surface Green's function algorithm.
@@ -63,13 +62,13 @@ pub fn surface_gf(
     tol: f64,
     max_iter: usize,
 ) -> SurfaceGf {
-    let mut ws = Workspace::new();
-    surface_gf_ws(method, d, alpha, beta, tol, max_iter, &mut ws)
+    surface_gf_ws(method, d, alpha, beta, tol, max_iter, &mut Workspace::new())
 }
 
 /// [`surface_gf`] with caller-supplied scratch: every iteration temporary
 /// comes from `ws`, so repeated boundary solves with a warm workspace
-/// allocate only the returned surface GF.
+/// allocate little beyond the returned surface GF. Sancho–Rubio is
+/// [`sancho_rubio_lanes`] on one lead.
 pub fn surface_gf_ws(
     method: BoundaryMethod,
     d: &CMatrix,
@@ -79,9 +78,25 @@ pub fn surface_gf_ws(
     max_iter: usize,
     ws: &mut Workspace,
 ) -> SurfaceGf {
+    let mut one = surface_gfs(method, &[[d, alpha, beta]], tol, max_iter, ws);
+    one.pop().expect("one lead")
+}
+
+/// The surface GFs of a chunk of leads `[D, α, β]`: decimated together
+/// under Sancho–Rubio, one at a time under the fixed point.
+fn surface_gfs(
+    method: BoundaryMethod,
+    leads: &[[&CMatrix; 3]],
+    tol: f64,
+    max_iter: usize,
+    ws: &mut Workspace,
+) -> Vec<SurfaceGf> {
     match method {
-        BoundaryMethod::SanchoRubio => sancho_rubio(d, alpha, beta, tol, max_iter, ws),
-        BoundaryMethod::FixedPoint => fixed_point(d, alpha, beta, tol, max_iter, ws),
+        BoundaryMethod::SanchoRubio => sancho_rubio_lanes(leads, tol, max_iter, ws),
+        BoundaryMethod::FixedPoint => leads
+            .iter()
+            .map(|[d, alpha, beta]| fixed_point(d, alpha, beta, tol, max_iter, ws))
+            .collect(),
     }
 }
 
@@ -90,70 +105,23 @@ pub fn surface_gf_ws(
 /// `(b·g₀)·b` for the next couplings.
 const SR_PRODUCTS: u64 = 6;
 
-fn sancho_rubio(
-    d: &CMatrix,
-    alpha0: &CMatrix,
-    beta0: &CMatrix,
-    tol: f64,
-    max_iter: usize,
-    ws: &mut Workspace,
-) -> SurfaceGf {
-    let n = d.rows();
-    // es/eb: surface and bulk effective blocks.
-    let [mut es, mut eb, mut a, mut b, mut g0, mut ag, mut bg, mut agb, mut bga, mut next] =
-        std::array::from_fn(|_| ws.take(n, n));
-    es.copy_from(d);
-    eb.copy_from(d);
-    a.copy_from(alpha0);
-    b.copy_from(beta0);
-    let mut iterations = 0;
-    while iterations < max_iter {
-        iterations += 1;
-        ws.invert_into(&eb, &mut g0);
-        matmul_into(&a, &g0, &mut ag);
-        matmul_into(&b, &g0, &mut bg);
-        matmul_into(&ag, &b, &mut agb);
-        matmul_into(&bg, &a, &mut bga);
-        es -= &agb;
-        eb -= &agb;
-        eb -= &bga;
-        // a ← a·g·a, b ← b·g·b (via `next` so the operands stay intact).
-        matmul_into(&ag, &a, &mut next);
-        std::mem::swap(&mut a, &mut next);
-        matmul_into(&bg, &b, &mut next);
-        std::mem::swap(&mut b, &mut next);
-        // `max(|a|, |b|) < tol`, stopping at the first element above it.
-        if [&a, &b]
-            .iter()
-            .all(|m| m.as_slice().iter().all(|&z| below(z, tol)))
-        {
-            break;
-        }
-    }
-    let mut g = CMatrix::zeros(n, n);
-    ws.invert_into(&es, &mut g);
-    for sc in [es, eb, a, b, g0, ag, bg, agb, bga, next] {
-        ws.give(sc);
-    }
-    SurfaceGf { g, iterations }
-}
-
 /// [`BoundaryMethod::SanchoRubio`] for a chunk of leads at once — one per
 /// energy of a row solve — on energy-lane blocks (split-complex
 /// `[element][re|im][lane]`, see [`crate::rows`]). `leads[e]` is lane
-/// `e`'s `[D, α, β]`, all of one block size.
+/// `e`'s `[D, α, β]`, all of one block size; blocks over `SMALL_DIM` take
+/// one lead ([`crate::row_width`]).
 ///
-/// The algebra is `sancho_rubio`'s in the same order: every product is one
-/// [`omen_linalg::planes_gemm`] over the lanes still iterating, the bulk
-/// block's inverse is per lane. A **convergence mask** freezes a lane as
-/// soon as its `max(|a|, |b|) < tol`: its surface block is inverted and
-/// the lane leaves the chunk, so each lead runs exactly the iterations of
-/// its per-point solve and the trace counts the flops of active lanes
-/// only. A lane's arithmetic does not depend on which leads share the
-/// call (`planes_gemm`'s contract; everything else is per lane or
+/// Each step inverts the bulk block `eb` into `g₀` (per lane), then
+/// `es −= a·g₀·b`, `eb −= a·g₀·b + b·g₀·a`, `a ← a·g₀·a`, `b ← b·g₀·b`,
+/// every product one [`omen_linalg::planes_gemm`] over the lanes still
+/// iterating. A **convergence mask** freezes a lane as soon as its
+/// `max(|a|, |b|) < tol`: its surface block is inverted into the surface
+/// GF and the lane leaves the chunk, so each lead runs exactly the
+/// iterations it would alone and the trace counts the flops of active
+/// lanes only. A lane's arithmetic does not depend on which leads share
+/// the call (`planes_gemm`'s contract; everything else is per lane or
 /// elementwise), so the result is bitwise reproducible under any split of
-/// a row into chunks; against the per-point solve it differs by how each
-/// block product rounds.
+/// a row into chunks, one-lead chunks included.
 pub fn sancho_rubio_lanes(
     leads: &[[&CMatrix; 3]],
     tol: f64,
@@ -228,7 +196,9 @@ pub fn sancho_rubio_lanes(
     ws.give(m);
     ws.give(inv);
     ws.give_planes(buf);
-    count_fused_run(products * g3);
+    if row_width(n) > 1 {
+        count_fused_run(products * g3);
+    }
     out.into_iter()
         .map(|g| g.expect("every lead finishes"))
         .collect()
@@ -302,41 +272,13 @@ pub struct BoundarySelfEnergies {
 }
 
 /// Computes the left/right boundary self-energies for a system whose lead
-/// principal layers replicate the first/last device blocks.
+/// principal layers replicate the first/last device blocks, with
+/// caller-supplied scratch.
 ///
 /// * `d_first`, `d_last` — `M` diagonal blocks of the first/last slabs;
 /// * `upper`, `lower` — the `M[n][n+1]` / `M[n+1][n]` couplings at each end
 ///   (`(upper_first, lower_first)` for the left lead, `(upper_last,
 ///   lower_last)` for the right).
-#[allow(clippy::too_many_arguments)]
-pub fn boundary_self_energies(
-    method: BoundaryMethod,
-    d_first: &CMatrix,
-    upper_first: &CMatrix,
-    lower_first: &CMatrix,
-    d_last: &CMatrix,
-    upper_last: &CMatrix,
-    lower_last: &CMatrix,
-    tol: f64,
-    max_iter: usize,
-) -> BoundarySelfEnergies {
-    let mut ws = Workspace::new();
-    boundary_self_energies_ws(
-        method,
-        d_first,
-        upper_first,
-        lower_first,
-        d_last,
-        upper_last,
-        lower_last,
-        tol,
-        max_iter,
-        &mut ws,
-    )
-}
-
-/// [`boundary_self_energies`] with caller-supplied scratch (the per-point
-/// GF solvers thread their per-worker workspace through here).
 #[allow(clippy::too_many_arguments)]
 pub fn boundary_self_energies_ws(
     method: BoundaryMethod,
@@ -350,51 +292,40 @@ pub fn boundary_self_energies_ws(
     max_iter: usize,
     ws: &mut Workspace,
 ) -> BoundarySelfEnergies {
-    // Left lead extends to −∞. Surface cell couples deeper via
-    // M[-1,-2] = lower, back via M[-2,-1] = upper.
-    let left_surface = surface_gf_ws(method, d_first, lower_first, upper_first, tol, max_iter, ws);
-    // Right lead extends to +∞: surface couples deeper via upper, back via
-    // lower.
-    let right_surface = surface_gf_ws(method, d_last, upper_last, lower_last, tol, max_iter, ws);
-    fold_boundaries(
-        left_surface,
-        right_surface,
+    let ends = [
+        d_first,
         upper_first,
         lower_first,
+        d_last,
         upper_last,
         lower_last,
-        ws,
-    )
+    ];
+    let mut one = boundary_self_energies_lanes(method, &[ends], tol, max_iter, ws);
+    one.pop().expect("one point")
 }
 
 /// [`boundary_self_energies_ws`] for a chunk of points, `ends[e]` being
-/// lane `e`'s `[D_first, U_first, L_first, D_last, U_last, L_last]`: under
-/// Sancho-Rubio each lead is one [`sancho_rubio_lanes`] call over the
-/// chunk and every point folds its own surface GFs; the fixed point stays
-/// per point.
+/// lane `e`'s `[D_first, U_first, L_first, D_last, U_last, L_last]`: each
+/// lead side is one [`surface_gfs`] call over the chunk (one
+/// [`sancho_rubio_lanes`] call under Sancho–Rubio) and every point folds
+/// its own surface GFs.
 pub(crate) fn boundary_self_energies_lanes(
     method: BoundaryMethod,
-    ends: &[[CMatrix; 6]],
+    ends: &[[&CMatrix; 6]],
     tol: f64,
     max_iter: usize,
     ws: &mut Workspace,
 ) -> Vec<BoundarySelfEnergies> {
-    if method == BoundaryMethod::FixedPoint {
-        return ends
-            .iter()
-            .map(|[d0, u0, l0, dn, un, ln]| {
-                boundary_self_energies_ws(method, d0, u0, l0, dn, un, ln, tol, max_iter, ws)
-            })
-            .collect();
-    }
-    // The leads couple as in `boundary_self_energies_ws`.
-    let left: Vec<[&CMatrix; 3]> = ends.iter().map(|[d0, u0, l0, ..]| [d0, l0, u0]).collect();
-    let right: Vec<[&CMatrix; 3]> = ends.iter().map(|[.., dn, un, ln]| [dn, un, ln]).collect();
-    let left = sancho_rubio_lanes(&left, tol, max_iter, ws);
-    let right = sancho_rubio_lanes(&right, tol, max_iter, ws);
+    // The left lead extends to −∞: its surface cell couples deeper via
+    // M[-1,-2] = lower, back via M[-2,-1] = upper. The right lead extends
+    // to +∞: deeper via upper, back via lower.
+    let left: Vec<[&CMatrix; 3]> = ends.iter().map(|&[d0, u0, l0, ..]| [d0, l0, u0]).collect();
+    let right: Vec<[&CMatrix; 3]> = ends.iter().map(|&[.., dn, un, ln]| [dn, un, ln]).collect();
+    let left = surface_gfs(method, &left, tol, max_iter, ws);
+    let right = surface_gfs(method, &right, tol, max_iter, ws);
     ends.iter()
         .zip(left.into_iter().zip(right))
-        .map(|([_, u0, l0, _, un, ln], (l, r))| fold_boundaries(l, r, u0, l0, un, ln, ws))
+        .map(|(&[_, u0, l0, _, un, ln], (l, r))| fold_boundaries(l, r, u0, l0, un, ln, ws))
         .collect()
 }
 
@@ -597,7 +528,7 @@ mod tests {
     #[test]
     fn gamma_hermitian_positive_in_band() {
         let (d, a, b) = chain_blocks(0.4, 1e-8, 0.0, 1.0, 1);
-        let bse = boundary_self_energies(
+        let bse = boundary_self_energies_ws(
             BoundaryMethod::SanchoRubio,
             &d,
             &a,
@@ -607,6 +538,7 @@ mod tests {
             &b,
             1e-13,
             200,
+            &mut Workspace::new(),
         );
         assert!(bse.gamma_left.is_hermitian(1e-9));
         assert!(bse.gamma_right.is_hermitian(1e-9));
@@ -659,69 +591,65 @@ mod tests {
     }
 
     #[test]
-    fn sancho_rubio_lanes_match_the_point_decimation() {
-        // Two energies inside the lowest band (slow, ~log2(1/η) steps) and
-        // two above its edge at 2 (fast): the lanes of one call converge at
-        // different steps, and each must still run exactly its per-point
-        // iterations.
-        let edge = [1.9, 2.1, 1.8, 2.4];
-        let mut ws = Workspace::new();
-        for bs in 1..=16 {
-            for lanes in 1..=4 {
-                let leads: Vec<[CMatrix; 3]> = (0..lanes)
-                    .map(|k| lead(bs, edge[(k + bs) % 4], 1e-5))
-                    .collect();
-                let got = sancho_rubio_lanes(&lead_refs(&leads), 1e-13, 200, &mut ws);
-                let mut counts = Vec::new();
-                for (e, ([d, a, b], got)) in leads.iter().zip(&got).enumerate() {
-                    let want =
-                        surface_gf_ws(BoundaryMethod::SanchoRubio, d, a, b, 1e-13, 200, &mut ws);
-                    assert_eq!(
-                        got.iterations, want.iterations,
-                        "bs {bs}, {lanes} lanes, lane {e}: iterations"
-                    );
-                    let dev = (&got.g - &want.g).max_abs() / want.g.max_abs();
-                    assert!(dev <= 1e-12, "bs {bs}, {lanes} lanes, lane {e}: {dev:e}");
-                    counts.push(got.iterations);
-                }
-                if lanes == 4 {
-                    assert!(
-                        counts.iter().any(|&c| c != counts[0]),
-                        "bs {bs}: every lane converged at step {}",
-                        counts[0]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sancho_rubio_lanes_are_bitwise_under_every_chunking() {
-        let leads: Vec<[CMatrix; 3]> = (0..7)
-            .map(|k| lead(6, 1.7 + 0.1 * k as f64, 1e-5))
-            .collect();
-        let refs = lead_refs(&leads);
+        // Energies inside the lowest band (slow, ~log2(1/η) steps) and
+        // above its edge at 2 (fast): the lanes of one call converge at
+        // different steps, yet a lane's surface GF and iteration count do
+        // not depend on which leads share its call — one-lead chunks are
+        // the per-point solve. Every lead satisfies its Dyson equation.
         let mut ws = Workspace::new();
-        let whole = sancho_rubio_lanes(&refs, 1e-13, 200, &mut ws);
-        for widths in [
-            &[1, 1, 1, 1, 1, 1, 1][..],
-            &[3, 4],
-            &[4, 3],
-            &[5, 2],
-            &[2, 4, 1],
-        ] {
-            let mut at = 0;
-            for &w in widths {
-                let part = sancho_rubio_lanes(&refs[at..at + w], 1e-13, 200, &mut ws);
-                for (k, p) in part.iter().enumerate() {
-                    let want = &whole[at + k];
-                    assert_eq!(p.iterations, want.iterations, "chunks {widths:?}");
-                    assert_eq!(p.g.as_slice(), want.g.as_slice(), "chunks {widths:?}");
+        for bs in [1, 2, 5, 6, 12, 16] {
+            let leads: Vec<[CMatrix; 3]> = (0..7)
+                .map(|k| lead(bs, 1.7 + 0.1 * k as f64, 1e-5))
+                .collect();
+            let refs = lead_refs(&leads);
+            let whole = sancho_rubio_lanes(&refs, 1e-13, 200, &mut ws);
+            let first = whole[0].iterations;
+            assert!(
+                whole.iter().any(|s| s.iterations != first),
+                "bs {bs}: every lane converged at step {first}"
+            );
+            for ([d, a, b], s) in leads.iter().zip(&whole) {
+                let residual = surface_residual(&s.g, d, a, b);
+                assert!(residual < 1e-8, "bs {bs}: residual {residual:e}");
+            }
+            for widths in [
+                &[1, 1, 1, 1, 1, 1, 1][..],
+                &[3, 4],
+                &[4, 3],
+                &[5, 2],
+                &[2, 4, 1],
+            ] {
+                let mut at = 0;
+                for &w in widths {
+                    let part = sancho_rubio_lanes(&refs[at..at + w], 1e-13, 200, &mut ws);
+                    for (k, p) in part.iter().enumerate() {
+                        let want = &whole[at + k];
+                        let why = format!("bs {bs}, chunks {widths:?}");
+                        assert_eq!(p.iterations, want.iterations, "{why}");
+                        assert_eq!(p.g.as_slice(), want.g.as_slice(), "{why}");
+                    }
+                    at += w;
                 }
-                at += w;
             }
         }
         assert!(sancho_rubio_lanes(&[], 1e-13, 200, &mut ws).is_empty());
+    }
+
+    #[test]
+    fn sancho_rubio_lanes_over_small_dim_take_one_lead() {
+        // Blocks the packed GEMM takes: one lead per call, in the band
+        // (slow) and above it (fast).
+        let mut ws = Workspace::new();
+        let mut steps = Vec::new();
+        for e in [1.8, 2.4] {
+            let [d, a, b] = lead(24, e, 1e-5);
+            let s = surface_gf_ws(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-13, 200, &mut ws);
+            let residual = surface_residual(&s.g, &d, &a, &b);
+            assert!(residual < 1e-8, "E {e}: residual {residual:e}");
+            steps.push(s.iterations);
+        }
+        assert!(steps[0] > steps[1], "steps {steps:?}");
     }
 
     #[test]

@@ -89,9 +89,9 @@ pub fn current_profile(m: &BlockTriDiag, gl_lower: &[CMatrix]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::{boundary_self_energies, contact_sigma_lg, fermi, BoundaryMethod};
+    use crate::boundary::{boundary_self_energies_ws, contact_sigma_lg, fermi, BoundaryMethod};
     use crate::rgf::{rgf_solve, RgfInputs};
-    use omen_linalg::c64;
+    use omen_linalg::{c64, Workspace};
 
     /// A clean 1-orbital, bs=1 tight-binding chain with open boundaries:
     /// H = 2t on-site (band centred at 2t), −t hopping, so the band is
@@ -124,7 +124,7 @@ mod tests {
             m.upper[b] = CMatrix::from_fn(1, 1, |_, _| c64(t, 0.0)); // −H = +t
             m.lower[b] = m.upper[b].clone();
         }
-        let bse = boundary_self_energies(
+        let bse = boundary_self_energies_ws(
             BoundaryMethod::SanchoRubio,
             &m.diag[0],
             &m.upper[0],
@@ -134,6 +134,7 @@ mod tests {
             &m.lower[nb - 2],
             1e-14,
             500,
+            &mut Workspace::new(),
         );
         let mut mfolded = m.clone();
         mfolded.diag[0] -= &bse.left;

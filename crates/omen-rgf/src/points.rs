@@ -1,7 +1,10 @@
-//! The per-point GF solver: assembly ("specialization"), boundary
-//! conditions, and RGF for electron `(kz, E)` and phonon `(qz, ω)` points,
-//! with the three caching modes of §7.1.2 — one body ([`PointSolver`])
-//! generic over the [`Carrier`] that supplies the operator and occupations.
+//! The GF solvers: assembly ("specialization"), boundary conditions, and
+//! RGF for electron `(kz, E)` and phonon `(qz, ω)` points, with the three
+//! caching modes of §7.1.2 — one body ([`PointSolver`]) generic over the
+//! [`Carrier`] that supplies the operator and occupations, and one solve
+//! path: a chunk of a momentum's energies on the lanes of one
+//! [`rgf_row_into`] recursion, of which a single point is the one-lane
+//! case.
 //!
 //! For each energy-momentum point the GF phase performs:
 //! (a) **specialization** — assembling `H(kz)`, `S(kz)` (or `Φ(qz)`) from
@@ -16,11 +19,11 @@
 
 use crate::bccache::BoundaryCache;
 use crate::boundary::{
-    bose, boundary_self_energies_lanes, boundary_self_energies_ws, contact_sigma_lg,
-    contact_sigma_lg_into, fermi, BoundaryMethod, BoundarySelfEnergies,
+    bose, boundary_self_energies_lanes, contact_sigma_lg_into, fermi, BoundaryMethod,
+    BoundarySelfEnergies,
 };
-use crate::rgf::{rgf_solve_into, RgfInputs, RgfSolution};
-use crate::rows::{rgf_row_into, row_width, RgfCoupling, RgfRow, RowInputs};
+use crate::rgf::RgfSolution;
+use crate::rows::{rgf_row_into, row_width, RgfRow, RowInputs};
 use omen_device::DeviceStructure;
 use omen_linalg::{c64, BlockTriDiag, CMatrix, Workspace, WorkspaceLease, WorkspacePool, C64};
 use std::ops::Range;
@@ -132,10 +135,10 @@ impl Default for PhononParams {
 /// momentum), solved together by [`GfSolver::solve_row`] under the current
 /// Born iteration's scattering self-energies and handed, block row by
 /// block row, to a [`RowSink`]. [`GfSolver::solve_point`] solves one
-/// point and returns its whole solution: the per-point oracle path.
-/// Construction stays on the concrete types (their parameter sets
-/// differ); construction is cheap — caches start empty — so parallel
-/// executors build one solver per worker.
+/// point the same way and returns its whole solution. Construction stays
+/// on the concrete types (their parameter sets differ); construction is
+/// cheap — caches start empty — so parallel executors build one solver
+/// per worker.
 pub trait GfSolver {
     /// Solves grid point `(i, j)` given optional retarded/lesser/greater
     /// scattering self-energy blocks (`None` on the ballistic first
@@ -151,16 +154,14 @@ pub trait GfSolver {
 
     /// Solves points `(i, j)` for every `j` of `js`, feeding point `j`'s
     /// block rows to `sink` as lane `j − js.start`; returns the sub-phase
-    /// timings of the whole row. The default solves point by point.
+    /// timings of the whole row.
     fn solve_row(
         &mut self,
         i: usize,
         js: Range<usize>,
         scattering: Option<&dyn Scattering>,
         sink: &mut dyn RowSink,
-    ) -> PhaseTimes {
-        solve_row_by_points(self, i, js, scattering, sink)
-    }
+    ) -> PhaseTimes;
 
     /// The carrier this solver models (diagnostics/logging).
     fn carrier(&self) -> &'static str;
@@ -169,35 +170,9 @@ pub trait GfSolver {
     fn cache_bytes(&self) -> usize;
 }
 
-/// [`GfSolver::solve_row`] as a loop over [`GfSolver::solve_point`].
-fn solve_row_by_points<S: GfSolver + ?Sized>(
-    solver: &mut S,
-    i: usize,
-    js: Range<usize>,
-    scattering: Option<&dyn Scattering>,
-    sink: &mut dyn RowSink,
-) -> PhaseTimes {
-    let mut times = PhaseTimes::default();
-    for (lane, j) in js.enumerate() {
-        let out = match scattering {
-            Some(blocks) => {
-                let (r, l, g) = blocks.point(i, j);
-                solver.solve_point(i, j, Some(&r), Some(&l), Some(&g))
-            }
-            None => solver.solve_point(i, j, None, None, None),
-        };
-        out.feed(lane, sink);
-        times.accumulate(&out.times);
-    }
-    times
-}
-
 /// The scattering self-energies of one Born iteration as the GF solvers
-/// read them: a point's slab blocks at once, or one slab block. Both
-/// must give the same bits.
+/// read them: one slab block at a time.
 pub trait Scattering {
-    /// `(Σ^R, Σ^<, Σ^>)`, one block per slab, at grid point `(i, j)`.
-    fn point(&self, i: usize, j: usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>);
     /// Slab `b`'s `[Σ^R, Σ^<, Σ^>]` at grid point `(i, j)`, into `out`.
     fn block(&self, i: usize, j: usize, b: usize, out: [&mut CMatrix; 3]);
 }
@@ -226,32 +201,29 @@ pub struct PointSolution {
     pub times: PhaseTimes,
 }
 
-impl PointSolution {
-    /// Hands this solution to `sink` as lane `lane`, block rows bottom-up
-    /// as a row solve emits them.
-    pub fn feed(&self, lane: usize, sink: &mut dyn RowSink) {
-        let s = &self.sol;
-        let nb = s.gr_diag.len();
-        for n in (0..nb).rev() {
-            let coupling = (n + 1 < nb).then(|| RgfCoupling {
-                upper: &self.m.upper[n],
-                gr_upper: &s.gr_upper[n],
-                gr_lower: &s.gr_lower[n],
-                gl_lower: &s.gl_lower[n],
-                gg_lower: &s.gg_lower[n],
-            });
-            let row = RgfRow {
-                n,
-                gr_diag: &s.gr_diag[n],
-                gl_diag: &s.gl_diag[n],
-                gg_diag: &s.gg_diag[n],
-                coupling,
-            };
-            sink.row(
-                lane,
-                &row,
-                [&self.boundary_lg_left, &self.boundary_lg_right],
-            );
+/// [`GfSolver::solve_point`]'s sink: its one lane's rows, collected whole.
+struct Whole(RgfSolution);
+
+impl RowSink for Whole {
+    fn row(&mut self, _: usize, row: &RgfRow<'_>, _: [&(CMatrix, CMatrix); 2]) {
+        self.0.put(row);
+    }
+}
+
+/// [`GfSolver::solve_point`]'s scattering blocks: `[Σ^R, Σ^<, Σ^>]`, one
+/// block per slab each, or zero where absent.
+struct PointBlocks<'s> {
+    blocks: [Option<&'s [CMatrix]>; 3],
+    bs: usize,
+}
+
+impl Scattering for PointBlocks<'_> {
+    fn block(&self, _: usize, _: usize, b: usize, out: [&mut CMatrix; 3]) {
+        for (blocks, m) in self.blocks.iter().zip(out) {
+            match blocks {
+                Some(blocks) => m.copy_from(&blocks[b]),
+                None => m.resize(self.bs, self.bs),
+            }
         }
     }
 }
@@ -582,10 +554,9 @@ impl LaneBoundary {
     }
 }
 
-/// One row's [`RowInputs`]: `M`'s blocks from the cached specialization,
-/// boundary and scattering `Σ^R` folded into the diagonal and `Σ^≷`
-/// assembled as each block row is reached, in the per-point path's
-/// order (so `M` and `Σ^≷` are that path's bits).
+/// One chunk's [`RowInputs`]: `M`'s blocks from the cached
+/// specialization, boundary and scattering `Σ^R` folded into the diagonal
+/// and `Σ^≷` assembled as each block row is reached.
 struct ChunkInputs<'s, C: Carrier> {
     carrier: &'s C,
     spec: &'s C::Spec,
@@ -598,6 +569,8 @@ struct ChunkInputs<'s, C: Carrier> {
     j0: usize,
     /// Scratch for a scattering `Σ^R` block.
     sr: CMatrix,
+    /// Where lane 0's folded `M` is recorded, if anywhere.
+    record: Option<&'s mut BlockTriDiag>,
 }
 
 impl<C: Carrier> RowInputs for ChunkInputs<'_, C> {
@@ -640,156 +613,42 @@ impl<C: Carrier> RowInputs for ChunkInputs<'_, C> {
                 *sg += g;
             }
         }
+        if let Some(m) = self.record.as_deref_mut().filter(|_| e == 0) {
+            m.diag[n].copy_from(diag);
+        }
     }
 
     fn coupling(&mut self, e: usize, n: usize, upper: &mut CMatrix, lower: &mut CMatrix) {
         let x = self.lanes[e].x;
         self.carrier.block(self.spec, x, Part::Upper, n, upper);
         self.carrier.block(self.spec, x, Part::Lower, n, lower);
+        if let Some(m) = self.record.as_deref_mut().filter(|_| e == 0) {
+            m.upper[n].copy_from(upper);
+            m.lower[n].copy_from(lower);
+        }
     }
 }
 
-/// The whole ballistic `M` at `x`: `nb` block rows of size `bs`.
-fn assemble<C: Carrier>(carrier: &C, spec: &C::Spec, x: f64, nb: usize, bs: usize) -> BlockTriDiag {
-    let mut m = BlockTriDiag::zeros(nb, bs);
-    for n in 0..nb {
-        carrier.block(spec, x, Part::Diag, n, &mut m.diag[n]);
-    }
-    for n in 0..nb - 1 {
-        carrier.block(spec, x, Part::Upper, n, &mut m.upper[n]);
-        carrier.block(spec, x, Part::Lower, n, &mut m.lower[n]);
-    }
-    m
-}
-
-impl<C: Carrier> GfSolver for PointSolver<'_, C> {
-    fn solve_point(
-        &mut self,
-        ik: usize,
-        ix: usize,
-        sigma_r_scatt: Option<&[CMatrix]>,
-        sigma_l_scatt: Option<&[CMatrix]>,
-        sigma_g_scatt: Option<&[CMatrix]>,
-    ) -> PointSolution {
-        let x = self.x_values[ix];
-        let bnum = self.device.bnum();
-        let bs = C::block_size(self.device);
-        let mut times = PhaseTimes::default();
-
-        // --- (a) specialization ---
-        let t0 = Instant::now();
-        // Borrowed from the cache (the operators are large, up to
-        // 2·bnum·3 blocks), so no per-point clones.
-        let mut local = None;
-        let slot = &mut self.spec_cache[ik];
-        let spec = specialization(
-            &self.carrier,
-            self.device,
-            self.mode,
-            slot,
-            &mut local,
-            self.k_values[ik],
-        );
-        times.specialization = t0.elapsed();
-
-        let mut m = assemble(&self.carrier, spec, x, bnum, bs);
-
-        // --- (b) boundary conditions (ballistic lead blocks) ---
-        let t1 = Instant::now();
-        let ends = [
-            &m.diag[0],
-            &m.upper[0],
-            &m.lower[0],
-            &m.diag[bnum - 1],
-            &m.upper[bnum - 2],
-            &m.lower[bnum - 2],
-        ];
-        let key = ik * self.x_values.len() + ix;
-        let (method, tol, max_iter) = self.carrier.boundary();
-        let [d0, u0, l0, dn, un, ln] = ends;
-        let ws = &mut self.ws;
-        let mut resolved = None;
-        resolve_boundaries(
-            self.bc.as_deref(),
-            key..key + 1,
-            |_| {
-                let bse =
-                    boundary_self_energies_ws(method, d0, u0, l0, dn, un, ln, tol, max_iter, ws);
-                vec![bse]
-            },
-            |_, bse| resolved = Some(bse),
-        );
-        let bse = resolved.expect("boundary resolved");
-        times.boundary = t1.elapsed();
-
-        // Fold boundary and scattering Σ^R into M.
-        m.diag[0] -= &bse.left;
-        m.diag[bnum - 1] -= &bse.right;
-        if let Some(sr) = sigma_r_scatt {
-            assert_eq!(sr.len(), bnum, "sigma_r blocks");
-            for (b, blk) in sr.iter().enumerate() {
-                let neg = blk.scaled(c64(-1.0, 0.0));
-                m.diag[b] += &neg;
-            }
-        }
-
-        // Boundary Σ^≷ with the contact occupation factors.
-        let (occ_l, occ_r) = self.carrier.occupations(x);
-        let (sl_l, sg_l) = contact_sigma_lg(&bse.left, occ_l, C::BOSON);
-        let (sl_r, sg_r) = contact_sigma_lg(&bse.right, occ_r, C::BOSON);
-
-        let blocks_or_zero = |scatt: Option<&[CMatrix]>| match scatt {
-            Some(s) => s.to_vec(),
-            None => vec![CMatrix::zeros(bs, bs); bnum],
-        };
-        let mut sigma_l = blocks_or_zero(sigma_l_scatt);
-        let mut sigma_g = blocks_or_zero(sigma_g_scatt);
-        sigma_l[0] += &sl_l;
-        sigma_g[0] += &sg_l;
-        sigma_l[bnum - 1] += &sl_r;
-        sigma_g[bnum - 1] += &sg_r;
-
-        // --- (c) RGF ---
-        let t2 = Instant::now();
-        let mut sol = RgfSolution::empty();
-        rgf_solve_into(
-            &RgfInputs {
-                m: &m,
-                sigma_l: &sigma_l,
-                sigma_g: &sigma_g,
-            },
-            &mut self.ws,
-            &mut sol,
-        );
-        times.rgf = t2.elapsed();
-
-        PointSolution {
-            sol,
-            m,
-            boundary_lg_left: (sl_l, sg_l),
-            boundary_lg_right: (sl_r, sg_r),
-            gamma: (bse.gamma_left.clone(), bse.gamma_right.clone()),
-            times,
-        }
-    }
-
-    /// Blocks up to `SMALL_DIM` take the lane path: the row's energies are
-    /// the lanes of one [`rgf_row_into`] recursion, chunk width
-    /// [`row_width`]; specialization happens once per row, and the row's
-    /// uncached boundaries are decimated together, one
-    /// [`crate::sancho_rubio_lanes`] call per lead. Larger blocks solve
-    /// point by point.
-    fn solve_row(
+impl<C: Carrier> PointSolver<'_, C> {
+    /// Solves points `(ik, ix)`, `ix ∈ xs`, as the lanes of one
+    /// [`rgf_row_into`] recursion, `xs` at most [`row_width`] wide — the
+    /// body of both [`GfSolver`] entries. The momentum is specialized once,
+    /// the chunk's uncached boundaries are decimated together (one
+    /// [`crate::sancho_rubio_lanes`] call per lead), and lane `e`'s block
+    /// rows go to `sink` as lane `lane0 + e`. `record`, if given, receives
+    /// lane 0's folded `M` as the recursion reads it. The lanes stay in
+    /// `self.lanes` until [`PointSolver::release_lanes`]. Returns the
+    /// sub-phase timings and the flops of one lane.
+    fn solve_chunk(
         &mut self,
         ik: usize,
         xs: Range<usize>,
         scattering: Option<&dyn Scattering>,
+        lane0: usize,
         sink: &mut dyn RowSink,
-    ) -> PhaseTimes {
+        record: Option<&mut BlockTriDiag>,
+    ) -> (PhaseTimes, u64) {
         let (nb, bs) = (self.device.bnum(), C::block_size(self.device));
-        if row_width(bs) == 1 {
-            return solve_row_by_points(self, ik, xs, scattering, sink);
-        }
         let PointSolver {
             device,
             carrier,
@@ -822,7 +681,8 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
                 .iter()
                 .map(|&e| lead_blocks(&*carrier, spec, x_values[xs.start + e], (nb, bs), ws))
                 .collect();
-            let solved = boundary_self_energies_lanes(method, &ends, tol, max_iter, ws);
+            let refs: Vec<[&CMatrix; 6]> = ends.iter().map(|e| e.each_ref()).collect();
+            let solved = boundary_self_energies_lanes(method, &refs, tol, max_iter, ws);
             ends.into_iter().flatten().for_each(|m| ws.give(m));
             solved
         };
@@ -850,16 +710,85 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
             i: ik,
             j0: xs.start,
             sr: ws.take(bs, bs),
+            record,
         };
-        rgf_row_into(&mut inputs, ws, |e, row| {
+        let flops = rgf_row_into(&mut inputs, ws, |e, row| {
             let lg = &lanes[e].lg;
-            sink.row(e, row, [&lg[0], &lg[1]]);
+            sink.row(lane0 + e, row, [&lg[0], &lg[1]]);
         });
         ws.give(inputs.sr);
-        for [(ll, lr), (gl, gr)] in lanes.drain(..).map(|lane| lane.lg) {
-            [ll, lr, gl, gr].into_iter().for_each(|m| ws.give(m));
-        }
         times.rgf = t2.elapsed();
+        (times, flops)
+    }
+
+    /// Drops the lanes of the last chunk, their contact blocks back to the
+    /// workspace.
+    fn release_lanes(&mut self) {
+        for [(ll, lr), (gl, gr)] in self.lanes.drain(..).map(|lane| lane.lg) {
+            [ll, lr, gl, gr].into_iter().for_each(|m| self.ws.give(m));
+        }
+    }
+}
+
+impl<C: Carrier> GfSolver for PointSolver<'_, C> {
+    /// One lane of the row solve, its rows, folded `M`, contact blocks and
+    /// broadenings kept whole.
+    fn solve_point(
+        &mut self,
+        ik: usize,
+        ix: usize,
+        sigma_r: Option<&[CMatrix]>,
+        sigma_l: Option<&[CMatrix]>,
+        sigma_g: Option<&[CMatrix]>,
+    ) -> PointSolution {
+        let (nb, bs) = (self.device.bnum(), C::block_size(self.device));
+        let blocks = [sigma_r, sigma_l, sigma_g];
+        for (b, what) in blocks.iter().zip(["sigma_r", "sigma_l", "sigma_g"]) {
+            if let Some(b) = b {
+                assert_eq!(b.len(), nb, "{what} blocks");
+            }
+        }
+        let scattering = blocks
+            .iter()
+            .any(Option::is_some)
+            .then_some(PointBlocks { blocks, bs });
+        let scattering = scattering.as_ref().map(|s| s as &dyn Scattering);
+        let (mut sol, mut m) = (Whole(RgfSolution::empty()), BlockTriDiag::zeros(nb, bs));
+        sol.0.shape(nb, bs);
+        let (times, flops) =
+            self.solve_chunk(ik, ix..ix + 1, scattering, 0, &mut sol, Some(&mut m));
+        let sol = RgfSolution { flops, ..sol.0 };
+        let lane = self.lanes.pop().expect("one lane");
+        let bse = lane.bse.expect("boundary resolved");
+        let [left, right] = lane.lg;
+        PointSolution {
+            sol,
+            m,
+            boundary_lg_left: left,
+            boundary_lg_right: right,
+            gamma: (bse.gamma_left.clone(), bse.gamma_right.clone()),
+            times,
+        }
+    }
+
+    /// The row in chunks of [`row_width`]: one SIMD vector of energy lanes
+    /// on blocks up to `SMALL_DIM`, one point on larger ones.
+    fn solve_row(
+        &mut self,
+        ik: usize,
+        xs: Range<usize>,
+        scattering: Option<&dyn Scattering>,
+        sink: &mut dyn RowSink,
+    ) -> PhaseTimes {
+        let width = row_width(C::block_size(self.device));
+        let mut times = PhaseTimes::default();
+        for from in xs.clone().step_by(width) {
+            let chunk = from..xs.end.min(from + width);
+            let lane0 = from - xs.start;
+            let (chunk_times, _) = self.solve_chunk(ik, chunk, scattering, lane0, sink, None);
+            self.release_lanes();
+            times.accumulate(&chunk_times);
+        }
         times
     }
 
@@ -1014,20 +943,6 @@ mod tests {
     struct Broadening(usize);
 
     impl Scattering for Broadening {
-        fn point(&self, i: usize, j: usize) -> (Vec<CMatrix>, Vec<CMatrix>, Vec<CMatrix>) {
-            let mut out = (Vec::new(), Vec::new(), Vec::new());
-            for b in 0..8 {
-                let mut m: [CMatrix; 3] = std::array::from_fn(|_| CMatrix::zeros(0, 0));
-                let [r, l, g] = &mut m;
-                self.block(i, j, b, [r, l, g]);
-                let [r, l, g] = m;
-                out.0.push(r);
-                out.1.push(l);
-                out.2.push(g);
-            }
-            out
-        }
-
         fn block(&self, i: usize, j: usize, b: usize, [r, l, g]: [&mut CMatrix; 3]) {
             let gamma = 0.01 * (1.0 + b as f64 + 0.1 * (i + j) as f64);
             let diag = |z: C64| {
@@ -1056,96 +971,69 @@ mod tests {
     }
 
     #[test]
-    fn row_solve_matches_point_solves_on_both_carriers() {
-        let dev = device();
-        assert_eq!(dev.bnum(), 8, "Broadening covers eight slabs");
-        for (mut solver, bs) in row_carriers(&dev) {
-            assert!(row_width(bs) > 1, "{bs}x{bs} blocks take the lane path");
-            let who = solver.carrier();
-            let scatt = Broadening(bs);
-            for scattering in [None, Some(&scatt as &dyn Scattering)] {
-                let mut rows = Collect::default();
-                solver.solve_row(1, 0..7, scattering, &mut rows);
-                for (j, got) in rows.0.iter().enumerate() {
-                    let out = match scattering {
-                        Some(s) => {
-                            let (r, l, g) = s.point(1, j);
-                            solver.solve_point(1, j, Some(&r), Some(&l), Some(&g))
-                        }
-                        None => solver.solve_point(1, j, None, None, None),
-                    };
-                    let mut want = Collect::default();
-                    out.feed(0, &mut want);
-                    for (n, (g, w)) in got.iter().zip(&want.0[0]).enumerate() {
-                        for (x, y) in g.iter().zip(w) {
-                            let dev = (x - y).max_abs() / y.max_abs().max(f64::MIN_POSITIVE);
-                            assert!(dev <= 1e-12, "{who} point {j} row {n}: {dev:e}");
+    fn row_solve_matches_dense_on_both_carriers() {
+        // The lane kernel (the tiny device's 4 × 4 and 6 × 6 blocks, seven
+        // energies in chunks of four) and the packed GEMM (32 × 32 and
+        // 24 × 24, `gf_heavy`'s blocks), ballistic and with scattering:
+        // every block a row sink receives, and every block of
+        // `solve_point`, against the dense inverse of the point's folded M.
+        let big = DeviceConfig {
+            ny: 8,
+            norb: 4,
+            ..DeviceConfig::tiny()
+        };
+        for (config, points) in [(DeviceConfig::tiny(), 0..7), (big, 0..1)] {
+            let dev = DeviceStructure::build(config);
+            let nb = dev.bnum();
+            for (mut solver, bs) in row_carriers(&dev) {
+                let who = format!("{} {bs}x{bs}", solver.carrier());
+                let scatt = Broadening(bs);
+                for scattering in [None, Some(&scatt as &dyn Scattering)] {
+                    let mut rows = Collect::default();
+                    solver.solve_row(1, points.clone(), scattering, &mut rows);
+                    for (j, got) in points.clone().zip(&rows.0) {
+                        let mut blocks = [0; 3].map(|_| vec![CMatrix::zeros(bs, bs); nb]);
+                        let out = match scattering {
+                            Some(s) => {
+                                let [r, l, g] = &mut blocks;
+                                for (b, ((r, l), g)) in r.iter_mut().zip(l).zip(g).enumerate() {
+                                    s.block(1, j, b, [r, l, g]);
+                                }
+                                let [r, l, g] = &blocks;
+                                solver.solve_point(1, j, Some(r), Some(l), Some(g))
+                            }
+                            None => solver.solve_point(1, j, None, None, None),
+                        };
+                        let [_, sl, sg] = &mut blocks;
+                        sl[0] += &out.boundary_lg_left.0;
+                        sg[0] += &out.boundary_lg_left.1;
+                        sl[nb - 1] += &out.boundary_lg_right.0;
+                        sg[nb - 1] += &out.boundary_lg_right.1;
+                        let dense = dense_solve(&out.m, sl, sg);
+                        let dev = out.sol.max_deviation_from_dense(&dense, bs);
+                        assert!(dev < 1e-9, "{who} point {j}: solve_point vs dense {dev:e}");
+                        for (n, blocks) in got.iter().enumerate() {
+                            // (dense matrix, block (r, c), index in the row)
+                            let mut want = vec![
+                                (&dense.gr, (n, n), 0),
+                                (&dense.gl, (n, n), 1),
+                                (&dense.gg, (n, n), 2),
+                            ];
+                            if n + 1 < nb {
+                                want.extend([
+                                    (&dense.gr, (n, n + 1), 4),
+                                    (&dense.gr, (n + 1, n), 5),
+                                    (&dense.gl, (n + 1, n), 6),
+                                    (&dense.gg, (n + 1, n), 7),
+                                ]);
+                            }
+                            for (full, (r, c), at) in want {
+                                let want = DenseSolution::block(full, bs, r, c);
+                                let dev = (&blocks[at] - &want).max_abs();
+                                assert!(dev < 1e-9, "{who} point {j} row {n}: dense {dev:e}");
+                            }
                         }
                     }
-                    // Against the dense inverse of the point's folded M.
-                    let (mut sl, mut sg) = match scattering {
-                        Some(s) => {
-                            let (_, l, g) = s.point(1, j);
-                            (l, g)
-                        }
-                        None => (
-                            vec![CMatrix::zeros(bs, bs); 8],
-                            vec![CMatrix::zeros(bs, bs); 8],
-                        ),
-                    };
-                    sl[0] += &out.boundary_lg_left.0;
-                    sg[0] += &out.boundary_lg_left.1;
-                    sl[7] += &out.boundary_lg_right.0;
-                    sg[7] += &out.boundary_lg_right.1;
-                    let dense = dense_solve(&out.m, &sl, &sg);
-                    for (n, blocks) in got.iter().enumerate() {
-                        // (dense matrix, block (r, c), index in the row)
-                        let mut want = vec![
-                            (&dense.gr, (n, n), 0),
-                            (&dense.gl, (n, n), 1),
-                            (&dense.gg, (n, n), 2),
-                        ];
-                        if n + 1 < 8 {
-                            want.extend([
-                                (&dense.gr, (n, n + 1), 4),
-                                (&dense.gr, (n + 1, n), 5),
-                                (&dense.gl, (n + 1, n), 6),
-                                (&dense.gg, (n + 1, n), 7),
-                            ]);
-                        }
-                        for (full, (r, c), at) in want {
-                            let want = DenseSolution::block(full, bs, r, c);
-                            let dev = (&blocks[at] - &want).max_abs();
-                            assert!(dev < 1e-9, "{who} point {j} row {n}: dense {dev:e}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_boundaries_match_the_point_decimation_on_both_carriers() {
-        // The points solve on a solver of their own, so their boundaries
-        // are decimated point by point and the row's on lanes. At η = 1e-5
-        // the tiny device's decimation is itself sensitive at ~1e-12 (one
-        // ulp more in `M[0][0]` moves `Σ_L` by up to 4e-12), and the two
-        // paths round their products differently: they agree to that
-        // conditioning, not to 1e-12.
-        let dev = device();
-        let pairs = row_carriers(&dev).into_iter().zip(row_carriers(&dev));
-        for ((mut row_solver, _), (mut points, _)) in pairs {
-            let who = row_solver.carrier();
-            let mut rows = Collect::default();
-            row_solver.solve_row(1, 0..7, None, &mut rows);
-            for (j, got) in rows.0.iter().enumerate() {
-                let out = points.solve_point(1, j, None, None, None);
-                let (l, r) = (&out.boundary_lg_left, &out.boundary_lg_right);
-                // Every row's blocks end with the contact Σ≷ pairs.
-                let got = &got[0][got[0].len() - 4..];
-                for (g, w) in got.iter().zip([&l.0, &l.1, &r.0, &r.1]) {
-                    let dev = (g - w).max_abs() / w.max_abs().max(f64::MIN_POSITIVE);
-                    assert!(dev <= 1e-10, "{who} point {j}: contact Σ≷ {dev:e}");
                 }
             }
         }

@@ -3,11 +3,14 @@
 //!
 //! A counting global allocator wraps `System`; after one warmup call to
 //! populate the [`Workspace`] arena and the reusable outputs, a second
-//! `rgf_solve_into`, a second row solve (`rgf_row_into`, energies as SIMD
-//! lanes), a `GfSolver::solve_row` whose boundaries are all cached and a
-//! second `sse_reference_into` must perform **zero** heap allocations. This pins the tentpole property of the
-//! packed-GEMM/workspace redesign — a future `CMatrix::zeros`, `clone()`,
-//! or allocating `matmul` sneaking back into the hot path fails this test.
+//! `rgf_solve_into` (one lane of the row solve, on the packed GEMM), a
+//! second row solve (`rgf_row_into`, energies as SIMD lanes), a
+//! `GfSolver::solve_row` whose boundaries are all cached — on energy lanes
+//! and on `gf_heavy`'s 32 × 32 blocks — and a second
+//! `sse_reference_into` must perform **zero** heap allocations. This pins
+//! the tentpole property of the packed-GEMM/workspace redesign — a future
+//! `CMatrix::zeros`, `clone()`, or allocating `matmul` sneaking back into
+//! the hot path fails this test.
 //!
 //! The whole check lives in a single `#[test]` so no concurrent test can
 //! pollute the counters (integration-test files build into their own
@@ -213,6 +216,42 @@ fn steady_state_hot_path_is_allocation_free() {
     );
     let stats = bc.stats();
     assert_eq!((stats.misses, stats.hits), (lanes as u64, 2 * lanes as u64));
+
+    // ---- The same at the benchmark's `gf_heavy` shape: 32 × 32 blocks,
+    // one lane per chunk, every product through the packed GEMM on the
+    // lane block read as a matrix. ----
+    let heavy_gf = DeviceStructure::build(DeviceConfig {
+        nx: 12,
+        ny: 8,
+        norb: 4,
+        ..DeviceConfig::demo()
+    });
+    assert_eq!(heavy_gf.block_size_el(), 32);
+    assert_eq!(row_width(32), 1, "32 × 32 blocks take one lane");
+    let mut solver = ElectronSolver::new(
+        &heavy_gf,
+        heavy_gf.linear_potential(0.2, 0.25, 0.75),
+        ElectronParams::default(),
+        CacheMode::CacheBcSpec,
+        vec![0.0],
+        vec![0.1],
+    );
+    let mut solved = Checksum(0.0);
+    solver.solve_row(0, 0..1, None, &mut solved);
+    solver.solve_row(0, 0..1, None, &mut Checksum(0.0));
+    let mut hit = Checksum(0.0);
+    let heavy_hit_allocs = count_allocations(|| {
+        solver.solve_row(0, 0..1, None, &mut hit);
+    });
+    assert_eq!(
+        heavy_hit_allocs, 0,
+        "an all-hit one-lane solve_row at 32 × 32 allocated {heavy_hit_allocs} times"
+    );
+    assert_eq!(
+        hit.0.to_bits(),
+        solved.0.to_bits(),
+        "hits are the solved bits"
+    );
 
     // ---- SSE: one full reference-kernel application ----
     let dev = tiny_device();
