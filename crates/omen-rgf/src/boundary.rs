@@ -590,6 +590,74 @@ mod tests {
         leads.iter().map(|l| l.each_ref()).collect()
     }
 
+    /// Sancho–Rubio on one lead in dense `CMatrix` algebra: the reference
+    /// the lane decimation is held to.
+    fn point_decimation(d: &CMatrix, alpha: &CMatrix, beta: &CMatrix, tol: f64) -> SurfaceGf {
+        let (mut es, mut eb) = (d.clone(), d.clone());
+        let (mut a, mut b) = (alpha.clone(), beta.clone());
+        let below = |m: &CMatrix| {
+            m.as_slice().iter().all(|z| {
+                let r = z.abs();
+                r < tol || r.is_nan()
+            })
+        };
+        let mut iterations = 0;
+        while iterations < 200 {
+            iterations += 1;
+            let g0 = omen_linalg::invert(&eb);
+            let (ag, bg) = (matmul(&a, &g0), matmul(&b, &g0));
+            let agb = matmul(&ag, &b);
+            es -= &agb;
+            eb -= &agb;
+            eb -= &matmul(&bg, &a);
+            a = matmul(&ag, &a);
+            b = matmul(&bg, &b);
+            if below(&a) && below(&b) {
+                break;
+            }
+        }
+        SurfaceGf {
+            g: omen_linalg::invert(&es),
+            iterations,
+        }
+    }
+
+    #[test]
+    fn sancho_rubio_lanes_match_the_point_decimation() {
+        // Two energies inside the lowest band (slow, ~log2(1/η) steps) and
+        // two above its edge at 2 (fast): the lanes of one call converge at
+        // different steps, and each must still run exactly the iterations
+        // of the dense decimation of its lead alone.
+        let edge = [1.9, 2.1, 1.8, 2.4];
+        let mut ws = Workspace::new();
+        for bs in 1..=16 {
+            for lanes in 1..=4 {
+                let leads: Vec<[CMatrix; 3]> = (0..lanes)
+                    .map(|k| lead(bs, edge[(k + bs) % 4], 1e-5))
+                    .collect();
+                let got = sancho_rubio_lanes(&lead_refs(&leads), 1e-13, 200, &mut ws);
+                let mut counts = Vec::new();
+                for (e, ([d, a, b], got)) in leads.iter().zip(&got).enumerate() {
+                    let want = point_decimation(d, a, b, 1e-13);
+                    assert_eq!(
+                        got.iterations, want.iterations,
+                        "bs {bs}, {lanes} lanes, lane {e}: iterations"
+                    );
+                    let dev = (&got.g - &want.g).max_abs() / want.g.max_abs();
+                    assert!(dev <= 1e-12, "bs {bs}, {lanes} lanes, lane {e}: {dev:e}");
+                    counts.push(got.iterations);
+                }
+                if lanes == 4 {
+                    assert!(
+                        counts.iter().any(|&c| c != counts[0]),
+                        "bs {bs}: every lane converged at step {}",
+                        counts[0]
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn sancho_rubio_lanes_are_bitwise_under_every_chunking() {
         // Energies inside the lowest band (slow, ~log2(1/η) steps) and
