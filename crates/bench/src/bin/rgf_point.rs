@@ -33,11 +33,16 @@ fn main() {
     let quick = quick_flag();
     let suffix = if quick { "_quick" } else { "" };
     // Two regimes: small blocks where per-solve allocation is a visible
-    // fraction of the work, and GEMM-bound blocks at executable scale.
+    // fraction of the work, and GEMM-bound blocks at executable scale,
+    // among them `gf_heavy`'s point (nb 12 of 32 × 32).
     let configs: &[(&str, usize, usize, usize)] = if quick {
-        &[("small", 24, 12, 5), ("large", 8, 24, 3)]
+        &[("small", 24, 12, 5), ("large", 8, 24, 3), ("gf", 12, 32, 5)]
     } else {
-        &[("small", 64, 12, 15), ("large", 24, 48, 7)]
+        &[
+            ("small", 64, 12, 15),
+            ("large", 24, 48, 7),
+            ("gf", 12, 32, 15),
+        ]
     };
     let mut records = Vec::new();
     for &(tag, nb, bs, reps) in configs {

@@ -931,7 +931,7 @@ mod tests {
             }
             let mut blocks = vec![row.gr_diag, row.gl_diag, row.gg_diag];
             if let Some(c) = &row.coupling {
-                blocks.extend([c.upper, c.gr_upper, c.gr_lower, c.gl_lower, c.gg_lower]);
+                blocks.extend([c.upper, c.gr_upper, c.gl_lower, c.gg_lower]);
             }
             blocks.extend([&lg[0].0, &lg[0].1, &lg[1].0, &lg[1].1]);
             rows[row.n] = blocks.into_iter().cloned().collect();
@@ -1022,9 +1022,8 @@ mod tests {
                             if n + 1 < nb {
                                 want.extend([
                                     (&dense.gr, (n, n + 1), 4),
-                                    (&dense.gr, (n + 1, n), 5),
-                                    (&dense.gl, (n + 1, n), 6),
-                                    (&dense.gg, (n + 1, n), 7),
+                                    (&dense.gl, (n + 1, n), 5),
+                                    (&dense.gg, (n + 1, n), 6),
                                 ]);
                             }
                             for (full, (r, c), at) in want {

@@ -11,11 +11,10 @@
 //!
 //! The recursion itself is written once, in [`crate::rows`]:
 //! [`rgf_solve_into`] is [`rgf_row_into`] on a single energy lane, its
-//! rows collected into an [`RgfSolution`]. What one block row costs — 37
-//! products, each with what it produces and who reads it — is tabled
-//! there, so trimming it (to the model's 26, or to 27 first) is an edit
-//! in one place. Every block this module produces is validated against
-//! the dense reference solver in the test suite.
+//! rows collected into an [`RgfSolution`]. What one block row costs — 23
+//! products against the §6.1.1 model's 26, each with what it produces and
+//! who reads it — is tabled there. Every block this module produces is
+//! validated against the dense reference solver in the test suite.
 
 use crate::dense_ref::DenseSolution;
 use crate::rows::{rgf_row_into, RgfRow};
@@ -41,8 +40,6 @@ pub struct RgfSolution {
     pub gr_diag: Vec<CMatrix>,
     /// `G^R[n][n+1]`.
     pub gr_upper: Vec<CMatrix>,
-    /// `G^R[n+1][n]`.
-    pub gr_lower: Vec<CMatrix>,
     /// `G^<[n][n]`.
     pub gl_diag: Vec<CMatrix>,
     /// `G^>[n][n]`.
@@ -86,7 +83,6 @@ impl RgfSolution {
         RgfSolution {
             gr_diag: Vec::new(),
             gr_upper: Vec::new(),
-            gr_lower: Vec::new(),
             gl_diag: Vec::new(),
             gg_diag: Vec::new(),
             gl_lower: Vec::new(),
@@ -103,7 +99,6 @@ impl RgfSolution {
             (&mut self.gl_diag, nb),
             (&mut self.gg_diag, nb),
             (&mut self.gr_upper, nb - 1),
-            (&mut self.gr_lower, nb - 1),
             (&mut self.gl_lower, nb - 1),
             (&mut self.gg_lower, nb - 1),
         ] {
@@ -122,7 +117,6 @@ impl RgfSolution {
         self.gg_diag[n].copy_from(row.gg_diag);
         if let Some(c) = &row.coupling {
             self.gr_upper[n].copy_from(c.gr_upper);
-            self.gr_lower[n].copy_from(c.gr_lower);
             self.gl_lower[n].copy_from(c.gl_lower);
             self.gg_lower[n].copy_from(c.gg_lower);
         }
@@ -145,10 +139,6 @@ impl RgfSolution {
             upd(
                 &self.gr_upper[n],
                 &DenseSolution::block(&dense.gr, bs, n, n + 1),
-            );
-            upd(
-                &self.gr_lower[n],
-                &DenseSolution::block(&dense.gr, bs, n + 1, n),
             );
             upd(
                 &self.gl_lower[n],
@@ -228,52 +218,55 @@ mod tests {
 
     #[test]
     fn lesser_greater_anti_hermitian_diagonals() {
-        let (m, sl, sg) = test_system(5, 3, 1.1);
-        let rgf = rgf_solve(&RgfInputs {
-            m: &m,
-            sigma_l: &sl,
-            sigma_g: &sg,
-        });
-        for n in 0..5 {
-            assert!(rgf.gl_diag[n].is_anti_hermitian(1e-10), "G<[{n}]");
-            assert!(rgf.gg_diag[n].is_anti_hermitian(1e-10), "G>[{n}]");
+        // Tiny blocks on the lane kernel; 17 × 17 and 24 × 24 through the
+        // packed GEMM.
+        for (nb, bs) in [(5, 3), (3, 17), (3, 24)] {
+            let (m, sl, sg) = test_system(nb, bs, 1.1);
+            let rgf = rgf_solve(&RgfInputs {
+                m: &m,
+                sigma_l: &sl,
+                sigma_g: &sg,
+            });
+            for n in 0..nb {
+                assert!(rgf.gl_diag[n].is_anti_hermitian(1e-10), "bs {bs} G<[{n}]");
+                assert!(rgf.gg_diag[n].is_anti_hermitian(1e-10), "bs {bs} G>[{n}]");
+            }
         }
     }
 
     #[test]
     fn keldysh_difference_identity() {
-        // G^> − G^< == G^R − G^A when Σ^> − Σ^< == Σ^R − Σ^A == −iΓ_total.
-        // Build Σ^≷ satisfying the identity with the anti-Hermitian part of M.
-        let (mut m, _, _) = test_system(4, 2, 0.0);
-        // Anti-Hermitian part of M's diagonal: M − M† restricted blockwise.
-        // Σ^R − Σ^A = −(M − M†) since M = ES − H − Σ^R and ES−H Hermitian.
-        let nb = 4;
-        let occ = 0.3;
-        let mut sl = Vec::new();
-        let mut sg = Vec::new();
-        for b in 0..nb {
-            let ra = &m.diag[b] - &m.diag[b].adjoint(); // = −(Σ^R − Σ^A)
-            let ra = ra.scaled(c64(-1.0, 0.0));
-            sl.push(ra.scaled(c64(-occ, 0.0)));
-            sg.push(ra.scaled(c64(1.0 - occ, 0.0)));
-        }
-        // Ensure the off-diagonal blocks are exactly Hermitian-conjugate.
-        for b in 0..nb - 1 {
-            m.lower[b] = m.upper[b].adjoint();
-        }
-        let rgf = rgf_solve(&RgfInputs {
-            m: &m,
-            sigma_l: &sl,
-            sigma_g: &sg,
-        });
-        for n in 0..nb {
-            let lhs = &rgf.gg_diag[n] - &rgf.gl_diag[n];
-            let rhs = &rgf.gr_diag[n] - &rgf.gr_diag[n].adjoint();
-            assert!(
-                lhs.approx_eq(&rhs, 1e-9),
-                "block {n}: ‖(G>−G<)−(GR−GA)‖ = {}",
-                (&lhs - &rhs).max_abs()
-            );
+        // G^> − G^< == G^R − G^A when Σ^> − Σ^< == Σ^R − Σ^A == −iΓ_total,
+        // on the lane kernel and (17 × 17, 24 × 24) the packed GEMM.
+        for (nb, bs) in [(4, 2), (3, 17), (3, 24)] {
+            // Σ^≷ from the anti-Hermitian part of M's diagonal:
+            // Σ^R − Σ^A = −(M − M†) since M = ES − H − Σ^R, ES − H Hermitian.
+            let (mut m, _, _) = test_system(nb, bs, 0.0);
+            let occ = 0.3;
+            let (mut sl, mut sg) = (Vec::new(), Vec::new());
+            for b in 0..nb {
+                let ra = (&m.diag[b] - &m.diag[b].adjoint()).scaled(c64(-1.0, 0.0));
+                sl.push(ra.scaled(c64(-occ, 0.0)));
+                sg.push(ra.scaled(c64(1.0 - occ, 0.0)));
+            }
+            // Off-diagonal blocks exactly Hermitian-conjugate.
+            for b in 0..nb - 1 {
+                m.lower[b] = m.upper[b].adjoint();
+            }
+            let rgf = rgf_solve(&RgfInputs {
+                m: &m,
+                sigma_l: &sl,
+                sigma_g: &sg,
+            });
+            for n in 0..nb {
+                let lhs = &rgf.gg_diag[n] - &rgf.gl_diag[n];
+                let rhs = &rgf.gr_diag[n] - &rgf.gr_diag[n].adjoint();
+                assert!(
+                    lhs.approx_eq(&rhs, 1e-9),
+                    "bs {bs} block {n}: ‖(G>−G<)−(GR−GA)‖ = {}",
+                    (&lhs - &rhs).max_abs()
+                );
+            }
         }
     }
 
@@ -301,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn flops_are_pinned_to_37_products_per_block_row() {
+    fn flops_are_pinned_to_23_products_per_block_row() {
         for bs in [3usize, 12, 32] {
             for nb in [1usize, 2, 3, 6, 12] {
                 let (m, sl, sg) = test_system(nb, bs, 0.3);
@@ -311,7 +304,7 @@ mod tests {
                     sigma_g: &sg,
                 });
                 let want =
-                    8 * (37 * nb as u64 - 33) * (bs as u64).pow(3) + nb as u64 * lu_flops(bs, bs);
+                    8 * (23 * nb as u64 - 19) * (bs as u64).pow(3) + nb as u64 * lu_flops(bs, bs);
                 assert_eq!(sol.flops, want, "nb {nb}, bs {bs}");
             }
         }

@@ -32,29 +32,38 @@
 //!
 //! [`rgf_row_into`] counts `8·bs³` per `bs × bs` block product and
 //! [`lu_flops`]`(bs, bs)` per block inverse, pinned by a test to
-//! `8·(37·bnum − 33)·bs³ + bnum·lu_flops(bs, bs)` per lane: 37 products
-//! per block row, 4 fewer on the first forward row and none backward on
-//! the last. Each product, what it produces and who reads it:
+//! `8·(23·bnum − 19)·bs³ + bnum·lu_flops(bs, bs)` per lane: 23 products
+//! per block row, 6 fewer on the first forward row and none backward on
+//! the last. Each product, what it produces and who reads it (`g≷` is
+//! the left-connected `g≷[n]`, `gL` is `gL[n]`):
 //!
 //! | sweep | products | produces | read by |
 //! |---|---|---|---|
 //! | forward, `n > 0` | 2: `L·gL[n−1]·U` | the Schur term folded into `M[n][n]` before `gL[n] = M⁻¹` | every later step |
-//! | forward | 2 + 2 (`n > 0`): `L·g≷[n−1]·L†`, `gL·Σ≷·gL†`, per `≷` | left-connected `g≷[n]` | the backward `≷` steps |
-//! | backward | 2: `G^R[n+1][n+1]·L·gL` | `G^R[n+1][n]` | nothing — no observable reads it |
-//! | backward | 2: `gL·U·G^R[n+1][n+1]` | `G^R[n][n+1]` | the `G^R[n][n]` step |
-//! | backward | 2: `G^R[n][n+1]·L·gL` | `G^R[n][n]` | the next row's steps; phonon spectral function |
-//! | backward | 1: `gu = gL·U` | shared by both `≷` steps | them |
-//! | backward | 3 + 3, per `≷`: `gu·G≷[n+1]·U†·gL†`, `gu·G^R[n+1]·L·g≷` | `G≷[n][n]` | per-atom `G≷`/`D≷` blocks (SSE input), densities, contact currents |
-//! | backward | 4, per `≷`: `G^R[n+1]·L·g≷`, `G≷[n+1]·U†·gL†` | `G≷[n+1][n]` | interface currents (`G^<` with `M[n][n+1]`), cross-slab phonon pair blocks |
+//! | forward | 2 + 2 (`n > 0`), per `≷`: `L·g≷[n−1]·L†`, `gL·Σ≷·gL†` | `g≷[n]` | the backward `≷` steps |
+//! | backward | 1: `gu = gL·U` | `gu` | `G^R[n][n+1]`; `Y` and `T1` of both `≷` steps |
+//! | backward | 1: `−gu·G^R[n+1][n+1]` | `G^R[n][n+1]` | `t` |
+//! | backward | 1: `t = G^R[n][n+1]·L` | `t` | `G^R[n][n]`; `T3` of both `≷` steps |
+//! | backward | 1: `t·gL` | `G^R[n][n] = gL − t·gL` | the next row's steps; phonon spectral function |
+//! | backward | 1: `grL = G^R[n+1][n+1]·L` | `grL` | `X` of both `≷` steps |
+//! | backward | 1, per `≷`: `X = grL·g≷` | `X` | `G≷[n+1][n]` |
+//! | backward | 1, per `≷`: `Y = G≷[n+1]·gu†` | `Y` | `G≷[n+1][n]`, `T1` |
+//! | backward | 1, per `≷`: `T3 = −t·g≷` | `T3` | `G≷[n][n]` |
+//! | backward | 1, per `≷`: `T1 = gu·Y` | `T1` | `G≷[n][n]` |
 //!
-//! So 10 forward and 27 backward per row. The paper's §6.1.1 model
-//! ([`crate::rgf_flops_model`]) counts 26: the counted/model ratio is
-//! 1.49–1.50 at `bnum` 6–12 (the inverse term included). Two terms account
-//! for that: `G^R[n+1][n]` is computed and never read (2 products), and
-//! each `≷` step evaluates `G^R[n+1]·L·g≷` and `G≷[n+1]·U†·gL†` twice,
-//! once inside `T1`/`T3` and once for `G≷[n+1][n]` (8 products per row,
-//! which a reordering could share). Removing them is an edit to this
-//! module alone: every point and every row of the GF phase runs it.
+//! Then `G≷[n][n] = g≷ + T1 + T3 − T3†` (the adjoint keeps it
+//! anti-Hermitian) feeds the per-atom `G≷`/`D≷` blocks (SSE input),
+//! densities and contact currents, and `G≷[n+1][n] = −(X + Y)` the
+//! interface currents (`G^<` with `M[n][n+1]`) and the cross-slab phonon
+//! pair blocks. `G^R[n+1][n]` is not formed: nothing reads it.
+//!
+//! So 10 forward and 13 backward per row. The paper's §6.1.1 model
+//! ([`crate::rgf_flops_model`]) counts 26: the products alone are
+//! `(23·bnum − 19)/(26·bnum − 25)` = 0.90–0.91 of it at `bnum` 6–12, and
+//! 0.95–0.97 with the inverse term. Sharing `gu`, `t` and `grL` keeps the
+//! `G^R` blocks' association, `(gL·U)·G^R[n+1][n+1]` and
+//! `(G^R[n][n+1]·L)·gL`; the `≷` step reads `T1 = gu·(G≷[n+1]·gu†)`
+//! instead of `((gu·G≷[n+1])·U†)·gL†`, which rounds differently (1e-13).
 
 use crate::rgf::RgfInputs;
 use omen_linalg::gemm::SMALL_DIM;
@@ -125,8 +134,6 @@ pub struct RgfCoupling<'a> {
     pub upper: &'a CMatrix,
     /// `G^R[n][n+1]`.
     pub gr_upper: &'a CMatrix,
-    /// `G^R[n+1][n]`.
-    pub gr_lower: &'a CMatrix,
     /// `G^<[n+1][n]`.
     pub gl_lower: &'a CMatrix,
     /// `G^>[n+1][n]`.
@@ -282,66 +289,22 @@ fn left_connected_lg(
     products
 }
 
-/// One lesser/greater backward step (identical algebra for `<` and `>`,
-/// different Σ; `gu = gL[n]·U` is hoisted by the caller and shared):
-/// `diag = g≷_left + T1 + T3 − T3†` with `T1 = gu·G≷[n+1]·U†·gL†` and
-/// `T3 = gu·G^R[n+1]·L·g≷_left` (the adjoint keeps it anti-Hermitian), and
-/// `lower = −(G^R[n+1]·L·g≷_left + G≷[n+1]·U†·gL†)`.
-#[allow(clippy::too_many_arguments)]
-fn backward_lg_step(
-    s: &Lanes,
-    gu: &[f64],
-    gl_n: &[f64],
-    u: &[f64],
-    l: &[f64],
-    g_conn_next: &[f64],
-    g_less_next: &[f64],
-    g_less_left: &[f64],
-    [t1, t2, t3, t4]: [&mut [f64]; 4],
-    diag: &mut [f64],
-    lower: &mut [f64],
-) -> u64 {
-    s.mm(gu, g_less_next, t1);
-    s.mm_c(t1, u, t2);
-    s.mm_c(t2, gl_n, t1);
-    s.mm(gu, g_conn_next, t2);
-    s.mm(t2, l, t4);
-    s.mm(t4, g_less_left, t3);
-    diag.copy_from_slice(g_less_left);
-    add(diag, t1);
-    add(diag, t3);
-    s.adjoint(t3, t4);
-    sub(diag, t4);
-    s.mm(g_conn_next, l, t1);
-    s.mm(t1, g_less_left, lower);
-    s.mm_c(g_less_next, u, t1);
-    s.mul(t1, gl_n, Op::C, C64::ONE, lower);
-    neg(lower);
-    10
-}
-
 /// Unpacks block row `n` of every lane and hands it to `emit`.
 fn emit_row(
     s: &Lanes,
-    mats: &mut [CMatrix; 8],
+    mats: &mut [CMatrix; 7],
     n: usize,
     diag: [&[f64]; 3],
-    coupling: Option<[&[f64]; 5]>,
+    coupling: Option<[&[f64]; 4]>,
     emit: &mut impl FnMut(usize, &RgfRow<'_>),
 ) {
-    let [gr, gl, gg, upper, gr_upper, gr_lower, gl_lower, gg_lower] = mats;
+    let [gr, gl, gg, upper, gr_upper, gl_lower, gg_lower] = mats;
     for e in 0..s.lanes {
         for (src, m) in diag.iter().zip([&mut *gr, &mut *gl, &mut *gg]) {
             s.unpack(src, e, m);
         }
         if let Some(c) = &coupling {
-            let to = [
-                &mut *upper,
-                &mut *gr_upper,
-                &mut *gr_lower,
-                &mut *gl_lower,
-                &mut *gg_lower,
-            ];
+            let to = [&mut *upper, &mut *gr_upper, &mut *gl_lower, &mut *gg_lower];
             for (src, m) in c.iter().zip(to) {
                 s.unpack(src, e, m);
             }
@@ -349,7 +312,6 @@ fn emit_row(
         let coupling = coupling.is_some().then_some(RgfCoupling {
             upper,
             gr_upper,
-            gr_lower,
             gl_lower,
             gg_lower,
         });
@@ -391,11 +353,12 @@ pub fn rgf_row_into<I: RowInputs + ?Sized>(
     let (gl_left, gg_left) = rest.split_at_mut(nb * len);
     let mut blocks = scratch.chunks_exact_mut(len);
     let mut next = || blocks.next().expect("20 scratch lane blocks");
-    let [t1, t2, t3, t4, eff, sl, sg, up, lo, gu] = std::array::from_fn::<_, 10, _>(|_| next());
+    let [t1, t2, eff, sl, sg, up, lo] = std::array::from_fn::<_, 7, _>(|_| next());
+    let [gu, t, grl, y] = std::array::from_fn::<_, 4, _>(|_| next());
     let [mut grd, mut dl, mut dg, mut gr_next, mut gl_next, mut gg_next] =
         std::array::from_fn::<_, 6, _>(|_| next());
-    let [gr_upper, gr_lower, gl_lower, gg_lower] = std::array::from_fn::<_, 4, _>(|_| next());
-    let mut mats: [CMatrix; 8] = std::array::from_fn(|_| ws.take(bs, bs));
+    let [gr_upper, gl_lower, gg_lower] = std::array::from_fn::<_, 3, _>(|_| next());
+    let mut mats: [CMatrix; 7] = std::array::from_fn(|_| ws.take(bs, bs));
 
     // ---------- forward sweep: left-connected quantities ----------
     for n in 0..nb {
@@ -457,44 +420,39 @@ pub fn rgf_row_into<I: RowInputs + ?Sized>(
         }
         let gl_n = at(g_left, n, len);
 
-        // Retarded off-diagonals:
-        // G[n+1][n] = −G[n+1][n+1] · L · gL[n]
-        s.mm(gr_next, lo, t1);
-        s.mm(t1, gl_n, gr_lower);
-        neg(gr_lower);
-        // G[n][n+1] = −gL[n] · U · G[n+1][n+1]
-        s.mm(gl_n, up, t1);
-        s.mm(t1, gr_next, gr_upper);
-        neg(gr_upper);
-        // Retarded diagonal: G[n][n] = gL[n] − G[n][n+1]·L·gL[n].
-        grd.copy_from_slice(gl_n);
-        s.mm(gr_upper, lo, t1);
-        s.mm(t1, gl_n, t2);
-        sub(grd, t2);
-        // gu = gL[n]·U, shared by the lesser and greater steps below.
+        // G^R[n][n+1] = −gu·G^R[n+1][n+1] with gu = gL[n]·U.
         s.mm(gl_n, up, gu);
-        products += 7;
+        s.mm(gu, gr_next, gr_upper);
+        neg(gr_upper);
+        // G^R[n][n] = gL[n] − t·gL[n] with t = G^R[n][n+1]·L.
+        s.mm(gr_upper, lo, t);
+        grd.copy_from_slice(gl_n);
+        s.mm(t, gl_n, t1);
+        sub(grd, t1);
+        s.mm(gr_next, lo, grl);
+        products += 5;
 
+        // Per ≷, with X = grL·g≷, Y = G≷[n+1]·gu†, T1 = gu·Y, T3 = −t·g≷:
+        // G≷[n][n] = g≷ + T1 + T3 − T3† and G≷[n+1][n] = −(X + Y).
         for (g_less_next, g_less_left, diag, lower) in [
             (&*gl_next, at(gl_left, n, len), &mut *dl, &mut *gl_lower),
             (&*gg_next, at(gg_left, n, len), &mut *dg, &mut *gg_lower),
         ] {
-            let t = [&mut *t1, &mut *t2, &mut *t3, &mut *t4];
-            products += backward_lg_step(
-                &s,
-                gu,
-                gl_n,
-                up,
-                lo,
-                gr_next,
-                g_less_next,
-                g_less_left,
-                t,
-                diag,
-                lower,
-            );
+            s.mm_c(g_less_next, gu, y);
+            s.mm(grl, g_less_left, lower);
+            add(lower, y);
+            neg(lower);
+            s.mm(gu, y, t1);
+            diag.copy_from_slice(g_less_left);
+            add(diag, t1);
+            // y = −T3, then t1 = −T3†.
+            s.mm(t, g_less_left, y);
+            sub(diag, y);
+            s.adjoint(y, t1);
+            add(diag, t1);
+            products += 4;
         }
-        let coupling = [&*up, gr_upper, gr_lower, gl_lower, gg_lower];
+        let coupling = [&*up, gr_upper, gl_lower, gg_lower];
         emit_row(&s, &mut mats, n, [grd, dl, dg], Some(coupling), &mut emit);
         // Row n is the next step's row n + 1.
         std::mem::swap(&mut grd, &mut gr_next);
@@ -569,7 +527,6 @@ mod tests {
             .chain(&s.gl_diag)
             .chain(&s.gg_diag)
             .chain(&s.gr_upper)
-            .chain(&s.gr_lower)
             .chain(&s.gl_lower)
             .chain(&s.gg_lower)
     }
@@ -577,8 +534,9 @@ mod tests {
     #[test]
     fn row_solve_matches_dense_on_every_lane() {
         // Vector steps and scalar tails, one block row and several, odd
-        // and full-tile block sizes up to SMALL_DIM, and single lanes of
-        // blocks over it (the packed GEMM).
+        // and full-tile block sizes up to SMALL_DIM, single lanes of
+        // blocks over it (the packed GEMM), and the shapes of `gf_heavy`
+        // (nb 12, 32 × 32) and `sse_heavy` (nb 8, 12 × 12 on 4 lanes).
         for (nb, bs, lanes) in [
             (1, 4, 3),
             (2, 3, 5),
@@ -587,11 +545,13 @@ mod tests {
             (3, 7, 9),
             (3, 17, 1),
             (2, 24, 1),
+            (12, 32, 1),
+            (8, 12, 4),
         ] {
             let systems = test_lanes(nb, bs, 0.23, lanes);
             let rows = solve_chunked(&systems, &[lanes]);
             let (n, b3) = (nb as u64, (bs as u64).pow(3));
-            let want_flops = 8 * (37 * n - 33) * b3 + n * lu_flops(bs, bs);
+            let want_flops = 8 * (23 * n - 19) * b3 + n * lu_flops(bs, bs);
             for (e, ((m, sl, sg), got)) in systems.iter().zip(&rows).enumerate() {
                 assert_eq!(got.flops, want_flops, "nb {nb} bs {bs}: flops per lane");
                 let dense = dense_solve(m, sl, sg);
