@@ -24,7 +24,10 @@
 //!    `rgf_point_*` records but no row record fails), the Sancho-Rubio
 //!    decimation on four lanes (`sr_lanes_warm_*`) must beat it on one
 //!    lead (`sr_point_warm_*`) by [`MIN_SR_LANES_SPEEDUP`] (same bin, same
-//!    rule) — both floors measure 4 lanes ÷ 1 lane of one code — and the
+//!    rule), four block inverses as one lane LU (`lu_lanes_bs{12,32}_*`)
+//!    must beat four `invert_into` calls (`lu_point_bs{12,32}_*`) by
+//!    [`MIN_LU_LANES_SPEEDUP`] (same bin, same rule) — the three floors
+//!    measure 4 lanes ÷ 1 lane of one operation — and the
 //!    warm-started sweep
 //!    must save Born iterations (strict, deterministic)
 //!    while keeping at least `--min-sweep-speedup` (default 0.9×) of the
@@ -144,6 +147,12 @@ const MIN_ROW_SPEEDUP: f64 = 1.5;
 /// a time, the same code on one lane (`rgf_point`; 40 quick runs on a
 /// 2-vCPU AVX-512 host: 1.55–2.34×, median 1.75×).
 const MIN_SR_LANES_SPEEDUP: f64 = 1.4;
+
+/// Floor on four block inverses as one lane LU (`planes_invert`) over
+/// four `Workspace::invert_into` calls, at 12 × 12 and 32 × 32
+/// (`rgf_point`; quick and full runs on a 2-vCPU AVX-512 host:
+/// 2.7–3.8×).
+const MIN_LU_LANES_SPEEDUP: f64 = 2.0;
 
 /// Name stem of the plan-wall ÷ local-wall ladder records.
 const PLAN_VS_LOCAL: &str = "comm45_plan_vs_local_";
@@ -301,6 +310,8 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
                 MIN_ROW_SPEEDUP,
             ),
             ("sr_lanes_warm", "sr_point_warm", MIN_SR_LANES_SPEEDUP),
+            ("lu_lanes_bs12", "lu_point_bs12", MIN_LU_LANES_SPEEDUP),
+            ("lu_lanes_bs32", "lu_point_bs32", MIN_LU_LANES_SPEEDUP),
         ] {
             let (Some(lanes), Some(point)) = (find(lanes), find(point)) else {
                 eprintln!(

@@ -9,7 +9,7 @@
 //! named by a [`GridPoint`]; the driver's GF sweeps make a unit
 //! `(k, energy chunk)` — the energies of one momentum that a row solve
 //! advances together (`omen_rgf::row_width`: one SIMD vector of lanes on
-//! blocks up to `SMALL_DIM`, one point on larger ones). Contributions land
+//! blocks up to `LANE_MAX_DIM`, one point on larger ones). Contributions land
 //! in per-unit slots and fold in unit order, which is global point order,
 //! so results are **bit-identical** at every worker count, and with one
 //! worker the engine *is* [`SerialExecutor`]'s loop on the calling

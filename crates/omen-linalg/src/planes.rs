@@ -17,16 +17,21 @@
 //! * [`planes_gemm`] — `C[e] = α·A[e]·op(B[e]) + β·C[e]` over a chunk of
 //!   energy lanes whose operands all differ, every block product of the
 //!   RGF recursion and the boundary decimation (`omen-rgf`): the lane
-//!   kernel on blocks up to `SMALL_DIM`, larger blocks one lane at a time
-//!   through [`crate::gemm()`]'s packed path.
+//!   kernel ([`lane_gemm`]) on blocks up to [`LANE_MAX_DIM`], larger
+//!   blocks one lane at a time through [`crate::gemm()`]'s packed path;
+//! * [`planes_invert`] — `out[e] = A[e]⁻¹` over the same lane blocks,
+//!   every block inverse of that recursion and decimation: a pivoted LU
+//!   per lane (pivots searched and rows swapped per lane) whose every
+//!   lane is bitwise [`crate::Workspace::invert_into`].
 //!
 //! Each is one generic body instantiated twice, AVX2+FMA and portable,
 //! behind the same runtime dispatch as the micro-kernel
 //! (`OMEN_FORCE_SCALAR=1` pins the portable one). Within an instantiation
 //! the arithmetic of one output element never depends on where in a run
-//! it sits (vector step or scalar tail), so [`planes_mac`] and
-//! [`planes_gemm`] are bitwise reproducible under any split of the energy
-//! axis.
+//! it sits (vector step or scalar tail), so [`planes_mac`],
+//! [`planes_gemm`] and [`planes_invert`] are bitwise reproducible under
+//! any split of the energy axis; [`planes_invert`] fuses nothing, so its
+//! two instantiations agree bit for bit too.
 //!
 //! The kernels do no accounting of their own: a caller fuses many sweeps
 //! over one pack into a run and reports it once through
@@ -35,9 +40,21 @@
 use crate::batched::{BatchDims, PackedB};
 use crate::complex::{c64, C64};
 use crate::gemm::{fma_available, gemm_cols, Cols, ColsMut, Op, SMALL_DIM};
+use crate::lu::SingularMatrix;
+use crate::workspace::Workspace;
 
 /// `f64` lanes of one vector step (one AVX2 register).
 pub const LANES: usize = 4;
+
+/// Largest block dimension [`planes_gemm`] runs on energy lanes, and
+/// the one threshold every lane/one-lane choice reads (`omen-rgf`'s
+/// `row_width` too). Set from the `planes_gemm_{lanes,point}_bs*`
+/// records of `rgf_point` (`BENCH_kernels.json`): the largest measured
+/// block size at which one 4-lane [`lane_gemm`] call beats four packed
+/// [`crate::gemm()`] calls in every run. On a 2-vCPU AVX-512 Xeon, four
+/// runs read 1.9–2.1× at 24, 1.6–1.8× at 32, 1.4–1.5× at 48 and
+/// 0.92–1.32× at 64. Larger blocks take one lane through the packed GEMM.
+pub const LANE_MAX_DIM: usize = 48;
 
 /// Largest block dimension [`planes_mac`] is instantiated for. Every
 /// larger square block takes the packed micro-kernel
@@ -353,6 +370,13 @@ trait Lane: Copy {
     unsafe fn madd(self, b: Self, c: Self) -> Self;
     /// `c − self·b`, fused where the instantiation fuses.
     unsafe fn nmadd(self, b: Self, c: Self) -> Self;
+    /// `self + b`.
+    unsafe fn add(self, b: Self) -> Self;
+    /// `self − b`.
+    unsafe fn sub(self, b: Self) -> Self;
+    /// `old` on the lanes where `re + i·im` is zero (`==`, so `−0.0`
+    /// too), `self` on the others.
+    unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self;
 }
 
 /// A scalar lane with hardware FMA: the operations of an AVX2 lane.
@@ -385,6 +409,22 @@ impl Lane for Fused {
     unsafe fn nmadd(self, b: Self, c: Self) -> Self {
         Fused((-self.0).mul_add(b.0, c.0))
     }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        Fused(self.0 + b.0)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        Fused(self.0 - b.0)
+    }
+    #[inline(always)]
+    unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self {
+        if re.0 == 0.0 && im.0 == 0.0 {
+            old
+        } else {
+            self
+        }
+    }
 }
 
 /// A scalar lane without FMA: the portable instantiation.
@@ -416,6 +456,22 @@ impl Lane for Plain {
     #[inline(always)]
     unsafe fn nmadd(self, b: Self, c: Self) -> Self {
         Plain(c.0 - self.0 * b.0)
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        Plain(self.0 + b.0)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        Plain(self.0 - b.0)
+    }
+    #[inline(always)]
+    unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self {
+        if re.0 == 0.0 && im.0 == 0.0 {
+            old
+        } else {
+            self
+        }
     }
 }
 
@@ -452,6 +508,22 @@ impl Lane for Avx {
     unsafe fn nmadd(self, b: Self, c: Self) -> Self {
         Avx(std::arch::x86_64::_mm256_fnmadd_pd(self.0, b.0, c.0))
     }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        Avx(std::arch::x86_64::_mm256_add_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        Avx(std::arch::x86_64::_mm256_sub_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self {
+        use std::arch::x86_64::*;
+        let zero = _mm256_setzero_pd();
+        let re = _mm256_cmp_pd::<_CMP_EQ_OQ>(re.0, zero);
+        let im = _mm256_cmp_pd::<_CMP_EQ_OQ>(im.0, zero);
+        Avx(_mm256_blendv_pd(self.0, old.0, _mm256_and_pd(re, im)))
+    }
 }
 
 /// Shape and scalars of one [`planes_gemm`] call, in `f64` offsets: an
@@ -485,13 +557,21 @@ impl LaneGemm {
 
     /// The `MR × NR` output tile at `(i0, j0)`, lanes `e..e + V::WIDTH`:
     /// `acc = Σ_l A[i, l]·op(B)[l, j]` from zero in `l` order, four fused
-    /// operations per complex MAC, then `C = α·acc + β·C`.
+    /// operations per complex MAC, then `C = α·acc + β·C`. With `GEMM`
+    /// each MAC adds its two terms in the packed micro-kernel's order
+    /// (see [`lane_gemm`]).
     ///
     /// # Safety
     /// The three planes must hold the whole block at every lane read, and
     /// the CPU must run `V` (see [`Lane`]).
     #[inline(always)]
-    unsafe fn tile<V: Lane, const MR: usize, const NR: usize, const CONJ: bool>(
+    unsafe fn tile<
+        V: Lane,
+        const MR: usize,
+        const NR: usize,
+        const CONJ: bool,
+        const GEMM: bool,
+    >(
         &self,
         i0: usize,
         j0: usize,
@@ -522,15 +602,26 @@ impl LaneGemm {
                 let (br, bi) = (V::load(p), V::load(p.add(ls)));
                 for r in 0..MR {
                     let (x, y) = (&mut re[r][q], &mut im[r][q]);
-                    *x = ar[r].madd(br, *x);
-                    if CONJ {
-                        *x = ai[r].madd(bi, *x);
-                        *y = ar[r].nmadd(bi, *y);
-                    } else {
-                        *x = ai[r].nmadd(bi, *x);
-                        *y = ar[r].madd(bi, *y);
+                    let (ar, ai) = (ar[r], ai[r]);
+                    match (GEMM, CONJ) {
+                        // The packed GEMM's order: the `ai` terms first.
+                        (true, false) => {
+                            *x = ar.madd(br, ai.nmadd(bi, *x));
+                            *y = ar.madd(bi, ai.madd(br, *y));
+                        }
+                        (true, true) => {
+                            *x = ar.madd(br, ai.madd(bi, *x));
+                            *y = ar.nmadd(bi, ai.madd(br, *y));
+                        }
+                        (false, false) => {
+                            *x = ai.nmadd(bi, ar.madd(br, *x));
+                            *y = ai.madd(br, ar.madd(bi, *y));
+                        }
+                        (false, true) => {
+                            *x = ai.madd(bi, ar.madd(br, *x));
+                            *y = ai.madd(br, ar.nmadd(bi, *y));
+                        }
                     }
-                    *y = ai[r].madd(br, *y);
                 }
             }
             pb = pb.add(b_l);
@@ -562,19 +653,21 @@ impl LaneGemm {
     /// As for [`LaneGemm::tile`], and `V::WIDTH` must divide `to − from`.
     #[inline(always)]
     unsafe fn run<V: Lane>(&self, from: usize, to: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        if self.conj_b {
-            self.tiles::<V, true>(from, to, a, b, c);
-        } else {
-            self.tiles::<V, false>(from, to, a, b, c);
+        let BatchDims { m, n, k } = self.dims;
+        match (self.conj_b, m.max(n).max(k) > SMALL_DIM) {
+            (false, false) => self.tiles::<V, false, false>(from, to, a, b, c),
+            (false, true) => self.tiles::<V, false, true>(from, to, a, b, c),
+            (true, false) => self.tiles::<V, true, false>(from, to, a, b, c),
+            (true, true) => self.tiles::<V, true, true>(from, to, a, b, c),
         }
     }
 
-    /// [`LaneGemm::run`] for one `op(B)`.
+    /// [`LaneGemm::run`] for one `op(B)` and one MAC order.
     ///
     /// # Safety
     /// As for [`LaneGemm::run`].
     #[inline(always)]
-    unsafe fn tiles<V: Lane, const CONJ: bool>(
+    unsafe fn tiles<V: Lane, const CONJ: bool, const GEMM: bool>(
         &self,
         from: usize,
         to: usize,
@@ -588,10 +681,10 @@ impl LaneGemm {
             for i0 in (0..m).step_by(2) {
                 for e in (from..to).step_by(V::WIDTH) {
                     match (m - i0 > 1, n - j0 > 1) {
-                        (true, true) => self.tile::<V, 2, 2, CONJ>(i0, j0, e, a, b, c),
-                        (true, false) => self.tile::<V, 2, 1, CONJ>(i0, j0, e, a, b, c),
-                        (false, true) => self.tile::<V, 1, 2, CONJ>(i0, j0, e, a, b, c),
-                        (false, false) => self.tile::<V, 1, 1, CONJ>(i0, j0, e, a, b, c),
+                        (true, true) => self.tile::<V, 2, 2, CONJ, GEMM>(i0, j0, e, a, b, c),
+                        (true, false) => self.tile::<V, 2, 1, CONJ, GEMM>(i0, j0, e, a, b, c),
+                        (false, true) => self.tile::<V, 1, 2, CONJ, GEMM>(i0, j0, e, a, b, c),
+                        (false, false) => self.tile::<V, 1, 1, CONJ, GEMM>(i0, j0, e, a, b, c),
                     }
                 }
             }
@@ -610,22 +703,69 @@ impl LaneGemm {
 /// imaginary parts right after.
 ///
 /// The block size picks the kernel. Blocks whose every dimension is at
-/// most [`SMALL_DIM`] run the lane kernel (2 × 2 register tiles, no
-/// packing). Same contract as [`planes_mac`]: within one dispatch
-/// instantiation an output element receives the same fused operations in
-/// the same order whether its lane sits in a vector step or the scalar
-/// tail, so a lane's result does not depend on which other lanes share
-/// the call. That kernel does no accounting of its own (see
-/// [`count_fused_run`]). Larger blocks take one lane, whose lane block is
-/// `CMatrix`'s column-major `C64` layout, and run [`crate::gemm()`] on it
-/// — its packed path, bit for bit, counted as one `GemmCalls`. `C` is not
-/// read when `β = 0`.
+/// most [`LANE_MAX_DIM`] run the lane kernel, [`lane_gemm`]. Larger
+/// blocks take one lane, whose lane block is `CMatrix`'s column-major
+/// `C64` layout, and run [`crate::gemm()`] on it — its packed path, bit
+/// for bit, counted as one `GemmCalls`. `C` is not read when `β = 0`.
 ///
 /// # Panics
 /// If `op_b` is [`Op::T`], a lane block is too short for its shape, or
-/// blocks larger than [`SMALL_DIM`] come with more than one lane.
+/// blocks larger than [`LANE_MAX_DIM`] come with more than one lane.
 #[allow(clippy::too_many_arguments)] // BLAS-style parameter list
 pub fn planes_gemm(
+    dims: BatchDims,
+    lanes: usize,
+    alpha: C64,
+    a: &[f64],
+    b: &[f64],
+    op_b: Op,
+    beta: C64,
+    c: &mut [f64],
+) {
+    let BatchDims { m, n, k } = dims;
+    if m.max(n).max(k) <= LANE_MAX_DIM {
+        return lane_gemm(dims, lanes, alpha, a, b, op_b, beta, c);
+    }
+    assert!(op_b != Op::T, "planes_gemm: op(B) is N or C");
+    assert!(a.len() >= 2 * m * k * lanes, "planes_gemm: A too short");
+    assert!(b.len() >= 2 * k * n * lanes, "planes_gemm: B too short");
+    assert!(c.len() >= 2 * m * n * lanes, "planes_gemm: C too short");
+    if lanes == 0 {
+        return;
+    }
+    assert_eq!(
+        lanes, 1,
+        "planes_gemm: blocks over LANE_MAX_DIM take one lane"
+    );
+    let b_rows = if op_b == Op::C { n } else { k };
+    let (a, b) = (as_c64(&a[..2 * m * k]), as_c64(&b[..2 * k * n]));
+    let c = ColsMut::new(as_c64_mut(&mut c[..2 * m * n]), m);
+    let (a, b) = (Cols::new(a, m), Cols::new(b, b_rows));
+    gemm_cols(alpha, a, Op::N, b, op_b, beta, c, (m, n, k));
+}
+
+/// The lane kernel of [`planes_gemm`] at any block size (2 × 2 register
+/// tiles, no packing): what `planes_gemm` runs up to [`LANE_MAX_DIM`],
+/// and what the records that set that threshold time above it. Same
+/// contract as [`planes_mac`]: within one dispatch instantiation an
+/// output element receives the same fused operations in the same order
+/// whether its lane sits in a vector step or the scalar tail, so a lane's
+/// result does not depend on which other lanes share the call. It does no
+/// accounting of its own (see [`count_fused_run`]).
+///
+/// The order of a MAC's four fused operations follows the block size.
+/// Up to the GEMM's `SMALL_DIM` (16) it is the lane kernel's own. Above
+/// it, where one block at a time would take the packed path, each MAC
+/// adds its `ai` terms first as the packed micro-kernel does; with
+/// `k ≤ KC` (128) every dimension up to [`LANE_MAX_DIM`] qualifies, so
+/// in the AVX2 instantiation a lane of an `α = 1`, `β = 0` product — the
+/// only kind the RGF recursion and the decimation form — is `==`
+/// [`crate::gemm()`]'s result (an exact zero may differ in sign).
+///
+/// # Panics
+/// If `op_b` is [`Op::T`] or a lane block is too short for its shape.
+#[allow(clippy::too_many_arguments)] // BLAS-style parameter list
+pub fn lane_gemm(
     dims: BatchDims,
     lanes: usize,
     alpha: C64,
@@ -640,16 +780,7 @@ pub fn planes_gemm(
     assert!(a.len() >= 2 * m * k * lanes, "planes_gemm: A too short");
     assert!(b.len() >= 2 * k * n * lanes, "planes_gemm: B too short");
     assert!(c.len() >= 2 * m * n * lanes, "planes_gemm: C too short");
-    if lanes == 0 {
-        return;
-    }
-    if m.max(n).max(k) > SMALL_DIM {
-        assert_eq!(lanes, 1, "planes_gemm: blocks over SMALL_DIM take one lane");
-        let b_rows = if op_b == Op::C { n } else { k };
-        let (a, b) = (as_c64(&a[..2 * m * k]), as_c64(&b[..2 * k * n]));
-        let c = ColsMut::new(as_c64_mut(&mut c[..2 * m * n]), m);
-        let (a, b) = (Cols::new(a, m), Cols::new(b, b_rows));
-        gemm_cols(alpha, a, Op::N, b, op_b, beta, c, (m, n, k));
+    if lanes == 0 || m == 0 || n == 0 {
         return;
     }
     let g = LaneGemm {
@@ -659,9 +790,6 @@ pub fn planes_gemm(
         beta,
         conj_b: op_b == Op::C,
     };
-    if m == 0 || n == 0 {
-        return;
-    }
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: `fma_available` says the CPU has AVX2 + FMA; the asserts
@@ -705,6 +833,264 @@ unsafe fn gemm_avx2(g: &LaneGemm, a: &[f64], b: &[f64], c: &mut [f64]) {
     let full = g.lanes / LANES * LANES;
     g.run::<Avx>(0, full, a, b, c);
     g.run::<Fused>(full, g.lanes, a, b, c);
+}
+
+// ---------------------------------------------------------------------------
+// RGF: block inverses with the energy lanes as the SIMD axis.
+// ---------------------------------------------------------------------------
+
+/// A complex number of lanes, `(re, im)`.
+type Cx<V> = (V, V);
+
+/// `x·y` as [`C64`]'s `Mul`: four products, one subtraction, one
+/// addition, nothing fused.
+#[inline(always)]
+unsafe fn cmul<V: Lane>((xr, xi): Cx<V>, (yr, yi): Cx<V>) -> Cx<V> {
+    (xr.mul(yr).sub(xi.mul(yi)), xr.mul(yi).add(xi.mul(yr)))
+}
+
+/// `acc − x·y` as `C64`'s `acc -= x * y`.
+#[inline(always)]
+unsafe fn cmsub<V: Lane>((ar, ai): Cx<V>, x: Cx<V>, y: Cx<V>) -> Cx<V> {
+    let (pr, pi) = cmul(x, y);
+    (ar.sub(pr), ai.sub(pi))
+}
+
+/// The state of one [`planes_invert`] call: the factors of every lane,
+/// **row-major** (element `(i, j)` from `2·(i·n + j)·lanes`, so a row of
+/// `U` and of `L` is contiguous), the pivot row of every step and lane,
+/// and the reciprocal of every lane's `U` diagonal, `[k][re|im][lane]`.
+struct LaneLu<'a> {
+    n: usize,
+    lanes: usize,
+    lu: &'a mut [f64],
+    piv: &'a mut [usize],
+    rinv: &'a mut [f64],
+}
+
+impl LaneLu<'_> {
+    /// Offset of element `(i, j)` of the factors.
+    #[inline(always)]
+    fn at(&self, i: usize, j: usize) -> usize {
+        2 * (i * self.n + j) * self.lanes
+    }
+
+    /// Step `k` of `LuFactors::factorize` for lane `e`, up to the
+    /// elimination: the pivot search, the row swap and the pivot's
+    /// reciprocal.
+    fn pivot(&mut self, k: usize, e: usize) -> Result<(), SingularMatrix> {
+        let (n, l) = (self.n, self.lanes);
+        let norm_sqr = |lu: &[f64], x: usize| c64(lu[x + e], lu[x + l + e]).norm_sqr();
+        let mut p = k;
+        let mut pmax = norm_sqr(self.lu, self.at(k, k));
+        for i in (k + 1)..n {
+            let v = norm_sqr(self.lu, self.at(i, k));
+            if v > pmax {
+                pmax = v;
+                p = i;
+            }
+        }
+        if pmax == 0.0 {
+            return Err(SingularMatrix { step: k });
+        }
+        self.piv[k * l + e] = p;
+        if p != k {
+            for j in 0..n {
+                let (x, y) = (self.at(k, j) + e, self.at(p, j) + e);
+                self.lu.swap(x, y);
+                self.lu.swap(x + l, y + l);
+            }
+        }
+        let x = self.at(k, k) + e;
+        let r = c64(self.lu[x], self.lu[x + l]).recip();
+        (self.rinv[2 * k * l + e], self.rinv[(2 * k + 1) * l + e]) = (r.re, r.im);
+        Ok(())
+    }
+
+    /// Lanes `from..to` of step `k`'s elimination: the multipliers below
+    /// the pivot, then the trailing update, skipping (per lane) every
+    /// column whose `u_kj` is zero.
+    ///
+    /// # Safety
+    /// The CPU must run `V`, and `V::WIDTH` must divide `to − from`.
+    #[inline(always)]
+    unsafe fn eliminate<V: Lane>(&mut self, k: usize, from: usize, to: usize) {
+        let (n, l) = (self.n, self.lanes);
+        let lu = self.lu.as_mut_ptr();
+        let ld = |x: usize| (V::load(lu.add(x)), V::load(lu.add(x + l)));
+        let st = |x: usize, (re, im): Cx<V>| {
+            re.store(lu.add(x));
+            im.store(lu.add(x + l));
+        };
+        for e in (from..to).step_by(V::WIDTH) {
+            let r = self.rinv.as_ptr();
+            let pinv = (
+                V::load(r.add(2 * k * l + e)),
+                V::load(r.add((2 * k + 1) * l + e)),
+            );
+            for i in (k + 1)..n {
+                let m = cmul(ld(self.at(i, k) + e), pinv);
+                st(self.at(i, k) + e, m);
+                for j in (k + 1)..n {
+                    let (u, x) = (ld(self.at(k, j) + e), self.at(i, j) + e);
+                    let v = ld(x);
+                    let (re, im) = cmsub(v, m, u);
+                    st(
+                        x,
+                        (re.unless_zero(v.0, u.0, u.1), im.unless_zero(v.1, u.0, u.1)),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Lanes `from..to` of `LuFactors::solve_vec_inplace` on `b`, one
+    /// column of lane blocks (`[row][re|im][lane]`) already permuted:
+    /// `L y = b` forward, then `U x = y` backward.
+    ///
+    /// # Safety
+    /// As for [`LaneLu::eliminate`]; `b` holds `n` elements.
+    #[inline(always)]
+    unsafe fn substitute<V: Lane>(&self, b: &mut [f64], from: usize, to: usize) {
+        let (n, l) = (self.n, self.lanes);
+        let (lu, b, r) = (self.lu.as_ptr(), b.as_mut_ptr(), self.rinv.as_ptr());
+        let ld = |p: *const f64, x: usize| (V::load(p.add(x)), V::load(p.add(x + l)));
+        for e in (from..to).step_by(V::WIDTH) {
+            for i in 1..n {
+                let mut acc = ld(b, 2 * i * l + e);
+                for j in 0..i {
+                    acc = cmsub(acc, ld(lu, self.at(i, j) + e), ld(b, 2 * j * l + e));
+                }
+                acc.0.store(b.add(2 * i * l + e));
+                acc.1.store(b.add((2 * i + 1) * l + e));
+            }
+            for i in (0..n).rev() {
+                let mut acc = ld(b, 2 * i * l + e);
+                for j in (i + 1)..n {
+                    acc = cmsub(acc, ld(lu, self.at(i, j) + e), ld(b, 2 * j * l + e));
+                }
+                let (re, im) = cmul(acc, ld(r, 2 * i * l + e));
+                re.store(b.add(2 * i * l + e));
+                im.store(b.add((2 * i + 1) * l + e));
+            }
+        }
+    }
+
+    /// The whole inverse into `out` (column-major lane blocks): `V` steps
+    /// over the lanes, `T` (one lane wide) over the rest.
+    ///
+    /// # Safety
+    /// The CPU must run `V` and `T`; `out` holds the whole block.
+    #[inline(always)]
+    unsafe fn run<V: Lane, T: Lane>(&mut self, out: &mut [f64]) -> Result<(), SingularMatrix> {
+        let (n, l) = (self.n, self.lanes);
+        let full = l / V::WIDTH * V::WIDTH;
+        for k in 0..n {
+            for e in 0..l {
+                self.pivot(k, e)?;
+            }
+            self.eliminate::<V>(k, 0, full);
+            self.eliminate::<T>(k, full, l);
+        }
+        // Column c of A⁻¹ solves A x = e_c.
+        for (c, b) in out.chunks_exact_mut(2 * n * l).take(n).enumerate() {
+            b.fill(0.0);
+            for e in 0..l {
+                b[2 * c * l + e] = 1.0;
+                for k in 0..n {
+                    let p = self.piv[k * l + e];
+                    if p != k {
+                        b.swap(2 * k * l + e, 2 * p * l + e);
+                        b.swap((2 * k + 1) * l + e, (2 * p + 1) * l + e);
+                    }
+                }
+            }
+            self.substitute::<V>(b, 0, full);
+            self.substitute::<T>(b, full, l);
+        }
+        Ok(())
+    }
+}
+
+impl LaneLu<'_> {
+    /// [`LaneLu::run`] on the instantiation the CPU runs.
+    fn dispatch(&mut self, out: &mut [f64]) -> Result<(), SingularMatrix> {
+        let (n, l) = (self.n, self.lanes);
+        assert!(self.lu.len() >= 2 * n * n * l && out.len() >= 2 * n * n * l);
+        assert!(self.rinv.len() >= 2 * n * l && self.piv.len() >= n * l);
+        #[cfg(target_arch = "x86_64")]
+        if fma_available() {
+            // SAFETY: `fma_available` says the CPU has AVX2 + FMA; the
+            // asserts above say the factors, reciprocals and `out` hold
+            // every lane of every element.
+            return unsafe { invert_avx2(self, out) };
+        }
+        // SAFETY: as above; a one-lane step divides any lane count.
+        unsafe { self.run::<Plain, Plain>(out) }
+    }
+}
+
+/// AVX2 instantiation of [`LaneLu::run`]: four lanes per step, the rest
+/// one at a time.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA (the lane types need both; no
+/// operation here is fused); `out` holds the whole block.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn invert_avx2(lu: &mut LaneLu, out: &mut [f64]) -> Result<(), SingularMatrix> {
+    lu.run::<Avx, Fused>(out)
+}
+
+/// `out[e] = a[e]⁻¹` for every lane `e < lanes` of `n × n` lane blocks
+/// (the layout of [`planes_gemm`]): the block inverses of the RGF
+/// recursion and the Sancho–Rubio decimation, with the energies as the
+/// SIMD axis.
+///
+/// Every lane performs [`crate::Workspace::invert_into`]'s operations in
+/// its order — `LuFactors::factorize` with the pivot searched and the
+/// rows swapped per lane, the `u_kj = 0` skip a per-lane blend, each
+/// pivot's `recip` per lane, then `invert_into`'s forward and backward
+/// substitution — every complex product and difference unfused as
+/// [`C64`] computes it. So each lane's inverse is bitwise
+/// `invert_into`'s, in either dispatch instantiation and whatever lanes
+/// share the call. The factors, pivots and reciprocals are scratch from
+/// `ws`, so a warm workspace makes the call allocation-free.
+///
+/// # Panics
+/// With `invert_into`'s message if a lane is singular, or if a lane
+/// block is too short for its shape.
+pub fn planes_invert(n: usize, lanes: usize, a: &[f64], out: &mut [f64], ws: &mut Workspace) {
+    let len = 2 * n * n * lanes;
+    assert!(a.len() >= len, "planes_invert: A too short");
+    assert!(out.len() >= len, "planes_invert: out too short");
+    if n == 0 || lanes == 0 {
+        return;
+    }
+    let mut buf = ws.take_planes(len + 2 * n * lanes);
+    let mut piv = std::mem::take(&mut ws.lane_pivots);
+    piv.resize(n * lanes, 0);
+    let (lu, rinv) = buf.split_at_mut(len);
+    // The factors are row-major: a transposed copy of `a`.
+    for (j, col) in a[..len].chunks_exact(2 * n * lanes).enumerate() {
+        for (i, z) in col.chunks_exact(2 * lanes).enumerate() {
+            let d = 2 * (i * n + j) * lanes;
+            lu[d..d + 2 * lanes].copy_from_slice(z);
+        }
+    }
+    let mut f = LaneLu {
+        n,
+        lanes,
+        lu,
+        piv: &mut piv,
+        rinv,
+    };
+    let solved = f.dispatch(out);
+    ws.lane_pivots = piv;
+    ws.give_planes(buf);
+    if let Err(e) = solved {
+        panic!("invert: {e} (matrix {n}x{n})");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -828,6 +1214,7 @@ unsafe fn dots_avx2(n: usize, x: &[SplitRun<'_>; 3], y: &[SplitRun<'_>; 3], tile
 mod tests {
     use super::*;
     use crate::batched::{use_packed_kernel, BatchDims};
+    use crate::dense::CMatrix;
 
     #[test]
     fn every_unpacked_square_block_has_a_plane_instantiation() {
@@ -993,6 +1380,51 @@ mod tests {
     }
 
     #[test]
+    fn lane_gemm_above_small_dim_is_the_packed_gemm() {
+        if !fma_available() {
+            return; // the portable instantiations sum in different orders
+        }
+        for (bs, lanes) in [(17, 1), (24, 4), (32, 5), (LANE_MAX_DIM, 4)] {
+            let mats = |seed: u64| -> Vec<CMatrix> {
+                (0..lanes)
+                    .map(|e| CMatrix::from_vec(bs, bs, noise(bs * bs, seed + e as u64)))
+                    .collect()
+            };
+            let (a, b) = (mats(20), mats(30));
+            let pack = |m: &[CMatrix]| {
+                let mut out = vec![0.0; 2 * bs * bs * lanes];
+                for (e, m) in m.iter().enumerate() {
+                    for (x, z) in m.as_slice().iter().enumerate() {
+                        (out[2 * x * lanes + e], out[(2 * x + 1) * lanes + e]) = (z.re, z.im);
+                    }
+                }
+                out
+            };
+            for op_b in [Op::N, Op::C] {
+                let mut c = vec![f64::NAN; 2 * bs * bs * lanes];
+                let dims = BatchDims::square(bs);
+                lane_gemm(
+                    dims,
+                    lanes,
+                    C64::ONE,
+                    &pack(&a),
+                    &pack(&b),
+                    op_b,
+                    C64::ZERO,
+                    &mut c,
+                );
+                for e in 0..lanes {
+                    let mut want = CMatrix::zeros(bs, bs);
+                    crate::gemm(C64::ONE, &a[e], Op::N, &b[e], op_b, C64::ZERO, &mut want);
+                    let want: Vec<f64> =
+                        want.as_slice().iter().flat_map(|z| [z.re, z.im]).collect();
+                    assert_eq!(lane_of(&c, lanes, e), want, "bs {bs} {op_b:?} lane {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lane_gemm_instantiations_agree_to_rounding() {
         if !fma_available() {
             return; // one instantiation only on this host (or forced)
@@ -1020,6 +1452,80 @@ mod tests {
         for (x, y) in fused.iter().zip(&plain) {
             assert!((x - y).abs() < 1e-13, "{x} vs {y}");
         }
+    }
+
+    /// Lane `e` of the `invert` test: a different matrix per lane. Most
+    /// lanes have their rows rotated by a lane-dependent amount, so the
+    /// lanes pick different pivot rows. Every third lane is lower
+    /// triangular with a dominant diagonal and `−0.0` above it: no row
+    /// swaps, and every `u_kj` above the diagonal is zero, so the skip's
+    /// blend decides each of those elements.
+    fn invert_case(n: usize, e: usize) -> CMatrix {
+        let z = noise(n * n, 40 + e as u64);
+        CMatrix::from_fn(n, n, |i, j| {
+            let r = if e % 3 == 2 { i } else { (i + 3 * e + 1) % n };
+            let v = z[r * n + j];
+            if e % 3 == 2 && j > i {
+                c64(-0.0, -0.0)
+            } else if r == j {
+                v + c64(2.5, 0.25)
+            } else {
+                v
+            }
+        })
+    }
+
+    #[test]
+    fn planes_invert_is_bitwise_invert_into() {
+        let mut ws = Workspace::new();
+        let mut want = CMatrix::zeros(0, 0);
+        let counts = [1, 3, 4, 5, 9];
+        for n in 1..=LANE_MAX_DIM {
+            let all = [17, 24, 32, LANE_MAX_DIM].contains(&n);
+            let lane_counts = if all {
+                &counts[..]
+            } else {
+                &counts[n % 5..][..1]
+            };
+            for &lanes in lane_counts {
+                let mats: Vec<CMatrix> = (0..lanes).map(|e| invert_case(n, e)).collect();
+                let mut a = vec![0.0; 2 * n * n * lanes];
+                for (e, m) in mats.iter().enumerate() {
+                    for (x, z) in m.as_slice().iter().enumerate() {
+                        (a[2 * x * lanes + e], a[(2 * x + 1) * lanes + e]) = (z.re, z.im);
+                    }
+                }
+                let mut out = vec![f64::NAN; a.len()];
+                planes_invert(n, lanes, &a, &mut out, &mut ws);
+                for (e, m) in mats.iter().enumerate() {
+                    ws.invert_into(m, &mut want);
+                    let want: Vec<u64> = want
+                        .as_slice()
+                        .iter()
+                        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                        .collect();
+                    let got: Vec<u64> = lane_of(&out, lanes, e)
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect();
+                    assert_eq!(got, want, "n {n}, lane {e} of {lanes}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invert: matrix is singular at elimination step 2 (matrix 5x5)")]
+    fn planes_invert_panics_on_a_singular_lane() {
+        let (n, lanes) = (5, 4);
+        let mut a: Vec<f64> = (0..2 * n * n * lanes)
+            .map(|x| (x as f64 * 0.7).sin())
+            .collect();
+        // Lane 2's third column is zero.
+        for p in 2 * 2 * n..2 * 3 * n {
+            a[p * lanes + 2] = 0.0;
+        }
+        planes_invert(n, lanes, &a.clone(), &mut a, &mut Workspace::new());
     }
 
     #[test]

@@ -44,6 +44,8 @@ pub struct Workspace {
     batch: BatchArena,
     /// LU storage shared by [`Workspace::invert_into`].
     lu: LuFactors,
+    /// Pivot rows of [`crate::planes_invert`], every step and lane.
+    pub(crate) lane_pivots: Vec<usize>,
 }
 
 impl Workspace {
@@ -193,6 +195,7 @@ impl Workspace {
         self.free_packed_b.clear();
         self.batch.reset();
         self.lu = LuFactors::new();
+        self.lane_pivots = Vec::new();
     }
 
     /// Approximate bytes held by pooled (checked-in) buffers.

@@ -267,7 +267,8 @@ proptest! {
         pick in (0usize..2, 0usize..3),
         coeffs in (arb_c64(), arb_c64()),
         seed in 0u64..1_000_000,
-        packed in (17usize..=40, 17usize..=40, 17usize..=40),
+        packed in (LANE_MAX_DIM + 1..=64, 17usize..=64, 17usize..=64),
+        large in (17usize..=LANE_MAX_DIM, 17usize..=LANE_MAX_DIM, 17usize..=LANE_MAX_DIM, 1usize..=5),
     ) {
         // Every lane of the lane-block kernel against `gemm` on that lane's
         // blocks: vector steps and scalar tails (lanes 1–9), op(B) ∈ {N, C},
@@ -283,7 +284,7 @@ proptest! {
         };
         let b_shape = |k: usize, n: usize| if op_b == Op::C { (n, k) } else { (k, n) };
 
-        // Blocks over SMALL_DIM take one lane, whose lane block is the
+        // Blocks over LANE_MAX_DIM take one lane, whose lane block is the
         // `C64` layout: the packed `gemm`, bit for bit.
         let (pm, pn, pk) = packed;
         let (a1, c1) = (block(pm, pk, 0, 4), block(pm, pn, 0, 6));
@@ -300,6 +301,10 @@ proptest! {
         let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
         prop_assert!(got == want, "{pm}x{pn}x{pk} {op_b:?}: one lane is not gemm's bits");
 
+        // The lane kernel on every lane, against `gemm` on that lane's
+        // blocks: to rounding on small blocks, and to 1e-12 of the scale
+        // on blocks above the GEMM's SMALL_DIM.
+        for ((m, n, k), lanes, rel) in [((m, n, k), lanes, 8.0 * f64::EPSILON), ((large.0, large.1, large.2), large.3, 1e-12)] {
         let (br, bc) = b_shape(k, n);
         let a: Vec<CMatrix> = (0..lanes).map(|e| block(m, k, e, 1)).collect();
         let b: Vec<CMatrix> = (0..lanes).map(|e| block(br, bc, e, 2)).collect();
@@ -322,7 +327,7 @@ proptest! {
         let bmax = b.iter().map(|x| x.max_abs()).fold(0.0, f64::max);
         let cmax = c0.iter().map(|x| x.max_abs()).fold(0.0, f64::max);
         let scale = alpha.abs() * k as f64 * amax * bmax + beta.abs() * cmax;
-        let tol = 8.0 * f64::EPSILON * scale.max(1.0);
+        let tol = rel * scale.max(1.0);
         for e in 0..lanes {
             let mut want = c0[e].clone();
             gemm(alpha, &a[e], Op::N, &b[e], op_b, beta, &mut want);
@@ -333,6 +338,7 @@ proptest! {
                     "{m}x{n}x{k} lane {e}/{lanes} {op_b:?}: {g} vs {w} (tol {tol:e})"
                 );
             }
+        }
         }
     }
 

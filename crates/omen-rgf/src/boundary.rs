@@ -20,7 +20,8 @@
 
 use crate::rows::{row_width, sub, Lanes};
 use omen_linalg::{
-    count_fused_run, gemm_flops, matmul, matmul3, matmul3_into, CMatrix, Workspace, C64,
+    count_fused_run, gemm_flops, matmul, matmul3, matmul3_into, planes_invert, CMatrix, Workspace,
+    C64,
 };
 
 /// Surface Green's function algorithm.
@@ -108,10 +109,11 @@ const SR_PRODUCTS: u64 = 6;
 /// [`BoundaryMethod::SanchoRubio`] for a chunk of leads at once — one per
 /// energy of a row solve — on energy-lane blocks (split-complex
 /// `[element][re|im][lane]`, see [`crate::rows`]). `leads[e]` is lane
-/// `e`'s `[D, α, β]`, all of one block size; blocks over `SMALL_DIM` take
-/// one lead ([`crate::row_width`]).
+/// `e`'s `[D, α, β]`, all of one block size; blocks over `LANE_MAX_DIM`
+/// take one lead ([`crate::row_width`]).
 ///
-/// Each step inverts the bulk block `eb` into `g₀` (per lane), then
+/// Each step inverts the bulk block `eb` into `g₀` (every lane in one
+/// [`omen_linalg::planes_invert`], bitwise `invert_into` per lane), then
 /// `es −= a·g₀·b`, `eb −= a·g₀·b + b·g₀·a`, `a ← a·g₀·a`, `b ← b·g₀·b`,
 /// every product one [`omen_linalg::planes_gemm`] over the lanes still
 /// iterating. A **convergence mask** freezes a lane as soon as its
@@ -138,7 +140,7 @@ pub fn sancho_rubio_lanes(
     let mut next_block = || blocks.next().expect("ten lane blocks");
     let [es, eb, mut a, mut b, g0, ag, bg, agb, bga, mut next] =
         std::array::from_fn::<_, 10, _>(|_| next_block());
-    let (mut m, mut inv) = (ws.take(n, n), ws.take(n, n));
+    let mut m = ws.take(n, n);
     for (e, [d, alpha, beta]) in leads.iter().enumerate() {
         s.pack(d, e, es);
         s.pack(d, e, eb);
@@ -155,11 +157,7 @@ pub fn sancho_rubio_lanes(
     while !active.is_empty() && iterations < max_iter {
         iterations += 1;
         let len = s.len;
-        for e in 0..s.lanes {
-            s.unpack(eb, e, &mut m);
-            ws.invert_into(&m, &mut inv);
-            s.pack(&inv, e, g0);
-        }
+        planes_invert(n, s.lanes, eb, g0, ws);
         s.mm(a, g0, ag);
         s.mm(b, g0, bg);
         s.mm(ag, b, agb);
@@ -194,7 +192,6 @@ pub fn sancho_rubio_lanes(
     }
 
     ws.give(m);
-    ws.give(inv);
     ws.give_planes(buf);
     if row_width(n) > 1 {
         count_fused_run(products * g3);
@@ -434,7 +431,7 @@ pub fn surface_residual(g: &CMatrix, d: &CMatrix, alpha: &CMatrix, beta: &CMatri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omen_linalg::c64;
+    use omen_linalg::{c64, LANE_MAX_DIM};
 
     /// A simple 1-orbital chain: D = (E + iη) − ε0, α = β = −t.
     fn chain_blocks(e: f64, eta: f64, eps0: f64, t: f64, n: usize) -> (CMatrix, CMatrix, CMatrix) {
@@ -705,13 +702,13 @@ mod tests {
     }
 
     #[test]
-    fn sancho_rubio_lanes_over_small_dim_take_one_lead() {
+    fn sancho_rubio_lanes_over_lane_max_dim_take_one_lead() {
         // Blocks the packed GEMM takes: one lead per call, in the band
         // (slow) and above it (fast).
         let mut ws = Workspace::new();
         let mut steps = Vec::new();
         for e in [1.8, 2.4] {
-            let [d, a, b] = lead(24, e, 1e-5);
+            let [d, a, b] = lead(LANE_MAX_DIM + 1, e, 1e-5);
             let s = surface_gf_ws(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-13, 200, &mut ws);
             let residual = surface_residual(&s.g, &d, &a, &b);
             assert!(residual < 1e-8, "E {e}: residual {residual:e}");

@@ -772,7 +772,7 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
     }
 
     /// The row in chunks of [`row_width`]: one SIMD vector of energy lanes
-    /// on blocks up to `SMALL_DIM`, one point on larger ones.
+    /// on blocks up to `LANE_MAX_DIM`, one point on larger ones.
     fn solve_row(
         &mut self,
         ik: usize,

@@ -181,7 +181,9 @@ mod tests {
 
     #[test]
     fn rgf_matches_dense_small() {
-        // The last two take the packed GEMM (blocks over SMALL_DIM).
+        // The last two are over the GEMM's SMALL_DIM (16), which no longer
+        // picks a kernel here: one lane of the lane kernel up to
+        // LANE_MAX_DIM, the packed GEMM above it.
         for &(nb, bs) in &[
             (2usize, 2usize),
             (3, 2),

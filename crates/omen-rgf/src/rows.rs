@@ -10,12 +10,16 @@
 //! column-major, and every product is one [`planes_gemm`] over the chunk.
 //! A one-lane block is `CMatrix`'s column-major `C64` layout, and
 //! `omen-linalg` picks the kernel from the block size alone: the lane
-//! kernel up to `SMALL_DIM`, the packed GEMM on one lane above it (hence
-//! [`row_width`]). [`crate::rgf::rgf_solve_into`] is [`rgf_row_into`] on
-//! one lane, and so is every point the GF solvers solve.
+//! kernel up to `LANE_MAX_DIM` (48, measured: the largest block size at
+//! which one 4-lane call beats four packed GEMMs), the packed GEMM on one
+//! lane above it (hence [`row_width`]). [`crate::rgf::rgf_solve_into`] is
+//! [`rgf_row_into`] on one lane, and so is every point the GF solvers
+//! solve; up to `LANE_MAX_DIM` that lane runs the lane kernel's scalar
+//! lane.
 //!
-//! Block inverses stay per lane: the lane is unpacked, inverted by
-//! [`Workspace::invert_into`] (pivoted LU) and repacked. Nothing of the
+//! Block inverses are lane operations too: [`planes_invert`], a pivoted
+//! LU that searches pivots and swaps rows per lane and is bitwise
+//! `Workspace::invert_into` on every lane. Nothing of the
 //! operator is staged: [`RowInputs`] assembles a block row's `M`, `Σ^R`
 //! folding and `Σ^≷` when the sweep reaches it, and the backward sweep
 //! hands each finished block row to a caller's closure instead of writing
@@ -24,9 +28,10 @@
 //! lane blocks per row.
 //!
 //! Within one dispatch instantiation a lane's arithmetic does not depend
-//! on which other energies share its chunk ([`planes_gemm`]'s contract,
-//! and every other step is per lane or elementwise), so a row solve is
-//! bitwise reproducible under any split of the energy axis into chunks.
+//! on which other energies share its chunk ([`planes_gemm`]'s and
+//! [`planes_invert`]'s contract, and every other step is per lane or
+//! elementwise), so a row solve is bitwise reproducible under any split
+//! of the energy axis into chunks.
 //!
 //! # What one block row costs
 //!
@@ -66,18 +71,17 @@
 //! instead of `((gu·G≷[n+1])·U†)·gL†`, which rounds differently (1e-13).
 
 use crate::rgf::RgfInputs;
-use omen_linalg::gemm::SMALL_DIM;
 use omen_linalg::lu::lu_flops;
-use omen_linalg::{c64, C64, LANES};
+use omen_linalg::{c64, planes_invert, C64, LANES, LANE_MAX_DIM};
 use omen_linalg::{count_fused_run, gemm_flops, planes_gemm, BatchDims, CMatrix, Op, Workspace};
 
 /// Energies one row solve advances together for blocks of size `bs`: one
-/// SIMD vector of lanes where the lane kernel runs (`bs ≤ SMALL_DIM`),
+/// SIMD vector of lanes where the lane kernel runs (`bs ≤ LANE_MAX_DIM`),
 /// else one — larger blocks run the packed GEMM, one lane at a time. Also
 /// how the solvers tell the two apart: a lane-kernel run reports itself
 /// as one fused run, a packed product as one GEMM call.
 pub fn row_width(bs: usize) -> usize {
-    if bs <= SMALL_DIM {
+    if bs <= LANE_MAX_DIM {
         LANES
     } else {
         1
@@ -329,11 +333,11 @@ fn emit_row(
 /// Solves every lane of `inp` with RGF on lane blocks, handing each
 /// finished block row of lane `e` to `emit(e, row)` — rows `bnum − 1`
 /// down to 0, lanes in order within a row. Returns the flops each lane
-/// performed. Blocks over `SMALL_DIM` take one lane ([`row_width`]).
+/// performed. Blocks over `LANE_MAX_DIM` take one lane ([`row_width`]).
 ///
-/// Scratch — one plane buffer of `(3·bnum + 20)` lane blocks and a few
-/// `bs × bs` matrices — comes from `ws`, so a warm workspace makes the
-/// solve allocation-free. On the lane kernel the block products report
+/// Scratch — one plane buffer of `(3·bnum + 20)` lane blocks, the lane
+/// inverse's factors and pivots, and a few `bs × bs` matrices — comes
+/// from `ws`, so a warm workspace makes the solve allocation-free. On the lane kernel the block products report
 /// to the trace as one fused run ([`count_fused_run`]); a packed product
 /// counts itself as a GEMM call.
 pub fn rgf_row_into<I: RowInputs + ?Sized>(
@@ -381,13 +385,7 @@ pub fn rgf_row_into<I: RowInputs + ?Sized>(
             products += 2;
             sub(eff, t2);
         }
-        let g = &mut g_left[n * len..(n + 1) * len];
-        for e in 0..lanes {
-            let [a, b, ..] = &mut mats;
-            s.unpack(eff, e, a);
-            ws.invert_into(a, b);
-            s.pack(b, e, g);
-        }
+        planes_invert(bs, lanes, eff, &mut g_left[n * len..(n + 1) * len], ws);
         inverses += 1;
         let g = at(g_left, n, len);
         for (sigma, run) in [(&mut *sl, &mut *gl_left), (&mut *sg, &mut *gg_left)] {
@@ -534,9 +532,10 @@ mod tests {
     #[test]
     fn row_solve_matches_dense_on_every_lane() {
         // Vector steps and scalar tails, one block row and several, odd
-        // and full-tile block sizes up to SMALL_DIM, single lanes of
-        // blocks over it (the packed GEMM), and the shapes of `gf_heavy`
-        // (nb 12, 32 × 32) and `sse_heavy` (nb 8, 12 × 12 on 4 lanes).
+        // and full-tile block sizes up to LANE_MAX_DIM (single lanes are
+        // the scalar lane), one lane of blocks over it (the packed GEMM),
+        // and the shapes of `gf_heavy` (nb 12, 32 × 32 on 4 lanes) and
+        // `sse_heavy` (nb 8, 12 × 12 on 4 lanes).
         for (nb, bs, lanes) in [
             (1, 4, 3),
             (2, 3, 5),
@@ -547,6 +546,9 @@ mod tests {
             (2, 24, 1),
             (12, 32, 1),
             (8, 12, 4),
+            (12, 32, 4),
+            (6, 24, 5),
+            (2, LANE_MAX_DIM + 1, 1),
         ] {
             let systems = test_lanes(nb, bs, 0.23, lanes);
             let rows = solve_chunked(&systems, &[lanes]);
@@ -587,7 +589,8 @@ mod tests {
     #[test]
     fn row_width_is_one_vector_on_lane_kernel_blocks() {
         assert_eq!(row_width(12), LANES);
-        assert_eq!(row_width(SMALL_DIM), LANES);
-        assert_eq!(row_width(SMALL_DIM + 1), 1);
+        assert_eq!(row_width(32), LANES);
+        assert_eq!(row_width(LANE_MAX_DIM), LANES);
+        assert_eq!(row_width(LANE_MAX_DIM + 1), 1);
     }
 }

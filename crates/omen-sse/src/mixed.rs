@@ -21,7 +21,7 @@ use crate::problem::SseProblem;
 use crate::reference::SseOutput;
 use crate::tensors::{DTensor, GTensor};
 use crate::transformed::{
-    build_transients_into, chunk_lens, run_atom_tasks, sigma_atom, Transients,
+    build_transients_into, chunk_lens, run_atom_tasks, sigma_atom, HgStore, Transients,
 };
 use omen_linalg::{quantize_f16, Normalization, C64};
 
@@ -78,10 +78,10 @@ pub(crate) fn mixed_into(
     let [q_l, q_g] = &*hg16;
     let offsets = &prob.device.neighbors.offsets;
     let (hg_chunk, _, _) = chunk_lens(prob);
-    run_atom_tasks(prob, tr, out, |a, chunks, out, scratch| {
+    run_atom_tasks(prob, tr, out, HgStore::Whole, |a, _, hd, out, scratch| {
         let run = offsets[a] * hg_chunk..offsets[a + 1] * hg_chunk;
         let hg = [&q_l[run.clone()], &q_g[run]];
-        let [hd_l, hd_g] = &chunks.hd;
+        let [hd_l, hd_g] = hd;
         sigma_atom(prob, hg, [hd_l, hd_g], scratch, out)
     });
 }

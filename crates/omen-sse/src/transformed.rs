@@ -27,6 +27,28 @@
 //! only that atom owns. Ownership fixes the order of every addition, so
 //! the output is bit-identical at every worker count; one worker runs the
 //! tasks inline on the calling thread.
+//!
+//! # A stream's live range
+//!
+//! Atom `a`'s `∇H·G` streams (one per directed pair `a → b`, `[i][kz][E]`)
+//! are written by its stage C and read by stage D twice over: by `D(a)`
+//! as the `y` side of its pairs, and through `rev_pair` as the `x` side
+//! by the stage D of every atom with a pair into `a`. They are dead once
+//! those have run, and `D(a′)` can run as soon as stage C has run on `a′`
+//! and on its highest-index neighbour. So the transformed kernel holds no
+//! whole `∇H·G` tensor (the data-movement argument of arXiv:1912.08810:
+//! size a transient to its live range). Its window holds one slot per
+//! live atom with a count of the reads still due: `C(a)` takes a slot,
+//! and the stage D that drops the count to zero returns it. In atom order
+//! a slot lives from `C(a)` to the last `D` of a neighbour, so on a slab
+//! device the window spans about two slabs of atoms — 17 of 96 atoms on
+//! the `gf_heavy` benchmark device. Several workers share the counts, and
+//! slots return in whatever order the DAG runs; ownership still fixes
+//! every addition, so `Σ^≷`/`Π^≷` do not depend on the window.
+//!
+//! [`crate::MixedKernel`] keeps the whole-tensor build
+//! ([`build_transients_into`]), because its `PerTensor` normalisation
+//! reads the maximum over the whole tensor before stage C may start.
 
 use crate::point_kernels::d_combination;
 use crate::problem::SseProblem;
@@ -35,15 +57,18 @@ use crate::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
 use crate::tensors::{DLayout, DTensor, GLayout, GTensor};
 use omen_linalg::{BatchDims, PlaneScratch, C64};
 use omen_sched::TaskDag;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, RwLock};
 
 /// The kernel's reusable storage: the transient arrays produced by map
-/// fission (step ❶), as [`build_transients_into`] leaves them, and one
+/// fission (step ❶) — whole as [`build_transients_into`] leaves them, or
+/// for `∇H·G` a window of live slots in the transformed kernel — and one
 /// pair-stage scratch per worker.
 #[derive(Default)]
 pub struct Transients {
-    /// `∇H·G^<` blocks: layout `[pair][i][kz][E][Norb²]`.
+    /// `∇H·G^<` blocks: layout `[pair][i][kz][E][Norb²]`. Only
+    /// [`build_transients_into`] fills it; the transformed kernel keeps
+    /// these streams in its window instead.
     pub hg_l: Vec<C64>,
     /// `∇H·G^>` blocks.
     pub hg_g: Vec<C64>,
@@ -56,6 +81,8 @@ pub struct Transients {
     /// Plane packs, accumulators and `∇H·D` packs of stages C and D, one
     /// per worker, warm after the first application.
     scratch: Vec<PlaneScratch>,
+    /// The transformed kernel's `∇H·G` streams over their live range.
+    window: Window,
 }
 
 impl Transients {
@@ -65,21 +92,143 @@ impl Transients {
         Transients::default()
     }
 
-    /// Sizes the four tensors for `prob` — no zeroing: stages A and B
-    /// overwrite every block — and records the flops of those stages.
+    /// Sizes the `∇H·D` tensors for `prob` — no zeroing: stage B
+    /// overwrites every block — and records the flops of stages A and B.
     fn size_for(&mut self, prob: &SseProblem) {
         let dims = BatchDims::square(prob.norb());
         let (npairs, nk, ne, nq, nw) = (prob.npairs(), prob.nk, prob.ne, prob.nq, prob.nw);
-        let (hg_chunk, hd_chunk, _) = chunk_lens(prob);
-        for hg in [&mut self.hg_l, &mut self.hg_g] {
-            hg.resize(npairs * hg_chunk, C64::ZERO);
-        }
+        let (_, hd_chunk, _) = chunk_lens(prob);
         for hd in [&mut self.hd_l, &mut self.hd_g] {
             hd.resize(npairs * hd_chunk, C64::ZERO);
         }
         let flops_a = 2 * (npairs * 3 * nk * ne) as u64 * dims.flops();
         let flops_b = 2 * (npairs * nq * nw * 3 * 3) as u64 * 8 * (dims.m * dims.n) as u64;
         self.flops = flops_a + flops_b;
+    }
+
+    /// Window slots this storage owns: after a one-worker application,
+    /// the peak number of atoms whose `∇H·G` was live at once.
+    #[cfg(test)]
+    fn window_slots(&self) -> usize {
+        self.window.created.load(Ordering::Relaxed)
+    }
+}
+
+/// One atom's `∇H·G^<` and `∇H·G^>` streams, `[pair − first pair][…]`,
+/// sized for the atom with the most pairs.
+type Slot = [Vec<C64>; 2];
+
+/// The `∇H·G` window of the transformed kernel (see the module docs) and
+/// the one-worker schedule it follows. Sized on first use.
+#[derive(Default)]
+struct Window {
+    /// Returned slots.
+    free: Mutex<Vec<Slot>>,
+    /// Slots ever created.
+    created: AtomicUsize,
+    /// Atom `a`'s slot, from its stage C until its last read.
+    live: Vec<RwLock<Option<Slot>>>,
+    /// Stage-D reads still due on atom `a`'s slot: 1 for `D(a)`, plus 1
+    /// for every pair `p` with `rev_pair[p]` in `a`.
+    readers: Vec<AtomicUsize>,
+    /// The stage C `D(a)` waits for last: `a`'s highest-index neighbour,
+    /// or `a`.
+    ready: Vec<usize>,
+    /// Atoms by `(ready, index)`: the order stage D runs in on one worker.
+    order: Vec<usize>,
+    /// Elements of one slot stream.
+    slot_len: usize,
+}
+
+impl Window {
+    /// Resets the counts and the schedule for one application of `prob`;
+    /// a slot a panicked application left live goes back to the pool.
+    fn prepare(&mut self, prob: &SseProblem, hg_chunk: usize) {
+        let (na, nb) = (prob.na(), &prob.device.neighbors);
+        let free = self.free.get_mut().expect("window pool");
+        free.extend(
+            self.live
+                .iter_mut()
+                .filter_map(|s| s.get_mut().ok()?.take()),
+        );
+        self.live.resize_with(na, Default::default);
+        self.readers.resize_with(na, Default::default);
+        for r in &mut self.readers[..na] {
+            *r.get_mut() = 1;
+        }
+        for &rev in prob.rev_pair.iter() {
+            *self.readers[nb.pairs[rev].from].get_mut() += 1;
+        }
+        self.ready.clear();
+        self.ready
+            .extend((0..na).map(|a| prob.pairs_of(a).fold(a, |m, (_, b)| m.max(b))));
+        self.order.clear();
+        self.order.extend(0..na);
+        let ready = &self.ready;
+        self.order.sort_unstable_by_key(|&a| (ready[a], a));
+        let max_pairs = nb.offsets.windows(2).map(|w| w[1] - w[0]).max();
+        self.slot_len = max_pairs.unwrap_or(0) * hg_chunk;
+    }
+
+    /// A slot for one atom's streams.
+    fn take(&self) -> Slot {
+        let slot = self.free.lock().expect("window pool").pop();
+        let mut slot = slot.unwrap_or_else(|| {
+            self.created.fetch_add(1, Ordering::Relaxed);
+            Default::default()
+        });
+        for s in &mut slot {
+            s.resize(self.slot_len, C64::ZERO);
+        }
+        slot
+    }
+
+    /// One read of atom `a`'s slot done; the last returns the slot. The
+    /// slot's lock orders every read before the take; `AcqRel` makes the
+    /// count's last decrement see the others.
+    fn release(&self, a: usize) {
+        if self.readers[a].fetch_sub(1, Ordering::AcqRel) == 1 {
+            let slot = self.live[a].write().expect("window slot").take();
+            let slot = slot.expect("a slot is released once");
+            self.free.lock().expect("window pool").push(slot);
+        }
+    }
+}
+
+/// Where stage D finds the `∇H·G` streams of a pair.
+#[derive(Clone, Copy)]
+pub(crate) enum HgStore {
+    /// [`Transients::hg_l`]/[`Transients::hg_g`], built whole beforehand
+    /// (the mixed kernel): stage C writes no stream.
+    Whole,
+    /// The window: stage C builds an atom's streams into a slot.
+    Window,
+}
+
+/// Stage D's read access to the `∇H·G` streams.
+enum HgReads<'a> {
+    Whole([&'a [C64]; 2]),
+    Window(&'a Window),
+}
+
+impl HgReads<'_> {
+    /// `f` on pair `p`'s `∇H·G^<` and `∇H·G^>` streams.
+    fn with<R>(&self, prob: &SseProblem, p: usize, f: impl FnOnce([&[C64]; 2]) -> R) -> R {
+        let (hg_chunk, _, _) = chunk_lens(prob);
+        match self {
+            HgReads::Whole([l, g]) => {
+                let run = p * hg_chunk..(p + 1) * hg_chunk;
+                f([&l[run.clone()], &g[run]])
+            }
+            HgReads::Window(w) => {
+                let nb = &prob.device.neighbors;
+                let a = nb.pairs[p].from;
+                let slot = w.live[a].read().expect("window slot");
+                let [l, g] = slot.as_ref().expect("stage D reads a live slot");
+                let run = (p - nb.offsets[a]) * hg_chunk..(p + 1 - nb.offsets[a]) * hg_chunk;
+                f([&l[run.clone()], &g[run]])
+            }
+        }
     }
 }
 
@@ -89,13 +238,6 @@ pub(crate) fn chunk_lens(prob: &SseProblem) -> (usize, usize, usize) {
     let bsz = prob.norb() * prob.norb();
     let run = prob.nk * prob.ne * bsz;
     (3 * run, 3 * prob.nq * prob.nw * bsz, run)
-}
-
-/// Atom `a`'s share of the transients: the streams of its directed pairs,
-/// `[pair − first pair of a][i][…]`, lesser and greater.
-pub(crate) struct AtomChunks<'a> {
-    hg: [&'a mut [C64]; 2],
-    pub(crate) hd: [&'a mut [C64]; 2],
 }
 
 /// `buf` cut at atom boundaries, `per_pair` elements for each of an atom's
@@ -112,25 +254,8 @@ fn by_atom<'a>(
     })
 }
 
-/// Every atom's share of the (sized) transients, in atom order.
-fn atom_chunks<'a>(
-    prob: &'a SseProblem,
-    hg: [&'a mut [C64]; 2],
-    hd: [&'a mut [C64]; 2],
-) -> impl Iterator<Item = AtomChunks<'a>> {
-    let (hg_chunk, hd_chunk, _) = chunk_lens(prob);
-    let offsets = &prob.device.neighbors.offsets;
-    let [hg_l, hg_g] = hg.map(|hg| by_atom(hg, offsets, hg_chunk));
-    let [hd_l, hd_g] = hd.map(|hd| by_atom(hd, offsets, hd_chunk));
-    (hg_l.zip(hg_g))
-        .zip(hd_l.zip(hd_g))
-        .map(|((hg_l, hg_g), (hd_l, hd_g))| AtomChunks {
-            hg: [hg_l, hg_g],
-            hd: [hd_l, hd_g],
-        })
-}
-
-/// Stages A and B for the directed pairs `p = a → b` of atom `a`:
+/// Stages A and B for the directed pairs `p = a → b` of atom `a`, into
+/// its streams `[p − first pair of a][…]`:
 /// `hg[p][i][k][e] = ∇H^i_p · G_b(k, e)` and
 /// `hd[p][i][q][m] = Σ_j Dc^{ij}(q, m, p) · ∇H^j_ba`.
 fn build_atom(
@@ -138,7 +263,8 @@ fn build_atom(
     g: [&GTensor; 2],
     d: [&DTensor; 2],
     a: usize,
-    chunks: &mut AtomChunks,
+    mut hg: [&mut [C64]; 2],
+    mut hd: [&mut [C64]; 2],
 ) {
     let dims = BatchDims::square(prob.norb());
     let bsz = dims.m * dims.n;
@@ -153,7 +279,7 @@ fn build_atom(
         );
     }
     for (n, (p, b)) in prob.pairs_of(a).enumerate() {
-        for (hg, g) in chunks.hg.iter_mut().zip(g) {
+        for (hg, g) in hg.iter_mut().zip(g) {
             // AtomMajor: atom b's blocks are one contiguous [kz][E] run.
             let g0 = g.offset(0, 0, b);
             grad_g(
@@ -164,7 +290,7 @@ fn build_atom(
             );
         }
         let rev = prob.rev_pair[p];
-        for (hd, d) in chunks.hd.iter_mut().zip(d) {
+        for (hd, d) in hd.iter_mut().zip(d) {
             let out = &mut hd[n * hd_chunk..(n + 1) * hd_chunk];
             for q in 0..nq {
                 for m in 0..nw {
@@ -179,7 +305,7 @@ fn build_atom(
     }
 }
 
-/// Stage A + B into reusable storage, on the calling thread: a warm
+/// Stage A + B into whole tensors, on the calling thread: a warm
 /// `Transients` makes the rebuild allocation-free.
 ///
 /// `g_l`/`g_g` must be `AtomMajor` (the data-layout transformation);
@@ -193,12 +319,16 @@ pub fn build_transients_into(
     tr: &mut Transients,
 ) {
     tr.size_for(prob);
-    let (hg, hd) = (
-        [&mut tr.hg_l[..], &mut tr.hg_g[..]],
-        [&mut tr.hd_l[..], &mut tr.hd_g[..]],
-    );
-    for (a, mut chunks) in atom_chunks(prob, hg, hd).enumerate() {
-        build_atom(prob, [g_l, g_g], [d_l, d_g], a, &mut chunks);
+    let (hg_chunk, hd_chunk, _) = chunk_lens(prob);
+    for hg in [&mut tr.hg_l, &mut tr.hg_g] {
+        hg.resize(prob.npairs() * hg_chunk, C64::ZERO);
+    }
+    let offsets = &prob.device.neighbors.offsets;
+    let [hg_l, hg_g] = [&mut tr.hg_l, &mut tr.hg_g].map(|t| by_atom(t, offsets, hg_chunk));
+    let [hd_l, hd_g] = [&mut tr.hd_l, &mut tr.hd_g].map(|t| by_atom(t, offsets, hd_chunk));
+    let atoms = (hg_l.zip(hg_g)).zip(hd_l.zip(hd_g)).enumerate();
+    for (a, ((hg_l, hg_g), (hd_l, hd_g))) in atoms {
+        build_atom(prob, [g_l, g_g], [d_l, d_g], a, [hg_l, hg_g], [hd_l, hd_g]);
     }
 }
 
@@ -220,7 +350,8 @@ pub fn sse_transformed(
 /// [`sse_transformed`] with reusable transient, scratch and output
 /// storage: a warm `(tr, out)` pair re-runs stages A–D on one worker
 /// without touching the heap. An atom's task builds the transients of its
-/// own pairs (stages A and B) right before stage C consumes them.
+/// own pairs (stages A and B) right before stage C consumes them, its
+/// `∇H·G` streams into a window slot (see the module docs).
 pub fn sse_transformed_into(
     prob: &SseProblem,
     g_l: &GTensor,
@@ -231,9 +362,10 @@ pub fn sse_transformed_into(
     out: &mut SseOutput,
 ) {
     let (g, d) = ([g_l, g_g], [d_l, d_g]);
-    run_atom_tasks(prob, tr, out, |a, chunks, out, scratch| {
-        build_atom(prob, g, d, a, chunks);
-        let ([hg_l, hg_g], [hd_l, hd_g]) = (&chunks.hg, &chunks.hd);
+    run_atom_tasks(prob, tr, out, HgStore::Window, |a, hg, hd, out, scratch| {
+        let [hg_l, hg_g] = hg;
+        let [hd_l, hd_g] = hd;
+        build_atom(prob, g, d, a, [hg_l, hg_g], [hd_l, hd_g]);
         sigma_atom(prob, [hg_l, hg_g], [hd_l, hd_g], scratch, out)
     });
 }
@@ -262,21 +394,27 @@ pub(crate) fn sigma_atom(
 /// ownership, so every output element receives the same additions in the
 /// same order at any worker count:
 ///
-/// * task `a < Na` — `sigma(a, chunks, Σ^≷_aa, scratch)`: whatever the
-///   kernel does with atom `a`'s transients and its own `[kz][E]` chunk of
-///   `Σ^≷` (stage C, preceded by stages A and B where they are fused in);
-/// * task `Na + a` — stage D for the pairs of atom `a`, once the tasks of
-///   `a` and of its neighbours have finished with the `∇H·G` it reads.
+/// * `C(a)` — `sigma(a, hg, hd, Σ^≷_aa, scratch)`: whatever the kernel
+///   does with atom `a`'s `∇H·G` streams `hg` (a window slot under
+///   [`HgStore::Window`], empty under [`HgStore::Whole`]), its `∇H·D`
+///   streams `hd` and its own `[kz][E]` chunk of `Σ^≷` (stage C, preceded
+///   by stages A and B where they are fused in);
+/// * `D(a)` — stage D for the pairs of atom `a`, once `C(a)` and `C(b)`
+///   of every neighbour `b` have run, releasing its reads of the window.
 ///
 /// With one worker (`prob.workers`, capped by the atom count) the tasks
-/// run in this order on the calling thread and a warm `(tr, out)` sees no
-/// heap traffic; with more they are one `omen_sched::TaskDag` run. `sigma`
-/// returns the flops it performed.
+/// run on the calling thread in window order — `C(a)`, then every `D(a′)`
+/// whose last stage C was `C(a)` — and a warm `(tr, out)` sees no heap
+/// traffic; with more they are one `omen_sched::TaskDag` run whose task
+/// indices follow the same order, so the DAG's lowest-index-first queue
+/// keeps the window short too. `sigma` returns the flops it performed.
 pub(crate) fn run_atom_tasks(
     prob: &SseProblem,
     tr: &mut Transients,
     out: &mut SseOutput,
-    sigma: impl Fn(usize, &mut AtomChunks, [&mut [C64]; 2], &mut PlaneScratch) -> u64 + Sync,
+    store: HgStore,
+    sigma: impl Fn(usize, [&mut [C64]; 2], [&mut [C64]; 2], [&mut [C64]; 2], &mut PlaneScratch) -> u64
+        + Sync,
 ) {
     let (na, npairs) = (prob.na(), prob.npairs());
     let (nk, ne, nq, nw) = (prob.nk, prob.ne, prob.nq, prob.nw);
@@ -295,6 +433,8 @@ pub(crate) fn run_atom_tasks(
 
     let workers = prob.workers.clamp(1, na.max(1));
     tr.size_for(prob);
+    let (hg_chunk, hd_chunk, atom_chunk) = chunk_lens(prob);
+    tr.window.prepare(prob, hg_chunk);
     let Transients {
         hg_l,
         hg_g,
@@ -302,71 +442,95 @@ pub(crate) fn run_atom_tasks(
         hd_g,
         flops: flops_ab,
         scratch,
+        window,
     } = tr;
     if scratch.len() < workers {
         scratch.resize_with(workers, PlaneScratch::default);
     }
-    let (hg_chunk, _, atom_chunk) = chunk_lens(prob);
+    let window = &*window;
+    let reads = match store {
+        HgStore::Whole => HgReads::Whole([&hg_l[..], &hg_g[..]]),
+        HgStore::Window => HgReads::Window(window),
+    };
+    let offsets = &prob.device.neighbors.offsets;
+    let [hd_l, hd_g] = [hd_l, hd_g].map(|t| by_atom(t, offsets, hd_chunk));
     let sigma_chunks = (sigma_l.as_mut_slice().chunks_mut(atom_chunk))
         .zip(sigma_g.as_mut_slice().chunks_mut(atom_chunk));
-    let (hg, hd) = (
-        [&mut hg_l[..], &mut hg_g[..]],
-        [&mut hd_l[..], &mut hd_g[..]],
-    );
-    let atoms = atom_chunks(prob, hg, hd).zip(sigma_chunks);
+    let atoms = (hd_l.zip(hd_g)).zip(sigma_chunks);
+    let stage_c = |a: usize,
+                   hd: [&mut [C64]; 2],
+                   out: [&mut [C64]; 2],
+                   scratch: &mut PlaneScratch| match store {
+        HgStore::Whole => sigma(a, [&mut [], &mut []], hd, out, scratch),
+        HgStore::Window => {
+            let mut slot = window.take();
+            let len = (offsets[a + 1] - offsets[a]) * hg_chunk;
+            let [l, g] = &mut slot;
+            let flops = sigma(a, [&mut l[..len], &mut g[..len]], hd, out, scratch);
+            *window.live[a].write().expect("window slot") = Some(slot);
+            flops
+        }
+    };
+    let stage_d = |a: usize, scratch: &mut PlaneScratch| {
+        let flops = pi_atom(prob, a, &reads, scratch, &pi);
+        if let HgStore::Window = store {
+            for (p, _) in prob.pairs_of(a) {
+                window.release(prob.device.neighbors.pairs[prob.rev_pair[p]].from);
+            }
+            window.release(a);
+        }
+        flops
+    };
+    // `D(a′)` runs right after `C(ready[a′])`, in `order`.
+    let (ready, order) = (&window.ready, &window.order);
+    let ready_after = |a: usize, next: &mut usize| {
+        let from = *next;
+        while *next < na && ready[order[*next]] == a {
+            *next += 1;
+        }
+        &order[from..*next]
+    };
 
     let flops_cd: u64 = if workers == 1 {
         let scratch = &mut scratch[0];
-        let flops_c: u64 = atoms
-            .enumerate()
-            .map(|(a, (mut chunks, (out_l, out_g)))| sigma(a, &mut chunks, [out_l, out_g], scratch))
-            .sum();
-        let hg = |p: usize| {
-            let run = p * hg_chunk..(p + 1) * hg_chunk;
-            [&hg_l[run.clone()], &hg_g[run]]
-        };
-        let flops_d: u64 = (0..na).map(|a| pi_atom(prob, a, hg, scratch, &pi)).sum();
-        flops_c + flops_d
+        let mut next = 0;
+        let mut flops = 0;
+        for (a, ((hd_l, hd_g), (out_l, out_g))) in atoms.enumerate() {
+            flops += stage_c(a, [hd_l, hd_g], [out_l, out_g], scratch);
+            for &d in ready_after(a, &mut next) {
+                flops += stage_d(d, scratch);
+            }
+        }
+        flops
     } else {
-        let pairs = &prob.device.neighbors.pairs;
-        let offsets = &prob.device.neighbors.offsets;
+        // Task `t` is `C(a)` for `(false, a)`, `D(a)` for `(true, a)`.
         let mut dag = TaskDag::new();
-        for _ in 0..na {
-            dag.add_task("sse_sigma", &[]);
-        }
-        let mut deps = Vec::new();
+        let (mut tasks, mut c_task) = (Vec::new(), vec![0; na]);
+        let (mut deps, mut next) = (Vec::new(), 0);
         for a in 0..na {
-            deps.clear();
-            deps.push(a);
-            deps.extend(prob.pairs_of(a).map(|(_, b)| b));
-            dag.add_task("sse_pi", &deps);
+            c_task[a] = dag.add_task("sse_sigma", &[]);
+            tasks.push((false, a));
+            for &d in ready_after(a, &mut next) {
+                deps.clear();
+                deps.push(c_task[d]);
+                deps.extend(prob.pairs_of(d).map(|(_, b)| c_task[b]));
+                dag.add_task("sse_pi", &deps);
+                tasks.push((true, d));
+            }
         }
-        // A finished stage-C task publishes its atom's `∇H·G` for the
-        // stage-D tasks the DAG releases after it.
         let cells: Vec<_> = atoms.map(|atom| Mutex::new(Some(atom))).collect();
-        let built: Vec<OnceLock<[&[C64]; 2]>> = (0..na).map(|_| OnceLock::new()).collect();
-        let hg = |p: usize| {
-            let from = pairs[p].from;
-            let [l, g] = *built[from]
-                .get()
-                .expect("stage D runs after its ∇H·G tasks");
-            let run = (p - offsets[from]) * hg_chunk..(p + 1 - offsets[from]) * hg_chunk;
-            [&l[run.clone()], &g[run]]
-        };
         let idle = Mutex::new(scratch[..workers].iter_mut().collect::<Vec<_>>());
         let flops_cd = AtomicU64::new(0);
         dag.run(workers, |t| {
             let lease = idle.lock().expect("scratch pool").pop();
             let scratch = lease.expect("one scratch per worker");
-            let flops = if t < na {
-                let atom = cells[t].lock().expect("task cell").take();
-                let (mut chunks, (out_l, out_g)) = atom.expect("a task runs once");
-                let flops = sigma(t, &mut chunks, [out_l, out_g], scratch);
-                let hg = chunks.hg.map(|hg| &*hg);
-                built[t].set(hg).expect("a task runs once");
-                flops
-            } else {
-                pi_atom(prob, t - na, hg, scratch, &pi)
+            let flops = match tasks[t] {
+                (false, a) => {
+                    let atom = cells[a].lock().expect("task cell").take();
+                    let ((hd_l, hd_g), (out_l, out_g)) = atom.expect("a task runs once");
+                    stage_c(a, [hd_l, hd_g], [out_l, out_g], scratch)
+                }
+                (true, a) => stage_d(a, scratch),
             };
             flops_cd.fetch_add(flops, Ordering::Relaxed);
             idle.lock().expect("scratch pool").push(scratch);
@@ -378,33 +542,35 @@ pub(crate) fn run_atom_tasks(
 }
 
 /// Stage D for the directed pairs `p = a → b` of atom `a`, in double
-/// precision: `Π^≷_ab` and their sum `Π^≷_aa` from the transient traces.
-/// `hg(p)` is pair `p`'s `∇H·G^≷` stream. No other atom's task adds to
-/// these entries and the pairs run in index order, so an element's terms
-/// arrive in global pair order whatever the interleaving; the lock only
-/// makes the tensors' shared borrow exclusive for one `(qz, ω)` point.
-/// Returns the flops performed.
-fn pi_atom<'h>(
+/// precision: `Π^≷_ab` and their sum `Π^≷_aa` from the transient traces,
+/// reading pair `p`'s `∇H·G^≷` streams and those of `rev_pair[p]`. No
+/// other atom's task adds to these entries and the pairs run in index
+/// order, so an element's terms arrive in global pair order whatever the
+/// interleaving; the lock only makes the tensors' shared borrow exclusive
+/// for one `(qz, ω)` point. Returns the flops performed.
+fn pi_atom(
     prob: &SseProblem,
     a: usize,
-    hg: impl Fn(usize) -> [&'h [C64]; 2],
+    hg: &HgReads,
     scratch: &mut PlaneScratch,
     pi: &Mutex<[&mut DTensor; 2]>,
 ) -> u64 {
     let win = EnergyWindow::full(prob.ne);
     let mut flops = 0;
     for (p, _) in prob.pairs_of(a) {
-        let [x_l, x_g] = hg(prob.rev_pair[p]);
-        let [y_l, y_g] = hg(p);
-        flops += pi_pair(prob, &win, x_l, x_g, y_l, y_g, scratch, |q, m, c_l, c_g| {
-            let mut pi = pi.lock().expect("Π lock");
-            for (pi, c) in pi.iter_mut().zip([c_l, c_g]) {
-                for en in [pi.pair_entry(p), pi.diag_entry(a)] {
-                    for (v, c) in pi.block_mut(q, m, en).iter_mut().zip(c) {
-                        *v += c.scale(prob.scale_pi);
+        flops += hg.with(prob, prob.rev_pair[p], |[x_l, x_g]| {
+            hg.with(prob, p, |[y_l, y_g]| {
+                pi_pair(prob, &win, x_l, x_g, y_l, y_g, scratch, |q, m, c_l, c_g| {
+                    let mut pi = pi.lock().expect("Π lock");
+                    for (pi, c) in pi.iter_mut().zip([c_l, c_g]) {
+                        for en in [pi.pair_entry(p), pi.diag_entry(a)] {
+                            for (v, c) in pi.block_mut(q, m, en).iter_mut().zip(c) {
+                                *v += c.scale(prob.scale_pi);
+                            }
+                        }
                     }
-                }
-            }
+                })
+            })
         });
     }
     flops
@@ -415,6 +581,7 @@ mod tests {
     use super::*;
     use crate::reference::sse_reference;
     use crate::testutil::{random_inputs, tiny_device, tiny_problem};
+    use omen_device::{DeviceConfig, DeviceStructure};
     use omen_linalg::small_gemm;
 
     /// `∇H^i_pair · G_to(pair)(k, e)` by a single direct product.
@@ -507,6 +674,129 @@ mod tests {
                 .map(|(w, g)| (*w - *g).abs())
                 .fold(0.0, f64::max);
             assert!(dev < 1e-13, "transient ({p},{i},{k},{e}) deviates by {dev}");
+        }
+    }
+
+    /// A device of `nx` slabs, its problem on `workers` workers, and
+    /// AtomMajor random inputs.
+    fn slab_case(
+        dev: &DeviceStructure,
+        workers: usize,
+    ) -> (SseProblem<'_>, GTensor, GTensor, DTensor, DTensor) {
+        let mut prob = SseProblem::new(dev, 2, 5, 2, 2, 1.0, 1.0);
+        prob.workers = workers;
+        let (gl, gg, dl, dg) = random_inputs(&prob, 23);
+        let (gl, gg) = (
+            gl.to_layout(GLayout::AtomMajor),
+            gg.to_layout(GLayout::AtomMajor),
+        );
+        (prob, gl, gg, dl, dg)
+    }
+
+    #[test]
+    fn windowed_sse_is_bitwise_at_every_worker_count_and_the_whole_build() {
+        let dev = DeviceStructure::build(DeviceConfig {
+            nx: 6,
+            ..DeviceConfig::tiny()
+        });
+        let (prob, gl, gg, dl, dg) = slab_case(&dev, 1);
+        let one = sse_transformed(&prob, &gl, &gg, &dl, &dg);
+        for workers in [2, 4] {
+            let (prob, ..) = slab_case(&dev, workers);
+            let many = sse_transformed(&prob, &gl, &gg, &dl, &dg);
+            assert!(same(&many, &one), "{workers} workers");
+            assert_eq!(many.flops, one.flops, "{workers} workers");
+        }
+        // The reference holds whole ∇H·G tensors: stage C per atom through
+        // `sigma_atom`, stage D reading the whole tensors.
+        let mut tr = Transients::empty();
+        build_transients_into(&prob, &gl, &gg, &dl, &dg, &mut tr);
+        let (hg_l, hg_g) = (tr.hg_l.clone(), tr.hg_g.clone());
+        let (hg_chunk, _, _) = chunk_lens(&prob);
+        let offsets = &dev.neighbors.offsets;
+        let mut whole = SseOutput::empty();
+        run_atom_tasks(
+            &prob,
+            &mut tr,
+            &mut whole,
+            HgStore::Whole,
+            |a, _, hd, out, sc| {
+                let run = offsets[a] * hg_chunk..offsets[a + 1] * hg_chunk;
+                let [hd_l, hd_g] = hd;
+                let hg = [&hg_l[run.clone()], &hg_g[run]];
+                sigma_atom(&prob, hg, [hd_l, hd_g], sc, out)
+            },
+        );
+        assert!(same(&whole, &one), "whole-tensor reference");
+    }
+
+    /// `Σ^≷` and `Π^≷` equal element by element.
+    fn same(a: &SseOutput, b: &SseOutput) -> bool {
+        a.sigma_l.as_slice() == b.sigma_l.as_slice()
+            && a.sigma_g.as_slice() == b.sigma_g.as_slice()
+            && a.pi_l.as_slice() == b.pi_l.as_slice()
+            && a.pi_g.as_slice() == b.pi_g.as_slice()
+    }
+
+    /// Atoms whose `∇H·G` is live while stage C runs on each atom of the
+    /// one-worker order, from the neighbour lists alone: atom `x` is live
+    /// from `C(x)` to the last stage D that reads it, and `D(y)` runs
+    /// right after `C(max(y, neighbours of y))`.
+    fn window_bound(dev: &DeviceStructure) -> usize {
+        let nb = &dev.neighbors;
+        let na = nb.offsets.len() - 1;
+        let nbrs = |a: usize| {
+            nb.pairs[nb.offsets[a]..nb.offsets[a + 1]]
+                .iter()
+                .map(|p| p.to)
+        };
+        let ready: Vec<usize> = (0..na).map(|a| nbrs(a).fold(a, usize::max)).collect();
+        let last_read: Vec<usize> = (0..na)
+            .map(|x| nbrs(x).map(|y| ready[y]).fold(ready[x], usize::max))
+            .collect();
+        (0..na)
+            .map(|a| (0..=a).filter(|&x| last_read[x] >= a).count())
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn one_worker_window_stays_within_the_neighbour_bound() {
+        // The tiny device's slabs, and the `sse_heavy` and `gf_heavy`
+        // benchmark devices.
+        for cfg in [
+            DeviceConfig {
+                nx: 6,
+                ..DeviceConfig::tiny()
+            },
+            DeviceConfig {
+                nx: 8,
+                ny: 4,
+                norb: 3,
+                ..DeviceConfig::demo()
+            },
+            DeviceConfig {
+                nx: 12,
+                ny: 8,
+                norb: 4,
+                ..DeviceConfig::demo()
+            },
+        ] {
+            let dev = DeviceStructure::build(cfg);
+            let prob = SseProblem::new(&dev, 1, 2, 1, 1, 1.0, 1.0);
+            let (gl, gg, dl, dg) = random_inputs(&prob, 5);
+            let (gl, gg) = (
+                gl.to_layout(GLayout::AtomMajor),
+                gg.to_layout(GLayout::AtomMajor),
+            );
+            let mut tr = Transients::empty();
+            let mut out = SseOutput::empty();
+            sse_transformed_into(&prob, &gl, &gg, &dl, &dg, &mut tr, &mut out);
+            sse_transformed_into(&prob, &gl, &gg, &dl, &dg, &mut tr, &mut out);
+            let (peak, bound, na) = (tr.window_slots(), window_bound(&dev), prob.na());
+            assert!(peak <= bound, "{na} atoms: peak {peak} > bound {bound}");
+            assert!(2 * bound < na, "{na} atoms: the window holds {bound}");
+            assert!(tr.hg_l.is_empty() && tr.hg_g.is_empty(), "no whole ∇H·G");
         }
     }
 

@@ -3,11 +3,13 @@
 //!
 //! A counting global allocator wraps `System`; after one warmup call to
 //! populate the [`Workspace`] arena and the reusable outputs, a second
-//! `rgf_solve_into` (one lane of the row solve, on the packed GEMM), a
-//! second row solve (`rgf_row_into`, energies as SIMD lanes), a
-//! `GfSolver::solve_row` whose boundaries are all cached — on energy lanes
-//! and on `gf_heavy`'s 32 × 32 blocks — and a second
-//! `sse_reference_into` must perform **zero** heap allocations. This pins
+//! `rgf_solve_into` (one lane of the row solve, on the scalar lane of the
+//! lane kernel), a second row solve (`rgf_row_into`, energies as SIMD
+//! lanes), a `GfSolver::solve_row` whose boundaries are all cached — on
+//! energy lanes at the tiny device's blocks and at `gf_heavy`'s 32 × 32 —
+//! a second `sse_reference_into` and warm transformed-kernel applications
+//! (`gf_heavy`'s shape among them, its `∇H·G` window warm) must perform
+//! **zero** heap allocations. This pins
 //! the tentpole property of the packed-GEMM/workspace redesign — a future
 //! `CMatrix::zeros`, `clone()`, or allocating `matmul` sneaking back into
 //! the hot path fails this test.
@@ -34,7 +36,7 @@ use dace_omen::rgf::{
 use dace_omen::sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use dace_omen::sse::{
     sse_reference_into, sse_transformed_into, GLayout, MixedConfig, MixedKernel, SseKernel,
-    SseOutput, SseProblem, Transients,
+    SseOutput, SseProblem, TransformedKernel, Transients,
 };
 use dace_omen::trace;
 
@@ -106,9 +108,9 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn steady_state_hot_path_is_allocation_free() {
-    // ---- RGF: one energy-momentum point. bs > SMALL_DIM routes through
-    // the packed GEMM path, so its thread-local pack buffers are covered
-    // by the assertion too. ----
+    // ---- RGF: one energy-momentum point at 24 × 24: one lane of the lane
+    // kernel (the scalar lane), the lane inverse's factors and pivots from
+    // the workspace. ----
     let (m, sl, sg) = test_system(6, 24, 0.13);
     let inputs = RgfInputs {
         m: &m,
@@ -217,9 +219,9 @@ fn steady_state_hot_path_is_allocation_free() {
     let stats = bc.stats();
     assert_eq!((stats.misses, stats.hits), (lanes as u64, 2 * lanes as u64));
 
-    // ---- The same at the benchmark's `gf_heavy` shape: 32 × 32 blocks,
-    // one lane per chunk, every product through the packed GEMM on the
-    // lane block read as a matrix. ----
+    // ---- The same at the benchmark's `gf_heavy` shape: 32 × 32 blocks on
+    // one SIMD vector of energy lanes, every product the lane kernel,
+    // every inverse the lane LU. ----
     let heavy_gf = DeviceStructure::build(DeviceConfig {
         nx: 12,
         ny: 8,
@@ -227,25 +229,27 @@ fn steady_state_hot_path_is_allocation_free() {
         ..DeviceConfig::demo()
     });
     assert_eq!(heavy_gf.block_size_el(), 32);
-    assert_eq!(row_width(32), 1, "32 × 32 blocks take one lane");
+    let lanes = row_width(32);
+    assert!(lanes > 1, "32 × 32 blocks take the lane path");
+    let energies: Vec<f64> = (0..lanes).map(|j| 0.1 + 0.05 * j as f64).collect();
     let mut solver = ElectronSolver::new(
         &heavy_gf,
         heavy_gf.linear_potential(0.2, 0.25, 0.75),
         ElectronParams::default(),
         CacheMode::CacheBcSpec,
         vec![0.0],
-        vec![0.1],
+        energies,
     );
     let mut solved = Checksum(0.0);
-    solver.solve_row(0, 0..1, None, &mut solved);
-    solver.solve_row(0, 0..1, None, &mut Checksum(0.0));
+    solver.solve_row(0, 0..lanes, None, &mut solved);
+    solver.solve_row(0, 0..lanes, None, &mut Checksum(0.0));
     let mut hit = Checksum(0.0);
     let heavy_hit_allocs = count_allocations(|| {
-        solver.solve_row(0, 0..1, None, &mut hit);
+        solver.solve_row(0, 0..lanes, None, &mut hit);
     });
     assert_eq!(
         heavy_hit_allocs, 0,
-        "an all-hit one-lane solve_row at 32 × 32 allocated {heavy_hit_allocs} times"
+        "an all-hit {lanes}-lane solve_row at 32 × 32 allocated {heavy_hit_allocs} times"
     );
     assert_eq!(
         hit.0.to_bits(),
@@ -317,6 +321,27 @@ fn steady_state_hot_path_is_allocation_free() {
             "warm transformed apply must be bit-identical to the warmup apply"
         );
     }
+
+    // ---- Transformed kernel at `gf_heavy`'s shape (96 atoms of 4 × 4,
+    // nk 1, ne 24, one phonon point), one worker: the `∇H·G` window's
+    // slots, reader counts and schedule are warm after one application,
+    // and the kernel's double-buffered outputs after two. ----
+    let heavy_sse = SseProblem::new(&heavy_gf, 1, 24, 1, 1, 1.0, 1.0);
+    let (sgl, sgg, sdl, sdg) = random_inputs(&heavy_sse, 29);
+    let (sgl, sgg) = (
+        sgl.to_layout(GLayout::AtomMajor),
+        sgg.to_layout(GLayout::AtomMajor),
+    );
+    let mut transformed = TransformedKernel::new();
+    transformed.run(&heavy_sse, &sgl, &sgg, &sdl, &sdg);
+    transformed.run(&heavy_sse, &sgl, &sgg, &sdl, &sdg);
+    let window_allocs = count_allocations(|| {
+        transformed.run(&heavy_sse, &sgl, &sgg, &sdl, &sdg);
+    });
+    assert_eq!(
+        window_allocs, 0,
+        "a warm TransformedKernel::run at gf_heavy's shape allocated {window_allocs} times"
+    );
 
     // ---- DaCe plan tile compute: the transformed stages on a tile's
     // resident tensors. One run builds the plan state and leaves G^≷/D^≷
