@@ -10,7 +10,7 @@ use omen_linalg::{
     csrmm, gemm, gemmi, invert, sbsmm, sbsmm_padded, BatchDims, CMatrix, CscMatrix, CsrMatrix, Op,
     Strides, C64,
 };
-use omen_rgf::{rgf_solve, surface_gf, BoundaryMethod, RgfInputs};
+use omen_rgf::{rgf_solve, surface_gf, RgfInputs};
 use omen_sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use omen_sse::{sse_reference, sse_transformed, GLayout};
 use std::hint::black_box;
@@ -149,7 +149,7 @@ fn bench_sse_phases() {
     });
 }
 
-/// Boundary-method ablation: decimation vs fixed point.
+/// Boundary solve: the Sancho–Rubio decimation of one lead.
 fn bench_boundary() {
     let n = 48;
     let d = CMatrix::from_fn(n, n, |i, j| {
@@ -167,24 +167,7 @@ fn bench_boundary() {
         }
     });
     report("boundary", "sancho_rubio", 5, || {
-        black_box(surface_gf(
-            BoundaryMethod::SanchoRubio,
-            black_box(&d),
-            &hop,
-            &hop,
-            1e-12,
-            200,
-        ));
-    });
-    report("boundary", "fixed_point", 5, || {
-        black_box(surface_gf(
-            BoundaryMethod::FixedPoint,
-            black_box(&d),
-            &hop,
-            &hop,
-            1e-12,
-            2000,
-        ));
+        black_box(surface_gf(black_box(&d), &hop, &hop, 1e-12, 200));
     });
 }
 

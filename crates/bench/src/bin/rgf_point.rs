@@ -31,7 +31,7 @@ use omen_linalg::{C64, LANES};
 use omen_rgf::testutil::{test_lanes, test_system};
 use omen_rgf::{
     rgf_row_into, rgf_solve, rgf_solve_into, row_width, sancho_rubio_lanes, surface_gf_ws,
-    BoundaryMethod, RgfInputs, RgfSolution,
+    RgfInputs, RgfSolution,
 };
 
 /// Products per decimation step (`omen_rgf::boundary`).
@@ -168,10 +168,7 @@ fn decimation(suffix: &str, reps: usize) -> Vec<BenchRecord> {
     let mut point = || {
         leads
             .iter()
-            .map(|[d, a, b]| {
-                surface_gf_ws(BoundaryMethod::SanchoRubio, d, a, b, tol, max_iter, &mut ws)
-                    .iterations
-            })
+            .map(|[d, a, b]| surface_gf_ws(d, a, b, tol, max_iter, &mut ws).iterations)
             .collect::<Vec<_>>()
     };
     let iterations = point(); // warmup

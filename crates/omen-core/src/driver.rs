@@ -563,7 +563,6 @@ impl Simulation {
             mu_source: self.config.mu_source,
             mu_drain: self.config.mu_drain,
             kt: self.config.kt,
-            ..ElectronParams::default()
         }
     }
 
@@ -571,7 +570,6 @@ impl Simulation {
         PhononParams {
             eta: self.config.eta_ph,
             kt: self.config.kt,
-            ..PhononParams::default()
         }
     }
 

@@ -335,7 +335,7 @@ thread_local! {
 }
 
 /// Runs `f` with this thread's [`BatchArena`].
-pub fn with_batch_arena<R>(f: impl FnOnce(&mut BatchArena) -> R) -> R {
+fn with_batch_arena<R>(f: impl FnOnce(&mut BatchArena) -> R) -> R {
     BATCH_ARENA.with(|cell| f(&mut cell.borrow_mut()))
 }
 

@@ -36,28 +36,6 @@ impl BlockTriDiag {
         }
     }
 
-    /// Builds from explicit block vectors.
-    pub fn from_blocks(diag: Vec<CMatrix>, upper: Vec<CMatrix>, lower: Vec<CMatrix>) -> Self {
-        let nb = diag.len();
-        assert!(nb >= 1, "need at least one diagonal block");
-        let bs = diag[0].rows();
-        for d in &diag {
-            assert_eq!(d.shape(), (bs, bs), "inconsistent diagonal block shape");
-        }
-        assert_eq!(upper.len(), nb - 1, "need nb-1 upper blocks");
-        assert_eq!(lower.len(), nb - 1, "need nb-1 lower blocks");
-        for u in upper.iter().chain(lower.iter()) {
-            assert_eq!(u.shape(), (bs, bs), "inconsistent off-diagonal block shape");
-        }
-        BlockTriDiag {
-            nb,
-            bs,
-            diag,
-            upper,
-            lower,
-        }
-    }
-
     /// Number of diagonal blocks.
     #[inline]
     pub fn num_blocks(&self) -> usize {
@@ -132,11 +110,6 @@ impl BlockTriDiag {
                 .map(|(a, b)| comb(a, b))
                 .collect(),
         }
-    }
-
-    /// Adds `m` to diagonal block `b` in place.
-    pub fn add_to_diag(&mut self, b: usize, m: &CMatrix) {
-        self.diag[b] += m;
     }
 
     /// Largest element magnitude over all blocks.

@@ -171,17 +171,6 @@ impl CMatrix {
         }
     }
 
-    /// Writes the conjugate transpose of `self` into `out` (buffer reused).
-    pub fn adjoint_into(&self, out: &mut CMatrix) {
-        out.resize(self.cols, self.rows);
-        for j in 0..self.cols {
-            let src = self.col(j);
-            for (i, &v) in src.iter().enumerate() {
-                out.data[i * self.cols + j] = v.conj();
-            }
-        }
-    }
-
     /// Transpose (no conjugation).
     pub fn transpose(&self) -> CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])

@@ -24,14 +24,18 @@
 //!   per lane (pivots searched and rows swapped per lane) whose every
 //!   lane is bitwise [`crate::Workspace::invert_into`].
 //!
-//! Each is one generic body instantiated twice, AVX2+FMA and portable,
-//! behind the same runtime dispatch as the micro-kernel
-//! (`OMEN_FORCE_SCALAR=1` pins the portable one). Within an instantiation
-//! the arithmetic of one output element never depends on where in a run
-//! it sits (vector step or scalar tail), so [`planes_mac`],
-//! [`planes_gemm`] and [`planes_invert`] are bitwise reproducible under
-//! any split of the energy axis; [`planes_invert`] fuses nothing, so its
-//! two instantiations agree bit for bit too.
+//! All four are one body each, written over one SIMD vocabulary (the
+//! `Lane` trait) and run through one dispatch (`dispatch`): the AVX2+FMA
+//! instantiation (`on_avx2`) steps four lanes at a time and takes the
+//! tail of a run as a scalar lane with the vector lane's fused
+//! operations; the portable one (the only one without AVX2 + FMA, pinned
+//! by `OMEN_FORCE_SCALAR=1`, as for the micro-kernel) is the plain scalar
+//! lane throughout. Within an instantiation the arithmetic of one output
+//! element therefore never depends on where in a run it sits (vector step
+//! or scalar tail), so [`planes_mac`], [`planes_gemm`] and
+//! [`planes_invert`] are bitwise reproducible under any split of the
+//! energy axis; [`planes_invert`] fuses nothing, so its two
+//! instantiations agree bit for bit too.
 //!
 //! The kernels do no accounting of their own: a caller fuses many sweeps
 //! over one pack into a run and reports it once through
@@ -185,175 +189,13 @@ pub fn pack_split(len: usize, transpose: Option<usize>, src: &[C64], dst: &mut V
 }
 
 // ---------------------------------------------------------------------------
-// Stage C: block product with the run as the SIMD axis.
+// The SIMD vocabulary: lanes, one kernel trait, one dispatch.
 // ---------------------------------------------------------------------------
 
-/// `C[(r, c)][e] += Σ_l A[(r, l)][e] · w[(l, c)]` for `e < n`: a run of
-/// `n` tiny `dim × dim` products against one shared right operand `w`
-/// (column-major), with the run as the SIMD axis.
-///
-/// `a` and `c` are element planes as [`pack_planes`] lays them out, each
-/// sliced to start at the first block of the run: plane `2·x` of `a`
-/// (`re` of element `x`, elements in row-major order) starts at `2·x·la`,
-/// its `im` plane one plane length further; likewise `c` with `lc`. Each
-/// output element sums its terms in one fixed order whatever `n` is and
-/// wherever the run starts.
-///
-/// # Panics
-/// If `dim` exceeds [`PLANES_MAX_DIM`] or a plane is too short for the run.
-pub fn planes_mac(dim: usize, n: usize, a: &[f64], la: usize, w: &[C64], c: &mut [f64], lc: usize) {
-    if n == 0 || dim == 0 {
-        return;
-    }
-    let fma = fma_available();
-    match dim {
-        1 => mac_block::<1>(fma, n, a, la, w, c, lc),
-        2 => mac_block::<2>(fma, n, a, la, w, c, lc),
-        3 => mac_block::<3>(fma, n, a, la, w, c, lc),
-        4 => mac_block::<4>(fma, n, a, la, w, c, lc),
-        5 => mac_block::<5>(fma, n, a, la, w, c, lc),
-        _ => panic!("planes_mac: block dimension {dim} > {PLANES_MAX_DIM}"),
-    }
-}
-
-/// One instantiation per block dimension; `fma` from [`fma_available`].
-fn mac_block<const N: usize>(
-    fma: bool,
-    n: usize,
-    a: &[f64],
-    la: usize,
-    w: &[C64],
-    c: &mut [f64],
-    lc: usize,
-) {
-    // The last of the `2·N²` planes still holds `n` elements.
-    let holds = |len: usize, stride: usize| {
-        let end = (2 * N * N - 1)
-            .checked_mul(stride)
-            .and_then(|o| o.checked_add(n));
-        n <= stride && end.is_some_and(|end| end <= len)
-    };
-    assert!(w.len() >= N * N, "planes_mac: W too short");
-    assert!(holds(a.len(), la), "planes_mac: A planes too short");
-    assert!(holds(c.len(), lc), "planes_mac: C planes too short");
-    #[cfg(target_arch = "x86_64")]
-    if fma {
-        // SAFETY: `fma` is true only when the CPU reports AVX2 + FMA, and
-        // the asserts above say every plane holds `n` elements.
-        unsafe { mac_block_avx2::<N>(n, a, la, w, c, lc) };
-        return;
-    }
-    let _ = fma;
-    mac_scalar::<N, false>(n, a, la, w, c, lc);
-}
-
-/// [`mac_block`] one run position at a time: the portable instantiation,
-/// and (`FMA`, inlined into the AVX2 one) the same fused operations as a
-/// vector lane for runs shorter than a vector.
-#[inline(always)]
-fn mac_scalar<const N: usize, const FMA: bool>(
-    n: usize,
-    a: &[f64],
-    la: usize,
-    w: &[C64],
-    c: &mut [f64],
-    lc: usize,
-) {
-    for r in 0..N {
-        for col in 0..N {
-            let o = 2 * (r * N + col) * lc;
-            for e in 0..n {
-                let (mut re, mut im) = (c[o + e], c[o + lc + e]);
-                for l in 0..N {
-                    let x = 2 * (r * N + l) * la + e;
-                    let (xr, xi, z) = (a[x], a[x + la], w[col * N + l]);
-                    if FMA {
-                        re = (-xi).mul_add(z.im, xr.mul_add(z.re, re));
-                        im = xi.mul_add(z.re, xr.mul_add(z.im, im));
-                    } else {
-                        re = re + xr * z.re - xi * z.im;
-                        im = im + xr * z.im + xi * z.re;
-                    }
-                }
-                (c[o + e], c[o + lc + e]) = (re, im);
-            }
-        }
-    }
-}
-
-/// AVX2/FMA instantiation of [`mac_block`]: a block row at a time, four
-/// run positions per step, the `(r, l)` operands loaded once and held
-/// across the output row. A ragged end is one more full step over the
-/// last four positions that leaves the lanes already done untouched, so
-/// every position sees the same fused operations in the same order.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA; plane `p < 2·N²` of `a` (`c`) must
-/// hold `n` elements from `p·la` (`p·lc`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn mac_block_avx2<const N: usize>(
-    n: usize,
-    a: &[f64],
-    la: usize,
-    w: &[C64],
-    c: &mut [f64],
-    lc: usize,
-) {
-    use std::arch::x86_64::*;
-    if n < LANES {
-        return mac_scalar::<N, true>(n, a, la, w, c, lc);
-    }
-    let full = n / LANES * LANES;
-    // Lanes of the overlapping last step that earlier steps completed.
-    let done = _mm256_set1_pd((full + LANES - n) as f64);
-    let done = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_set_pd(3.0, 2.0, 1.0, 0.0), done);
-    for r in 0..N {
-        let a = a.as_ptr().add(2 * r * N * la);
-        let c = c.as_mut_ptr().add(2 * r * N * lc);
-        let step = |e: usize, keep: Option<__m256d>| {
-            let mut x = [[_mm256_setzero_pd(); 2]; N];
-            for (l, x) in x.iter_mut().enumerate() {
-                *x = [
-                    _mm256_loadu_pd(a.add(2 * l * la + e)),
-                    _mm256_loadu_pd(a.add((2 * l + 1) * la + e)),
-                ];
-            }
-            for col in 0..N {
-                let (pr, pi) = (c.add(2 * col * lc + e), c.add((2 * col + 1) * lc + e));
-                let old = [_mm256_loadu_pd(pr), _mm256_loadu_pd(pi)];
-                let [mut re, mut im] = old;
-                for (l, x) in x.iter().enumerate() {
-                    let z = w[col * N + l];
-                    let (wr, wi) = (_mm256_set1_pd(z.re), _mm256_set1_pd(z.im));
-                    re = _mm256_fnmadd_pd(x[1], wi, _mm256_fmadd_pd(x[0], wr, re));
-                    im = _mm256_fmadd_pd(x[1], wr, _mm256_fmadd_pd(x[0], wi, im));
-                }
-                if let Some(keep) = keep {
-                    re = _mm256_blendv_pd(re, old[0], keep);
-                    im = _mm256_blendv_pd(im, old[1], keep);
-                }
-                _mm256_storeu_pd(pr, re);
-                _mm256_storeu_pd(pi, im);
-            }
-        };
-        for e in (0..full).step_by(LANES) {
-            step(e, None);
-        }
-        if full < n {
-            step(n - LANES, Some(done));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RGF: block products with the energy lanes as the SIMD axis.
-// ---------------------------------------------------------------------------
-
-/// One SIMD step over energy lanes: the arithmetic of [`planes_gemm`],
-/// written once and instantiated for an AVX2 register (four lanes), a
-/// fused scalar lane (the same operations one lane at a time, for the
-/// tail of a run) and a plain scalar lane (the portable instantiation).
+/// One SIMD step over a run: the arithmetic every plane kernel is written
+/// in, instantiated for an AVX2 register ([`Avx`], four lanes) and for one
+/// scalar lane ([`Scalar`]), fused (the operations of one AVX2 lane, for
+/// the tail of a run) or plain (the portable instantiation).
 ///
 /// # Safety
 /// Every method may run only on a CPU with the instruction set the
@@ -379,15 +221,17 @@ trait Lane: Copy {
     unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self;
 }
 
-/// A scalar lane with hardware FMA: the operations of an AVX2 lane.
+/// One scalar lane: with `FMA` the fused operations of an AVX2 lane
+/// (hardware FMA once inlined into [`on_avx2`]), without it the portable
+/// instantiation.
 #[derive(Clone, Copy)]
-struct Fused(f64);
+struct Scalar<const FMA: bool>(f64);
 
-impl Lane for Fused {
+impl<const FMA: bool> Lane for Scalar<FMA> {
     const WIDTH: usize = 1;
     #[inline(always)]
     unsafe fn load(p: *const f64) -> Self {
-        Fused(*p)
+        Scalar(*p)
     }
     #[inline(always)]
     unsafe fn store(self, p: *mut f64) {
@@ -395,27 +239,35 @@ impl Lane for Fused {
     }
     #[inline(always)]
     unsafe fn splat(x: f64) -> Self {
-        Fused(x)
+        Scalar(x)
     }
     #[inline(always)]
     unsafe fn mul(self, b: Self) -> Self {
-        Fused(self.0 * b.0)
+        Scalar(self.0 * b.0)
     }
     #[inline(always)]
     unsafe fn madd(self, b: Self, c: Self) -> Self {
-        Fused(self.0.mul_add(b.0, c.0))
+        Scalar(if FMA {
+            self.0.mul_add(b.0, c.0)
+        } else {
+            c.0 + self.0 * b.0
+        })
     }
     #[inline(always)]
     unsafe fn nmadd(self, b: Self, c: Self) -> Self {
-        Fused((-self.0).mul_add(b.0, c.0))
+        Scalar(if FMA {
+            (-self.0).mul_add(b.0, c.0)
+        } else {
+            c.0 - self.0 * b.0
+        })
     }
     #[inline(always)]
     unsafe fn add(self, b: Self) -> Self {
-        Fused(self.0 + b.0)
+        Scalar(self.0 + b.0)
     }
     #[inline(always)]
     unsafe fn sub(self, b: Self) -> Self {
-        Fused(self.0 - b.0)
+        Scalar(self.0 - b.0)
     }
     #[inline(always)]
     unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self {
@@ -427,56 +279,8 @@ impl Lane for Fused {
     }
 }
 
-/// A scalar lane without FMA: the portable instantiation.
-#[derive(Clone, Copy)]
-struct Plain(f64);
-
-impl Lane for Plain {
-    const WIDTH: usize = 1;
-    #[inline(always)]
-    unsafe fn load(p: *const f64) -> Self {
-        Plain(*p)
-    }
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
-        *p = self.0;
-    }
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> Self {
-        Plain(x)
-    }
-    #[inline(always)]
-    unsafe fn mul(self, b: Self) -> Self {
-        Plain(self.0 * b.0)
-    }
-    #[inline(always)]
-    unsafe fn madd(self, b: Self, c: Self) -> Self {
-        Plain(c.0 + self.0 * b.0)
-    }
-    #[inline(always)]
-    unsafe fn nmadd(self, b: Self, c: Self) -> Self {
-        Plain(c.0 - self.0 * b.0)
-    }
-    #[inline(always)]
-    unsafe fn add(self, b: Self) -> Self {
-        Plain(self.0 + b.0)
-    }
-    #[inline(always)]
-    unsafe fn sub(self, b: Self) -> Self {
-        Plain(self.0 - b.0)
-    }
-    #[inline(always)]
-    unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self {
-        if re.0 == 0.0 && im.0 == 0.0 {
-            old
-        } else {
-            self
-        }
-    }
-}
-
-/// Four lanes in one AVX2 register. Only ever inlined into
-/// [`gemm_avx2`], whose `target_feature` lets the intrinsics inline.
+/// Four lanes in one AVX2 register. Only ever inlined into [`on_avx2`],
+/// whose `target_feature` lets the intrinsics inline.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct Avx(std::arch::x86_64::__m256d);
@@ -526,18 +330,183 @@ impl Lane for Avx {
     }
 }
 
-/// Shape and scalars of one [`planes_gemm`] call, in `f64` offsets: an
-/// element is `2·lanes` values, its `im` plane `lanes` after its `re`.
-#[derive(Clone, Copy)]
-struct LaneGemm {
+/// One plane-kernel call: the body is written once over its lanes, `V`
+/// stepping over the bulk of the run and `T` (one lane wide) over the
+/// rest. Each implementor is built only after its public entry point has
+/// asserted that the operands hold the whole run, so the CPU is the one
+/// condition left to the caller of `run`.
+trait LaneKernel {
+    type Output;
+    /// # Safety
+    /// The CPU must run `V` and `T` (see [`Lane`]).
+    unsafe fn run<V: Lane, T: Lane>(self) -> Self::Output;
+}
+
+/// Runs `k` on the instantiation the CPU runs: [`on_avx2`] where the CPU
+/// reports AVX2 + FMA, else the plain scalar lane throughout
+/// (`OMEN_FORCE_SCALAR=1` pins the latter).
+fn dispatch<K: LaneKernel>(k: K) -> K::Output {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: `fma_available` says the CPU has AVX2 + FMA.
+        return unsafe { on_avx2(k) };
+    }
+    // SAFETY: the scalar lanes run anywhere.
+    unsafe { k.run::<Scalar<false>, Scalar<false>>() }
+}
+
+/// The AVX2/FMA instantiation of every plane kernel: four lanes per step,
+/// the rest of a run one fused scalar lane at a time.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn on_avx2<K: LaneKernel>(k: K) -> K::Output {
+    k.run::<Avx, Scalar<true>>()
+}
+
+/// A complex number of lanes, `(re, im)`.
+type Cx<V> = (V, V);
+
+// ---------------------------------------------------------------------------
+// Stage C: block product with the run as the SIMD axis.
+// ---------------------------------------------------------------------------
+
+/// `C[(r, c)][e] += Σ_l A[(r, l)][e] · w[(l, c)]` for `e < n`: a run of
+/// `n` tiny `dim × dim` products against one shared right operand `w`
+/// (column-major), with the run as the SIMD axis.
+///
+/// `a` and `c` are element planes as [`pack_planes`] lays them out, each
+/// sliced to start at the first block of the run: plane `2·x` of `a`
+/// (`re` of element `x`, elements in row-major order) starts at `2·x·la`,
+/// its `im` plane one plane length further; likewise `c` with `lc`. Each
+/// output element sums its terms in one fixed order whatever `n` is and
+/// wherever the run starts.
+///
+/// # Panics
+/// If `dim` exceeds [`PLANES_MAX_DIM`] or a plane is too short for the run.
+pub fn planes_mac(dim: usize, n: usize, a: &[f64], la: usize, w: &[C64], c: &mut [f64], lc: usize) {
+    if n == 0 || dim == 0 {
+        return;
+    }
+    assert!(
+        dim <= PLANES_MAX_DIM,
+        "planes_mac: block dimension {dim} > {PLANES_MAX_DIM}"
+    );
+    // The last of the `2·dim²` planes still holds `n` elements.
+    let holds = |len: usize, stride: usize| {
+        let end = (2 * dim * dim - 1)
+            .checked_mul(stride)
+            .and_then(|o| o.checked_add(n));
+        n <= stride && end.is_some_and(|end| end <= len)
+    };
+    assert!(w.len() >= dim * dim, "planes_mac: W too short");
+    assert!(holds(a.len(), la), "planes_mac: A planes too short");
+    assert!(holds(c.len(), lc), "planes_mac: C planes too short");
+    dispatch(Mac {
+        dim,
+        n,
+        a,
+        la,
+        w,
+        c,
+        lc,
+    });
+}
+
+/// One [`planes_mac`] call.
+struct Mac<'a> {
+    dim: usize,
+    n: usize,
+    a: &'a [f64],
+    la: usize,
+    w: &'a [C64],
+    c: &'a mut [f64],
+    lc: usize,
+}
+
+impl LaneKernel for Mac<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Lane, T: Lane>(mut self) {
+        match self.dim {
+            1 => self.block::<V, T, 1>(),
+            2 => self.block::<V, T, 2>(),
+            3 => self.block::<V, T, 3>(),
+            4 => self.block::<V, T, 4>(),
+            5 => self.block::<V, T, 5>(),
+            _ => unreachable!("planes_mac checks the dimension"),
+        }
+    }
+}
+
+impl Mac<'_> {
+    /// One instantiation per block dimension.
+    ///
+    /// # Safety
+    /// As for [`LaneKernel::run`].
+    #[inline(always)]
+    unsafe fn block<V: Lane, T: Lane, const N: usize>(&mut self) {
+        let full = self.n / V::WIDTH * V::WIDTH;
+        self.steps::<V, N>(0, full);
+        self.steps::<T, N>(full, self.n);
+    }
+
+    /// Run positions `from..to`, `V::WIDTH` per step, a block row at a
+    /// time: the `(r, l)` operands are loaded once and held across the
+    /// output row.
+    ///
+    /// # Safety
+    /// As for [`LaneKernel::run`], and `V::WIDTH` must divide `to − from`.
+    #[inline(always)]
+    unsafe fn steps<V: Lane, const N: usize>(&mut self, from: usize, to: usize) {
+        let (la, lc, w) = (self.la, self.lc, self.w);
+        for r in 0..N {
+            let a = self.a.as_ptr().add(2 * r * N * la);
+            let c = self.c.as_mut_ptr().add(2 * r * N * lc);
+            for e in (from..to).step_by(V::WIDTH) {
+                let x: [Cx<V>; N] = std::array::from_fn(|l| {
+                    let p = a.add(2 * l * la + e);
+                    (V::load(p), V::load(p.add(la)))
+                });
+                for col in 0..N {
+                    let (pr, pi) = (c.add(2 * col * lc + e), c.add((2 * col + 1) * lc + e));
+                    let (mut re, mut im) = (V::load(pr), V::load(pi));
+                    for (l, &(xr, xi)) in x.iter().enumerate() {
+                        let z = w[col * N + l];
+                        let (wr, wi) = (V::splat(z.re), V::splat(z.im));
+                        re = xi.nmadd(wi, xr.madd(wr, re));
+                        im = xi.madd(wr, xr.madd(wi, im));
+                    }
+                    re.store(pr);
+                    im.store(pi);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// RGF: block products with the energy lanes as the SIMD axis.
+// ---------------------------------------------------------------------------
+
+/// One [`lane_gemm`] call: shape and scalars in `f64` offsets (an element
+/// is `2·lanes` values, its `im` plane `lanes` after its `re`) and the
+/// three lane blocks.
+struct LaneGemm<'a> {
     dims: BatchDims,
     lanes: usize,
     alpha: C64,
     beta: C64,
     conj_b: bool,
+    a: &'a [f64],
+    b: &'a [f64],
+    c: &'a mut [f64],
 }
 
-impl LaneGemm {
+impl LaneGemm<'_> {
     /// Offset of element `(i, j)` of a column-major block with `rows` rows.
     #[inline(always)]
     fn at(&self, rows: usize, i: usize, j: usize) -> usize {
@@ -647,36 +616,19 @@ impl LaneGemm {
         }
     }
 
-    /// Every output tile, lanes `from..to` in steps of `V::WIDTH`.
+    /// Every output tile, lanes `from..to` in steps of `V::WIDTH`, for one
+    /// `op(B)` and one MAC order.
     ///
     /// # Safety
     /// As for [`LaneGemm::tile`], and `V::WIDTH` must divide `to − from`.
-    #[inline(always)]
-    unsafe fn run<V: Lane>(&self, from: usize, to: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        let BatchDims { m, n, k } = self.dims;
-        match (self.conj_b, m.max(n).max(k) > SMALL_DIM) {
-            (false, false) => self.tiles::<V, false, false>(from, to, a, b, c),
-            (false, true) => self.tiles::<V, false, true>(from, to, a, b, c),
-            (true, false) => self.tiles::<V, true, false>(from, to, a, b, c),
-            (true, true) => self.tiles::<V, true, true>(from, to, a, b, c),
-        }
-    }
-
-    /// [`LaneGemm::run`] for one `op(B)` and one MAC order.
-    ///
-    /// # Safety
-    /// As for [`LaneGemm::run`].
     #[inline(always)]
     unsafe fn tiles<V: Lane, const CONJ: bool, const GEMM: bool>(
         &self,
         from: usize,
         to: usize,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
+        (a, b, c): (*const f64, *const f64, *mut f64),
     ) {
         let (m, n) = (self.dims.m, self.dims.n);
-        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         for j0 in (0..n).step_by(2) {
             for i0 in (0..m).step_by(2) {
                 for e in (from..to).step_by(V::WIDTH) {
@@ -688,6 +640,33 @@ impl LaneGemm {
                     }
                 }
             }
+        }
+    }
+
+    /// [`LaneGemm::tiles`] over both lane types.
+    ///
+    /// # Safety
+    /// As for [`LaneKernel::run`].
+    #[inline(always)]
+    unsafe fn both<V: Lane, T: Lane, const CONJ: bool, const GEMM: bool>(self) {
+        let ops = (self.a.as_ptr(), self.b.as_ptr(), self.c.as_mut_ptr());
+        let full = self.lanes / V::WIDTH * V::WIDTH;
+        self.tiles::<V, CONJ, GEMM>(0, full, ops);
+        self.tiles::<T, CONJ, GEMM>(full, self.lanes, ops);
+    }
+}
+
+impl LaneKernel for LaneGemm<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Lane, T: Lane>(self) {
+        let BatchDims { m, n, k } = self.dims;
+        match (self.conj_b, m.max(n).max(k) > SMALL_DIM) {
+            (false, false) => self.both::<V, T, false, false>(),
+            (false, true) => self.both::<V, T, false, true>(),
+            (true, false) => self.both::<V, T, true, false>(),
+            (true, true) => self.both::<V, T, true, true>(),
         }
     }
 }
@@ -783,22 +762,16 @@ pub fn lane_gemm(
     if lanes == 0 || m == 0 || n == 0 {
         return;
     }
-    let g = LaneGemm {
+    dispatch(LaneGemm {
         dims,
         lanes,
         alpha,
         beta,
         conj_b: op_b == Op::C,
-    };
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: `fma_available` says the CPU has AVX2 + FMA; the asserts
-        // above say every lane of every element is in bounds.
-        unsafe { gemm_avx2(&g, a, b, c) };
-        return;
-    }
-    // SAFETY: as above; a one-lane step divides any lane count.
-    unsafe { g.run::<Plain>(0, lanes, a, b, c) };
+        a,
+        b,
+        c,
+    });
 }
 
 // `as_c64` relies on this layout.
@@ -821,26 +794,9 @@ fn as_c64_mut(x: &mut [f64]) -> &mut [C64] {
     unsafe { std::slice::from_raw_parts_mut(x.as_mut_ptr().cast(), x.len() / 2) }
 }
 
-/// AVX2/FMA instantiation of [`planes_gemm`]: four lanes per step, the
-/// lanes past the last full step one at a time with the same fused
-/// operations.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA; the planes must hold every lane.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_avx2(g: &LaneGemm, a: &[f64], b: &[f64], c: &mut [f64]) {
-    let full = g.lanes / LANES * LANES;
-    g.run::<Avx>(0, full, a, b, c);
-    g.run::<Fused>(full, g.lanes, a, b, c);
-}
-
 // ---------------------------------------------------------------------------
 // RGF: block inverses with the energy lanes as the SIMD axis.
 // ---------------------------------------------------------------------------
-
-/// A complex number of lanes, `(re, im)`.
-type Cx<V> = (V, V);
 
 /// `x·y` as [`C64`]'s `Mul`: four products, one subtraction, one
 /// addition, nothing fused.
@@ -856,16 +812,18 @@ unsafe fn cmsub<V: Lane>((ar, ai): Cx<V>, x: Cx<V>, y: Cx<V>) -> Cx<V> {
     (ar.sub(pr), ai.sub(pi))
 }
 
-/// The state of one [`planes_invert`] call: the factors of every lane,
-/// **row-major** (element `(i, j)` from `2·(i·n + j)·lanes`, so a row of
-/// `U` and of `L` is contiguous), the pivot row of every step and lane,
-/// and the reciprocal of every lane's `U` diagonal, `[k][re|im][lane]`.
+/// One [`planes_invert`] call: the factors of every lane, **row-major**
+/// (element `(i, j)` from `2·(i·n + j)·lanes`, so a row of `U` and of `L`
+/// is contiguous), the pivot row of every step and lane, the reciprocal
+/// of every lane's `U` diagonal, `[k][re|im][lane]`, and the inverse
+/// (column-major lane blocks).
 struct LaneLu<'a> {
     n: usize,
     lanes: usize,
     lu: &'a mut [f64],
     piv: &'a mut [usize],
     rinv: &'a mut [f64],
+    out: &'a mut [f64],
 }
 
 impl LaneLu<'_> {
@@ -975,14 +933,14 @@ impl LaneLu<'_> {
             }
         }
     }
+}
 
-    /// The whole inverse into `out` (column-major lane blocks): `V` steps
-    /// over the lanes, `T` (one lane wide) over the rest.
-    ///
-    /// # Safety
-    /// The CPU must run `V` and `T`; `out` holds the whole block.
+impl LaneKernel for LaneLu<'_> {
+    type Output = Result<(), SingularMatrix>;
+
+    /// The whole inverse into `out`.
     #[inline(always)]
-    unsafe fn run<V: Lane, T: Lane>(&mut self, out: &mut [f64]) -> Result<(), SingularMatrix> {
+    unsafe fn run<V: Lane, T: Lane>(mut self) -> Result<(), SingularMatrix> {
         let (n, l) = (self.n, self.lanes);
         let full = l / V::WIDTH * V::WIDTH;
         for k in 0..n {
@@ -993,6 +951,7 @@ impl LaneLu<'_> {
             self.eliminate::<T>(k, full, l);
         }
         // Column c of A⁻¹ solves A x = e_c.
+        let out = std::mem::take(&mut self.out);
         for (c, b) in out.chunks_exact_mut(2 * n * l).take(n).enumerate() {
             b.fill(0.0);
             for e in 0..l {
@@ -1010,36 +969,6 @@ impl LaneLu<'_> {
         }
         Ok(())
     }
-}
-
-impl LaneLu<'_> {
-    /// [`LaneLu::run`] on the instantiation the CPU runs.
-    fn dispatch(&mut self, out: &mut [f64]) -> Result<(), SingularMatrix> {
-        let (n, l) = (self.n, self.lanes);
-        assert!(self.lu.len() >= 2 * n * n * l && out.len() >= 2 * n * n * l);
-        assert!(self.rinv.len() >= 2 * n * l && self.piv.len() >= n * l);
-        #[cfg(target_arch = "x86_64")]
-        if fma_available() {
-            // SAFETY: `fma_available` says the CPU has AVX2 + FMA; the
-            // asserts above say the factors, reciprocals and `out` hold
-            // every lane of every element.
-            return unsafe { invert_avx2(self, out) };
-        }
-        // SAFETY: as above; a one-lane step divides any lane count.
-        unsafe { self.run::<Plain, Plain>(out) }
-    }
-}
-
-/// AVX2 instantiation of [`LaneLu::run`]: four lanes per step, the rest
-/// one at a time.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA (the lane types need both; no
-/// operation here is fused); `out` holds the whole block.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn invert_avx2(lu: &mut LaneLu, out: &mut [f64]) -> Result<(), SingularMatrix> {
-    lu.run::<Avx, Fused>(out)
 }
 
 /// `out[e] = a[e]⁻¹` for every lane `e < lanes` of `n × n` lane blocks
@@ -1078,14 +1007,14 @@ pub fn planes_invert(n: usize, lanes: usize, a: &[f64], out: &mut [f64], ws: &mu
             lu[d..d + 2 * lanes].copy_from_slice(z);
         }
     }
-    let mut f = LaneLu {
+    let solved = dispatch(LaneLu {
         n,
         lanes,
         lu,
         piv: &mut piv,
         rinv,
-    };
-    let solved = f.dispatch(out);
+        out,
+    });
     ws.lane_pivots = piv;
     ws.give_planes(buf);
     if let Err(e) = solved {
@@ -1124,90 +1053,74 @@ pub type SplitRun<'a> = [&'a [f64]; 2];
 /// # Panics
 /// If the runs differ in length.
 pub fn planes_dots(x: [SplitRun<'_>; 3], y: [SplitRun<'_>; 3], tile: &mut DotTile) {
-    dots(fma_available(), &x, &y, tile);
-}
-
-/// [`planes_dots`] with `fma` from [`fma_available`].
-fn dots(fma: bool, x: &[SplitRun<'_>; 3], y: &[SplitRun<'_>; 3], tile: &mut DotTile) {
     let n = x[0][0].len();
-    for run in x.iter().chain(y) {
+    for run in x.iter().chain(&y) {
         assert!(
             run[0].len() == n && run[1].len() == n,
             "planes_dots: ragged runs"
         );
     }
-    #[cfg(target_arch = "x86_64")]
-    if fma {
-        // SAFETY: `fma` is true only when the CPU reports AVX2 + FMA; the
-        // asserts above say all six runs hold `n` elements.
-        unsafe { dots_avx2(n, x, y, tile) };
-        return;
-    }
-    let _ = fma;
-    dots_scalar::<false>(0, n, x, y, tile);
+    dispatch(Dots { n, x, y, tile });
 }
 
-/// Positions `from..n` of [`dots`] one at a time: the portable
-/// instantiation, and (`FMA`, inlined into the AVX2 one) its ragged end.
-#[inline(always)]
-fn dots_scalar<const FMA: bool>(
-    from: usize,
+/// One [`planes_dots`] call.
+struct Dots<'a> {
     n: usize,
-    x: &[SplitRun<'_>; 3],
-    y: &[SplitRun<'_>; 3],
-    tile: &mut DotTile,
-) {
-    for t in from..n {
-        let lane = t % LANES;
-        for (j, y) in y.iter().enumerate() {
-            for (i, x) in x.iter().enumerate() {
-                let (xr, xi, yr, yi) = (x[0][t], x[1][t], y[0][t], y[1][t]);
-                let (re, im) = (&mut tile.re[j * 3 + i][lane], &mut tile.im[j * 3 + i][lane]);
-                if FMA {
-                    *re = (-xi).mul_add(yi, xr.mul_add(yr, *re));
-                    *im = xi.mul_add(yr, xr.mul_add(yi, *im));
-                } else {
-                    *re = *re + xr * yr - xi * yi;
-                    *im = *im + xr * yi + xi * yr;
-                }
-            }
-        }
+    x: [SplitRun<'a>; 3],
+    y: [SplitRun<'a>; 3],
+    tile: &'a mut DotTile,
+}
+
+impl LaneKernel for Dots<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Lane, T: Lane>(mut self) {
+        let full = self.n / LANES * LANES;
+        self.steps::<V>(0, full);
+        self.steps::<T>(full, self.n);
     }
 }
 
-/// AVX2/FMA instantiation of [`planes_dots`]: the eighteen lane
-/// accumulators stay in registers across the run.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA; every run must hold `n` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dots_avx2(n: usize, x: &[SplitRun<'_>; 3], y: &[SplitRun<'_>; 3], tile: &mut DotTile) {
-    use std::arch::x86_64::*;
-    let full = n / LANES * LANES;
-    let mut re = tile.re.map(|v| _mm256_loadu_pd(v.as_ptr()));
-    let mut im = tile.im.map(|v| _mm256_loadu_pd(v.as_ptr()));
-    for t in (0..full).step_by(LANES) {
-        let at = |run: &SplitRun<'_>| {
-            [
-                _mm256_loadu_pd(run[0].as_ptr().add(t)),
-                _mm256_loadu_pd(run[1].as_ptr().add(t)),
-            ]
-        };
-        let (xv, yv) = (x.each_ref().map(at), y.each_ref().map(at));
-        for (j, y) in yv.iter().enumerate() {
-            for (i, x) in xv.iter().enumerate() {
-                let o = j * 3 + i;
-                re[o] = _mm256_fnmadd_pd(x[1], y[1], _mm256_fmadd_pd(x[0], y[0], re[o]));
-                im[o] = _mm256_fmadd_pd(x[1], y[0], _mm256_fmadd_pd(x[0], y[1], im[o]));
+impl Dots<'_> {
+    /// Positions `from..to` (`from` a multiple of [`LANES`]): one pass per
+    /// tile lane offset `s` of a `V` step, holding the eighteen
+    /// accumulators across the positions `t ≡ s (mod LANES)`.
+    ///
+    /// # Safety
+    /// As for [`LaneKernel::run`], and `V::WIDTH` must divide `to − from`
+    /// and [`LANES`].
+    #[inline(always)]
+    unsafe fn steps<V: Lane>(&mut self, from: usize, to: usize) {
+        let ptrs = |runs: [SplitRun<'_>; 3]| runs.map(|[re, im]| [re.as_ptr(), im.as_ptr()]);
+        let (x, y) = (ptrs(self.x), ptrs(self.y));
+        let tile = &mut *self.tile;
+        for pass in 0..LANES / V::WIDTH {
+            let s = pass * V::WIDTH;
+            if from + s >= to {
+                break; // no position at this offset, nor at the next
+            }
+            let mut re: [V; 9] = std::array::from_fn(|o| V::load(tile.re[o].as_ptr().add(s)));
+            let mut im: [V; 9] = std::array::from_fn(|o| V::load(tile.im[o].as_ptr().add(s)));
+            let mut t = from + s;
+            while t < to {
+                let at = |[re, im]: [*const f64; 2]| (V::load(re.add(t)), V::load(im.add(t)));
+                let (xv, yv) = (x.map(at), y.map(at));
+                for (j, &(yr, yi)) in yv.iter().enumerate() {
+                    for (i, &(xr, xi)) in xv.iter().enumerate() {
+                        let o = j * 3 + i;
+                        re[o] = xi.nmadd(yi, xr.madd(yr, re[o]));
+                        im[o] = xi.madd(yr, xr.madd(yi, im[o]));
+                    }
+                }
+                t += LANES;
+            }
+            for o in 0..9 {
+                re[o].store(tile.re[o].as_mut_ptr().add(s));
+                im[o].store(tile.im[o].as_mut_ptr().add(s));
             }
         }
     }
-    for o in 0..9 {
-        _mm256_storeu_pd(tile.re[o].as_mut_ptr(), re[o]);
-        _mm256_storeu_pd(tile.im[o].as_mut_ptr(), im[o]);
-    }
-    dots_scalar::<true>(full, n, x, y, tile);
 }
 
 #[cfg(test)]
@@ -1323,6 +1236,75 @@ mod tests {
         }
     }
 
+    /// How a test runs a plane kernel.
+    #[derive(Clone, Copy)]
+    enum Inst {
+        /// The dispatch's AVX2 instantiation.
+        Avx2,
+        /// One fused scalar lane at a time, as the AVX2 instantiation's tail.
+        Fused,
+        /// One plain scalar lane at a time: the portable instantiation.
+        Plain,
+    }
+
+    fn run<K: LaneKernel>(inst: Inst, k: K) -> K::Output {
+        // SAFETY: the AVX2 instantiation runs only where the CPU has AVX2
+        // + FMA (asserted); the scalar lanes run anywhere.
+        unsafe {
+            match inst {
+                Inst::Avx2 => {
+                    assert!(fma_available(), "the AVX2 instantiation needs AVX2 + FMA");
+                    on_avx2(k)
+                }
+                Inst::Fused => k.run::<Scalar<true>, Scalar<true>>(),
+                Inst::Plain => k.run::<Scalar<false>, Scalar<false>>(),
+            }
+        }
+    }
+
+    /// [`planes_mac`] over whole planes of `n` positions.
+    fn mac<'a>(dim: usize, n: usize, a: &'a [f64], w: &'a [C64], c: &'a mut [f64]) -> Mac<'a> {
+        let (la, lc) = (n, n);
+        Mac {
+            dim,
+            n,
+            a,
+            la,
+            w,
+            c,
+            lc,
+        }
+    }
+
+    /// [`planes_dots`] over the runs' length.
+    fn dots<'a>(x: [SplitRun<'a>; 3], y: [SplitRun<'a>; 3], tile: &'a mut DotTile) -> Dots<'a> {
+        let n = x[0][0].len();
+        Dots { n, x, y, tile }
+    }
+
+    /// [`lane_gemm`] on square blocks, `ab = (α, β)`.
+    fn gemm<'a>(
+        bs: usize,
+        lanes: usize,
+        (alpha, beta): (C64, C64),
+        conj_b: bool,
+        a: &'a [f64],
+        b: &'a [f64],
+        c: &'a mut [f64],
+    ) -> LaneGemm<'a> {
+        let dims = BatchDims::square(bs);
+        LaneGemm {
+            dims,
+            lanes,
+            alpha,
+            beta,
+            conj_b,
+            a,
+            b,
+            c,
+        }
+    }
+
     #[test]
     fn instantiations_agree_to_rounding() {
         if !fma_available() {
@@ -1332,21 +1314,115 @@ mod tests {
         let (a, w) = (noise(len * bsz, 6), noise(bsz, 7));
         let mut pa = Vec::new();
         pack_planes(3, len, &a, &mut pa);
-        let (mut fused, mut plain) = (vec![0.0; 2 * len * bsz], vec![0.0; 2 * len * bsz]);
-        mac_block::<3>(true, len, &pa, len, &w, &mut fused, len);
-        mac_block::<3>(false, len, &pa, len, &w, &mut plain, len);
+        let [fused, plain] = [Inst::Avx2, Inst::Plain].map(|inst| {
+            let mut c = vec![0.0; 2 * len * bsz];
+            run(inst, mac(3, len, &pa, &w, &mut c));
+            c
+        });
         for (f, p) in fused.iter().zip(&plain) {
             assert!((f - p).abs() < 1e-14);
         }
-        let run = |r: usize| -> SplitRun<'_> {
+        let run_of = |r: usize| -> SplitRun<'_> {
             [&pa[2 * r * len..][..len], &pa[(2 * r + 1) * len..][..len]]
         };
-        let (x, y) = ([run(0), run(1), run(2)], [run(3), run(4), run(5)]);
-        let (mut fused, mut plain) = (DotTile::default(), DotTile::default());
-        dots(true, &x, &y, &mut fused);
-        dots(false, &x, &y, &mut plain);
-        for (f, p) in fused.sum().iter().zip(&plain.sum()) {
+        let (x, y) = (
+            [run_of(0), run_of(1), run_of(2)],
+            [run_of(3), run_of(4), run_of(5)],
+        );
+        let [fused, plain] = [Inst::Avx2, Inst::Plain].map(|inst| {
+            let mut tile = DotTile::default();
+            run(inst, dots(x, y, &mut tile));
+            tile.sum()
+        });
+        for (f, p) in fused.iter().zip(&plain) {
             assert!((*f - *p).abs() < 1e-13);
+        }
+    }
+
+    #[test]
+    fn every_lane_kernel_is_its_fused_scalar_lane() {
+        // A vector step performs, lane by lane, the fused scalar lane's
+        // operations: every kernel gives `==` outputs either way, on sizes
+        // that leave a tail.
+        if !fma_available() {
+            return; // no vector step on this host (or forced)
+        }
+        let re =
+            |n: usize, seed: u64| -> Vec<f64> { noise(n, seed).iter().map(|z| z.re).collect() };
+        let both = [Inst::Avx2, Inst::Fused];
+        for dim in 1..=PLANES_MAX_DIM {
+            for n in [1, 3, 5, 23] {
+                let len = 2 * dim * dim * n;
+                let (a, w, c0) = (re(len, 50), noise(dim * dim, 51), re(len, 52));
+                let [v, s] = both.map(|inst| {
+                    let mut c = c0.clone();
+                    run(inst, mac(dim, n, &a, &w, &mut c));
+                    c
+                });
+                assert_eq!(v, s, "planes_mac: dim {dim}, n {n}");
+            }
+        }
+        for n in [1, 5, 23, 217] {
+            let runs: Vec<Vec<f64>> = (0..12).map(|r| re(n, 60 + r)).collect();
+            let run_of = |r: usize| -> SplitRun<'_> { [&runs[2 * r], &runs[2 * r + 1]] };
+            let (x, y) = (
+                [run_of(0), run_of(1), run_of(2)],
+                [run_of(3), run_of(4), run_of(5)],
+            );
+            let [v, s] = both.map(|inst| {
+                let mut tile = DotTile::default();
+                // Twice: the second call adds on top of the first.
+                run(inst, dots(x, y, &mut tile));
+                run(inst, dots(x, y, &mut tile));
+                (tile.re, tile.im)
+            });
+            assert!(v == s, "planes_dots: n {n}");
+        }
+        for bs in [5, 12, 32] {
+            for lanes in [1, 5, 9] {
+                let len = 2 * bs * bs * lanes;
+                let (a, b, c0) = (re(len, 70), re(len, 71), re(len, 72));
+                for conj_b in [false, true] {
+                    for ab in [(C64::ONE, C64::ZERO), (c64(0.5, -0.25), C64::ONE)] {
+                        let [v, s] = both.map(|inst| {
+                            let mut c = c0.clone();
+                            run(inst, gemm(bs, lanes, ab, conj_b, &a, &b, &mut c));
+                            c
+                        });
+                        let why = format!("bs {bs}, {lanes} lanes, conj {conj_b}, (α, β) {ab:?}");
+                        assert_eq!(v, s, "planes_gemm: {why}");
+                    }
+                }
+            }
+        }
+        for n in [12, 32] {
+            let lanes = 5;
+            // The factors are row-major.
+            let mut lu0 = vec![0.0; 2 * n * n * lanes];
+            for e in 0..lanes {
+                let m = invert_case(n, e);
+                for i in 0..n {
+                    for j in 0..n {
+                        let x = 2 * (i * n + j) * lanes + e;
+                        (lu0[x], lu0[x + lanes]) = (m[(i, j)].re, m[(i, j)].im);
+                    }
+                }
+            }
+            let [v, s] = both.map(|inst| {
+                let (mut lu, mut out) = (lu0.clone(), vec![f64::NAN; lu0.len()]);
+                let (mut piv, mut rinv) = (vec![0; n * lanes], vec![0.0; 2 * n * lanes]);
+                let f = LaneLu {
+                    n,
+                    lanes,
+                    lu: &mut lu,
+                    piv: &mut piv,
+                    rinv: &mut rinv,
+                    out: &mut out,
+                };
+                run(inst, f).expect("invertible");
+                out
+            });
+            assert_eq!(v, s, "planes_invert: n {n}");
         }
     }
 
@@ -1430,13 +1506,6 @@ mod tests {
             return; // one instantiation only on this host (or forced)
         }
         let lanes = 6;
-        let g = LaneGemm {
-            dims: BatchDims::square(12),
-            lanes,
-            alpha: c64(0.5, -0.25),
-            beta: c64(1.0, 0.5),
-            conj_b: true,
-        };
         let f = |seed: u64| -> Vec<f64> {
             noise(144 * lanes, seed)
                 .iter()
@@ -1444,11 +1513,12 @@ mod tests {
                 .collect()
         };
         let (a, b) = (f(11), f(12));
-        let (mut fused, mut plain) = (f(13), f(13));
-        // SAFETY: this host has AVX2 + FMA; every plane holds all lanes.
-        unsafe { gemm_avx2(&g, &a, &b, &mut fused) };
-        // SAFETY: as above.
-        unsafe { g.run::<Plain>(0, lanes, &a, &b, &mut plain) };
+        let ab = (c64(0.5, -0.25), c64(1.0, 0.5));
+        let [fused, plain] = [Inst::Avx2, Inst::Plain].map(|inst| {
+            let mut c = f(13);
+            run(inst, gemm(12, lanes, ab, true, &a, &b, &mut c));
+            c
+        });
         for (x, y) in fused.iter().zip(&plain) {
             assert!((x - y).abs() < 1e-13, "{x} vs {y}");
         }

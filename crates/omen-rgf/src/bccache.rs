@@ -151,7 +151,7 @@ impl BoundaryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::{boundary_self_energies_ws, BoundaryMethod};
+    use crate::boundary::boundary_self_energies_ws;
     use omen_linalg::{c64, CMatrix, Workspace, C64};
 
     fn chain(e: f64, n: usize) -> (CMatrix, CMatrix, CMatrix) {
@@ -171,18 +171,7 @@ mod tests {
             |misses| {
                 solved = true;
                 assert_eq!(misses, [0]);
-                let bse = boundary_self_energies_ws(
-                    BoundaryMethod::SanchoRubio,
-                    &d,
-                    &a,
-                    &b,
-                    &d,
-                    &a,
-                    &b,
-                    1e-12,
-                    300,
-                    &mut ws,
-                );
+                let bse = boundary_self_energies_ws(&d, &a, &b, &d, &a, &b, 1e-12, 300, &mut ws);
                 vec![bse]
             },
             |e, bse| {

@@ -3,15 +3,11 @@
 //! The device's first and last slabs connect to semi-infinite periodic
 //! leads. Eliminating the leads produces the boundary self-energies
 //! `Σ^R_B = τ g_s τ'` where `g_s` is the lead surface Green's function.
-//! Two algorithms compute `g_s`:
-//!
-//! * [`BoundaryMethod::SanchoRubio`] — the decimation scheme (doubling
-//!   convergence; the production choice);
-//! * [`BoundaryMethod::FixedPoint`] — plain self-consistent iteration
-//!   `g ← (D − α g β)⁻¹`, linear convergence (the paper instead pipelines a
-//!   contour-integral method on GPUs; decimation computes the same surface
-//!   GF, and the fixed-point variant serves as the slow baseline for the
-//!   boundary-conditions ablation bench).
+//! One algorithm computes `g_s`: Sancho–Rubio decimation
+//! ([`sancho_rubio_lanes`]), doubling the lead's depth every step; the GF
+//! sweeps decimate to a tolerance of 1e-13 within 200 steps. (The paper
+//! instead pipelines a contour-integral method on GPUs; decimation
+//! computes the same surface GF.)
 //!
 //! Lesser/greater boundary terms follow from local equilibrium in the
 //! contacts: `Σ^<_B = −f·(Σ^R_B − Σ^A_B)` with the Fermi factor for
@@ -23,15 +19,6 @@ use omen_linalg::{
     count_fused_run, gemm_flops, matmul, matmul3, matmul3_into, planes_invert, CMatrix, Workspace,
     C64,
 };
-
-/// Surface Green's function algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoundaryMethod {
-    /// Sancho-Rubio decimation (doubling).
-    SanchoRubio,
-    /// Naive fixed-point iteration (baseline).
-    FixedPoint,
-}
 
 /// Outcome of a surface-GF computation.
 #[derive(Clone, Debug)]
@@ -56,22 +43,20 @@ pub struct SurfaceGf {
 /// coupling from the surface layer *into* the lead and `β` the coupling
 /// back.
 pub fn surface_gf(
-    method: BoundaryMethod,
     d: &CMatrix,
     alpha: &CMatrix,
     beta: &CMatrix,
     tol: f64,
     max_iter: usize,
 ) -> SurfaceGf {
-    surface_gf_ws(method, d, alpha, beta, tol, max_iter, &mut Workspace::new())
+    surface_gf_ws(d, alpha, beta, tol, max_iter, &mut Workspace::new())
 }
 
 /// [`surface_gf`] with caller-supplied scratch: every iteration temporary
 /// comes from `ws`, so repeated boundary solves with a warm workspace
-/// allocate little beyond the returned surface GF. Sancho–Rubio is
+/// allocate little beyond the returned surface GF. It is
 /// [`sancho_rubio_lanes`] on one lead.
 pub fn surface_gf_ws(
-    method: BoundaryMethod,
     d: &CMatrix,
     alpha: &CMatrix,
     beta: &CMatrix,
@@ -79,34 +64,23 @@ pub fn surface_gf_ws(
     max_iter: usize,
     ws: &mut Workspace,
 ) -> SurfaceGf {
-    let mut one = surface_gfs(method, &[[d, alpha, beta]], tol, max_iter, ws);
+    let mut one = sancho_rubio_lanes(&[[d, alpha, beta]], tol, max_iter, ws);
     one.pop().expect("one lead")
 }
 
-/// The surface GFs of a chunk of leads `[D, α, β]`: decimated together
-/// under Sancho–Rubio, one at a time under the fixed point.
-fn surface_gfs(
-    method: BoundaryMethod,
-    leads: &[[&CMatrix; 3]],
-    tol: f64,
-    max_iter: usize,
-    ws: &mut Workspace,
-) -> Vec<SurfaceGf> {
-    match method {
-        BoundaryMethod::SanchoRubio => sancho_rubio_lanes(leads, tol, max_iter, ws),
-        BoundaryMethod::FixedPoint => leads
-            .iter()
-            .map(|[d, alpha, beta]| fixed_point(d, alpha, beta, tol, max_iter, ws))
-            .collect(),
-    }
-}
+/// Decimation tolerance of the GF sweeps: a lead has converged once
+/// `max(|a|, |b|)` is below it (see [`sancho_rubio_lanes`]).
+pub(crate) const DECIMATION_TOL: f64 = 1e-13;
+
+/// Decimation step cap of the GF sweeps.
+pub(crate) const DECIMATION_MAX_ITER: usize = 200;
 
 /// One decimation step is six products: `a·g₀` and `b·g₀` once each, then
 /// `(a·g₀)·b` and `(b·g₀)·a` for the effective blocks and `(a·g₀)·a`,
 /// `(b·g₀)·b` for the next couplings.
 const SR_PRODUCTS: u64 = 6;
 
-/// [`BoundaryMethod::SanchoRubio`] for a chunk of leads at once — one per
+/// Sancho–Rubio decimation for a chunk of leads at once — one per
 /// energy of a row solve — on energy-lane blocks (split-complex
 /// `[element][re|im][lane]`, see [`crate::rows`]). `leads[e]` is lane
 /// `e`'s `[D, α, β]`, all of one block size; blocks over `LANE_MAX_DIM`
@@ -216,43 +190,6 @@ fn finish_lane(
     SurfaceGf { g, iterations }
 }
 
-fn fixed_point(
-    d: &CMatrix,
-    alpha: &CMatrix,
-    beta: &CMatrix,
-    tol: f64,
-    max_iter: usize,
-    ws: &mut Workspace,
-) -> SurfaceGf {
-    let n = d.rows();
-    let mut g = CMatrix::zeros(n, n);
-    ws.invert_into(d, &mut g);
-    let mut agb = ws.take(n, n);
-    let mut t = ws.take(n, n);
-    let mut next = ws.take(n, n);
-    let mut iterations = 0;
-    while iterations < max_iter {
-        iterations += 1;
-        matmul3_into(alpha, &g, beta, &mut t, &mut agb);
-        t.copy_from(d);
-        t -= &agb;
-        ws.invert_into(&t, &mut next);
-        next -= &g;
-        let res = next.max_abs();
-        // Damped update stabilizes the linear iteration near band edges:
-        // g ← (g + next)/2, where `next` currently holds `next − g`.
-        next.scale_inplace(C64::from_re(0.5));
-        g += &next;
-        if res < tol {
-            break;
-        }
-    }
-    for sc in [agb, t, next] {
-        ws.give(sc);
-    }
-    SurfaceGf { g, iterations }
-}
-
 /// Both boundary self-energies of a homogeneous block-tridiagonal system.
 #[derive(Clone, Debug)]
 pub struct BoundarySelfEnergies {
@@ -278,7 +215,6 @@ pub struct BoundarySelfEnergies {
 ///   lower_last)` for the right).
 #[allow(clippy::too_many_arguments)]
 pub fn boundary_self_energies_ws(
-    method: BoundaryMethod,
     d_first: &CMatrix,
     upper_first: &CMatrix,
     lower_first: &CMatrix,
@@ -297,17 +233,15 @@ pub fn boundary_self_energies_ws(
         upper_last,
         lower_last,
     ];
-    let mut one = boundary_self_energies_lanes(method, &[ends], tol, max_iter, ws);
+    let mut one = boundary_self_energies_lanes(&[ends], tol, max_iter, ws);
     one.pop().expect("one point")
 }
 
 /// [`boundary_self_energies_ws`] for a chunk of points, `ends[e]` being
 /// lane `e`'s `[D_first, U_first, L_first, D_last, U_last, L_last]`: each
-/// lead side is one [`surface_gfs`] call over the chunk (one
-/// [`sancho_rubio_lanes`] call under Sancho–Rubio) and every point folds
-/// its own surface GFs.
+/// lead side is one [`sancho_rubio_lanes`] call over the chunk and every
+/// point folds its own surface GFs.
 pub(crate) fn boundary_self_energies_lanes(
-    method: BoundaryMethod,
     ends: &[[&CMatrix; 6]],
     tol: f64,
     max_iter: usize,
@@ -318,8 +252,8 @@ pub(crate) fn boundary_self_energies_lanes(
     // to +∞: deeper via upper, back via lower.
     let left: Vec<[&CMatrix; 3]> = ends.iter().map(|&[d0, u0, l0, ..]| [d0, l0, u0]).collect();
     let right: Vec<[&CMatrix; 3]> = ends.iter().map(|&[.., dn, un, ln]| [dn, un, ln]).collect();
-    let left = surface_gfs(method, &left, tol, max_iter, ws);
-    let right = surface_gfs(method, &right, tol, max_iter, ws);
+    let left = sancho_rubio_lanes(&left, tol, max_iter, ws);
+    let right = sancho_rubio_lanes(&right, tol, max_iter, ws);
     ends.iter()
         .zip(left.into_iter().zip(right))
         .map(|(&[_, u0, l0, _, un, ln], (l, r))| fold_boundaries(l, r, u0, l0, un, ln, ws))
@@ -453,7 +387,7 @@ mod tests {
         // For the scalar chain g = 1/(E − ε0 − t² g): inside the band the
         // imaginary part is −sqrt(4t² − x²)/(2t²) with x = E − ε0.
         let (d, a, b) = chain_blocks(0.3, 1e-9, 0.0, 1.0, 1);
-        let s = surface_gf(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-14, 100);
+        let s = surface_gf(&d, &a, &b, 1e-14, 100);
         let x: f64 = 0.3;
         let t: f64 = 1.0;
         let want_im = -(4.0 * t * t - x * x).sqrt() / (2.0 * t * t);
@@ -473,7 +407,7 @@ mod tests {
     #[test]
     fn decimation_converges_fast() {
         let (d, a, b) = chain_blocks(0.5, 1e-6, 0.0, 1.0, 3);
-        let s = surface_gf(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-12, 200);
+        let s = surface_gf(&d, &a, &b, 1e-12, 200);
         assert!(
             s.iterations < 60,
             "decimation took {} iterations",
@@ -484,27 +418,19 @@ mod tests {
     }
 
     #[test]
-    fn fixed_point_agrees_with_decimation() {
-        // Outside the band (E far from ε0) both converge to the same g.
+    fn decimation_satisfies_dyson_outside_the_band() {
+        // Far from ε0 the decimated g solves g = (D − α·g·β)⁻¹, the
+        // equation a fixed-point iteration would converge on.
         let (d, a, b) = chain_blocks(3.0, 1e-4, 0.0, 1.0, 2);
-        let s1 = surface_gf(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-13, 300);
-        let s2 = surface_gf(BoundaryMethod::FixedPoint, &d, &a, &b, 1e-13, 5000);
-        assert!(
-            s1.g.approx_eq(&s2.g, 1e-6),
-            "methods disagree: {} vs {}",
-            s1.g[(0, 0)],
-            s2.g[(0, 0)]
-        );
-        assert!(
-            s2.iterations > s1.iterations,
-            "fixed point should be slower"
-        );
+        let s = surface_gf(&d, &a, &b, 1e-13, 300);
+        let residual = surface_residual(&s.g, &d, &a, &b);
+        assert!(residual < 1e-12, "residual {residual:e}");
     }
 
     #[test]
     fn surface_gf_satisfies_dyson() {
         let (d, a, b) = chain_blocks(0.2, 1e-6, -0.1, 0.8, 3);
-        let s = surface_gf(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-13, 200);
+        let s = surface_gf(&d, &a, &b, 1e-13, 200);
         assert!(surface_residual(&s.g, &d, &a, &b) < 1e-7);
     }
 
@@ -512,7 +438,7 @@ mod tests {
     fn retarded_surface_gf_has_negative_imag_diag() {
         // Causality: Im g_s(diag) <= 0 for a retarded GF.
         let (d, a, b) = chain_blocks(0.1, 1e-6, 0.0, 1.0, 3);
-        let s = surface_gf(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-13, 200);
+        let s = surface_gf(&d, &a, &b, 1e-13, 200);
         for i in 0..3 {
             assert!(
                 s.g[(i, i)].im <= 1e-10,
@@ -525,18 +451,8 @@ mod tests {
     #[test]
     fn gamma_hermitian_positive_in_band() {
         let (d, a, b) = chain_blocks(0.4, 1e-8, 0.0, 1.0, 1);
-        let bse = boundary_self_energies_ws(
-            BoundaryMethod::SanchoRubio,
-            &d,
-            &a,
-            &b,
-            &d,
-            &a,
-            &b,
-            1e-13,
-            200,
-            &mut Workspace::new(),
-        );
+        let bse =
+            boundary_self_energies_ws(&d, &a, &b, &d, &a, &b, 1e-13, 200, &mut Workspace::new());
         assert!(bse.gamma_left.is_hermitian(1e-9));
         assert!(bse.gamma_right.is_hermitian(1e-9));
         // Γ positive (scalar case) inside the band.
@@ -709,7 +625,7 @@ mod tests {
         let mut steps = Vec::new();
         for e in [1.8, 2.4] {
             let [d, a, b] = lead(LANE_MAX_DIM + 1, e, 1e-5);
-            let s = surface_gf_ws(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-13, 200, &mut ws);
+            let s = surface_gf_ws(&d, &a, &b, 1e-13, 200, &mut ws);
             let residual = surface_residual(&s.g, &d, &a, &b);
             assert!(residual < 1e-8, "E {e}: residual {residual:e}");
             steps.push(s.iterations);
@@ -720,7 +636,7 @@ mod tests {
     #[test]
     fn contact_sigma_identities() {
         let (d, a, b) = chain_blocks(0.4, 1e-8, 0.0, 1.0, 2);
-        let s = surface_gf(BoundaryMethod::SanchoRubio, &d, &a, &b, 1e-13, 200);
+        let s = surface_gf(&d, &a, &b, 1e-13, 200);
         let sig = matmul3(&b, &s.g, &a);
         for &(occ, boson) in &[(0.3, false), (1.7, true)] {
             let (sl, sg) = contact_sigma_lg(&sig, occ, boson);

@@ -14,7 +14,7 @@ pub mod testutil;
 pub use bccache::{BoundaryCache, BoundaryCacheStats};
 pub use boundary::{
     bose, boundary_self_energies_ws, contact_sigma_lg, fermi, sancho_rubio_lanes, surface_gf,
-    surface_gf_ws, BoundaryMethod, BoundarySelfEnergies, SurfaceGf,
+    surface_gf_ws, BoundarySelfEnergies, SurfaceGf,
 };
 pub use dense_ref::{dense_solve, DenseSolution};
 pub use observables::{

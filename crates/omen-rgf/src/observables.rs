@@ -89,7 +89,7 @@ pub fn current_profile(m: &BlockTriDiag, gl_lower: &[CMatrix]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::{boundary_self_energies_ws, contact_sigma_lg, fermi, BoundaryMethod};
+    use crate::boundary::{boundary_self_energies_ws, contact_sigma_lg, fermi};
     use crate::rgf::{rgf_solve, RgfInputs};
     use omen_linalg::{c64, Workspace};
 
@@ -125,7 +125,6 @@ mod tests {
             m.lower[b] = m.upper[b].clone();
         }
         let bse = boundary_self_energies_ws(
-            BoundaryMethod::SanchoRubio,
             &m.diag[0],
             &m.upper[0],
             &m.lower[0],

@@ -19,8 +19,8 @@
 
 use crate::bccache::BoundaryCache;
 use crate::boundary::{
-    bose, boundary_self_energies_lanes, contact_sigma_lg_into, fermi, BoundaryMethod,
-    BoundarySelfEnergies,
+    bose, boundary_self_energies_lanes, contact_sigma_lg_into, fermi, BoundarySelfEnergies,
+    DECIMATION_MAX_ITER, DECIMATION_TOL,
 };
 use crate::rgf::RgfSolution;
 use crate::rows::{rgf_row_into, row_width, RgfRow, RowInputs};
@@ -77,12 +77,6 @@ pub struct ElectronParams {
     pub mu_drain: f64,
     /// Contact electron temperature `k_B T` (eV).
     pub kt: f64,
-    /// Surface-GF algorithm.
-    pub method: BoundaryMethod,
-    /// Decimation tolerance.
-    pub bc_tol: f64,
-    /// Decimation iteration cap.
-    pub bc_max_iter: usize,
 }
 
 impl Default for ElectronParams {
@@ -92,9 +86,6 @@ impl Default for ElectronParams {
             mu_source: 0.0,
             mu_drain: 0.0,
             kt: 0.025,
-            method: BoundaryMethod::SanchoRubio,
-            bc_tol: 1e-13,
-            bc_max_iter: 200,
         }
     }
 }
@@ -106,12 +97,6 @@ pub struct PhononParams {
     pub eta: f64,
     /// Contact lattice temperature `k_B T` (eV).
     pub kt: f64,
-    /// Surface-GF algorithm.
-    pub method: BoundaryMethod,
-    /// Decimation tolerance.
-    pub bc_tol: f64,
-    /// Decimation iteration cap.
-    pub bc_max_iter: usize,
 }
 
 impl Default for PhononParams {
@@ -119,9 +104,6 @@ impl Default for PhononParams {
         PhononParams {
             eta: 2e-5,
             kt: 0.025,
-            method: BoundaryMethod::SanchoRubio,
-            bc_tol: 1e-13,
-            bc_max_iter: 200,
         }
     }
 }
@@ -274,8 +256,6 @@ pub trait Carrier {
     fn block(&self, spec: &Self::Spec, x: f64, part: Part, n: usize, out: &mut CMatrix);
     /// Left/right contact occupations at `x`.
     fn occupations(&self, x: f64) -> (f64, f64);
-    /// Surface-GF algorithm, decimation tolerance and iteration cap.
-    fn boundary(&self) -> (BoundaryMethod, f64, usize);
 }
 
 /// Electrons: `M = (E + iη)·S − H`, Fermi-occupied source and drain.
@@ -320,14 +300,6 @@ impl Carrier for Electrons {
         let p = &self.params;
         (fermi(e, p.mu_source, p.kt), fermi(e, p.mu_drain, p.kt))
     }
-
-    fn boundary(&self) -> (BoundaryMethod, f64, usize) {
-        (
-            self.params.method,
-            self.params.bc_tol,
-            self.params.bc_max_iter,
-        )
-    }
 }
 
 /// Phonons: `M = (ω + iη)²·I − Φ`, both contacts Bose-occupied at the
@@ -365,10 +337,6 @@ impl Carrier for PhononParams {
     fn occupations(&self, w: f64) -> (f64, f64) {
         let n = bose(w, self.kt);
         (n, n)
-    }
-
-    fn boundary(&self) -> (BoundaryMethod, f64, usize) {
-        (self.method, self.bc_tol, self.bc_max_iter)
     }
 }
 
@@ -674,7 +642,6 @@ impl<C: Carrier> PointSolver<'_, C> {
             bse: None,
             lg: std::array::from_fn(|_| (ws.take(bs, bs), ws.take(bs, bs))),
         }));
-        let (method, tol, max_iter) = carrier.boundary();
         let row = ik * x_values.len();
         let solve = |misses: &[usize]| {
             let ends: Vec<[CMatrix; 6]> = misses
@@ -682,7 +649,8 @@ impl<C: Carrier> PointSolver<'_, C> {
                 .map(|&e| lead_blocks(&*carrier, spec, x_values[xs.start + e], (nb, bs), ws))
                 .collect();
             let refs: Vec<[&CMatrix; 6]> = ends.iter().map(|e| e.each_ref()).collect();
-            let solved = boundary_self_energies_lanes(method, &refs, tol, max_iter, ws);
+            let solved =
+                boundary_self_energies_lanes(&refs, DECIMATION_TOL, DECIMATION_MAX_ITER, ws);
             ends.into_iter().flatten().for_each(|m| ws.give(m));
             solved
         };
