@@ -6,20 +6,20 @@
 //! mixes, and repeats until the electrical current converges (the paper:
 //! 20–100 Born iterations).
 //!
-//! The driver is an execution engine, not a loop nest: a sweep is pure
-//! row solves — the energies of one momentum in chunks of
-//! [`omen_rgf::row_width`], side-effect-free workers returning
-//! contributions — folded into [`crate::observables::Observables`]
-//! accumulators in point order by a pluggable [`PointExecutor`] — see
-//! [`crate::executor`] for the engine. When the
-//! loop ends is decided in one place, `BornLoop`, which
+//! The driver is an execution engine, not a loop nest: a sweep is row
+//! solves — the energies of one momentum in chunks of
+//! [`omen_rgf::row_width`] — each writing its points' `G≷`/`D≷` blocks
+//! and raw scalars into its own slices of the phase's outputs, run by a
+//! pluggable [`PointExecutor`] (see [`crate::executor`] for the engine);
+//! the integration weights are applied after the sweep, in point order.
+//! When the loop ends is decided in one place, `BornLoop`, which
 //! [`Simulation::run_with`] drives (an overlapped sweep,
 //! [`crate::stream`], calls each point's own `run`).
 
 use crate::builder::{ConfigError, SimulationConfig};
 use crate::executor::{grid_points, ExecutorKind, GridPoint, PointExecutor};
 use crate::grids::{EnergyGrid, FrequencyGrid, MomentumGrid};
-use crate::observables::{ElectronObservables, GfChunk, Observables, PhononObservables, Rows};
+use crate::observables::{ElectronObservables, PhononObservables, Rows};
 use crate::state::{zero_tensors, PiScattering, SigmaScattering};
 use omen_device::DeviceStructure;
 use omen_linalg::WorkspacePool;
@@ -29,7 +29,6 @@ use omen_rgf::{
     Scattering,
 };
 use omen_sse::{DLayout, DTensor, GLayout, GTensor, SseKernel, SseProblem};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -599,11 +598,11 @@ impl Simulation {
         let w_e = self.egrid.weight() * self.kgrid.weight();
         let w_ph = self.fgrid.weight() * self.kgrid.weight();
 
-        // --- electrons: pure per-point solves, executor-accumulated ---
-        let eacc = ElectronObservables::new(dev, cfg.nk, evals.clone(), self.kgrid.weight(), w_e);
+        // --- electrons: row solves writing their units' slices in place ---
+        let mut eobs = ElectronObservables::new(dev, cfg.nk, cfg.ne);
         let eparams = self.electron_params();
         let (sigma_l, sigma_g) = (&self.sigma_l, &self.sigma_g);
-        let eobs = {
+        let etimes = {
             let _span = omen_trace::span!("gf_electrons");
             let new_solver = || {
                 ElectronSolver::new(
@@ -621,41 +620,43 @@ impl Simulation {
                 sigma_l,
                 sigma_g,
             });
+            let width = row_width(dev.block_size_el());
             sweep(
                 exec,
-                (cfg.nk, cfg.ne, row_width(dev.block_size_el())),
+                (cfg.nk, cfg.ne, width),
                 new_solver,
                 &self.el_bc,
                 scattering.as_ref(),
-                |ik, ies| Rows::electrons(dev, ik, ies),
-                eacc,
+                eobs.rows(dev, width),
             )
         };
+        eobs.finish(dev, &evals, self.kgrid.weight(), w_e);
 
         // --- phonons ---
-        let pacc = PhononObservables::new(dev, cfg.nk, fvals.clone(), self.kgrid.weight(), w_ph);
+        let mut pobs = PhononObservables::new(dev, cfg.nk, cfg.nw);
         let pparams = self.phonon_params();
         let (pi_l, pi_g) = (&self.pi_l, &self.pi_g);
-        let pobs = {
+        let ptimes = {
             let _span = omen_trace::span!("gf_phonons");
             let new_solver = || {
                 PhononSolver::new(dev, pparams, cfg.cache_mode, kvals.clone(), fvals.clone())
                     .with_workspace_pool(ws_pool)
             };
             let scattering = have_sigma.then_some(PiScattering { dev, pi_l, pi_g });
+            let width = row_width(dev.block_size_ph());
             sweep(
                 exec,
-                (cfg.nk, cfg.nw, row_width(dev.block_size_ph())),
+                (cfg.nk, cfg.nw, width),
                 new_solver,
                 &self.ph_bc,
                 scattering.as_ref(),
-                |iq, iws| Rows::phonons(dev, iq, iws),
-                pacc,
+                pobs.rows(dev, width),
             )
         };
+        pobs.finish(dev, &fvals, self.kgrid.weight(), w_ph);
 
-        let mut times = eobs.times;
-        times.accumulate(&pobs.times);
+        let mut times = etimes;
+        times.accumulate(&ptimes);
         let spectral = SpectralData {
             el_current_spectrum: eobs.el_current_spectrum,
             el_current: eobs.el_current,
@@ -958,47 +959,50 @@ fn sse_problem_of<'a>(
 
 /// One GF sweep of either carrier over its `nk × nx` grid. The unit of
 /// work is `(k, chunk)`: `width` consecutive energies of one momentum
-/// (the last chunk of a row may be shorter). Every worker builds a solver
-/// on the shared boundary cache, solves its units under this iteration's
-/// scattering self-energies (`None` while ballistic) into `rows`' builder
-/// and hands `exec` the unit's contributions, which fold in unit order —
-/// global point order.
-fn sweep<'a, E, C, O, P, S>(
+/// (the last chunk of a row may be shorter), whose view of the phase's
+/// outputs is `rows[k · chunks + chunk]`. Every worker builds a solver on
+/// the shared boundary cache and solves its units under this iteration's
+/// scattering self-energies (`None` while ballistic) into their views;
+/// returns the units' sub-phase timings summed in unit order.
+fn sweep<'a, 'r, E, C, S>(
     exec: &E,
     (nk, nx, width): (usize, usize, usize),
     new_solver: impl Fn() -> PointSolver<'a, C> + Sync,
     boundary: &Option<Arc<BoundaryCache>>,
     scattering: Option<&S>,
-    rows: impl Fn(usize, Range<usize>) -> Rows<'a, P> + Sync,
-    acc: O,
-) -> O
+    rows: Vec<Rows<'r, C>>,
+) -> PhaseTimes
 where
     E: PointExecutor,
     C: Carrier + Send,
     C::Spec: Send,
-    O: Observables<Contribution = GfChunk<P>>,
-    P: Send,
     S: Scattering + Sync,
-    Rows<'a, P>: RowSink,
+    Rows<'r, C>: RowSink,
 {
-    let rows = &rows;
+    let points = grid_points(nk, nx.div_ceil(width));
+    let mut units: Vec<_> = points
+        .into_iter()
+        .zip(rows)
+        .map(|(p, rows)| (p, rows, PhaseTimes::default()))
+        .collect();
     let make_worker = || {
         let mut solver = new_solver();
         if let Some(cache) = boundary {
             solver = solver.with_shared_boundary(Arc::clone(cache));
         }
-        move |(i, chunk): GridPoint| {
-            let xs = chunk * width..nx.min((chunk + 1) * width);
-            let mut sink = rows(i, xs.clone());
+        move |((i, chunk), rows, times): &mut (GridPoint, Rows<'r, C>, PhaseTimes)| {
+            let xs = *chunk * width..nx.min((*chunk + 1) * width);
             let scattering = scattering.map(|s| s as &dyn Scattering);
-            let times = solver.solve_row(i, xs, scattering, &mut sink);
-            GfChunk {
-                points: sink.points,
-                times,
-            }
+            *times = solver.solve_row(*i, xs, scattering, rows);
         }
     };
-    exec.run(&grid_points(nk, nx.div_ceil(width)), make_worker, acc)
+    exec.run(&mut units, make_worker);
+    units
+        .iter()
+        .fold(PhaseTimes::default(), |mut sum, (_, _, t)| {
+            sum.accumulate(t);
+            sum
+        })
 }
 
 fn mix_g(state: &mut GTensor, new: &GTensor, mix: f64) {

@@ -1,21 +1,22 @@
 //! The execution engine of the GF phase's point sweeps.
 //!
 //! The paper's central observation (§4, Fig. 5) is that the GF phase is a
-//! pure map over independent `(kz, E)` / `(qz, ω)` points followed by one
-//! ordered reduction. A [`PointExecutor`] owns *how* that map runs, and
-//! there is one engine: [`DagExecutor`] lowers the sweep onto
-//! `omen-sched`'s task DAG — the runtime the SSE kernels' stages and the
-//! points of an overlapped sweep run on too. The executor maps **units**
-//! named by a [`GridPoint`]; the driver's GF sweeps make a unit
-//! `(k, energy chunk)` — the energies of one momentum that a row solve
-//! advances together (`omen_rgf::row_width`: one SIMD vector of lanes on
-//! blocks up to `LANE_MAX_DIM`, one point on larger ones). Contributions land
-//! in per-unit slots and fold in unit order, which is global point order,
-//! so results are **bit-identical** at every worker count, and with one
-//! worker the engine *is* [`SerialExecutor`]'s loop on the calling
-//! thread: serial is the DAG with one worker. All three
-//! [`ExecutorKind`] values run on it; they differ in worker count and in
-//! whether the SSE phase goes through a communication plan.
+//! pure map over independent `(kz, E)` / `(qz, ω)` points. A
+//! [`PointExecutor`] owns *how* that map runs, and there is one engine:
+//! [`DagExecutor`] lowers the sweep onto `omen-sched`'s task DAG — the
+//! runtime the SSE kernels' stages and the points of an overlapped sweep
+//! run on too. The executor maps **units**, one mutable item each; the
+//! driver's GF sweeps make a unit `(k, energy chunk)` — the energies of
+//! one momentum that a row solve advances together
+//! (`omen_rgf::row_width`: one SIMD vector of lanes on blocks up to
+//! `LANE_MAX_DIM`, one point on larger ones) — and its item a view of the
+//! unit's own slices of the phase's output tensors. A unit's results land
+//! in its own item and nowhere else, so results are **bit-identical** at
+//! every worker count, and with one worker the engine *is*
+//! [`SerialExecutor`]'s loop on the calling thread: serial is the DAG with
+//! one worker. All three [`ExecutorKind`] values run on it; they differ in
+//! worker count and in whether the SSE phase goes through a communication
+//! plan.
 //!
 //! Workers are created per-thread from a factory closure: GF solvers carry
 //! mutable caches, so each worker gets its own cheap solver instance
@@ -29,8 +30,6 @@
 //! workspaces only during warmup, so across energy points *and* Born
 //! iterations the hot path runs allocation-free on warm buffers.
 
-use crate::observables::Observables;
-
 /// One `(i, j)` unit of a sweep: a grid point `(ik, ie)` / `(iq, iw)`, or
 /// — in the driver's GF sweeps — `(k, chunk)`, chunk `j` of momentum
 /// `k`'s energies.
@@ -39,18 +38,17 @@ pub type GridPoint = (usize, usize);
 /// An execution engine for embarrassingly-parallel sweeps.
 ///
 /// `make_worker` is called once per worker thread; the returned closure
-/// solves one unit. The executor feeds every unit exactly once and
-/// returns the accumulator after folding all contributions in, in the
-/// order of `points`.
+/// solves one unit into its item. The executor hands every item of
+/// `units` to exactly one worker call.
 pub trait PointExecutor {
     /// Short identifier for logs and benchmark tables.
     fn name(&self) -> &'static str;
 
-    /// Runs the sweep, returning the filled accumulator.
-    fn run<O, W, F>(&self, points: &[GridPoint], make_worker: F, acc: O) -> O
+    /// Runs the sweep: one worker call per item of `units`.
+    fn run<U, W, F>(&self, units: &mut [U], make_worker: F)
     where
-        O: Observables,
-        W: FnMut(GridPoint) -> O::Contribution + Send,
+        U: Send,
+        W: FnMut(&mut U) + Send,
         F: Fn() -> W + Sync;
 }
 
@@ -63,18 +61,13 @@ impl PointExecutor for SerialExecutor {
         "serial"
     }
 
-    fn run<O, W, F>(&self, points: &[GridPoint], make_worker: F, mut acc: O) -> O
+    fn run<U, W, F>(&self, units: &mut [U], make_worker: F)
     where
-        O: Observables,
-        W: FnMut(GridPoint) -> O::Contribution + Send,
+        U: Send,
+        W: FnMut(&mut U) + Send,
         F: Fn() -> W + Sync,
     {
-        let mut worker = make_worker();
-        for &p in points {
-            let c = worker(p);
-            acc.accumulate(&c);
-        }
-        acc
+        units.iter_mut().for_each(make_worker());
     }
 }
 
@@ -120,45 +113,37 @@ impl PointExecutor for DagExecutor {
         "dag"
     }
 
-    fn run<O, W, F>(&self, points: &[GridPoint], make_worker: F, mut acc: O) -> O
+    fn run<U, W, F>(&self, units: &mut [U], make_worker: F)
     where
-        O: Observables,
-        W: FnMut(GridPoint) -> O::Contribution + Send,
+        U: Send,
+        W: FnMut(&mut U) + Send,
         F: Fn() -> W + Sync,
     {
         use std::sync::Mutex;
-        let nthreads = self.effective_threads().min(points.len()).max(1);
+        let nthreads = self.effective_threads().min(units.len()).max(1);
         if nthreads <= 1 {
-            return SerialExecutor.run(points, make_worker, acc);
+            return SerialExecutor.run(units, make_worker);
         }
         let mut dag = omen_sched::TaskDag::new();
-        for _ in points {
+        for _ in 0..units.len() {
             dag.add_task("gf_unit", &[]);
         }
         // Workers carry mutable solver caches, so the shared task closure
         // leases them from a pool (scheduler workers outnumber leases only
-        // transiently; point solves dwarf the lock).
+        // transiently; point solves dwarf the lock). Task `t` is the only
+        // one to lock unit `t`, once.
         let workers: Mutex<Vec<W>> = Mutex::new(Vec::new());
-        let slots: Vec<Mutex<Option<O::Contribution>>> =
-            points.iter().map(|_| Mutex::new(None)).collect();
+        let units: Vec<Mutex<&mut U>> = units.iter_mut().map(Mutex::new).collect();
         dag.run(nthreads, |t| {
             let mut worker = workers
                 .lock()
                 .expect("worker pool lock")
                 .pop()
                 .unwrap_or_else(&make_worker);
-            let c = worker(points[t]);
-            *slots[t].lock().expect("slot lock") = Some(c);
+            worker(&mut units[t].lock().expect("unit lock"));
             workers.lock().expect("worker pool lock").push(worker);
         })
         .unwrap_or_else(|err| panic!("point solve panicked: {err}"));
-        // Deterministic fold in global point order.
-        for slot in slots {
-            if let Some(c) = slot.into_inner().expect("slot lock") {
-                acc.accumulate(&c);
-            }
-        }
-        acc
     }
 }
 
@@ -224,77 +209,61 @@ pub fn grid_points(n0: usize, n1: usize) -> Vec<GridPoint> {
 mod tests {
     use super::*;
 
-    /// A toy accumulator: ordered list of visited points + a weighted sum.
-    #[derive(Default)]
-    struct Trace {
-        visited: Vec<GridPoint>,
-        sum: f64,
+    /// Units that record their own visits: `(point, visits, value)`.
+    fn run_with<E: PointExecutor>(exec: &E, points: &[GridPoint]) -> Vec<(GridPoint, u32, f64)> {
+        let mut units: Vec<_> = points.iter().map(|&p| (p, 0, 0.0)).collect();
+        exec.run(&mut units, || {
+            |(p, visits, value): &mut (GridPoint, u32, f64)| {
+                *visits += 1;
+                *value = (p.0 * 31 + p.1) as f64 * 0.125;
+            }
+        });
+        units
     }
 
-    impl Observables for Trace {
-        type Contribution = (GridPoint, f64);
-
-        fn accumulate(&mut self, c: &Self::Contribution) {
-            self.visited.push(c.0);
-            self.sum += c.1;
+    /// Each unit visited once, and its result bit-equal to serial's.
+    fn assert_once_and_bitwise_serial<E: PointExecutor>(exec: &E, points: &[GridPoint]) {
+        let serial = run_with(&SerialExecutor, points);
+        let got = run_with(exec, points);
+        assert_eq!(got.len(), points.len());
+        for ((p, visits, value), (_, _, want)) in got.iter().zip(&serial) {
+            assert_eq!(*visits, 1, "unit {p:?} visited once by {}", exec.name());
+            assert_eq!(value.to_bits(), want.to_bits(), "unit {p:?}");
         }
-    }
-
-    fn run_with<E: PointExecutor>(exec: &E, points: &[GridPoint]) -> Trace {
-        exec.run(
-            points,
-            || |p: GridPoint| (p, (p.0 * 31 + p.1) as f64 * 0.125),
-            Trace::default(),
-        )
     }
 
     #[test]
     fn all_executors_visit_every_point_once() {
         let points = grid_points(3, 17);
-        for visited in [
-            run_with(&SerialExecutor, &points).visited,
-            run_with(&DagExecutor::new(4), &points).visited,
-            run_with(&ExecutorKind::default().engine(), &points).visited,
-        ] {
-            let mut sorted = visited.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, points, "every point exactly once");
-        }
-    }
-
-    /// Slot-ordered folding: same visit order, hence bit-equal sums.
-    fn assert_bitwise_serial(exec: &DagExecutor) {
-        let points = grid_points(4, 9);
-        let serial = run_with(&SerialExecutor, &points);
-        let got = run_with(exec, &points);
-        assert_eq!(serial.visited, got.visited, "{exec:?}");
-        assert_eq!(serial.sum.to_bits(), got.sum.to_bits());
+        assert_once_and_bitwise_serial(&SerialExecutor, &points);
+        assert_once_and_bitwise_serial(&DagExecutor::new(4), &points);
+        assert_once_and_bitwise_serial(&ExecutorKind::default().engine(), &points);
     }
 
     #[test]
     fn rayon_order_is_bitwise_serial() {
-        assert_bitwise_serial(&RayonExecutor::new(3));
+        assert_once_and_bitwise_serial(&RayonExecutor::new(3), &grid_points(4, 9));
     }
 
     #[test]
     fn dag_order_is_bitwise_serial() {
-        assert_bitwise_serial(&DagExecutor::new(3));
+        assert_once_and_bitwise_serial(&DagExecutor::new(3), &grid_points(4, 9));
     }
 
     #[test]
     fn distributed_order_is_bitwise_serial() {
         for ranks in [1, 2, 3, 4, 36, 50] {
-            assert_bitwise_serial(&DistributedExecutor::new(ranks));
+            assert_once_and_bitwise_serial(&DistributedExecutor::new(ranks), &grid_points(4, 9));
         }
     }
 
     #[test]
     fn degenerate_sizes_handled() {
         let empty: Vec<GridPoint> = Vec::new();
-        assert_eq!(run_with(&DagExecutor::new(8), &empty).visited.len(), 0);
-        assert_eq!(run_with(&DagExecutor::new(0), &empty).visited.len(), 0);
-        let one = grid_points(1, 1);
-        assert_eq!(run_with(&DagExecutor::new(7), &one).visited, one);
+        assert!(run_with(&DagExecutor::new(8), &empty).is_empty());
+        assert!(run_with(&DagExecutor::new(0), &empty).is_empty());
+        let one = run_with(&DagExecutor::new(7), &grid_points(1, 1));
+        assert_eq!(one, [((0, 0), 1, 0.0)]);
     }
 
     #[test]

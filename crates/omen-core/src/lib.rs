@@ -12,9 +12,9 @@
 //! * [`executor`] — the [`PointExecutor`] seam and its one engine for the
 //!   embarrassingly-parallel point sweeps ([`DagExecutor`]; serial is the
 //!   same engine with one worker);
-//! * [`observables`] — per-point contributions, built from the block
-//!   rows a GF row solve hands over ([`Rows`]), folded in point order
-//!   into [`Observables`] accumulators;
+//! * `observables` — the GF phase's output tensors and raw per-point
+//!   scalars, which each sweep unit's row solve writes in place through
+//!   a view of its own slices, weighted in point order after the sweep;
 //! * [`driver`] — the [`Simulation`] Born loop dispatching through the
 //!   [`omen_sse::SseKernel`] trait;
 //! * [`stream`] — the overlapped sweep ([`run_overlapped`]): whole
@@ -25,7 +25,7 @@ pub mod builder;
 pub mod driver;
 pub mod executor;
 pub mod grids;
-pub mod observables;
+mod observables;
 pub mod state;
 pub mod stream;
 pub mod thermal;
@@ -43,10 +43,6 @@ pub use executor::{
     RayonExecutor, SerialExecutor,
 };
 pub use grids::{EnergyGrid, FrequencyGrid, MomentumGrid};
-pub use observables::{
-    ElectronContribution, ElectronObservables, GfChunk, Observables, PhononContribution,
-    PhononObservables, Rows,
-};
 pub use omen_comm::{CommPlan, PlanKernel};
 pub use omen_rgf::BoundaryCacheStats;
 pub use state::{pi_blocks_for_point, sigma_blocks_for_point, zero_tensors};

@@ -4,8 +4,8 @@
 //! `3 × 3` per neighbor pair for phonons); RGF consumes slab-sized
 //! blocks. This module converts the former into the latter, a point or a
 //! single slab block at a time ([`omen_rgf::Scattering`]); the opposite
-//! direction, slab rows into per-atom contributions, is
-//! [`crate::observables::Rows`].
+//! direction, slab rows into per-atom tensor blocks, is the GF sweep's
+//! row sink (`observables::Rows`).
 
 use omen_device::DeviceStructure;
 use omen_linalg::{c64, CMatrix, C64};
@@ -202,7 +202,7 @@ pub fn zero_tensors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observables::Rows;
+    use crate::observables::{ElectronObservables, PhononObservables};
     use omen_device::DeviceConfig;
     use omen_rgf::{CacheMode, ElectronParams, ElectronSolver, GfSolver};
 
@@ -215,25 +215,26 @@ mod tests {
             ElectronParams::default(),
             CacheMode::NoCache,
             vec![0.0],
-            vec![0.1],
+            vec![0.1, 0.2, 0.3],
         );
-        let out = solver.solve_point(0, 0, None, None, None);
-        let mut rows = Rows::electrons(&dev, 0, 0..1);
-        solver.solve_row(0, 0..1, None, &mut rows);
-        let gl = &rows.points[0].gl;
+        // One unit of three energies: lane `e` lands in energy `e`'s blocks.
+        let mut obs = ElectronObservables::new(&dev, 1, 3);
+        solver.solve_row(0, 0..3, None, &mut obs.rows(&dev, 4)[0]);
         // Atom 0 is slab 0, offset 0: its block equals the top-left
         // sub-block of the slab solution.
         let norb = dev.material.norb;
-        let bsz = norb * norb;
-        let blk = &gl[..bsz];
-        for j in 0..norb {
-            for i in 0..norb {
-                assert_eq!(blk[j * norb + i], out.sol.gl_diag[0][(i, j)]);
+        for ie in 0..3 {
+            let out = solver.solve_point(0, ie, None, None, None);
+            let blk = obs.g_l.block(0, ie, 0);
+            for j in 0..norb {
+                for i in 0..norb {
+                    assert_eq!(blk[j * norb + i], out.sol.gl_diag[0][(i, j)], "energy {ie}");
+                }
             }
         }
         // Extracted diagonal blocks stay anti-Hermitian.
         for a in 0..dev.num_atoms() {
-            let b = &gl[a * bsz..(a + 1) * bsz];
+            let b = obs.g_l.block(0, 0, a);
             for i in 0..norb {
                 for j in 0..norb {
                     let z = b[j * norb + i] + b[i * norb + j].conj();
@@ -282,10 +283,9 @@ mod tests {
             vec![0.3],
             vec![0.02],
         );
-        let mut rows = Rows::phonons(&dev, 0, 0..1);
-        solver.solve_row(0, 0..1, None, &mut rows);
-        let (_, _, mut dl, _) = zero_tensors(&dev, 1, 1, 1, 1);
-        dl.as_mut_slice().copy_from_slice(&rows.points[0].dl);
+        let mut obs = PhononObservables::new(&dev, 1, 1);
+        solver.solve_row(0, 0..1, None, &mut obs.rows(&dev, 1)[0]);
+        let dl = &obs.d_l;
         // For every pair p = (a → b) and its reverse, the lesser blocks
         // satisfy D_ba = −(D_ab)† (anti-Hermiticity of the full D^<).
         for (p, pair) in dev.neighbors.pairs.iter().enumerate() {

@@ -418,10 +418,10 @@ fn steady_state_hot_path_is_allocation_free() {
     // kernel's double-buffered outputs and internal workspace must absorb
     // repeat calls without touching the heap. Two warmup calls fill both
     // halves of the double buffer; the third call must allocate nothing.
-    // (The GF phase is excluded by design: its per-point observable
-    // accumulators are built per phase, not per kernel application. One
-    // worker, spelled out: a parallel SSE phase allocates its scheduler
-    // run just as a parallel GF phase does.) ----
+    // (The GF phase is excluded by design: it allocates its output
+    // tensors and raw scalar rows once per phase, which its row solves
+    // then write in place. One worker, spelled out: a parallel SSE phase
+    // allocates its scheduler run just as a parallel GF phase does.) ----
     let mut sim = Simulation::new(SimulationConfig {
         executor: ExecutorKind::Serial,
         ..SimulationConfig::tiny()

@@ -1,11 +1,12 @@
 //! Executor equivalence: every way of selecting the sweep engine must
-//! produce the same physics. The engine re-orders contributions back to
-//! global point order, so it is *bit-identical* to serial at every worker
-//! count, under each of its names.
+//! produce the same physics. Each sweep unit writes its own slices of the
+//! GF phase's outputs and the integration weights are applied afterwards
+//! in global point order, so the engine is *bit-identical* to serial at
+//! every worker count, under each of its names.
 
 use dace_omen::core::{
-    CommPlan, DagExecutor, DistributedExecutor, ExecutorKind, PlanKernel, RayonExecutor,
-    SerialExecutor, Simulation, SimulationConfig, SimulationResult,
+    CommPlan, DagExecutor, DistributedExecutor, ExecutorKind, GfPhaseOutput, PlanKernel,
+    PointExecutor, RayonExecutor, SerialExecutor, Simulation, SimulationConfig, SimulationResult,
 };
 
 fn run_with_kind(kind: ExecutorKind) -> SimulationResult {
@@ -163,7 +164,7 @@ fn run_distributed(plan: CommPlan, ranks: usize) -> SimulationResult {
 /// Serial GF phase driving the same communication-plan SSE kernel: the
 /// reference the distributed engine must reproduce *bitwise* (both run
 /// the identical plan arithmetic; only the GF-phase threading differs,
-/// and slot-ordered folding makes that invisible).
+/// and per-unit output slices make that invisible).
 fn run_serial_plan_baseline(plan: CommPlan, ranks: usize) -> SimulationResult {
     let mut cfg = SimulationConfig::tiny();
     cfg.max_iterations = 4;
@@ -282,5 +283,64 @@ fn thread_and_rank_counts_do_not_change_results() {
             r.current().to_bits(),
             "ranks = {ranks}"
         );
+    }
+}
+
+/// One scattering-on GF phase of `tiny` with `ne = 23`, `nw = 3`, so every
+/// momentum ends in a short electron chunk and a short phonon chunk.
+fn scattered_gf_phase<E: PointExecutor>(exec: &E) -> GfPhaseOutput {
+    let mut cfg = SimulationConfig::tiny();
+    cfg.ne = 23;
+    cfg.nw = 3;
+    cfg.executor = ExecutorKind::Serial;
+    let mut sim = Simulation::new(cfg).expect("valid config");
+    sim.iterate();
+    sim.gf_phase_with(exec)
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+fn complex_bits(zs: &[dace_omen::linalg::C64]) -> Vec<(u64, u64)> {
+    zs.iter()
+        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
+#[test]
+fn gf_phase_outputs_are_bitwise_at_every_worker_count() {
+    let serial = scattered_gf_phase(&SerialExecutor);
+    for threads in [2, 3, 5] {
+        let dag = scattered_gf_phase(&DagExecutor::new(threads));
+        let tensors = |gf: &GfPhaseOutput| {
+            [
+                complex_bits(gf.g_l.as_slice()),
+                complex_bits(gf.g_g.as_slice()),
+                complex_bits(gf.d_l.as_slice()),
+                complex_bits(gf.d_g.as_slice()),
+            ]
+        };
+        for (name, (s, d)) in ["g_l", "g_g", "d_l", "d_g"]
+            .iter()
+            .zip(tensors(&serial).iter().zip(&tensors(&dag)))
+        {
+            assert!(s == d, "{name} differs at {threads} workers");
+        }
+        let spectral = |gf: &GfPhaseOutput| {
+            let s = &gf.spectral;
+            let contacts = [s.contact_currents.0, s.contact_currents.1];
+            [
+                bits(&s.el_current_spectrum.concat()),
+                bits(&s.el_current),
+                bits(&s.el_energy_current),
+                bits(&s.ph_energy_current),
+                bits(&s.ph_energy_density),
+                bits(&s.ph_dos.concat()),
+                bits(&s.el_density),
+                bits(&contacts),
+            ]
+        };
+        assert_eq!(spectral(&serial), spectral(&dag), "{threads} workers");
     }
 }
