@@ -10,8 +10,10 @@
 //! **planes**, one contiguous `f64` run per matrix element and part, and
 //! the kernels sweep whole planes:
 //!
-//! * [`planes_mac`] — `C[e] += A[e] · W` for every `e` of a run, as
-//!   complex-scalar × energy-vector FMAs (SSE stage C);
+//! * [`planes_mac`] — `C[e] += Σ_t A[o_t + e] · W_t` for every `e` of a
+//!   run over a list of terms, as complex-scalar × energy-vector FMAs
+//!   with the accumulators held in registers across the terms (SSE
+//!   stage C: one call per output run);
 //! * [`planes_dots`] — a 3 × 3 tile of complex dot products over one
 //!   contiguous split-complex run (SSE stage D);
 //! * [`planes_gemm`] — `C[e] = α·A[e]·op(B[e]) + β·C[e]` over a chunk of
@@ -25,17 +27,26 @@
 //!   lane is bitwise [`crate::Workspace::invert_into`].
 //!
 //! All four are one body each, written over one SIMD vocabulary (the
-//! `Lane` trait) and run through one dispatch (`dispatch`): the AVX2+FMA
+//! `Lane` trait) and run through one dispatch (`dispatch`). The AVX2+FMA
 //! instantiation (`on_avx2`) steps four lanes at a time and takes the
 //! tail of a run as a scalar lane with the vector lane's fused
-//! operations; the portable one (the only one without AVX2 + FMA, pinned
-//! by `OMEN_FORCE_SCALAR=1`, as for the micro-kernel) is the plain scalar
-//! lane throughout. Within an instantiation the arithmetic of one output
-//! element therefore never depends on where in a run it sits (vector step
-//! or scalar tail), so [`planes_mac`], [`planes_gemm`] and
-//! [`planes_invert`] are bitwise reproducible under any split of the
-//! energy axis; [`planes_invert`] fuses nothing, so its two
-//! instantiations agree bit for bit too.
+//! operations. The two kernels whose SIMD axis is one contiguous run
+//! ([`planes_mac`], [`planes_dots`]) go to the AVX-512 instantiation
+//! (`on_avx512`, eight lanes a step, the same fused scalar tail) where
+//! the CPU reports `avx512f`; the lane-block kernels keep four lanes,
+//! the width of their [`LANES`] blocks. The portable instantiation (the
+//! only one without AVX2 + FMA, pinned by `OMEN_FORCE_SCALAR=1`, as for
+//! the micro-kernel) is the plain scalar lane throughout.
+//!
+//! A vector step performs, lane by lane, the fused scalar lane's
+//! operations, so the arithmetic of one output element never depends on
+//! where in a run it sits (vector step or scalar tail) nor on the vector
+//! width: [`planes_mac`], [`planes_gemm`] and [`planes_invert`] are
+//! bitwise reproducible under any split of the energy axis, and
+//! [`planes_mac`] and [`planes_dots`] (whose tile has eight lanes in
+//! every instantiation) give the same bits on AVX-512, AVX2 and the
+//! fused scalar lane. [`planes_invert`] fuses nothing, so its portable
+//! instantiation agrees bit for bit too.
 //!
 //! The kernels do no accounting of their own: a caller fuses many sweeps
 //! over one pack into a run and reports it once through
@@ -47,8 +58,13 @@ use crate::gemm::{fma_available, gemm_cols, Cols, ColsMut, Op, SMALL_DIM};
 use crate::lu::SingularMatrix;
 use crate::workspace::Workspace;
 
-/// `f64` lanes of one vector step (one AVX2 register).
+/// `f64` lanes of one vector step of the lane-block kernels (one AVX2
+/// register).
 pub const LANES: usize = 4;
+
+/// Lanes of a [`DotTile`]: one AVX-512 register, two AVX2 steps, eight
+/// scalar ones.
+const DOT_LANES: usize = 8;
 
 /// Largest block dimension [`planes_gemm`] runs on energy lanes, and
 /// the one threshold every lane/one-lane choice reads (`omen-rgf`'s
@@ -78,8 +94,10 @@ pub struct PlaneScratch {
     pub b: [Vec<f64>; 2],
     /// Accumulator planes of stage C.
     pub c: [Vec<f64>; 2],
-    /// The current `∇H·D` block pair, scaled.
-    pub w: [Vec<C64>; 2],
+    /// The pair's scaled `∇H·D` blocks, lesser then greater.
+    pub w: Vec<C64>,
+    /// The term list of one [`planes_mac`] call.
+    pub terms: Vec<(usize, usize)>,
     /// Shared-`B` packs of the packed branch.
     pub pb: [PackedB; 2],
 }
@@ -114,23 +132,46 @@ fn plane_of(dim: usize, x: usize) -> usize {
 }
 
 /// Packs `src` — runs of `len` column-major `dim × dim` blocks,
-/// `[run][len][dim²]` — into element planes `[run][element][re|im][len]`,
-/// elements in row-major order: the operand and accumulator layout of
-/// [`planes_mac`]. `dst` keeps its buffer across calls.
-pub fn pack_planes(dim: usize, len: usize, src: &[C64], dst: &mut Vec<f64>) {
+/// `[run][len][dim²]` — into element planes `[run][element][re|im][plane]`
+/// of `plane` positions each, elements in row-major order: the operand
+/// and accumulator layout of [`planes_mac`]. Block `e` of a run lands at
+/// position `at + e`; every other position is zero. `dst` keeps its
+/// buffer across calls.
+///
+/// # Panics
+/// If `src` is not whole runs or a run does not fit its planes.
+pub fn pack_planes(
+    dim: usize,
+    len: usize,
+    src: &[C64],
+    plane: usize,
+    at: usize,
+    dst: &mut Vec<f64>,
+) {
     let bsz = dim * dim;
     let run = len * bsz;
     assert!(
         run > 0 && src.len().is_multiple_of(run),
         "pack_planes: ragged source"
     );
+    assert!(
+        at + len <= plane,
+        "pack_planes: the run overruns its planes"
+    );
     count_packed(src.len());
-    dst.resize(2 * src.len(), 0.0);
-    for (s, d) in src.chunks_exact(run).zip(dst.chunks_exact_mut(2 * run)) {
+    dst.resize(2 * plane * bsz * (src.len() / run), 0.0);
+    for (s, d) in src
+        .chunks_exact(run)
+        .zip(dst.chunks_exact_mut(2 * plane * bsz))
+    {
+        for p in d.chunks_exact_mut(plane) {
+            p[..at].fill(0.0);
+            p[at + len..].fill(0.0);
+        }
         for (e, block) in s.chunks_exact(bsz).enumerate() {
             for (x, z) in block.iter().enumerate() {
-                let o = 2 * plane_of(dim, x) * len + e;
-                (d[o], d[o + len]) = (z.re, z.im);
+                let o = 2 * plane_of(dim, x) * plane + at + e;
+                (d[o], d[o + plane]) = (z.re, z.im);
             }
         }
     }
@@ -193,14 +234,16 @@ pub fn pack_split(len: usize, transpose: Option<usize>, src: &[C64], dst: &mut V
 // ---------------------------------------------------------------------------
 
 /// One SIMD step over a run: the arithmetic every plane kernel is written
-/// in, instantiated for an AVX2 register ([`Avx`], four lanes) and for one
-/// scalar lane ([`Scalar`]), fused (the operations of one AVX2 lane, for
-/// the tail of a run) or plain (the portable instantiation).
+/// in, instantiated for an AVX-512 register ([`Avx512`], eight lanes), an
+/// AVX2 register ([`Avx`], four lanes) and one scalar lane ([`Scalar`]),
+/// fused (the operations of one vector lane, for the tail of a run) or
+/// plain (the portable instantiation).
 ///
 /// # Safety
 /// Every method may run only on a CPU with the instruction set the
-/// instantiation uses (AVX2 + FMA for [`Avx`]; the scalar lanes run
-/// anywhere); `load` and `store` also need `p` valid for `WIDTH` `f64`s.
+/// instantiation uses (AVX-512F for [`Avx512`], AVX2 + FMA for [`Avx`];
+/// the scalar lanes run anywhere); `load` and `store` also need `p` valid
+/// for `WIDTH` `f64`s.
 trait Lane: Copy {
     /// Lanes per step.
     const WIDTH: usize;
@@ -221,9 +264,9 @@ trait Lane: Copy {
     unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self;
 }
 
-/// One scalar lane: with `FMA` the fused operations of an AVX2 lane
-/// (hardware FMA once inlined into [`on_avx2`]), without it the portable
-/// instantiation.
+/// One scalar lane: with `FMA` the fused operations of a vector lane
+/// (hardware FMA once inlined into [`on_avx2`] or [`on_avx512`]), without
+/// it the portable instantiation.
 #[derive(Clone, Copy)]
 struct Scalar<const FMA: bool>(f64);
 
@@ -330,29 +373,109 @@ impl Lane for Avx {
     }
 }
 
+/// Eight lanes in one AVX-512 register. Only ever inlined into
+/// [`on_avx512`], whose `target_feature` lets the intrinsics inline.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx512(std::arch::x86_64::__m512d);
+
+#[cfg(target_arch = "x86_64")]
+impl Lane for Avx512 {
+    const WIDTH: usize = 8;
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Avx512(std::arch::x86_64::_mm512_loadu_pd(p))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        std::arch::x86_64::_mm512_storeu_pd(p, self.0)
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        Avx512(std::arch::x86_64::_mm512_set1_pd(x))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        Avx512(std::arch::x86_64::_mm512_mul_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn madd(self, b: Self, c: Self) -> Self {
+        Avx512(std::arch::x86_64::_mm512_fmadd_pd(self.0, b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn nmadd(self, b: Self, c: Self) -> Self {
+        Avx512(std::arch::x86_64::_mm512_fnmadd_pd(self.0, b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        Avx512(std::arch::x86_64::_mm512_add_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        Avx512(std::arch::x86_64::_mm512_sub_pd(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self {
+        use std::arch::x86_64::*;
+        let zero = _mm512_setzero_pd();
+        let re = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(re.0, zero);
+        let im = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(im.0, zero);
+        Avx512(_mm512_mask_blend_pd(re & im, self.0, old.0))
+    }
+}
+
 /// One plane-kernel call: the body is written once over its lanes, `V`
 /// stepping over the bulk of the run and `T` (one lane wide) over the
 /// rest. Each implementor is built only after its public entry point has
 /// asserted that the operands hold the whole run, so the CPU is the one
 /// condition left to the caller of `run`.
 trait LaneKernel {
+    /// The SIMD axis is one contiguous run, so a step of any width fits
+    /// it: the dispatch may take the AVX-512 instantiation. The lane-block
+    /// kernels keep four lanes, the width of their [`LANES`] blocks.
+    const RUN_AXIS: bool = false;
     type Output;
     /// # Safety
     /// The CPU must run `V` and `T` (see [`Lane`]).
     unsafe fn run<V: Lane, T: Lane>(self) -> Self::Output;
 }
 
-/// Runs `k` on the instantiation the CPU runs: [`on_avx2`] where the CPU
-/// reports AVX2 + FMA, else the plain scalar lane throughout
-/// (`OMEN_FORCE_SCALAR=1` pins the latter).
+/// Runs `k` on the instantiation the CPU runs: [`on_avx512`] for a
+/// [`LaneKernel::RUN_AXIS`] kernel where the CPU also reports AVX-512F,
+/// [`on_avx2`] where it reports AVX2 + FMA, else the plain scalar lane
+/// throughout (`OMEN_FORCE_SCALAR=1` pins the latter).
 fn dispatch<K: LaneKernel>(k: K) -> K::Output {
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
+        if K::RUN_AXIS && avx512_available() {
+            // SAFETY: `avx512_available` says the CPU has AVX-512F, AVX2
+            // and FMA.
+            return unsafe { on_avx512(k) };
+        }
         // SAFETY: `fma_available` says the CPU has AVX2 + FMA.
         return unsafe { on_avx2(k) };
     }
     // SAFETY: the scalar lanes run anywhere.
     unsafe { k.run::<Scalar<false>, Scalar<false>>() }
+}
+
+/// `true` when [`on_avx512`] can run: AVX2 + FMA ([`fma_available`],
+/// which `OMEN_FORCE_SCALAR` pins to `false`) and AVX-512F (checked once).
+#[cfg(target_arch = "x86_64")]
+fn avx512_available() -> bool {
+    static AVX512: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVX512.get_or_init(|| fma_available() && std::arch::is_x86_feature_detected!("avx512f"))
+}
+
+/// The AVX-512 instantiation of the run-axis kernels: eight lanes per
+/// step, the rest of a run one fused scalar lane at a time.
+///
+/// # Safety
+/// The CPU must support AVX-512F, AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn on_avx512<K: LaneKernel>(k: K) -> K::Output {
+    k.run::<Avx512, Scalar<true>>()
 }
 
 /// The AVX2/FMA instantiation of every plane kernel: four lanes per step,
@@ -373,43 +496,66 @@ type Cx<V> = (V, V);
 // Stage C: block product with the run as the SIMD axis.
 // ---------------------------------------------------------------------------
 
-/// `C[(r, c)][e] += Σ_l A[(r, l)][e] · w[(l, c)]` for `e < n`: a run of
-/// `n` tiny `dim × dim` products against one shared right operand `w`
-/// (column-major), with the run as the SIMD axis.
+/// `C[(r, c)][e] += Σ_t Σ_l A[o_t + (r, l)][e] · W[w_t + (l, c)]` for
+/// `e < n`: runs of `n` tiny `dim × dim` products, one per term `(o_t,
+/// w_t)` of `terms`, against a shared right operand per term, with the
+/// run as the SIMD axis.
 ///
-/// `a` and `c` are element planes as [`pack_planes`] lays them out, each
-/// sliced to start at the first block of the run: plane `2·x` of `a`
-/// (`re` of element `x`, elements in row-major order) starts at `2·x·la`,
-/// its `im` plane one plane length further; likewise `c` with `lc`. Each
-/// output element sums its terms in one fixed order whatever `n` is and
-/// wherever the run starts.
+/// `a` and `c` are element planes as [`pack_planes`] lays them out. A
+/// term's left operand starts at `a[o_t..]`: plane `2·x` (`re` of element
+/// `x`, elements in row-major order) from `o_t + 2·x·la`, its `im` plane
+/// one plane length further. Its right operand is the column-major block
+/// at `w[w_t..]`. `c` starts at the first output position, with plane
+/// length `lc`. Each accumulator is loaded once per step, held across
+/// every term and stored once; each output element receives its terms in
+/// list order, `l` ascending within a term, whatever `n` is and wherever
+/// the run starts. So one call is bitwise the same terms issued one at a
+/// time, and a single product is a one-term call.
 ///
 /// # Panics
-/// If `dim` exceeds [`PLANES_MAX_DIM`] or a plane is too short for the run.
-pub fn planes_mac(dim: usize, n: usize, a: &[f64], la: usize, w: &[C64], c: &mut [f64], lc: usize) {
-    if n == 0 || dim == 0 {
+/// If `dim` exceeds [`PLANES_MAX_DIM`], or a term's planes or block, or
+/// the accumulator planes, are too short for the run.
+#[allow(clippy::too_many_arguments)] // BLAS-style parameter list
+pub fn planes_mac(
+    dim: usize,
+    n: usize,
+    a: &[f64],
+    la: usize,
+    w: &[C64],
+    terms: &[(usize, usize)],
+    c: &mut [f64],
+    lc: usize,
+) {
+    if n == 0 || dim == 0 || terms.is_empty() {
         return;
     }
     assert!(
         dim <= PLANES_MAX_DIM,
         "planes_mac: block dimension {dim} > {PLANES_MAX_DIM}"
     );
-    // The last of the `2·dim²` planes still holds `n` elements.
-    let holds = |len: usize, stride: usize| {
+    // The last of the `2·dim²` planes from `at` still holds `n` elements.
+    let holds = |len: usize, at: usize, stride: usize| {
         let end = (2 * dim * dim - 1)
             .checked_mul(stride)
+            .and_then(|o| o.checked_add(at))
             .and_then(|o| o.checked_add(n));
         n <= stride && end.is_some_and(|end| end <= len)
     };
-    assert!(w.len() >= dim * dim, "planes_mac: W too short");
-    assert!(holds(a.len(), la), "planes_mac: A planes too short");
-    assert!(holds(c.len(), lc), "planes_mac: C planes too short");
+    for &(o, wo) in terms {
+        assert!(
+            wo.checked_add(dim * dim).is_some_and(|end| end <= w.len()),
+            "planes_mac: W too short"
+        );
+        assert!(holds(a.len(), o, la), "planes_mac: A planes too short");
+    }
+    assert!(holds(c.len(), 0, lc), "planes_mac: C planes too short");
     dispatch(Mac {
         dim,
         n,
         a,
         la,
         w,
+        terms,
         c,
         lc,
     });
@@ -422,11 +568,13 @@ struct Mac<'a> {
     a: &'a [f64],
     la: usize,
     w: &'a [C64],
+    terms: &'a [(usize, usize)],
     c: &'a mut [f64],
     lc: usize,
 }
 
 impl LaneKernel for Mac<'_> {
+    const RUN_AXIS: bool = true;
     type Output = ();
 
     #[inline(always)]
@@ -455,33 +603,43 @@ impl Mac<'_> {
     }
 
     /// Run positions `from..to`, `V::WIDTH` per step, a block row at a
-    /// time: the `(r, l)` operands are loaded once and held across the
-    /// output row.
+    /// time: the row's `N` accumulators are loaded once, every term's
+    /// `(r, l)` operands are loaded once and held across the output row,
+    /// and the accumulators are stored once.
     ///
     /// # Safety
     /// As for [`LaneKernel::run`], and `V::WIDTH` must divide `to − from`.
     #[inline(always)]
     unsafe fn steps<V: Lane, const N: usize>(&mut self, from: usize, to: usize) {
-        let (la, lc, w) = (self.la, self.lc, self.w);
+        let (la, lc) = (self.la, self.lc);
+        let (a, w) = (self.a.as_ptr(), self.w.as_ptr());
         for r in 0..N {
-            let a = self.a.as_ptr().add(2 * r * N * la);
             let c = self.c.as_mut_ptr().add(2 * r * N * lc);
             for e in (from..to).step_by(V::WIDTH) {
-                let x: [Cx<V>; N] = std::array::from_fn(|l| {
-                    let p = a.add(2 * l * la + e);
-                    (V::load(p), V::load(p.add(la)))
+                let mut acc: [Cx<V>; N] = std::array::from_fn(|col| {
+                    let p = c.add(2 * col * lc + e);
+                    (V::load(p), V::load(p.add(lc)))
                 });
-                for col in 0..N {
-                    let (pr, pi) = (c.add(2 * col * lc + e), c.add((2 * col + 1) * lc + e));
-                    let (mut re, mut im) = (V::load(pr), V::load(pi));
-                    for (l, &(xr, xi)) in x.iter().enumerate() {
-                        let z = w[col * N + l];
-                        let (wr, wi) = (V::splat(z.re), V::splat(z.im));
-                        re = xi.nmadd(wi, xr.madd(wr, re));
-                        im = xi.madd(wr, xr.madd(wi, im));
+                for &(o, wo) in self.terms {
+                    let a = a.add(o + 2 * r * N * la + e);
+                    let x: [Cx<V>; N] = std::array::from_fn(|l| {
+                        let p = a.add(2 * l * la);
+                        (V::load(p), V::load(p.add(la)))
+                    });
+                    let w = w.add(wo);
+                    for (col, (re, im)) in acc.iter_mut().enumerate() {
+                        for (l, &(xr, xi)) in x.iter().enumerate() {
+                            let z = *w.add(col * N + l);
+                            let (wr, wi) = (V::splat(z.re), V::splat(z.im));
+                            *re = xi.nmadd(wi, xr.madd(wr, *re));
+                            *im = xi.madd(wr, xr.madd(wi, *im));
+                        }
                     }
-                    re.store(pr);
-                    im.store(pi);
+                }
+                for (col, (re, im)) in acc.into_iter().enumerate() {
+                    let p = c.add(2 * col * lc + e);
+                    re.store(p);
+                    im.store(p.add(lc));
                 }
             }
         }
@@ -1028,16 +1186,20 @@ pub fn planes_invert(n: usize, lanes: usize, a: &[f64], out: &mut [f64], ws: &mu
 
 /// Lane accumulators of a 3 × 3 tile of complex dot products, carried
 /// across [`planes_dots`] calls and reduced once by [`DotTile::sum`].
+/// Eight lanes in every instantiation, so a tile's bits do not depend on
+/// the vector width.
 #[derive(Clone, Copy, Default)]
 pub struct DotTile {
-    re: [[f64; LANES]; 9],
-    im: [[f64; LANES]; 9],
+    re: [[f64; DOT_LANES]; 9],
+    im: [[f64; DOT_LANES]; 9],
 }
 
 impl DotTile {
     /// The nine sums, entry `j·3 + i` pairing `x[i]` with `y[j]`.
     pub fn sum(&self) -> [C64; 9] {
-        let lanes = |v: &[f64; LANES]| (v[0] + v[1]) + (v[2] + v[3]);
+        let lanes = |v: &[f64; DOT_LANES]| {
+            ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]))
+        };
         std::array::from_fn(|t| c64(lanes(&self.re[t]), lanes(&self.im[t])))
     }
 }
@@ -1047,8 +1209,8 @@ pub type SplitRun<'a> = [&'a [f64]; 2];
 
 /// `tile[j·3 + i] += Σ_t x[i][t] · y[j][t]` (complex, unconjugated) over
 /// equally long split-complex runs: three loads of `x` and three of `y`
-/// per nine complex FMAs. Position `t` adds into lane `t mod 4` of the
-/// tile.
+/// per nine complex FMAs. Position `t` adds into lane `t mod 8` of the
+/// tile, in every instantiation.
 ///
 /// # Panics
 /// If the runs differ in length.
@@ -1072,30 +1234,31 @@ struct Dots<'a> {
 }
 
 impl LaneKernel for Dots<'_> {
+    const RUN_AXIS: bool = true;
     type Output = ();
 
     #[inline(always)]
     unsafe fn run<V: Lane, T: Lane>(mut self) {
-        let full = self.n / LANES * LANES;
+        let full = self.n / DOT_LANES * DOT_LANES;
         self.steps::<V>(0, full);
         self.steps::<T>(full, self.n);
     }
 }
 
 impl Dots<'_> {
-    /// Positions `from..to` (`from` a multiple of [`LANES`]): one pass per
-    /// tile lane offset `s` of a `V` step, holding the eighteen
-    /// accumulators across the positions `t ≡ s (mod LANES)`.
+    /// Positions `from..to` (`from` a multiple of [`DOT_LANES`]): one pass
+    /// per tile lane offset `s` of a `V` step, holding the eighteen
+    /// accumulators across the positions `t ≡ s (mod DOT_LANES)`.
     ///
     /// # Safety
     /// As for [`LaneKernel::run`], and `V::WIDTH` must divide `to − from`
-    /// and [`LANES`].
+    /// and [`DOT_LANES`].
     #[inline(always)]
     unsafe fn steps<V: Lane>(&mut self, from: usize, to: usize) {
         let ptrs = |runs: [SplitRun<'_>; 3]| runs.map(|[re, im]| [re.as_ptr(), im.as_ptr()]);
         let (x, y) = (ptrs(self.x), ptrs(self.y));
         let tile = &mut *self.tile;
-        for pass in 0..LANES / V::WIDTH {
+        for pass in 0..DOT_LANES / V::WIDTH {
             let s = pass * V::WIDTH;
             if from + s >= to {
                 break; // no position at this offset, nor at the next
@@ -1113,7 +1276,7 @@ impl Dots<'_> {
                         im[o] = xi.madd(yr, xr.madd(yi, im[o]));
                     }
                 }
-                t += LANES;
+                t += DOT_LANES;
             }
             for o in 0..9 {
                 re[o].store(tile.re[o].as_mut_ptr().add(s));
@@ -1169,8 +1332,8 @@ mod tests {
             s,
         );
         let (mut pa, mut pc) = (Vec::new(), vec![0.0; 2 * len * bsz]);
-        pack_planes(dim, len, &a, &mut pa);
-        planes_mac(dim, n, &pa[at..], len, &w, &mut pc[at..], len);
+        pack_planes(dim, len, &a, len, 0, &mut pa);
+        planes_mac(dim, n, &pa, len, &w, &[(at, 0)], &mut pc[at..], len);
         add_planes(dim, len, &pc, &mut got);
         (got, want)
     }
@@ -1201,16 +1364,56 @@ mod tests {
     #[test]
     fn mac_does_not_depend_on_where_a_run_is_cut() {
         let (dim, bsz, len) = (3, 9, 23);
-        let (a, w) = (noise(len * bsz, 4), noise(bsz, 5));
+        let (a, w) = (noise(len * bsz, 4), noise(2 * bsz, 5));
         let mut pa = Vec::new();
-        pack_planes(dim, len, &a, &mut pa);
+        pack_planes(dim, len, &a, len, 0, &mut pa);
+        // Two terms from overlapping offsets, the second with its own block.
+        let terms = [(0, 0), (1, bsz)];
+        let n = len - 1;
         let mut whole = vec![0.0; 2 * len * bsz];
-        planes_mac(dim, len, &pa, len, &w, &mut whole, len);
-        for cut in 1..len {
+        planes_mac(dim, n, &pa, len, &w, &terms, &mut whole, len);
+        for cut in 1..n {
             let mut parts = vec![0.0; 2 * len * bsz];
-            planes_mac(dim, cut, &pa, len, &w, &mut parts, len);
-            planes_mac(dim, len - cut, &pa[cut..], len, &w, &mut parts[cut..], len);
+            planes_mac(dim, cut, &pa, len, &w, &terms, &mut parts, len);
+            let rest = terms.map(|(o, w)| (o + cut, w));
+            planes_mac(dim, n - cut, &pa, len, &w, &rest, &mut parts[cut..], len);
             assert_eq!(parts, whole, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn mac_terms_are_the_sequential_one_term_calls() {
+        // One multi-term call is bitwise the same terms issued one at a
+        // time: the accumulators only stay in registers across them.
+        for dim in 1..=PLANES_MAX_DIM {
+            let bsz = dim * dim;
+            for n in [1, 5, 23] {
+                let la = n + 4;
+                let mut pa = Vec::new();
+                pack_planes(dim, n + 2, &noise((n + 2) * bsz, 80), la, 1, &mut pa);
+                let w = noise(3 * bsz, 81);
+                // Overlapping offsets, a repeated term, every block, and
+                // the padding zeros at both ends of the planes.
+                let terms = [
+                    (2, 0),
+                    (0, bsz),
+                    (3, 2 * bsz),
+                    (2, 0),
+                    (4, bsz),
+                    (1, 2 * bsz),
+                ];
+                let c0: Vec<f64> = noise(bsz * n, 82)
+                    .iter()
+                    .flat_map(|z| [z.re, z.im])
+                    .collect();
+                let mut fused = c0.clone();
+                planes_mac(dim, n, &pa, la, &w, &terms, &mut fused, n);
+                let mut one_by_one = c0;
+                for t in terms {
+                    planes_mac(dim, n, &pa, la, &w, &[t], &mut one_by_one, n);
+                }
+                assert_eq!(fused, one_by_one, "dim {dim}, n {n}");
+            }
         }
     }
 
@@ -1237,8 +1440,10 @@ mod tests {
     }
 
     /// How a test runs a plane kernel.
-    #[derive(Clone, Copy)]
+    #[derive(Clone, Copy, Debug)]
     enum Inst {
+        /// The dispatch's AVX-512 instantiation (the run-axis kernels).
+        Avx512,
         /// The dispatch's AVX2 instantiation.
         Avx2,
         /// One fused scalar lane at a time, as the AVX2 instantiation's tail.
@@ -1248,10 +1453,17 @@ mod tests {
     }
 
     fn run<K: LaneKernel>(inst: Inst, k: K) -> K::Output {
-        // SAFETY: the AVX2 instantiation runs only where the CPU has AVX2
-        // + FMA (asserted); the scalar lanes run anywhere.
+        // SAFETY: the vector instantiations run only where the CPU has
+        // their instruction sets (asserted); the scalar lanes run anywhere.
         unsafe {
             match inst {
+                Inst::Avx512 => {
+                    assert!(
+                        avx512_available(),
+                        "the AVX-512 instantiation needs AVX-512F"
+                    );
+                    on_avx512(k)
+                }
                 Inst::Avx2 => {
                     assert!(fma_available(), "the AVX2 instantiation needs AVX2 + FMA");
                     on_avx2(k)
@@ -1262,15 +1474,35 @@ mod tests {
         }
     }
 
-    /// [`planes_mac`] over whole planes of `n` positions.
-    fn mac<'a>(dim: usize, n: usize, a: &'a [f64], w: &'a [C64], c: &'a mut [f64]) -> Mac<'a> {
-        let (la, lc) = (n, n);
+    /// The vector instantiations of the run-axis kernels this host runs,
+    /// widest first; says so when it lacks AVX-512F.
+    fn run_axis_vectors() -> Vec<Inst> {
+        if avx512_available() {
+            vec![Inst::Avx512, Inst::Avx2]
+        } else {
+            println!("no avx512f on this host: the AVX-512 instantiation is skipped");
+            vec![Inst::Avx2]
+        }
+    }
+
+    /// [`planes_mac`]: `terms` over planes of `la` positions into whole
+    /// accumulator planes of `n` positions.
+    fn mac<'a>(
+        dim: usize,
+        n: usize,
+        (a, la): (&'a [f64], usize),
+        w: &'a [C64],
+        terms: &'a [(usize, usize)],
+        c: &'a mut [f64],
+    ) -> Mac<'a> {
+        let lc = n;
         Mac {
             dim,
             n,
             a,
             la,
             w,
+            terms,
             c,
             lc,
         }
@@ -1311,16 +1543,22 @@ mod tests {
             return; // one instantiation only on this host (or forced)
         }
         let (len, bsz) = (23, 9);
-        let (a, w) = (noise(len * bsz, 6), noise(bsz, 7));
+        let (a, w) = (noise(len * bsz, 6), noise(2 * bsz, 7));
         let mut pa = Vec::new();
-        pack_planes(3, len, &a, &mut pa);
-        let [fused, plain] = [Inst::Avx2, Inst::Plain].map(|inst| {
-            let mut c = vec![0.0; 2 * len * bsz];
-            run(inst, mac(3, len, &pa, &w, &mut c));
+        pack_planes(3, len, &a, len, 0, &mut pa);
+        let terms = [(0, 0), (2, bsz), (1, 0)];
+        let vectors = run_axis_vectors();
+        let n = len - 2;
+        let mac_by = |inst: Inst| {
+            let mut c = vec![0.0; 2 * n * bsz];
+            run(inst, mac(3, n, (&pa, len), &w, &terms, &mut c));
             c
-        });
-        for (f, p) in fused.iter().zip(&plain) {
-            assert!((f - p).abs() < 1e-14);
+        };
+        let plain = mac_by(Inst::Plain);
+        for &inst in &vectors {
+            for (f, p) in mac_by(inst).iter().zip(&plain) {
+                assert!((f - p).abs() < 1e-14, "planes_mac: {inst:?}");
+            }
         }
         let run_of = |r: usize| -> SplitRun<'_> {
             [&pa[2 * r * len..][..len], &pa[(2 * r + 1) * len..][..len]]
@@ -1329,13 +1567,16 @@ mod tests {
             [run_of(0), run_of(1), run_of(2)],
             [run_of(3), run_of(4), run_of(5)],
         );
-        let [fused, plain] = [Inst::Avx2, Inst::Plain].map(|inst| {
+        let dots_by = |inst: Inst| {
             let mut tile = DotTile::default();
             run(inst, dots(x, y, &mut tile));
             tile.sum()
-        });
-        for (f, p) in fused.iter().zip(&plain) {
-            assert!((*f - *p).abs() < 1e-13);
+        };
+        let plain = dots_by(Inst::Plain);
+        for &inst in &vectors {
+            for (f, p) in dots_by(inst).iter().zip(&plain) {
+                assert!((*f - *p).abs() < 1e-13, "planes_dots: {inst:?}");
+            }
         }
     }
 
@@ -1343,23 +1584,43 @@ mod tests {
     fn every_lane_kernel_is_its_fused_scalar_lane() {
         // A vector step performs, lane by lane, the fused scalar lane's
         // operations: every kernel gives `==` outputs either way, on sizes
-        // that leave a tail.
+        // that leave a tail. The run-axis kernels give `==` outputs on
+        // AVX-512 too (where the host has it).
         if !fma_available() {
             return; // no vector step on this host (or forced)
         }
         let re =
             |n: usize, seed: u64| -> Vec<f64> { noise(n, seed).iter().map(|z| z.re).collect() };
-        let both = [Inst::Avx2, Inst::Fused];
+        let run_axis: Vec<Inst> = run_axis_vectors()
+            .into_iter()
+            .chain([Inst::Fused])
+            .collect();
         for dim in 1..=PLANES_MAX_DIM {
+            let bsz = dim * dim;
             for n in [1, 3, 5, 23] {
-                let len = 2 * dim * dim * n;
-                let (a, w, c0) = (re(len, 50), noise(dim * dim, 51), re(len, 52));
-                let [v, s] = both.map(|inst| {
-                    let mut c = c0.clone();
-                    run(inst, mac(dim, n, &a, &w, &mut c));
-                    c
-                });
-                assert_eq!(v, s, "planes_mac: dim {dim}, n {n}");
+                // Three terms over planes of `n + 2`, overlapping.
+                let la = n + 2;
+                let terms = [(0, 0), (2, bsz), (1, 2 * bsz)];
+                let (a, w, c0) = (
+                    re(2 * bsz * la, 50),
+                    noise(3 * bsz, 51),
+                    re(2 * bsz * n, 52),
+                );
+                let outs: Vec<Vec<f64>> = run_axis
+                    .iter()
+                    .map(|&inst| {
+                        let mut c = c0.clone();
+                        run(inst, mac(dim, n, (&a, la), &w, &terms, &mut c));
+                        c
+                    })
+                    .collect();
+                for (inst, c) in run_axis.iter().zip(&outs) {
+                    assert_eq!(
+                        *c,
+                        outs[outs.len() - 1],
+                        "planes_mac: dim {dim}, n {n}, {inst:?}"
+                    );
+                }
             }
         }
         for n in [1, 5, 23, 217] {
@@ -1369,15 +1630,25 @@ mod tests {
                 [run_of(0), run_of(1), run_of(2)],
                 [run_of(3), run_of(4), run_of(5)],
             );
-            let [v, s] = both.map(|inst| {
-                let mut tile = DotTile::default();
-                // Twice: the second call adds on top of the first.
-                run(inst, dots(x, y, &mut tile));
-                run(inst, dots(x, y, &mut tile));
-                (tile.re, tile.im)
-            });
-            assert!(v == s, "planes_dots: n {n}");
+            let tiles: Vec<DotTile> = run_axis
+                .iter()
+                .map(|&inst| {
+                    let mut tile = DotTile::default();
+                    // Twice: the second call adds on top of the first.
+                    run(inst, dots(x, y, &mut tile));
+                    run(inst, dots(x, y, &mut tile));
+                    tile
+                })
+                .collect();
+            let fused = &tiles[tiles.len() - 1];
+            for (inst, t) in run_axis.iter().zip(&tiles) {
+                assert!(
+                    t.re == fused.re && t.im == fused.im,
+                    "planes_dots: n {n}, {inst:?}"
+                );
+            }
         }
+        let both = [Inst::Avx2, Inst::Fused];
         for bs in [5, 12, 32] {
             for lanes in [1, 5, 9] {
                 let len = 2 * bs * bs * lanes;
@@ -1605,7 +1876,7 @@ mod tests {
             .map(|i| c64(i as f64, -(i as f64) * 0.5))
             .collect();
         let mut planes = Vec::new();
-        pack_planes(dim, len, &src, &mut planes);
+        pack_planes(dim, len, &src, len, 0, &mut planes);
         // Element (r 0, c 1) of block 3 of run 1: column-major index 2,
         // row-major plane 1, position 3.
         let z = src[(len + 3) * bsz + 2];
@@ -1615,6 +1886,27 @@ mod tests {
         add_planes(dim, len, &planes, &mut out);
         for (o, s) in out.iter().zip(&src) {
             assert_eq!(*o, *s + c64(1.0, 1.0));
+        }
+        // Into longer planes, over a buffer that held other values: the
+        // run from position 2, zeros around it.
+        let (plane, at) = (len + 3, 2);
+        planes.iter_mut().for_each(|x| *x = f64::NAN);
+        pack_planes(dim, len, &src, plane, at, &mut planes);
+        assert_eq!(planes.len(), 2 * plane * bsz * runs);
+        for (p, values) in planes.chunks_exact(plane).enumerate() {
+            let (r, x, part) = (p / (2 * bsz), p / 2 % bsz, p % 2);
+            // Plane `x` is row-major element `(x / dim, x % dim)`.
+            let src_x = (x % dim) * dim + x / dim;
+            for (pos, v) in values.iter().enumerate() {
+                let want = match pos.checked_sub(at).filter(|&e| e < len) {
+                    Some(e) => {
+                        let z = src[(r * len + e) * bsz + src_x];
+                        [z.re, z.im][part]
+                    }
+                    None => 0.0,
+                };
+                assert_eq!(v.to_bits(), want.to_bits(), "plane {p}, position {pos}");
+            }
         }
     }
 

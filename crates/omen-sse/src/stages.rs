@@ -117,16 +117,20 @@ impl Stencil {
 /// * `hd_l`/`hd_g` — the pair's [`d_grad`] blocks, `[i][qz][ω]`;
 /// * `out_l`/`out_g` — `Σ^≷_aa`, `[kz][E − own.lo]`.
 ///
-/// The prefactor `scale_sigma` rides on each `∇H·D` block, so no sweep
-/// over `Σ` follows. Blocks big enough for a register tile
-/// ([`use_packed_kernel`]) pack each `∇H·D` block once and sweep it with
-/// the FMA micro-kernel across the whole `kz` loop and all four updates.
-/// Tiny blocks turn the batch into the SIMD axis instead: the pair's `hg`
-/// stream is packed once into energy planes, every update is a
-/// [`planes_mac`] over an energy run, and the accumulated planes are added
-/// to `out` once. Either way the loop nest is `(i, qz, ω, kz)`, and an
-/// output element receives its `(i, qz, ω)` terms in loop order, emission
-/// before absorption, whatever the window. Returns the flops performed.
+/// The prefactor `scale_sigma` rides on each `∇H·D` block, scaled once
+/// per pair, so no sweep over `Σ` follows. Blocks big enough for a
+/// register tile ([`use_packed_kernel`]) pack each `∇H·D` block once and
+/// sweep it with the FMA micro-kernel across the whole `kz` loop and all
+/// four updates, loop nest `(i, qz, ω, kz)`. Tiny blocks turn the batch
+/// into the SIMD axis instead: each side's `hg` stream is packed once
+/// into energy planes covering `own ± Nω` (zeros outside the grid), and
+/// every `(side, kz)` output run is one [`planes_mac`] call over all its
+/// `(i, qz, ω)` emission and absorption terms, accumulated into planes
+/// that are added to `out` once. A term's energies outside the grid read
+/// the padding zeros: for finite `∇H·D` an exact no-op on an accumulator
+/// that starts at `+0`. Either way an output element receives its
+/// `(i, qz, ω)` terms in loop order, emission before absorption, whatever
+/// the window. Returns the flops performed.
 #[allow(clippy::too_many_arguments)]
 pub fn sigma_pair(
     prob: &SseProblem,
@@ -144,7 +148,6 @@ pub fn sigma_pair(
     let dims = BatchDims::square(norb);
     let (nk, nq, nw) = (prob.nk, prob.nq, prob.nw);
     let (hw, ew) = (win.halo_len(), win.own_len());
-    let packed = use_packed_kernel(dims);
     // Lesser and greater side by side; an update reads and writes the
     // same side and takes either side's `∇H·D`.
     let hg = [hg_l, hg_g];
@@ -153,78 +156,95 @@ pub fn sigma_pair(
         a: src,
         c: acc,
         w,
+        terms,
         pb,
         ..
     } = scratch;
-    // Element planes: `[i][kz][element][re|im][E − halo.lo]` sources,
-    // `[kz][element][re|im][E − own.lo]` accumulators.
-    let (src_run, acc_run) = (2 * bsz * hw, 2 * bsz * ew);
-    if !packed {
-        for ((src, acc), hg) in src.iter_mut().zip(acc.iter_mut()).zip(hg) {
-            pack_planes(norb, hw, hg, src);
-            acc.clear();
-            acc.resize(prob.nk * acc_run, 0.0);
-        }
+    // The right operand of every update: the pair's `∇H·D` blocks
+    // `[side][i][qz][ω]`, scaled.
+    let blocks = 3 * nq * nw;
+    w.clear();
+    for hd in [hd_l, hd_g] {
+        w.extend(hd[..blocks * bsz].iter().map(|z| z.scale(prob.scale_sigma)));
     }
-    let mut flops = 0u64;
-    for i in 0..3 {
-        for q in 0..nq {
-            for m in 0..nw {
-                let st = Stencil::new(win, prob.omega_steps(m));
-                if st.n_em + st.n_ab == 0 {
-                    continue;
-                }
-                // The pair's `∇H·D` blocks `[i][qz][ω]`, lesser and greater,
-                // are the right operands of every update below.
-                let block = (i * nq + q) * nw + m;
-                for ((w, pb), hd) in w.iter_mut().zip(pb.iter_mut()).zip([hd_l, hd_g]) {
-                    w.clear();
-                    let block = &hd[block * bsz..(block + 1) * bsz];
-                    w.extend(block.iter().map(|z| z.scale(prob.scale_sigma)));
-                    if packed {
-                        pb.pack(norb, norb, w);
+    let stencils = || (0..nw).map(|m| Stencil::new(win, prob.omega_steps(m)));
+    let per_kz: usize = stencils().map(|st| st.n_em + st.n_ab).sum();
+    let flops = (3 * nq * nk * 2 * per_kz) as u64 * dims.flops();
+    // The scaled block `(side, i, qz, ω)`.
+    let block =
+        |side: usize, i: usize, q: usize, m: usize| (((side * 3 + i) * nq + q) * nw + m) * bsz;
+    if use_packed_kernel(dims) {
+        for i in 0..3 {
+            for q in 0..nq {
+                for (m, st) in stencils().enumerate() {
+                    if st.n_em + st.n_ab == 0 {
+                        continue;
                     }
-                }
-                // `side[cx..] += side[ax..] · ∇H·D[d]` over `n` energies,
-                // offsets in blocks: `ax` into the pair's
-                // `[i][kz][E − halo.lo]` stream, `cx` into `Σ_aa`'s
-                // `[kz][E − own.lo]`.
-                let mut mac = |n: usize, side: usize, ax: usize, d: usize, cx: usize| {
-                    if n == 0 {
-                        return;
+                    for (d, pb) in pb.iter_mut().enumerate() {
+                        pb.pack(norb, norb, &w[block(d, i, q, m)..][..bsz]);
                     }
-                    if packed {
-                        let (a, c) = (&hg[side][ax * bsz..], &mut out[side][cx * bsz..]);
-                        sbsmm_pb(dims, n, C64::ONE, a, bsz, &pb[d], C64::ONE, c, bsz);
-                    } else {
-                        // `2·Norb²` planes per `(i, kz)` run, the energy
-                        // inside a plane.
-                        let a = &src[side][(ax / hw) * src_run + ax % hw..];
-                        let c = &mut acc[side][(cx / ew) * acc_run + cx % ew..];
-                        planes_mac(norb, n, a, hw, &w[d], c, ew);
+                    // `side[cx..] += side[ax..] · ∇H·D[d]` over `n` energies,
+                    // offsets in blocks: `ax` into the pair's
+                    // `[i][kz][E − halo.lo]` stream, `cx` into `Σ_aa`'s
+                    // `[kz][E − own.lo]`.
+                    let mut mac = |n: usize, side: usize, ax: usize, d: usize, cx: usize| {
+                        if n > 0 {
+                            let (a, c) = (&hg[side][ax * bsz..], &mut out[side][cx * bsz..]);
+                            sbsmm_pb(dims, n, C64::ONE, a, bsz, &pb[d], C64::ONE, c, bsz);
+                        }
+                    };
+                    for k in 0..nk {
+                        let from = (i * nk + prob.k_minus_q(k, q)) * hw;
+                        let a_em = from + st.em_lo - st.steps - win.halo.0;
+                        let a_ab = from + win.own.0 + st.steps - win.halo.0;
+                        let c_em = k * ew + st.em_lo - win.own.0;
+                        let c_ab = k * ew;
+                        mac(st.n_em, 0, a_em, 0, c_em);
+                        mac(st.n_em, 1, a_em, 1, c_em);
+                        mac(st.n_ab, 0, a_ab, 1, c_ab);
+                        mac(st.n_ab, 1, a_ab, 0, c_ab);
                     }
-                };
-                for k in 0..nk {
-                    let from = (i * nk + prob.k_minus_q(k, q)) * hw;
-                    let a_em = from + st.em_lo - st.steps - win.halo.0;
-                    let a_ab = from + win.own.0 + st.steps - win.halo.0;
-                    let c_em = k * ew + st.em_lo - win.own.0;
-                    let c_ab = k * ew;
-                    mac(st.n_em, 0, a_em, 0, c_em);
-                    mac(st.n_em, 1, a_em, 1, c_em);
-                    mac(st.n_ab, 0, a_ab, 1, c_ab);
-                    mac(st.n_ab, 1, a_ab, 0, c_ab);
-                    flops += 2 * (st.n_em + st.n_ab) as u64 * dims.flops();
                 }
             }
         }
+        return flops;
     }
-    if !packed {
-        for (acc, out) in acc.iter().zip(out) {
-            add_planes(norb, ew, acc, out);
+    // Element planes `[i][kz][element][re|im][plane]`: `pad` zeros before
+    // the halo's first energy and zeros past its last, so that position
+    // `base + j` is energy `own.lo + j` and every term reads its whole
+    // run `base ± steps + j` within the planes. Accumulators
+    // `[kz][element][re|im][E − own.lo]`.
+    let reach = stencils().map(|st| st.steps).max().unwrap_or(0);
+    let pad = reach.saturating_sub(win.own.0 - win.halo.0);
+    let base = win.own.0 - win.halo.0 + pad;
+    let plane = (pad + hw).max(base + ew + reach);
+    let (src_run, acc_run) = (2 * bsz * plane, 2 * bsz * ew);
+    for (side, (src, acc)) in src.iter_mut().zip(acc.iter_mut()).enumerate() {
+        pack_planes(norb, hw, hg[side], plane, pad, src);
+        acc.clear();
+        acc.resize(nk * acc_run, 0.0);
+        for (k, acc) in acc.chunks_exact_mut(acc_run).enumerate() {
+            terms.clear();
+            for i in 0..3 {
+                for q in 0..nq {
+                    let from = (i * nk + prob.k_minus_q(k, q)) * src_run + base;
+                    for (m, st) in stencils().enumerate() {
+                        if st.n_em > 0 {
+                            terms.push((from - st.steps, block(side, i, q, m)));
+                        }
+                        if st.n_ab > 0 {
+                            terms.push((from + st.steps, block(1 - side, i, q, m)));
+                        }
+                    }
+                }
+            }
+            planes_mac(norb, ew, src, plane, w, terms, acc, ew);
         }
-        count_fused_run(flops);
     }
+    for (acc, out) in acc.iter().zip(out) {
+        add_planes(norb, ew, acc, out);
+    }
+    count_fused_run(flops);
     flops
 }
 
@@ -305,4 +325,139 @@ pub fn pi_pair(
     }
     count_fused_run(flops);
     flops
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use omen_device::{DeviceConfig, DeviceStructure};
+    use omen_linalg::{c64, PLANES_MAX_DIM};
+
+    fn noise(n: usize, seed: u64) -> Vec<C64> {
+        let f = |i: usize, k: f64| ((i as f64 + 0.5 + seed as f64 * 17.0) * k).sin();
+        (0..n).map(|i| c64(f(i, 0.37), f(i, 1.13))).collect()
+    }
+
+    /// Stage C's plane branch as one update at a time: `∇H·G` packed into
+    /// unpadded planes of the halo's length, one one-term [`planes_mac`]
+    /// per `(i, qz, ω, kz, update)` over the update's in-grid energies,
+    /// the accumulators added to `out` once.
+    #[allow(clippy::too_many_arguments)]
+    fn update_loop(
+        prob: &SseProblem,
+        win: &EnergyWindow,
+        hg_l: &[C64],
+        hg_g: &[C64],
+        hd_l: &[C64],
+        hd_g: &[C64],
+        out_l: &mut [C64],
+        out_g: &mut [C64],
+    ) {
+        let norb = prob.norb();
+        let bsz = norb * norb;
+        let (nk, nq, nw) = (prob.nk, prob.nq, prob.nw);
+        let (hw, ew) = (win.halo_len(), win.own_len());
+        let (src_run, acc_run) = (2 * bsz * hw, 2 * bsz * ew);
+        let mut src = [Vec::new(), Vec::new()];
+        pack_planes(norb, hw, hg_l, hw, 0, &mut src[0]);
+        pack_planes(norb, hw, hg_g, hw, 0, &mut src[1]);
+        let mut acc = [vec![0.0; nk * acc_run], vec![0.0; nk * acc_run]];
+        for i in 0..3 {
+            for q in 0..nq {
+                for m in 0..nw {
+                    let st = Stencil::new(win, prob.omega_steps(m));
+                    let block = (i * nq + q) * nw + m;
+                    let w = [hd_l, hd_g].map(|hd| -> Vec<C64> {
+                        let hd = &hd[block * bsz..(block + 1) * bsz];
+                        hd.iter().map(|z| z.scale(prob.scale_sigma)).collect()
+                    });
+                    let mut mac = |n: usize, side: usize, ax: usize, d: usize, cx: usize| {
+                        if n > 0 {
+                            let a = (ax / hw) * src_run + ax % hw;
+                            let c = &mut acc[side][(cx / ew) * acc_run + cx % ew..];
+                            planes_mac(norb, n, &src[side], hw, &w[d], &[(a, 0)], c, ew);
+                        }
+                    };
+                    for k in 0..nk {
+                        let from = (i * nk + prob.k_minus_q(k, q)) * hw;
+                        let a_em = from + st.em_lo - st.steps - win.halo.0;
+                        let a_ab = from + win.own.0 + st.steps - win.halo.0;
+                        let c_em = k * ew + st.em_lo - win.own.0;
+                        mac(st.n_em, 0, a_em, 0, c_em);
+                        mac(st.n_em, 1, a_em, 1, c_em);
+                        mac(st.n_ab, 0, a_ab, 1, k * ew);
+                        mac(st.n_ab, 1, a_ab, 0, k * ew);
+                    }
+                }
+            }
+        }
+        add_planes(norb, ew, &acc[0], out_l);
+        add_planes(norb, ew, &acc[1], out_g);
+    }
+
+    #[test]
+    fn sigma_pair_planes_are_the_parent_update_loop() {
+        // One fused call per `(side, kz)` over padded planes is bitwise the
+        // update-at-a-time loop, on the full window and on clamped tiles.
+        let (nk, ne, nq, nw) = (2, 24, 2, 3);
+        let bits = |v: &[C64]| -> Vec<[u64; 2]> {
+            v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+        };
+        // A scratch that held other values: stale numbers in the padding
+        // would show.
+        let mut scratch = PlaneScratch {
+            a: [vec![1.5; 1 << 16], vec![-2.5; 1 << 16]],
+            ..PlaneScratch::default()
+        };
+        for norb in 1..=PLANES_MAX_DIM {
+            let dev = DeviceStructure::build(DeviceConfig {
+                norb,
+                ..DeviceConfig::tiny()
+            });
+            let prob = SseProblem::new(&dev, nk, ne, nq, nw, 0.37, 1.0);
+            let bsz = norb * norb;
+            let hd_len = 3 * nq * nw * bsz;
+            let (hd_l, hd_g) = (noise(hd_len, 1), noise(hd_len, 2));
+            let tiles: [(usize, usize); 4] = [(0, ne), (0, 7), (5, 13), (17, 24)];
+            for (t, own) in tiles.into_iter().enumerate() {
+                let halo = (own.0.saturating_sub(nw), (own.1 + nw).min(ne));
+                let win = EnergyWindow { ne, own, halo };
+                let stream = 3 * nk * win.halo_len() * bsz;
+                let seed = 10 * (t as u64 + 1);
+                let (hg_l, hg_g) = (noise(stream, seed), noise(stream, seed + 1));
+                let base = noise(nk * win.own_len() * bsz, seed + 2);
+                let (mut got_l, mut got_g) = (base.clone(), base.clone());
+                let (mut want_l, mut want_g) = (base.clone(), base);
+                sigma_pair(
+                    &prob,
+                    &win,
+                    &hg_l,
+                    &hg_g,
+                    &hd_l,
+                    &hd_g,
+                    &mut scratch,
+                    &mut got_l,
+                    &mut got_g,
+                );
+                update_loop(
+                    &prob,
+                    &win,
+                    &hg_l,
+                    &hg_g,
+                    &hd_l,
+                    &hd_g,
+                    &mut want_l,
+                    &mut want_g,
+                );
+                assert!(
+                    bits(&got_l) == bits(&want_l),
+                    "Σ<: Norb {norb}, own {own:?}"
+                );
+                assert!(
+                    bits(&got_g) == bits(&want_g),
+                    "Σ>: Norb {norb}, own {own:?}"
+                );
+            }
+        }
+    }
 }
