@@ -26,7 +26,10 @@
 //!    lead (`sr_point_warm_*`) by [`MIN_SR_LANES_SPEEDUP`] (same bin, same
 //!    rule), four block inverses as one lane LU (`lu_lanes_bs{12,32}_*`)
 //!    must beat four `invert_into` calls (`lu_point_bs{12,32}_*`) by
-//!    [`MIN_LU_LANES_SPEEDUP`] (same bin, same rule) — the three floors
+//!    [`MIN_LU_LANES_SPEEDUP`] (same bin, same rule), one 4-lane lane GEMM
+//!    at 32 × 32 (`planes_gemm_lanes_bs32_*`) must beat four packed
+//!    `gemm` calls (`planes_gemm_point_bs32_*`) by
+//!    [`MIN_GEMM_LANES_SPEEDUP`] (same bin, same rule) — the four floors
 //!    measure 4 lanes ÷ 1 lane of one operation — and the
 //!    warm-started sweep
 //!    must save Born iterations (strict, deterministic)
@@ -154,6 +157,12 @@ const MIN_SR_LANES_SPEEDUP: f64 = 1.4;
 /// (`rgf_point`; quick and full runs on a 2-vCPU AVX-512 host:
 /// 2.7–3.8×).
 const MIN_LU_LANES_SPEEDUP: f64 = 2.0;
+
+/// Floor on one 4-lane `lane_gemm` over four packed `gemm` calls at
+/// 32 × 32 (`rgf_point` on a 2-vCPU AVX-512 host: quick runs read
+/// 1.6–1.7× on the four-lane AVX2 step, 2.8–3.3× on the AVX-512 row-pair
+/// step), so a host without AVX-512 clears it too.
+const MIN_GEMM_LANES_SPEEDUP: f64 = 1.4;
 
 /// Name stem of the plan-wall ÷ local-wall ladder records.
 const PLAN_VS_LOCAL: &str = "comm45_plan_vs_local_";
@@ -318,6 +327,11 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
             ("sr_lanes_warm", "sr_point_warm", MIN_SR_LANES_SPEEDUP),
             ("lu_lanes_bs12", "lu_point_bs12", MIN_LU_LANES_SPEEDUP),
             ("lu_lanes_bs32", "lu_point_bs32", MIN_LU_LANES_SPEEDUP),
+            (
+                "planes_gemm_lanes_bs32",
+                "planes_gemm_point_bs32",
+                MIN_GEMM_LANES_SPEEDUP,
+            ),
         ] {
             let (Some(lanes), Some(point)) = (find(lanes), find(point)) else {
                 eprintln!(

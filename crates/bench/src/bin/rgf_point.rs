@@ -19,7 +19,7 @@
 //! Two kernel legs close the run, 4 lanes against 4 one-lane calls of the
 //! same work, time per lane: the lane GEMM (`lane_gemm`, what
 //! `planes_gemm` runs up to `LANE_MAX_DIM`) against `gemm`'s packed path
-//! at 24–64 — the records that set `LANE_MAX_DIM` — and the lane inverse
+//! at 12–64 — the records that set `LANE_MAX_DIM` — and the lane inverse
 //! (`planes_invert`) against `Workspace::invert_into` at 12 and 32.
 use omen_bench::{
     header, json_flag, quick_flag, row, timed_median, write_bench_json, BenchRecord,
@@ -235,7 +235,7 @@ fn lane_operands(bs: usize, seed: f64) -> (Vec<CMatrix>, Vec<f64>) {
 }
 
 /// The lane kernels against their one-lane twins on the same `LANES`
-/// blocks: `lane_gemm` vs one packed `gemm` per lane at 24–64 (the
+/// blocks: `lane_gemm` vs one packed `gemm` per lane at 12–64 (the
 /// records behind `LANE_MAX_DIM`), `planes_invert` vs one
 /// `Workspace::invert_into` per lane at 12 and 32. Each sample repeats
 /// the call enough times to last ~0.1 ms; records hold the time per lane.
@@ -267,7 +267,7 @@ fn lane_kernels(suffix: &str, reps: usize) -> Vec<BenchRecord> {
             });
         }
     };
-    for bs in [24, 32, 48, 64] {
+    for bs in [12, 24, 32, 48, 64] {
         let (a, a_planes) = lane_operands(bs, 0.3);
         let (b, b_planes) = lane_operands(bs, 0.8);
         let mut c = vec![CMatrix::zeros(bs, bs); LANES];

@@ -30,23 +30,26 @@
 //! `Lane` trait) and run through one dispatch (`dispatch`). The AVX2+FMA
 //! instantiation (`on_avx2`) steps four lanes at a time and takes the
 //! tail of a run as a scalar lane with the vector lane's fused
-//! operations. The two kernels whose SIMD axis is one contiguous run
-//! ([`planes_mac`], [`planes_dots`]) go to the AVX-512 instantiation
-//! (`on_avx512`, eight lanes a step, the same fused scalar tail) where
-//! the CPU reports `avx512f`; the lane-block kernels keep four lanes,
-//! the width of their [`LANES`] blocks. The portable instantiation (the
-//! only one without AVX2 + FMA, pinned by `OMEN_FORCE_SCALAR=1`, as for
-//! the micro-kernel) is the plain scalar lane throughout.
+//! operations. Where the CPU reports `avx512f`, three kernels go to the
+//! AVX-512 instantiation (`on_avx512`, the same fused scalar tail): the
+//! two whose SIMD axis is one contiguous run ([`planes_mac`],
+//! [`planes_dots`]) step eight lanes of it, and the lane GEMM
+//! ([`lane_gemm`]) steps four lanes of two neighbouring block rows, so
+//! its [`LANES`] blocks keep their width. The lane inverse
+//! ([`planes_invert`]) keeps four-lane AVX2 steps. The portable
+//! instantiation (the only one without AVX2 + FMA, pinned by
+//! `OMEN_FORCE_SCALAR=1`, as for the micro-kernel) is the plain scalar
+//! lane throughout.
 //!
-//! A vector step performs, lane by lane, the fused scalar lane's
-//! operations, so the arithmetic of one output element never depends on
-//! where in a run it sits (vector step or scalar tail) nor on the vector
-//! width: [`planes_mac`], [`planes_gemm`] and [`planes_invert`] are
-//! bitwise reproducible under any split of the energy axis, and
-//! [`planes_mac`] and [`planes_dots`] (whose tile has eight lanes in
-//! every instantiation) give the same bits on AVX-512, AVX2 and the
-//! fused scalar lane. [`planes_invert`] fuses nothing, so its portable
-//! instantiation agrees bit for bit too.
+//! A vector step performs, lane by lane (and row by row), the fused
+//! scalar lane's operations, so the arithmetic of one output element
+//! never depends on where in a run it sits (vector step or scalar tail)
+//! nor on the vector width: [`planes_mac`], [`planes_gemm`] and
+//! [`planes_invert`] are bitwise reproducible under any split of the
+//! energy axis, and [`planes_mac`], [`planes_dots`] (whose tile has eight
+//! lanes in every instantiation) and [`lane_gemm`] give the same bits on
+//! AVX-512, AVX2 and the fused scalar lane. [`planes_invert`] fuses
+//! nothing, so its portable instantiation agrees bit for bit too.
 //!
 //! The kernels do no accounting of their own: a caller fuses many sweeps
 //! over one pack into a run and reports it once through
@@ -58,8 +61,9 @@ use crate::gemm::{fma_available, gemm_cols, Cols, ColsMut, Op, SMALL_DIM};
 use crate::lu::SingularMatrix;
 use crate::workspace::Workspace;
 
-/// `f64` lanes of one vector step of the lane-block kernels (one AVX2
-/// register).
+/// Energy lanes of one vector step of the lane-block kernels: one AVX2
+/// register, or half an AVX-512 register whose other half holds the next
+/// block row.
 pub const LANES: usize = 4;
 
 /// Lanes of a [`DotTile`]: one AVX-512 register, two AVX2 steps, eight
@@ -71,9 +75,12 @@ const DOT_LANES: usize = 8;
 /// `row_width` too). Set from the `planes_gemm_{lanes,point}_bs*`
 /// records of `rgf_point` (`BENCH_kernels.json`): the largest measured
 /// block size at which one 4-lane [`lane_gemm`] call beats four packed
-/// [`crate::gemm()`] calls in every run. On a 2-vCPU AVX-512 Xeon, four
-/// runs read 1.9–2.1× at 24, 1.6–1.8× at 32, 1.4–1.5× at 48 and
-/// 0.92–1.32× at 64. Larger blocks take one lane through the packed GEMM.
+/// [`crate::gemm()`] calls in every run of the AVX2 step, which hosts
+/// without AVX-512 take. On a 2-vCPU AVX-512 Xeon, six runs of that step
+/// read 1.6–2.2× at 24, 1.4–1.7× at 32, 1.1–1.5× at 48 and 0.93–1.38×
+/// at 64; eight runs of the AVX-512 row-pair step read 2.9–4.0×,
+/// 2.8–3.3×, 2.0–2.8× and 2.0–2.5×. Larger blocks take one lane through
+/// the packed GEMM.
 pub const LANE_MAX_DIM: usize = 48;
 
 /// Largest block dimension [`planes_mac`] is instantiated for. Every
@@ -234,19 +241,31 @@ pub fn pack_split(len: usize, transpose: Option<usize>, src: &[C64], dst: &mut V
 // ---------------------------------------------------------------------------
 
 /// One SIMD step over a run: the arithmetic every plane kernel is written
-/// in, instantiated for an AVX-512 register ([`Avx512`], eight lanes), an
-/// AVX2 register ([`Avx`], four lanes) and one scalar lane ([`Scalar`]),
-/// fused (the operations of one vector lane, for the tail of a run) or
-/// plain (the portable instantiation).
+/// in, instantiated for an AVX-512 register ([`Avx512`], eight lanes, or
+/// [`RowPair`], four lanes of two block rows), an AVX2 register ([`Avx`],
+/// four lanes) and one scalar lane ([`Scalar`]), fused (the operations of
+/// one vector lane, for the tail of a run) or plain (the portable
+/// instantiation).
+///
+/// A step over a lane block (an instantiation's [`Lane::Block`]) covers
+/// `WIDTH` lanes of `ROWS` neighbouring block rows: one row everywhere
+/// but on [`RowPair`]. Its row loads and stores take the distance to the
+/// next row's lanes, and its broadcast gives every row the same lanes;
+/// with one row they are plain loads and stores.
 ///
 /// # Safety
 /// Every method may run only on a CPU with the instruction set the
-/// instantiation uses (AVX-512F for [`Avx512`], AVX2 + FMA for [`Avx`];
-/// the scalar lanes run anywhere); `load` and `store` also need `p` valid
-/// for `WIDTH` `f64`s.
+/// instantiation uses (AVX-512F for [`Avx512`] and [`RowPair`], AVX2 +
+/// FMA for [`Avx`]; the scalar lanes run anywhere); `load`, `store` and
+/// `broadcast` also need `p` valid for `WIDTH` `f64`s, and the row loads
+/// and stores `p` and `p + next` too.
 trait Lane: Copy {
     /// Lanes per step.
     const WIDTH: usize;
+    /// Block rows per step.
+    const ROWS: usize = 1;
+    /// This instantiation's step over lane blocks.
+    type Block: Lane;
     unsafe fn load(p: *const f64) -> Self;
     unsafe fn store(self, p: *mut f64);
     unsafe fn splat(x: f64) -> Self;
@@ -262,6 +281,23 @@ trait Lane: Copy {
     /// `old` on the lanes where `re + i·im` is zero (`==`, so `−0.0`
     /// too), `self` on the others.
     unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self;
+    /// The first row's lanes from `p`, each further row's from `next`
+    /// `f64`s on; a `next` of 0 takes one row (into every row).
+    #[inline(always)]
+    unsafe fn load_rows(p: *const f64, _next: usize) -> Self {
+        Self::load(p)
+    }
+    /// Stores what [`Lane::load_rows`] loads: a `next` of 0 stores the
+    /// first row only.
+    #[inline(always)]
+    unsafe fn store_rows(self, p: *mut f64, _next: usize) {
+        self.store(p)
+    }
+    /// The lanes from `p` in every row.
+    #[inline(always)]
+    unsafe fn broadcast(p: *const f64) -> Self {
+        Self::load(p)
+    }
 }
 
 /// One scalar lane: with `FMA` the fused operations of a vector lane
@@ -272,6 +308,7 @@ struct Scalar<const FMA: bool>(f64);
 
 impl<const FMA: bool> Lane for Scalar<FMA> {
     const WIDTH: usize = 1;
+    type Block = Self;
     #[inline(always)]
     unsafe fn load(p: *const f64) -> Self {
         Scalar(*p)
@@ -331,6 +368,7 @@ struct Avx(std::arch::x86_64::__m256d);
 #[cfg(target_arch = "x86_64")]
 impl Lane for Avx {
     const WIDTH: usize = LANES;
+    type Block = Self;
     #[inline(always)]
     unsafe fn load(p: *const f64) -> Self {
         Avx(std::arch::x86_64::_mm256_loadu_pd(p))
@@ -382,6 +420,7 @@ struct Avx512(std::arch::x86_64::__m512d);
 #[cfg(target_arch = "x86_64")]
 impl Lane for Avx512 {
     const WIDTH: usize = 8;
+    type Block = RowPair;
     #[inline(always)]
     unsafe fn load(p: *const f64) -> Self {
         Avx512(std::arch::x86_64::_mm512_loadu_pd(p))
@@ -424,16 +463,90 @@ impl Lane for Avx512 {
     }
 }
 
+/// Four lanes of two neighbouring block rows in one AVX-512 register,
+/// `[row i | row i + 1]`: the AVX-512 step over lane blocks, with
+/// [`Avx512`]'s arithmetic. A row pair loads as two 256-bit runs and one
+/// insert, stores through the inverse extract, and a broadcast puts one
+/// run in both halves. `load` and `store` take one row.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct RowPair(Avx512);
+
+#[cfg(target_arch = "x86_64")]
+impl Lane for RowPair {
+    const WIDTH: usize = LANES;
+    const ROWS: usize = 2;
+    type Block = Self;
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Self::load_rows(p, 0)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        self.store_rows(p, 0)
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        RowPair(Avx512::splat(x))
+    }
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        RowPair(self.0.mul(b.0))
+    }
+    #[inline(always)]
+    unsafe fn madd(self, b: Self, c: Self) -> Self {
+        RowPair(self.0.madd(b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn nmadd(self, b: Self, c: Self) -> Self {
+        RowPair(self.0.nmadd(b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        RowPair(self.0.add(b.0))
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        RowPair(self.0.sub(b.0))
+    }
+    #[inline(always)]
+    unsafe fn unless_zero(self, old: Self, re: Self, im: Self) -> Self {
+        RowPair(self.0.unless_zero(old.0, re.0, im.0))
+    }
+    #[inline(always)]
+    unsafe fn load_rows(p: *const f64, next: usize) -> Self {
+        use std::arch::x86_64::*;
+        let first = _mm512_castpd256_pd512(_mm256_loadu_pd(p));
+        let second = _mm256_loadu_pd(p.add(next));
+        RowPair(Avx512(_mm512_insertf64x4::<1>(first, second)))
+    }
+    #[inline(always)]
+    unsafe fn store_rows(self, p: *mut f64, next: usize) {
+        use std::arch::x86_64::*;
+        let x = self.0 .0;
+        _mm256_storeu_pd(p, _mm512_castpd512_pd256(x));
+        if next != 0 {
+            _mm256_storeu_pd(p.add(next), _mm512_extractf64x4_pd::<1>(x));
+        }
+    }
+    #[inline(always)]
+    unsafe fn broadcast(p: *const f64) -> Self {
+        use std::arch::x86_64::*;
+        RowPair(Avx512(_mm512_broadcast_f64x4(_mm256_loadu_pd(p))))
+    }
+}
+
 /// One plane-kernel call: the body is written once over its lanes, `V`
 /// stepping over the bulk of the run and `T` (one lane wide) over the
 /// rest. Each implementor is built only after its public entry point has
 /// asserted that the operands hold the whole run, so the CPU is the one
 /// condition left to the caller of `run`.
 trait LaneKernel {
-    /// The SIMD axis is one contiguous run, so a step of any width fits
-    /// it: the dispatch may take the AVX-512 instantiation. The lane-block
-    /// kernels keep four lanes, the width of their [`LANES`] blocks.
-    const RUN_AXIS: bool = false;
+    /// The kernel has an AVX-512 step, so the dispatch may take the
+    /// AVX-512 instantiation: the run-axis kernels step eight lanes of a
+    /// run ([`Avx512`]), the lane GEMM four lanes of two block rows
+    /// ([`RowPair`]). The lane inverse keeps four-lane AVX2 steps.
+    const AVX512: bool = false;
     type Output;
     /// # Safety
     /// The CPU must run `V` and `T` (see [`Lane`]).
@@ -441,13 +554,13 @@ trait LaneKernel {
 }
 
 /// Runs `k` on the instantiation the CPU runs: [`on_avx512`] for a
-/// [`LaneKernel::RUN_AXIS`] kernel where the CPU also reports AVX-512F,
+/// [`LaneKernel::AVX512`] kernel where the CPU also reports AVX-512F,
 /// [`on_avx2`] where it reports AVX2 + FMA, else the plain scalar lane
 /// throughout (`OMEN_FORCE_SCALAR=1` pins the latter).
 fn dispatch<K: LaneKernel>(k: K) -> K::Output {
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
-        if K::RUN_AXIS && avx512_available() {
+        if K::AVX512 && avx512_available() {
             // SAFETY: `avx512_available` says the CPU has AVX-512F, AVX2
             // and FMA.
             return unsafe { on_avx512(k) };
@@ -467,8 +580,9 @@ fn avx512_available() -> bool {
     *AVX512.get_or_init(|| fma_available() && std::arch::is_x86_feature_detected!("avx512f"))
 }
 
-/// The AVX-512 instantiation of the run-axis kernels: eight lanes per
-/// step, the rest of a run one fused scalar lane at a time.
+/// The AVX-512 instantiation of the [`LaneKernel::AVX512`] kernels: eight
+/// lanes of a run or four lanes of two block rows per step, the rest one
+/// fused scalar lane at a time.
 ///
 /// # Safety
 /// The CPU must support AVX-512F, AVX2 and FMA.
@@ -574,7 +688,7 @@ struct Mac<'a> {
 }
 
 impl LaneKernel for Mac<'_> {
-    const RUN_AXIS: bool = true;
+    const AVX512: bool = true;
     type Output = ();
 
     #[inline(always)]
@@ -665,28 +779,31 @@ struct LaneGemm<'a> {
 }
 
 impl LaneGemm<'_> {
-    /// Offset of element `(i, j)` of a column-major block with `rows` rows.
+    /// Index of element `(i, j)` of a column-major block with `rows` rows.
     #[inline(always)]
-    fn at(&self, rows: usize, i: usize, j: usize) -> usize {
-        2 * (j * rows + i) * self.lanes
+    fn at(rows: usize, i: usize, j: usize) -> usize {
+        j * rows + i
     }
 
-    /// Offset of element `(l, j)` of `op(B)`: `B[l, j]`, or `B[j, l]` to be
+    /// Index of element `(l, j)` of `op(B)`: `B[l, j]`, or `B[j, l]` to be
     /// conjugated.
     #[inline(always)]
     fn at_b(&self, l: usize, j: usize) -> usize {
         if self.conj_b {
-            self.at(self.dims.n, j, l)
+            Self::at(self.dims.n, j, l)
         } else {
-            self.at(self.dims.k, l, j)
+            Self::at(self.dims.k, l, j)
         }
     }
 
-    /// The `MR × NR` output tile at `(i0, j0)`, lanes `e..e + V::WIDTH`:
-    /// `acc = Σ_l A[i, l]·op(B)[l, j]` from zero in `l` order, four fused
-    /// operations per complex MAC, then `C = α·acc + β·C`. With `GEMM`
-    /// each MAC adds its two terms in the packed micro-kernel's order
-    /// (see [`lane_gemm`]).
+    /// The output tile at `(i0, j0)` of `MR` steps of `V::ROWS` rows down
+    /// and `NR` columns across, lanes `e..e + V::WIDTH`: `acc = Σ_l A[i,
+    /// l]·op(B)[l, j]` from zero in `l` order, four fused operations per
+    /// complex MAC, then `C = α·acc + β·C`. With `GEMM` each MAC adds its
+    /// two terms in the packed micro-kernel's order (see [`lane_gemm`]).
+    /// A step whose second row lies past the block takes its first row
+    /// only. `LS` is the lane count when the caller knows it (see
+    /// [`LaneGemm::both`]), else 0.
     ///
     /// # Safety
     /// The three planes must hold the whole block at every lane read, and
@@ -698,6 +815,7 @@ impl LaneGemm<'_> {
         const NR: usize,
         const CONJ: bool,
         const GEMM: bool,
+        const LS: usize,
     >(
         &self,
         i0: usize,
@@ -707,12 +825,18 @@ impl LaneGemm<'_> {
         b: *const f64,
         c: *mut f64,
     ) {
-        let (ls, m) = (self.lanes, self.dims.m);
-        // Element strides: down a column of A, along `l` in A and op(B),
-        // and across the tile's columns of op(B).
-        let (a_row, a_l) = (2 * ls, 2 * m * ls);
-        let (b_l, b_col) = (self.at_b(1, 0), self.at_b(0, 1));
-        let (mut pa, mut pb) = (a.add(self.at(m, i0, 0) + e), b.add(self.at_b(0, j0) + e));
+        let ls = if LS == 0 { self.lanes } else { LS };
+        let m = self.dims.m;
+        let off = |x: usize| 2 * x * ls;
+        // Element strides: down a column of A (and C), along `l` in A and
+        // op(B), and across the tile's columns of op(B).
+        let (a_row, a_l) = (off(1), off(m));
+        let (b_l, b_col) = (off(self.at_b(1, 0)), off(self.at_b(0, 1)));
+        // Each step's first row, and the distance to its next row.
+        let row = |r: usize| i0 + r * V::ROWS;
+        let next: [usize; MR] =
+            std::array::from_fn(|r| if row(r) + V::ROWS <= m { a_row } else { 0 });
+        let (mut pa, mut pb) = (a.add(off(i0) + e), b.add(off(self.at_b(0, j0)) + e));
         let zero = V::splat(0.0);
         let mut re = [[zero; NR]; MR];
         let mut im = [[zero; NR]; MR];
@@ -720,13 +844,14 @@ impl LaneGemm<'_> {
             let mut ar = [zero; MR];
             let mut ai = [zero; MR];
             for r in 0..MR {
-                let p = pa.add(r * a_row);
-                (ar[r], ai[r]) = (V::load(p), V::load(p.add(ls)));
+                let p = pa.add(r * V::ROWS * a_row);
+                ar[r] = V::load_rows(p, next[r]);
+                ai[r] = V::load_rows(p.add(ls), next[r]);
             }
             pa = pa.add(a_l);
             for q in 0..NR {
                 let p = pb.add(q * b_col);
-                let (br, bi) = (V::load(p), V::load(p.add(ls)));
+                let (br, bi) = (V::broadcast(p), V::broadcast(p.add(ls)));
                 for r in 0..MR {
                     let (x, y) = (&mut re[r][q], &mut im[r][q]);
                     let (ar, ai) = (ar[r], ai[r]);
@@ -758,73 +883,90 @@ impl LaneGemm<'_> {
         let (br, bi) = (V::splat(beta.re), V::splat(beta.im));
         for r in 0..MR {
             for q in 0..NR {
-                let p = c.add(self.at(m, i0 + r, j0 + q) + e);
+                let p = c.add(off(Self::at(m, row(r), j0 + q)) + e);
                 let (mut x, mut y) = (re[r][q], im[r][q]);
                 if alpha != C64::ONE {
                     (x, y) = (ai.nmadd(y, ar.mul(x)), ai.madd(x, ar.mul(y)));
                 }
                 if beta != C64::ZERO {
-                    let (cr, ci) = (V::load(p), V::load(p.add(ls)));
+                    let (cr, ci) = (V::load_rows(p, next[r]), V::load_rows(p.add(ls), next[r]));
                     x = bi.nmadd(ci, br.madd(cr, x));
                     y = bi.madd(cr, br.madd(ci, y));
                 }
-                x.store(p);
-                y.store(p.add(ls));
+                x.store_rows(p, next[r]);
+                y.store_rows(p.add(ls), next[r]);
             }
         }
     }
 
     /// Every output tile, lanes `from..to` in steps of `V::WIDTH`, for one
-    /// `op(B)` and one MAC order.
+    /// `op(B)` and one MAC order. A full tile is two steps down and
+    /// `2·V::ROWS` columns across (2 × 2 elements on one row a step, 4 × 4
+    /// on a row pair: sixteen accumulator registers); the block's edges
+    /// take one step down and one column at a time.
     ///
     /// # Safety
     /// As for [`LaneGemm::tile`], and `V::WIDTH` must divide `to − from`.
     #[inline(always)]
-    unsafe fn tiles<V: Lane, const CONJ: bool, const GEMM: bool>(
+    unsafe fn tiles<V: Lane, const CONJ: bool, const GEMM: bool, const LS: usize>(
         &self,
         from: usize,
         to: usize,
         (a, b, c): (*const f64, *const f64, *mut f64),
     ) {
         let (m, n) = (self.dims.m, self.dims.n);
-        for j0 in (0..n).step_by(2) {
-            for i0 in (0..m).step_by(2) {
+        let wide = 2 * V::ROWS;
+        let mut j0 = 0;
+        while j0 < n {
+            let nr = if n - j0 >= wide { wide } else { 1 };
+            for i0 in (0..m).step_by(2 * V::ROWS) {
+                let two = m - i0 > V::ROWS;
                 for e in (from..to).step_by(V::WIDTH) {
-                    match (m - i0 > 1, n - j0 > 1) {
-                        (true, true) => self.tile::<V, 2, 2, CONJ, GEMM>(i0, j0, e, a, b, c),
-                        (true, false) => self.tile::<V, 2, 1, CONJ, GEMM>(i0, j0, e, a, b, c),
-                        (false, true) => self.tile::<V, 1, 2, CONJ, GEMM>(i0, j0, e, a, b, c),
-                        (false, false) => self.tile::<V, 1, 1, CONJ, GEMM>(i0, j0, e, a, b, c),
+                    match (two, nr) {
+                        (true, 1) => self.tile::<V, 2, 1, CONJ, GEMM, LS>(i0, j0, e, a, b, c),
+                        (false, 1) => self.tile::<V, 1, 1, CONJ, GEMM, LS>(i0, j0, e, a, b, c),
+                        (true, 2) => self.tile::<V, 2, 2, CONJ, GEMM, LS>(i0, j0, e, a, b, c),
+                        (false, 2) => self.tile::<V, 1, 2, CONJ, GEMM, LS>(i0, j0, e, a, b, c),
+                        (true, _) => self.tile::<V, 2, 4, CONJ, GEMM, LS>(i0, j0, e, a, b, c),
+                        (false, _) => self.tile::<V, 1, 4, CONJ, GEMM, LS>(i0, j0, e, a, b, c),
                     }
                 }
             }
+            j0 += nr;
         }
     }
 
-    /// [`LaneGemm::tiles`] over both lane types.
+    /// [`LaneGemm::tiles`] over both lane types. A call of exactly
+    /// [`LANES`] lanes (every full chunk of a row solve) takes them as a
+    /// constant, so a tile's loads are constant offsets from one pointer
+    /// per operand rather than one register per address stream.
     ///
     /// # Safety
     /// As for [`LaneKernel::run`].
     #[inline(always)]
     unsafe fn both<V: Lane, T: Lane, const CONJ: bool, const GEMM: bool>(self) {
         let ops = (self.a.as_ptr(), self.b.as_ptr(), self.c.as_mut_ptr());
+        if V::WIDTH == LANES && self.lanes == LANES {
+            return self.tiles::<V, CONJ, GEMM, LANES>(0, LANES, ops);
+        }
         let full = self.lanes / V::WIDTH * V::WIDTH;
-        self.tiles::<V, CONJ, GEMM>(0, full, ops);
-        self.tiles::<T, CONJ, GEMM>(full, self.lanes, ops);
+        self.tiles::<V, CONJ, GEMM, 0>(0, full, ops);
+        self.tiles::<T, CONJ, GEMM, 0>(full, self.lanes, ops);
     }
 }
 
 impl LaneKernel for LaneGemm<'_> {
+    const AVX512: bool = true;
     type Output = ();
 
     #[inline(always)]
     unsafe fn run<V: Lane, T: Lane>(self) {
         let BatchDims { m, n, k } = self.dims;
         match (self.conj_b, m.max(n).max(k) > SMALL_DIM) {
-            (false, false) => self.both::<V, T, false, false>(),
-            (false, true) => self.both::<V, T, false, true>(),
-            (true, false) => self.both::<V, T, true, false>(),
-            (true, true) => self.both::<V, T, true, true>(),
+            (false, false) => self.both::<V::Block, T, false, false>(),
+            (false, true) => self.both::<V::Block, T, false, true>(),
+            (true, false) => self.both::<V::Block, T, true, false>(),
+            (true, true) => self.both::<V::Block, T, true, true>(),
         }
     }
 }
@@ -881,8 +1023,9 @@ pub fn planes_gemm(
     gemm_cols(alpha, a, Op::N, b, op_b, beta, c, (m, n, k));
 }
 
-/// The lane kernel of [`planes_gemm`] at any block size (2 × 2 register
-/// tiles, no packing): what `planes_gemm` runs up to [`LANE_MAX_DIM`],
+/// The lane kernel of [`planes_gemm`] at any block size (register tiles
+/// of 2 × 2 elements on AVX2, 4 × 4 on AVX-512; no packing): what
+/// `planes_gemm` runs up to [`LANE_MAX_DIM`],
 /// and what the records that set that threshold time above it. Same
 /// contract as [`planes_mac`]: within one dispatch instantiation an
 /// output element receives the same fused operations in the same order
@@ -895,9 +1038,9 @@ pub fn planes_gemm(
 /// it, where one block at a time would take the packed path, each MAC
 /// adds its `ai` terms first as the packed micro-kernel does; with
 /// `k ≤ KC` (128) every dimension up to [`LANE_MAX_DIM`] qualifies, so
-/// in the AVX2 instantiation a lane of an `α = 1`, `β = 0` product — the
-/// only kind the RGF recursion and the decimation form — is `==`
-/// [`crate::gemm()`]'s result (an exact zero may differ in sign).
+/// in the AVX-512 and AVX2 instantiations a lane of an `α = 1`, `β = 0`
+/// product — the only kind the RGF recursion and the decimation form —
+/// is `==` [`crate::gemm()`]'s result (an exact zero may differ in sign).
 ///
 /// # Panics
 /// If `op_b` is [`Op::T`] or a lane block is too short for its shape.
@@ -1234,7 +1377,7 @@ struct Dots<'a> {
 }
 
 impl LaneKernel for Dots<'_> {
-    const RUN_AXIS: bool = true;
+    const AVX512: bool = true;
     type Output = ();
 
     #[inline(always)]
@@ -1442,7 +1585,8 @@ mod tests {
     /// How a test runs a plane kernel.
     #[derive(Clone, Copy, Debug)]
     enum Inst {
-        /// The dispatch's AVX-512 instantiation (the run-axis kernels).
+        /// The dispatch's AVX-512 instantiation (the run-axis kernels and
+        /// the lane GEMM).
         Avx512,
         /// The dispatch's AVX2 instantiation.
         Avx2,
@@ -1474,8 +1618,8 @@ mod tests {
         }
     }
 
-    /// The vector instantiations of the run-axis kernels this host runs,
-    /// widest first; says so when it lacks AVX-512F.
+    /// The vector instantiations of the [`LaneKernel::AVX512`] kernels this
+    /// host runs, widest first; says so when it lacks AVX-512F.
     fn run_axis_vectors() -> Vec<Inst> {
         if avx512_available() {
             vec![Inst::Avx512, Inst::Avx2]
@@ -1792,6 +1936,88 @@ mod tests {
         });
         for (x, y) in fused.iter().zip(&plain) {
             assert!((x - y).abs() < 1e-13, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn lane_gemm_avx512_step_is_the_avx2_step() {
+        // The row-pair step performs, lane by lane and row by row, the
+        // AVX2 step's fused operations: `==` outputs from the AVX-512, AVX2
+        // and fused-scalar instantiations, on edge tiles of every shape,
+        // both MAC orders (below and above `SMALL_DIM`) and lane counts
+        // that leave a tail.
+        if !fma_available() {
+            return; // no vector step on this host (or forced)
+        }
+        let insts: Vec<Inst> = run_axis_vectors()
+            .into_iter()
+            .chain([Inst::Fused])
+            .collect();
+        let f = |len: usize, seed: u64| -> Vec<f64> {
+            noise(len, seed).iter().flat_map(|z| [z.re, z.im]).collect()
+        };
+        let square = [1, 3, 5, 12, 13, 32, 48].map(BatchDims::square);
+        let shapes = square.into_iter().chain([
+            BatchDims { m: 5, n: 4, k: 3 },
+            BatchDims { m: 13, n: 12, k: 7 },
+        ]);
+        for dims in shapes {
+            let BatchDims { m, n, k } = dims;
+            for lanes in [1, 3, 4, 5, 8, 9] {
+                let (a, b, c0) = (
+                    f(m * k * lanes, 90),
+                    f(k * n * lanes, 91),
+                    f(m * n * lanes, 92),
+                );
+                for conj_b in [false, true] {
+                    for (alpha, beta) in [(C64::ONE, C64::ZERO), (c64(0.5, -0.25), C64::ONE)] {
+                        let outs: Vec<Vec<f64>> = insts
+                            .iter()
+                            .map(|&inst| {
+                                let mut c = c0.clone();
+                                let call = LaneGemm {
+                                    dims,
+                                    lanes,
+                                    alpha,
+                                    beta,
+                                    conj_b,
+                                    a: &a,
+                                    b: &b,
+                                    c: &mut c,
+                                };
+                                run(inst, call);
+                                c
+                            })
+                            .collect();
+                        let fused = &outs[outs.len() - 1];
+                        let why = format!(
+                            "{dims:?}, {lanes} lanes, conj {conj_b}, (α, β) ({alpha:?}, {beta:?})"
+                        );
+                        for (inst, c) in insts.iter().zip(&outs) {
+                            assert!(c == fused, "{inst:?}: {why}");
+                        }
+                        // Above `SMALL_DIM` a lane is the packed GEMM's.
+                        if m.max(n).max(k) <= SMALL_DIM || beta != C64::ZERO {
+                            continue;
+                        }
+                        let (op_b, b_rows, b_cols) =
+                            if conj_b { (Op::C, n, k) } else { (Op::N, k, n) };
+                        for e in 0..lanes {
+                            let mat = |x: &[f64], rows: usize, cols: usize| {
+                                let z = lane_of(x, lanes, e);
+                                CMatrix::from_vec(rows, cols, as_c64(&z).to_vec())
+                            };
+                            let (ae, be) = (mat(&a, m, k), mat(&b, b_rows, b_cols));
+                            let mut want = CMatrix::zeros(m, n);
+                            crate::gemm(C64::ONE, &ae, Op::N, &be, op_b, C64::ZERO, &mut want);
+                            assert!(
+                                as_c64(&lane_of(fused, lanes, e)) == want.as_slice(),
+                                "lane {e} is not the packed GEMM's: {why}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -337,9 +337,11 @@ fn emit_row(
 ///
 /// Scratch — one plane buffer of `(3·bnum + 20)` lane blocks, the lane
 /// inverse's factors and pivots, and a few `bs × bs` matrices — comes
-/// from `ws`, so a warm workspace makes the solve allocation-free. On the lane kernel the block products report
-/// to the trace as one fused run ([`count_fused_run`]); a packed product
-/// counts itself as a GEMM call.
+/// from `ws`, so a warm workspace makes the solve allocation-free.
+///
+/// On the lane kernel the block products report to the trace as one
+/// fused run ([`count_fused_run`]); a packed product counts itself as a
+/// GEMM call.
 pub fn rgf_row_into<I: RowInputs + ?Sized>(
     inp: &mut I,
     ws: &mut Workspace,
