@@ -3,25 +3,25 @@
 
 use crate::sse_state::LocalG;
 use omen_linalg::C64;
-use omen_sse::{DLayout, GBlocks, GLayout, GTensor, SseOutput, SseProblem};
+use omen_sse::{GBlocks, GLayout, GTensor, SseOutput, SseProblem};
 
 /// Assembled plan output (scaled; comparable to
-/// [`omen_sse::reference::sse_reference`]): `Σ^≷` in `PairMajor`, `Π^≷` in
-/// `PointMajor` layout, `flops` summed over the ranks in rank order.
+/// [`omen_sse::reference::sse_reference`]): `Σ^≷` in `PairMajor` layout,
+/// `flops` summed over the ranks in rank order.
 pub type PlanResult = SseOutput;
 
 /// One owned row pair as `((i, j), row_l, row_g)`, borrowed from a rank.
 pub type RowRef<'r> = ((usize, usize), &'r [C64], &'r [C64]);
 
-/// Shapes `out` as a zeroed plan output: `Σ^≷` `PairMajor`, `Π^≷`
-/// `PointMajor`, no flops. Allocation-free once `out` is warm.
+/// Shapes `out` as a zeroed plan output: `Σ^≷` `PairMajor`, no flops.
+/// Allocation-free once `out` is warm.
 pub fn reset_output(prob: &SseProblem, out: &mut SseOutput) {
     let (na, norb) = (prob.na(), prob.norb());
     for sigma in [&mut out.sigma_l, &mut out.sigma_g] {
         sigma.reset(prob.nk, prob.ne, na, norb, GLayout::PairMajor);
     }
     for pi in [&mut out.pi_l, &mut out.pi_g] {
-        pi.reset(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
+        pi.reset(prob.nq, prob.nw, prob.npairs(), na);
     }
     out.flops = 0;
 }

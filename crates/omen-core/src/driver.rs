@@ -28,7 +28,7 @@ use omen_rgf::{
     ElectronSolver, GfSolver, PhaseTimes, PhononParams, PhononSolver, PointSolver, RowSink,
     Scattering,
 };
-use omen_sse::{DLayout, DTensor, GLayout, GTensor, SseKernel, SseProblem};
+use omen_sse::{DTensor, GLayout, GTensor, SseKernel, SseProblem};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -186,7 +186,7 @@ pub struct SpectralData {
 /// return; the same quantities also flow into the trace registry as a
 /// `gf_phase` phase record when tracing is armed.
 pub struct GfPhaseOutput {
-    /// Electron lesser Green's function `G^<`.
+    /// Electron lesser Green's function `G^<` (AtomMajor).
     pub g_l: GTensor,
     /// Electron greater Green's function `G^>`.
     pub g_g: GTensor,
@@ -222,7 +222,8 @@ pub struct Simulation {
     /// next Born iteration — reuses the buffers: the self-consistent loop
     /// allocates hot-path scratch only during warmup.
     ws_pool: WorkspacePool,
-    /// The mixed Σ^≷/Π^≷ state. Empty until the first mixing step or
+    /// The mixed Σ^≷/Π^≷ state, Σ^≷ atom-major like the `G≷` the GF
+    /// phase writes. Empty until the first mixing step or
     /// warm-start import sizes it: construction writes no tensor-sized
     /// memory, so its cost does not depend on what the allocator has to
     /// hand (docs/benchmarks.md, "what `setup_s` measures").
@@ -230,11 +231,6 @@ pub struct Simulation {
     sigma_g: GTensor,
     pi_l: DTensor,
     pi_g: DTensor,
-    /// Reusable layout-normalization buffers for the mixing step (the
-    /// transformed/mixed kernels emit atom-major Σ; the driver state is
-    /// pair-major). Empty until first needed; never reallocated after.
-    conv_sl: GTensor,
-    conv_sg: GTensor,
     /// Boundary-condition caches shared across workers and Born
     /// iterations (`None` under [`CacheMode::NoCache`]). The boundary
     /// self-energies never depend on the scattering self-energies, so
@@ -268,11 +264,12 @@ pub struct Simulation {
 /// [`Simulation::warm_start_from`]).
 #[derive(Clone)]
 pub struct WarmStartData {
-    /// Converged electron scattering self-energies (pair-major).
+    /// Converged electron scattering self-energies (atom-major, the
+    /// layout the driver holds them in).
     pub sigma_l: GTensor,
     /// Greater component.
     pub sigma_g: GTensor,
-    /// Converged phonon scattering self-energies (point-major).
+    /// Converged phonon scattering self-energies.
     pub pi_l: DTensor,
     /// Greater component.
     pub pi_g: DTensor,
@@ -361,8 +358,6 @@ impl Simulation {
             sigma_g: GTensor::default(),
             pi_l: DTensor::default(),
             pi_g: DTensor::default(),
-            conv_sl: GTensor::default(),
-            conv_sg: GTensor::default(),
             el_bc,
             ph_bc,
             seeded: false,
@@ -492,15 +487,17 @@ impl Simulation {
         }
         let (cfg, dev) = (&self.config, &self.device);
         let (na, npairs) = (dev.num_atoms(), dev.neighbors.num_pairs());
-        let d = &data.sigma_l;
-        if (d.nk, d.ne, d.na, d.norb, d.layout)
-            != (cfg.nk, cfg.ne, na, dev.material.norb, GLayout::PairMajor)
+        let sigma = (cfg.nk, cfg.ne, na, dev.material.norb, GLayout::AtomMajor);
+        if [&data.sigma_l, &data.sigma_g]
+            .iter()
+            .any(|d| (d.nk, d.ne, d.na, d.norb, d.layout) != sigma)
         {
             return Err(WarmStartError::ShapeMismatch("electron Σ tensors"));
         }
-        let q = &data.pi_l;
-        if (q.nq, q.nw, q.npairs, q.na, q.layout)
-            != (cfg.nk, cfg.nw, npairs, na, DLayout::PointMajor)
+        let pi = (cfg.nk, cfg.nw, npairs, na);
+        if [&data.pi_l, &data.pi_g]
+            .iter()
+            .any(|q| (q.nq, q.nw, q.npairs, q.na) != pi)
         {
             return Err(WarmStartError::ShapeMismatch("phonon Π tensors"));
         }
@@ -741,19 +738,10 @@ impl Simulation {
         // needs the sibling fields mutably at the same time.
         let sse = self.kernel.state().output();
 
-        // Mix the self-energies (layout-normalize first, allocation-free).
+        // Mix the self-energies into the state.
         let mix = self.config.mixing;
-        if sse.sigma_l.layout == GLayout::PairMajor {
-            mix_g(&mut self.sigma_l, &sse.sigma_l, mix);
-            mix_g(&mut self.sigma_g, &sse.sigma_g, mix);
-        } else {
-            sse.sigma_l
-                .to_layout_into(GLayout::PairMajor, &mut self.conv_sl);
-            sse.sigma_g
-                .to_layout_into(GLayout::PairMajor, &mut self.conv_sg);
-            mix_g(&mut self.sigma_l, &self.conv_sl, mix);
-            mix_g(&mut self.sigma_g, &self.conv_sg, mix);
-        }
+        mix_g(&mut self.sigma_l, &sse.sigma_l, mix);
+        mix_g(&mut self.sigma_g, &sse.sigma_g, mix);
         mix_d(&mut self.pi_l, &sse.pi_l, mix);
         mix_d(&mut self.pi_g, &sse.pi_g, mix);
         // Relative Σ^< change between consecutive kernel outputs — free
@@ -1005,9 +993,23 @@ where
         })
 }
 
+/// `state ← (1 − mix)·state + mix·new`: one `(a, k, e)` block walk over
+/// the atom-major state, reading `new` in whichever layout its kernel
+/// wrote.
 fn mix_g(state: &mut GTensor, new: &GTensor, mix: f64) {
-    for (s, n) in state.as_mut_slice().iter_mut().zip(new.as_slice()) {
-        *s = s.scale(1.0 - mix) + n.scale(mix);
+    let shape = (state.nk, state.ne, state.na, state.bsz());
+    assert_eq!(
+        shape,
+        (new.nk, new.ne, new.na, new.bsz()),
+        "Σ of another shape"
+    );
+    debug_assert_eq!(state.layout, GLayout::AtomMajor);
+    let (nk, ne, na, bsz) = shape;
+    let blocks = (0..na).flat_map(|a| (0..nk).flat_map(move |k| (0..ne).map(move |e| (k, e, a))));
+    for (own, (k, e, a)) in state.as_mut_slice().chunks_exact_mut(bsz).zip(blocks) {
+        for (s, n) in own.iter_mut().zip(new.block(k, e, a)) {
+            *s = s.scale(1.0 - mix) + n.scale(mix);
+        }
     }
 }
 
@@ -1380,6 +1382,35 @@ mod tests {
             Err(WarmStartError::ShapeMismatch(_))
         ));
 
+        // Every tensor is checked, the electron layout included: a donor
+        // whose Σ^> or Π^> has other dimensions, or whose Σ^< is
+        // pair-major, is refused and leaves the simulation unseeded.
+        let s = &data.sigma_l;
+        let (nk, ne, na, norb) = (s.nk, s.ne, s.na, s.norb);
+        let p = &data.pi_g;
+        let donors = [
+            WarmStartData {
+                sigma_g: GTensor::zeros(nk, ne + 1, na, norb, GLayout::AtomMajor),
+                ..data.clone()
+            },
+            WarmStartData {
+                pi_g: DTensor::zeros(p.nq, p.nw + 1, p.npairs, p.na),
+                ..data.clone()
+            },
+            WarmStartData {
+                sigma_l: GTensor::zeros(nk, ne, na, norb, GLayout::PairMajor),
+                ..data.clone()
+            },
+        ];
+        for donor in &donors {
+            let mut fresh = sim(SimulationConfig::tiny());
+            assert!(matches!(
+                fresh.warm_start_from(donor),
+                Err(WarmStartError::ShapeMismatch(_))
+            ));
+            assert!(!fresh.is_seeded());
+        }
+
         // A simulation that already iterated refuses the seed.
         let mut running = sim(SimulationConfig::tiny());
         running.iterate();
@@ -1387,6 +1418,33 @@ mod tests {
             running.warm_start_from(&data),
             Err(WarmStartError::AlreadyRunning)
         ));
+    }
+
+    #[test]
+    fn mixing_reads_either_kernel_layout() {
+        let filled = |layout, salt: f64| {
+            let mut t = GTensor::zeros(2, 3, 4, 2, layout);
+            for id in 0..24 {
+                let block = t.block_mut(id / 12, id / 4 % 3, id % 4);
+                for (x, v) in block.iter_mut().enumerate() {
+                    let id = id as f64;
+                    *v = omen_linalg::c64(id * salt + x as f64, salt - id / 7.0);
+                }
+            }
+            t
+        };
+        // A reference or plan kernel emits pair-major Σ, the transformed
+        // kernel atom-major: both mix into the same state bits.
+        let state = filled(GLayout::AtomMajor, 0.3);
+        let (mut from_pair, mut from_atom) = (state.clone(), state.clone());
+        mix_g(&mut from_pair, &filled(GLayout::PairMajor, 1.7), 0.6);
+        mix_g(&mut from_atom, &filled(GLayout::AtomMajor, 1.7), 0.6);
+        let bits = |t: &GTensor| -> Vec<_> {
+            let z = t.as_slice().iter();
+            z.map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        assert_eq!(bits(&from_pair), bits(&from_atom));
+        assert_ne!(bits(&from_atom), bits(&state), "mixing moved the state");
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! currents). Here each output has one home:
 //!
 //! * [`ElectronObservables`] / [`PhononObservables`] own the `G≷`/`D≷`
-//!   tensors and one row of raw, unweighted scalars per point, both laid
-//!   out `[k][x][…]`, so a sweep unit `(k, chunk)` owns one contiguous
-//!   slice of each;
-//! * [`Rows`] is a unit's view of its slices — the [`omen_rgf::RowSink`]
+//!   tensors and one row of raw, unweighted scalars per point. `G≷` is
+//!   atom-major, `[atom][k][E]`, the layout the SSE reads; `D≷` and the
+//!   raw rows are `[k][x][…]`. A sweep unit `(k, chunk)` owns one run of
+//!   its points per atom of `G≷`, and one contiguous slice of `D≷` and of
+//!   the raw rows;
+//! * [`Rows`] is a unit's view of its runs — the [`omen_rgf::RowSink`]
 //!   a row solve writes each block row through, the same way whether the
 //!   row was solved on energy lanes or point by point;
 //! * `finish` applies the integration weights to the raw scalars after the
@@ -22,15 +24,15 @@
 use omen_device::DeviceStructure;
 use omen_linalg::{CMatrix, C64};
 use omen_rgf::{contact_current, interface_current, Electrons, PhononParams, RgfRow, RowSink};
-use omen_sse::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
+use omen_sse::{DTensor, GLayout, GTensor, D_BSZ};
 use std::marker::PhantomData;
 
-/// Per-point sizes of an electron sweep's output: `G≷` elements (one
-/// `Norb²` block per atom) and raw scalars (`j_n` per interface, the
-/// occupation per atom, the two contact currents).
+/// Per-point sizes of an electron sweep's output: `G≷` elements in one
+/// atom's run (one `Norb²` block) and raw scalars (`j_n` per interface,
+/// the occupation per atom, the two contact currents).
 fn electron_point(dev: &DeviceStructure) -> (usize, usize) {
     let (nb, na, norb) = (dev.bnum(), dev.num_atoms(), dev.material.norb);
-    (na * norb * norb, nb - 1 + na + 2)
+    (norb * norb, nb - 1 + na + 2)
 }
 
 /// Per-point sizes of a phonon sweep's output: `D≷` elements (one `3×3`
@@ -41,8 +43,8 @@ fn phonon_point(dev: &DeviceStructure) -> (usize, usize) {
     ((dev.neighbors.num_pairs() + na) * D_BSZ, nb - 1 + 2 * na)
 }
 
-/// `data`, laid out `[k][x][per_point]` over `nx` points per momentum, cut
-/// into the `(k, chunk)` units of `width` points, in unit order.
+/// `data`, laid out `[r][x][per_point]` over `nx` points per row `r`, cut
+/// into chunks of `width` points, in `(r, chunk)` order.
 fn units<T>(
     data: &mut [T],
     nx: usize,
@@ -53,18 +55,19 @@ fn units<T>(
         .flat_map(move |row| row.chunks_mut(width * per_point))
 }
 
-/// One sweep unit's view of its slices of the phase's outputs: lane `e` of
-/// a row solve is the unit's point `e`. Each block row fills what the
-/// observables read of it — the per-atom blocks of the atoms in that slab
-/// (and, for phonons, the pair blocks that cross to the next slab), the
-/// interface current into the next slab, and the contact current at
-/// either end — so no whole solution is ever held.
+/// One sweep unit's view of its runs of the phase's outputs: lane `e` of
+/// a row solve is the unit's point `e` in every run. Each block row fills
+/// what the observables read of it — the per-atom blocks of the atoms in
+/// that slab (and, for phonons, the pair blocks that cross to the next
+/// slab), the interface current into the next slab, and the contact
+/// current at either end — so no whole solution is ever held.
 pub(crate) struct Rows<'a, C> {
     dev: &'a DeviceStructure,
-    /// The unit's `G^<`/`D^<` elements, lane-major.
-    lesser: &'a mut [C64],
-    /// The unit's `G^>`/`D^>` elements.
-    greater: &'a mut [C64],
+    /// The unit's `G^<`/`D^<` runs, lane-major: one per atom of `G^<`,
+    /// one of `D^<`.
+    lesser: Vec<&'a mut [C64]>,
+    /// The unit's `G^>`/`D^>` runs.
+    greater: Vec<&'a mut [C64]>,
     /// The unit's raw scalars, one row per lane.
     raw: &'a mut [f64],
     carrier: PhantomData<C>,
@@ -72,39 +75,49 @@ pub(crate) struct Rows<'a, C> {
 
 impl<'a, C> Rows<'a, C> {
     /// The views of every `(k, chunk)` unit of a sweep over `nx` points
-    /// per momentum, in unit order.
+    /// per momentum, in unit order. The tensors are rows of `nx` points —
+    /// `(atom, k)` rows for `G≷`, `k` rows for `D≷` — so chunk `i` of them
+    /// is a run of unit `i mod units`.
     fn split(
         dev: &'a DeviceStructure,
         [lesser, greater]: [&'a mut [C64]; 2],
         raw: &'a mut [f64],
         (nx, width): (usize, usize),
-        (blocks, scalars): (usize, usize),
+        (per_point, scalars): (usize, usize),
     ) -> Vec<Self> {
-        units(lesser, nx, width, blocks)
-            .zip(units(greater, nx, width, blocks))
-            .zip(units(raw, nx, width, scalars))
-            .map(|((lesser, greater), raw)| Rows {
+        // Runs per unit: one per atom of `G≷`, one of `D≷`.
+        let per_unit = lesser.len() / (raw.len() / scalars * per_point).max(1);
+        let mut rows: Vec<Self> = units(raw, nx, width, scalars)
+            .map(|raw| Rows {
                 dev,
-                lesser,
-                greater,
+                lesser: Vec::with_capacity(per_unit),
+                greater: Vec::with_capacity(per_unit),
                 raw,
                 carrier: PhantomData,
             })
-            .collect()
+            .collect();
+        let n = rows.len();
+        let runs = units(lesser, nx, width, per_point).zip(units(greater, nx, width, per_point));
+        for (i, (lesser, greater)) in runs.enumerate() {
+            rows[i % n].lesser.push(lesser);
+            rows[i % n].greater.push(greater);
+        }
+        rows
     }
 
-    /// Lane `lane`'s `≷` elements and raw scalars.
+    /// Lane `lane`'s `≷` elements in each run, and its raw scalars.
     fn lane(
         &mut self,
         lane: usize,
-        (blocks, scalars): (usize, usize),
-    ) -> (&mut [C64], &mut [C64], &mut [f64]) {
-        let b = lane * blocks..(lane + 1) * blocks;
-        (
-            &mut self.lesser[b.clone()],
-            &mut self.greater[b],
-            &mut self.raw[lane * scalars..(lane + 1) * scalars],
-        )
+        (per_point, scalars): (usize, usize),
+    ) -> (
+        impl Iterator<Item = (&mut [C64], &mut [C64])> + use<'_, 'a, C>,
+        &mut [f64],
+    ) {
+        let b = lane * per_point..(lane + 1) * per_point;
+        let runs = (self.lesser.iter_mut().zip(&mut self.greater))
+            .map(move |(l, g)| (&mut l[b.clone()], &mut g[b.clone()]));
+        (runs, &mut self.raw[lane * scalars..(lane + 1) * scalars])
     }
 }
 
@@ -112,18 +125,16 @@ impl RowSink for Rows<'_, Electrons> {
     fn row(&mut self, lane: usize, row: &RgfRow<'_>, [left, right]: [&(CMatrix, CMatrix); 2]) {
         let (dev, n) = (self.dev, row.n);
         let (nb, na, norb) = (dev.bnum(), dev.num_atoms(), dev.material.norb);
-        let bsz = norb * norb;
-        let (gl, gg, raw) = self.lane(lane, electron_point(dev));
+        let (runs, raw) = self.lane(lane, electron_point(dev));
         let (interface_j, rest) = raw.split_at_mut(nb - 1);
         let (density, contact) = rest.split_at_mut(na);
-        for (a, atom) in dev.lattice.atoms.iter().enumerate() {
+        for ((a, atom), (gl, gg)) in dev.lattice.atoms.iter().enumerate().zip(runs) {
             if atom.slab != n {
                 continue;
             }
             let r0 = atom.slab_offset * norb;
-            let blk = a * bsz..(a + 1) * bsz;
-            copy_subblock(row.gl_diag, r0, r0, norb, &mut gl[blk.clone()]);
-            copy_subblock(row.gg_diag, r0, r0, norb, &mut gg[blk]);
+            copy_subblock(row.gl_diag, r0, r0, norb, gl);
+            copy_subblock(row.gg_diag, r0, r0, norb, gg);
             density[a] = (0..norb).map(|o| row.gl_diag[(r0 + o, r0 + o)].im).sum();
         }
         if let Some(cp) = &row.coupling {
@@ -148,7 +159,8 @@ impl RowSink for Rows<'_, PhononParams> {
         let (dev, n) = (self.dev, row.n);
         let (nb, na) = (dev.bnum(), dev.num_atoms());
         let npairs = dev.neighbors.num_pairs();
-        let (gl, gg, raw) = self.lane(lane, phonon_point(dev));
+        let (mut runs, raw) = self.lane(lane, phonon_point(dev));
+        let (gl, gg) = runs.next().expect("a unit holds one D≷ run");
         let (interface_j, rest) = raw.split_at_mut(nb - 1);
         let (occupation, spectral) = rest.split_at_mut(na);
         let entry = |en: usize| en * D_BSZ..(en + 1) * D_BSZ;
@@ -215,7 +227,7 @@ fn copy_subblock_adjoint_neg(src: &CMatrix, r0: usize, c0: usize, n: usize, dst:
 /// scalars, and — after [`ElectronObservables::finish`] — every electron
 /// observable of [`crate::driver::SpectralData`].
 pub(crate) struct ElectronObservables {
-    /// `G^<` SSE input tensor (PairMajor).
+    /// `G^<` SSE input tensor (AtomMajor).
     pub(crate) g_l: GTensor,
     /// `G^>` SSE input tensor.
     pub(crate) g_g: GTensor,
@@ -239,8 +251,8 @@ impl ElectronObservables {
         let (nb, na) = (dev.bnum(), dev.num_atoms());
         let norb = dev.material.norb;
         ElectronObservables {
-            g_l: GTensor::zeros(nk, ne, na, norb, GLayout::PairMajor),
-            g_g: GTensor::zeros(nk, ne, na, norb, GLayout::PairMajor),
+            g_l: GTensor::zeros(nk, ne, na, norb, GLayout::AtomMajor),
+            g_g: GTensor::zeros(nk, ne, na, norb, GLayout::AtomMajor),
             raw: vec![0.0; nk * ne * electron_point(dev).1],
             el_current_spectrum: vec![vec![0.0; nb - 1]; ne],
             el_current: vec![0.0; nb - 1],
@@ -287,7 +299,7 @@ impl ElectronObservables {
 
 /// A phonon sweep's outputs, as [`ElectronObservables`].
 pub(crate) struct PhononObservables {
-    /// `D^<` SSE input tensor (PointMajor).
+    /// `D^<` SSE input tensor.
     pub(crate) d_l: DTensor,
     /// `D^>` SSE input tensor.
     pub(crate) d_g: DTensor,
@@ -307,8 +319,8 @@ impl PhononObservables {
         let (nb, na) = (dev.bnum(), dev.num_atoms());
         let npairs = dev.neighbors.num_pairs();
         PhononObservables {
-            d_l: DTensor::zeros(nq, nw, npairs, na, DLayout::PointMajor),
-            d_g: DTensor::zeros(nq, nw, npairs, na, DLayout::PointMajor),
+            d_l: DTensor::zeros(nq, nw, npairs, na),
+            d_g: DTensor::zeros(nq, nw, npairs, na),
             raw: vec![0.0; nq * nw * phonon_point(dev).1],
             ph_energy_current: vec![0.0; nb - 1],
             ph_energy_density: vec![0.0; na],

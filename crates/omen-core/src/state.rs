@@ -10,7 +10,7 @@
 use omen_device::DeviceStructure;
 use omen_linalg::{c64, CMatrix, C64};
 use omen_rgf::Scattering;
-use omen_sse::{DLayout, DTensor, GLayout, GTensor};
+use omen_sse::{DTensor, GLayout, GTensor};
 
 /// Converts per-atom `Σ^≷` blocks at `(ik, ie)` into per-slab
 /// block-diagonal matrices for the RGF solver, plus the retarded part
@@ -180,7 +180,8 @@ fn add_subblock_at_times_i(dst: &mut CMatrix, r0: usize, c0: usize, n: usize, sr
     }
 }
 
-/// Allocates zeroed SSE input tensors for a device and grid sizes.
+/// Allocates zeroed `Σ≷`/`Π≷` tensors for a device and grid sizes, `Σ≷`
+/// atom-major as the GF phase writes `G≷`.
 pub fn zero_tensors(
     dev: &DeviceStructure,
     nk: usize,
@@ -192,10 +193,10 @@ pub fn zero_tensors(
     let norb = dev.material.norb;
     let npairs = dev.neighbors.num_pairs();
     (
-        GTensor::zeros(nk, ne, na, norb, GLayout::PairMajor),
-        GTensor::zeros(nk, ne, na, norb, GLayout::PairMajor),
-        DTensor::zeros(nq, nw, npairs, na, DLayout::PointMajor),
-        DTensor::zeros(nq, nw, npairs, na, DLayout::PointMajor),
+        GTensor::zeros(nk, ne, na, norb, GLayout::AtomMajor),
+        GTensor::zeros(nk, ne, na, norb, GLayout::AtomMajor),
+        DTensor::zeros(nq, nw, npairs, na),
+        DTensor::zeros(nq, nw, npairs, na),
     )
 }
 
@@ -214,24 +215,33 @@ mod tests {
             vec![0.0; dev.num_atoms()],
             ElectronParams::default(),
             CacheMode::NoCache,
-            vec![0.0],
+            vec![0.0, 0.4],
             vec![0.1, 0.2, 0.3],
         );
-        // One unit of three energies: lane `e` lands in energy `e`'s blocks.
-        let mut obs = ElectronObservables::new(&dev, 1, 3);
-        solver.solve_row(0, 0..3, None, &mut obs.rows(&dev, 4)[0]);
-        // Atom 0 is slab 0, offset 0: its block equals the top-left
-        // sub-block of the slab solution.
+        // Two momenta of two units each, energies 0..2 and 2..3: lane `e`
+        // of every unit lands in its own momentum's and energy's blocks.
+        let mut obs = ElectronObservables::new(&dev, 2, 3);
+        let units = [(0, 0..2), (0, 2..3), (1, 0..2), (1, 2..3)];
+        for (rows, (ik, energies)) in obs.rows(&dev, 2).iter_mut().zip(units) {
+            solver.solve_row(ik, energies, None, rows);
+        }
+        // Every atom's block equals its sub-block of its slab's solution.
         let norb = dev.material.norb;
-        for ie in 0..3 {
-            let out = solver.solve_point(0, ie, None, None, None);
-            let blk = obs.g_l.block(0, ie, 0);
-            for j in 0..norb {
-                for i in 0..norb {
-                    assert_eq!(blk[j * norb + i], out.sol.gl_diag[0][(i, j)], "energy {ie}");
+        for (ik, ie) in (0..2).flat_map(|ik| (0..3).map(move |ie| (ik, ie))) {
+            let out = solver.solve_point(ik, ie, None, None, None);
+            for (a, atom) in dev.lattice.atoms.iter().enumerate() {
+                let (blk, r0) = (obs.g_l.block(ik, ie, a), atom.slab_offset * norb);
+                let slab = &out.sol.gl_diag[atom.slab];
+                for j in 0..norb {
+                    for i in 0..norb {
+                        let want = slab[(r0 + i, r0 + j)];
+                        assert_eq!(blk[j * norb + i], want, "k {ik}, E {ie}, atom {a}");
+                    }
                 }
             }
         }
+        // The two momenta differ, so a block dealt to the other one shows.
+        assert_ne!(obs.g_l.block(0, 0, 0), obs.g_l.block(1, 0, 0));
         // Extracted diagonal blocks stay anti-Hermitian.
         for a in 0..dev.num_atoms() {
             let b = obs.g_l.block(0, 0, a);

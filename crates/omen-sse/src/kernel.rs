@@ -3,10 +3,11 @@
 //! The three kernel variants of the paper (§5.3–5.4) share one signature —
 //! Green's function tensors in, self-energy tensors out — so the driver
 //! dispatches through a trait object instead of matching on an enum. Each
-//! implementation owns its layout requirements: callers hand over tensors
-//! in any layout and the kernel converts when needed (conversion is
-//! skipped when the input already matches, so a driver that caches the
-//! preferred layout pays nothing).
+//! implementation owns its layout requirements: `G≷` may arrive in either
+//! [`GLayout`], and a kernel converts only when it is handed the other one.
+//! The GF phase writes `G≷` atom-major, which the transformed and mixed
+//! kernels read in place; on the driver path only [`ReferenceKernel`]
+//! converts, at its own entry, into its pair-major loop nest.
 //!
 //! Kernels are *stateful*: `run` takes `&mut self` and writes into
 //! double-buffered output tensors owned by the kernel (see
@@ -22,12 +23,12 @@
 use crate::mixed::{mixed_into, MixedConfig};
 use crate::problem::SseProblem;
 use crate::reference::{sse_reference_into, SseOutput};
-use crate::tensors::{DLayout, DTensor, GLayout, GTensor};
+use crate::tensors::{DTensor, GLayout, GTensor};
 use crate::transformed::{sse_transformed_into, Transients};
 use omen_linalg::{Workspace, C64};
 
-/// Reusable state shared by every kernel implementation: layout-conversion
-/// staging tensors and the double-buffered outputs.
+/// Reusable state shared by every kernel implementation: the `G≷` staging
+/// tensors of a layout conversion and the double-buffered outputs.
 ///
 /// All buffers start empty and materialize on first use; from the second
 /// `run` on the same problem shape onward the kernel performs zero heap
@@ -36,8 +37,6 @@ use omen_linalg::{Workspace, C64};
 pub struct KernelState {
     gl_conv: GTensor,
     gg_conv: GTensor,
-    dl_conv: DTensor,
-    dg_conv: DTensor,
     out: [SseOutput; 2],
     cur: usize,
     ran: [bool; 2],
@@ -46,15 +45,7 @@ pub struct KernelState {
 impl KernelState {
     /// Fresh state; performs no allocation.
     pub fn new() -> Self {
-        KernelState {
-            gl_conv: GTensor::zeros(0, 0, 0, 0, GLayout::PairMajor),
-            gg_conv: GTensor::zeros(0, 0, 0, 0, GLayout::PairMajor),
-            dl_conv: DTensor::zeros(0, 0, 0, 0, DLayout::PointMajor),
-            dg_conv: DTensor::zeros(0, 0, 0, 0, DLayout::PointMajor),
-            out: [SseOutput::empty(), SseOutput::empty()],
-            cur: 0,
-            ran: [false, false],
-        }
+        Self::default()
     }
 
     /// Advances to the other output buffer and returns its index.
@@ -154,16 +145,6 @@ fn staged_g<'a>(g: &'a GTensor, want: GLayout, buf: &'a mut GTensor) -> &'a GTen
     }
 }
 
-/// Stages `d` in `want` layout (see [`staged_g`]).
-fn staged_d<'a>(d: &'a DTensor, want: DLayout, buf: &'a mut DTensor) -> &'a DTensor {
-    if d.layout == want {
-        d
-    } else {
-        d.to_layout_into(want, buf);
-        buf
-    }
-}
-
 /// The OMEN-style reference loop nest (baseline; §5.3, Table 10).
 #[derive(Default)]
 pub struct ReferenceKernel {
@@ -195,10 +176,9 @@ impl SseKernel for ReferenceKernel {
         let cur = self.state.flip();
         let gl = staged_g(g_l, GLayout::PairMajor, &mut self.state.gl_conv);
         let gg = staged_g(g_g, GLayout::PairMajor, &mut self.state.gg_conv);
-        let dl = staged_d(d_l, DLayout::PointMajor, &mut self.state.dl_conv);
-        let dg = staged_d(d_g, DLayout::PointMajor, &mut self.state.dg_conv);
-        sse_reference_into(prob, gl, gg, dl, dg, &mut self.ws, &mut self.state.out[cur]);
-        omen_trace::add(omen_trace::Counter::SseFlops, self.state.out[cur].flops);
+        let out = &mut self.state.out[cur];
+        sse_reference_into(prob, gl, gg, d_l, d_g, &mut self.ws, out);
+        omen_trace::add(omen_trace::Counter::SseFlops, out.flops);
         self.state.ran[cur] = true;
         &self.state.out[cur]
     }
@@ -244,10 +224,9 @@ impl SseKernel for TransformedKernel {
         let cur = self.state.flip();
         let gl = staged_g(g_l, GLayout::AtomMajor, &mut self.state.gl_conv);
         let gg = staged_g(g_g, GLayout::AtomMajor, &mut self.state.gg_conv);
-        let dl = staged_d(d_l, DLayout::PointMajor, &mut self.state.dl_conv);
-        let dg = staged_d(d_g, DLayout::PointMajor, &mut self.state.dg_conv);
-        sse_transformed_into(prob, gl, gg, dl, dg, &mut self.tr, &mut self.state.out[cur]);
-        omen_trace::add(omen_trace::Counter::SseFlops, self.state.out[cur].flops);
+        let out = &mut self.state.out[cur];
+        sse_transformed_into(prob, gl, gg, d_l, d_g, &mut self.tr, out);
+        omen_trace::add(omen_trace::Counter::SseFlops, out.flops);
         self.state.ran[cur] = true;
         &self.state.out[cur]
     }
@@ -300,12 +279,10 @@ impl SseKernel for MixedKernel {
         let cur = self.state.flip();
         let gl = staged_g(g_l, GLayout::AtomMajor, &mut self.state.gl_conv);
         let gg = staged_g(g_g, GLayout::AtomMajor, &mut self.state.gg_conv);
-        let dl = staged_d(d_l, DLayout::PointMajor, &mut self.state.dl_conv);
-        let dg = staged_d(d_g, DLayout::PointMajor, &mut self.state.dg_conv);
         mixed_into(
             prob,
             [gl, gg],
-            [dl, dg],
+            [d_l, d_g],
             self.config,
             &mut self.tr,
             &mut self.hg16,

@@ -43,5 +43,5 @@ pub use mixed::{sse_mixed, MixedConfig};
 pub use point_kernels::{d_combination, omen_round, trace_product, DBlocks, GBlocks};
 pub use problem::{compute_rev_pair, SseProblem};
 pub use reference::{sse_reference, sse_reference_into, SseOutput};
-pub use tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
+pub use tensors::{DTensor, GLayout, GTensor, D_BSZ};
 pub use transformed::{build_transients_into, sse_transformed, sse_transformed_into, Transients};

@@ -16,11 +16,11 @@
 
 use crate::point_kernels::omen_round;
 use crate::problem::SseProblem;
-use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
+use crate::tensors::{DTensor, GLayout, GTensor, D_BSZ};
 use omen_linalg::Workspace;
 
 /// Output of one SSE evaluation.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct SseOutput {
     /// Electron lesser self-energy `Σ^<` (diagonal atom blocks).
     pub sigma_l: GTensor,
@@ -38,19 +38,7 @@ impl SseOutput {
     /// A zero-size output, the reusable slot for the `_into` kernel
     /// variants. Performs no allocation.
     pub fn empty() -> Self {
-        SseOutput {
-            sigma_l: GTensor::zeros(0, 0, 0, 0, GLayout::PairMajor),
-            sigma_g: GTensor::zeros(0, 0, 0, 0, GLayout::PairMajor),
-            pi_l: DTensor::zeros(0, 0, 0, 0, DLayout::PointMajor),
-            pi_g: DTensor::zeros(0, 0, 0, 0, DLayout::PointMajor),
-            flops: 0,
-        }
-    }
-}
-
-impl Default for SseOutput {
-    fn default() -> Self {
-        SseOutput::empty()
+        Self::default()
     }
 }
 
@@ -58,7 +46,7 @@ impl Default for SseOutput {
 ///
 /// Inputs:
 /// * `g_l`, `g_g` — electron `G^≷` diagonal atom blocks, `PairMajor`;
-/// * `d_l`, `d_g` — phonon `D^≷` pair/diagonal blocks, `PointMajor`.
+/// * `d_l`, `d_g` — phonon `D^≷` pair/diagonal blocks.
 pub fn sse_reference(
     prob: &SseProblem,
     g_l: &GTensor,
@@ -89,20 +77,13 @@ pub fn sse_reference_into(
         GLayout::PairMajor,
         "reference expects PairMajor G"
     );
-    assert_eq!(
-        d_l.layout,
-        DLayout::PointMajor,
-        "reference expects PointMajor D"
-    );
     let na = prob.na();
     out.sigma_l
         .reset(prob.nk, prob.ne, na, prob.norb(), GLayout::PairMajor);
     out.sigma_g
         .reset(prob.nk, prob.ne, na, prob.norb(), GLayout::PairMajor);
-    out.pi_l
-        .reset(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
-    out.pi_g
-        .reset(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
+    out.pi_l.reset(prob.nq, prob.nw, prob.npairs(), na);
+    out.pi_g.reset(prob.nq, prob.nw, prob.npairs(), na);
     // `PairMajor` Σ is one row per `(kz, E)` in this order.
     let points = (0..prob.nk).flat_map(|k| (0..prob.ne).map(move |e| (k, e)));
     let row = (prob.npairs() + na) * D_BSZ;
@@ -171,13 +152,7 @@ mod tests {
         let dev = crate::testutil::tiny_device();
         let prob = tiny_problem(&dev);
         let (gl, gg, dl, dg) = random_inputs(&prob, 3);
-        let zero_dl = DTensor::zeros(
-            prob.nq,
-            prob.nw,
-            prob.npairs(),
-            prob.na(),
-            DLayout::PointMajor,
-        );
+        let zero_dl = DTensor::zeros(prob.nq, prob.nw, prob.npairs(), prob.na());
         let zero_dg = zero_dl.clone();
         let out = sse_reference(&prob, &gl, &gg, &zero_dl, &zero_dg);
         assert_eq!(out.sigma_l.max_abs(), 0.0);

@@ -1,12 +1,13 @@
-//! Multi-dimensional Green's-function and self-energy tensors with
-//! switchable data layouts.
+//! Multi-dimensional Green's-function and self-energy tensors.
 //!
 //! §4 of the paper: evaluating Eqs. (2)–(3) needs two 5-D electron tensors
 //! of shape `[Nkz, NE, Na, Norb, Norb]` and two 6-D phonon tensors of shape
 //! `[Nqz, Nω, Na, Nb+1, 3, 3]`. The data-layout transformation of Fig. 6
-//! (step ❷) permutes the outer dimensions so that the innermost batched
-//! dimension is accessed with constant stride. Both layouts are provided
-//! and convertible; the kernels assert the layout they need.
+//! (step ❷) permutes the outer electron dimensions so that energy is
+//! innermost per atom and the SSE reads constant-stride runs: the GF phase
+//! writes `G≷` atom-major, and the driver keeps `Σ≷` that way. The
+//! pair-major order remains for the reference loop nest, which converts at
+//! its own entry. The phonon tensors have one layout, point-major.
 
 use omen_linalg::C64;
 
@@ -121,9 +122,8 @@ impl GTensor {
     }
 
     /// Converts into a reusable destination tensor (any current shape);
-    /// allocation-free once `out`'s backing buffer is large enough — the
-    /// layout-normalization path of the stateful SSE kernels and the
-    /// driver's mixing step.
+    /// allocation-free once `out`'s backing buffer is large enough — how a
+    /// stateful SSE kernel stages an input handed over in the other layout.
     pub fn to_layout_into(&self, layout: GLayout, out: &mut GTensor) {
         out.reset(self.nk, self.ne, self.na, self.norb, layout);
         let bsz = self.bsz();
@@ -171,20 +171,12 @@ impl GTensor {
     }
 }
 
-/// Layout of the phonon-side tensors (`D^≷`, `Π^≷`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DLayout {
-    /// `[qz][ω][entry]` — OMEN order.
-    PointMajor,
-    /// `[entry][qz][ω]` — DaCe order (ω contiguous per entry).
-    EntryMajor,
-}
-
 /// A 6-D phonon tensor: `3 × 3` complex blocks indexed by `(qz, ω, entry)`
-/// where entries `0..npairs` are the directed neighbor pairs (`D_ab`) and
-/// entries `npairs..npairs+na` are the atom diagonals (`D_aa`) — together
-/// the `Nb + 1` blocks per atom of the paper.
-#[derive(Clone, Debug)]
+/// and laid out `[qz][ω][entry]`, where entries `0..npairs` are the
+/// directed neighbor pairs (`D_ab`) and entries `npairs..npairs+na` are the
+/// atom diagonals (`D_aa`) — together the `Nb + 1` blocks per atom of the
+/// paper. The default is a zero-size tensor; it performs no allocation.
+#[derive(Clone, Debug, Default)]
 pub struct DTensor {
     /// Momentum points.
     pub nq: usize,
@@ -194,8 +186,6 @@ pub struct DTensor {
     pub npairs: usize,
     /// Atoms (diagonal entries).
     pub na: usize,
-    /// Current layout.
-    pub layout: DLayout,
     data: Vec<C64>,
 }
 
@@ -206,37 +196,28 @@ impl Default for GTensor {
     }
 }
 
-impl Default for DTensor {
-    /// A zero-size point-major tensor; performs no allocation.
-    fn default() -> Self {
-        DTensor::zeros(0, 0, 0, 0, DLayout::PointMajor)
-    }
-}
-
 /// Block size of phonon entries: `3 × 3`.
 pub const D_BSZ: usize = 9;
 
 impl DTensor {
     /// Zero-initialized tensor.
-    pub fn zeros(nq: usize, nw: usize, npairs: usize, na: usize, layout: DLayout) -> Self {
+    pub fn zeros(nq: usize, nw: usize, npairs: usize, na: usize) -> Self {
         DTensor {
             nq,
             nw,
             npairs,
             na,
-            layout,
             data: vec![C64::ZERO; nq * nw * (npairs + na) * D_BSZ],
         }
     }
 
-    /// Reshapes to the given dimensions and layout with zeroed contents,
-    /// reusing the backing buffer (see [`GTensor::reset`]).
-    pub fn reset(&mut self, nq: usize, nw: usize, npairs: usize, na: usize, layout: DLayout) {
+    /// Reshapes to the given dimensions with zeroed contents, reusing the
+    /// backing buffer (see [`GTensor::reset`]).
+    pub fn reset(&mut self, nq: usize, nw: usize, npairs: usize, na: usize) {
         self.nq = nq;
         self.nw = nw;
         self.npairs = npairs;
         self.na = na;
-        self.layout = layout;
         self.data.clear();
         self.data.resize(nq * nw * (npairs + na) * D_BSZ, C64::ZERO);
     }
@@ -265,11 +246,7 @@ impl DTensor {
     #[inline]
     pub fn offset(&self, q: usize, w: usize, entry: usize) -> usize {
         debug_assert!(q < self.nq && w < self.nw && entry < self.nentries());
-        let blk = match self.layout {
-            DLayout::PointMajor => (q * self.nw + w) * self.nentries() + entry,
-            DLayout::EntryMajor => (entry * self.nq + q) * self.nw + w,
-        };
-        blk * D_BSZ
+        ((q * self.nw + w) * self.nentries() + entry) * D_BSZ
     }
 
     /// Borrows block `(q, w, entry)` (column-major `3 × 3`).
@@ -296,35 +273,9 @@ impl DTensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing buffer (layout-ordered).
+    /// Consumes the tensor, returning its backing buffer.
     pub fn into_vec(self) -> Vec<C64> {
         self.data
-    }
-
-    /// Returns a copy converted to `layout`.
-    pub fn to_layout(&self, layout: DLayout) -> DTensor {
-        if layout == self.layout {
-            return self.clone();
-        }
-        let mut out = DTensor::zeros(0, 0, 0, 0, layout);
-        self.to_layout_into(layout, &mut out);
-        out
-    }
-
-    /// Converts into a reusable destination tensor (see
-    /// [`GTensor::to_layout_into`]); allocation-free once `out`'s backing
-    /// buffer is large enough.
-    pub fn to_layout_into(&self, layout: DLayout, out: &mut DTensor) {
-        out.reset(self.nq, self.nw, self.npairs, self.na, layout);
-        for q in 0..self.nq {
-            for w in 0..self.nw {
-                for en in 0..self.nentries() {
-                    let src = self.offset(q, w, en);
-                    let dst = out.offset(q, w, en);
-                    out.data[dst..dst + D_BSZ].copy_from_slice(&self.data[src..src + D_BSZ]);
-                }
-            }
-        }
     }
 
     /// Max elementwise deviation against another tensor.
@@ -334,19 +285,8 @@ impl DTensor {
             (other.nq, other.nw, other.npairs, other.na),
             "tensor shape mismatch"
         );
-        let mut worst = 0.0f64;
-        for q in 0..self.nq {
-            for w in 0..self.nw {
-                for en in 0..self.nentries() {
-                    let x = self.block(q, w, en);
-                    let y = other.block(q, w, en);
-                    for (u, v) in x.iter().zip(y) {
-                        worst = worst.max((*u - *v).abs());
-                    }
-                }
-            }
-        }
-        worst
+        let pairs = self.data.iter().zip(&other.data);
+        pairs.map(|(u, v)| (*u - *v).abs()).fold(0.0, f64::max)
     }
 
     /// Largest element magnitude.
@@ -406,27 +346,17 @@ mod tests {
 
     #[test]
     fn d_tensor_entries() {
-        let mut t = DTensor::zeros(2, 2, 5, 3, DLayout::PointMajor);
+        let mut t = DTensor::zeros(2, 2, 5, 3);
         assert_eq!(t.nentries(), 8);
         t.block_mut(1, 0, t.diag_entry(2))[0] = c64(7.0, 0.0);
         assert_eq!(t.block(1, 0, 7)[0], c64(7.0, 0.0));
-        let u = t.to_layout(DLayout::EntryMajor);
-        assert_eq!(u.block(1, 0, 7)[0], c64(7.0, 0.0));
-        assert_eq!(t.max_deviation(&u), 0.0);
-    }
-
-    #[test]
-    fn d_entry_major_omega_contiguous() {
-        let t = DTensor::zeros(3, 4, 5, 2, DLayout::EntryMajor);
-        let d = t.offset(1, 2, 3) - t.offset(1, 1, 3);
-        assert_eq!(d, D_BSZ);
     }
 
     #[test]
     fn byte_accounting() {
         let g = GTensor::zeros(2, 3, 4, 5, GLayout::PairMajor);
         assert_eq!(g.bytes(), 2 * 3 * 4 * 25 * 16);
-        let d = DTensor::zeros(2, 3, 4, 5, DLayout::PointMajor);
+        let d = DTensor::zeros(2, 3, 4, 5);
         assert_eq!(d.bytes(), 2 * 3 * 9 * 9 * 16);
     }
 

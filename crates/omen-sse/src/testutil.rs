@@ -4,7 +4,7 @@
 use crate::point_kernels::trace_product;
 use crate::problem::SseProblem;
 use crate::stages::{EnergyWindow, Stencil};
-use crate::tensors::{DLayout, DTensor, GLayout, GTensor, D_BSZ};
+use crate::tensors::{DTensor, GLayout, GTensor, D_BSZ};
 use omen_device::{DeviceConfig, DeviceStructure};
 use omen_linalg::{c64, sbsmm_scalar, BatchDims, Strides, C64};
 
@@ -65,7 +65,7 @@ pub fn random_inputs(prob: &SseProblem, seed: u64) -> (GTensor, GTensor, DTensor
     let gg = mk_g(1_000_000);
 
     let mk_d = |shift: u64| {
-        let mut d = DTensor::zeros(prob.nq, prob.nw, prob.npairs(), na, DLayout::PointMajor);
+        let mut d = DTensor::zeros(prob.nq, prob.nw, prob.npairs(), na);
         for q in 0..prob.nq {
             for w in 0..prob.nw {
                 for en in 0..d.nentries() {

@@ -54,7 +54,7 @@ use crate::point_kernels::d_combination;
 use crate::problem::SseProblem;
 use crate::reference::SseOutput;
 use crate::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
-use crate::tensors::{DLayout, DTensor, GLayout, GTensor};
+use crate::tensors::{DTensor, GLayout, GTensor};
 use omen_linalg::{BatchDims, PlaneScratch, C64};
 use omen_sched::TaskDag;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -308,8 +308,8 @@ fn build_atom(
 /// Stage A + B into whole tensors, on the calling thread: a warm
 /// `Transients` makes the rebuild allocation-free.
 ///
-/// `g_l`/`g_g` must be `AtomMajor` (the data-layout transformation);
-/// `d_l`/`d_g` may be in either layout.
+/// `g_l`/`g_g` must be `AtomMajor` (the data-layout transformation), the
+/// layout the GF phase writes them in.
 pub fn build_transients_into(
     prob: &SseProblem,
     g_l: &GTensor,
@@ -332,7 +332,7 @@ pub fn build_transients_into(
     }
 }
 
-/// Evaluates `Σ^≷` (AtomMajor) and `Π^≷` (PointMajor) with the
+/// Evaluates `Σ^≷` (AtomMajor) and `Π^≷` (point-major) with the
 /// transformed schedule.
 pub fn sse_transformed(
     prob: &SseProblem,
@@ -427,8 +427,8 @@ pub(crate) fn run_atom_tasks(
     } = out;
     sigma_l.reset(nk, ne, na, prob.norb(), GLayout::AtomMajor);
     sigma_g.reset(nk, ne, na, prob.norb(), GLayout::AtomMajor);
-    pi_l.reset(nq, nw, npairs, na, DLayout::PointMajor);
-    pi_g.reset(nq, nw, npairs, na, DLayout::PointMajor);
+    pi_l.reset(nq, nw, npairs, na);
+    pi_g.reset(nq, nw, npairs, na);
     let pi = Mutex::new([pi_l, pi_g]);
 
     let workers = prob.workers.clamp(1, na.max(1));

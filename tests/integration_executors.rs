@@ -8,6 +8,7 @@ use dace_omen::core::{
     CommPlan, DagExecutor, DistributedExecutor, ExecutorKind, GfPhaseOutput, PlanKernel,
     PointExecutor, RayonExecutor, SerialExecutor, Simulation, SimulationConfig, SimulationResult,
 };
+use dace_omen::sse::GLayout;
 
 fn run_with_kind(kind: ExecutorKind) -> SimulationResult {
     let mut cfg = SimulationConfig::tiny();
@@ -311,6 +312,9 @@ fn complex_bits(zs: &[dace_omen::linalg::C64]) -> Vec<(u64, u64)> {
 #[test]
 fn gf_phase_outputs_are_bitwise_at_every_worker_count() {
     let serial = scattered_gf_phase(&SerialExecutor);
+    // The GF phase writes `G≷` in the layout the SSE reads.
+    assert_eq!(serial.g_l.layout, GLayout::AtomMajor);
+    assert_eq!(serial.g_g.layout, GLayout::AtomMajor);
     for threads in [2, 3, 5] {
         let dag = scattered_gf_phase(&DagExecutor::new(threads));
         let tensors = |gf: &GfPhaseOutput| {
