@@ -12,7 +12,7 @@ use omen_linalg::{
 };
 use omen_rgf::{rgf_solve, surface_gf, RgfInputs};
 use omen_sse::testutil::{random_inputs, tiny_device, tiny_problem};
-use omen_sse::{sse_reference, sse_transformed, GLayout};
+use omen_sse::{sse_reference, sse_transformed};
 use std::hint::black_box;
 
 const W: [usize; 2] = [28, 12];
@@ -139,13 +139,11 @@ fn bench_sse_phases() {
     let dev = tiny_device();
     let prob = tiny_problem(&dev);
     let (gl, gg, dl, dg) = random_inputs(&prob, 42);
-    let gla = gl.to_layout(GLayout::AtomMajor);
-    let gga = gg.to_layout(GLayout::AtomMajor);
     report("table10_sse", "reference", 3, || {
         black_box(sse_reference(&prob, black_box(&gl), &gg, &dl, &dg));
     });
     report("table10_sse", "transformed", 3, || {
-        black_box(sse_transformed(&prob, black_box(&gla), &gga, &dl, &dg));
+        black_box(sse_transformed(&prob, black_box(&gl), &gg, &dl, &dg));
     });
 }
 

@@ -21,15 +21,14 @@ fn main() -> ExitCode {
     let gf = sim.gf_phase();
     let (gl, gg, dl, dg) = (gf.g_l, gf.g_g, gf.d_l, gf.d_g);
     let out = sim.sse_phase(&gl, &gg, &dl, &dg);
-    let sl = out.sigma_l.to_layout(omen_sse::GLayout::PairMajor);
     for (plane, vals) in [
         (
             "Sigma< (real)",
-            omen_linalg::norms::real_plane(sl.as_slice()),
+            omen_linalg::norms::real_plane(out.sigma_l.as_slice()),
         ),
         (
             "Sigma< (imaginary)",
-            omen_linalg::norms::imag_plane(sl.as_slice()),
+            omen_linalg::norms::imag_plane(out.sigma_l.as_slice()),
         ),
     ] {
         let d = magnitude_distribution(&vals);

@@ -13,13 +13,8 @@ fn main() {
     let (gf, gf_wall) = timed(|| sim.gf_phase());
     let (g_l, g_g, d_l, d_g, gf_times) = (gf.g_l, gf.g_g, gf.d_l, gf.d_g, gf.times);
     let prob = sim.sse_problem();
-
-    // The GF phase writes `G≷` atom-major; the OMEN-style loop nest reads
-    // it pair-major.
-    let glp = g_l.to_layout(omen_sse::GLayout::PairMajor);
-    let ggp = g_g.to_layout(omen_sse::GLayout::PairMajor);
-    let (_, t_eager) = timed(|| sse_eager(&prob, &glp, &ggp, &d_l, &d_g));
-    let (out_ref, t_ref) = timed(|| omen_sse::sse_reference(&prob, &glp, &ggp, &d_l, &d_g));
+    let (_, t_eager) = timed(|| sse_eager(&prob, &g_l, &g_g, &d_l, &d_g));
+    let (out_ref, t_ref) = timed(|| omen_sse::sse_reference(&prob, &g_l, &g_g, &d_l, &d_g));
     let (out_dace, t_dace) = timed(|| omen_sse::sse_transformed(&prob, &g_l, &g_g, &d_l, &d_g));
     let (_, t_mix) = timed(|| {
         omen_sse::sse_mixed(

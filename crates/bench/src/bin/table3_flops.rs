@@ -3,7 +3,7 @@
 //! kernels at reduced scale and compare the OMEN/DaCe flop *ratio*.
 use omen_bench::{header, row};
 use omen_sse::testutil::{random_inputs, tiny_device};
-use omen_sse::{sse_reference, sse_transformed, GLayout, SseProblem};
+use omen_sse::{sse_reference, sse_transformed, SseProblem};
 
 fn main() {
     println!("Table 3: Single Iteration Computational Load (Pflop), Small structure\n");
@@ -32,9 +32,7 @@ fn main() {
     let prob = SseProblem::new(&dev, 2, 12, 2, 2, 1.0, 1.0);
     let (gl, gg, dl, dg) = random_inputs(&prob, 1);
     let reference = sse_reference(&prob, &gl, &gg, &dl, &dg);
-    let gla = gl.to_layout(GLayout::AtomMajor);
-    let gga = gg.to_layout(GLayout::AtomMajor);
-    let transformed = sse_transformed(&prob, &gla, &gga, &dl, &dg);
+    let transformed = sse_transformed(&prob, &gl, &gg, &dl, &dg);
     println!(
         "measured kernel flops (tiny device): OMEN {} / DaCe {}  ratio {:.3} (model {:.3})",
         reference.flops,

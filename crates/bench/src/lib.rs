@@ -188,8 +188,8 @@ pub fn sse_eager(
 ) -> (GTensor, GTensor) {
     let norb = prob.norb();
     let na = prob.na();
-    let mut sigma_l = GTensor::zeros(prob.nk, prob.ne, na, norb, omen_sse::GLayout::PairMajor);
-    let mut sigma_g = GTensor::zeros(prob.nk, prob.ne, na, norb, omen_sse::GLayout::PairMajor);
+    let mut sigma_l = GTensor::zeros(prob.nk, prob.ne, na, norb);
+    let mut sigma_g = GTensor::zeros(prob.nk, prob.ne, na, norb);
     let grads = &prob.device.gradients;
     let to_mat = |s: &[C64]| CMatrix::from_vec(norb, norb, s.to_vec());
     // Boxed closures emulate per-op dynamic dispatch.

@@ -32,7 +32,7 @@
 //! [`run_dace_plan`] is the cold one-shot wrapper.
 
 use crate::mpi_sim::{run_world_on, Comm};
-use crate::plan_common::{deposit_rows, owned_rows, reset_output, PlanResult};
+use crate::plan_common::{deposit_rows, reset_output, PlanResult};
 use crate::topology::{DaceTiling, OmenGrid};
 use crate::volume::VolumeLedger;
 use omen_linalg::{BatchDims, PlaneScratch, C64};
@@ -136,8 +136,8 @@ pub struct DaceTile {
     sig: [Vec<C64>; 2],
     /// Unscaled `Π^≷` partials, `[qz][ω][tile Π entry]`.
     pi: [Vec<C64>; 2],
-    /// Owned `Σ^≷(k, e)` rows (`na · Norb²` each) and `Π^≷(q, m)` rows
-    /// (`nentries · 9` each) after collectives 3 and 4.
+    /// Owned `Σ^≷` blocks, `[atom][owned (k, e) point]`, and `Π^≷(q, m)`
+    /// rows (`nentries · 9` each) after collectives 3 and 4.
     sigma_rows: [Vec<C64>; 2],
     pi_rows: [Vec<C64>; 2],
 }
@@ -393,19 +393,22 @@ impl DaceTile {
                 buf
             })
             .collect();
+        let npoints = shape.owned_pairs[me].len();
         for (s, buf) in comm.alltoallv(3, sendbufs).iter().enumerate() {
             let (ta, te) = tiling.tile_of(s);
             let (alo, ahi) = tiling.atom_range(ta);
-            let mut runs = buf.chunks_exact((ahi - alo) * bsz);
+            let mut blocks = buf.chunks_exact(bsz);
             let from_s = within(tiling.energy_range(te));
             for (at, _) in (shape.owned_pairs[me].iter().enumerate()).filter(|(_, p)| from_s(p)) {
                 for rows in &mut self.sigma_rows {
-                    let o = (at * na + alo) * bsz;
-                    let src = runs.next().expect("Σ payload too short");
-                    rows[o..o + src.len()].copy_from_slice(src);
+                    for a in alo..ahi {
+                        let o = (a * npoints + at) * bsz;
+                        let src = blocks.next().expect("Σ payload too short");
+                        rows[o..o + bsz].copy_from_slice(src);
+                    }
                 }
             }
-            assert!(runs.next().is_none(), "Σ unpack mismatch from rank {s}");
+            assert!(blocks.next().is_none(), "Σ unpack mismatch from rank {s}");
         }
 
         // ---- Alltoall #4: Π^≷ partials to phonon owners ----
@@ -525,11 +528,9 @@ impl DacePlan {
             tile.exchange_and_compute(shape, prob, [g_l, g_g], [d_l, d_g], &comm)
         });
         reset_output(prob, out);
-        let (na, bsz) = (prob.na(), prob.norb() * prob.norb());
         for (rank, tile) in tiles.iter().enumerate() {
-            let sigma = owned_rows(&shape.owned_pairs[rank], &tile.sigma_rows, na * bsz);
-            let pi_len = (prob.npairs() + na) * D_BSZ;
-            let pi = owned_rows(&shape.phonon_points[rank], &tile.pi_rows, pi_len);
+            let sigma = (&shape.owned_pairs[rank][..], &tile.sigma_rows);
+            let pi = (&shape.phonon_points[rank][..], &tile.pi_rows);
             // Stage C scaled Σ on the way; Π partials are still raw.
             deposit_rows(out, (1.0, prob.scale_pi), sigma, pi);
         }

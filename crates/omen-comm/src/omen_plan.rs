@@ -13,10 +13,13 @@
 //! A round's compute is `omen-sse`'s one untransformed loop nest,
 //! [`omen_round`], over the rank's points: `Σ^≷` is bitwise
 //! `sse_reference`'s at every rank count, `Π^≷` at one rank and within
-//! 1e-12 at more, where the reduction sums the ranks' partials.
+//! 1e-12 at more, where the reduction sums the ranks' partials. A rank
+//! keeps its `Σ^≷` atom-major over its points, as `omen_round` writes it,
+//! and the assembly stores each block at its `(k, e, a)` of the atom-major
+//! output.
 
 use crate::mpi_sim::{run_world, Comm};
-use crate::plan_common::{deposit_rows, owned_rows, reset_output, CombinedG, PlanResult};
+use crate::plan_common::{deposit_rows, reset_output, CombinedG, PlanResult};
 use crate::sse_state::{LocalD, LocalG};
 use crate::topology::OmenGrid;
 use crate::volume::VolumeLedger;
@@ -51,8 +54,9 @@ fn needed_points(
     need
 }
 
-/// One rank's rows, unscaled: `Σ^≷` of the `(k, e)` points it owns and
-/// the reduced `Π^≷` of the `(q, m)` rounds it roots, each in point order.
+/// One rank's rows, unscaled: `Σ^≷` of the `(k, e)` points it owns,
+/// atom-major over them as [`omen_round`] writes them, and the reduced
+/// `Π^≷` of the `(q, m)` rounds it roots, in round order.
 struct RankRows {
     owned: Vec<(usize, usize)>,
     sigma: [Vec<C64>; 2],
@@ -194,8 +198,8 @@ pub fn run_omen_plan(
     let mut out = SseOutput::empty();
     reset_output(prob, &mut out);
     for rank in &outputs {
-        let sigma = owned_rows(&rank.owned, &rank.sigma, na * bsz);
-        let pi = owned_rows(&rank.rooted, &rank.pi, nentries * D_BSZ);
+        let sigma = (&rank.owned[..], &rank.sigma);
+        let pi = (&rank.rooted[..], &rank.pi);
         deposit_rows(&mut out, (prob.scale_sigma, prob.scale_pi), sigma, pi);
         out.flops += rank.flops;
     }
@@ -209,6 +213,11 @@ mod tests {
     use omen_sse::sse_reference;
     use omen_sse::testutil::{random_inputs, tiny_device, tiny_problem};
 
+    fn bits(t: &GTensor) -> Vec<(u64, u64)> {
+        let z = t.as_slice().iter();
+        z.map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
     #[test]
     fn omen_plan_matches_reference() {
         let dev = tiny_device();
@@ -218,8 +227,8 @@ mod tests {
         let grid = OmenGrid::new(2, 3, prob.nk, prob.ne);
         let (result, ledger) = run_omen_plan(&prob, &gl, &gg, &dl, &dg, &grid);
 
-        assert_eq!(result.sigma_l.max_deviation(&reference.sigma_l), 0.0);
-        assert_eq!(result.sigma_g.max_deviation(&reference.sigma_g), 0.0);
+        assert_eq!(bits(&result.sigma_l), bits(&reference.sigma_l));
+        assert_eq!(bits(&result.sigma_g), bits(&reference.sigma_g));
         let dp = result.pi_l.max_deviation(&reference.pi_l) / reference.pi_l.max_abs();
         assert!(dp <= 1e-12, "Π< deviation {dp}");
         let dpg = result.pi_g.max_deviation(&reference.pi_g) / reference.pi_g.max_abs();
@@ -243,7 +252,8 @@ mod tests {
         let reference = sse_reference(&prob, &gl, &gg, &dl, &dg);
         let grid = OmenGrid::new(1, 1, prob.nk, prob.ne);
         let (result, ledger) = run_omen_plan(&prob, &gl, &gg, &dl, &dg, &grid);
-        assert_eq!(result.sigma_l.max_deviation(&reference.sigma_l), 0.0);
+        assert_eq!(bits(&result.sigma_l), bits(&reference.sigma_l));
+        assert_eq!(bits(&result.sigma_g), bits(&reference.sigma_g));
         assert_eq!(result.pi_l.max_deviation(&reference.pi_l), 0.0);
         assert_eq!(result.flops, reference.flops);
         assert_eq!(ledger.total_bytes(), 0, "single rank: all traffic local");

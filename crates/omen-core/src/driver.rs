@@ -993,23 +993,13 @@ where
         })
 }
 
-/// `state ← (1 − mix)·state + mix·new`: one `(a, k, e)` block walk over
-/// the atom-major state, reading `new` in whichever layout its kernel
-/// wrote.
+/// `state ← (1 − mix)·state + mix·new`, elementwise: every kernel emits
+/// `Σ^≷` in the state's atom-major layout.
 fn mix_g(state: &mut GTensor, new: &GTensor, mix: f64) {
-    let shape = (state.nk, state.ne, state.na, state.bsz());
-    assert_eq!(
-        shape,
-        (new.nk, new.ne, new.na, new.bsz()),
-        "Σ of another shape"
-    );
-    debug_assert_eq!(state.layout, GLayout::AtomMajor);
-    let (nk, ne, na, bsz) = shape;
-    let blocks = (0..na).flat_map(|a| (0..nk).flat_map(move |k| (0..ne).map(move |e| (k, e, a))));
-    for (own, (k, e, a)) in state.as_mut_slice().chunks_exact_mut(bsz).zip(blocks) {
-        for (s, n) in own.iter_mut().zip(new.block(k, e, a)) {
-            *s = s.scale(1.0 - mix) + n.scale(mix);
-        }
+    let shape = |t: &GTensor| (t.nk, t.ne, t.na, t.norb, t.layout);
+    assert_eq!(shape(state), shape(new), "Σ of another shape");
+    for (s, n) in state.as_mut_slice().iter_mut().zip(new.as_slice()) {
+        *s = s.scale(1.0 - mix) + n.scale(mix);
     }
 }
 
@@ -1142,18 +1132,35 @@ mod tests {
     fn kernel_variants_agree() {
         let mut cfg = SimulationConfig::tiny();
         cfg.max_iterations = 2;
-        let run = |kernel| {
+        let run = |kernel, executor, comm_plan| {
             let mut c = cfg.clone();
-            c.kernel = kernel;
-            sim(c).run().expect("run succeeds").current()
+            (c.kernel, c.executor, c.comm_plan) = (kernel, executor, comm_plan);
+            let mut s = sim(c);
+            let current = s.run().expect("run succeeds").current();
+            // Every kernel emits Σ^≷ in the layout the driver mixes.
+            let (name, out) = (s.kernel().name(), s.kernel().state().output());
+            for sigma in [&out.sigma_l, &out.sigma_g] {
+                assert_eq!(sigma.layout, GLayout::AtomMajor, "{name} Σ layout");
+            }
+            current
         };
-        let reference = run(KernelVariant::Reference);
-        let transformed = run(KernelVariant::Transformed);
-        let mixed = run(KernelVariant::Mixed(Normalization::PerTensor));
+        let local = |kernel| run(kernel, ExecutorKind::Serial, cfg.comm_plan);
+        let reference = local(KernelVariant::Reference);
+        let transformed = local(KernelVariant::Transformed);
+        let mixed = local(KernelVariant::Mixed(Normalization::PerTensor));
         assert!(
             ((transformed - reference) / reference).abs() < 1e-10,
             "transformed {transformed} vs reference {reference}"
         );
+        for plan in [omen_comm::CommPlan::Omen, omen_comm::CommPlan::Dace] {
+            let ranks = ExecutorKind::Distributed { ranks: 2 };
+            let planned = run(KernelVariant::Transformed, ranks, plan);
+            assert!(
+                ((planned - reference) / reference).abs() < 1e-10,
+                "{} plan {planned} vs reference {reference}",
+                plan.name()
+            );
+        }
         assert!(
             ((mixed - reference) / reference).abs() < 1e-3,
             "mixed {mixed} vs reference {reference}"
@@ -1384,23 +1391,22 @@ mod tests {
 
         // Every tensor is checked, the electron layout included: a donor
         // whose Σ^> or Π^> has other dimensions, or whose Σ^< is
-        // pair-major, is refused and leaves the simulation unseeded.
+        // tagged pair-major, is refused and leaves the simulation unseeded.
         let s = &data.sigma_l;
         let (nk, ne, na, norb) = (s.nk, s.ne, s.na, s.norb);
         let p = &data.pi_g;
+        let mut pair_major = data.clone();
+        pair_major.sigma_l.layout = GLayout::PairMajor;
         let donors = [
             WarmStartData {
-                sigma_g: GTensor::zeros(nk, ne + 1, na, norb, GLayout::AtomMajor),
+                sigma_g: GTensor::zeros(nk, ne + 1, na, norb),
                 ..data.clone()
             },
             WarmStartData {
                 pi_g: DTensor::zeros(p.nq, p.nw + 1, p.npairs, p.na),
                 ..data.clone()
             },
-            WarmStartData {
-                sigma_l: GTensor::zeros(nk, ne, na, norb, GLayout::PairMajor),
-                ..data.clone()
-            },
+            pair_major,
         ];
         for donor in &donors {
             let mut fresh = sim(SimulationConfig::tiny());
@@ -1418,33 +1424,6 @@ mod tests {
             running.warm_start_from(&data),
             Err(WarmStartError::AlreadyRunning)
         ));
-    }
-
-    #[test]
-    fn mixing_reads_either_kernel_layout() {
-        let filled = |layout, salt: f64| {
-            let mut t = GTensor::zeros(2, 3, 4, 2, layout);
-            for id in 0..24 {
-                let block = t.block_mut(id / 12, id / 4 % 3, id % 4);
-                for (x, v) in block.iter_mut().enumerate() {
-                    let id = id as f64;
-                    *v = omen_linalg::c64(id * salt + x as f64, salt - id / 7.0);
-                }
-            }
-            t
-        };
-        // A reference or plan kernel emits pair-major Σ, the transformed
-        // kernel atom-major: both mix into the same state bits.
-        let state = filled(GLayout::AtomMajor, 0.3);
-        let (mut from_pair, mut from_atom) = (state.clone(), state.clone());
-        mix_g(&mut from_pair, &filled(GLayout::PairMajor, 1.7), 0.6);
-        mix_g(&mut from_atom, &filled(GLayout::AtomMajor, 1.7), 0.6);
-        let bits = |t: &GTensor| -> Vec<_> {
-            let z = t.as_slice().iter();
-            z.map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-        };
-        assert_eq!(bits(&from_pair), bits(&from_atom));
-        assert_ne!(bits(&from_atom), bits(&state), "mixing moved the state");
     }
 
     #[test]

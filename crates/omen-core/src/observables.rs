@@ -24,7 +24,7 @@
 use omen_device::DeviceStructure;
 use omen_linalg::{CMatrix, C64};
 use omen_rgf::{contact_current, interface_current, Electrons, PhononParams, RgfRow, RowSink};
-use omen_sse::{DTensor, GLayout, GTensor, D_BSZ};
+use omen_sse::{DTensor, GTensor, D_BSZ};
 use std::marker::PhantomData;
 
 /// Per-point sizes of an electron sweep's output: `G≷` elements in one
@@ -251,8 +251,8 @@ impl ElectronObservables {
         let (nb, na) = (dev.bnum(), dev.num_atoms());
         let norb = dev.material.norb;
         ElectronObservables {
-            g_l: GTensor::zeros(nk, ne, na, norb, GLayout::AtomMajor),
-            g_g: GTensor::zeros(nk, ne, na, norb, GLayout::AtomMajor),
+            g_l: GTensor::zeros(nk, ne, na, norb),
+            g_g: GTensor::zeros(nk, ne, na, norb),
             raw: vec![0.0; nk * ne * electron_point(dev).1],
             el_current_spectrum: vec![vec![0.0; nb - 1]; ne],
             el_current: vec![0.0; nb - 1],

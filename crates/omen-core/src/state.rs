@@ -10,7 +10,7 @@
 use omen_device::DeviceStructure;
 use omen_linalg::{c64, CMatrix, C64};
 use omen_rgf::Scattering;
-use omen_sse::{DTensor, GLayout, GTensor};
+use omen_sse::{DTensor, GTensor};
 
 /// Converts per-atom `Σ^≷` blocks at `(ik, ie)` into per-slab
 /// block-diagonal matrices for the RGF solver, plus the retarded part
@@ -193,8 +193,8 @@ pub fn zero_tensors(
     let norb = dev.material.norb;
     let npairs = dev.neighbors.num_pairs();
     (
-        GTensor::zeros(nk, ne, na, norb, GLayout::AtomMajor),
-        GTensor::zeros(nk, ne, na, norb, GLayout::AtomMajor),
+        GTensor::zeros(nk, ne, na, norb),
+        GTensor::zeros(nk, ne, na, norb),
         DTensor::zeros(nq, nw, npairs, na),
         DTensor::zeros(nq, nw, npairs, na),
     )

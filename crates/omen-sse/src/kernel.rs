@@ -2,12 +2,10 @@
 //!
 //! The three kernel variants of the paper (§5.3–5.4) share one signature —
 //! Green's function tensors in, self-energy tensors out — so the driver
-//! dispatches through a trait object instead of matching on an enum. Each
-//! implementation owns its layout requirements: `G≷` may arrive in either
-//! [`GLayout`], and a kernel converts only when it is handed the other one.
-//! The GF phase writes `G≷` atom-major, which the transformed and mixed
-//! kernels read in place; on the driver path only [`ReferenceKernel`]
-//! converts, at its own entry, into its pair-major loop nest.
+//! dispatches through a trait object instead of matching on an enum. The
+//! contract: `G≷` arrives atom-major, as the GF phase writes it, and every
+//! kernel reads it in place and emits `Σ≷` atom-major, so the driver mixes
+//! any kernel's output elementwise.
 //!
 //! Kernels are *stateful*: `run` takes `&mut self` and writes into
 //! double-buffered output tensors owned by the kernel (see
@@ -23,20 +21,18 @@
 use crate::mixed::{mixed_into, MixedConfig};
 use crate::problem::SseProblem;
 use crate::reference::{sse_reference_into, SseOutput};
-use crate::tensors::{DTensor, GLayout, GTensor};
+use crate::tensors::{DTensor, GTensor};
 use crate::transformed::{sse_transformed_into, Transients};
 use omen_linalg::{Workspace, C64};
 
-/// Reusable state shared by every kernel implementation: the `G≷` staging
-/// tensors of a layout conversion and the double-buffered outputs.
+/// Reusable state shared by every kernel implementation: the
+/// double-buffered outputs.
 ///
 /// All buffers start empty and materialize on first use; from the second
 /// `run` on the same problem shape onward the kernel performs zero heap
 /// allocations (pinned by `tests/integration_alloc.rs`).
 #[derive(Default)]
 pub struct KernelState {
-    gl_conv: GTensor,
-    gg_conv: GTensor,
     out: [SseOutput; 2],
     cur: usize,
     ran: [bool; 2],
@@ -110,8 +106,9 @@ pub trait SseKernel: Send {
     /// Short identifier for logs and benchmark tables.
     fn name(&self) -> &'static str;
 
-    /// Evaluates `Σ^≷` and `Π^≷` from the Green's function tensors into
-    /// the kernel's current output buffer.
+    /// Evaluates `Σ^≷` and `Π^≷` from the Green's function tensors
+    /// (atom-major `G^≷`) into the kernel's current output buffer, `Σ^≷`
+    /// atom-major.
     fn run(
         &mut self,
         prob: &SseProblem,
@@ -121,7 +118,7 @@ pub trait SseKernel: Send {
         d_g: &DTensor,
     ) -> &SseOutput;
 
-    /// The shared reusable state (double buffer + staging tensors).
+    /// The shared reusable state (the double buffer).
     fn state(&self) -> &KernelState;
 
     /// Mutable access to the shared state.
@@ -131,17 +128,6 @@ pub trait SseKernel: Send {
     /// [`KernelState::output_delta`]).
     fn output_delta(&self) -> Option<f64> {
         self.state().output_delta()
-    }
-}
-
-/// Stages `g` in `want` layout: pass-through when it already matches,
-/// otherwise an allocation-free conversion into `buf`.
-fn staged_g<'a>(g: &'a GTensor, want: GLayout, buf: &'a mut GTensor) -> &'a GTensor {
-    if g.layout == want {
-        g
-    } else {
-        g.to_layout_into(want, buf);
-        buf
     }
 }
 
@@ -174,10 +160,8 @@ impl SseKernel for ReferenceKernel {
     ) -> &SseOutput {
         let _span = omen_trace::span!("sse_kernel");
         let cur = self.state.flip();
-        let gl = staged_g(g_l, GLayout::PairMajor, &mut self.state.gl_conv);
-        let gg = staged_g(g_g, GLayout::PairMajor, &mut self.state.gg_conv);
         let out = &mut self.state.out[cur];
-        sse_reference_into(prob, gl, gg, d_l, d_g, &mut self.ws, out);
+        sse_reference_into(prob, g_l, g_g, d_l, d_g, &mut self.ws, out);
         omen_trace::add(omen_trace::Counter::SseFlops, out.flops);
         self.state.ran[cur] = true;
         &self.state.out[cur]
@@ -222,10 +206,8 @@ impl SseKernel for TransformedKernel {
     ) -> &SseOutput {
         let _span = omen_trace::span!("sse_kernel");
         let cur = self.state.flip();
-        let gl = staged_g(g_l, GLayout::AtomMajor, &mut self.state.gl_conv);
-        let gg = staged_g(g_g, GLayout::AtomMajor, &mut self.state.gg_conv);
         let out = &mut self.state.out[cur];
-        sse_transformed_into(prob, gl, gg, d_l, d_g, &mut self.tr, out);
+        sse_transformed_into(prob, g_l, g_g, d_l, d_g, &mut self.tr, out);
         omen_trace::add(omen_trace::Counter::SseFlops, out.flops);
         self.state.ran[cur] = true;
         &self.state.out[cur]
@@ -277,11 +259,9 @@ impl SseKernel for MixedKernel {
     ) -> &SseOutput {
         let _span = omen_trace::span!("sse_kernel");
         let cur = self.state.flip();
-        let gl = staged_g(g_l, GLayout::AtomMajor, &mut self.state.gl_conv);
-        let gg = staged_g(g_g, GLayout::AtomMajor, &mut self.state.gg_conv);
         mixed_into(
             prob,
-            [gl, gg],
+            [g_l, g_g],
             [d_l, d_g],
             self.config,
             &mut self.tr,
@@ -332,21 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn layout_conversion_is_transparent() {
-        let dev = tiny_device();
-        let prob = tiny_problem(&dev);
-        let (gl, gg, dl, dg) = random_inputs(&prob, 13);
-        let gla = gl.to_layout(GLayout::AtomMajor);
-        let gga = gg.to_layout(GLayout::AtomMajor);
-        // Same kernel, both input layouts: identical results.
-        let a = TransformedKernel::new()
-            .run(&prob, &gl, &gg, &dl, &dg)
-            .clone();
-        let b = TransformedKernel::new()
-            .run(&prob, &gla, &gga, &dl, &dg)
-            .clone();
-        assert_eq!(a.sigma_l.max_deviation(&b.sigma_l), 0.0);
-        assert_eq!(a.flops, b.flops);
+    fn output_delta_sees_nan() {
+        let mut state = KernelState::new();
+        let mut sigma = GTensor::zeros(1, 2, 1, 2);
+        sigma.block_mut(0, 0, 0)[0] = omen_linalg::c64(1.0, 0.0);
+        state.advance_output().sigma_l = sigma.clone();
+        sigma.block_mut(0, 1, 0)[2] = omen_linalg::c64(f64::NAN, 0.0);
+        state.advance_output().sigma_l = sigma;
+        let delta = state.output_delta().expect("two outputs");
+        assert!(delta.is_nan(), "a NaN Σ reads as change {delta}");
     }
 
     #[test]

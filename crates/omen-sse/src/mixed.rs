@@ -54,7 +54,7 @@ pub fn sse_mixed(
     MixedKernel::new(cfg).run(prob, g_l, g_g, d_l, d_g).clone()
 }
 
-/// One [`MixedKernel`] application (AtomMajor `G`) into the kernel's
+/// One [`MixedKernel`] application into the kernel's
 /// storage: the transients `tr` and the quantised `∇H·G` copies `hg16`,
 /// allocation-free once warm.
 pub(crate) fn mixed_into(
@@ -91,7 +91,6 @@ mod tests {
     use super::*;
     use crate::kernel::TransformedKernel;
     use crate::stages::EnergyWindow;
-    use crate::tensors::GLayout;
     use crate::testutil::{random_inputs, sigma_pair_scalar, tiny_device, tiny_problem};
     use crate::transformed::sse_transformed;
     use omen_device::{DeviceConfig, DeviceStructure};
@@ -152,8 +151,6 @@ mod tests {
         for prob in &probs {
             let norb = prob.norb();
             let (gl, gg, dl, dg) = random_inputs(prob, 77);
-            let gl = gl.to_layout(GLayout::AtomMajor);
-            let gg = gg.to_layout(GLayout::AtomMajor);
             let mut transformed = TransformedKernel::new();
             let exact = transformed.run(prob, &gl, &gg, &dl, &dg);
             let mut kernel = MixedKernel::default();
@@ -200,8 +197,6 @@ mod tests {
         for v in dg.as_mut_slice() {
             *v = v.scale(1e-2);
         }
-        let gl = gl.to_layout(GLayout::AtomMajor);
-        let gg = gg.to_layout(GLayout::AtomMajor);
         let exact = sse_transformed(&prob, &gl, &gg, &dl, &dg);
         let norm = sse_mixed(&prob, &gl, &gg, &dl, &dg, MixedConfig::default());
         let raw = sse_mixed(
@@ -235,8 +230,6 @@ mod tests {
         for v in dg.as_mut_slice() {
             *v = v.scale(1e-6);
         }
-        let gl = gl.to_layout(GLayout::AtomMajor);
-        let gg = gg.to_layout(GLayout::AtomMajor);
         let raw = sse_mixed(
             &prob,
             &gl,

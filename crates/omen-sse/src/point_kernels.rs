@@ -99,8 +99,9 @@ fn acc(dst: &mut [C64], src: &[C64]) {
 /// to `sigma` and `pi_row`, lesser then greater, and returns the flops
 /// performed.
 ///
-/// * `sigma` — `Σ^≷` rows, `Na · Norb²` atom-blocked elements per point,
-///   in `points` order;
+/// * `sigma` — `Σ^≷` rows atom-major over the point list: one run per
+///   atom of `Norb²` elements per point, in `points` order (over every
+///   `(kz, E)` in order, [`GTensor`]'s own layout);
 /// * `pi_row` — `Π^≷(q, m)`, `(Npairs + Na) · 9` elements, entries as in
 ///   [`DTensor`].
 ///
@@ -128,6 +129,7 @@ pub fn omen_round<G: GBlocks, D: DBlocks>(
     let steps = prob.omega_steps(m);
     let grads = &prob.device.gradients.grads;
     let packed = use_packed_kernel(dims);
+    let npoints = points.clone().count();
     let mut t1 = ws.take_buf(bsz);
     let mut t2 = ws.take_buf(bsz);
     // `Dc^<·∇H_ba` for the three directions, then `Dc^>·∇H_ba`.
@@ -166,7 +168,7 @@ pub fn omen_round<G: GBlocks, D: DBlocks>(
                         }
                     }
                 }
-                let o = (x * na + a) * bsz;
+                let o = (a * npoints + x) * bsz;
                 for i in 0..3 {
                     // Emission pairs G with the same-component Dc,
                     // absorption with the opposite one.

@@ -6,7 +6,9 @@
 //! untransformed loop nest, each over every `(kz, E)` point; `omen-comm`'s
 //! OMEN plan runs the same rounds over each rank's points, so its `Σ^≷`
 //! is bitwise this kernel's at every rank count, and its `Π^≷` at one
-//! rank (≤ 1e-12 otherwise, where its reduction reassociates).
+//! rank (≤ 1e-12 otherwise, where its reduction reassociates). It reads
+//! atom-major `G^≷` in place and writes atom-major `Σ^≷`, like every
+//! other kernel.
 //!
 //! This is the baseline whose flop count the paper models as
 //! `64·Na·Nb·N3D·Nkz·Nqz·NE·Nω·Norb³` (§6.1.1). The transformed kernel in
@@ -16,7 +18,7 @@
 
 use crate::point_kernels::omen_round;
 use crate::problem::SseProblem;
-use crate::tensors::{DTensor, GLayout, GTensor, D_BSZ};
+use crate::tensors::{DTensor, GTensor, D_BSZ};
 use omen_linalg::Workspace;
 
 /// Output of one SSE evaluation.
@@ -45,8 +47,10 @@ impl SseOutput {
 /// Evaluates `Σ^≷` and `Π^≷` in the OMEN schedule.
 ///
 /// Inputs:
-/// * `g_l`, `g_g` — electron `G^≷` diagonal atom blocks, `PairMajor`;
+/// * `g_l`, `g_g` — electron `G^≷` diagonal atom blocks;
 /// * `d_l`, `d_g` — phonon `D^≷` pair/diagonal blocks.
+///
+/// `Σ^≷` comes out atom-major.
 pub fn sse_reference(
     prob: &SseProblem,
     g_l: &GTensor,
@@ -72,19 +76,13 @@ pub fn sse_reference_into(
     ws: &mut Workspace,
     out: &mut SseOutput,
 ) {
-    assert_eq!(
-        g_l.layout,
-        GLayout::PairMajor,
-        "reference expects PairMajor G"
-    );
     let na = prob.na();
-    out.sigma_l
-        .reset(prob.nk, prob.ne, na, prob.norb(), GLayout::PairMajor);
-    out.sigma_g
-        .reset(prob.nk, prob.ne, na, prob.norb(), GLayout::PairMajor);
+    out.sigma_l.reset(prob.nk, prob.ne, na, prob.norb());
+    out.sigma_g.reset(prob.nk, prob.ne, na, prob.norb());
     out.pi_l.reset(prob.nq, prob.nw, prob.npairs(), na);
     out.pi_g.reset(prob.nq, prob.nw, prob.npairs(), na);
-    // `PairMajor` Σ is one row per `(kz, E)` in this order.
+    // Over every `(kz, E)` in this order, `omen_round`'s atom-major rows
+    // are the tensor's own layout.
     let points = (0..prob.nk).flat_map(|k| (0..prob.ne).map(move |e| (k, e)));
     let row = (prob.npairs() + na) * D_BSZ;
     let mut flops = 0u64;
@@ -167,7 +165,7 @@ mod tests {
         let dev = crate::testutil::tiny_device();
         let prob = tiny_problem(&dev);
         let (_, _, dl, dg) = random_inputs(&prob, 3);
-        let zg = GTensor::zeros(prob.nk, prob.ne, prob.na(), prob.norb(), GLayout::PairMajor);
+        let zg = GTensor::zeros(prob.nk, prob.ne, prob.na(), prob.norb());
         let out = sse_reference(&prob, &zg, &zg, &dl, &dg);
         assert_eq!(out.sigma_l.max_abs(), 0.0);
         assert_eq!(out.pi_l.max_abs(), 0.0);

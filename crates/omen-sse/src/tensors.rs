@@ -4,14 +4,17 @@
 //! of shape `[Nkz, NE, Na, Norb, Norb]` and two 6-D phonon tensors of shape
 //! `[Nqz, Nω, Na, Nb+1, 3, 3]`. The data-layout transformation of Fig. 6
 //! (step ❷) permutes the outer electron dimensions so that energy is
-//! innermost per atom and the SSE reads constant-stride runs: the GF phase
-//! writes `G≷` atom-major, and the driver keeps `Σ≷` that way. The
-//! pair-major order remains for the reference loop nest, which converts at
-//! its own entry. The phonon tensors have one layout, point-major.
+//! innermost per atom and the SSE reads constant-stride runs. Every
+//! electron tensor is built atom-major: the GF phase writes `G≷` that way,
+//! every SSE kernel reads it in place and writes `Σ≷` that way, and the
+//! driver mixes `Σ≷` elementwise. Pair-major survives only as an export
+//! format ([`GTensor::to_layout`]). The phonon tensors have one layout,
+//! point-major.
 
 use omen_linalg::C64;
 
-/// Layout of the electron-side tensors (`G^≷`, `Σ^≷`).
+/// Layout of the electron-side tensors (`G^≷`, `Σ^≷`): every tensor is
+/// built `AtomMajor`; `PairMajor` is an export format only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GLayout {
     /// `[kz][E][a]` — the physics-natural OMEN order (pair-major).
@@ -39,27 +42,27 @@ pub struct GTensor {
 }
 
 impl GTensor {
-    /// Zero-initialized tensor.
-    pub fn zeros(nk: usize, ne: usize, na: usize, norb: usize, layout: GLayout) -> Self {
+    /// Zero-initialized atom-major tensor.
+    pub fn zeros(nk: usize, ne: usize, na: usize, norb: usize) -> Self {
         GTensor {
             nk,
             ne,
             na,
             norb,
-            layout,
+            layout: GLayout::AtomMajor,
             data: vec![C64::ZERO; nk * ne * na * norb * norb],
         }
     }
 
-    /// Reshapes to the given dimensions and layout with zeroed contents,
+    /// Reshapes to the given dimensions, atom-major, with zeroed contents,
     /// reusing the backing buffer (allocation-free once the buffer is
     /// large enough — the reusable-output path of the SSE kernels).
-    pub fn reset(&mut self, nk: usize, ne: usize, na: usize, norb: usize, layout: GLayout) {
+    pub fn reset(&mut self, nk: usize, ne: usize, na: usize, norb: usize) {
         self.nk = nk;
         self.ne = ne;
         self.na = na;
         self.norb = norb;
-        self.layout = layout;
+        self.layout = GLayout::AtomMajor;
         self.data.clear();
         self.data.resize(nk * ne * na * norb * norb, C64::ZERO);
     }
@@ -111,34 +114,25 @@ impl GTensor {
         self.data
     }
 
-    /// Returns a copy converted to `layout` (no-op copy if identical).
+    /// Returns a copy converted to `layout` (no-op copy if identical): the
+    /// export of a tensor in pair-major order.
     pub fn to_layout(&self, layout: GLayout) -> GTensor {
-        if layout == self.layout {
-            return self.clone();
-        }
-        let mut out = GTensor::zeros(0, 0, 0, 0, layout);
-        self.to_layout_into(layout, &mut out);
-        out
-    }
-
-    /// Converts into a reusable destination tensor (any current shape);
-    /// allocation-free once `out`'s backing buffer is large enough — how a
-    /// stateful SSE kernel stages an input handed over in the other layout.
-    pub fn to_layout_into(&self, layout: GLayout, out: &mut GTensor) {
-        out.reset(self.nk, self.ne, self.na, self.norb, layout);
-        let bsz = self.bsz();
-        for k in 0..self.nk {
-            for e in 0..self.ne {
-                for a in 0..self.na {
-                    let src = self.offset(k, e, a);
-                    let dst = out.offset(k, e, a);
-                    out.data[dst..dst + bsz].copy_from_slice(&self.data[src..src + bsz]);
+        let mut out = self.clone();
+        out.layout = layout;
+        if layout != self.layout {
+            for k in 0..self.nk {
+                for e in 0..self.ne {
+                    for a in 0..self.na {
+                        out.block_mut(k, e, a).copy_from_slice(self.block(k, e, a));
+                    }
                 }
             }
         }
+        out
     }
 
-    /// Max elementwise deviation against another tensor (any layouts).
+    /// Max elementwise deviation against another tensor (any layouts);
+    /// NaN when any element's deviation is NaN.
     pub fn max_deviation(&self, other: &GTensor) -> f64 {
         assert_eq!(
             (self.nk, self.ne, self.na, self.norb),
@@ -151,9 +145,7 @@ impl GTensor {
                 for a in 0..self.na {
                     let x = self.block(k, e, a);
                     let y = other.block(k, e, a);
-                    for (u, v) in x.iter().zip(y) {
-                        worst = worst.max((*u - *v).abs());
-                    }
+                    worst = x.iter().zip(y).fold(worst, nan_max);
                 }
             }
         }
@@ -190,9 +182,19 @@ pub struct DTensor {
 }
 
 impl Default for GTensor {
-    /// A zero-size pair-major tensor; performs no allocation.
+    /// A zero-size atom-major tensor; performs no allocation.
     fn default() -> Self {
-        GTensor::zeros(0, 0, 0, 0, GLayout::PairMajor)
+        GTensor::zeros(0, 0, 0, 0)
+    }
+}
+
+/// `worst` raised to `|u − v|`, sticky on NaN (`f64::max` would drop it).
+fn nan_max(worst: f64, (u, v): (&C64, &C64)) -> f64 {
+    let d = (*u - *v).abs();
+    if d.is_nan() || d > worst {
+        d
+    } else {
+        worst
     }
 }
 
@@ -278,15 +280,15 @@ impl DTensor {
         self.data
     }
 
-    /// Max elementwise deviation against another tensor.
+    /// Max elementwise deviation against another tensor; NaN when any
+    /// element's deviation is NaN.
     pub fn max_deviation(&self, other: &DTensor) -> f64 {
         assert_eq!(
             (self.nq, self.nw, self.npairs, self.na),
             (other.nq, other.nw, other.npairs, other.na),
             "tensor shape mismatch"
         );
-        let pairs = self.data.iter().zip(&other.data);
-        pairs.map(|(u, v)| (*u - *v).abs()).fold(0.0, f64::max)
+        self.data.iter().zip(&other.data).fold(0.0, nan_max)
     }
 
     /// Largest element magnitude.
@@ -305,8 +307,8 @@ mod tests {
     use super::*;
     use omen_linalg::c64;
 
-    fn filled_g(layout: GLayout) -> GTensor {
-        let mut t = GTensor::zeros(2, 3, 4, 2, layout);
+    fn filled_g() -> GTensor {
+        let mut t = GTensor::zeros(2, 3, 4, 2);
         for k in 0..2 {
             for e in 0..3 {
                 for a in 0..4 {
@@ -321,17 +323,18 @@ mod tests {
 
     #[test]
     fn g_layout_round_trip() {
-        let t = filled_g(GLayout::PairMajor);
-        let u = t.to_layout(GLayout::AtomMajor);
-        assert_eq!(u.layout, GLayout::AtomMajor);
+        let t = filled_g();
+        let u = t.to_layout(GLayout::PairMajor);
+        assert_eq!(u.layout, GLayout::PairMajor);
         assert_eq!(t.max_deviation(&u), 0.0);
-        let back = u.to_layout(GLayout::PairMajor);
+        let back = u.to_layout(GLayout::AtomMajor);
         assert_eq!(back.as_slice(), t.as_slice());
     }
 
     #[test]
     fn g_atom_major_energy_contiguous() {
-        let t = filled_g(GLayout::AtomMajor);
+        let t = filled_g();
+        assert_eq!(t.layout, GLayout::AtomMajor);
         // Blocks (k, e, a) and (k, e+1, a) must be bsz() apart.
         let d = t.offset(1, 2, 3) - t.offset(1, 1, 3);
         assert_eq!(d, t.bsz());
@@ -339,9 +342,28 @@ mod tests {
 
     #[test]
     fn g_pair_major_atom_contiguous() {
-        let t = filled_g(GLayout::PairMajor);
+        let t = filled_g().to_layout(GLayout::PairMajor);
         let d = t.offset(1, 2, 3) - t.offset(1, 2, 2);
         assert_eq!(d, t.bsz());
+    }
+
+    #[test]
+    fn g_deviation_sees_nan() {
+        let zero = GTensor::zeros(2, 3, 4, 2);
+        let mut t = filled_g();
+        t.block_mut(0, 1, 2)[1] = c64(f64::NAN, 0.0);
+        assert!(t.max_deviation(&zero).is_nan());
+        assert!(zero.max_deviation(&t).is_nan());
+    }
+
+    #[test]
+    fn d_deviation_sees_nan() {
+        let zero = DTensor::zeros(2, 2, 5, 3);
+        let mut t = zero.clone();
+        t.block_mut(0, 1, 2)[4] = c64(1.0, f64::NAN);
+        t.block_mut(1, 1, 7)[0] = c64(2.0, 0.0);
+        assert!(t.max_deviation(&zero).is_nan());
+        assert!(zero.max_deviation(&t).is_nan());
     }
 
     #[test]
@@ -354,7 +376,7 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let g = GTensor::zeros(2, 3, 4, 5, GLayout::PairMajor);
+        let g = GTensor::zeros(2, 3, 4, 5);
         assert_eq!(g.bytes(), 2 * 3 * 4 * 25 * 16);
         let d = DTensor::zeros(2, 3, 4, 5);
         assert_eq!(d.bytes(), 2 * 3 * 9 * 9 * 16);
@@ -362,7 +384,7 @@ mod tests {
 
     #[test]
     fn max_abs_works() {
-        let mut g = GTensor::zeros(1, 1, 1, 2, GLayout::PairMajor);
+        let mut g = GTensor::zeros(1, 1, 1, 2);
         g.block_mut(0, 0, 0)[3] = c64(-3.0, 4.0);
         assert_eq!(g.max_abs(), 5.0);
     }

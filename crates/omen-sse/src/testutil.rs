@@ -4,7 +4,7 @@
 use crate::point_kernels::trace_product;
 use crate::problem::SseProblem;
 use crate::stages::{EnergyWindow, Stencil};
-use crate::tensors::{DTensor, GLayout, GTensor, D_BSZ};
+use crate::tensors::{DTensor, GTensor, D_BSZ};
 use omen_device::{DeviceConfig, DeviceStructure};
 use omen_linalg::{c64, sbsmm_scalar, BatchDims, Strides, C64};
 
@@ -37,7 +37,7 @@ pub fn random_inputs(prob: &SseProblem, seed: u64) -> (GTensor, GTensor, DTensor
     let norb = prob.norb();
     let na = prob.na();
     let mk_g = |shift: u64| {
-        let mut g = GTensor::zeros(prob.nk, prob.ne, na, norb, GLayout::PairMajor);
+        let mut g = GTensor::zeros(prob.nk, prob.ne, na, norb);
         for k in 0..prob.nk {
             for e in 0..prob.ne {
                 for a in 0..na {

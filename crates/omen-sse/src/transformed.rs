@@ -425,8 +425,8 @@ pub(crate) fn run_atom_tasks(
         pi_g,
         flops,
     } = out;
-    sigma_l.reset(nk, ne, na, prob.norb(), GLayout::AtomMajor);
-    sigma_g.reset(nk, ne, na, prob.norb(), GLayout::AtomMajor);
+    sigma_l.reset(nk, ne, na, prob.norb());
+    sigma_g.reset(nk, ne, na, prob.norb());
     pi_l.reset(nq, nw, npairs, na);
     pi_g.reset(nq, nw, npairs, na);
     let pi = Mutex::new([pi_l, pi_g]);
@@ -613,9 +613,7 @@ mod tests {
         let prob = tiny_problem(&dev);
         let (gl, gg, dl, dg) = random_inputs(&prob, 42);
         let reference = sse_reference(&prob, &gl, &gg, &dl, &dg);
-        let gl_am = gl.to_layout(GLayout::AtomMajor);
-        let gg_am = gg.to_layout(GLayout::AtomMajor);
-        let transformed = sse_transformed(&prob, &gl_am, &gg_am, &dl, &dg);
+        let transformed = sse_transformed(&prob, &gl, &gg, &dl, &dg);
 
         let scale = reference.sigma_l.max_abs().max(1e-300);
         let dev_sl = transformed.sigma_l.max_deviation(&reference.sigma_l) / scale;
@@ -638,9 +636,7 @@ mod tests {
         let prob = tiny_problem(&dev);
         let (gl, gg, dl, dg) = random_inputs(&prob, 1);
         let reference = sse_reference(&prob, &gl, &gg, &dl, &dg);
-        let gl_am = gl.to_layout(GLayout::AtomMajor);
-        let gg_am = gg.to_layout(GLayout::AtomMajor);
-        let transformed = sse_transformed(&prob, &gl_am, &gg_am, &dl, &dg);
+        let transformed = sse_transformed(&prob, &gl, &gg, &dl, &dg);
         assert!(
             transformed.flops < reference.flops,
             "transformed must do fewer flops: {} vs {}",
@@ -658,14 +654,12 @@ mod tests {
         let dev = tiny_device();
         let prob = tiny_problem(&dev);
         let (gl, gg, _, _) = random_inputs(&prob, 9);
-        let gl_am = gl.to_layout(GLayout::AtomMajor);
-        let gg_am = gg.to_layout(GLayout::AtomMajor);
         let (_, _, dl, dg) = random_inputs(&prob, 9);
         let mut tr = Transients::empty();
-        build_transients_into(&prob, &gl_am, &gg_am, &dl, &dg, &mut tr);
+        build_transients_into(&prob, &gl, &gg, &dl, &dg, &mut tr);
         let bsz = prob.norb() * prob.norb();
         for &(p, i, k, e) in &[(0usize, 0usize, 0usize, 0usize), (3, 2, 1, 4), (7, 1, 1, 2)] {
-            let want = direct_transient_block(&prob, &gl_am, p, i, k, e);
+            let want = direct_transient_block(&prob, &gl, p, i, k, e);
             let at = (((p * 3 + i) * prob.nk + k) * prob.ne + e) * bsz;
             let got = &tr.hg_l[at..at + bsz];
             let dev: f64 = want
@@ -678,7 +672,7 @@ mod tests {
     }
 
     /// A device of `nx` slabs, its problem on `workers` workers, and
-    /// AtomMajor random inputs.
+    /// random inputs.
     fn slab_case(
         dev: &DeviceStructure,
         workers: usize,
@@ -686,10 +680,6 @@ mod tests {
         let mut prob = SseProblem::new(dev, 2, 5, 2, 2, 1.0, 1.0);
         prob.workers = workers;
         let (gl, gg, dl, dg) = random_inputs(&prob, 23);
-        let (gl, gg) = (
-            gl.to_layout(GLayout::AtomMajor),
-            gg.to_layout(GLayout::AtomMajor),
-        );
         (prob, gl, gg, dl, dg)
     }
 
@@ -785,10 +775,6 @@ mod tests {
             let dev = DeviceStructure::build(cfg);
             let prob = SseProblem::new(&dev, 1, 2, 1, 1, 1.0, 1.0);
             let (gl, gg, dl, dg) = random_inputs(&prob, 5);
-            let (gl, gg) = (
-                gl.to_layout(GLayout::AtomMajor),
-                gg.to_layout(GLayout::AtomMajor),
-            );
             let mut tr = Transients::empty();
             let mut out = SseOutput::empty();
             sse_transformed_into(&prob, &gl, &gg, &dl, &dg, &mut tr, &mut out);
@@ -804,8 +790,9 @@ mod tests {
     fn layout_requirement_enforced() {
         let dev = tiny_device();
         let prob = tiny_problem(&dev);
-        let (gl, gg, dl, dg) = random_inputs(&prob, 2);
-        // PairMajor input must panic.
+        let (mut gl, gg, dl, dg) = random_inputs(&prob, 2);
+        // A tensor tagged PairMajor must panic; the check reads the tag.
+        gl.layout = GLayout::PairMajor;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sse_transformed(&prob, &gl, &gg, &dl, &dg)
         }));

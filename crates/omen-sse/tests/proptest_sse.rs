@@ -3,7 +3,7 @@
 
 use omen_device::{DeviceConfig, DeviceStructure};
 use omen_sse::testutil::random_inputs;
-use omen_sse::{sse_reference, sse_transformed, GLayout, SseProblem};
+use omen_sse::{sse_reference, sse_transformed, SseProblem};
 use proptest::prelude::*;
 
 proptest! {
@@ -21,9 +21,7 @@ proptest! {
         let prob = SseProblem::new(&dev, nk, ne, nk, nw, 1.0, 1.0);
         let (gl, gg, dl, dg) = random_inputs(&prob, seed);
         let reference = sse_reference(&prob, &gl, &gg, &dl, &dg);
-        let gla = gl.to_layout(GLayout::AtomMajor);
-        let gga = gg.to_layout(GLayout::AtomMajor);
-        let transformed = sse_transformed(&prob, &gla, &gga, &dl, &dg);
+        let transformed = sse_transformed(&prob, &gl, &gg, &dl, &dg);
         let scale = reference.sigma_l.max_abs().max(1e-300);
         prop_assert!(transformed.sigma_l.max_deviation(&reference.sigma_l) / scale < 1e-11);
         let scale_p = reference.pi_l.max_abs().max(1e-300);

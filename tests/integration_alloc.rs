@@ -35,8 +35,8 @@ use dace_omen::rgf::{
 };
 use dace_omen::sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use dace_omen::sse::{
-    sse_reference_into, sse_transformed_into, GLayout, MixedConfig, MixedKernel, SseKernel,
-    SseOutput, SseProblem, TransformedKernel, Transients,
+    sse_reference_into, sse_transformed_into, MixedConfig, MixedKernel, SseKernel, SseOutput,
+    SseProblem, TransformedKernel, Transients,
 };
 use dace_omen::trace;
 
@@ -284,8 +284,6 @@ fn steady_state_hot_path_is_allocation_free() {
     // packs), on one worker at every size: the tiny problem, and the
     // benchmark's `sse_heavy` shape, whose 435 456-element `∇H·G` used to
     // take a parallel fork with per-call job buffers and threads. ----
-    let gl_am = gl.to_layout(GLayout::AtomMajor);
-    let gg_am = gg.to_layout(GLayout::AtomMajor);
     let heavy_dev = DeviceStructure::build(DeviceConfig {
         nx: 8,
         ny: 4,
@@ -294,12 +292,8 @@ fn steady_state_hot_path_is_allocation_free() {
     });
     let heavy = SseProblem::new(&heavy_dev, 4, 24, 4, 6, 1.0, 1.0);
     let (hgl, hgg, hdl, hdg) = random_inputs(&heavy, 17);
-    let (hgl, hgg) = (
-        hgl.to_layout(GLayout::AtomMajor),
-        hgg.to_layout(GLayout::AtomMajor),
-    );
     for (prob, gl, gg, dl, dg) in [
-        (&prob, &gl_am, &gg_am, &dl, &dg),
+        (&prob, &gl, &gg, &dl, &dg),
         (&heavy, &hgl, &hgg, &hdl, &hdg),
     ] {
         let mut tr = Transients::empty();
@@ -328,10 +322,6 @@ fn steady_state_hot_path_is_allocation_free() {
     // and the kernel's double-buffered outputs after two. ----
     let heavy_sse = SseProblem::new(&heavy_gf, 1, 24, 1, 1, 1.0, 1.0);
     let (sgl, sgg, sdl, sdg) = random_inputs(&heavy_sse, 29);
-    let (sgl, sgg) = (
-        sgl.to_layout(GLayout::AtomMajor),
-        sgg.to_layout(GLayout::AtomMajor),
-    );
     let mut transformed = TransformedKernel::new();
     transformed.run(&heavy_sse, &sgl, &sgg, &sdl, &sdg);
     transformed.run(&heavy_sse, &sgl, &sgg, &sdl, &sdg);
