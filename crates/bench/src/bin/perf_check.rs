@@ -17,7 +17,9 @@
 //!    are present: the packed batched kernel must beat the scalar loop by
 //!    `--min-speedup` (default 1.2×) on the 12 × 12 stage-C shape, the
 //!    energy-plane stages C and D must each beat their scalar loop by
-//!    [`MIN_PLANES_SPEEDUP`] on the 3 × 3 one, the RGF recursion on four
+//!    [`MIN_PLANES_SPEEDUP`] on the 3 × 3 one, stage A on energy planes
+//!    must beat its block-at-a-time `sbsmm` loop by
+//!    [`MIN_STAGE_A_SPEEDUP`] at 3 × 3 and 4 × 4, the RGF recursion on four
 //!    energy lanes (`rgf_row_warm_small_*`) must beat the same code on one
 //!    lane (`rgf_point_warm_small_*`, the warm point solve) by
 //!    [`MIN_ROW_SPEEDUP`] (both from `rgf_point`; a file with
@@ -141,6 +143,13 @@ fn gated(name: &str) -> bool {
 /// scalar loops at `Norb = 3` (`table9_sbsmm`; committed full-mode ratios
 /// 12.0 and 6.9 on an AVX-512 host, 5.4 and 5.1 on four lanes).
 const MIN_PLANES_SPEEDUP: f64 = 1.5;
+
+/// Floor on SSE stage A on energy planes (`stages::grad_g`: `G` packed
+/// once, one `planes_lmul` per direction) over the same products one
+/// block at a time through `sbsmm`'s scalar loop, at 3 × 3 and 4 × 4
+/// (`table9_sbsmm`; a prototype of the plane kernel read 2.9–4.8× per
+/// SSE application on the benchmark devices).
+const MIN_STAGE_A_SPEEDUP: f64 = 2.0;
 
 /// Floor on the RGF recursion on four energy lanes over the same code on
 /// one lane, 12 × 12 blocks (`rgf_point`; 40 quick runs on a 2-vCPU
@@ -292,6 +301,16 @@ fn check_pair(baseline_path: &str, fresh_path: &str, floors: &Floors) -> PairOut
                 "sse_stageD_dots_3x3",
                 "sse_stageD_scalar_3x3",
                 MIN_PLANES_SPEEDUP,
+            ),
+            (
+                "sse_stageA_planes_3x3",
+                "sse_stageA_scalar_3x3",
+                MIN_STAGE_A_SPEEDUP,
+            ),
+            (
+                "sse_stageA_planes_4x4",
+                "sse_stageA_scalar_4x4",
+                MIN_STAGE_A_SPEEDUP,
             ),
         ] {
             let (Some(fast), Some(scalar)) = (find(fast), find(scalar)) else {

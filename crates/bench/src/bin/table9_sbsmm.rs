@@ -6,7 +6,9 @@
 //!
 //! The batch uses the transformed SSE kernel's stage-C shape: `12 × 12`
 //! items, `A` strided (`Norb²`), `B` shared (stride `0`), accumulating
-//! `C`. `--json` merges machine-readable records into
+//! `C`. At `Norb = 3` and `4` it also times SSE stages A, C and D as the
+//! leaves run them against block-at-a-time scalar loops. `--json` merges
+//! machine-readable records into
 //! `BENCH_kernels.json`; `--quick` shrinks the batch and reps for the CI
 //! smoke run (the perf-regression gate compares the `_quick` records
 //! against the committed baseline).
@@ -18,8 +20,8 @@ use omen_device::{DeviceConfig, DeviceStructure};
 use omen_linalg::{
     sbsmm, sbsmm_padded, sbsmm_pb, sbsmm_scalar, BatchDims, PackedB, PlaneScratch, Strides, C64,
 };
-use omen_sse::stages::{pi_pair, sigma_pair, EnergyWindow};
-use omen_sse::testutil::{pi_pair_scalar, sigma_pair_scalar};
+use omen_sse::stages::{grad_g, pi_pair, sigma_pair, EnergyWindow};
+use omen_sse::testutil::{grad_g_scalar, pi_pair_scalar, sigma_pair_scalar, stream_of};
 use omen_sse::SseProblem;
 
 /// `n` operand values of GF-like magnitude.
@@ -49,6 +51,9 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
     let stream = 3 * prob.nk * prob.ne * bsz;
     let (hg_l, hg_g) = (mk(stream, 1), mk(stream, 2));
     let (hr_l, hr_g) = (mk(stream, 3), mk(stream, 4));
+    // The leaves read the streams as stage A writes them.
+    let [sg_l, sg_g, sr_l, sr_g] =
+        [&hg_l, &hg_g, &hr_l, &hr_g].map(|s| stream_of(norb, prob.ne, s));
     let points = prob.nq * prob.nw;
     let (hd_l, hd_g) = (mk(3 * points * bsz, 5), mk(3 * points * bsz, 6));
     let mut out_l = vec![C64::ZERO; prob.nk * prob.ne * bsz];
@@ -63,8 +68,8 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
             flops_c = sigma_pair(
                 &prob,
                 &win,
-                &hg_l,
-                &hg_g,
+                &sg_l,
+                &sg_g,
                 &hd_l,
                 &hd_g,
                 &mut scratch,
@@ -87,10 +92,10 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
             flops_d = pi_pair(
                 &prob,
                 &win,
-                &hr_l,
-                &hr_g,
-                &hg_l,
-                &hg_g,
+                &sr_l,
+                &sr_g,
+                &sg_l,
+                &sg_g,
                 &mut scratch,
                 |_, _, c_l, c_g| sum += c_l[0] + c_g[8],
             );
@@ -170,6 +175,80 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
         });
     }
     println!("shape target: planes >= 2x the scalar loop on both stages");
+    records
+}
+
+/// Stage A of `pairs` directed pairs, both sides, at `Norb = norb` on a
+/// `[kz][E]` run of `nk × 24` blocks (`sse_heavy`'s `nk 4` at `3 × 3`,
+/// `gf_heavy`'s `nk 1` at `4 × 4`): the parent's block-at-a-time `sbsmm`
+/// loop against [`grad_g`], which packs `G` into planes once and writes
+/// the `∇H·G` planes stages C and D read. The pack is inside the timed
+/// region, as it is inside a solve.
+fn stage_a_rows(norb: usize, nk: usize, quick: bool, suffix: &str) -> Vec<BenchRecord> {
+    let dev = DeviceStructure::build(DeviceConfig {
+        norb,
+        ..DeviceConfig::tiny()
+    });
+    let grads = &dev.gradients.grads[0];
+    let (ne, bsz) = (24, norb * norb);
+    let (g_l, g_g) = (mk(nk * ne * bsz, 7), mk(nk * ne * bsz, 8));
+    let mut blocks = vec![C64::ZERO; 3 * g_l.len()];
+    let mut planes = vec![0.0; 2 * blocks.len()];
+    let mut scratch = PlaneScratch::default();
+    let (pairs, reps) = if quick { (16, 5) } else { (128, 9) };
+    let t_scalar = timed_median(reps, || {
+        for _ in 0..pairs {
+            for g in [&g_l, &g_g] {
+                grad_g_scalar(norb, grads, g, &mut blocks);
+            }
+        }
+    });
+    let t_planes = timed_median(reps, || {
+        for _ in 0..pairs {
+            for g in [&g_l, &g_g] {
+                grad_g(norb, ne, grads, g, &mut scratch, &mut planes);
+            }
+        }
+    });
+    std::hint::black_box((&blocks, &planes));
+    let products = (pairs * 2 * 3 * nk * ne) as u64;
+    let flops = products * BatchDims::square(norb).flops();
+    println!(
+        "\nNorb = {norb} ({pairs} pairs, nk {nk}, ne {ne}): stage A, scalar loop vs energy planes\n"
+    );
+    let w = [34, 12, 16, 12];
+    header(&["Kernel", "Time [ms]", "Useful Gflop/s", "vs scalar"], &w);
+    let mut records = Vec::new();
+    for (label, name, t) in [
+        (
+            "stage A, sbsmm per direction",
+            "sse_stageA_scalar",
+            t_scalar,
+        ),
+        (
+            "stage A, planes_lmul (grad_g)",
+            "sse_stageA_planes",
+            t_planes,
+        ),
+    ] {
+        let gflops = flops as f64 / t / 1e9;
+        row(
+            &[
+                label.into(),
+                format!("{:.3}", t * 1e3),
+                format!("{gflops:.2}"),
+                format!("{:.2}x", t_scalar / t),
+            ],
+            &w,
+        );
+        records.push(BenchRecord {
+            name: format!("{name}_{norb}x{norb}_b{products}{suffix}"),
+            n: norb,
+            median_ns: t * 1e9,
+            gflops,
+        });
+    }
+    println!("shape target: planes >= 2x the scalar loop");
     records
 }
 
@@ -258,6 +337,7 @@ fn main() {
     println!("shape target: packed sbsmm >= 2x the scalar small_gemm loop on stage-C batches");
 
     let norb3 = norb3_rows(quick, suffix);
+    let stage_a = [(3, 4), (4, 1)].map(|(norb, nk)| stage_a_rows(norb, nk, quick, suffix));
 
     if json_flag() {
         let rec = |name: &str, t: f64| BenchRecord {
@@ -272,6 +352,7 @@ fn main() {
             rec("sbsmm_packed_pb_sseC", t_pb),
         ];
         records.extend(norb3);
+        records.extend(stage_a.into_iter().flatten());
         write_bench_json(BENCH_JSON_PATH, &records).expect("write BENCH_kernels.json");
         println!("\nwrote {} records to {BENCH_JSON_PATH}", records.len());
     }

@@ -22,9 +22,9 @@
 //! [`omen_sse::stages`] — the ones `TransformedKernel` runs on the whole
 //! device — run on them with the tile's [`EnergyWindow`]. The `∇H·G`
 //! transient is streamed one directed pair at a time, never materialised
-//! per tile. `Σ^≷` comes out bitwise equal to the single-address-space
-//! kernel's; `Π^≷` differs only by the association of its energy-tile
-//! partial sums (≤ 1e-12).
+//! per tile, in the element planes stages C and D read. `Σ^≷` comes out
+//! bitwise equal to the single-address-space kernel's; `Π^≷` differs only
+//! by the association of its energy-tile partial sums (≤ 1e-12).
 //!
 //! Everything that is a pure function of the problem shape and the two
 //! decompositions — halo and entry lists, ownership lists, every buffer —
@@ -126,9 +126,11 @@ pub struct DaceTile {
     /// `D^≷`, `[qz][ω][tile entry]`.
     d: [Vec<C64>; 2],
     /// Stream of the current pair `a → b`: `∇H_ab·G^≷_b` and the reverse
-    /// product `∇H_ba·G^≷_a`, `[i][kz][E − halo.lo]`; `∇H·D`, `[i][qz][ω]`.
-    hg: [Vec<C64>; 2],
-    hr: [Vec<C64>; 2],
+    /// product `∇H_ba·G^≷_a`, `[i][kz][E − halo.lo]` as
+    /// `omen_sse::stages` lays a stream out (element planes for tiny
+    /// blocks); `∇H·D`, `[i][qz][ω]`.
+    hg: [Vec<f64>; 2],
+    hr: [Vec<f64>; 2],
     hd: [Vec<C64>; 2],
     /// Pack scratch of stages C and D, sized by the first compute.
     scratch: PlaneScratch,
@@ -193,8 +195,8 @@ impl DaceTile {
             npi,
             g: pair_of(shape.halo[ia].len() * prob.nk * win.halo_len() * bsz),
             d: pair_of(points * nd * D_BSZ),
-            hg: pair_of(stream),
-            hr: pair_of(stream),
+            hg: [vec![0.0; 2 * stream], vec![0.0; 2 * stream]],
+            hr: [vec![0.0; 2 * stream], vec![0.0; 2 * stream]],
             hd: pair_of(3 * points * bsz),
             scratch: PlaneScratch::default(),
             sig: pair_of((atoms.1 - atoms.0) * prob.nk * win.own_len() * bsz),
@@ -239,7 +241,8 @@ impl DaceTile {
         };
         let (td_l, td_g) = (tile_d(d_l), tile_d(d_g));
         let grads = &prob.device.gradients.grads;
-        let run = nk * win.halo_len() * bsz;
+        let hw = win.halo_len();
+        let run = nk * hw * bsz;
         let sig_chunk = nk * win.own_len() * bsz;
         let first_pair = prob.device.neighbors.offsets[atoms.0];
         let own_pairs = prob.device.neighbors.offsets[atoms.1] - first_pair;
@@ -257,10 +260,10 @@ impl DaceTile {
             for (p, b) in prob.pairs_of(a) {
                 let rev = prob.rev_pair[p];
                 let gb = halo_index[b] * run;
-                grad_g(dims, &grads[p], &g_l[gb..gb + run], hg_l);
-                grad_g(dims, &grads[p], &g_g[gb..gb + run], hg_g);
-                grad_g(dims, &grads[rev], &g_l[ga..ga + run], hr_l);
-                grad_g(dims, &grads[rev], &g_g[ga..ga + run], hr_g);
+                grad_g(norb, hw, &grads[p], &g_l[gb..gb + run], scratch, hg_l);
+                grad_g(norb, hw, &grads[p], &g_g[gb..gb + run], scratch, hg_g);
+                grad_g(norb, hw, &grads[rev], &g_l[ga..ga + run], scratch, hr_l);
+                grad_g(norb, hw, &grads[rev], &g_g[ga..ga + run], scratch, hr_g);
                 for q in 0..nq {
                     for m in 0..nw {
                         let dc_l = d_combination(&td_l, q, m, p, rev, a, b, npairs);

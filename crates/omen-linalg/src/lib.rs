@@ -47,9 +47,9 @@ pub use lu::{invert, solve, Lu, LuFactors, SingularMatrix};
 pub use mixed::{quantize_f16, Normalization, NORMALIZATION_TARGET};
 pub use norms::{magnitude_distribution, max_abs, rel_err_fro, rel_err_max, MagnitudeDistribution};
 pub use planes::{
-    add_planes, count_fused_run, lane_gemm, pack_planes, pack_split, planes_dots, planes_gemm,
-    planes_invert, planes_mac, DotTile, PlaneScratch, SplitRun, LANES, LANE_MAX_DIM,
-    PLANES_MAX_DIM,
+    add_planes, as_c64, as_c64_mut, count_fused_run, lane_gemm, pack_planes, pack_split,
+    pad_planes, planes_dots, planes_gemm, planes_invert, planes_lmul, planes_mac, split_planes,
+    DotTile, PlaneScratch, SplitRun, LANES, LANE_MAX_DIM, PLANES_MAX_DIM,
 };
 pub use sparse::{csrmm, gemmi, CscMatrix, CsrMatrix};
 pub use workspace::{Workspace, WorkspaceLease, WorkspacePool};

@@ -10,6 +10,10 @@
 //! **planes**, one contiguous `f64` run per matrix element and part, and
 //! the kernels sweep whole planes:
 //!
+//! * [`planes_lmul`] — `C[e] = H · G[e]` for every `e` of a run, one shared
+//!   left block times the run's blocks (SSE stage A: `∇H·G`, written as
+//!   the planes stages C and D read; [`pad_planes`] and [`split_planes`]
+//!   turn them into those stages' operands by copies);
 //! * [`planes_mac`] — `C[e] += Σ_t A[o_t + e] · W_t` for every `e` of a
 //!   run over a list of terms, as complex-scalar × energy-vector FMAs
 //!   with the accumulators held in registers across the terms (SSE
@@ -26,16 +30,16 @@
 //!   per lane (pivots searched and rows swapped per lane) whose every
 //!   lane is bitwise [`crate::Workspace::invert_into`].
 //!
-//! All four are one body each, written over one SIMD vocabulary (the
+//! All five are one body each, written over one SIMD vocabulary (the
 //! `Lane` trait) and run through one dispatch (`dispatch`). The AVX2+FMA
 //! instantiation (`on_avx2`) steps four lanes at a time and takes the
 //! tail of a run as a scalar lane with the vector lane's fused
-//! operations. Where the CPU reports `avx512f`, three kernels go to the
+//! operations. Where the CPU reports `avx512f`, four kernels go to the
 //! AVX-512 instantiation (`on_avx512`, the same fused scalar tail): the
-//! two whose SIMD axis is one contiguous run ([`planes_mac`],
-//! [`planes_dots`]) step eight lanes of it, and the lane GEMM
-//! ([`lane_gemm`]) steps four lanes of two neighbouring block rows, so
-//! its [`LANES`] blocks keep their width. The lane inverse
+//! three whose SIMD axis is one contiguous run ([`planes_lmul`],
+//! [`planes_mac`], [`planes_dots`]) step eight lanes of it, and the lane
+//! GEMM ([`lane_gemm`]) steps four lanes of two neighbouring block rows,
+//! so its [`LANES`] blocks keep their width. The lane inverse
 //! ([`planes_invert`]) keeps four-lane AVX2 steps. The portable
 //! instantiation (the only one without AVX2 + FMA, pinned by
 //! `OMEN_FORCE_SCALAR=1`, as for the micro-kernel) is the plain scalar
@@ -44,12 +48,13 @@
 //! A vector step performs, lane by lane (and row by row), the fused
 //! scalar lane's operations, so the arithmetic of one output element
 //! never depends on where in a run it sits (vector step or scalar tail)
-//! nor on the vector width: [`planes_mac`], [`planes_gemm`] and
-//! [`planes_invert`] are bitwise reproducible under any split of the
-//! energy axis, and [`planes_mac`], [`planes_dots`] (whose tile has eight
-//! lanes in every instantiation) and [`lane_gemm`] give the same bits on
-//! AVX-512, AVX2 and the fused scalar lane. [`planes_invert`] fuses
-//! nothing, so its portable instantiation agrees bit for bit too.
+//! nor on the vector width: [`planes_lmul`], [`planes_mac`],
+//! [`planes_gemm`] and [`planes_invert`] are bitwise reproducible under
+//! any split of the energy axis, and [`planes_mac`], [`planes_dots`]
+//! (whose tile has eight lanes in every instantiation) and [`lane_gemm`]
+//! give the same bits on AVX-512, AVX2 and the fused scalar lane. [`planes_lmul`] and
+//! [`planes_invert`] fuse nothing, so their portable instantiations agree
+//! bit for bit too.
 //!
 //! The kernels do no accounting of their own: a caller fuses many sweeps
 //! over one pack into a run and reports it once through
@@ -97,7 +102,11 @@ pub struct PlaneScratch {
     /// Packed operand streams, lesser and greater: the `∇H·G` sources of
     /// stage C, the `x` run of stage D.
     pub a: [Vec<f64>; 2],
-    /// The block-transposed `y` run of stage D.
+    /// The block-transposed `y` run of stage D; before it, `b[0]` holds
+    /// stage A's `G` run packed into planes. (A buffer of its own left a
+    /// solve's heap different enough to raise the benchmark's `setup_s`
+    /// by about 10 %; see "What `setup_s` measures" in
+    /// `docs/benchmarks.md`.)
     pub b: [Vec<f64>; 2],
     /// Accumulator planes of stage C.
     pub c: [Vec<f64>; 2],
@@ -231,6 +240,57 @@ pub fn pack_split(len: usize, transpose: Option<usize>, src: &[C64], dst: &mut V
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Copies planes of `len` positions, `[plane][len]`, into planes of
+/// `plane` positions, each at offset `at` with every other position zero:
+/// [`pack_planes`]'s output for the blocks the planes hold, built by
+/// contiguous copies. `dst` keeps its buffer across calls.
+///
+/// # Panics
+/// If `src` is not whole planes or a plane does not fit.
+pub fn pad_planes(len: usize, src: &[f64], plane: usize, at: usize, dst: &mut Vec<f64>) {
+    assert!(
+        len > 0 && src.len().is_multiple_of(len),
+        "pad_planes: ragged source"
+    );
+    assert!(at + len <= plane, "pad_planes: a plane overruns");
+    count_packed(src.len() / 2);
+    dst.resize(plane * (src.len() / len), 0.0);
+    for (s, d) in src.chunks_exact(len).zip(dst.chunks_exact_mut(plane)) {
+        d[..at].fill(0.0);
+        d[at..at + len].copy_from_slice(s);
+        d[at + len..].fill(0.0);
+    }
+}
+
+/// Splits element planes `[run][element][re|im][len]` of `dim × dim`
+/// blocks into `[run][re|im][len·dim²]`: [`pack_split`]'s output for the
+/// blocks the planes hold, block `e` at `e·dim²` column-major, or with
+/// `transpose` each block transposed (then the planes' row-major element
+/// order is the run's order).
+///
+/// # Panics
+/// If `src` is not whole runs.
+pub fn split_planes(dim: usize, len: usize, transpose: bool, src: &[f64], dst: &mut Vec<f64>) {
+    let bsz = dim * dim;
+    let run = 2 * bsz * len;
+    assert!(
+        run > 0 && src.len().is_multiple_of(run),
+        "split_planes: ragged source"
+    );
+    count_packed(src.len() / 2);
+    dst.resize(src.len(), 0.0);
+    for (s, d) in src.chunks_exact(run).zip(dst.chunks_exact_mut(run)) {
+        let (re, im) = d.split_at_mut(run / 2);
+        for x in 0..bsz {
+            let p = 2 * if transpose { x } else { plane_of(dim, x) } * len;
+            let (s_re, s_im) = (&s[p..p + len], &s[p + len..p + 2 * len]);
+            for e in 0..len {
+                (re[e * bsz + x], im[e * bsz + x]) = (s_re[e], s_im[e]);
             }
         }
     }
@@ -761,6 +821,119 @@ impl Mac<'_> {
 }
 
 // ---------------------------------------------------------------------------
+// Stage A: a shared left block times element planes.
+// ---------------------------------------------------------------------------
+
+/// `C(r, c)[e] = Σ_l H(r, l) · G(l, c)[e]` for every position `e` of every
+/// run: one shared `dim × dim` block `h` (column-major) times runs of tiny
+/// blocks held as element planes, with the run as the SIMD axis.
+///
+/// `g` and `c` are element planes as [`pack_planes`] lays them out,
+/// `[run][element][re|im][n]`, as many runs in `c` as in `g`; `c` is
+/// overwritten. An output element sums its terms from `+0` in `l` order,
+/// each in [`crate::small_gemm`]'s unfused order, `(c.re + h.re·g.re) −
+/// h.im·g.im` and `(c.im + h.re·g.im) + h.im·g.re`, so every instantiation
+/// gives the same bits, and for finite `h` they are `small_gemm`'s (its
+/// skip of zero `G` entries adds nothing but signed zeros, which leave an
+/// accumulator that is never `−0` as it is).
+///
+/// # Panics
+/// If `dim` exceeds [`PLANES_MAX_DIM`], `h` is not one block, or `g` and
+/// `c` are not the same whole runs.
+pub fn planes_lmul(dim: usize, n: usize, h: &[C64], g: &[f64], c: &mut [f64]) {
+    if n == 0 || dim == 0 {
+        return;
+    }
+    assert!(
+        dim <= PLANES_MAX_DIM,
+        "planes_lmul: block dimension {dim} > {PLANES_MAX_DIM}"
+    );
+    assert_eq!(h.len(), dim * dim, "planes_lmul: H is one block");
+    assert!(
+        g.len() == c.len() && g.len().is_multiple_of(2 * dim * dim * n),
+        "planes_lmul: G and C are not the same whole runs"
+    );
+    dispatch(LMul { dim, n, h, g, c });
+}
+
+/// One [`planes_lmul`] call.
+struct LMul<'a> {
+    dim: usize,
+    n: usize,
+    h: &'a [C64],
+    g: &'a [f64],
+    c: &'a mut [f64],
+}
+
+impl LaneKernel for LMul<'_> {
+    const AVX512: bool = true;
+    type Output = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Lane, T: Lane>(mut self) {
+        match self.dim {
+            1 => self.block::<V, T, 1>(),
+            2 => self.block::<V, T, 2>(),
+            3 => self.block::<V, T, 3>(),
+            4 => self.block::<V, T, 4>(),
+            5 => self.block::<V, T, 5>(),
+            _ => unreachable!("planes_lmul checks the dimension"),
+        }
+    }
+}
+
+impl LMul<'_> {
+    /// One instantiation per block dimension, run by run.
+    ///
+    /// # Safety
+    /// As for [`LaneKernel::run`].
+    #[inline(always)]
+    unsafe fn block<V: Lane, T: Lane, const N: usize>(&mut self) {
+        let n = self.n;
+        let full = n / V::WIDTH * V::WIDTH;
+        for at in (0..self.g.len()).step_by(2 * N * N * n) {
+            self.steps::<V, N>(at, 0, full);
+            self.steps::<T, N>(at, full, n);
+        }
+    }
+
+    /// Positions `from..to` of the run at `at`, `V::WIDTH` per step, a
+    /// block row at a time: the row's `N` splatted `H` entries are held
+    /// across the steps, its `N` accumulators in registers across the
+    /// `l` terms, and stored once.
+    ///
+    /// # Safety
+    /// As for [`LaneKernel::run`], and `V::WIDTH` must divide `to − from`.
+    #[inline(always)]
+    unsafe fn steps<V: Lane, const N: usize>(&mut self, at: usize, from: usize, to: usize) {
+        let n = self.n;
+        let (g, c) = (self.g.as_ptr().add(at), self.c.as_mut_ptr().add(at));
+        for r in 0..N {
+            let h: [Cx<V>; N] = std::array::from_fn(|l| {
+                let z = self.h[l * N + r];
+                (V::splat(z.re), V::splat(z.im))
+            });
+            for e in (from..to).step_by(V::WIDTH) {
+                let mut acc: [Cx<V>; N] = [(V::splat(0.0), V::splat(0.0)); N];
+                for (l, &(hr, hi)) in h.iter().enumerate() {
+                    for (col, (re, im)) in acc.iter_mut().enumerate() {
+                        let p = g.add(2 * (l * N + col) * n + e);
+                        let (gr, gi) = (V::load(p), V::load(p.add(n)));
+                        *re = re.add(hr.mul(gr)).sub(hi.mul(gi));
+                        *im = im.add(hr.mul(gi)).add(hi.mul(gr));
+                    }
+                }
+                for (col, (re, im)) in acc.into_iter().enumerate() {
+                    let p = c.add(2 * (r * N + col) * n + e);
+                    re.store(p);
+                    im.store(p.add(n));
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // RGF: block products with the energy lanes as the SIMD axis.
 // ---------------------------------------------------------------------------
 
@@ -1081,8 +1254,9 @@ const _: () = assert!(
         && std::mem::align_of::<C64>() == std::mem::align_of::<f64>()
 );
 
-/// A one-lane lane block as the `C64`s it holds.
-fn as_c64(x: &[f64]) -> &[C64] {
+/// Interleaved `re, im` pairs — a one-lane lane block, or an SSE `∇H·G`
+/// stream of blocks too big for planes — as the `C64`s they hold.
+pub fn as_c64(x: &[f64]) -> &[C64] {
     // SAFETY: `C64` is `repr(C)` over two `f64`s (size 16, alignment 8),
     // so each consecutive pair of `f64`s is one `C64`; the length rounds
     // down and the borrow carries over.
@@ -1090,7 +1264,7 @@ fn as_c64(x: &[f64]) -> &[C64] {
 }
 
 /// [`as_c64`], mutably.
-fn as_c64_mut(x: &mut [f64]) -> &mut [C64] {
+pub fn as_c64_mut(x: &mut [f64]) -> &mut [C64] {
     // SAFETY: as for `as_c64`; the exclusive borrow carries over.
     unsafe { std::slice::from_raw_parts_mut(x.as_mut_ptr().cast(), x.len() / 2) }
 }
@@ -1432,7 +1606,7 @@ impl Dots<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::{use_packed_kernel, BatchDims};
+    use crate::batched::{small_gemm, use_packed_kernel, BatchDims};
     use crate::dense::CMatrix;
 
     #[test]
@@ -2096,6 +2270,57 @@ mod tests {
     }
 
     #[test]
+    fn planes_lmul_is_small_gemm_on_every_instantiation() {
+        // Every instantiation, the portable one too, gives the bits of
+        // `small_gemm` per block followed by `pack_planes`, on runs that
+        // leave tails at every width and on zeros of both signs.
+        let vectors = if fma_available() {
+            run_axis_vectors()
+        } else {
+            println!("no AVX2 + FMA dispatch on this host: the vector instantiations are skipped");
+            Vec::new()
+        };
+        let insts: Vec<Inst> = vectors
+            .into_iter()
+            .chain([Inst::Fused, Inst::Plain])
+            .collect();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let signed_zeros = |x: f64, i: usize| [0.0, -0.0, x, x, x][i % 5];
+        for dim in 1..=PLANES_MAX_DIM {
+            let (dims, bsz) = (BatchDims::square(dim), dim * dim);
+            let h = noise(bsz, 80 + dim as u64);
+            for n in [1, 7, 8, 9, 23, 24, 96] {
+                let runs = 2;
+                let g: Vec<C64> = (noise(runs * n * bsz, 90).into_iter().enumerate())
+                    .map(|(i, z)| c64(signed_zeros(z.re, i), signed_zeros(z.im, i / 5)))
+                    .collect();
+                let mut blocks = vec![C64::ZERO; g.len()];
+                for (g, c) in g.chunks_exact(bsz).zip(blocks.chunks_exact_mut(bsz)) {
+                    small_gemm(dims, C64::ONE, &h, g, C64::ZERO, c);
+                }
+                let (mut pg, mut want) = (Vec::new(), Vec::new());
+                pack_planes(dim, n, &g, n, 0, &mut pg);
+                pack_planes(dim, n, &blocks, n, 0, &mut want);
+                for &inst in &insts {
+                    let mut c = vec![f64::NAN; pg.len()];
+                    let (g, c) = (&pg[..], &mut c[..]);
+                    run(
+                        inst,
+                        LMul {
+                            dim,
+                            n,
+                            h: &h,
+                            g,
+                            c,
+                        },
+                    );
+                    assert!(bits(c) == bits(&want), "dim {dim}, n {n}, {inst:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn pack_and_add_planes_are_inverse_walks() {
         let (dim, bsz, len, runs) = (2, 4, 5, 3);
         let src: Vec<C64> = (0..runs * len * bsz)
@@ -2151,5 +2376,34 @@ mod tests {
         let z = src[n * n + 2 * n + 1];
         assert_eq!(tr[n * n + n + 2], z.re);
         assert_eq!(tr[2 * n * n + n * n + n + 2], z.im);
+    }
+
+    #[test]
+    fn pad_and_split_planes_are_the_block_packs() {
+        // From the planes of a run of blocks, the copies give the bits the
+        // block packs give from the blocks, over buffers that held other
+        // values.
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        for dim in 1..=PLANES_MAX_DIM {
+            let bsz = dim * dim;
+            for len in [1, 5, 24] {
+                let mut src = noise(3 * len * bsz, 30);
+                src[0] = c64(-0.0, 0.0);
+                let mut planes = Vec::new();
+                pack_planes(dim, len, &src, len, 0, &mut planes);
+                let (plane, at) = (len + 7, 3);
+                let (mut got, mut want) = (vec![f64::NAN; 9], Vec::new());
+                pad_planes(len, &planes, plane, at, &mut got);
+                pack_planes(dim, len, &src, plane, at, &mut want);
+                assert!(bits(&got) == bits(&want), "pad: dim {dim}, len {len}");
+                for transpose in [false, true] {
+                    let (mut got, mut want) = (vec![f64::NAN; 9], Vec::new());
+                    split_planes(dim, len, transpose, &planes, &mut got);
+                    pack_split(len * bsz, transpose.then_some(dim), &src, &mut want);
+                    let why = format!("split: dim {dim}, len {len}, transpose {transpose}");
+                    assert!(bits(&got) == bits(&want), "{why}");
+                }
+            }
+        }
     }
 }

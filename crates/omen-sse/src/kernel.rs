@@ -23,7 +23,7 @@ use crate::problem::SseProblem;
 use crate::reference::{sse_reference_into, SseOutput};
 use crate::tensors::{DTensor, GTensor};
 use crate::transformed::{sse_transformed_into, Transients};
-use omen_linalg::{Workspace, C64};
+use omen_linalg::Workspace;
 
 /// Reusable state shared by every kernel implementation: the
 /// double-buffered outputs.
@@ -231,7 +231,7 @@ pub struct MixedKernel {
     state: KernelState,
     tr: Transients,
     /// The quantised copies of the `∇H·G^≷` transients.
-    hg16: [Vec<C64>; 2],
+    hg16: [Vec<f64>; 2],
 }
 
 impl MixedKernel {

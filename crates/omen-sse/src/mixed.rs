@@ -5,7 +5,10 @@
 //! thread: a per-tensor normalization factor needs the whole tensor. Then
 //! [`omen_linalg::quantize_f16`] rounds every `∇H·D` block in place, and a
 //! copy of each `∇H·G` tensor, to the value its normalized, clamped
-//! binary16 encodes. Stage C is the transformed kernel's own
+//! binary16 encodes. The `∇H·G` tensors are the streams stages C and D
+//! read (element planes for tiny blocks, see [`crate::stages`]); the
+//! factor is a maximum over components, so it reads the same from planes
+//! as from blocks. Stage C is the transformed kernel's own
 //! [`crate::stages::sigma_pair`] on those operands, as per-atom tasks
 //! ([`crate::transformed`]): f16 operands, f64 products and accumulation,
 //! the paper's Tensor-Core configuration. Stage D reads the unquantised
@@ -23,7 +26,7 @@ use crate::tensors::{DTensor, GTensor};
 use crate::transformed::{
     build_transients_into, chunk_lens, run_atom_tasks, sigma_atom, HgStore, Transients,
 };
-use omen_linalg::{quantize_f16, Normalization, C64};
+use omen_linalg::{as_c64_mut, quantize_f16, Normalization};
 
 /// Configuration of the mixed-precision kernel.
 #[derive(Clone, Copy, Debug)]
@@ -63,7 +66,7 @@ pub(crate) fn mixed_into(
     [d_l, d_g]: [&DTensor; 2],
     cfg: MixedConfig,
     tr: &mut Transients,
-    hg16: &mut [Vec<C64>; 2],
+    hg16: &mut [Vec<f64>; 2],
     out: &mut SseOutput,
 ) {
     build_transients_into(prob, g_l, g_g, d_l, d_g, tr);
@@ -73,7 +76,7 @@ pub(crate) fn mixed_into(
     for (q, hg) in hg16.iter_mut().zip([&tr.hg_l, &tr.hg_g]) {
         q.clear();
         q.extend_from_slice(hg);
-        quantize_f16(q, cfg.normalization);
+        quantize_f16(as_c64_mut(q), cfg.normalization);
     }
     let [q_l, q_g] = &*hg16;
     let offsets = &prob.device.neighbors.offsets;
@@ -91,9 +94,12 @@ mod tests {
     use super::*;
     use crate::kernel::TransformedKernel;
     use crate::stages::EnergyWindow;
-    use crate::testutil::{random_inputs, sigma_pair_scalar, tiny_device, tiny_problem};
+    use crate::testutil::{
+        random_inputs, sigma_pair_scalar, stream_blocks, tiny_device, tiny_problem,
+    };
     use crate::transformed::sse_transformed;
     use omen_device::{DeviceConfig, DeviceStructure};
+    use omen_linalg::C64;
 
     fn rel_dev_g(a: &GTensor, b: &GTensor) -> f64 {
         a.max_deviation(b) / b.max_abs().max(1e-300)
@@ -108,7 +114,10 @@ mod tests {
     ) -> [Vec<C64>; 2] {
         let mut tr = Transients::empty();
         build_transients_into(prob, g_l, g_g, d_l, d_g, &mut tr);
-        for t in [&mut tr.hg_l, &mut tr.hg_g, &mut tr.hd_l, &mut tr.hd_g] {
+        for t in [&mut tr.hg_l, &mut tr.hg_g] {
+            quantize_f16(as_c64_mut(t), Normalization::PerTensor);
+        }
+        for t in [&mut tr.hd_l, &mut tr.hd_g] {
             quantize_f16(t, Normalization::PerTensor);
         }
         let (hg_chunk, hd_chunk, run) = chunk_lens(prob);
@@ -120,7 +129,8 @@ mod tests {
             for (p, _) in prob.pairs_of(a) {
                 let hg = p * hg_chunk..(p + 1) * hg_chunk;
                 let hd = p * hd_chunk..(p + 1) * hd_chunk;
-                let (hg_l, hg_g) = (&tr.hg_l[hg.clone()], &tr.hg_g[hg]);
+                let blocks = |s: &[f64]| stream_blocks(prob.norb(), prob.ne, s);
+                let (hg_l, hg_g) = (&blocks(&tr.hg_l[hg.clone()]), &blocks(&tr.hg_g[hg]));
                 let (hd_l, hd_g) = (&tr.hd_l[hd.clone()], &tr.hd_g[hd]);
                 sigma_pair_scalar(prob, &win, hg_l, hg_g, hd_l, hd_g, o_l, o_g);
             }

@@ -8,12 +8,26 @@
 //! stream buffers with their own window — one kernel, two schedules. All
 //! operands are slices, so any block store that can hand out a contiguous
 //! energy run feeds them.
+//!
+//! # The `∇H·G` stream
+//!
+//! Stage A writes, and stages C and D read, one stream per directed pair
+//! and side, `[i][kz][E − halo.lo]` over `f64`s. Blocks up to
+//! [`omen_linalg::PLANES_MAX_DIM`] (every block [`use_packed_kernel`]
+//! leaves out) are element planes, `[i][kz][element][re|im][E −
+//! halo.lo]` with the elements in row-major order, so stage A runs with
+//! the energy run as the SIMD axis and no stage repacks its blocks. Larger
+//! blocks are column-major blocks `[i][kz][E − halo.lo][Norb²]` as `re,
+//! im` pairs ([`omen_linalg::as_c64`]), the operands of the packed
+//! micro-kernel. Either way a stream holds `2 · 3 · Nkz · E · Norb²`
+//! numbers.
 
 use crate::problem::SseProblem;
 use crate::tensors::D_BSZ;
 use omen_linalg::{
-    add_planes, count_fused_run, pack_planes, pack_split, planes_dots, planes_mac, sbsmm, sbsmm_pb,
-    use_packed_kernel, BatchDims, CMatrix, DotTile, PlaneScratch, SplitRun, Strides, C64,
+    add_planes, as_c64, as_c64_mut, count_fused_run, pack_planes, pack_split, pad_planes,
+    planes_dots, planes_lmul, planes_mac, sbsmm, sbsmm_pb, split_planes, use_packed_kernel,
+    BatchDims, CMatrix, DotTile, PlaneScratch, SplitRun, Strides, C64,
 };
 
 /// The energies one evaluation produces (`own`) and the source energies
@@ -49,19 +63,42 @@ impl EnergyWindow {
     }
 }
 
-/// Stage A: `out[i][x] = ∇H^i · g[x]` for the three directions over a
-/// contiguous run of blocks — one strided-batched GEMM per direction
-/// (`A` = `∇H^i` at stride 0, `B` = the run at stride `Norb²`).
-pub fn grad_g(dims: BatchDims, grads: &[CMatrix; 3], g: &[C64], out: &mut [C64]) {
-    let bsz = dims.m * dims.n;
-    assert_eq!(out.len(), 3 * g.len(), "∇H·G run length");
+/// Stage A: `out[i][kz][e] = ∇H^i · g[kz][e]` for the three directions,
+/// `g` being `[kz][E]` runs of `len` blocks and `out` the pair's `∇H·G`
+/// stream (see the module docs). Blocks that take the energy-plane
+/// kernels are packed into `scratch.b[0]` once, then each direction is one
+/// [`planes_lmul`] over all runs; for finite `∇H`, bitwise `sbsmm`
+/// followed by `pack_planes`. Larger blocks take one strided-batched GEMM per
+/// direction (`A` = `∇H^i` at stride 0, `B` = the blocks at stride
+/// `Norb²`).
+pub fn grad_g(
+    norb: usize,
+    len: usize,
+    grads: &[CMatrix; 3],
+    g: &[C64],
+    scratch: &mut PlaneScratch,
+    out: &mut [f64],
+) {
+    let dims = BatchDims::square(norb);
+    let bsz = norb * norb;
+    assert_eq!(out.len(), 3 * 2 * g.len(), "∇H·G stream length");
+    let dirs = out.chunks_exact_mut(2 * g.len());
+    if !use_packed_kernel(dims) {
+        pack_planes(norb, len, g, len, 0, &mut scratch.b[0]);
+        for (grad, o) in grads.iter().zip(dirs) {
+            planes_lmul(norb, len, grad.as_slice(), &scratch.b[0], o);
+        }
+        count_fused_run(3 * (g.len() / bsz) as u64 * dims.flops());
+        return;
+    }
     let strides = Strides {
         a: 0,
         b: bsz,
         c: bsz,
     };
-    for (grad, o) in grads.iter().zip(out.chunks_exact_mut(g.len())) {
+    for (grad, o) in grads.iter().zip(dirs) {
         let (one, zero) = (C64::ONE, C64::ZERO);
+        let o = as_c64_mut(o);
         sbsmm(
             dims,
             g.len() / bsz,
@@ -113,7 +150,8 @@ impl Stencil {
 /// Stage C for one directed pair `a → b`: adds the pair's share of the
 /// scaled `Σ^≷_aa` over the window's own energies.
 ///
-/// * `hg_l`/`hg_g` — `∇H_ab·G^≷_b`, laid out `[i][kz][E − halo.lo]`;
+/// * `hg_l`/`hg_g` — the `∇H_ab·G^≷_b` streams, `[i][kz][E − halo.lo]`
+///   (planes or blocks, see the module docs);
 /// * `hd_l`/`hd_g` — the pair's [`d_grad`] blocks, `[i][qz][ω]`;
 /// * `out_l`/`out_g` — `Σ^≷_aa`, `[kz][E − own.lo]`.
 ///
@@ -122,8 +160,8 @@ impl Stencil {
 /// register tile ([`use_packed_kernel`]) pack each `∇H·D` block once and
 /// sweep it with the FMA micro-kernel across the whole `kz` loop and all
 /// four updates, loop nest `(i, qz, ω, kz)`. Tiny blocks turn the batch
-/// into the SIMD axis instead: each side's `hg` stream is packed once
-/// into energy planes covering `own ± Nω` (zeros outside the grid), and
+/// into the SIMD axis instead: each side's `hg` planes are copied once
+/// into planes covering `own ± Nω` (zeros outside the grid), and
 /// every `(side, kz)` output run is one [`planes_mac`] call over all its
 /// `(i, qz, ω)` emission and absorption terms, accumulated into planes
 /// that are added to `out` once. A term's energies outside the grid read
@@ -135,8 +173,8 @@ impl Stencil {
 pub fn sigma_pair(
     prob: &SseProblem,
     win: &EnergyWindow,
-    hg_l: &[C64],
-    hg_g: &[C64],
+    hg_l: &[f64],
+    hg_g: &[f64],
     hd_l: &[C64],
     hd_g: &[C64],
     scratch: &mut PlaneScratch,
@@ -174,6 +212,7 @@ pub fn sigma_pair(
     let block =
         |side: usize, i: usize, q: usize, m: usize| (((side * 3 + i) * nq + q) * nw + m) * bsz;
     if use_packed_kernel(dims) {
+        let hg = hg.map(as_c64);
         for i in 0..3 {
             for q in 0..nq {
                 for (m, st) in stencils().enumerate() {
@@ -220,7 +259,7 @@ pub fn sigma_pair(
     let plane = (pad + hw).max(base + ew + reach);
     let (src_run, acc_run) = (2 * bsz * plane, 2 * bsz * ew);
     for (side, (src, acc)) in src.iter_mut().zip(acc.iter_mut()).enumerate() {
-        pack_planes(norb, hw, hg[side], plane, pad, src);
+        pad_planes(hw, hg[side], plane, pad, src);
         acc.clear();
         acc.resize(nk * acc_run, 0.0);
         for (k, acc) in acc.chunks_exact_mut(acc_run).enumerate() {
@@ -265,24 +304,25 @@ fn split_runs(
 /// Stage D for one directed pair `p = a → b`, every `(qz, ω_m)` at once:
 /// `C^≷_{ij} = Σ_kz Σ_E tr{x^i(kz+qz, E+ω) · y^j(kz, E)}` over the
 /// window's own energies with `E + ω < NE`, where `x = ∇H_ba·G_a` (the
-/// reverse pair's product) and `y = ∇H_ab·G_b`, both laid out
-/// `[direction][kz][E − halo.lo]`. `C^<` pairs `x^<` with `y^>`, `C^>` the
+/// reverse pair's product) and `y = ∇H_ab·G_b` are `∇H·G` streams (see
+/// the module docs). `C^<` pairs `x^<` with `y^>`, `C^>` the
 /// opposite; `sink(qz, m, C^<, C^>)` receives each non-empty point, whose
 /// blocks contribute to the pair entry `Π_ab` and the diagonal entry
 /// `Π_aa`.
 ///
 /// `x` and the block-transposed `y` are split into real and imaginary
-/// runs once; a trace over a `kz` row is then a plain complex dot product
-/// over `E × Norb²` contiguous numbers, nine of them per [`planes_dots`]
-/// tile. Returns the flops performed.
+/// runs of blocks once ([`split_planes`] from planes, [`pack_split`] from
+/// blocks: the same runs); a trace over a `kz` row is then a plain complex
+/// dot product over `E × Norb²` contiguous numbers, nine of them per
+/// [`planes_dots`] tile. Returns the flops performed.
 #[allow(clippy::too_many_arguments)]
 pub fn pi_pair(
     prob: &SseProblem,
     win: &EnergyWindow,
-    x_l: &[C64],
-    x_g: &[C64],
-    y_l: &[C64],
-    y_g: &[C64],
+    x_l: &[f64],
+    x_g: &[f64],
+    y_l: &[f64],
+    y_g: &[f64],
     scratch: &mut PlaneScratch,
     mut sink: impl FnMut(usize, usize, &[C64; D_BSZ], &[C64; D_BSZ]),
 ) -> u64 {
@@ -296,10 +336,19 @@ pub fn pi_pair(
         b: [ys_l, ys_g],
         ..
     } = scratch;
-    pack_split(row, None, x_l, xs_l);
-    pack_split(row, None, x_g, xs_g);
-    pack_split(row, Some(norb), y_l, ys_l);
-    pack_split(row, Some(norb), y_g, ys_g);
+    let blocks = use_packed_kernel(BatchDims::square(norb));
+    for (x, transpose, dst) in [
+        (x_l, false, &mut *xs_l),
+        (x_g, false, &mut *xs_g),
+        (y_l, true, &mut *ys_l),
+        (y_g, true, &mut *ys_g),
+    ] {
+        if blocks {
+            pack_split(row, transpose.then_some(norb), as_c64(x), dst);
+        } else {
+            split_planes(norb, win.halo_len(), transpose, x, dst);
+        }
+    }
     // The three directions' runs of `n` numbers from `at` in row `kz`.
     let runs = |s, k: usize, at: usize, n: usize| split_runs(s, nk, row, k, at, n);
     let mut flops = 0u64;
@@ -395,6 +444,61 @@ mod tests {
         add_planes(norb, ew, &acc[1], out_g);
     }
 
+    /// Zeros, `−0.0` and mixed-sign values, `re` and `im` independently.
+    fn with_zeros(n: usize, seed: u64) -> Vec<C64> {
+        let pick = |x: f64, i: usize| match i % 5 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => x,
+        };
+        let v = noise(n, seed).into_iter().enumerate();
+        v.map(|(i, z)| c64(pick(z.re, i), pick(z.im, i / 5)))
+            .collect()
+    }
+
+    #[test]
+    fn grad_g_planes_is_the_block_product() {
+        // Stage A's stream is bitwise the parent's: `sbsmm` per direction
+        // into blocks, then `pack_planes`; and above the plane kernels the
+        // parent's blocks themselves. Run lengths around one and three
+        // AVX-512 steps leave tails on every instantiation.
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let mut scratch = PlaneScratch {
+            b: [vec![7.5; 1 << 12], Vec::new()],
+            ..PlaneScratch::default()
+        };
+        for norb in 1..=PLANES_MAX_DIM + 1 {
+            let (dims, bsz) = (BatchDims::square(norb), norb * norb);
+            let grads: [CMatrix; 3] =
+                std::array::from_fn(|i| CMatrix::from_vec(norb, norb, noise(bsz, 40 + i as u64)));
+            for len in [1, 7, 8, 9, 23, 24, 96] {
+                let nk = 2;
+                let g = with_zeros(nk * len * bsz, len as u64);
+                let mut got = vec![f64::NAN; 3 * 2 * g.len()];
+                grad_g(norb, len, &grads, &g, &mut scratch, &mut got);
+                let mut want = Vec::new();
+                for grad in &grads {
+                    let mut blocks = vec![C64::ZERO; g.len()];
+                    let strides = Strides {
+                        a: 0,
+                        b: bsz,
+                        c: bsz,
+                    };
+                    let (a, n) = (grad.as_slice(), nk * len);
+                    sbsmm(dims, n, C64::ONE, a, &g, C64::ZERO, &mut blocks, strides);
+                    if use_packed_kernel(dims) {
+                        want.extend(blocks.iter().flat_map(|z| [z.re, z.im]));
+                    } else {
+                        let mut planes = Vec::new();
+                        pack_planes(norb, len, &blocks, len, 0, &mut planes);
+                        want.extend(planes);
+                    }
+                }
+                assert!(bits(&got) == bits(&want), "Norb {norb}, run {len}");
+            }
+        }
+    }
+
     #[test]
     fn sigma_pair_planes_are_the_parent_update_loop() {
         // One fused call per `(side, kz)` over padded planes is bitwise the
@@ -428,11 +532,16 @@ mod tests {
                 let base = noise(nk * win.own_len() * bsz, seed + 2);
                 let (mut got_l, mut got_g) = (base.clone(), base.clone());
                 let (mut want_l, mut want_g) = (base.clone(), base);
+                let planes = |hg: &[C64]| {
+                    let mut p = Vec::new();
+                    pack_planes(norb, win.halo_len(), hg, win.halo_len(), 0, &mut p);
+                    p
+                };
                 sigma_pair(
                     &prob,
                     &win,
-                    &hg_l,
-                    &hg_g,
+                    &planes(&hg_l),
+                    &planes(&hg_g),
                     &hd_l,
                     &hd_g,
                     &mut scratch,

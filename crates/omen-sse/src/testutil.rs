@@ -1,12 +1,17 @@
-//! Shared test fixtures for the SSE kernels (compiled only for tests and
-//! benches via the `testutil` feature of the crate's dev profile).
+//! Shared test fixtures for the SSE kernels. The module is always
+//! compiled (`#[doc(hidden)] pub mod testutil` in the crate root), so the
+//! crate's unit tests, its integration tests and the `omen-bench` binaries
+//! all use it; nothing in the library calls it.
 
 use crate::point_kernels::trace_product;
 use crate::problem::SseProblem;
 use crate::stages::{EnergyWindow, Stencil};
 use crate::tensors::{DTensor, GTensor, D_BSZ};
 use omen_device::{DeviceConfig, DeviceStructure};
-use omen_linalg::{c64, sbsmm_scalar, BatchDims, Strides, C64};
+use omen_linalg::{
+    add_planes, as_c64, c64, pack_planes, sbsmm_scalar, use_packed_kernel, BatchDims, CMatrix,
+    Strides, C64,
+};
 
 /// The standard tiny device for kernel tests.
 pub fn tiny_device() -> DeviceStructure {
@@ -87,8 +92,47 @@ pub fn random_inputs(prob: &SseProblem, seed: u64) -> (GTensor, GTensor, DTensor
     (gl, gg, dl, dg)
 }
 
+/// `runs` of `len` `norb × norb` blocks, `[run][len][Norb²]`, as the
+/// `∇H·G` stream stages C and D read (see [`crate::stages`]).
+pub fn stream_of(norb: usize, len: usize, blocks: &[C64]) -> Vec<f64> {
+    if use_packed_kernel(BatchDims::square(norb)) {
+        return blocks.iter().flat_map(|z| [z.re, z.im]).collect();
+    }
+    let mut planes = Vec::new();
+    pack_planes(norb, len, blocks, len, 0, &mut planes);
+    planes
+}
+
+/// The blocks a `∇H·G` stream of runs of `len` holds: the inverse of
+/// [`stream_of`] (a `−0.0` in the planes comes back as `+0.0`).
+pub fn stream_blocks(norb: usize, len: usize, stream: &[f64]) -> Vec<C64> {
+    if use_packed_kernel(BatchDims::square(norb)) {
+        return as_c64(stream).to_vec();
+    }
+    let mut blocks = vec![C64::ZERO; stream.len() / 2];
+    add_planes(norb, len, stream, &mut blocks);
+    blocks
+}
+
+/// Stage A one block at a time through [`sbsmm_scalar`], into blocks
+/// `[i][run]`: the baseline `table9_sbsmm` measures
+/// [`crate::stages::grad_g`] against.
+pub fn grad_g_scalar(norb: usize, grads: &[CMatrix; 3], g: &[C64], out: &mut [C64]) {
+    let bsz = norb * norb;
+    let strides = Strides {
+        a: 0,
+        b: bsz,
+        c: bsz,
+    };
+    for (grad, o) in grads.iter().zip(out.chunks_exact_mut(g.len())) {
+        let (dims, n) = (BatchDims::square(norb), g.len() / bsz);
+        sbsmm_scalar(dims, n, C64::ONE, grad.as_slice(), g, C64::ZERO, o, strides);
+    }
+}
+
 /// Stage C one block at a time through [`sbsmm_scalar`]: the oracle of
-/// [`crate::stages::sigma_pair`] (same arguments, same scaled result up to
+/// [`crate::stages::sigma_pair`] (the same arguments with the `∇H·G`
+/// streams as blocks, [`stream_blocks`]; the same scaled result up to
 /// rounding) and the baseline `table9_sbsmm` measures it against.
 #[allow(clippy::too_many_arguments)]
 pub fn sigma_pair_scalar(
@@ -142,8 +186,8 @@ pub fn sigma_pair_scalar(
 }
 
 /// Stage D at one `(qz, ω_m)`, one [`trace_product`] per block pair: the
-/// oracle of [`crate::stages::pi_pair`] and its `table9_sbsmm` baseline.
-/// Returns `(C^<, C^>)`.
+/// oracle of [`crate::stages::pi_pair`] (the streams as blocks) and its
+/// `table9_sbsmm` baseline. Returns `(C^<, C^>)`.
 #[allow(clippy::too_many_arguments)]
 pub fn pi_pair_scalar(
     prob: &SseProblem,

@@ -10,11 +10,15 @@
 //! 2. **Data layout** (❷): `G^≷`/`Σ^≷` are held `AtomMajor` (energy
 //!    innermost) so consecutive batch items sit at constant stride.
 //! 3. **Strided-batched multiplication** (❸): the per-energy small GEMMs
-//!    become one batched product per `(pair, i, kz, qz, ω)` tuple over a
-//!    contiguous energy run — the packed micro-kernel with `A`-stride
-//!    `Norb²`, `B`-stride `0`, `C`-stride `Norb²` for blocks that fill a
-//!    register tile, the energy run itself as the SIMD axis for tinier
-//!    ones (see [`crate::stages::sigma_pair`]).
+//!    become batched products over contiguous energy runs. For blocks that
+//!    fill a register tile that is the packed micro-kernel: stage A one
+//!    product per `(pair, i)` over the pair's `[kz][E]` blocks (`A`-stride
+//!    `0`), stage C one per `(pair, i, kz, qz, ω)` tuple (`A`-stride
+//!    `Norb²`, `B`-stride `0`). Tinier blocks make the energy run itself
+//!    the SIMD axis: stage A packs `G_b` into element planes once and
+//!    writes `∇H·G` as the planes stages C and D read
+//!    ([`crate::stages::grad_g`]), stage C sweeps them with one fused call
+//!    per output run ([`crate::stages::sigma_pair`]).
 //! 4. **Map fusion** (❹): the stages share transients and loop structure.
 //!
 //! The kernel produces values elementwise-identical (up to floating-point
@@ -30,21 +34,24 @@
 //!
 //! # A stream's live range
 //!
-//! Atom `a`'s `∇H·G` streams (one per directed pair `a → b`, `[i][kz][E]`)
-//! are written by its stage C and read by stage D twice over: by `D(a)`
-//! as the `y` side of its pairs, and through `rev_pair` as the `x` side
-//! by the stage D of every atom with a pair into `a`. They are dead once
-//! those have run, and `D(a′)` can run as soon as stage C has run on `a′`
-//! and on its highest-index neighbour. So the transformed kernel holds no
+//! Atom `a`'s `∇H·G` streams (one per directed pair `a → b`, `[i][kz][E]`,
+//! element planes for tiny blocks: see [`crate::stages`]) are written by
+//! stage A in its task `C(a)`, read there by stage C, and read by stage D
+//! twice over: by `D(a)` as the `y` side of its pairs, and through
+//! `rev_pair` as the `x` side by the stage D of every atom with a pair
+//! into `a`. They are dead once those have run, and `D(a′)` can run as
+//! soon as stage C has run on `a′` and on its highest-index neighbour. So the transformed kernel holds no
 //! whole `∇H·G` tensor (the data-movement argument of arXiv:1912.08810:
 //! size a transient to its live range). Its window holds one slot per
 //! live atom with a count of the reads still due: `C(a)` takes a slot,
 //! and the stage D that drops the count to zero returns it. In atom order
 //! a slot lives from `C(a)` to the last `D` of a neighbour, so on a slab
 //! device the window spans about two slabs of atoms — 17 of 96 atoms on
-//! the `gf_heavy` benchmark device. Several workers share the counts, and
-//! slots return in whatever order the DAG runs; ownership still fixes
-//! every addition, so `Σ^≷`/`Π^≷` do not depend on the window.
+//! the `gf_heavy` benchmark device. A slot holds unpadded streams, the
+//! same bytes as blocks; stage C pads a pair's planes in its own scratch.
+//! Several workers share the counts, and slots return in whatever order
+//! the DAG runs; ownership still fixes every addition, so `Σ^≷`/`Π^≷` do
+//! not depend on the window.
 //!
 //! [`crate::MixedKernel`] keeps the whole-tensor build
 //! ([`build_transients_into`]), because its `PerTensor` normalisation
@@ -63,15 +70,19 @@ use std::sync::{Mutex, RwLock};
 /// The kernel's reusable storage: the transient arrays produced by map
 /// fission (step ❶) — whole as [`build_transients_into`] leaves them, or
 /// for `∇H·G` a window of live slots in the transformed kernel — and one
-/// pair-stage scratch per worker.
+/// pair-stage scratch per worker. The `∇H·G` transients are the streams
+/// stage A writes and stages C and D read: element planes for blocks up
+/// to [`omen_linalg::PLANES_MAX_DIM`], blocks above (see
+/// [`crate::stages`]).
 #[derive(Default)]
 pub struct Transients {
-    /// `∇H·G^<` blocks: layout `[pair][i][kz][E][Norb²]`. Only
+    /// `∇H·G^<` streams, `[pair][stream]` (a stream is `[i][kz][E]`,
+    /// element planes or blocks as [`crate::stages`] lays it out). Only
     /// [`build_transients_into`] fills it; the transformed kernel keeps
     /// these streams in its window instead.
-    pub hg_l: Vec<C64>,
-    /// `∇H·G^>` blocks.
-    pub hg_g: Vec<C64>,
+    pub hg_l: Vec<f64>,
+    /// `∇H·G^>` streams.
+    pub hg_g: Vec<f64>,
     /// `Σ_j Dc^<_{ij}·∇H^j_ba` blocks: layout `[pair][i][qz][ω][Norb²]`.
     pub hd_l: Vec<C64>,
     /// Greater-component `∇H·D` blocks.
@@ -116,7 +127,7 @@ impl Transients {
 
 /// One atom's `∇H·G^<` and `∇H·G^>` streams, `[pair − first pair][…]`,
 /// sized for the atom with the most pairs.
-type Slot = [Vec<C64>; 2];
+type Slot = [Vec<f64>; 2];
 
 /// The `∇H·G` window of the transformed kernel (see the module docs) and
 /// the one-worker schedule it follows. Sized on first use.
@@ -178,7 +189,7 @@ impl Window {
             Default::default()
         });
         for s in &mut slot {
-            s.resize(self.slot_len, C64::ZERO);
+            s.resize(self.slot_len, 0.0);
         }
         slot
     }
@@ -207,13 +218,13 @@ pub(crate) enum HgStore {
 
 /// Stage D's read access to the `∇H·G` streams.
 enum HgReads<'a> {
-    Whole([&'a [C64]; 2]),
+    Whole([&'a [f64]; 2]),
     Window(&'a Window),
 }
 
 impl HgReads<'_> {
     /// `f` on pair `p`'s `∇H·G^<` and `∇H·G^>` streams.
-    fn with<R>(&self, prob: &SseProblem, p: usize, f: impl FnOnce([&[C64]; 2]) -> R) -> R {
+    fn with<R>(&self, prob: &SseProblem, p: usize, f: impl FnOnce([&[f64]; 2]) -> R) -> R {
         let (hg_chunk, _, _) = chunk_lens(prob);
         match self {
             HgReads::Whole([l, g]) => {
@@ -232,21 +243,21 @@ impl HgReads<'_> {
     }
 }
 
-/// Elements of one directed pair's `hg` and `hd` streams and of one
-/// atom's `Σ` block rows.
+/// Lengths of one directed pair's `hg` stream (`f64`s) and `hd` stream
+/// (`C64`s), and of one atom's `Σ` block rows (`C64`s).
 pub(crate) fn chunk_lens(prob: &SseProblem) -> (usize, usize, usize) {
     let bsz = prob.norb() * prob.norb();
     let run = prob.nk * prob.ne * bsz;
-    (3 * run, 3 * prob.nq * prob.nw * bsz, run)
+    (3 * 2 * run, 3 * prob.nq * prob.nw * bsz, run)
 }
 
 /// `buf` cut at atom boundaries, `per_pair` elements for each of an atom's
 /// directed pairs (the pair list is grouped by source atom).
-fn by_atom<'a>(
-    mut buf: &'a mut [C64],
+fn by_atom<'a, T>(
+    mut buf: &'a mut [T],
     offsets: &'a [usize],
     per_pair: usize,
-) -> impl Iterator<Item = &'a mut [C64]> {
+) -> impl Iterator<Item = &'a mut [T]> {
     offsets.windows(2).map(move |w| {
         let (head, tail) = std::mem::take(&mut buf).split_at_mut((w[1] - w[0]) * per_pair);
         buf = tail;
@@ -263,11 +274,12 @@ fn build_atom(
     g: [&GTensor; 2],
     d: [&DTensor; 2],
     a: usize,
-    mut hg: [&mut [C64]; 2],
+    mut hg: [&mut [f64]; 2],
     mut hd: [&mut [C64]; 2],
+    scratch: &mut PlaneScratch,
 ) {
-    let dims = BatchDims::square(prob.norb());
-    let bsz = dims.m * dims.n;
+    let norb = prob.norb();
+    let bsz = norb * norb;
     let (nq, nw) = (prob.nq, prob.nw);
     let (hg_chunk, hd_chunk, g_run) = chunk_lens(prob);
     let grads = &prob.device.gradients.grads;
@@ -283,9 +295,11 @@ fn build_atom(
             // AtomMajor: atom b's blocks are one contiguous [kz][E] run.
             let g0 = g.offset(0, 0, b);
             grad_g(
-                dims,
+                norb,
+                prob.ne,
                 &grads[p],
                 &g.as_slice()[g0..g0 + g_run],
+                scratch,
                 &mut hg[n * hg_chunk..(n + 1) * hg_chunk],
             );
         }
@@ -321,14 +335,19 @@ pub fn build_transients_into(
     tr.size_for(prob);
     let (hg_chunk, hd_chunk, _) = chunk_lens(prob);
     for hg in [&mut tr.hg_l, &mut tr.hg_g] {
-        hg.resize(prob.npairs() * hg_chunk, C64::ZERO);
+        hg.resize(prob.npairs() * hg_chunk, 0.0);
     }
+    if tr.scratch.is_empty() {
+        tr.scratch.push(PlaneScratch::default());
+    }
+    let scratch = &mut tr.scratch[0];
     let offsets = &prob.device.neighbors.offsets;
     let [hg_l, hg_g] = [&mut tr.hg_l, &mut tr.hg_g].map(|t| by_atom(t, offsets, hg_chunk));
     let [hd_l, hd_g] = [&mut tr.hd_l, &mut tr.hd_g].map(|t| by_atom(t, offsets, hd_chunk));
     let atoms = (hg_l.zip(hg_g)).zip(hd_l.zip(hd_g)).enumerate();
     for (a, ((hg_l, hg_g), (hd_l, hd_g))) in atoms {
-        build_atom(prob, [g_l, g_g], [d_l, d_g], a, [hg_l, hg_g], [hd_l, hd_g]);
+        let (hg, hd) = ([hg_l, hg_g], [hd_l, hd_g]);
+        build_atom(prob, [g_l, g_g], [d_l, d_g], a, hg, hd, scratch);
     }
 }
 
@@ -365,7 +384,7 @@ pub fn sse_transformed_into(
     run_atom_tasks(prob, tr, out, HgStore::Window, |a, hg, hd, out, scratch| {
         let [hg_l, hg_g] = hg;
         let [hd_l, hd_g] = hd;
-        build_atom(prob, g, d, a, [hg_l, hg_g], [hd_l, hd_g]);
+        build_atom(prob, g, d, a, [hg_l, hg_g], [hd_l, hd_g], scratch);
         sigma_atom(prob, [hg_l, hg_g], [hd_l, hd_g], scratch, out)
     });
 }
@@ -375,7 +394,7 @@ pub fn sse_transformed_into(
 /// Returns the flops performed.
 pub(crate) fn sigma_atom(
     prob: &SseProblem,
-    [hg_l, hg_g]: [&[C64]; 2],
+    [hg_l, hg_g]: [&[f64]; 2],
     [hd_l, hd_g]: [&[C64]; 2],
     scratch: &mut PlaneScratch,
     [out_l, out_g]: [&mut [C64]; 2],
@@ -413,7 +432,7 @@ pub(crate) fn run_atom_tasks(
     tr: &mut Transients,
     out: &mut SseOutput,
     store: HgStore,
-    sigma: impl Fn(usize, [&mut [C64]; 2], [&mut [C64]; 2], [&mut [C64]; 2], &mut PlaneScratch) -> u64
+    sigma: impl Fn(usize, [&mut [f64]; 2], [&mut [C64]; 2], [&mut [C64]; 2], &mut PlaneScratch) -> u64
         + Sync,
 ) {
     let (na, npairs) = (prob.na(), prob.npairs());
@@ -657,14 +676,22 @@ mod tests {
         let (_, _, dl, dg) = random_inputs(&prob, 9);
         let mut tr = Transients::empty();
         build_transients_into(&prob, &gl, &gg, &dl, &dg, &mut tr);
-        let bsz = prob.norb() * prob.norb();
+        let norb = prob.norb();
+        let bsz = norb * norb;
         for &(p, i, k, e) in &[(0usize, 0usize, 0usize, 0usize), (3, 2, 1, 4), (7, 1, 1, 2)] {
             let want = direct_transient_block(&prob, &gl, p, i, k, e);
-            let at = (((p * 3 + i) * prob.nk + k) * prob.ne + e) * bsz;
-            let got = &tr.hg_l[at..at + bsz];
+            // Element planes `[pair][i][kz][element][re|im][E]`, elements
+            // row-major.
+            let at = ((p * 3 + i) * prob.nk + k) * 2 * bsz * prob.ne + e;
+            let got: Vec<C64> = (0..bsz)
+                .map(|x| {
+                    let o = at + 2 * ((x % norb) * norb + x / norb) * prob.ne;
+                    omen_linalg::c64(tr.hg_l[o], tr.hg_l[o + prob.ne])
+                })
+                .collect();
             let dev: f64 = want
                 .iter()
-                .zip(got)
+                .zip(&got)
                 .map(|(w, g)| (*w - *g).abs())
                 .fold(0.0, f64::max);
             assert!(dev < 1e-13, "transient ({p},{i},{k},{e}) deviates by {dev}");

@@ -113,7 +113,7 @@ fn kernels_are_bitwise_identical_at_every_worker_count() {
 
 use omen_linalg::{c64, PlaneScratch, C64};
 use omen_sse::stages::{pi_pair, sigma_pair, EnergyWindow};
-use omen_sse::testutil::{pi_pair_scalar, sigma_pair_scalar};
+use omen_sse::testutil::{pi_pair_scalar, sigma_pair_scalar, stream_of};
 use omen_sse::D_BSZ;
 
 /// Deterministic values of mixed sign and magnitude.
@@ -177,9 +177,12 @@ proptest! {
         let full = EnergyWindow::full(ne);
         let base = noise(nk * ne * bsz, seed + 6);
         let (mut full_l, mut full_g) = (base.clone(), base.clone());
-        sigma_pair(&prob, &full, &hg_l, &hg_g, &hd_l, &hd_g, &mut scratch, &mut full_l, &mut full_g);
+        // The kernels read the streams as stage A writes them.
+        let st = |s: &[C64], win: &EnergyWindow| stream_of(norb, win.halo_len(), s);
+        let [sg_l, sg_g, sr_l, sr_g] = [&hg_l, &hg_g, &hr_l, &hr_g].map(|s| st(s, &full));
+        sigma_pair(&prob, &full, &sg_l, &sg_g, &hd_l, &hd_g, &mut scratch, &mut full_l, &mut full_g);
         let mut full_pi = vec![[C64::ZERO; D_BSZ]; 2 * nk * nw];
-        pi_pair(&prob, &full, &hr_l, &hr_g, &hg_l, &hg_g, &mut scratch, |q, m, c_l, c_g| {
+        pi_pair(&prob, &full, &sr_l, &sr_g, &sg_l, &sg_g, &mut scratch, |q, m, c_l, c_g| {
             full_pi[2 * (q * nw + m)] = *c_l;
             full_pi[2 * (q * nw + m) + 1] = *c_g;
         });
@@ -191,6 +194,7 @@ proptest! {
             let win = EnergyWindow { ne, own, halo };
             let cut = |s: &[C64]| windowed(s, 3 * nk, ne, bsz, &win);
             let (wg_l, wg_g, wr_l, wr_g) = (cut(&hg_l), cut(&hg_g), cut(&hr_l), cut(&hr_g));
+            let [sg_l, sg_g, sr_l, sr_g] = [&wg_l, &wg_g, &wr_l, &wr_g].map(|s| st(s, &win));
             let own_of = |s: &[C64]| {
                 let w = EnergyWindow { ne, own, halo: own };
                 windowed(s, nk, ne, bsz, &w)
@@ -200,7 +204,7 @@ proptest! {
             let (mut out_l, mut out_g) = (own_of(&base), own_of(&base));
             let (mut want_l, mut want_g) = (out_l.clone(), out_g.clone());
             let flops = sigma_pair(
-                &prob, &win, &wg_l, &wg_g, &hd_l, &hd_g, &mut scratch, &mut out_l, &mut out_g,
+                &prob, &win, &sg_l, &sg_g, &hd_l, &hd_g, &mut scratch, &mut out_l, &mut out_g,
             );
             sigma_pair_scalar(&prob, &win, &wg_l, &wg_g, &hd_l, &hd_g, &mut want_l, &mut want_g);
             let tol = 1e-13 * (3 * nk * nw * norb) as f64;
@@ -219,7 +223,7 @@ proptest! {
             // Stage D: each point against the oracle, the partials summed.
             let mut seen = 0;
             let mut worst = 0.0f64;
-            pi_pair(&prob, &win, &wr_l, &wr_g, &wg_l, &wg_g, &mut scratch, |q, m, c_l, c_g| {
+            pi_pair(&prob, &win, &sr_l, &sr_g, &sg_l, &sg_g, &mut scratch, |q, m, c_l, c_g| {
                 let (want_l, want_g) = pi_pair_scalar(&prob, q, m, &win, &wr_l, &wr_g, &wg_l, &wg_g);
                 worst = worst.max(max_dev(c_l, &want_l)).max(max_dev(c_g, &want_g));
                 for x in 0..D_BSZ {
