@@ -8,6 +8,19 @@ use crate::complex::{c64, C64};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
+/// `tr(X · Y)` for column-major `n × n` slices: `Σ_r Σ_s X[r,s]·Y[s,r]`,
+/// `n²` multiply-adds straight off the operands, in that order.
+#[inline]
+pub fn trace_product(x: &[C64], y: &[C64], n: usize) -> C64 {
+    let mut acc = C64::ZERO;
+    for r in 0..n {
+        for s in 0..n {
+            acc = acc.mul_add(x[s * n + r], y[r * n + s]);
+        }
+    }
+    acc
+}
+
 /// A dense `rows × cols` complex matrix, column-major.
 #[derive(Clone, PartialEq)]
 pub struct CMatrix {
@@ -232,6 +245,18 @@ impl CMatrix {
     pub fn trace(&self) -> C64 {
         assert!(self.is_square(), "trace of non-square matrix");
         (0..self.rows).map(|i| self[(i, i)]).sum()
+    }
+
+    /// `tr(self · b)` of two square matrices of one size, by
+    /// [`trace_product`]: no product is formed.
+    pub fn trace_product(&self, b: &CMatrix) -> C64 {
+        assert!(
+            self.is_square() && self.shape() == b.shape(),
+            "trace_product of {:?} and {:?}",
+            self.shape(),
+            b.shape()
+        );
+        trace_product(&self.data, &b.data, self.rows)
     }
 
     /// `true` if `‖self − other‖_max <= tol`.

@@ -37,7 +37,7 @@ pub use batched::{
 };
 pub use blocktridiag::BlockTriDiag;
 pub use complex::{c64, C64};
-pub use dense::CMatrix;
+pub use dense::{trace_product, CMatrix};
 pub use gemm::{
     gemm, gemm_flops, gemm_naive, matmul, matmul3, matmul3_into, matmul_into, matmul_op,
     matmul_op_into, Op,

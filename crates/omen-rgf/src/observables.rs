@@ -13,9 +13,10 @@ use omen_linalg::{invert, matmul, matmul3, BlockTriDiag, CMatrix, C64};
 /// toward block `n+1` (source → drain); for a ballistic conductor the value
 /// equals `T(E)·(f_L − f_R)` at every interface. The caller multiplies by
 /// the grid weight `dE/2π` and sums over energy/momentum (spin degeneracy
-/// included there).
+/// included there). The trace is taken straight off the two blocks
+/// ([`CMatrix::trace_product`]); no product is formed.
 pub fn interface_current(u: &CMatrix, gl_lower: &CMatrix) -> f64 {
-    -2.0 * matmul(u, gl_lower).trace().re
+    -2.0 * u.trace_product(gl_lower).re
 }
 
 /// Per-energy Meir-Wingreen current through the *left* contact:
@@ -26,15 +27,15 @@ pub fn interface_current(u: &CMatrix, gl_lower: &CMatrix) -> f64 {
 /// discards only numerical noise.) Positive = net injection from the left
 /// lead into the device. For a two-terminal device in steady state,
 /// `i_L(E)` integrates to the same current as [`interface_current`] at any
-/// interface.
+/// interface. Both traces are taken without forming a product.
 pub fn contact_current(
     sigma_l_boundary: &CMatrix,
     sigma_g_boundary: &CMatrix,
     gl0: &CMatrix,
     gg0: &CMatrix,
 ) -> f64 {
-    let t1 = matmul(sigma_l_boundary, gg0).trace();
-    let t2 = matmul(sigma_g_boundary, gl0).trace();
+    let t1 = sigma_l_boundary.trace_product(gg0);
+    let t2 = sigma_g_boundary.trace_product(gl0);
     (t1 - t2).re
 }
 
@@ -272,6 +273,40 @@ mod tests {
         // broadening.
         for w in prof.windows(2) {
             assert!((w[0] - w[1]).abs() < 1e-5);
+        }
+    }
+
+    /// A seeded `n × n` block, real and imaginary parts uniform in [−1, 1).
+    fn random_block(n: usize, seed: u64) -> CMatrix {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        CMatrix::from_fn(n, n, |_, _| c64(next(), next()))
+    }
+
+    #[test]
+    fn currents_match_the_traced_product() {
+        // The oracle forms the product and takes its trace; the two sums
+        // differ in order only, so each trace is within 4·n·ε·‖A‖_F·‖B‖_F.
+        let traced = |a: &CMatrix, b: &CMatrix| matmul(a, b).trace();
+        let bound = |a: &CMatrix, b: &CMatrix| {
+            4.0 * a.rows() as f64 * f64::EPSILON * a.fro_norm() * b.fro_norm()
+        };
+        // 49 is above the lane kernel's `LANE_MAX_DIM`.
+        for (i, n) in [1, 3, 12, 24, 32, 49].into_iter().enumerate() {
+            let [u, gl, gg, sl, sg] = [0, 1, 2, 3, 4].map(|k| random_block(n, 5 * i as u64 + k));
+            let j = interface_current(&u, &gl);
+            let want = -2.0 * traced(&u, &gl).re;
+            let err = (j - want).abs() / 2.0;
+            assert!(err <= bound(&u, &gl), "bs {n}: interface {j} vs {want}");
+            let ic = contact_current(&sl, &sg, &gl, &gg);
+            let want = (traced(&sl, &gg) - traced(&sg, &gl)).re;
+            let tol = bound(&sl, &gg) + bound(&sg, &gl);
+            assert!((ic - want).abs() <= tol, "bs {n}: contact {ic} vs {want}");
         }
     }
 

@@ -13,6 +13,7 @@
 use crate::problem::SseProblem;
 use crate::stages::d_grad;
 use crate::tensors::{DTensor, GTensor, D_BSZ};
+pub use omen_linalg::trace_product;
 use omen_linalg::{
     small_gemm, small_gemm_pb, use_packed_kernel, BatchDims, PackedB, Workspace, C64,
 };
@@ -66,19 +67,6 @@ pub fn d_combination(
         out[x] = d_ba[x] - d_bb[x] - d_aa[x] + d_ab[x];
     }
     out
-}
-
-/// `tr(X · Y)` for column-major `n × n` slices.
-#[inline]
-pub fn trace_product(x: &[C64], y: &[C64], n: usize) -> C64 {
-    let mut acc = C64::ZERO;
-    for r in 0..n {
-        for s in 0..n {
-            // X[r, s] · Y[s, r]
-            acc = acc.mul_add(x[s * n + r], y[r * n + s]);
-        }
-    }
-    acc
 }
 
 /// `out = a · g`, through the pack of `g` where one was made.

@@ -7,6 +7,7 @@
 //! lane kernel), a second row solve (`rgf_row_into`, energies as SIMD
 //! lanes), a `GfSolver::solve_row` whose boundaries are all cached — on
 //! energy lanes at the tiny device's blocks and at `gf_heavy`'s 32 × 32 —
+//! the row sinks' `interface_current` and `contact_current`,
 //! a second `sse_reference_into` and warm transformed-kernel applications
 //! (`gf_heavy`'s shape among them, its `∇H·G` window warm) must perform
 //! **zero** heap allocations. This pins
@@ -30,8 +31,8 @@ use dace_omen::linalg::{
 };
 use dace_omen::rgf::testutil::{test_lanes, test_system};
 use dace_omen::rgf::{
-    rgf_row_into, rgf_solve_into, row_width, BoundaryCache, CacheMode, ElectronParams,
-    ElectronSolver, GfSolver, RgfInputs, RgfRow, RgfSolution, RowSink,
+    contact_current, interface_current, rgf_row_into, rgf_solve_into, row_width, BoundaryCache,
+    CacheMode, ElectronParams, ElectronSolver, GfSolver, RgfInputs, RgfRow, RgfSolution, RowSink,
 };
 use dace_omen::sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use dace_omen::sse::{
@@ -256,6 +257,22 @@ fn steady_state_hot_path_is_allocation_free() {
         solved.0.to_bits(),
         "hits are the solved bits"
     );
+
+    // ---- The row sinks' currents: traces taken straight off the
+    // blocks, at the `sse_heavy` (12) and `gf_heavy` (32) block sizes. ----
+    for bs in [12, 32] {
+        let (m, sl, sg) = test_system(3, bs, 0.29);
+        let mut sum = 0.0;
+        let current_allocs = count_allocations(|| {
+            sum += interface_current(&m.upper[0], &sl[1]);
+            sum += contact_current(&sl[0], &sg[0], &m.diag[0], &m.diag[1]);
+        });
+        assert_eq!(
+            current_allocs, 0,
+            "interface_current + contact_current at bs {bs} allocated {current_allocs} times"
+        );
+        assert!(sum.is_finite());
+    }
 
     // ---- SSE: one full reference-kernel application ----
     let dev = tiny_device();
