@@ -10,7 +10,7 @@ use omen_linalg::{
     csrmm, gemm, gemmi, invert, sbsmm, sbsmm_padded, BatchDims, CMatrix, CscMatrix, CsrMatrix, Op,
     Strides, C64,
 };
-use omen_rgf::{rgf_solve, surface_gf, RgfInputs};
+use omen_rgf::{rgf_solve, sancho_rubio_lanes, RgfInputs};
 use omen_sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use omen_sse::{sse_reference, sse_transformed};
 use std::hint::black_box;
@@ -164,8 +164,10 @@ fn bench_boundary() {
             C64::ZERO
         }
     });
+    let (mut gs, mut ws) = (vec![0.0; 2 * n * n], omen_linalg::Workspace::new());
     report("boundary", "sancho_rubio", 5, || {
-        black_box(surface_gf(black_box(&d), &hop, &hop, 1e-12, 200));
+        let lead = [black_box(&d), &hop, &hop];
+        black_box(sancho_rubio_lanes(&[lead], 1e-12, 200, &mut gs, &mut ws));
     });
 }
 

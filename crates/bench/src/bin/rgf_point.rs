@@ -3,8 +3,8 @@
 //! allocating wrapper (`rgf_solve`), and — on blocks the lane kernel
 //! takes — the same recursion (`rgf_row_into`) on one SIMD vector of
 //! energies. A last leg times the boundary decimation the same two ways:
-//! one lead at a time (`surface_gf_ws`, a one-lead `sancho_rubio_lanes`)
-//! against one SIMD vector of leads, on the first block row of the same
+//! one lead at a time (`sancho_rubio_lanes` on one lead) against one
+//! SIMD vector of leads, on the first block row of the same
 //! lanes. There is one copy of each algorithm, so the point/row records
 //! measure 1 lane against 4 of the same code.
 //!
@@ -30,8 +30,7 @@ use omen_linalg::{gemm, gemm_flops, lane_gemm, planes_invert, BatchDims, CMatrix
 use omen_linalg::{C64, LANES};
 use omen_rgf::testutil::{test_lanes, test_system};
 use omen_rgf::{
-    rgf_row_into, rgf_solve, rgf_solve_into, row_width, sancho_rubio_lanes, surface_gf_ws,
-    RgfInputs, RgfSolution,
+    rgf_row_into, rgf_solve, rgf_solve_into, row_width, sancho_rubio_lanes, RgfInputs, RgfSolution,
 };
 
 /// Products per decimation step (`omen_rgf::boundary`).
@@ -165,24 +164,24 @@ fn decimation(suffix: &str, reps: usize) -> Vec<BenchRecord> {
         .collect();
     let per_lead = leads.len() as f64;
     let mut ws = Workspace::new();
+    let mut gs = vec![0.0; 2 * bs * bs * leads.len()];
     let mut point = || {
         leads
             .iter()
-            .map(|[d, a, b]| surface_gf_ws(d, a, b, tol, max_iter, &mut ws).iterations)
+            .flat_map(|&lead| sancho_rubio_lanes(&[lead], tol, max_iter, &mut gs, &mut ws))
             .collect::<Vec<_>>()
     };
     let iterations = point(); // warmup
     let t_point = timed_median(reps, || {
         std::hint::black_box(point());
     }) / per_lead;
-    let lanes = sancho_rubio_lanes(&leads, tol, max_iter, &mut ws); // warmup
-    let lane_iterations: Vec<usize> = lanes.iter().map(|s| s.iterations).collect();
+    let lane_iterations = sancho_rubio_lanes(&leads, tol, max_iter, &mut gs, &mut ws); // warmup
     assert_eq!(
         lane_iterations, iterations,
         "each lane runs its per-point steps"
     );
     let t_lanes = timed_median(reps, || {
-        std::hint::black_box(sancho_rubio_lanes(&leads, tol, max_iter, &mut ws));
+        std::hint::black_box(sancho_rubio_lanes(&leads, tol, max_iter, &mut gs, &mut ws));
     }) / per_lead;
 
     let steps: usize = iterations.iter().sum();
@@ -194,7 +193,7 @@ fn decimation(suffix: &str, reps: usize) -> Vec<BenchRecord> {
     let w = [30, 14, 12, 10];
     header(&["Path", "Time/lead [us]", "GFLOP/s", "vs point"], &w);
     let paths = [
-        ("surface_gf_ws (per lead)", t_point),
+        ("sancho_rubio_lanes (per lead)", t_point),
         ("sancho_rubio_lanes (lanes)", t_lanes),
     ];
     for (name, t) in paths {

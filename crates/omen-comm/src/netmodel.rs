@@ -57,12 +57,6 @@ impl Network {
         max / self.injection_bw + self.latency
     }
 
-    /// All-to-all time when every rank injects the same `bytes_per_rank`.
-    pub fn alltoall_time_uniform(&self, bytes_per_rank: u64, nranks: usize) -> f64 {
-        let node_bytes = bytes_per_rank as f64 * self.ranks_per_node.min(nranks) as f64;
-        node_bytes / self.injection_bw + self.latency
-    }
-
     /// Pipelined broadcast of `bytes` to `nranks` ranks: the payload
     /// streams through a binomial tree; completion ≈ transmission of the
     /// payload once plus `log2(P)` latency hops.
@@ -72,12 +66,6 @@ impl Network {
         }
         let stages = (nranks as f64).log2().ceil();
         bytes as f64 / self.injection_bw + stages * self.latency
-    }
-
-    /// Reduction time (same cost structure as broadcast for a binomial
-    /// tree of partial sums).
-    pub fn reduce_time(&self, bytes: u64, nranks: usize) -> f64 {
-        self.bcast_time(bytes, nranks)
     }
 
     /// Effective time of a modeled volume at a given bandwidth-utilization

@@ -509,17 +509,6 @@ impl SimulationBuilder {
         require_convergence: bool
     );
 
-    /// Arms the warm-start divergence watchdog: a seeded run whose
-    /// relative current change still exceeds `threshold` after `after`
-    /// Born iterations fails with
-    /// [`crate::driver::DriverError::WarmDiverged`]. `after = 0`
-    /// disables the check.
-    pub fn warm_divergence(mut self, after: usize, threshold: f64) -> Self {
-        self.config.warm_divergence_after = after;
-        self.config.warm_divergence_threshold = threshold;
-        self
-    }
-
     /// Sets the energy window `[e_min, e_max]` (eV).
     pub fn energy_window(mut self, e_min: f64, e_max: f64) -> Self {
         self.config.e_min = e_min;

@@ -423,10 +423,18 @@ impl Simulation {
     }
 
     /// Usage counters of the shared boundary caches `(electron, phonon)`,
-    /// or `None` under [`CacheMode::NoCache`].
+    /// both leads together, or `None` under [`CacheMode::NoCache`].
     pub fn boundary_stats(&self) -> Option<(BoundaryCacheStats, BoundaryCacheStats)> {
+        let both = |cache: &BoundaryCache| {
+            let [l, r] = cache.stats();
+            BoundaryCacheStats {
+                hits: l.hits + r.hits,
+                misses: l.misses + r.misses,
+                iterations: l.iterations + r.iterations,
+            }
+        };
         match (&self.el_bc, &self.ph_bc) {
-            (Some(e), Some(p)) => Some((e.stats(), p.stats())),
+            (Some(e), Some(p)) => Some((both(e), both(p))),
             _ => None,
         }
     }
@@ -460,28 +468,17 @@ impl Simulation {
     /// * the donor's Σ^≷/Π^≷ become the initial scattering self-energies,
     ///   so the first GF phase starts dressed instead of ballistic and the
     ///   Born loop converges in fewer iterations;
-    /// * the donor's phonon boundary cache carries over, and so does its
-    ///   electron one when `boundary_changed` is `false`
-    ///   (temperature/coupling sweeps never enter the ballistic operator
-    ///   `M`); when `true` (bias sweeps shift the potential in the lead
-    ///   blocks) the electron boundaries are decimated afresh, exactly as
-    ///   a cold run decimates them.
+    /// * the donor's boundary caches carry over, each entry taken only
+    ///   where this simulation's own blocks of that lead at that point
+    ///   have the digest it was decimated from (see [`BoundaryCache`]).
+    ///   A bias step keeps the source lead's blocks bitwise, so those
+    ///   entries are reused and the drain lead is decimated afresh;
+    ///   phonon leads never see bias, temperature or coupling.
     ///
     /// Convergence is still judged by this simulation's own tolerance
     /// against its own current history: seeding changes the starting
     /// point, not the fixed point.
     pub fn warm_start_from(&mut self, data: &WarmStartData) -> Result<(), WarmStartError> {
-        self.warm_start_with(data, true)
-    }
-
-    /// [`Simulation::warm_start_from`] with an explicit flag for whether
-    /// the sweep axis changed the ballistic boundary operators (`true` is
-    /// always safe; `false` reuses the donor's electron boundaries).
-    pub fn warm_start_with(
-        &mut self,
-        data: &WarmStartData,
-        boundary_changed: bool,
-    ) -> Result<(), WarmStartError> {
         if self.iteration > 0 {
             return Err(WarmStartError::AlreadyRunning);
         }
@@ -501,34 +498,26 @@ impl Simulation {
         {
             return Err(WarmStartError::ShapeMismatch("phonon Π tensors"));
         }
-        if let (Some(own), Some(donor)) = (&self.el_bc, &data.el_bc) {
-            if own.len() != donor.len() {
-                return Err(WarmStartError::ShapeMismatch("electron boundary cache"));
-            }
-        }
-        if let (Some(own), Some(donor)) = (&self.ph_bc, &data.ph_bc) {
-            if own.len() != donor.len() {
-                return Err(WarmStartError::ShapeMismatch("phonon boundary cache"));
+        for (own, donor, what) in [
+            (&self.el_bc, &data.el_bc, "electron boundary cache"),
+            (&self.ph_bc, &data.ph_bc, "phonon boundary cache"),
+        ] {
+            if let (Some(own), Some(donor)) = (own, donor) {
+                if own.len() != donor.len() {
+                    return Err(WarmStartError::ShapeMismatch(what));
+                }
             }
         }
         self.sigma_l.clone_from(&data.sigma_l);
         self.sigma_g.clone_from(&data.sigma_g);
         self.pi_l.clone_from(&data.pi_l);
         self.pi_g.clone_from(&data.pi_g);
-        // The electron ballistic operator contains the electrostatic
-        // potential: a bias step invalidates the donor's self-energies, and
-        // decimating them afresh on energy lanes costs less than refining
-        // the donor's surface GFs by fixed-point iteration.
-        if self.el_bc.is_some() && !boundary_changed {
-            if let Some(donor) = &data.el_bc {
-                self.el_bc = Some(Arc::new(donor.fresh_clone()));
-            }
-        }
-        if self.ph_bc.is_some() {
-            if let Some(donor) = &data.ph_bc {
-                // The dynamical matrix never sees bias, temperature, or
-                // coupling: phonon boundaries carry over exactly.
-                self.ph_bc = Some(Arc::new(donor.fresh_clone()));
+        for (own, donor) in [
+            (&mut self.el_bc, &data.el_bc),
+            (&mut self.ph_bc, &data.ph_bc),
+        ] {
+            if let (Some(own), Some(donor)) = (own, donor) {
+                *own = Arc::new(donor.fresh_clone());
             }
         }
         self.seeded = true;
@@ -1068,7 +1057,7 @@ mod tests {
     use super::*;
     use crate::builder::KernelVariant;
     use omen_linalg::Normalization;
-    use omen_rgf::BoundarySelfEnergies;
+    use omen_rgf::LeadSelfEnergy;
 
     fn sim(cfg: SimulationConfig) -> Simulation {
         Simulation::new(cfg).expect("valid test config")
@@ -1429,60 +1418,147 @@ mod tests {
     #[test]
     fn shared_boundary_cache_hits_after_first_iteration() {
         let cfg = SimulationConfig::tiny();
-        let nbc_el = cfg.nk * cfg.ne;
-        let nbc_ph = cfg.nk * cfg.nw;
+        let nbc_el = (cfg.nk * cfg.ne) as u64;
+        let nbc_ph = (cfg.nk * cfg.nw) as u64;
         let mut s = sim(cfg);
         s.iterate();
+        // One entry per point per lead, each decimated once …
         let (el0, ph0) = s.boundary_stats().expect("caching config");
-        assert_eq!(el0.misses, nbc_el as u64);
-        assert_eq!(ph0.misses, nbc_ph as u64);
+        assert_eq!((el0.hits, el0.misses), (0, 2 * nbc_el));
+        assert_eq!((ph0.hits, ph0.misses), (0, 2 * nbc_ph));
         s.iterate();
-        let (el1, ph1) = s.boundary_stats().expect("caching config");
-        // Second Born iteration re-reads every boundary from the cache.
-        assert_eq!(el1.hits, nbc_el as u64);
-        assert_eq!(ph1.hits, nbc_ph as u64);
-        assert_eq!(el1.misses, nbc_el as u64, "no recomputation");
+        // … and the second Born iteration re-reads every one of them.
+        for (cache, n) in [(&s.el_bc, nbc_el), (&s.ph_bc, nbc_ph)] {
+            for lead in lead_stats(cache) {
+                assert_eq!((lead.hits, lead.misses), (n, n), "no recomputation");
+            }
+        }
     }
 
-    /// Every electron boundary of `sim`'s cache, read as hits.
-    fn electron_boundaries(sim: &Simulation) -> Vec<Arc<BoundarySelfEnergies>> {
+    /// Per-lead counters of one of `sim`'s boundary caches.
+    fn lead_stats(cache: &Option<Arc<BoundaryCache>>) -> [BoundaryCacheStats; 2] {
+        cache.as_ref().expect("caching config").stats()
+    }
+
+    /// Every electron entry of `sim`'s cache, left and right per point.
+    /// The reads count as hits, so take a simulation's counters first.
+    fn electron_boundaries(sim: &Simulation) -> Vec<[Arc<LeadSelfEnergy>; 2]> {
         let cache = sim.el_bc.as_ref().expect("caching config");
-        let mut out = vec![None; cache.len()];
-        cache.resolve_row(
-            0..cache.len(),
-            |_| panic!("every point was solved"),
-            |e, bse| out[e] = Some(bse),
-        );
-        out.into_iter().flatten().collect()
+        let entry = |lead, key| {
+            let checked = || panic!("a resolved entry is this simulation's own");
+            cache
+                .get(lead, key, checked)
+                .expect("every point was solved")
+        };
+        (0..cache.len())
+            .map(|key| [entry(0, key), entry(1, key)])
+            .collect()
+    }
+
+    /// Asserts that two simulations hold the same electron entries, bit
+    /// for bit.
+    fn assert_same_electron_boundaries(a: &Simulation, b: &Simulation) {
+        let (a, b) = (electron_boundaries(a), electron_boundaries(b));
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().flatten().zip(b.iter().flatten()) {
+            assert_eq!(a.sigma.as_slice(), b.sigma.as_slice());
+            assert_eq!((a.iterations, a.digest), (b.iterations, b.digest));
+        }
+    }
+
+    /// A simulation of `cfg` warm-started from `data`, after its first
+    /// GF phase.
+    fn warm_gf_phase(cfg: SimulationConfig, data: &WarmStartData) -> (Simulation, GfPhaseOutput) {
+        let mut warm = sim(cfg);
+        warm.warm_start_from(data).expect("shapes match");
+        let gf = warm.gf_phase();
+        (warm, gf)
     }
 
     #[test]
-    fn bias_step_warm_start_decimates_electron_boundaries_afresh() {
+    fn bias_step_warm_start_decimates_only_the_drain_lead() {
         let mut donor = sim(SimulationConfig::tiny());
         donor.run().expect("run succeeds");
         let data = donor.warm_start_data();
 
-        // Small bias step: same scenario shape, shifted drain potential.
+        // A bias step as the sweep service takes one: the source potential
+        // moves, and with it the drain side of the linear potential. The
+        // source lead's blocks stay bitwise unchanged.
         let mut cfg = SimulationConfig::tiny();
-        cfg.mu_drain += 0.01;
-        let mut warm = sim(cfg.clone());
-        warm.warm_start_with(&data, true).expect("shapes match");
-        warm.iterate();
-        let mut cold = sim(cfg);
-        cold.iterate();
-        let (el, ph) = warm.boundary_stats().expect("caching config");
-        // Electron boundaries are decimated as a cold run decimates them …
+        cfg.mu_source += 0.01;
+        let (warm, _) = warm_gf_phase(cfg.clone(), &data);
+        let cold = sim(cfg);
+        cold.gf_phase();
+        let (el, ph) = (lead_stats(&warm.el_bc), lead_stats(&warm.ph_bc));
         let npoints = (warm.config.nk * warm.config.ne) as u64;
-        assert_eq!((el.hits, el.misses), (0, npoints));
-        let (warm_bc, cold_bc) = (electron_boundaries(&warm), electron_boundaries(&cold));
-        assert_eq!(warm_bc.len(), cold_bc.len());
-        for (w, c) in warm_bc.iter().zip(&cold_bc) {
-            assert_eq!(w.left.as_slice(), c.left.as_slice());
-            assert_eq!(w.right.as_slice(), c.right.as_slice());
-            assert_eq!(w.iterations, c.iterations);
+        let [source, drain] = el;
+        assert_eq!((source.hits, source.misses), (npoints, 0), "source lead");
+        assert_eq!((drain.hits, drain.misses), (0, npoints), "drain lead");
+        // Every electron entry is the one a cold run at this bias holds …
+        assert_same_electron_boundaries(&warm, &cold);
+        // … while phonon leads carry over exactly (pure hits).
+        let nph = (warm.config.nk * warm.config.nw) as u64;
+        for lead in ph {
+            assert_eq!((lead.hits, lead.misses), (nph, 0), "phonon lead");
         }
-        // … while phonon boundaries carry over exactly (pure hits).
-        assert_eq!(ph.misses, 0, "phonon boundaries never recompute");
-        assert!(ph.hits > 0);
+    }
+
+    #[test]
+    fn warm_start_refuses_a_donor_for_exactly_the_leads_it_differs_in() {
+        // (donor change, electron leads reused, phonon leads reused). A
+        // wider window has another energy step, so other frequencies too,
+        // and no energy in common with this one (a shared one would
+        // rightly be reused); a drain-side shift of the potential moves
+        // only the drain lead's blocks.
+        let base = SimulationConfig::tiny();
+        let mut temperature = base.clone();
+        temperature.kt += 0.005;
+        let mut window = base.clone();
+        (window.e_min, window.e_max) = (base.e_min - 0.1, base.e_max + 0.1);
+        let mut eta = base.clone();
+        eta.eta *= 2.0;
+        let mut drain = base.clone();
+        drain.mu_drain -= 0.01;
+        let cases = [
+            (temperature, [true, true], true),
+            (window, [false, false], false),
+            (eta, [false, false], true),
+            (drain, [true, false], true),
+        ];
+        let cold = sim(base.clone());
+        let cold_gf = cold.gf_phase();
+        let (nel, nph) = ((base.nk * base.ne) as u64, (base.nk * base.nw) as u64);
+        for (donor_cfg, el_reused, ph_reused) in cases {
+            let mut donor = sim(donor_cfg.clone());
+            donor.run().expect("run succeeds");
+            let data = donor.warm_start_data();
+            let (warm, gf) = warm_gf_phase(base.clone(), &data);
+            let why = format!("donor {donor_cfg:?}");
+            let expect = |reused: bool, n: u64| if reused { (n, 0) } else { (0, n) };
+            for (lead, reused) in lead_stats(&warm.el_bc).iter().zip(el_reused) {
+                let got = (lead.hits, lead.misses);
+                assert_eq!(got, expect(reused, nel), "{why}: electrons");
+            }
+            for lead in lead_stats(&warm.ph_bc) {
+                let got = (lead.hits, lead.misses);
+                assert_eq!(got, expect(ph_reused, nph), "{why}: phonons");
+            }
+            // Every entry is a cold run's, so the donor's caches change no
+            // bit of the phase: it is the phase of the same seed without
+            // them.
+            assert_same_electron_boundaries(&warm, &cold);
+            let seed_only = WarmStartData {
+                el_bc: None,
+                ph_bc: None,
+                ..data.clone()
+            };
+            let (_, want) = warm_gf_phase(base.clone(), &seed_only);
+            assert_eq!(gf.g_l.as_slice(), want.g_l.as_slice(), "{why}");
+            assert_eq!(gf.d_g.as_slice(), want.d_g.as_slice(), "{why}");
+            let bits = |j: &[f64]| j.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let current = bits(&gf.spectral.el_current);
+            assert_eq!(current, bits(&want.spectral.el_current), "{why}");
+            assert_ne!(current, bits(&cold_gf.spectral.el_current), "{why}: seeded");
+        }
     }
 }

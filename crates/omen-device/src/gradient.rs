@@ -45,11 +45,6 @@ impl GradientTable {
         self.grads.is_empty()
     }
 
-    /// The three derivative matrices of pair `p`.
-    pub fn of_pair(&self, p: usize) -> &[CMatrix; 3] {
-        &self.grads[p]
-    }
-
     /// Total storage in complex elements (for the data-ingestion model).
     pub fn num_elements(&self) -> usize {
         self.grads.len() * 3 * self.norb * self.norb

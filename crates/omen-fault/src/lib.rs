@@ -284,11 +284,6 @@ pub fn injected(site: FaultSite) -> u64 {
     COUNTS[site.index()].load(Ordering::Relaxed)
 }
 
-/// Total injections fired since process start.
-pub fn injected_total() -> u64 {
-    FaultSite::ALL.iter().map(|&s| injected(s)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

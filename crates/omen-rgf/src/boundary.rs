@@ -1,13 +1,22 @@
 //! Open-boundary self-energies from semi-infinite leads.
 //!
 //! The device's first and last slabs connect to semi-infinite periodic
-//! leads. Eliminating the leads produces the boundary self-energies
-//! `Σ^R_B = τ g_s τ'` where `g_s` is the lead surface Green's function.
-//! One algorithm computes `g_s`: Sancho–Rubio decimation
-//! ([`sancho_rubio_lanes`]), doubling the lead's depth every step; the GF
-//! sweeps decimate to a tolerance of 1e-13 within 200 steps. (The paper
-//! instead pipelines a contour-integral method on GPUs; decimation
-//! computes the same surface GF.)
+//! leads. Eliminating a lead produces its boundary self-energy
+//! `Σ^R_B = α·g_s·β`, where `g_s` is the lead's surface Green's function
+//! and `α`, `β` the couplings into the lead and back. One algorithm
+//! computes `g_s`: Sancho–Rubio decimation ([`sancho_rubio_lanes`]),
+//! doubling the lead's depth every step; the GF sweeps decimate to a
+//! tolerance of 1e-13 within 200 steps. (The paper instead pipelines a
+//! contour-integral method on GPUs; decimation computes the same surface
+//! GF.)
+//!
+//! Each lead is one lane path from its three blocks to `Σ^R`: a chunk of
+//! leads of one side — one per energy of a row solve — is decimated on
+//! energy lanes, its surface GFs stay in their lanes, and the fold is two
+//! lane products (`lead_self_energies`). A lane's bits depend only on
+//! its lead's blocks `[D, α, β]`, never on which other leads share the
+//! call, so a `Σ^R` computed once stands for every later request of the
+//! same blocks; [`crate::BoundaryCache`] keys on exactly that.
 //!
 //! Lesser/greater boundary terms follow from local equilibrium in the
 //! contacts: `Σ^<_B = −f·(Σ^R_B − Σ^A_B)` with the Fermi factor for
@@ -15,58 +24,7 @@
 //! phonons.
 
 use crate::rows::{row_width, sub, Lanes};
-use omen_linalg::{
-    count_fused_run, gemm_flops, matmul, matmul3, matmul3_into, planes_invert, CMatrix, Workspace,
-    C64,
-};
-
-/// Outcome of a surface-GF computation.
-#[derive(Clone, Debug)]
-pub struct SurfaceGf {
-    /// The surface Green's function of the lead.
-    pub g: CMatrix,
-    /// Iterations used.
-    pub iterations: usize,
-}
-
-/// Computes the lead surface Green's function solving
-///
-/// **Conditioning caveat**: at energies within ~`η` of a band branch point
-/// (e.g. the exact band centre of a 1-D chain) the decimation's first step
-/// amplifies by `1/η`; broadenings below ~1e-7 of the bandwidth can then
-/// converge to a spurious fixed point. Callers should keep `η ≳ 1e-6` of
-/// the bandwidth and check [`surface_residual`].
-///
-/// Solves
-/// `g = (D − α · g · β)⁻¹`, where `D` is the principal-layer block of
-/// `M = E·S − H` (with `+iη` broadening included by the caller), `α` the
-/// coupling from the surface layer *into* the lead and `β` the coupling
-/// back.
-pub fn surface_gf(
-    d: &CMatrix,
-    alpha: &CMatrix,
-    beta: &CMatrix,
-    tol: f64,
-    max_iter: usize,
-) -> SurfaceGf {
-    surface_gf_ws(d, alpha, beta, tol, max_iter, &mut Workspace::new())
-}
-
-/// [`surface_gf`] with caller-supplied scratch: every iteration temporary
-/// comes from `ws`, so repeated boundary solves with a warm workspace
-/// allocate little beyond the returned surface GF. It is
-/// [`sancho_rubio_lanes`] on one lead.
-pub fn surface_gf_ws(
-    d: &CMatrix,
-    alpha: &CMatrix,
-    beta: &CMatrix,
-    tol: f64,
-    max_iter: usize,
-    ws: &mut Workspace,
-) -> SurfaceGf {
-    let mut one = sancho_rubio_lanes(&[[d, alpha, beta]], tol, max_iter, ws);
-    one.pop().expect("one lead")
-}
+use omen_linalg::{count_fused_run, gemm_flops, planes_invert, CMatrix, Workspace, C64};
 
 /// Decimation tolerance of the GF sweeps: a lead has converged once
 /// `max(|a|, |b|)` is below it (see [`sancho_rubio_lanes`]).
@@ -83,38 +41,53 @@ const SR_PRODUCTS: u64 = 6;
 /// Sancho–Rubio decimation for a chunk of leads at once — one per
 /// energy of a row solve — on energy-lane blocks (split-complex
 /// `[element][re|im][lane]`, see [`crate::rows`]). `leads[e]` is lane
-/// `e`'s `[D, α, β]`, all of one block size; blocks over `LANE_MAX_DIM`
-/// take one lead ([`crate::row_width`]).
+/// `e`'s `[D, α, β]`, all of one block size: `D` the principal-layer
+/// block of `M = E·S − H` (with the `+iη` broadening), `α` the coupling
+/// from the surface layer *into* the lead and `β` the coupling back, so
+/// `g_s = (D − α·g_s·β)⁻¹`. Blocks over `LANE_MAX_DIM` take one lead
+/// ([`crate::row_width`]).
 ///
 /// Each step inverts the bulk block `eb` into `g₀` (every lane in one
-/// [`omen_linalg::planes_invert`], bitwise `invert_into` per lane), then
+/// [`planes_invert`], bitwise `invert_into` per lane), then
 /// `es −= a·g₀·b`, `eb −= a·g₀·b + b·g₀·a`, `a ← a·g₀·a`, `b ← b·g₀·b`,
 /// every product one [`omen_linalg::planes_gemm`] over the lanes still
 /// iterating. A **convergence mask** freezes a lane as soon as its
-/// `max(|a|, |b|) < tol`: its surface block is inverted into the surface
-/// GF and the lane leaves the chunk, so each lead runs exactly the
+/// `max(|a|, |b|) < tol`: its surface block `es` moves to its lead's lane
+/// and the lane leaves the chunk, so each lead runs exactly the
 /// iterations it would alone and the trace counts the flops of active
-/// lanes only. A lane's arithmetic does not depend on which leads share
-/// the call (`planes_gemm`'s contract; everything else is per lane or
-/// elementwise), so the result is bitwise reproducible under any split of
-/// a row into chunks, one-lead chunks included.
+/// lanes only. Once every lead has converged (or hit `max_iter`), one
+/// `planes_invert` turns the surface blocks into the surface GFs, lane
+/// `e` of `gs` (at least `2·bs²·leads.len()` `f64`s) for lead `e`.
+/// Returns each lead's step count.
+///
+/// A lane's arithmetic does not depend on which leads share the call
+/// (`planes_gemm`'s and `planes_invert`'s contract; everything else is
+/// per lane or elementwise), so the result is bitwise reproducible under
+/// any split of a row into chunks, one-lead chunks included.
+///
+/// **Conditioning caveat**: at energies within ~`η` of a band branch
+/// point (e.g. the exact band centre of a 1-D chain) the first step
+/// amplifies by `1/η`; broadenings below ~1e-7 of the bandwidth can then
+/// converge to a spurious fixed point. Keep `η ≳ 1e-6` of the bandwidth.
 pub fn sancho_rubio_lanes(
     leads: &[[&CMatrix; 3]],
     tol: f64,
     max_iter: usize,
+    gs: &mut [f64],
     ws: &mut Workspace,
-) -> Vec<SurfaceGf> {
+) -> Vec<usize> {
     let Some([d0, ..]) = leads.first() else {
         return Vec::new();
     };
     let n = d0.rows();
-    let mut s = Lanes::new(n, leads.len());
-    let mut buf = ws.take_planes(10 * s.len);
-    let mut blocks = buf.chunks_exact_mut(s.len);
-    let mut next_block = || blocks.next().expect("ten lane blocks");
-    let [es, eb, mut a, mut b, g0, ag, bg, agb, bga, mut next] =
-        std::array::from_fn::<_, 10, _>(|_| next_block());
-    let mut m = ws.take(n, n);
+    let all = Lanes::new(n, leads.len());
+    assert!(gs.len() >= all.len, "sancho_rubio_lanes: gs too short");
+    let mut s = all;
+    let mut buf = ws.take_planes(11 * all.len);
+    let mut blocks = buf.chunks_exact_mut(all.len);
+    let mut next_block = || blocks.next().expect("eleven lane blocks");
+    let [surface, es, eb, mut a, mut b, g0, ag, bg, agb, bga, mut next] =
+        std::array::from_fn::<_, 11, _>(|_| next_block());
     for (e, [d, alpha, beta]) in leads.iter().enumerate() {
         s.pack(d, e, es);
         s.pack(d, e, eb);
@@ -124,7 +97,7 @@ pub fn sancho_rubio_lanes(
 
     // Lane `e` of the blocks is lead `active[e]`.
     let mut active: Vec<usize> = (0..leads.len()).collect();
-    let mut out: Vec<Option<SurfaceGf>> = leads.iter().map(|_| None).collect();
+    let mut steps = vec![0; leads.len()];
     let mut keep = Vec::with_capacity(leads.len());
     let (g3, mut products) = (gemm_flops(n, n, n), 0u64);
     let mut iterations = 0;
@@ -148,7 +121,8 @@ pub fn sancho_rubio_lanes(
         keep.clear();
         for (e, &lead) in active.iter().enumerate() {
             if s.below(a, e, tol) && s.below(b, e, tol) {
-                out[lead] = Some(finish_lane(&s, es, e, iterations, &mut m, ws));
+                s.move_lane(es, e, &all, lead, surface);
+                steps[lead] = iterations;
             } else {
                 keep.push(e);
             }
@@ -162,135 +136,66 @@ pub fn sancho_rubio_lanes(
         }
     }
     for (e, &lead) in active.iter().enumerate() {
-        out[lead] = Some(finish_lane(&s, es, e, iterations, &mut m, ws));
+        s.move_lane(es, e, &all, lead, surface);
+        steps[lead] = iterations;
     }
+    planes_invert(n, all.lanes, surface, gs, ws);
 
-    ws.give(m);
     ws.give_planes(buf);
     if row_width(n) > 1 {
         count_fused_run(products * g3);
     }
-    out.into_iter()
-        .map(|g| g.expect("every lead finishes"))
-        .collect()
+    steps
 }
 
-/// Lane `e`'s surface GF, the inverse of its surface block `es`.
-fn finish_lane(
-    s: &Lanes,
-    es: &[f64],
-    e: usize,
-    iterations: usize,
-    m: &mut CMatrix,
-    ws: &mut Workspace,
-) -> SurfaceGf {
-    s.unpack(es, e, m);
-    let mut g = CMatrix::zeros(s.bs, s.bs);
-    ws.invert_into(m, &mut g);
-    SurfaceGf { g, iterations }
-}
-
-/// Both boundary self-energies of a homogeneous block-tridiagonal system.
-#[derive(Clone, Debug)]
-pub struct BoundarySelfEnergies {
-    /// `Σ^R_B` folded into the first diagonal block.
-    pub left: CMatrix,
-    /// `Σ^R_B` folded into the last diagonal block.
-    pub right: CMatrix,
-    /// Left broadening `Γ_L = i(Σ_L − Σ_L†)`.
-    pub gamma_left: CMatrix,
-    /// Right broadening `Γ_R`.
-    pub gamma_right: CMatrix,
-    /// Decimation iterations spent (left + right).
-    pub iterations: usize,
-}
-
-/// Computes the left/right boundary self-energies for a system whose lead
-/// principal layers replicate the first/last device blocks, with
-/// caller-supplied scratch.
-///
-/// * `d_first`, `d_last` — `M` diagonal blocks of the first/last slabs;
-/// * `upper`, `lower` — the `M[n][n+1]` / `M[n+1][n]` couplings at each end
-///   (`(upper_first, lower_first)` for the left lead, `(upper_last,
-///   lower_last)` for the right).
-#[allow(clippy::too_many_arguments)]
-pub fn boundary_self_energies_ws(
-    d_first: &CMatrix,
-    upper_first: &CMatrix,
-    lower_first: &CMatrix,
-    d_last: &CMatrix,
-    upper_last: &CMatrix,
-    lower_last: &CMatrix,
+/// The retarded boundary self-energies `Σ^R = α·g_s·β` of a chunk of
+/// leads `[D, α, β]` (see [`sancho_rubio_lanes`]), each with its
+/// decimation step count. The surface GFs never leave their lanes: the
+/// fold is two lane products, `(α·g_s)·β` as `matmul3_into` associates
+/// it. (The left lead extends to −∞, so its `[D, α, β]` is
+/// `[M[0][0], M[1][0], M[0][1]]`; the right lead's is
+/// `[M[N][N], M[N−1][N], M[N][N−1]]`.)
+pub(crate) fn lead_self_energies(
+    leads: &[[&CMatrix; 3]],
     tol: f64,
     max_iter: usize,
     ws: &mut Workspace,
-) -> BoundarySelfEnergies {
-    let ends = [
-        d_first,
-        upper_first,
-        lower_first,
-        d_last,
-        upper_last,
-        lower_last,
-    ];
-    let mut one = boundary_self_energies_lanes(&[ends], tol, max_iter, ws);
-    one.pop().expect("one point")
-}
-
-/// [`boundary_self_energies_ws`] for a chunk of points, `ends[e]` being
-/// lane `e`'s `[D_first, U_first, L_first, D_last, U_last, L_last]`: each
-/// lead side is one [`sancho_rubio_lanes`] call over the chunk and every
-/// point folds its own surface GFs.
-pub(crate) fn boundary_self_energies_lanes(
-    ends: &[[&CMatrix; 6]],
-    tol: f64,
-    max_iter: usize,
-    ws: &mut Workspace,
-) -> Vec<BoundarySelfEnergies> {
-    // The left lead extends to −∞: its surface cell couples deeper via
-    // M[-1,-2] = lower, back via M[-2,-1] = upper. The right lead extends
-    // to +∞: deeper via upper, back via lower.
-    let left: Vec<[&CMatrix; 3]> = ends.iter().map(|&[d0, u0, l0, ..]| [d0, l0, u0]).collect();
-    let right: Vec<[&CMatrix; 3]> = ends.iter().map(|&[.., dn, un, ln]| [dn, un, ln]).collect();
-    let left = sancho_rubio_lanes(&left, tol, max_iter, ws);
-    let right = sancho_rubio_lanes(&right, tol, max_iter, ws);
-    ends.iter()
-        .zip(left.into_iter().zip(right))
-        .map(|(&[_, u0, l0, _, un, ln], (l, r))| fold_boundaries(l, r, u0, l0, un, ln, ws))
-        .collect()
-}
-
-/// Folds the two lead surface GFs into boundary self-energies:
-/// `Σ_L = lower · g_s · upper` and `Σ_R = upper · g_s · lower`.
-fn fold_boundaries(
-    left_surface: SurfaceGf,
-    right_surface: SurfaceGf,
-    upper_first: &CMatrix,
-    lower_first: &CMatrix,
-    upper_last: &CMatrix,
-    lower_last: &CMatrix,
-    ws: &mut Workspace,
-) -> BoundarySelfEnergies {
-    let n = left_surface.g.rows();
-    let mut t = ws.take(n, n);
-    let mut left = CMatrix::zeros(n, n);
-    matmul3_into(lower_first, &left_surface.g, upper_first, &mut t, &mut left);
-    let mut right = CMatrix::zeros(n, n);
-    matmul3_into(upper_last, &right_surface.g, lower_last, &mut t, &mut right);
-    ws.give(t);
-
-    let gamma = |sig: &CMatrix| {
-        let mut g = sig - &sig.adjoint();
-        g.scale_inplace(C64::I);
-        g
+) -> Vec<(CMatrix, usize)> {
+    let Some([d0, ..]) = leads.first() else {
+        return Vec::new();
     };
-    BoundarySelfEnergies {
-        gamma_left: gamma(&left),
-        gamma_right: gamma(&right),
-        left,
-        right,
-        iterations: left_surface.iterations + right_surface.iterations,
+    let s = Lanes::new(d0.rows(), leads.len());
+    let mut buf = ws.take_planes(4 * s.len);
+    let (gs, rest) = buf.split_at_mut(s.len);
+    let steps = sancho_rubio_lanes(leads, tol, max_iter, gs, ws);
+    let (ag, rest) = rest.split_at_mut(s.len);
+    let (coupling, sigma) = rest.split_at_mut(s.len);
+    for (e, [_, alpha, _]) in leads.iter().enumerate() {
+        s.pack(alpha, e, coupling);
     }
+    s.mm(coupling, gs, ag);
+    for (e, [.., beta]) in leads.iter().enumerate() {
+        s.pack(beta, e, coupling);
+    }
+    s.mm(ag, coupling, sigma);
+    let out = steps
+        .into_iter()
+        .enumerate()
+        .map(|(e, steps)| {
+            let mut m = CMatrix::zeros(0, 0);
+            s.unpack(sigma, e, &mut m);
+            (m, steps)
+        })
+        .collect();
+    ws.give_planes(buf);
+    out
+}
+
+/// The broadening `Γ = i(Σ^R − Σ^A)` of a boundary self-energy.
+pub(crate) fn broadening(sigma: &CMatrix) -> CMatrix {
+    let mut g = sigma - &sigma.adjoint();
+    g.scale_inplace(C64::I);
+    g
 }
 
 /// Fermi-Dirac occupation `f(E) = 1/(e^{(E−μ)/kT} + 1)`.
@@ -355,17 +260,11 @@ pub(crate) fn contact_sigma_lg_into(
     }
 }
 
-/// Convenience: validates that a surface GF satisfies its own fixed-point
-/// equation (used in tests and debug assertions).
-pub fn surface_residual(g: &CMatrix, d: &CMatrix, alpha: &CMatrix, beta: &CMatrix) -> f64 {
-    let agb = matmul3(alpha, g, beta);
-    (&matmul(&(d - &agb), g) - &CMatrix::identity(d.rows())).max_abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omen_linalg::{c64, LANE_MAX_DIM};
+    use omen_linalg::gemm::SMALL_DIM;
+    use omen_linalg::{c64, matmul, matmul3, LANE_MAX_DIM};
 
     /// A simple 1-orbital chain: D = (E + iη) − ε0, α = β = −t.
     fn chain_blocks(e: f64, eta: f64, eps0: f64, t: f64, n: usize) -> (CMatrix, CMatrix, CMatrix) {
@@ -382,38 +281,69 @@ mod tests {
         (d, hop.clone(), hop)
     }
 
+    /// [`sancho_rubio_lanes`] over `leads`, each lane's surface GF read
+    /// back as a matrix, with its step count.
+    fn surfaces(
+        leads: &[[&CMatrix; 3]],
+        tol: f64,
+        max_iter: usize,
+        ws: &mut Workspace,
+    ) -> Vec<(CMatrix, usize)> {
+        let Some([d0, ..]) = leads.first() else {
+            return Vec::new();
+        };
+        let s = Lanes::new(d0.rows(), leads.len());
+        let mut gs = vec![0.0; s.len];
+        let steps = sancho_rubio_lanes(leads, tol, max_iter, &mut gs, ws);
+        assert_eq!(steps.len(), leads.len(), "one step count per lead");
+        (steps.into_iter().enumerate())
+            .map(|(e, steps)| {
+                let mut g = CMatrix::zeros(0, 0);
+                s.unpack(&gs, e, &mut g);
+                (g, steps)
+            })
+            .collect()
+    }
+
+    /// The surface GF of one lead and its step count.
+    fn surface(
+        d: &CMatrix,
+        a: &CMatrix,
+        b: &CMatrix,
+        tol: f64,
+        max_iter: usize,
+    ) -> (CMatrix, usize) {
+        let mut one = surfaces(&[[d, a, b]], tol, max_iter, &mut Workspace::new());
+        one.pop().expect("one lead")
+    }
+
+    /// How far `g` is from its own fixed-point equation
+    /// `(D − α·g·β)·g = I`.
+    fn surface_residual(g: &CMatrix, d: &CMatrix, alpha: &CMatrix, beta: &CMatrix) -> f64 {
+        let agb = matmul3(alpha, g, beta);
+        (&matmul(&(d - &agb), g) - &CMatrix::identity(d.rows())).max_abs()
+    }
+
     #[test]
     fn scalar_chain_analytic_surface_gf() {
         // For the scalar chain g = 1/(E − ε0 − t² g): inside the band the
         // imaginary part is −sqrt(4t² − x²)/(2t²) with x = E − ε0.
         let (d, a, b) = chain_blocks(0.3, 1e-9, 0.0, 1.0, 1);
-        let s = surface_gf(&d, &a, &b, 1e-14, 100);
+        let (g, _) = surface(&d, &a, &b, 1e-14, 100);
         let x: f64 = 0.3;
         let t: f64 = 1.0;
         let want_im = -(4.0 * t * t - x * x).sqrt() / (2.0 * t * t);
         let want_re = x / (2.0 * t * t);
-        assert!(
-            (s.g[(0, 0)].im - want_im).abs() < 1e-6,
-            "im {}",
-            s.g[(0, 0)].im
-        );
-        assert!(
-            (s.g[(0, 0)].re - want_re).abs() < 1e-6,
-            "re {}",
-            s.g[(0, 0)].re
-        );
+        assert!((g[(0, 0)].im - want_im).abs() < 1e-6, "im {}", g[(0, 0)].im);
+        assert!((g[(0, 0)].re - want_re).abs() < 1e-6, "re {}", g[(0, 0)].re);
     }
 
     #[test]
     fn decimation_converges_fast() {
         let (d, a, b) = chain_blocks(0.5, 1e-6, 0.0, 1.0, 3);
-        let s = surface_gf(&d, &a, &b, 1e-12, 200);
-        assert!(
-            s.iterations < 60,
-            "decimation took {} iterations",
-            s.iterations
-        );
-        let residual = surface_residual(&s.g, &d, &a, &b);
+        let (g, steps) = surface(&d, &a, &b, 1e-12, 200);
+        assert!(steps < 60, "decimation took {steps} iterations");
+        let residual = surface_residual(&g, &d, &a, &b);
         assert!(residual < 1e-8, "residual {residual}");
     }
 
@@ -422,42 +352,44 @@ mod tests {
         // Far from ε0 the decimated g solves g = (D − α·g·β)⁻¹, the
         // equation a fixed-point iteration would converge on.
         let (d, a, b) = chain_blocks(3.0, 1e-4, 0.0, 1.0, 2);
-        let s = surface_gf(&d, &a, &b, 1e-13, 300);
-        let residual = surface_residual(&s.g, &d, &a, &b);
+        let (g, _) = surface(&d, &a, &b, 1e-13, 300);
+        let residual = surface_residual(&g, &d, &a, &b);
         assert!(residual < 1e-12, "residual {residual:e}");
     }
 
     #[test]
     fn surface_gf_satisfies_dyson() {
         let (d, a, b) = chain_blocks(0.2, 1e-6, -0.1, 0.8, 3);
-        let s = surface_gf(&d, &a, &b, 1e-13, 200);
-        assert!(surface_residual(&s.g, &d, &a, &b) < 1e-7);
+        let (g, _) = surface(&d, &a, &b, 1e-13, 200);
+        assert!(surface_residual(&g, &d, &a, &b) < 1e-7);
     }
 
     #[test]
     fn retarded_surface_gf_has_negative_imag_diag() {
         // Causality: Im g_s(diag) <= 0 for a retarded GF.
         let (d, a, b) = chain_blocks(0.1, 1e-6, 0.0, 1.0, 3);
-        let s = surface_gf(&d, &a, &b, 1e-13, 200);
+        let (g, _) = surface(&d, &a, &b, 1e-13, 200);
         for i in 0..3 {
-            assert!(
-                s.g[(i, i)].im <= 1e-10,
-                "Im g[{i},{i}] = {}",
-                s.g[(i, i)].im
-            );
+            assert!(g[(i, i)].im <= 1e-10, "Im g[{i},{i}] = {}", g[(i, i)].im);
         }
     }
 
     #[test]
     fn gamma_hermitian_positive_in_band() {
+        // Both leads of a chain, decimated and folded on two lanes.
         let (d, a, b) = chain_blocks(0.4, 1e-8, 0.0, 1.0, 1);
-        let bse =
-            boundary_self_energies_ws(&d, &a, &b, &d, &a, &b, 1e-13, 200, &mut Workspace::new());
-        assert!(bse.gamma_left.is_hermitian(1e-9));
-        assert!(bse.gamma_right.is_hermitian(1e-9));
-        // Γ positive (scalar case) inside the band.
-        assert!(bse.gamma_left[(0, 0)].re > 0.0);
-        assert!(bse.gamma_right[(0, 0)].re > 0.0);
+        let sigma = lead_self_energies(
+            &[[&d, &b, &a], [&d, &a, &b]],
+            1e-13,
+            200,
+            &mut Workspace::new(),
+        );
+        for (sigma, _) in &sigma {
+            let gamma = broadening(sigma);
+            assert!(gamma.is_hermitian(1e-9));
+            // Γ positive (scalar case) inside the band.
+            assert!(gamma[(0, 0)].re > 0.0);
+        }
     }
 
     #[test]
@@ -505,7 +437,12 @@ mod tests {
 
     /// Sancho–Rubio on one lead in dense `CMatrix` algebra: the reference
     /// the lane decimation is held to.
-    fn point_decimation(d: &CMatrix, alpha: &CMatrix, beta: &CMatrix, tol: f64) -> SurfaceGf {
+    fn point_decimation(
+        d: &CMatrix,
+        alpha: &CMatrix,
+        beta: &CMatrix,
+        tol: f64,
+    ) -> (CMatrix, usize) {
         let (mut es, mut eb) = (d.clone(), d.clone());
         let (mut a, mut b) = (alpha.clone(), beta.clone());
         let below = |m: &CMatrix| {
@@ -529,10 +466,7 @@ mod tests {
                 break;
             }
         }
-        SurfaceGf {
-            g: omen_linalg::invert(&es),
-            iterations,
-        }
+        (omen_linalg::invert(&es), iterations)
     }
 
     #[test]
@@ -548,17 +482,17 @@ mod tests {
                 let leads: Vec<[CMatrix; 3]> = (0..lanes)
                     .map(|k| lead(bs, edge[(k + bs) % 4], 1e-5))
                     .collect();
-                let got = sancho_rubio_lanes(&lead_refs(&leads), 1e-13, 200, &mut ws);
+                let got = surfaces(&lead_refs(&leads), 1e-13, 200, &mut ws);
                 let mut counts = Vec::new();
-                for (e, ([d, a, b], got)) in leads.iter().zip(&got).enumerate() {
-                    let want = point_decimation(d, a, b, 1e-13);
+                for (e, ([d, a, b], (g, steps))) in leads.iter().zip(&got).enumerate() {
+                    let (want, want_steps) = point_decimation(d, a, b, 1e-13);
                     assert_eq!(
-                        got.iterations, want.iterations,
+                        *steps, want_steps,
                         "bs {bs}, {lanes} lanes, lane {e}: iterations"
                     );
-                    let dev = (&got.g - &want.g).max_abs() / want.g.max_abs();
+                    let dev = (g - &want).max_abs() / want.max_abs();
                     assert!(dev <= 1e-12, "bs {bs}, {lanes} lanes, lane {e}: {dev:e}");
-                    counts.push(got.iterations);
+                    counts.push(*steps);
                 }
                 if lanes == 4 {
                     assert!(
@@ -584,14 +518,14 @@ mod tests {
                 .map(|k| lead(bs, 1.7 + 0.1 * k as f64, 1e-5))
                 .collect();
             let refs = lead_refs(&leads);
-            let whole = sancho_rubio_lanes(&refs, 1e-13, 200, &mut ws);
-            let first = whole[0].iterations;
+            let whole = surfaces(&refs, 1e-13, 200, &mut ws);
+            let first = whole[0].1;
             assert!(
-                whole.iter().any(|s| s.iterations != first),
+                whole.iter().any(|(_, steps)| *steps != first),
                 "bs {bs}: every lane converged at step {first}"
             );
-            for ([d, a, b], s) in leads.iter().zip(&whole) {
-                let residual = surface_residual(&s.g, d, a, b);
+            for ([d, a, b], (g, _)) in leads.iter().zip(&whole) {
+                let residual = surface_residual(g, d, a, b);
                 assert!(residual < 1e-8, "bs {bs}: residual {residual:e}");
             }
             for widths in [
@@ -603,41 +537,78 @@ mod tests {
             ] {
                 let mut at = 0;
                 for &w in widths {
-                    let part = sancho_rubio_lanes(&refs[at..at + w], 1e-13, 200, &mut ws);
-                    for (k, p) in part.iter().enumerate() {
-                        let want = &whole[at + k];
+                    let part = surfaces(&refs[at..at + w], 1e-13, 200, &mut ws);
+                    for (k, (g, steps)) in part.iter().enumerate() {
+                        let (want, want_steps) = &whole[at + k];
                         let why = format!("bs {bs}, chunks {widths:?}");
-                        assert_eq!(p.iterations, want.iterations, "{why}");
-                        assert_eq!(p.g.as_slice(), want.g.as_slice(), "{why}");
+                        assert_eq!(steps, want_steps, "{why}");
+                        assert_eq!(g.as_slice(), want.as_slice(), "{why}");
                     }
                     at += w;
                 }
             }
         }
-        assert!(sancho_rubio_lanes(&[], 1e-13, 200, &mut ws).is_empty());
+        assert!(sancho_rubio_lanes(&[], 1e-13, 200, &mut [], &mut ws).is_empty());
     }
 
     #[test]
     fn sancho_rubio_lanes_over_lane_max_dim_take_one_lead() {
         // Blocks the packed GEMM takes: one lead per call, in the band
         // (slow) and above it (fast).
-        let mut ws = Workspace::new();
         let mut steps = Vec::new();
         for e in [1.8, 2.4] {
             let [d, a, b] = lead(LANE_MAX_DIM + 1, e, 1e-5);
-            let s = surface_gf_ws(&d, &a, &b, 1e-13, 200, &mut ws);
-            let residual = surface_residual(&s.g, &d, &a, &b);
+            let (g, n) = surface(&d, &a, &b, 1e-13, 200);
+            let residual = surface_residual(&g, &d, &a, &b);
             assert!(residual < 1e-8, "E {e}: residual {residual:e}");
-            steps.push(s.iterations);
+            steps.push(n);
         }
         assert!(steps[0] > steps[1], "steps {steps:?}");
     }
 
     #[test]
+    fn lead_self_energies_fold_the_surface_gf() {
+        // The lane fold is `(α·g_s)·β` of the lane decimation's surface
+        // GF. Above `SMALL_DIM` the AVX2 and AVX-512 lane products sum in
+        // `gemm`'s order, so there it is `matmul3` bit for bit; below, and
+        // on the portable instantiation (`OMEN_FORCE_SCALAR=1`), it agrees
+        // to rounding. One lane product tells which instantiation runs.
+        let mut ws = Workspace::new();
+        for bs in [1, 6, 12, SMALL_DIM + 1, 32] {
+            let leads: Vec<[CMatrix; 3]> = (0..3)
+                .map(|k| lead(bs, 1.8 + 0.3 * k as f64, 1e-5))
+                .collect();
+            let refs = lead_refs(&leads);
+            let sigma = lead_self_energies(&refs, 1e-13, 200, &mut ws);
+            let gs = surfaces(&refs, 1e-13, 200, &mut ws);
+            let [_, a, b] = &leads[0];
+            let (one, mut planes, mut ab) = (Lanes::new(bs, 1), vec![0.0; 6 * bs * bs], a.clone());
+            let (pa, rest) = planes.split_at_mut(2 * bs * bs);
+            let (pb, pc) = rest.split_at_mut(2 * bs * bs);
+            one.pack(a, 0, pa);
+            one.pack(b, 0, pb);
+            one.mm(pa, pb, pc);
+            one.unpack(pc, 0, &mut ab);
+            let gemm_order = ab.as_slice() == matmul(a, b).as_slice();
+            for (([_, a, b], (got, steps)), (g, want_steps)) in leads.iter().zip(&sigma).zip(&gs) {
+                assert_eq!(steps, want_steps, "bs {bs}: steps");
+                let want = matmul3(a, g, b);
+                if gemm_order {
+                    assert_eq!(got.as_slice(), want.as_slice(), "bs {bs}");
+                } else {
+                    let dev = (got - &want).max_abs() / want.max_abs();
+                    assert!(dev <= 1e-13, "bs {bs}: {dev:e}");
+                }
+            }
+        }
+        assert!(lead_self_energies(&[], 1e-13, 200, &mut ws).is_empty());
+    }
+
+    #[test]
     fn contact_sigma_identities() {
         let (d, a, b) = chain_blocks(0.4, 1e-8, 0.0, 1.0, 2);
-        let s = surface_gf(&d, &a, &b, 1e-13, 200);
-        let sig = matmul3(&b, &s.g, &a);
+        let (g, _) = surface(&d, &a, &b, 1e-13, 200);
+        let sig = matmul3(&b, &g, &a);
         for &(occ, boson) in &[(0.3, false), (1.7, true)] {
             let (sl, sg) = contact_sigma_lg(&sig, occ, boson);
             // Σ^> − Σ^< = Σ^R − Σ^A.

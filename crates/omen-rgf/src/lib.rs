@@ -11,11 +11,8 @@ pub mod rgf;
 pub mod rows;
 pub mod testutil;
 
-pub use bccache::{BoundaryCache, BoundaryCacheStats};
-pub use boundary::{
-    bose, boundary_self_energies_ws, contact_sigma_lg, fermi, sancho_rubio_lanes, surface_gf,
-    surface_gf_ws, BoundarySelfEnergies, SurfaceGf,
-};
+pub use bccache::{BoundaryCache, BoundaryCacheStats, LeadSelfEnergy};
+pub use boundary::{bose, contact_sigma_lg, fermi, sancho_rubio_lanes};
 pub use dense_ref::{dense_solve, DenseSolution};
 pub use observables::{
     block_ldos, block_occupation, caroli_transmission, contact_current, current_profile,

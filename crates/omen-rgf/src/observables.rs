@@ -90,7 +90,7 @@ pub fn current_profile(m: &BlockTriDiag, gl_lower: &[CMatrix]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::{boundary_self_energies_ws, contact_sigma_lg, fermi};
+    use crate::boundary::{broadening, contact_sigma_lg, fermi, lead_self_energies};
     use crate::rgf::{rgf_solve, RgfInputs};
     use omen_linalg::{c64, Workspace};
 
@@ -115,7 +115,7 @@ mod tests {
     ) {
         let t = 1.0;
         // η must stay well above the decimation branch-point floor
-        // (see `boundary::surface_gf` docs): 1e-6 of the bandwidth is safe.
+        // (see `boundary::sancho_rubio_lanes`): 1e-6 of the bandwidth is safe.
         let eta = 1e-6;
         let mut m = BlockTriDiag::zeros(nb, 1);
         for b in 0..nb {
@@ -125,24 +125,21 @@ mod tests {
             m.upper[b] = CMatrix::from_fn(1, 1, |_, _| c64(t, 0.0)); // −H = +t
             m.lower[b] = m.upper[b].clone();
         }
-        let bse = boundary_self_energies_ws(
-            &m.diag[0],
-            &m.upper[0],
-            &m.lower[0],
-            &m.diag[nb - 1],
-            &m.upper[nb - 2],
-            &m.lower[nb - 2],
-            1e-14,
-            500,
-            &mut Workspace::new(),
-        );
+        let leads = [
+            [&m.diag[0], &m.lower[0], &m.upper[0]],
+            [&m.diag[nb - 1], &m.upper[nb - 2], &m.lower[nb - 2]],
+        ];
+        let [(left, _), (right, _)]: [(CMatrix, usize); 2] =
+            lead_self_energies(&leads, 1e-14, 500, &mut Workspace::new())
+                .try_into()
+                .expect("two leads");
         let mut mfolded = m.clone();
-        mfolded.diag[0] -= &bse.left;
+        mfolded.diag[0] -= &left;
         let last = nb - 1;
-        mfolded.diag[last] -= &bse.right;
+        mfolded.diag[last] -= &right;
 
-        let (sl_l, sg_l) = contact_sigma_lg(&bse.left, f_l, false);
-        let (sl_r, sg_r) = contact_sigma_lg(&bse.right, f_r, false);
+        let (sl_l, sg_l) = contact_sigma_lg(&left, f_l, false);
+        let (sl_r, sg_r) = contact_sigma_lg(&right, f_r, false);
         let mut sigma_l = vec![CMatrix::zeros(1, 1); nb];
         let mut sigma_g = vec![CMatrix::zeros(1, 1); nb];
         sigma_l[0] += &sl_l;
@@ -153,10 +150,10 @@ mod tests {
             mfolded,
             sigma_l,
             sigma_g,
-            bse.gamma_left,
-            bse.gamma_right,
-            bse.left,
-            bse.right,
+            broadening(&left),
+            broadening(&right),
+            left,
+            right,
         )
     }
 

@@ -17,10 +17,10 @@
 //! steep memory cost (the paper: 3 GB + 1 GB per point for the "Large"
 //! device). [`CacheMode`] selects the compute-memory tradeoff.
 
-use crate::bccache::BoundaryCache;
+use crate::bccache::{lead_digest, BoundaryCache, LeadSelfEnergy};
 use crate::boundary::{
-    bose, boundary_self_energies_lanes, contact_sigma_lg_into, fermi, BoundarySelfEnergies,
-    DECIMATION_MAX_ITER, DECIMATION_TOL,
+    bose, broadening, contact_sigma_lg_into, fermi, lead_self_energies, DECIMATION_MAX_ITER,
+    DECIMATION_TOL,
 };
 use crate::rgf::RgfSolution;
 use crate::rows::{rgf_row_into, row_width, RgfRow, RowInputs};
@@ -177,7 +177,8 @@ pub struct PointSolution {
     pub boundary_lg_left: (CMatrix, CMatrix),
     /// Right boundary `Σ^≷` blocks.
     pub boundary_lg_right: (CMatrix, CMatrix),
-    /// Left/right broadenings `Γ`.
+    /// Left/right broadenings `Γ = i(Σ^R − Σ^A)`, formed from the
+    /// cached `Σ^R` for this report only.
     pub gamma: (CMatrix, CMatrix),
     /// Sub-phase timings of this solve.
     pub times: PhaseTimes,
@@ -462,63 +463,109 @@ fn specialization<'s, C: Carrier>(
     slot.get_or_insert_with(|| carrier.specialize(device, k))
 }
 
-/// Resolves the boundary self-energies of points `keys` (one row of the
-/// grid), handing point `keys.start + e` to `put(e, ·)`: through `cache`
-/// when caching — hits first, then every miss by one `solve` call — else
-/// every point by `solve`.
-fn resolve_boundaries(
-    cache: Option<&BoundaryCache>,
-    keys: Range<usize>,
-    solve: impl FnOnce(&[usize]) -> Vec<BoundarySelfEnergies>,
-    mut put: impl FnMut(usize, Arc<BoundarySelfEnergies>),
-) {
-    match cache {
-        Some(cache) => cache.resolve_row(keys, solve, put),
-        None => {
-            let all: Vec<usize> = (0..keys.len()).collect();
-            for (e, bse) in solve(&all).into_iter().enumerate() {
-                put(e, Arc::new(bse));
-            }
-        }
-    }
-}
-
-/// The blocks of the ballistic `M` at `x` that the boundary reads,
-/// `[M[0][0], M[0][1], M[1][0], M[N][N], M[N−1][N], M[N][N−1]]`, in
-/// workspace blocks.
+/// Lead `lead`'s `[D, α, β]` at `x` from the ballistic `M`, in workspace
+/// blocks. The left lead (0) extends to −∞: its surface cell couples
+/// deeper via `M[1][0]` and back via `M[0][1]`. The right lead (1)
+/// extends to +∞: deeper via `M[N−1][N]`, back via `M[N][N−1]`.
 fn lead_blocks<C: Carrier>(
     carrier: &C,
     spec: &C::Spec,
     x: f64,
+    lead: usize,
     (nb, bs): (usize, usize),
     ws: &mut Workspace,
-) -> [CMatrix; 6] {
-    let mut ends: [CMatrix; 6] = std::array::from_fn(|_| ws.take(bs, bs));
-    for (m, (part, n)) in ends.iter_mut().zip([
-        (Part::Diag, 0),
-        (Part::Upper, 0),
-        (Part::Lower, 0),
-        (Part::Diag, nb - 1),
-        (Part::Upper, nb - 2),
-        (Part::Lower, nb - 2),
-    ]) {
-        carrier.block(spec, x, part, n, m);
-    }
-    ends
+) -> [CMatrix; 3] {
+    let parts = if lead == 0 {
+        [(Part::Diag, 0), (Part::Lower, 0), (Part::Upper, 0)]
+    } else {
+        [
+            (Part::Diag, nb - 1),
+            (Part::Upper, nb - 2),
+            (Part::Lower, nb - 2),
+        ]
+    };
+    parts.map(|(part, n)| {
+        let mut m = ws.take(bs, bs);
+        carrier.block(spec, x, part, n, &mut m);
+        m
+    })
 }
 
-/// What a row solve keeps of one lane's boundary: its energy, its
-/// self-energies as resolved (shared with the cache, not copied), and the
-/// contact `(Σ^<, Σ^>)`, left then right, in workspace blocks.
+/// What a row solve keeps of one lane's boundary: its energy, the left
+/// and right lead's `Σ^R` as resolved (shared with the cache, not
+/// copied), and the contact `(Σ^<, Σ^>)`, left then right, in workspace
+/// blocks.
 struct LaneBoundary {
     x: f64,
-    bse: Option<Arc<BoundarySelfEnergies>>,
+    sigma: [Option<Arc<LeadSelfEnergy>>; 2],
     lg: [(CMatrix, CMatrix); 2],
 }
 
 impl LaneBoundary {
-    fn bse(&self) -> &BoundarySelfEnergies {
-        self.bse.as_deref().expect("boundary resolved")
+    fn sigma(&self, lead: usize) -> &CMatrix {
+        &self.sigma[lead]
+            .as_deref()
+            .expect("boundary resolved")
+            .sigma
+    }
+}
+
+/// Resolves lead `lead`'s `Σ^R` on every lane of a chunk whose lane `e`
+/// is grid point `key0 + e`: hits from `cache`, the misses decimated and
+/// folded together on one lane path ([`lead_self_energies`]) and
+/// published. A carried entry's check builds the lane's blocks, which a
+/// miss then decimates.
+#[allow(clippy::too_many_arguments)]
+fn resolve_lead<C: Carrier>(
+    cache: Option<&BoundaryCache>,
+    lead: usize,
+    key0: usize,
+    carrier: &C,
+    spec: &C::Spec,
+    shape: (usize, usize),
+    lanes: &mut [LaneBoundary],
+    ws: &mut Workspace,
+) {
+    let mut misses = Vec::new();
+    for (e, lane) in lanes.iter_mut().enumerate() {
+        let mut built = None;
+        let hit = cache.and_then(|cache| {
+            cache.get(lead, key0 + e, || {
+                let blocks = lead_blocks(carrier, spec, lane.x, lead, shape, ws);
+                let digest = lead_digest(blocks.each_ref());
+                built = Some(blocks);
+                digest
+            })
+        });
+        match hit {
+            Some(entry) => {
+                lane.sigma[lead] = Some(entry);
+                built.into_iter().flatten().for_each(|m| ws.give(m));
+            }
+            None => {
+                let blocks =
+                    built.unwrap_or_else(|| lead_blocks(carrier, spec, lane.x, lead, shape, ws));
+                misses.push((e, blocks));
+            }
+        }
+    }
+    if misses.is_empty() {
+        return;
+    }
+    let leads: Vec<[&CMatrix; 3]> = misses.iter().map(|(_, b)| b.each_ref()).collect();
+    let solved = lead_self_energies(&leads, DECIMATION_TOL, DECIMATION_MAX_ITER, ws);
+    for ((e, blocks), (sigma, iterations)) in misses.into_iter().zip(solved) {
+        let digest = lead_digest(blocks.each_ref());
+        let entry = Arc::new(LeadSelfEnergy {
+            sigma,
+            iterations,
+            digest,
+        });
+        if let Some(cache) = cache {
+            cache.insert(lead, key0 + e, Arc::clone(&entry));
+        }
+        lanes[e].sigma[lead] = Some(entry);
+        blocks.into_iter().for_each(|m| ws.give(m));
     }
 }
 
@@ -559,10 +606,10 @@ impl<C: Carrier> RowInputs for ChunkInputs<'_, C> {
         let last = self.nb - 1;
         self.carrier.block(self.spec, lane.x, Part::Diag, n, diag);
         if n == 0 {
-            *diag -= &lane.bse().left;
+            *diag -= lane.sigma(0);
         }
         if n == last {
-            *diag -= &lane.bse().right;
+            *diag -= lane.sigma(1);
         }
         match self.scattering {
             Some(blocks) => {
@@ -601,8 +648,8 @@ impl<C: Carrier> PointSolver<'_, C> {
     /// Solves points `(ik, ix)`, `ix ∈ xs`, as the lanes of one
     /// [`rgf_row_into`] recursion, `xs` at most [`row_width`] wide — the
     /// body of both [`GfSolver`] entries. The momentum is specialized once,
-    /// the chunk's uncached boundaries are decimated together (one
-    /// [`crate::sancho_rubio_lanes`] call per lead), and lane `e`'s block
+    /// each lead's uncached boundaries are decimated and folded together
+    /// (one lane path per lead, [`resolve_lead`]), and lane `e`'s block
     /// rows go to `sink` as lane `lane0 + e`. `record`, if given, receives
     /// lane 0's folded `M` as the recursion reads it. The lanes stay in
     /// `self.lanes` until [`PointSolver::release_lanes`]. Returns the
@@ -639,31 +686,20 @@ impl<C: Carrier> PointSolver<'_, C> {
         let t1 = Instant::now();
         lanes.extend(xs.clone().map(|ix| LaneBoundary {
             x: x_values[ix],
-            bse: None,
+            sigma: [None, None],
             lg: std::array::from_fn(|_| (ws.take(bs, bs), ws.take(bs, bs))),
         }));
-        let row = ik * x_values.len();
-        let solve = |misses: &[usize]| {
-            let ends: Vec<[CMatrix; 6]> = misses
-                .iter()
-                .map(|&e| lead_blocks(&*carrier, spec, x_values[xs.start + e], (nb, bs), ws))
-                .collect();
-            let refs: Vec<[&CMatrix; 6]> = ends.iter().map(|e| e.each_ref()).collect();
-            let solved =
-                boundary_self_energies_lanes(&refs, DECIMATION_TOL, DECIMATION_MAX_ITER, ws);
-            ends.into_iter().flatten().for_each(|m| ws.give(m));
-            solved
-        };
-        let keys = row + xs.start..row + xs.end;
-        resolve_boundaries(bc.as_deref(), keys, solve, |e, bse| {
-            lanes[e].bse = Some(bse)
-        });
+        let key0 = ik * x_values.len() + xs.start;
+        for lead in 0..2 {
+            let (cache, shape) = (bc.as_deref(), (nb, bs));
+            resolve_lead(cache, lead, key0, &*carrier, spec, shape, lanes, ws);
+        }
         for lane in lanes.iter_mut() {
             let (occ_l, occ_r) = carrier.occupations(lane.x);
-            let bse = lane.bse.as_deref().expect("boundary resolved");
-            let [left, right] = &mut lane.lg;
-            contact_sigma_lg_into(&bse.left, occ_l, C::BOSON, left);
-            contact_sigma_lg_into(&bse.right, occ_r, C::BOSON, right);
+            for ((sigma, lg), occ) in lane.sigma.iter().zip(&mut lane.lg).zip([occ_l, occ_r]) {
+                let sigma = &sigma.as_deref().expect("boundary resolved").sigma;
+                contact_sigma_lg_into(sigma, occ, C::BOSON, lg);
+            }
         }
         times.boundary = t1.elapsed();
 
@@ -727,14 +763,14 @@ impl<C: Carrier> GfSolver for PointSolver<'_, C> {
             self.solve_chunk(ik, ix..ix + 1, scattering, 0, &mut sol, Some(&mut m));
         let sol = RgfSolution { flops, ..sol.0 };
         let lane = self.lanes.pop().expect("one lane");
-        let bse = lane.bse.expect("boundary resolved");
+        let gamma = (broadening(lane.sigma(0)), broadening(lane.sigma(1)));
         let [left, right] = lane.lg;
         PointSolution {
             sol,
             m,
             boundary_lg_left: left,
             boundary_lg_right: right,
-            gamma: (bse.gamma_left.clone(), bse.gamma_right.clone()),
+            gamma,
             times,
         }
     }

@@ -174,8 +174,9 @@ pub fn rgf_flops_model(bnum: usize, bs: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense_ref::dense_solve;
-    use omen_linalg::{c64, lu::lu_flops};
+    use crate::boundary::{contact_sigma_lg, lead_self_energies};
+    use crate::dense_ref::{dense_solve, DenseSolution};
+    use omen_linalg::{c64, lu::lu_flops, matmul, Workspace};
 
     use crate::testutil::test_system;
 
@@ -269,6 +270,67 @@ mod tests {
                     (&lhs - &rhs).max_abs()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn keldysh_difference_carries_the_eta_term() {
+        // Σ≷ from the contacts only, as the driver builds them: Σ> − Σ< =
+        // Σ^R − Σ^A of the leads, while M = (E + iη)·I − H − Σ^R carries
+        // the +iη broadening everywhere. Then G^R − G^A = G^R·(Σ^R − Σ^A −
+        // 2iη)·G^A, so (G> − G<) − (G^R − G^A) = 2iη·G^R·G^A: an
+        // η-reservoir term, not rounding.
+        let (nb, bs, e, eta) = (5, 2, 0.3, 1e-2);
+        let onsite = CMatrix::from_fn(bs, bs, |i, j| match (i, j) {
+            (0, 1) => c64(-0.3, -0.1),
+            (1, 0) => c64(-0.3, 0.1),
+            _ => c64(0.2 * i as f64, 0.0),
+        });
+        let hop = CMatrix::from_fn(bs, bs, |i, j| c64(if i == j { -1.0 } else { -0.2 }, 0.0));
+        let mut m = BlockTriDiag::zeros(nb, bs);
+        for n in 0..nb {
+            m.diag[n] = &CMatrix::identity(bs).scaled(c64(e, eta)) - &onsite;
+        }
+        for n in 0..nb - 1 {
+            m.upper[n] = hop.scaled(c64(-1.0, 0.0));
+            m.lower[n] = m.upper[n].adjoint();
+        }
+        let leads = [
+            [&m.diag[0], &m.lower[0], &m.upper[0]],
+            [&m.diag[nb - 1], &m.upper[nb - 2], &m.lower[nb - 2]],
+        ];
+        let contacts = lead_self_energies(&leads, 1e-13, 200, &mut Workspace::new());
+        let (mut sl, mut sg) = (
+            vec![CMatrix::zeros(bs, bs); nb],
+            vec![CMatrix::zeros(bs, bs); nb],
+        );
+        let mut folded = m.clone();
+        for ((sigma, _), (n, occ)) in contacts.iter().zip([(0, 0.8), (nb - 1, 0.1)]) {
+            let (l, g) = contact_sigma_lg(sigma, occ, false);
+            sl[n] += &l;
+            sg[n] += &g;
+            folded.diag[n] -= sigma;
+        }
+
+        let dense = dense_solve(&folded, &sl, &sg);
+        let term = matmul(&dense.gr, &dense.ga).scaled(c64(0.0, 2.0 * eta));
+        let difference = &(&(&dense.gg - &dense.gl) - &dense.gr) + &dense.ga;
+        let dev = (&difference - &term).max_abs();
+        assert!(dev <= 1e-12 * term.max_abs(), "dense: {dev:e}");
+        let size = term.max_abs() / dense.gg.max_abs();
+        assert!(size > 1e-2, "the η term is small: {size:e} of |G>|");
+
+        let rgf = rgf_solve(&RgfInputs {
+            m: &folded,
+            sigma_l: &sl,
+            sigma_g: &sg,
+        });
+        for n in 0..nb {
+            let gr = &rgf.gr_diag[n];
+            let lhs = &(&(&rgf.gg_diag[n] - &rgf.gl_diag[n]) - gr) + &gr.adjoint();
+            let want = DenseSolution::block(&term, bs, n, n);
+            let dev = (&lhs - &want).max_abs();
+            assert!(dev <= 1e-10 * term.max_abs(), "block {n}: {dev:e}");
         }
     }
 

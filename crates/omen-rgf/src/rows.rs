@@ -232,6 +232,14 @@ impl Lanes {
         }
     }
 
+    /// Lane `e` of `src`, a block of this shape, into lane `f` of `dst`, a
+    /// block of shape `to`.
+    pub(crate) fn move_lane(&self, src: &[f64], e: usize, to: &Lanes, f: usize, dst: &mut [f64]) {
+        for p in 0..2 * self.bs * self.bs {
+            dst[p * to.lanes + f] = src[p * self.lanes + e];
+        }
+    }
+
     /// `dst = src†` on every lane.
     fn adjoint(&self, src: &[f64], dst: &mut [f64]) {
         let (bs, l) = (self.bs, self.lanes);

@@ -22,7 +22,7 @@
 //! deposit can never wedge a whole sweep. Every decision is surfaced in
 //! [`JobMetrics`] (`retries`, `cold_fallbacks`, `quarantined`).
 
-use crate::cache::{CacheConfig, CacheStats, SweepCache};
+use crate::cache::{CacheConfig, SweepCache};
 use crate::checkpoint::CheckpointJournal;
 use crate::job::{JobMetrics, JobResult, JobState, PointObservables};
 use crate::sweep::SweepSpec;
@@ -318,11 +318,6 @@ impl SweepServer {
         self.client.submit(spec)
     }
 
-    /// Warm-start cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.lock().expect(POISONED).stats()
-    }
-
     /// Bytes currently held by the warm-start cache.
     pub fn cache_bytes(&self) -> usize {
         self.inner.cache.lock().expect(POISONED).bytes()
@@ -581,10 +576,7 @@ fn run_point(
                             *slot = omen_linalg::c64(f64::NAN, 0.0);
                         }
                     }
-                    if sim
-                        .warm_start_with(&data, spec.axis.changes_boundaries())
-                        .is_ok()
-                    {
+                    if sim.warm_start_from(&data).is_ok() {
                         warm = true;
                         donor_value = Some(dv);
                     }

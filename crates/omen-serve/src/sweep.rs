@@ -5,8 +5,9 @@
 //! sweep share everything except the swept value, which is what makes
 //! cross-point warm starts physically sound: the converged Σ/Π of a
 //! neighboring point is an excellent initial guess, and the boundary
-//! caches transfer exactly wherever the axis leaves them valid (see
-//! [`SweepAxis::changes_boundaries`]).
+//! caches carry over lead by lead: an entry is reused wherever the
+//! neighbor's own lead blocks at that point are bitwise the donor's
+//! (`omen_rgf::BoundaryCache`).
 
 use omen_core::{ConfigError, SimulationConfig};
 
@@ -38,18 +39,6 @@ impl SweepAxis {
             SweepAxis::Temperature => cfg.kt,
             SweepAxis::Coupling => cfg.coupling,
         }
-    }
-
-    /// Whether stepping this axis changes the ballistic boundary
-    /// operators `M`.
-    ///
-    /// The electron `M` contains the electrostatic potential, so a bias
-    /// step invalidates cached electron boundary self-energies and the
-    /// neighbor decimates its own. Temperature enters only the contact
-    /// occupation factors and coupling only the SSE prefactor — neither
-    /// touches `M`, so cached boundaries carry over exactly.
-    pub fn changes_boundaries(self) -> bool {
-        matches!(self, SweepAxis::Bias)
     }
 
     /// Stable tag for hashing and wire encoding.
@@ -144,8 +133,8 @@ impl SweepSpec {
 
     /// A FinFET temperature sweep on the `tiny` preset: `npoints` values
     /// of `k_B·T` spanning 0.020 eV to 0.035 eV. Temperature never enters
-    /// the ballistic operators, so every point reuses the cached
-    /// boundaries exactly.
+    /// the ballistic operators, so every point reuses both leads' cached
+    /// boundaries.
     pub fn finfet_temperature(npoints: usize) -> SweepSpec {
         SweepSpec::new(
             SimulationConfig::tiny(),

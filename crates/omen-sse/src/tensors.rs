@@ -109,11 +109,6 @@ impl GTensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing buffer (layout-ordered).
-    pub fn into_vec(self) -> Vec<C64> {
-        self.data
-    }
-
     /// Returns a copy converted to `layout` (no-op copy if identical): the
     /// export of a tensor in pair-major order.
     pub fn to_layout(&self, layout: GLayout) -> GTensor {
@@ -273,11 +268,6 @@ impl DTensor {
     /// Full mutable data slice.
     pub fn as_mut_slice(&mut self) -> &mut [C64] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its backing buffer.
-    pub fn into_vec(self) -> Vec<C64> {
-        self.data
     }
 
     /// Max elementwise deviation against another tensor; NaN when any

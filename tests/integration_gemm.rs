@@ -1,7 +1,8 @@
-//! The GF phase's matrix products are the RGF recursion's lane GEMMs and
-//! the boundary folds. Once the boundary cache is warm, a GF phase makes
-//! no `gemm` call at all: the row sinks take their currents as traces
-//! straight off the blocks.
+//! A solve makes no `gemm` call at all. The GF phase's matrix products are
+//! the RGF recursion's and the boundary's lane products (each lead
+//! decimated and folded on energy lanes), and the row sinks take their
+//! currents as traces straight off the blocks; the SSE runs its own
+//! plane kernels.
 //!
 //! The registry's counters are process-global, so this check is the only
 //! test in its binary: no concurrent test can add to them.
@@ -9,35 +10,32 @@
 use dace_omen::core::{DagExecutor, PointExecutor, SerialExecutor, Simulation, SimulationConfig};
 use dace_omen::trace::{self, Counter};
 
-/// `(gemm_calls, gemm_flops)` of a second GF phase of `tiny` (electrons
-/// and phonons) through `exec`, the first one having filled the boundary
-/// cache.
-fn warm_gf_phase_gemm<E: PointExecutor>(exec: &E) -> (u64, u64) {
+/// `(gemm_calls, gemm_flops, fused runs)` of a whole cold solve of `tiny`
+/// (every Born iteration, both carriers, boundaries decimated in the
+/// first) through `exec`.
+fn cold_solve_counts<E: PointExecutor>(exec: &E) -> (u64, u64, u64) {
     let mut sim = Simulation::new(SimulationConfig::tiny()).expect("valid config");
-    sim.iterate_with(exec);
     trace::reset();
-    let gf = sim.gf_phase_with(exec);
-    assert!(gf.spectral.el_current.iter().all(|j| j.is_finite()));
+    let result = sim.run_with(exec).expect("run succeeds");
+    assert!(result.current().is_finite());
     (
         trace::counter(Counter::GemmCalls),
         trace::counter(Counter::GemmFlops),
+        trace::counter(Counter::SbsmmCalls),
     )
 }
 
 #[test]
-fn warm_gf_phase_makes_no_gemm_calls() {
+fn cold_solve_makes_no_gemm_calls() {
     trace::arm();
-    trace::reset();
-    // The counters must see the GF phase's work at all: the first phase's
-    // boundary folds are `gemm` calls.
-    let cold = Simulation::new(SimulationConfig::tiny()).expect("valid config");
-    cold.gf_phase_with(&SerialExecutor);
-    let cold_calls = trace::counter(Counter::GemmCalls);
-    let serial = warm_gf_phase_gemm(&SerialExecutor);
-    let dag = warm_gf_phase_gemm(&DagExecutor::new(2));
+    let serial = cold_solve_counts(&SerialExecutor);
+    let dag = cold_solve_counts(&DagExecutor::new(2));
     trace::reset();
     trace::rearm_from_env();
-    assert!(cold_calls > 0, "a cold GF phase folds its boundaries");
-    assert_eq!(serial, (0, 0), "serial: (gemm_calls, gemm_flops)");
-    assert_eq!(dag, (0, 0), "2 workers: (gemm_calls, gemm_flops)");
+    // The counters must see the solve's work at all: its lane products
+    // count themselves as fused runs.
+    for (who, (calls, flops, fused)) in [("serial", serial), ("2 workers", dag)] {
+        assert!(fused > 0, "{who}: no fused run counted");
+        assert_eq!((calls, flops), (0, 0), "{who}: (gemm_calls, gemm_flops)");
+    }
 }
