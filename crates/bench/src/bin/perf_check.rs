@@ -44,7 +44,8 @@
 //!    in `BENCH_sweeps.json` carry the measured speedup.
 //!
 //! Gated records: names containing `packed`, or starting with
-//! `sse_stage` (but not the `scalar` baselines) or `sweep_`, with the
+//! `sse_stage`, `sse_pair_stages` (but not the `scalar` baselines) or
+//! `sweep_`, with the
 //! `_quick` suffix — full-mode records are committed for the
 //! README table but re-measured rarely.
 //!
@@ -130,6 +131,7 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 fn gated(name: &str) -> bool {
     (name.contains("packed")
         || name.starts_with("sse_stage")
+        || name.starts_with("sse_pair_stages")
         || name.starts_with("sweep_")
         || name.starts_with("comm45_"))
         && name.ends_with("_quick")

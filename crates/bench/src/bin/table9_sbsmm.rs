@@ -7,7 +7,9 @@
 //! The batch uses the transformed SSE kernel's stage-C shape: `12 × 12`
 //! items, `A` strided (`Norb²`), `B` shared (stride `0`), accumulating
 //! `C`. At `Norb = 3` and `4` it also times SSE stages A, C and D as the
-//! leaves run them against block-at-a-time scalar loops. `--json` merges
+//! leaves run them against block-at-a-time scalar loops, and one directed
+//! pair's stages C and D together at the `sse_heavy` shape (the
+//! `sse_pair_stages_*` rung: the in-situ rate of the pair stages). `--json` merges
 //! machine-readable records into
 //! `BENCH_kernels.json`; `--quick` shrinks the batch and reps for the CI
 //! smoke run (the perf-regression gate compares the `_quick` records
@@ -111,25 +113,62 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
             }
         }
     });
+    // The ladder rung: one directed pair's stages C and D back to back,
+    // as a solve runs them.
+    let t_pair = timed_median(reps, || {
+        for _ in 0..pairs {
+            sigma_pair(
+                &prob,
+                &win,
+                &sg_l,
+                &sg_g,
+                &hd_l,
+                &hd_g,
+                &mut scratch,
+                &mut out_l,
+                &mut out_g,
+            );
+            pi_pair(
+                &prob,
+                &win,
+                &sr_l,
+                &sr_g,
+                &sg_l,
+                &sg_g,
+                &mut scratch,
+                |_, _, c_l, c_g| sum += c_l[0] + c_g[8],
+            );
+        }
+    }) / pairs as f64;
     std::hint::black_box(sum);
 
-    // Batch sizes: block products of stage C (8·Norb³ flops each), block
-    // traces of stage D (8·Norb²).
+    // The scalar loops sum in k-space, every `(kz, qz)` pair: per pair
+    // `3 · Nk · Nq` runs of block products per frequency and update (8·Norb³
+    // flops each) in stage C, of block traces (8·Norb²) in stage D. The
+    // leaves run on momentum harmonics and report what they perform, `Nq`
+    // times fewer products plus the transforms.
     let unit_c = BatchDims::square(norb).flops();
     let unit_d = 8 * bsz as u64;
+    let runs: u64 = (0..prob.nw).map(|m| (prob.ne - m - 1) as u64).sum();
+    let momenta = (3 * prob.nk * prob.nq) as u64;
+    let (kspace_c, kspace_d) = (
+        momenta * 2 * 2 * runs * unit_c,
+        momenta * 2 * 3 * runs * unit_d,
+    );
     println!(
         "\nNorb = {norb} (sse_heavy shape, {pairs} pairs): stages C and D, scalar loop vs energy planes\n"
     );
     let w = [34, 12, 16, 12];
     header(&["Kernel", "Time [ms]", "Useful Gflop/s", "vs scalar"], &w);
     let mut records = Vec::new();
-    for (label, name, t, flops, unit, base) in [
+    // (label, record, time, flops performed, k-space batch, baseline)
+    for (label, name, t, flops, batch, base) in [
         (
             "stage C, sbsmm_scalar per run",
             "sbsmm_scalar_sseC",
             t_scalar,
-            flops_c,
-            unit_c,
+            kspace_c,
+            kspace_c / unit_c,
             t_scalar,
         ),
         (
@@ -137,15 +176,15 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
             "sse_stageC_planes",
             t_planes,
             flops_c,
-            unit_c,
+            kspace_c / unit_c,
             t_scalar,
         ),
         (
             "stage D, trace_product per block",
             "sse_stageD_scalar",
             t_trace,
-            flops_d,
-            unit_d,
+            kspace_d,
+            kspace_d / unit_d,
             t_trace,
         ),
         (
@@ -153,7 +192,7 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
             "sse_stageD_dots",
             t_dots,
             flops_d,
-            unit_d,
+            kspace_d / unit_d,
             t_trace,
         ),
     ] {
@@ -168,13 +207,29 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
             &w,
         );
         records.push(BenchRecord {
-            name: format!("{name}_{norb}x{norb}_b{}{suffix}", flops * pairs / unit),
+            name: format!("{name}_{norb}x{norb}_b{}{suffix}", batch * pairs),
             n: norb,
             median_ns: t * 1e9,
             gflops,
         });
     }
     println!("shape target: planes >= 2x the scalar loop on both stages");
+    let gflops = (flops_c + flops_d) as f64 / t_pair / 1e9;
+    println!(
+        "\none pair, stages C + D (sigma_pair + pi_pair, nk {} nw {}): {:.1} us, {gflops:.2} Gflop/s",
+        prob.nk,
+        prob.nw,
+        t_pair * 1e6
+    );
+    records.push(BenchRecord {
+        name: format!(
+            "sse_pair_stages_nk{}_nw{}_{norb}x{norb}{suffix}",
+            prob.nk, prob.nw
+        ),
+        n: norb,
+        median_ns: t_pair * 1e9,
+        gflops,
+    });
     records
 }
 

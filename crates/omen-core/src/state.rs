@@ -47,17 +47,20 @@ pub(crate) fn sigma_block_into(
     let bs = dev.block_size_el();
     sl.resize(bs, bs);
     sg.resize(bs, bs);
-    for (a, atom) in dev.lattice.atoms.iter().enumerate() {
-        if atom.slab == b {
-            let r0 = atom.slab_offset * norb;
-            write_subblock_times_i(sl, r0, norb, sigma_l.block(ik, ie, a));
-            write_subblock_times_i(sg, r0, norb, sigma_g.block(ik, ie, a));
-        }
+    for a in slab_atoms(dev, b) {
+        let r0 = dev.lattice.atoms[a].slab_offset * norb;
+        write_subblock_times_i(sl, r0, norb, sigma_l.block(ik, ie, a));
+        write_subblock_times_i(sg, r0, norb, sigma_g.block(ik, ie, a));
     }
     // Project Σ^≷ onto their anti-Hermitian parts (exact in continuum;
     // restores the symmetry the finite stencil slightly breaks) and form
     // Σ^R.
     retarded_from(sr, sl, sg);
+}
+
+/// The atoms of slab `b`: a contiguous index range.
+fn slab_atoms(dev: &DeviceStructure, b: usize) -> std::ops::Range<usize> {
+    dev.lattice.atom_index(b, 0)..dev.lattice.atom_index(b + 1, 0)
 }
 
 /// Anti-Hermitian projections of `Σ^≷` and `Σ^R = (Σ^> − Σ^<) / 2`.
@@ -113,18 +116,21 @@ pub(crate) fn pi_block_into(
     let bs = dev.block_size_ph();
     pl.resize(bs, bs);
     pg.resize(bs, bs);
-    for (a, atom) in dev.lattice.atoms.iter().enumerate() {
-        if atom.slab == b {
-            let r0 = atom.slab_offset * n3d;
-            let en = pi_l.diag_entry(a);
-            write_subblock_times_i(pl, r0, n3d, pi_l.block(iq, iw, en));
-            write_subblock_times_i(pg, r0, n3d, pi_g.block(iq, iw, en));
-        }
+    let atoms = slab_atoms(dev, b);
+    for a in atoms.clone() {
+        let r0 = dev.lattice.atoms[a].slab_offset * n3d;
+        let en = pi_l.diag_entry(a);
+        write_subblock_times_i(pl, r0, n3d, pi_l.block(iq, iw, en));
+        write_subblock_times_i(pg, r0, n3d, pi_g.block(iq, iw, en));
     }
-    for (p, pair) in dev.neighbors.pairs.iter().enumerate() {
+    // The pairs are grouped by source atom: slab `b`'s atoms' pairs are
+    // one run of the list.
+    let nb = &dev.neighbors;
+    for p in nb.offsets[atoms.start]..nb.offsets[atoms.end] {
+        let pair = &nb.pairs[p];
         let fa = dev.lattice.atoms[pair.from];
         let ta = dev.lattice.atoms[pair.to];
-        if fa.slab == b && ta.slab == b && pair.from != pair.to {
+        if ta.slab == b && pair.from != pair.to {
             let r0 = fa.slab_offset * n3d;
             let c0 = ta.slab_offset * n3d;
             let en = pi_l.pair_entry(p);

@@ -13,7 +13,8 @@
 //! * [`planes_lmul`] — `C[e] = H · G[e]` for every `e` of a run, one shared
 //!   left block times the run's blocks (SSE stage A: `∇H·G`, written as
 //!   the planes stages C and D read; [`pad_planes`] and [`split_planes`]
-//!   turn them into those stages' operands by copies);
+//!   turn them into those stages' operands by copies, which
+//!   [`dft_planes`] takes to momentum harmonics in place);
 //! * [`planes_mac`] — `C[e] += Σ_t A[o_t + e] · W_t` for every `e` of a
 //!   run over a list of terms, as complex-scalar × energy-vector FMAs
 //!   with the accumulators held in registers across the terms (SSE
@@ -110,7 +111,8 @@ pub struct PlaneScratch {
     pub b: [Vec<f64>; 2],
     /// Accumulator planes of stage C.
     pub c: [Vec<f64>; 2],
-    /// The pair's scaled `∇H·D` blocks, lesser then greater.
+    /// The pair's scaled `∇H·D` blocks, lesser then greater (stage C);
+    /// the `(ω, κ)` trace tiles (stage D).
     pub w: Vec<C64>,
     /// The term list of one [`planes_mac`] call.
     pub terms: Vec<(usize, usize)>,
@@ -201,10 +203,13 @@ pub fn add_planes(dim: usize, len: usize, planes: &[f64], out: &mut [C64]) {
     let run = len * bsz;
     assert_eq!(planes.len(), 2 * out.len(), "add_planes: shape mismatch");
     for (s, d) in planes.chunks_exact(2 * run).zip(out.chunks_exact_mut(run)) {
-        for (e, block) in d.chunks_exact_mut(bsz).enumerate() {
-            for (x, z) in block.iter_mut().enumerate() {
-                let o = 2 * plane_of(dim, x) * len + e;
-                *z += c64(s[o], s[o + len]);
+        // Element `x` of every block from its plane pair.
+        for x in 0..bsz {
+            let o = 2 * plane_of(dim, x) * len;
+            let (re, im) = s[o..o + 2 * len].split_at(len);
+            let blocks = d[x..].iter_mut().step_by(bsz);
+            for (z, (re, im)) in blocks.zip(re.iter().zip(im)) {
+                *z += c64(*re, *im);
             }
         }
     }
@@ -291,6 +296,209 @@ pub fn split_planes(dim: usize, len: usize, transpose: bool, src: &[f64], dst: &
             let (s_re, s_im) = (&s[p..p + len], &s[p + len..p + 2 * len]);
             for e in 0..len {
                 (re[e * bsz + x], im[e * bsz + x]) = (s_re[e], s_im[e]);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Momentum harmonics: a length-`n` DFT across runs, in place.
+// ---------------------------------------------------------------------------
+
+/// `ω^{−j} = e^{−2πi·j/n}`, twiddle `j` of the forward length-`n` DFT
+/// (the inverse takes its conjugate). Multiples of a quarter turn are
+/// exact — `1`, `−i`, `−1`, `i` — not `cos(π/2) ≈ 6e-17`.
+fn twiddle(n: usize, j: usize) -> C64 {
+    let j = j % n;
+    if (4 * j).is_multiple_of(n) {
+        return [c64(1.0, 0.0), c64(0.0, -1.0), c64(-1.0, 0.0), c64(0.0, 1.0)][4 * j / n];
+    }
+    let (sin, cos) = (std::f64::consts::TAU * j as f64 / n as f64).sin_cos();
+    c64(cos, -sin)
+}
+
+/// The butterflies of `n = 2` and `4` on one position's values, one per
+/// momentum: forward `y[κ] = Σ_k ω^{−κk} x[k]`, inverse `y[k] = (1/n)
+/// Σ_κ ω^{κk} x[κ]`. Every twiddle is a quarter turn and `1/n` a power
+/// of two, so they round only in their additions.
+#[inline(always)]
+fn butterfly<const N: usize>(inverse: bool, x: [C64; N]) -> [C64; N] {
+    let mut y = x;
+    if N == 2 {
+        (y[0], y[1]) = (x[0] + x[1], x[0] - x[1]);
+    } else {
+        // `±i·(x1 − x3)`: `+` on the inverse.
+        let d = x[1] - x[3];
+        let d = if inverse {
+            c64(-d.im, d.re)
+        } else {
+            c64(d.im, -d.re)
+        };
+        let (a, b, c) = (x[0] + x[2], x[0] - x[2], x[1] + x[3]);
+        (y[0], y[1], y[2], y[3]) = (a + c, b + d, a - c, b - d);
+    }
+    if inverse {
+        for y in &mut y {
+            *y = y.scale(1.0 / N as f64);
+        }
+    }
+    y
+}
+
+/// Momentum counts whose twiddles and values [`dft_positions`] keeps on
+/// the stack.
+const DFT_STACK: usize = 16;
+
+/// The transform of [`butterfly`] for any other count `n`, in place over
+/// `len` positions held one run per momentum: `at(k, j)` indexes the real
+/// part of run `k`'s position `j`, its imaginary part `im` further. A
+/// position sums its twiddled terms in order, on its own, so a run's
+/// split never changes a value's bits.
+fn dft_positions(
+    n: usize,
+    inverse: bool,
+    len: usize,
+    data: &mut [f64],
+    at: impl Fn(usize, usize) -> usize,
+    im: usize,
+) {
+    let (mut stack, mut heap) = ([C64::ZERO; 3 * DFT_STACK], Vec::new());
+    let values = if n <= DFT_STACK {
+        &mut stack[..3 * n]
+    } else {
+        heap.resize(3 * n, C64::ZERO);
+        &mut heap[..]
+    };
+    let (tw, rest) = values.split_at_mut(n);
+    let (x, y) = rest.split_at_mut(n);
+    for (j, t) in tw.iter_mut().enumerate() {
+        *t = if inverse {
+            twiddle(n, j).conj()
+        } else {
+            twiddle(n, j)
+        };
+    }
+    let s = if inverse { 1.0 / n as f64 } else { 1.0 };
+    for j in 0..len {
+        for (k, x) in x.iter_mut().enumerate() {
+            let o = at(k, j);
+            *x = c64(data[o], data[o + im]);
+        }
+        for (kappa, y) in y.iter_mut().enumerate() {
+            let terms = x.iter().enumerate();
+            *y = terms.fold(C64::ZERO, |v, (k, x)| v + tw[kappa * k % n] * *x);
+        }
+        for (k, y) in y.iter().enumerate() {
+            let o = at(k, j);
+            (data[o], data[o + im]) = (y.re * s, y.im * s);
+        }
+    }
+}
+
+/// `N` split runs of `len` positions — real parts from `at`, imaginary
+/// parts `im` further — of consecutive rows of `data`, `row` apart: one
+/// run per momentum.
+fn split_runs_mut<const N: usize>(
+    data: &mut [f64],
+    row: usize,
+    at: usize,
+    im: usize,
+    len: usize,
+) -> [(&mut [f64], &mut [f64]); N] {
+    let mut rows = data.chunks_exact_mut(row);
+    std::array::from_fn(|_| {
+        let (re, rest) = rows.next().expect("a row per momentum")[at..].split_at_mut(im);
+        (&mut re[..len], &mut rest[..len])
+    })
+}
+
+/// [`butterfly`] over `N` split runs `(re, im)` of equal length, in
+/// place, position by position.
+#[inline(always)]
+fn butterfly_runs<const N: usize>(inverse: bool, runs: [(&mut [f64], &mut [f64]); N]) {
+    let len = runs[0].0.len();
+    assert!(runs
+        .iter()
+        .all(|(re, im)| re.len() == len && im.len() == len));
+    for j in 0..len {
+        let x = std::array::from_fn(|k| c64(runs[k].0[j], runs[k].1[j]));
+        let y: [C64; N] = butterfly(inverse, x);
+        for (k, y) in y.into_iter().enumerate() {
+            (runs[k].0[j], runs[k].1[j]) = (y.re, y.im);
+        }
+    }
+}
+
+/// The length-`n` DFT along the momentum axis of split-complex planes,
+/// in place: `data` is `[group][k][pair][re|im][plane]`, `n` runs of
+/// `pairs` plane pairs per group, and positions `at..at + len` of every
+/// plane are transformed — forward, run `κ` becomes `Σ_k ω^{−κk} · run
+/// k` (`ω = e^{2πi/n}`); `inverse`, run `k` becomes `(1/n)
+/// Σ_κ ω^{κk} · run κ`. Other positions are left as they are. `n = 1` is
+/// a no-op.
+///
+/// # Panics
+/// If `data` is not whole groups or a run overruns its plane.
+pub fn dft_planes(
+    n: usize,
+    inverse: bool,
+    pairs: usize,
+    plane: usize,
+    at: usize,
+    len: usize,
+    data: &mut [f64],
+) {
+    let row = 2 * pairs * plane;
+    assert!(
+        row > 0 && n > 0 && data.len().is_multiple_of(n * row),
+        "dft_planes: ragged data"
+    );
+    assert!(at + len <= plane, "dft_planes: a run overruns its plane");
+    for group in data.chunks_exact_mut(n * row) {
+        for x in 0..pairs {
+            let o = 2 * x * plane + at;
+            match n {
+                1 => {}
+                2 => butterfly_runs::<2>(inverse, split_runs_mut(group, row, o, plane, len)),
+                4 => butterfly_runs::<4>(inverse, split_runs_mut(group, row, o, plane, len)),
+                _ => dft_positions(n, inverse, len, group, |k, j| k * row + o + j, plane),
+            }
+        }
+    }
+}
+
+/// [`dft_planes`] on blocks: `data` is `[group][k][row]` complex numbers,
+/// `n` runs of `row` per group, every number transformed along `k`.
+///
+/// # Panics
+/// If `data` is not whole groups.
+pub fn dft_blocks(n: usize, inverse: bool, row: usize, data: &mut [C64]) {
+    assert!(
+        row > 0 && n > 0 && data.len().is_multiple_of(n * row),
+        "dft_blocks: ragged data"
+    );
+    for group in data.chunks_exact_mut(n * row) {
+        match n {
+            1 => {}
+            2 | 4 => {
+                // One butterfly per position, across the group's rows.
+                let mut rows = group.chunks_exact_mut(row);
+                let (r0, r1) = (rows.next().expect("row"), rows.next().expect("row"));
+                if n == 2 {
+                    for (a, b) in r0.iter_mut().zip(r1.iter_mut()) {
+                        [*a, *b] = butterfly(inverse, [*a, *b]);
+                    }
+                } else {
+                    let (r2, r3) = (rows.next().expect("row"), rows.next().expect("row"));
+                    let quads = r0.iter_mut().zip(r1.iter_mut()).zip(r2.iter_mut().zip(r3));
+                    for ((a, b), (c, d)) in quads {
+                        [*a, *b, *c, *d] = butterfly(inverse, [*a, *b, *c, *d]);
+                    }
+                }
+            }
+            _ => {
+                let at = |k: usize, j: usize| 2 * (k * row + j);
+                dft_positions(n, inverse, row, as_f64_mut(group), at, 1);
             }
         }
     }
@@ -1267,6 +1475,14 @@ pub fn as_c64(x: &[f64]) -> &[C64] {
 pub fn as_c64_mut(x: &mut [f64]) -> &mut [C64] {
     // SAFETY: as for `as_c64`; the exclusive borrow carries over.
     unsafe { std::slice::from_raw_parts_mut(x.as_mut_ptr().cast(), x.len() / 2) }
+}
+
+/// The `re, im` pairs `C64`s are made of: the inverse view of
+/// [`as_c64_mut`].
+fn as_f64_mut(x: &mut [C64]) -> &mut [f64] {
+    // SAFETY: as for `as_c64`, each `C64` is two consecutive `f64`s; the
+    // exclusive borrow carries over.
+    unsafe { std::slice::from_raw_parts_mut(x.as_mut_ptr().cast(), 2 * x.len()) }
 }
 
 // ---------------------------------------------------------------------------
@@ -2403,6 +2619,92 @@ mod tests {
                     let why = format!("split: dim {dim}, len {len}, transpose {transpose}");
                     assert!(bits(&got) == bits(&want), "{why}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn twiddles_are_exact_at_quarter_turns() {
+        let turns = [c64(1.0, 0.0), c64(0.0, -1.0), c64(-1.0, 0.0), c64(0.0, 1.0)];
+        for n in [1, 2, 4, 8, 12] {
+            for j in (0..3 * n).filter(|j| (4 * j) % n == 0) {
+                let want = turns[(4 * j / n) % 4];
+                let got = twiddle(n, j);
+                assert!(got.re.to_bits() == want.re.to_bits(), "n {n}, j {j}");
+                assert!(got.im.to_bits() == want.im.to_bits(), "n {n}, j {j}");
+            }
+        }
+        for (n, j) in [(3, 1), (5, 2), (6, 1), (7, 3)] {
+            let angle = -std::f64::consts::TAU * j as f64 / n as f64;
+            let want = c64(angle.cos(), angle.sin());
+            assert!((twiddle(n, j) - want).abs() < 1e-15, "n {n}, j {j}");
+        }
+    }
+
+    /// `[group][k][re|im][len]` split runs of `values` — `groups · n`
+    /// runs of `len` complex numbers.
+    fn split_runs(values: &[C64], len: usize) -> Vec<f64> {
+        let runs = values.chunks_exact(len);
+        runs.flat_map(|r| r.iter().map(|z| z.re).chain(r.iter().map(|z| z.im)))
+            .collect()
+    }
+
+    #[test]
+    fn dft_planes_is_the_twiddled_sum_and_inverts() {
+        // Every momentum count through 6: the butterflies of 2 and 4 and
+        // the twiddled sums of the others, against `Σ_k ω^{−κk} x[k]`.
+        let (groups, len) = (3, 7);
+        for n in 1..=6 {
+            let x = noise(groups * n * len, n as u64);
+            let mut data = split_runs(&x, len);
+            dft_planes(n, false, 1, len, 0, len, &mut data);
+            for g in 0..groups {
+                for kappa in 0..n {
+                    for j in 0..len {
+                        let terms =
+                            (0..n).map(|k| twiddle(n, kappa * k) * x[(g * n + k) * len + j]);
+                        let want = terms.fold(C64::ZERO, |v, t| v + t);
+                        let o = (g * n + kappa) * 2 * len + j;
+                        let got = c64(data[o], data[o + len]);
+                        assert!((got - want).abs() < 1e-14, "n {n}, κ {kappa}, j {j}");
+                    }
+                }
+            }
+            dft_planes(n, true, 1, len, 0, len, &mut data);
+            let back = split_runs(&x, len);
+            let worst = data
+                .iter()
+                .zip(&back)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            assert!(worst < 1e-15 * n as f64, "n {n}: round trip off by {worst}");
+        }
+        // Small integers stay exact through the butterflies and `1/n`.
+        for n in [2, 4] {
+            let x: Vec<C64> = (0..n * len)
+                .map(|i| c64(i as f64 - 9.0, 3.0 - (i % 5) as f64))
+                .collect();
+            let mut data = split_runs(&x, len);
+            dft_planes(n, false, 1, len, 0, len, &mut data);
+            dft_planes(n, true, 1, len, 0, len, &mut data);
+            assert!(data == split_runs(&x, len), "n {n}");
+        }
+    }
+
+    #[test]
+    fn dft_blocks_is_dft_planes_on_blocks() {
+        // The same numbers as blocks and as split runs take the same
+        // transform, bit for bit, both ways.
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let len = 5;
+        for n in 1..=5 {
+            let blocks = noise(3 * n * len, 40 + n as u64);
+            for inverse in [false, true] {
+                let mut runs = split_runs(&blocks, len);
+                dft_planes(n, inverse, 1, len, 0, len, &mut runs);
+                let mut blocks = blocks.clone();
+                dft_blocks(n, inverse, len, &mut blocks);
+                assert!(bits(&runs) == bits(&split_runs(&blocks, len)), "n {n}");
             }
         }
     }

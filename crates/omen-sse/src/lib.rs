@@ -5,7 +5,8 @@
 //!
 //! * [`reference::sse_reference`] — the OMEN-style loop nest (baseline);
 //! * [`transformed::sse_transformed`] — the DaCe-transformed kernel
-//!   (map fission, data relayout, strided-batched GEMM, fusion; Fig. 6);
+//!   (map fission, data relayout, strided-batched GEMM, fusion; Fig. 6),
+//!   its stages C and D on momentum harmonics;
 //! * [`mixed::sse_mixed`] — the Tensor-Core-emulating binary16 variant
 //!   with per-tensor normalization (§5.4): the transformed schedule with
 //!   its stage-C operands quantised to binary16.
@@ -16,7 +17,11 @@
 //! within 5e-3 relative of the transformed.
 //!
 //! The transformed schedule is built from the per-pair leaf stages of
-//! [`stages`], generalised over an energy window; `omen-comm`'s
+//! [`stages`], generalised over an energy window. Stages C and D take
+//! their `∇H·G` and `∇H·D` operands through a length-`Nkz` DFT along
+//! momentum, so the `qz` convolution of `Σ≷` and the `kz` correlation of
+//! `Π≷` become one product per harmonic; the reference kernel and the
+//! OMEN plan sum in k-space and are the oracle. `omen-comm`'s
 //! data-centric plan runs the same leaves on its atom×energy tiles, and the
 //! mixed kernel runs them on quantised operands. In one
 //! address space the transformed and mixed kernels run them as per-atom

@@ -9,7 +9,9 @@ use std::borrow::Cow;
 ///
 /// Grid conventions (matching the paper's stencil, Fig. 5):
 /// * electron momenta `kz` and phonon momenta `qz` discretize the same
-///   Brillouin zone (`Nqz == Nkz` is asserted), wrapping periodically;
+///   Brillouin zone (`Nqz == Nkz` is asserted), wrapping periodically —
+///   the identity that lets the transformed stages C and D run on
+///   momentum harmonics (a length-`Nkz` DFT);
 /// * phonon frequencies are commensurate with the energy grid:
 ///   `ℏω_m = (m + 1) · dE` for frequency index `m ∈ [0, Nω)`, so the
 ///   `E ± ℏω` stencil lands on grid points (radius `Nω`, as in Fig. 6);
@@ -124,7 +126,12 @@ impl<'a> SseProblem<'a> {
         scale_pi: f64,
         rev_pair: Cow<'a, [usize]>,
     ) -> Self {
-        assert_eq!(nq, nk, "qz and kz must discretize the same Brillouin zone");
+        assert_eq!(
+            nq, nk,
+            "qz and kz must discretize the same Brillouin zone: stages C and D \
+             take both momentum sums as circular convolutions on one grid, \
+             exact only when Nqz = Nkz"
+        );
         assert!(nw >= 1, "need at least one phonon frequency");
         assert!(ne > nw, "energy window must exceed the stencil radius");
         assert_eq!(

@@ -21,13 +21,28 @@
 //! im` pairs ([`omen_linalg::as_c64`]), the operands of the packed
 //! micro-kernel. Either way a stream holds `2 · 3 · Nkz · E · Norb²`
 //! numbers.
+//!
+//! # Momentum harmonics
+//!
+//! Stages C and D read k-space streams and write k-space `Σ` and `Π`, but
+//! work on harmonics `κ` of a length-`Nkz` DFT along momentum, `x̂(κ) =
+//! Σ_kz ω^{−κ·kz} x(kz)` with `ω = e^{2πi/Nkz}`: their momentum sums are
+//! circular convolutions (`Nqz = Nkz`, periodic wrap), one product per
+//! harmonic. The copies each stage already made of its operands (the
+//! padded planes, the split runs, the scaled `∇H·D` blocks) are
+//! transformed in place ([`dft_planes`], [`dft_blocks`]); the inverse,
+//! with its `1/Nkz`, goes into the output. The transforms are plain
+//! unfused arithmetic, per energy and element, so a window never changes
+//! an output element's bits. `Nkz = 2` and `4` run butterflies of
+//! additions only; other counts sum twiddled terms, exact at quarter
+//! turns. At `Nkz = 1` nothing is transformed.
 
 use crate::problem::SseProblem;
 use crate::tensors::D_BSZ;
 use omen_linalg::{
-    add_planes, as_c64, as_c64_mut, count_fused_run, pack_planes, pack_split, pad_planes,
-    planes_dots, planes_lmul, planes_mac, sbsmm, sbsmm_pb, split_planes, use_packed_kernel,
-    BatchDims, CMatrix, DotTile, PlaneScratch, SplitRun, Strides, C64,
+    add_planes, as_c64, as_c64_mut, count_fused_run, dft_blocks, dft_planes, pack_planes,
+    pack_split, pad_planes, planes_dots, planes_lmul, planes_mac, sbsmm, sbsmm_pb, split_planes,
+    use_packed_kernel, BatchDims, CMatrix, DotTile, PackedB, PlaneScratch, SplitRun, Strides, C64,
 };
 
 /// The energies one evaluation produces (`own`) and the source energies
@@ -155,20 +170,30 @@ impl Stencil {
 /// * `hd_l`/`hd_g` — the pair's [`d_grad`] blocks, `[i][qz][ω]`;
 /// * `out_l`/`out_g` — `Σ^≷_aa`, `[kz][E − own.lo]`.
 ///
+/// `Σ(kz) = Σ_qz ∇H·G(kz − qz) · ∇H·D(qz)` is a circular convolution on
+/// the one momentum grid (`Nqz = Nkz`), so the stage runs on momentum
+/// harmonics `κ`: the copies it makes of the `∇H·G` streams and the
+/// `∇H·D` blocks are taken through a length-`Nkz` DFT along momentum in
+/// place ([`dft_planes`], [`dft_blocks`]), each harmonic's output is one
+/// product per `(i, ω)` term, and the accumulators' inverse transform
+/// (×`1/Nkz`) is added into `out`. At `Nkz = 1` no
+/// transform runs. The flops count the block products only: the
+/// transforms (additions only at `Nkz = 2` and `4`) are not flops of the
+/// model, and `bytes_packed` counts the copies as before.
+///
 /// The prefactor `scale_sigma` rides on each `∇H·D` block, scaled once
 /// per pair, so no sweep over `Σ` follows. Blocks big enough for a
-/// register tile ([`use_packed_kernel`]) pack each `∇H·D` block once and
-/// sweep it with the FMA micro-kernel across the whole `kz` loop and all
-/// four updates, loop nest `(i, qz, ω, kz)`. Tiny blocks turn the batch
-/// into the SIMD axis instead: each side's `hg` planes are copied once
-/// into planes covering `own ± Nω` (zeros outside the grid), and
-/// every `(side, kz)` output run is one [`planes_mac`] call over all its
-/// `(i, qz, ω)` emission and absorption terms, accumulated into planes
-/// that are added to `out` once. A term's energies outside the grid read
+/// register tile ([`use_packed_kernel`]) pack each `∇H·D` harmonic once
+/// and sweep it with the FMA micro-kernel over all four updates, loop
+/// nest `(i, κ, ω)`. Tiny blocks turn the batch into the SIMD axis
+/// instead: each side's `hg` harmonics are planes covering `own ± Nω`
+/// (zeros outside the grid), and every `(side, κ)` output run is one
+/// [`planes_mac`] call over all its `(i, ω)` emission and absorption
+/// terms, accumulated into planes. A term's energies outside the grid read
 /// the padding zeros: for finite `∇H·D` an exact no-op on an accumulator
-/// that starts at `+0`. Either way an output element receives its
-/// `(i, qz, ω)` terms in loop order, emission before absorption, whatever
-/// the window. Returns the flops performed.
+/// that starts at `+0`. Either way an output element receives its `(i,
+/// ω)` terms in loop order, emission before absorption, and the same
+/// transforms, whatever the window. Returns the flops performed.
 #[allow(clippy::too_many_arguments)]
 pub fn sigma_pair(
     prob: &SseProblem,
@@ -184,12 +209,12 @@ pub fn sigma_pair(
     let norb = prob.norb();
     let bsz = norb * norb;
     let dims = BatchDims::square(norb);
-    let (nk, nq, nw) = (prob.nk, prob.nq, prob.nw);
+    let (nk, nw) = (prob.nk, prob.nw);
     let (hw, ew) = (win.halo_len(), win.own_len());
     // Lesser and greater side by side; an update reads and writes the
     // same side and takes either side's `∇H·D`.
     let hg = [hg_l, hg_g];
-    let mut out = [out_l, out_g];
+    let out = [out_l, out_g];
     let PlaneScratch {
         a: src,
         c: acc,
@@ -198,93 +223,133 @@ pub fn sigma_pair(
         pb,
         ..
     } = scratch;
-    // The right operand of every update: the pair's `∇H·D` blocks
-    // `[side][i][qz][ω]`, scaled.
-    let blocks = 3 * nq * nw;
+    // The right operand of every update: the pair's `∇H·D` harmonics
+    // `[side][i][κ][ω]`, scaled.
+    let blocks = 3 * nk * nw * bsz;
     w.clear();
     for hd in [hd_l, hd_g] {
-        w.extend(hd[..blocks * bsz].iter().map(|z| z.scale(prob.scale_sigma)));
+        w.extend(hd[..blocks].iter().map(|z| z.scale(prob.scale_sigma)));
     }
+    dft_blocks(nk, false, nw * bsz, w);
     let stencils = || (0..nw).map(|m| Stencil::new(win, prob.omega_steps(m)));
     let per_kz: usize = stencils().map(|st| st.n_em + st.n_ab).sum();
-    let flops = (3 * nq * nk * 2 * per_kz) as u64 * dims.flops();
-    // The scaled block `(side, i, qz, ω)`.
-    let block =
-        |side: usize, i: usize, q: usize, m: usize| (((side * 3 + i) * nq + q) * nw + m) * bsz;
+    let flops = (3 * nk * 2 * per_kz) as u64 * dims.flops();
     if use_packed_kernel(dims) {
-        let hg = hg.map(as_c64);
-        for i in 0..3 {
-            for q in 0..nq {
-                for (m, st) in stencils().enumerate() {
-                    if st.n_em + st.n_ab == 0 {
-                        continue;
-                    }
-                    for (d, pb) in pb.iter_mut().enumerate() {
-                        pb.pack(norb, norb, &w[block(d, i, q, m)..][..bsz]);
-                    }
-                    // `side[cx..] += side[ax..] · ∇H·D[d]` over `n` energies,
-                    // offsets in blocks: `ax` into the pair's
-                    // `[i][kz][E − halo.lo]` stream, `cx` into `Σ_aa`'s
-                    // `[kz][E − own.lo]`.
-                    let mut mac = |n: usize, side: usize, ax: usize, d: usize, cx: usize| {
-                        if n > 0 {
-                            let (a, c) = (&hg[side][ax * bsz..], &mut out[side][cx * bsz..]);
-                            sbsmm_pb(dims, n, C64::ONE, a, bsz, &pb[d], C64::ONE, c, bsz);
-                        }
-                    };
-                    for k in 0..nk {
-                        let from = (i * nk + prob.k_minus_q(k, q)) * hw;
-                        let a_em = from + st.em_lo - st.steps - win.halo.0;
-                        let a_ab = from + win.own.0 + st.steps - win.halo.0;
-                        let c_em = k * ew + st.em_lo - win.own.0;
-                        let c_ab = k * ew;
-                        mac(st.n_em, 0, a_em, 0, c_em);
-                        mac(st.n_em, 1, a_em, 1, c_em);
-                        mac(st.n_ab, 0, a_ab, 1, c_ab);
-                        mac(st.n_ab, 1, a_ab, 0, c_ab);
-                    }
-                }
-            }
+        // At one momentum the streams and `Σ` are their own harmonics.
+        if nk == 1 {
+            sigma_blocks(prob, win, hg.map(as_c64), w, pb, out);
+            return flops;
+        }
+        for (hg, src) in hg.iter().zip(src.iter_mut()) {
+            src.clear();
+            src.extend_from_slice(hg);
+            dft_blocks(nk, false, hw * bsz, as_c64_mut(src));
+        }
+        for acc in acc.iter_mut() {
+            acc.clear();
+            acc.resize(2 * nk * ew * bsz, 0.0);
+        }
+        let [c_l, c_g] = acc;
+        let a = [as_c64(&src[0]), as_c64(&src[1])];
+        sigma_blocks(prob, win, a, w, pb, [as_c64_mut(c_l), as_c64_mut(c_g)]);
+        for (acc, out) in [c_l, c_g].into_iter().zip(out) {
+            let acc = as_c64_mut(acc);
+            dft_blocks(nk, true, ew * bsz, acc);
+            out.iter_mut().zip(&*acc).for_each(|(o, a)| *o += *a);
         }
         return flops;
     }
-    // Element planes `[i][kz][element][re|im][plane]`: `pad` zeros before
+    // Element planes `[i][κ][element][re|im][plane]`: `pad` zeros before
     // the halo's first energy and zeros past its last, so that position
     // `base + j` is energy `own.lo + j` and every term reads its whole
     // run `base ± steps + j` within the planes. Accumulators
-    // `[kz][element][re|im][E − own.lo]`.
+    // `[κ][element][re|im][E − own.lo]`.
     let reach = stencils().map(|st| st.steps).max().unwrap_or(0);
     let pad = reach.saturating_sub(win.own.0 - win.halo.0);
     let base = win.own.0 - win.halo.0 + pad;
     let plane = (pad + hw).max(base + ew + reach);
     let (src_run, acc_run) = (2 * bsz * plane, 2 * bsz * ew);
+    // The scaled harmonic `(side, i, κ, ω)`.
+    let block =
+        |side: usize, i: usize, k: usize, m: usize| (((side * 3 + i) * nk + k) * nw + m) * bsz;
     for (side, (src, acc)) in src.iter_mut().zip(acc.iter_mut()).enumerate() {
         pad_planes(hw, hg[side], plane, pad, src);
+        dft_planes(nk, false, bsz, plane, pad, hw, src);
         acc.clear();
         acc.resize(nk * acc_run, 0.0);
         for (k, acc) in acc.chunks_exact_mut(acc_run).enumerate() {
             terms.clear();
             for i in 0..3 {
-                for q in 0..nq {
-                    let from = (i * nk + prob.k_minus_q(k, q)) * src_run + base;
-                    for (m, st) in stencils().enumerate() {
-                        if st.n_em > 0 {
-                            terms.push((from - st.steps, block(side, i, q, m)));
-                        }
-                        if st.n_ab > 0 {
-                            terms.push((from + st.steps, block(1 - side, i, q, m)));
-                        }
+                let from = (i * nk + k) * src_run + base;
+                for (m, st) in stencils().enumerate() {
+                    if st.n_em > 0 {
+                        terms.push((from - st.steps, block(side, i, k, m)));
+                    }
+                    if st.n_ab > 0 {
+                        terms.push((from + st.steps, block(1 - side, i, k, m)));
                     }
                 }
             }
             planes_mac(norb, ew, src, plane, w, terms, acc, ew);
         }
+        dft_planes(nk, true, bsz, ew, 0, ew, acc);
     }
     for (acc, out) in acc.iter().zip(out) {
         add_planes(norb, ew, acc, out);
     }
     count_fused_run(flops);
     flops
+}
+
+/// Stage C's packed branch on harmonics: `c[side]`, `[κ][E − own.lo]`
+/// blocks, receives the four updates of every `(i, κ, ω)` from the
+/// `∇H·G` harmonics `a[side]`, `[i][κ][E − halo.lo]`, and the scaled
+/// `∇H·D` harmonics `w` (see [`sigma_pair`]), each `∇H·D` block packed
+/// once.
+fn sigma_blocks(
+    prob: &SseProblem,
+    win: &EnergyWindow,
+    a: [&[C64]; 2],
+    w: &[C64],
+    pb: &mut [PackedB; 2],
+    mut c: [&mut [C64]; 2],
+) {
+    let norb = prob.norb();
+    let bsz = norb * norb;
+    let dims = BatchDims::square(norb);
+    let (nk, nw) = (prob.nk, prob.nw);
+    let (hw, ew) = (win.halo_len(), win.own_len());
+    for i in 0..3 {
+        for k in 0..nk {
+            for m in 0..nw {
+                let st = Stencil::new(win, prob.omega_steps(m));
+                if st.n_em + st.n_ab == 0 {
+                    continue;
+                }
+                for (d, pb) in pb.iter_mut().enumerate() {
+                    let at = (((d * 3 + i) * nk + k) * nw + m) * bsz;
+                    pb.pack(norb, norb, &w[at..at + bsz]);
+                }
+                // `c[side][cx..] += a[side][ax..] · ∇H·D[d]` over `n`
+                // energies, offsets in blocks.
+                let mut mac = |n: usize, side: usize, ax: usize, d: usize, cx: usize| {
+                    if n > 0 {
+                        let (a, c) = (&a[side][ax * bsz..], &mut c[side][cx * bsz..]);
+                        sbsmm_pb(dims, n, C64::ONE, a, bsz, &pb[d], C64::ONE, c, bsz);
+                    }
+                };
+                let from = (i * nk + k) * hw;
+                let a_em = from + st.em_lo - st.steps - win.halo.0;
+                let a_ab = from + win.own.0 + st.steps - win.halo.0;
+                let c_em = k * ew + st.em_lo - win.own.0;
+                let c_ab = k * ew;
+                mac(st.n_em, 0, a_em, 0, c_em);
+                mac(st.n_em, 1, a_em, 1, c_em);
+                mac(st.n_ab, 0, a_ab, 1, c_ab);
+                mac(st.n_ab, 1, a_ab, 0, c_ab);
+            }
+        }
+    }
 }
 
 fn split_runs(
@@ -306,15 +371,22 @@ fn split_runs(
 /// window's own energies with `E + ω < NE`, where `x = ∇H_ba·G_a` (the
 /// reverse pair's product) and `y = ∇H_ab·G_b` are `∇H·G` streams (see
 /// the module docs). `C^<` pairs `x^<` with `y^>`, `C^>` the
-/// opposite; `sink(qz, m, C^<, C^>)` receives each non-empty point, whose
-/// blocks contribute to the pair entry `Π_ab` and the diagonal entry
-/// `Π_aa`.
+/// opposite; `sink(qz, m, C^<, C^>)` receives each non-empty point, in
+/// `(qz, ω)` order, whose blocks contribute to the pair entry `Π_ab` and
+/// the diagonal entry `Π_aa`.
+///
+/// The momentum sum is a circular correlation, so it runs on harmonics:
+/// with `x̂(κ) = Σ_kz ω^{−κ·kz} x(kz)` and `ŷ` alike (`ω = e^{2πi/Nkz}`),
+/// `C(qz) = (1/Nkz) Σ_κ ω^{κ·qz} · Σ_E tr{x̂(κ) · ŷ(−κ)}`: one trace
+/// tile per `(κ, ω)` instead of `Nkz` per `(qz, ω)`.
 ///
 /// `x` and the block-transposed `y` are split into real and imaginary
 /// runs of blocks once ([`split_planes`] from planes, [`pack_split`] from
-/// blocks: the same runs); a trace over a `kz` row is then a plain complex
-/// dot product over `E × Norb²` contiguous numbers, nine of them per
-/// [`planes_dots`] tile. Returns the flops performed.
+/// blocks: the same runs) and, above one momentum, transformed in place
+/// ([`dft_planes`]); a trace over a harmonic is then a plain
+/// complex dot product over `E × Norb²` contiguous numbers, nine of them
+/// per [`planes_dots`] tile. At `Nkz = 1` no transform runs. Returns the
+/// flops performed.
 #[allow(clippy::too_many_arguments)]
 pub fn pi_pair(
     prob: &SseProblem,
@@ -328,12 +400,13 @@ pub fn pi_pair(
 ) -> u64 {
     let norb = prob.norb();
     let bsz = norb * norb;
-    let nk = prob.nk;
+    let (nk, nw) = (prob.nk, prob.nw);
     // One `[re|im]` pair of runs per `(direction, kz)`.
     let row = win.halo_len() * bsz;
     let PlaneScratch {
         a: [xs_l, xs_g],
         b: [ys_l, ys_g],
+        w: tiles,
         ..
     } = scratch;
     let blocks = use_packed_kernel(BatchDims::square(norb));
@@ -348,28 +421,41 @@ pub fn pi_pair(
         } else {
             split_planes(norb, win.halo_len(), transpose, x, dst);
         }
+        dft_planes(nk, false, 1, row, 0, row, dst);
     }
-    // The three directions' runs of `n` numbers from `at` in row `kz`.
+    // The tiles `T^≷(κ, ω)`, `[ω][κ][≷][D_BSZ]`.
+    let tile = |m: usize, k: usize| (m * nk + k) * 2 * D_BSZ;
+    tiles.clear();
+    tiles.resize(2 * nk * nw * D_BSZ, C64::ZERO);
+    // The harmonics' runs of `n` numbers from `at` in each direction.
     let runs = |s, k: usize, at: usize, n: usize| split_runs(s, nk, row, k, at, n);
+    // The point `(·, ω_m)` is empty when no own energy has `E + ω < NE`.
+    let e_hi = |m: usize| win.own.1.min(win.ne.saturating_sub(prob.omega_steps(m)));
+    let points = || (0..nw).filter(|&m| e_hi(m) > win.own.0);
     let mut flops = 0u64;
-    for q in 0..prob.nq {
-        for m in 0..prob.nw {
-            let steps = prob.omega_steps(m);
-            let e_hi = win.own.1.min(win.ne.saturating_sub(steps));
-            if e_hi <= win.own.0 {
-                continue;
-            }
-            let n = (e_hi - win.own.0) * bsz;
-            let at_y = (win.own.0 - win.halo.0) * bsz;
-            let at_x = at_y + steps * bsz;
+    for m in points() {
+        let steps = prob.omega_steps(m);
+        let n = (e_hi(m) - win.own.0) * bsz;
+        let at_y = (win.own.0 - win.halo.0) * bsz;
+        let at_x = at_y + steps * bsz;
+        for k in 0..nk {
+            let minus = (nk - k) % nk;
             let (mut c_l, mut c_g) = (DotTile::default(), DotTile::default());
-            for k in 0..nk {
-                let kq = prob.k_plus_q(k, q);
-                planes_dots(runs(xs_l, kq, at_x, n), runs(ys_g, k, at_y, n), &mut c_l);
-                planes_dots(runs(xs_g, kq, at_x, n), runs(ys_l, k, at_y, n), &mut c_g);
-            }
-            sink(q, m, &c_l.sum(), &c_g.sum());
-            flops += 2 * 8 * (D_BSZ * nk * n) as u64;
+            planes_dots(runs(xs_l, k, at_x, n), runs(ys_g, minus, at_y, n), &mut c_l);
+            planes_dots(runs(xs_g, k, at_x, n), runs(ys_l, minus, at_y, n), &mut c_g);
+            let t = &mut tiles[tile(m, k)..][..2 * D_BSZ];
+            t[..D_BSZ].copy_from_slice(&c_l.sum());
+            t[D_BSZ..].copy_from_slice(&c_g.sum());
+        }
+        flops += 2 * 8 * (D_BSZ * nk * n) as u64;
+    }
+    // `C(qz) = (1/Nkz) Σ_κ ω^{κ·qz} T(κ)`, `[ω][qz][≷][D_BSZ]`.
+    dft_blocks(nk, true, 2 * D_BSZ, tiles);
+    for q in 0..nk {
+        for m in points() {
+            let c = &tiles[tile(m, q)..][..2 * D_BSZ];
+            let (c_l, c_g) = c.split_first_chunk().expect("a tile holds Π< and Π>");
+            sink(q, m, c_l, c_g.try_into().expect("a tile holds Π< and Π>"));
         }
     }
     count_fused_run(flops);
@@ -379,8 +465,14 @@ pub fn pi_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{pi_pair_scalar, sigma_pair_scalar, stream_of};
     use omen_device::{DeviceConfig, DeviceStructure};
     use omen_linalg::{c64, PLANES_MAX_DIM};
+
+    fn max_diff(a: &[C64], b: &[C64]) -> f64 {
+        let diff = a.iter().zip(b).map(|(x, y)| (*x - *y).abs());
+        diff.fold(0.0, f64::max)
+    }
 
     fn noise(n: usize, seed: u64) -> Vec<C64> {
         let f = |i: usize, k: f64| ((i as f64 + 0.5 + seed as f64 * 17.0) * k).sin();
@@ -389,8 +481,11 @@ mod tests {
 
     /// Stage C's plane branch as one update at a time: `∇H·G` packed into
     /// unpadded planes of the halo's length, one one-term [`planes_mac`]
-    /// per `(i, qz, ω, kz, update)` over the update's in-grid energies,
-    /// the accumulators added to `out` once.
+    /// per `(i, κ, ω, update)` over the update's in-grid energies, the
+    /// accumulators added to `out` once. At one momentum that is the
+    /// k-space loop itself (plain copies, `κ = kz`); above, the planes and
+    /// the scaled `∇H·D` blocks go through the forward transform first
+    /// and the accumulators through the inverse.
     #[allow(clippy::too_many_arguments)]
     fn update_loop(
         prob: &SseProblem,
@@ -404,44 +499,130 @@ mod tests {
     ) {
         let norb = prob.norb();
         let bsz = norb * norb;
-        let (nk, nq, nw) = (prob.nk, prob.nq, prob.nw);
+        let (nk, nw) = (prob.nk, prob.nw);
         let (hw, ew) = (win.halo_len(), win.own_len());
         let (src_run, acc_run) = (2 * bsz * hw, 2 * bsz * ew);
-        let mut src = [Vec::new(), Vec::new()];
-        pack_planes(norb, hw, hg_l, hw, 0, &mut src[0]);
-        pack_planes(norb, hw, hg_g, hw, 0, &mut src[1]);
+        let src = [hg_l, hg_g].map(|hg| {
+            let mut planes = Vec::new();
+            pack_planes(norb, hw, hg, hw, 0, &mut planes);
+            if nk > 1 {
+                dft_planes(nk, false, bsz, hw, 0, hw, &mut planes);
+            }
+            planes
+        });
+        let w = [hd_l, hd_g].map(|hd| {
+            let mut w: Vec<C64> = hd.iter().map(|z| z.scale(prob.scale_sigma)).collect();
+            if nk > 1 {
+                dft_blocks(nk, false, nw * bsz, &mut w);
+            }
+            w
+        });
         let mut acc = [vec![0.0; nk * acc_run], vec![0.0; nk * acc_run]];
         for i in 0..3 {
-            for q in 0..nq {
+            for k in 0..nk {
                 for m in 0..nw {
                     let st = Stencil::new(win, prob.omega_steps(m));
-                    let block = (i * nq + q) * nw + m;
-                    let w = [hd_l, hd_g].map(|hd| -> Vec<C64> {
-                        let hd = &hd[block * bsz..(block + 1) * bsz];
-                        hd.iter().map(|z| z.scale(prob.scale_sigma)).collect()
-                    });
+                    let block = ((i * nk + k) * nw + m) * bsz;
+                    let w = [&w[0][block..block + bsz], &w[1][block..block + bsz]];
                     let mut mac = |n: usize, side: usize, ax: usize, d: usize, cx: usize| {
                         if n > 0 {
                             let a = (ax / hw) * src_run + ax % hw;
                             let c = &mut acc[side][(cx / ew) * acc_run + cx % ew..];
-                            planes_mac(norb, n, &src[side], hw, &w[d], &[(a, 0)], c, ew);
+                            planes_mac(norb, n, &src[side], hw, w[d], &[(a, 0)], c, ew);
                         }
                     };
-                    for k in 0..nk {
-                        let from = (i * nk + prob.k_minus_q(k, q)) * hw;
-                        let a_em = from + st.em_lo - st.steps - win.halo.0;
-                        let a_ab = from + win.own.0 + st.steps - win.halo.0;
-                        let c_em = k * ew + st.em_lo - win.own.0;
-                        mac(st.n_em, 0, a_em, 0, c_em);
-                        mac(st.n_em, 1, a_em, 1, c_em);
-                        mac(st.n_ab, 0, a_ab, 1, k * ew);
-                        mac(st.n_ab, 1, a_ab, 0, k * ew);
-                    }
+                    let from = (i * nk + k) * hw;
+                    let a_em = from + st.em_lo - st.steps - win.halo.0;
+                    let a_ab = from + win.own.0 + st.steps - win.halo.0;
+                    let c_em = k * ew + st.em_lo - win.own.0;
+                    mac(st.n_em, 0, a_em, 0, c_em);
+                    mac(st.n_em, 1, a_em, 1, c_em);
+                    mac(st.n_ab, 0, a_ab, 1, k * ew);
+                    mac(st.n_ab, 1, a_ab, 0, k * ew);
                 }
             }
         }
-        add_planes(norb, ew, &acc[0], out_l);
-        add_planes(norb, ew, &acc[1], out_g);
+        for (acc, out) in acc.iter_mut().zip([out_l, out_g]) {
+            if nk > 1 {
+                dft_planes(nk, true, bsz, ew, 0, ew, acc);
+            }
+            add_planes(norb, ew, acc, out);
+        }
+    }
+
+    /// Stage D as a loop over points: the streams split into runs
+    /// ([`split_planes`] or [`pack_split`]), and per `(qz, ω)` one
+    /// [`planes_dots`] tile per `kz` at one momentum, where that is the
+    /// k-space sum itself; above, the runs go through the forward
+    /// transform, every harmonic's tile `T(κ)` pairs `x̂(κ)` with `ŷ(−κ)`,
+    /// and `C(qz)` is their inverse transform ([`dft_blocks`]).
+    #[allow(clippy::too_many_arguments)]
+    fn point_loop(
+        prob: &SseProblem,
+        win: &EnergyWindow,
+        x_l: &[f64],
+        x_g: &[f64],
+        y_l: &[f64],
+        y_g: &[f64],
+        mut sink: impl FnMut(usize, usize, &[C64; D_BSZ], &[C64; D_BSZ]),
+    ) {
+        let norb = prob.norb();
+        let bsz = norb * norb;
+        let nk = prob.nk;
+        let row = win.halo_len() * bsz;
+        let [xs_l, xs_g, ys_l, ys_g] =
+            [(x_l, false), (x_g, false), (y_l, true), (y_g, true)].map(|(x, transpose)| {
+                let mut runs = Vec::new();
+                if use_packed_kernel(BatchDims::square(norb)) {
+                    pack_split(row, transpose.then_some(norb), as_c64(x), &mut runs);
+                } else {
+                    split_planes(norb, win.halo_len(), transpose, x, &mut runs);
+                }
+                if nk > 1 {
+                    dft_planes(nk, false, 1, row, 0, row, &mut runs);
+                }
+                runs
+            });
+        let runs = |s, k: usize, at: usize, n: usize| split_runs(s, nk, row, k, at, n);
+        for q in 0..nk {
+            for m in 0..prob.nw {
+                let steps = prob.omega_steps(m);
+                let e_hi = win.own.1.min(win.ne.saturating_sub(steps));
+                if e_hi <= win.own.0 {
+                    continue;
+                }
+                let n = (e_hi - win.own.0) * bsz;
+                let at_y = (win.own.0 - win.halo.0) * bsz;
+                let at_x = at_y + steps * bsz;
+                if nk == 1 {
+                    let (mut c_l, mut c_g) = (DotTile::default(), DotTile::default());
+                    planes_dots(runs(&xs_l, 0, at_x, n), runs(&ys_g, 0, at_y, n), &mut c_l);
+                    planes_dots(runs(&xs_g, 0, at_x, n), runs(&ys_l, 0, at_y, n), &mut c_g);
+                    sink(q, m, &c_l.sum(), &c_g.sum());
+                    continue;
+                }
+                // `T(κ)`, `[κ][≷][D_BSZ]`, and its inverse transform.
+                let mut tiles = Vec::new();
+                for k in 0..nk {
+                    let minus = (nk - k) % nk;
+                    let (mut t_l, mut t_g) = (DotTile::default(), DotTile::default());
+                    planes_dots(
+                        runs(&xs_l, k, at_x, n),
+                        runs(&ys_g, minus, at_y, n),
+                        &mut t_l,
+                    );
+                    planes_dots(
+                        runs(&xs_g, k, at_x, n),
+                        runs(&ys_l, minus, at_y, n),
+                        &mut t_g,
+                    );
+                    tiles.extend(t_l.sum().into_iter().chain(t_g.sum()));
+                }
+                dft_blocks(nk, true, 2 * D_BSZ, &mut tiles);
+                let (c_l, c_g) = tiles[q * 2 * D_BSZ..][..2 * D_BSZ].split_at(D_BSZ);
+                sink(q, m, c_l.try_into().unwrap(), c_g.try_into().unwrap());
+            }
+        }
     }
 
     /// Zeros, `−0.0` and mixed-sign values, `re` and `im` independently.
@@ -501,9 +682,11 @@ mod tests {
 
     #[test]
     fn sigma_pair_planes_are_the_parent_update_loop() {
-        // One fused call per `(side, kz)` over padded planes is bitwise the
-        // update-at-a-time loop, on the full window and on clamped tiles.
-        let (nk, ne, nq, nw) = (2, 24, 2, 3);
+        // One fused call per `(side, κ)` over padded planes is bitwise the
+        // update-at-a-time loop, on the full window and on clamped tiles:
+        // at one momentum the k-space loop, above it the loop on the same
+        // harmonics.
+        let (ne, nw) = (24, 3);
         let bits = |v: &[C64]| -> Vec<[u64; 2]> {
             v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
         };
@@ -513,59 +696,181 @@ mod tests {
             a: [vec![1.5; 1 << 16], vec![-2.5; 1 << 16]],
             ..PlaneScratch::default()
         };
-        for norb in 1..=PLANES_MAX_DIM {
-            let dev = DeviceStructure::build(DeviceConfig {
-                norb,
-                ..DeviceConfig::tiny()
-            });
-            let prob = SseProblem::new(&dev, nk, ne, nq, nw, 0.37, 1.0);
-            let bsz = norb * norb;
-            let hd_len = 3 * nq * nw * bsz;
-            let (hd_l, hd_g) = (noise(hd_len, 1), noise(hd_len, 2));
-            let tiles: [(usize, usize); 4] = [(0, ne), (0, 7), (5, 13), (17, 24)];
-            for (t, own) in tiles.into_iter().enumerate() {
-                let halo = (own.0.saturating_sub(nw), (own.1 + nw).min(ne));
-                let win = EnergyWindow { ne, own, halo };
-                let stream = 3 * nk * win.halo_len() * bsz;
-                let seed = 10 * (t as u64 + 1);
-                let (hg_l, hg_g) = (noise(stream, seed), noise(stream, seed + 1));
-                let base = noise(nk * win.own_len() * bsz, seed + 2);
-                let (mut got_l, mut got_g) = (base.clone(), base.clone());
-                let (mut want_l, mut want_g) = (base.clone(), base);
-                let planes = |hg: &[C64]| {
-                    let mut p = Vec::new();
-                    pack_planes(norb, win.halo_len(), hg, win.halo_len(), 0, &mut p);
-                    p
-                };
-                sigma_pair(
-                    &prob,
-                    &win,
-                    &planes(&hg_l),
-                    &planes(&hg_g),
-                    &hd_l,
-                    &hd_g,
-                    &mut scratch,
-                    &mut got_l,
-                    &mut got_g,
-                );
-                update_loop(
-                    &prob,
-                    &win,
-                    &hg_l,
-                    &hg_g,
-                    &hd_l,
-                    &hd_g,
-                    &mut want_l,
-                    &mut want_g,
-                );
-                assert!(
-                    bits(&got_l) == bits(&want_l),
-                    "Σ<: Norb {norb}, own {own:?}"
-                );
-                assert!(
-                    bits(&got_g) == bits(&want_g),
-                    "Σ>: Norb {norb}, own {own:?}"
-                );
+        for nk in 1..=4 {
+            for norb in 1..=PLANES_MAX_DIM {
+                let dev = DeviceStructure::build(DeviceConfig {
+                    norb,
+                    ..DeviceConfig::tiny()
+                });
+                let prob = SseProblem::new(&dev, nk, ne, nk, nw, 0.37, 1.0);
+                let bsz = norb * norb;
+                let hd_len = 3 * nk * nw * bsz;
+                let (hd_l, hd_g) = (noise(hd_len, 1), noise(hd_len, 2));
+                let tiles: [(usize, usize); 4] = [(0, ne), (0, 7), (5, 13), (17, 24)];
+                for (t, own) in tiles.into_iter().enumerate() {
+                    let halo = (own.0.saturating_sub(nw), (own.1 + nw).min(ne));
+                    let win = EnergyWindow { ne, own, halo };
+                    let stream = 3 * nk * win.halo_len() * bsz;
+                    let seed = 10 * (t as u64 + 1);
+                    let (hg_l, hg_g) = (noise(stream, seed), noise(stream, seed + 1));
+                    let base = noise(nk * win.own_len() * bsz, seed + 2);
+                    let (mut got_l, mut got_g) = (base.clone(), base.clone());
+                    let (mut want_l, mut want_g) = (base.clone(), base);
+                    let planes = |hg: &[C64]| {
+                        let mut p = Vec::new();
+                        pack_planes(norb, win.halo_len(), hg, win.halo_len(), 0, &mut p);
+                        p
+                    };
+                    sigma_pair(
+                        &prob,
+                        &win,
+                        &planes(&hg_l),
+                        &planes(&hg_g),
+                        &hd_l,
+                        &hd_g,
+                        &mut scratch,
+                        &mut got_l,
+                        &mut got_g,
+                    );
+                    update_loop(
+                        &prob,
+                        &win,
+                        &hg_l,
+                        &hg_g,
+                        &hd_l,
+                        &hd_g,
+                        &mut want_l,
+                        &mut want_g,
+                    );
+                    let what = format!("Nkz {nk}, Norb {norb}, own {own:?}");
+                    assert!(bits(&got_l) == bits(&want_l), "Σ<: {what}");
+                    assert!(bits(&got_g) == bits(&want_g), "Σ>: {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pi_pair_tiles_are_the_point_loop() {
+        // Stage D's one tile per `(κ, ω)` is bitwise the loop over points,
+        // on both branches, on the full window and on clamped tiles: at
+        // one momentum the k-space tiles, above it the same harmonics.
+        let (ne, nw) = (13, 3);
+        let bits = |v: &[C64]| -> Vec<[u64; 2]> {
+            v.iter().map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+        };
+        let mut scratch = PlaneScratch::default();
+        for nk in 1..=4 {
+            for norb in [1, 3, PLANES_MAX_DIM, PLANES_MAX_DIM + 1] {
+                let dev = DeviceStructure::build(DeviceConfig {
+                    norb,
+                    ..DeviceConfig::tiny()
+                });
+                let prob = SseProblem::new(&dev, nk, ne, nk, nw, 0.37, 1.0);
+                let bsz = norb * norb;
+                for (t, own) in [(0usize, ne), (0, 5), (9, 13)].into_iter().enumerate() {
+                    let halo = (own.0.saturating_sub(nw), (own.1 + nw).min(ne));
+                    let win = EnergyWindow { ne, own, halo };
+                    let stream = 3 * nk * win.halo_len() * bsz;
+                    let st = |seed: u64| stream_of(norb, win.halo_len(), &noise(stream, seed));
+                    let seed = 10 * (t as u64 + 1);
+                    let [x_l, x_g, y_l, y_g] = [0, 1, 2, 3].map(|s| st(seed + s));
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    pi_pair(
+                        &prob,
+                        &win,
+                        &x_l,
+                        &x_g,
+                        &y_l,
+                        &y_g,
+                        &mut scratch,
+                        |q, m, l, g| got.push((q, m, bits(l), bits(g))),
+                    );
+                    point_loop(&prob, &win, &x_l, &x_g, &y_l, &y_g, |q, m, l, g| {
+                        want.push((q, m, bits(l), bits(g)))
+                    });
+                    assert!(!got.is_empty(), "Nkz {nk}, Norb {norb}, own {own:?}");
+                    assert!(got == want, "Nkz {nk}, Norb {norb}, own {own:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_stages_stay_near_the_k_space_oracles() {
+        // Both stages against their k-space oracles, both branches, every
+        // momentum count through 5 (3 and 5 have rounded twiddles). The
+        // bounds are the oracle tests' own (`pair_stages_match_…`), on
+        // values of magnitude ≤ 1.
+        let (ne, nw) = (11, 3);
+        let mut scratch = PlaneScratch::default();
+        for nk in 1..=5 {
+            for norb in [1, 2, 3, PLANES_MAX_DIM, PLANES_MAX_DIM + 1] {
+                let dev = DeviceStructure::build(DeviceConfig {
+                    norb,
+                    ..DeviceConfig::tiny()
+                });
+                let prob = SseProblem::new(&dev, nk, ne, nk, nw, 0.37, 1.0);
+                let bsz = norb * norb;
+                let hd_len = 3 * nk * nw * bsz;
+                let (hd_l, hd_g) = (noise(hd_len, 3), noise(hd_len, 4));
+                for (t, own) in [(0usize, ne), (2, 6), (8, 11)].into_iter().enumerate() {
+                    let halo = (own.0.saturating_sub(nw), (own.1 + nw).min(ne));
+                    let win = EnergyWindow { ne, own, halo };
+                    let stream = 3 * nk * win.halo_len() * bsz;
+                    let seed = 20 * (t as u64 + 1);
+                    let [hg_l, hg_g, hr_l, hr_g] = [0, 1, 2, 3].map(|s| noise(stream, seed + s));
+                    let st = |s: &[C64]| stream_of(norb, win.halo_len(), s);
+                    let base = noise(nk * win.own_len() * bsz, seed + 4);
+                    let (mut got_l, mut got_g) = (base.clone(), base.clone());
+                    let (mut want_l, mut want_g) = (base.clone(), base);
+                    let what = format!("Nkz {nk}, Norb {norb}, own {own:?}");
+                    let (sg_l, sg_g) = (st(&hg_l), st(&hg_g));
+                    sigma_pair(
+                        &prob,
+                        &win,
+                        &sg_l,
+                        &sg_g,
+                        &hd_l,
+                        &hd_g,
+                        &mut scratch,
+                        &mut got_l,
+                        &mut got_g,
+                    );
+                    sigma_pair_scalar(
+                        &prob,
+                        &win,
+                        &hg_l,
+                        &hg_g,
+                        &hd_l,
+                        &hd_g,
+                        &mut want_l,
+                        &mut want_g,
+                    );
+                    let tol = 1e-13 * (3 * nk * nw * norb) as f64;
+                    assert!(max_diff(&got_l, &want_l) < tol, "Σ<: {what}");
+                    assert!(max_diff(&got_g, &want_g) < tol, "Σ>: {what}");
+                    let (sr_l, sr_g) = (st(&hr_l), st(&hr_g));
+                    let mut points = 0;
+                    let tol = 1e-13 * (nk * ne * bsz) as f64;
+                    pi_pair(
+                        &prob,
+                        &win,
+                        &sr_l,
+                        &sr_g,
+                        &sg_l,
+                        &sg_g,
+                        &mut scratch,
+                        |q, m, l, g| {
+                            let (want_l, want_g) =
+                                pi_pair_scalar(&prob, q, m, &win, &hr_l, &hr_g, &hg_l, &hg_g);
+                            assert!(max_diff(l, &want_l) < tol, "Π< ({q}, {m}): {what}");
+                            assert!(max_diff(g, &want_g) < tol, "Π> ({q}, {m}): {what}");
+                            points += 1;
+                        },
+                    );
+                    assert!(points > 0, "{what}");
+                }
             }
         }
     }

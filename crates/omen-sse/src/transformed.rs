@@ -1,6 +1,6 @@
 //! The DaCe-transformed SSE kernel — Fig. 6 of the paper.
 //!
-//! Four transformations are applied to the reference dataflow:
+//! Five transformations are applied to the reference dataflow:
 //!
 //! 1. **Map fission** (❶): the products `∇H·G^≷` and `Σ_j Dc^{ij}·∇H^j`
 //!    are hoisted into transient arrays (`hg`, `hd`), lowering the
@@ -13,13 +13,21 @@
 //!    become batched products over contiguous energy runs. For blocks that
 //!    fill a register tile that is the packed micro-kernel: stage A one
 //!    product per `(pair, i)` over the pair's `[kz][E]` blocks (`A`-stride
-//!    `0`), stage C one per `(pair, i, kz, qz, ω)` tuple (`A`-stride
+//!    `0`), stage C one per `(pair, i, κ, ω)` tuple (`A`-stride
 //!    `Norb²`, `B`-stride `0`). Tinier blocks make the energy run itself
 //!    the SIMD axis: stage A packs `G_b` into element planes once and
 //!    writes `∇H·G` as the planes stages C and D read
 //!    ([`crate::stages::grad_g`]), stage C sweeps them with one fused call
 //!    per output run ([`crate::stages::sigma_pair`]).
 //! 4. **Map fusion** (❹): the stages share transients and loop structure.
+//! 5. **Momentum harmonics**: `Σ(kz) = Σ_qz ∇H·G(kz − qz)·∇H·D(qz)` and
+//!    `Π(qz) = Σ_kz tr{∇H·G(kz + qz)·∇H·G(kz)}` are circular on the one
+//!    momentum grid, so stages C and D copy their operands once through a
+//!    length-`Nkz` DFT along momentum and make one product (stage C) or
+//!    one trace tile (stage D) per harmonic `κ` instead of `Nqz` per
+//!    momentum, then add the inverse transform into `Σ`/`Π`
+//!    ([`crate::stages`]). Stage A and the `∇H·G` window stay in k-space;
+//!    at `Nkz = 1` no transform runs.
 //!
 //! The kernel produces values elementwise-identical (up to floating-point
 //! reassociation) to [`crate::reference::sse_reference`].
@@ -646,6 +654,35 @@ mod tests {
         let dev_pg =
             transformed.pi_g.max_deviation(&reference.pi_g) / reference.pi_g.max_abs().max(1e-300);
         assert!(dev_pg < 1e-12, "Π> relative deviation {dev_pg}");
+    }
+
+    #[test]
+    fn transformed_matches_reference_at_every_momentum_count() {
+        // Stages C and D on harmonics: 3 and 5 momenta round their
+        // twiddles, 4 is the `sse_heavy` benchmark's count.
+        let dev = tiny_device();
+        for nk in [3, 4, 5] {
+            let prob = SseProblem::new(&dev, nk, 6, nk, 2, 1.0, 1.0);
+            let (gl, gg, dl, dg) = random_inputs(&prob, 42);
+            let reference = sse_reference(&prob, &gl, &gg, &dl, &dg);
+            let transformed = sse_transformed(&prob, &gl, &gg, &dl, &dg);
+            let sigma = [
+                (&transformed.sigma_l, &reference.sigma_l, "Σ<"),
+                (&transformed.sigma_g, &reference.sigma_g, "Σ>"),
+            ];
+            for (got, want, what) in sigma {
+                let rel = got.max_deviation(want) / want.max_abs().max(1e-300);
+                assert!(rel < 1e-12, "Nkz {nk}: {what} relative deviation {rel}");
+            }
+            let pi = [
+                (&transformed.pi_l, &reference.pi_l, "Π<"),
+                (&transformed.pi_g, &reference.pi_g, "Π>"),
+            ];
+            for (got, want, what) in pi {
+                let rel = got.max_deviation(want) / want.max_abs().max(1e-300);
+                assert!(rel < 1e-12, "Nkz {nk}: {what} relative deviation {rel}");
+            }
+        }
     }
 
     #[test]
