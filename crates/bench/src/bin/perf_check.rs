@@ -142,8 +142,13 @@ fn gated(name: &str) -> bool {
 }
 
 /// Floor on the energy-plane stages C and D over their block-at-a-time
-/// scalar loops at `Norb = 3` (`table9_sbsmm`; committed full-mode ratios
-/// 12.0 and 6.9 on an AVX-512 host, 5.4 and 5.1 on four lanes).
+/// scalar loops at `Norb = 3` (`table9_sbsmm`). The committed full-mode
+/// ratios read 37.6 and 21.7 on an AVX-512 host. The plane rows run on
+/// momentum harmonics and the scalar loops in k-space, so `Nqz = 4` of
+/// that is the schedule's, not the plane kernels'. In k-space they read
+/// 12.0 and 6.9 there, and 5.4 and 5.1 on four lanes (not re-measured on
+/// harmonics). The floor stays at 1.5 on purpose: it backstops a plane
+/// kernel that lost its SIMD axis, and must hold on four-lane hosts.
 const MIN_PLANES_SPEEDUP: f64 = 1.5;
 
 /// Floor on SSE stage A on energy planes (`stages::grad_g`: `G` packed

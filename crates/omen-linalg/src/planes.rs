@@ -321,6 +321,14 @@ fn twiddle(n: usize, j: usize) -> C64 {
 /// momentum: forward `y[κ] = Σ_k ω^{−κk} x[k]`, inverse `y[k] = (1/n)
 /// Σ_κ ω^{κk} x[κ]`. Every twiddle is a quarter turn and `1/n` a power
 /// of two, so they round only in their additions.
+///
+/// [`dft_positions`] would give these counts exactly too, but at `n = 4`
+/// it spends 16 complex multiply-adds per position where the butterfly
+/// spends 8 additions. Routing `n = 2` and `4` through it made one
+/// `sigma_pair` + `pi_pair` at `sse_heavy`'s pair shape 3.7× slower
+/// (99 → 371 µs), slower than the k-space stages, and the benchmark's
+/// `solve_s` 93 % slower on `sse_heavy` and 68 % on `dist_dace` (2-vCPU
+/// AVX-512 Xeon).
 #[inline(always)]
 fn butterfly<const N: usize>(inverse: bool, x: [C64; N]) -> [C64; N] {
     let mut y = x;

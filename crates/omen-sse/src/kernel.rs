@@ -223,7 +223,8 @@ impl SseKernel for TransformedKernel {
 }
 
 /// The Tensor-Core-emulating binary16 kernel (§5.4): the transformed
-/// schedule with binary16-quantised stage-C operands.
+/// schedule with binary16-quantised stage-C operands, quantised in
+/// k-space (see [`crate::mixed`]).
 #[derive(Default)]
 pub struct MixedKernel {
     /// Normalization policy of the f16 conversion.

@@ -9,7 +9,8 @@
 //!   its stages C and D on momentum harmonics;
 //! * [`mixed::sse_mixed`] — the Tensor-Core-emulating binary16 variant
 //!   with per-tensor normalization (§5.4): the transformed schedule with
-//!   its stage-C operands quantised to binary16.
+//!   its stage-C operands quantised to binary16 in k-space (above one
+//!   momentum the products take their f64 harmonics).
 //!
 //! All variants compute the same physics; the test suite asserts
 //! elementwise agreement: the transformed kernel within 1e-12 relative of

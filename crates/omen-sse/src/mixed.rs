@@ -10,8 +10,16 @@
 //! factor is a maximum over components, so it reads the same from planes
 //! as from blocks. Stage C is the transformed kernel's own
 //! [`crate::stages::sigma_pair`] on those operands, as per-atom tasks
-//! ([`crate::transformed`]): f16 operands, f64 products and accumulation,
-//! the paper's Tensor-Core configuration. Stage D reads the unquantised
+//! ([`crate::transformed`]). The quantisation happens in k-space:
+//! `sigma_pair` takes the quantised `∇H·G` and `∇H·D` through its
+//! momentum DFT, so above one momentum its products multiply the f64
+//! harmonics of f16-valued operands (values binary16 cannot hold in
+//! general), with f64 accumulation. `Σ^≷` equals the k-space result on
+//! f16 operands up to the transforms' rounding. At `Nkz = 1` no transform
+//! runs and the products take the f16 values themselves: f16 operands,
+//! f64 products and accumulation, the paper's Tensor-Core configuration.
+//! A variant that fed f16 values to the products at every `Nkz` would
+//! quantise after the transform. Stage D reads the unquantised
 //! `∇H·G`, so `Π^≷` stays double precision (its cost is a factor `Norb`
 //! smaller).
 //!
