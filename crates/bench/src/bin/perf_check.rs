@@ -143,7 +143,7 @@ fn gated(name: &str) -> bool {
 
 /// Floor on the energy-plane stages C and D over their block-at-a-time
 /// scalar loops at `Norb = 3` (`table9_sbsmm`). The committed full-mode
-/// ratios read 37.6 and 21.7 on an AVX-512 host. The plane rows run on
+/// ratios read 36.3 and 19.6 on an AVX-512 host. The plane rows run on
 /// momentum harmonics and the scalar loops in k-space, so `Nqz = 4` of
 /// that is the schedule's, not the plane kernels'. In k-space they read
 /// 12.0 and 6.9 there, and 5.4 and 5.1 on four lanes (not re-measured on
@@ -152,10 +152,12 @@ fn gated(name: &str) -> bool {
 const MIN_PLANES_SPEEDUP: f64 = 1.5;
 
 /// Floor on SSE stage A on energy planes (`stages::grad_g`: `G` packed
-/// once, one `planes_lmul` per direction) over the same products one
-/// block at a time through `sbsmm`'s scalar loop, at 3 × 3 and 4 × 4
-/// (`table9_sbsmm`; a prototype of the plane kernel read 2.9–4.8× per
-/// SSE application on the benchmark devices).
+/// and taken to its momentum harmonics once, one `planes_lmul` per
+/// direction) over the same products one block at a time through
+/// `sbsmm`'s scalar loop, their output taken to the same harmonics, at
+/// 3 × 3 and 4 × 4 (`table9_sbsmm`; a prototype of the plane kernel read
+/// 2.9–4.8× per SSE application on the benchmark devices, and the
+/// committed full-mode ratios read 3.0× and 3.5×).
 const MIN_STAGE_A_SPEEDUP: f64 = 2.0;
 
 /// Floor on the RGF recursion on four energy lanes over the same code on

@@ -55,7 +55,7 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
     let (hr_l, hr_g) = (mk(stream, 3), mk(stream, 4));
     // The leaves read the streams as stage A writes them.
     let [sg_l, sg_g, sr_l, sr_g] =
-        [&hg_l, &hg_g, &hr_l, &hr_g].map(|s| stream_of(norb, prob.ne, s));
+        [&hg_l, &hg_g, &hr_l, &hr_g].map(|s| stream_of(norb, prob.nk, prob.ne, s));
     let points = prob.nq * prob.nw;
     let (hd_l, hd_g) = (mk(3 * points * bsz, 5), mk(3 * points * bsz, 6));
     let mut out_l = vec![C64::ZERO; prob.nk * prob.ne * bsz];
@@ -235,10 +235,12 @@ fn norb3_rows(quick: bool, suffix: &str) -> Vec<BenchRecord> {
 
 /// Stage A of `pairs` directed pairs, both sides, at `Norb = norb` on a
 /// `[kz][E]` run of `nk × 24` blocks (`sse_heavy`'s `nk 4` at `3 × 3`,
-/// `gf_heavy`'s `nk 1` at `4 × 4`): the parent's block-at-a-time `sbsmm`
-/// loop against [`grad_g`], which packs `G` into planes once and writes
-/// the `∇H·G` planes stages C and D read. The pack is inside the timed
-/// region, as it is inside a solve.
+/// `gf_heavy`'s `nk 1` at `4 × 4`): a block-at-a-time `sbsmm` loop whose
+/// output is taken to its momentum harmonics against [`grad_g`], which
+/// packs `G` into planes once, transforms them and writes the harmonic
+/// `∇H·G` planes stages C and D read. Both write the same values; the
+/// pack and the transforms are inside the timed region, as they are
+/// inside a solve.
 fn stage_a_rows(norb: usize, nk: usize, quick: bool, suffix: &str) -> Vec<BenchRecord> {
     let dev = DeviceStructure::build(DeviceConfig {
         norb,
@@ -254,7 +256,7 @@ fn stage_a_rows(norb: usize, nk: usize, quick: bool, suffix: &str) -> Vec<BenchR
     let t_scalar = timed_median(reps, || {
         for _ in 0..pairs {
             for g in [&g_l, &g_g] {
-                grad_g_scalar(norb, grads, g, &mut blocks);
+                grad_g_scalar(norb, ne, grads, g, &mut blocks);
             }
         }
     });

@@ -22,9 +22,10 @@
 //! [`omen_sse::stages`] — the ones `TransformedKernel` runs on the whole
 //! device — run on them with the tile's [`EnergyWindow`]. The `∇H·G`
 //! transient is streamed one directed pair at a time, never materialised
-//! per tile, in the element planes stages C and D read. `Σ^≷` comes out
-//! bitwise equal to the single-address-space kernel's; `Π^≷` differs only
-//! by the association of its energy-tile partial sums (≤ 1e-12).
+//! per tile, at the momentum harmonics and in the element planes stages C
+//! and D read. `Σ^≷` comes out bitwise equal to the single-address-space
+//! kernel's; `Π^≷` differs only by the association of its energy-tile
+//! partial sums (≤ 1e-12).
 //!
 //! Everything that is a pure function of the problem shape and the two
 //! decompositions — halo and entry lists, ownership lists, every buffer —
@@ -36,8 +37,8 @@ use crate::plan_common::{deposit_rows, reset_output, PlanResult};
 use crate::topology::{DaceTiling, OmenGrid};
 use crate::volume::VolumeLedger;
 use omen_linalg::{BatchDims, PlaneScratch, C64};
-use omen_sse::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
-use omen_sse::{d_combination, DBlocks, DTensor, GTensor, SseOutput, SseProblem, D_BSZ};
+use omen_sse::stages::{grad_d, grad_g, pi_pair, sigma_pair, EnergyWindow};
+use omen_sse::{DBlocks, DTensor, GTensor, SseOutput, SseProblem, D_BSZ};
 
 fn sorted_unique(mut v: Vec<usize>) -> Vec<usize> {
     v.sort_unstable();
@@ -126,9 +127,9 @@ pub struct DaceTile {
     /// `D^≷`, `[qz][ω][tile entry]`.
     d: [Vec<C64>; 2],
     /// Stream of the current pair `a → b`: `∇H_ab·G^≷_b` and the reverse
-    /// product `∇H_ba·G^≷_a`, `[i][kz][E − halo.lo]` as
-    /// `omen_sse::stages` lays a stream out (element planes for tiny
-    /// blocks); `∇H·D`, `[i][qz][ω]`.
+    /// product `∇H_ba·G^≷_a`, `[i][κ][E − halo.lo]` at the momentum
+    /// harmonics, as `omen_sse::stages` lays a stream out (element planes
+    /// for tiny blocks); `∇H·D`, `[i][qz][ω]`.
     hg: [Vec<f64>; 2],
     hr: [Vec<f64>; 2],
     hd: [Vec<C64>; 2],
@@ -215,7 +216,7 @@ impl DaceTile {
         let norb = prob.norb();
         let bsz = norb * norb;
         let dims = BatchDims::square(norb);
-        let (nk, nq, nw, npairs) = (prob.nk, prob.nq, prob.nw, prob.npairs());
+        let (nk, nq, nw) = (prob.nk, prob.nq, prob.nw);
         let DaceTile {
             atoms,
             win,
@@ -264,17 +265,8 @@ impl DaceTile {
                 grad_g(norb, hw, &grads[p], &g_g[gb..gb + run], scratch, hg_g);
                 grad_g(norb, hw, &grads[rev], &g_l[ga..ga + run], scratch, hr_l);
                 grad_g(norb, hw, &grads[rev], &g_g[ga..ga + run], scratch, hr_g);
-                for q in 0..nq {
-                    for m in 0..nw {
-                        let dc_l = d_combination(&td_l, q, m, p, rev, a, b, npairs);
-                        let dc_g = d_combination(&td_g, q, m, p, rev, a, b, npairs);
-                        for i in 0..3 {
-                            let o = ((i * nq + q) * nw + m) * bsz;
-                            d_grad(&dc_l, i, &grads[rev], &mut hd_l[o..o + bsz]);
-                            d_grad(&dc_g, i, &grads[rev], &mut hd_g[o..o + bsz]);
-                        }
-                    }
-                }
+                grad_d(prob, &td_l, p, hd_l);
+                grad_d(prob, &td_g, p, hd_g);
                 flops += sigma_pair(prob, win, hg_l, hg_g, hd_l, hd_g, scratch, out_l, out_g);
                 // The pair entry Π_ab and the diagonal entry Π_aa.
                 let entries = [p - first_pair, own_pairs + x];

@@ -100,18 +100,19 @@ pub const PLANES_MAX_DIM: usize = 5;
 /// both branches allocation-free.
 #[derive(Default)]
 pub struct PlaneScratch {
-    /// Packed operand streams, lesser and greater: the `∇H·G` sources of
-    /// stage C, the `x` run of stage D.
+    /// Packed operand streams, lesser and greater: stage C's padded
+    /// `∇H·G` planes, stage D's split `x` runs.
     pub a: [Vec<f64>; 2],
-    /// The block-transposed `y` run of stage D; before it, `b[0]` holds
-    /// stage A's `G` run packed into planes. (A buffer of its own left a
+    /// Stage D's split, block-transposed `y` runs; before them, `b[0]`
+    /// holds stage A's `G` run packed into planes and taken to its
+    /// momentum harmonics. (A buffer of its own left a
     /// solve's heap different enough to raise the benchmark's `setup_s`
     /// by about 10 %; see "What `setup_s` measures" in
     /// `docs/benchmarks.md`.)
     pub b: [Vec<f64>; 2],
-    /// Accumulator planes of stage C.
+    /// Stage C's accumulators, planes or blocks, at the harmonics.
     pub c: [Vec<f64>; 2],
-    /// The pair's scaled `∇H·D` blocks, lesser then greater (stage C);
+    /// The pair's scaled `∇H·D` harmonics, lesser then greater (stage C);
     /// the `(ω, κ)` trace tiles (stage D).
     pub w: Vec<C64>,
     /// The term list of one [`planes_mac`] call.
@@ -404,19 +405,18 @@ fn dft_positions(
 }
 
 /// `N` split runs of `len` positions — real parts from `at`, imaginary
-/// parts `im` further — of consecutive rows of `data`, `row` apart: one
+/// parts `len` further — of consecutive rows of `data`, `row` apart: one
 /// run per momentum.
 fn split_runs_mut<const N: usize>(
     data: &mut [f64],
     row: usize,
     at: usize,
-    im: usize,
     len: usize,
 ) -> [(&mut [f64], &mut [f64]); N] {
     let mut rows = data.chunks_exact_mut(row);
     std::array::from_fn(|_| {
-        let (re, rest) = rows.next().expect("a row per momentum")[at..].split_at_mut(im);
-        (&mut re[..len], &mut rest[..len])
+        let (re, rest) = rows.next().expect("a row per momentum")[at..].split_at_mut(len);
+        (re, &mut rest[..len])
     })
 }
 
@@ -439,37 +439,26 @@ fn butterfly_runs<const N: usize>(inverse: bool, runs: [(&mut [f64], &mut [f64])
 
 /// The length-`n` DFT along the momentum axis of split-complex planes,
 /// in place: `data` is `[group][k][pair][re|im][plane]`, `n` runs of
-/// `pairs` plane pairs per group, and positions `at..at + len` of every
-/// plane are transformed — forward, run `κ` becomes `Σ_k ω^{−κk} · run
-/// k` (`ω = e^{2πi/n}`); `inverse`, run `k` becomes `(1/n)
-/// Σ_κ ω^{κk} · run κ`. Other positions are left as they are. `n = 1` is
-/// a no-op.
+/// `pairs` plane pairs per group, every position transformed — forward,
+/// run `κ` becomes `Σ_k ω^{−κk} · run k` (`ω = e^{2πi/n}`); `inverse`,
+/// run `k` becomes `(1/n) Σ_κ ω^{κk} · run κ`. `n = 1` is a no-op.
 ///
 /// # Panics
-/// If `data` is not whole groups or a run overruns its plane.
-pub fn dft_planes(
-    n: usize,
-    inverse: bool,
-    pairs: usize,
-    plane: usize,
-    at: usize,
-    len: usize,
-    data: &mut [f64],
-) {
+/// If `data` is not whole groups.
+pub fn dft_planes(n: usize, inverse: bool, pairs: usize, plane: usize, data: &mut [f64]) {
     let row = 2 * pairs * plane;
     assert!(
         row > 0 && n > 0 && data.len().is_multiple_of(n * row),
         "dft_planes: ragged data"
     );
-    assert!(at + len <= plane, "dft_planes: a run overruns its plane");
     for group in data.chunks_exact_mut(n * row) {
         for x in 0..pairs {
-            let o = 2 * x * plane + at;
+            let o = 2 * x * plane;
             match n {
                 1 => {}
-                2 => butterfly_runs::<2>(inverse, split_runs_mut(group, row, o, plane, len)),
-                4 => butterfly_runs::<4>(inverse, split_runs_mut(group, row, o, plane, len)),
-                _ => dft_positions(n, inverse, len, group, |k, j| k * row + o + j, plane),
+                2 => butterfly_runs::<2>(inverse, split_runs_mut(group, row, o, plane)),
+                4 => butterfly_runs::<4>(inverse, split_runs_mut(group, row, o, plane)),
+                _ => dft_positions(n, inverse, plane, group, |k, j| k * row + o + j, plane),
             }
         }
     }
@@ -2665,7 +2654,7 @@ mod tests {
         for n in 1..=6 {
             let x = noise(groups * n * len, n as u64);
             let mut data = split_runs(&x, len);
-            dft_planes(n, false, 1, len, 0, len, &mut data);
+            dft_planes(n, false, 1, len, &mut data);
             for g in 0..groups {
                 for kappa in 0..n {
                     for j in 0..len {
@@ -2678,7 +2667,7 @@ mod tests {
                     }
                 }
             }
-            dft_planes(n, true, 1, len, 0, len, &mut data);
+            dft_planes(n, true, 1, len, &mut data);
             let back = split_runs(&x, len);
             let worst = data
                 .iter()
@@ -2693,8 +2682,8 @@ mod tests {
                 .map(|i| c64(i as f64 - 9.0, 3.0 - (i % 5) as f64))
                 .collect();
             let mut data = split_runs(&x, len);
-            dft_planes(n, false, 1, len, 0, len, &mut data);
-            dft_planes(n, true, 1, len, 0, len, &mut data);
+            dft_planes(n, false, 1, len, &mut data);
+            dft_planes(n, true, 1, len, &mut data);
             assert!(data == split_runs(&x, len), "n {n}");
         }
     }
@@ -2709,7 +2698,7 @@ mod tests {
             let blocks = noise(3 * n * len, 40 + n as u64);
             for inverse in [false, true] {
                 let mut runs = split_runs(&blocks, len);
-                dft_planes(n, inverse, 1, len, 0, len, &mut runs);
+                dft_planes(n, inverse, 1, len, &mut runs);
                 let mut blocks = blocks.clone();
                 dft_blocks(n, inverse, len, &mut blocks);
                 assert!(bits(&runs) == bits(&split_runs(&blocks, len)), "n {n}");

@@ -68,32 +68,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Builds from raw parts, validating the invariants.
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<usize>,
-        data: Vec<C64>,
-    ) -> Self {
-        assert_eq!(indptr.len(), rows + 1, "indptr length");
-        assert_eq!(indices.len(), data.len(), "indices/data length");
-        assert_eq!(*indptr.last().unwrap(), indices.len(), "indptr tail");
-        for w in indptr.windows(2) {
-            assert!(w[0] <= w[1], "indptr must be nondecreasing");
-        }
-        for &j in &indices {
-            assert!(j < cols, "column index out of range");
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            data,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -223,8 +223,9 @@ impl SseKernel for TransformedKernel {
 }
 
 /// The Tensor-Core-emulating binary16 kernel (§5.4): the transformed
-/// schedule with binary16-quantised stage-C operands, quantised in
-/// k-space (see [`crate::mixed`]).
+/// schedule with binary16-quantised stage-C operands, the `∇H·G` streams
+/// quantised as the momentum harmonics the products take (see
+/// [`crate::mixed`]).
 #[derive(Default)]
 pub struct MixedKernel {
     /// Normalization policy of the f16 conversion.

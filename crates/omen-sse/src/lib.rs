@@ -9,8 +9,8 @@
 //!   its stages C and D on momentum harmonics;
 //! * [`mixed::sse_mixed`] — the Tensor-Core-emulating binary16 variant
 //!   with per-tensor normalization (§5.4): the transformed schedule with
-//!   its stage-C operands quantised to binary16 in k-space (above one
-//!   momentum the products take their f64 harmonics).
+//!   its stage-C operands quantised to binary16, the `∇H·G` stream as the
+//!   momentum harmonics the products take.
 //!
 //! All variants compute the same physics; the test suite asserts
 //! elementwise agreement: the transformed kernel within 1e-12 relative of
@@ -18,11 +18,12 @@
 //! within 5e-3 relative of the transformed.
 //!
 //! The transformed schedule is built from the per-pair leaf stages of
-//! [`stages`], generalised over an energy window. Stages C and D take
-//! their `∇H·G` and `∇H·D` operands through a length-`Nkz` DFT along
-//! momentum, so the `qz` convolution of `Σ≷` and the `kz` correlation of
-//! `Π≷` become one product per harmonic; the reference kernel and the
-//! OMEN plan sum in k-space and are the oracle. `omen-comm`'s
+//! [`stages`], generalised over an energy window. Stage A writes each
+//! `∇H·G` stream at the harmonics of a length-`Nkz` DFT along momentum,
+//! and stage C takes its `∇H·D` copy through the same DFT, so the `qz`
+//! convolution of `Σ≷` and the `kz` correlation of `Π≷` become one
+//! product per harmonic; the reference kernel and the OMEN plan sum in
+//! k-space and are the oracle. `omen-comm`'s
 //! data-centric plan runs the same leaves on its atom×energy tiles, and the
 //! mixed kernel runs them on quantised operands. In one
 //! address space the transformed and mixed kernels run them as per-atom

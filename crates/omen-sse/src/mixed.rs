@@ -6,22 +6,18 @@
 //! [`omen_linalg::quantize_f16`] rounds every `∇H·D` block in place, and a
 //! copy of each `∇H·G` tensor, to the value its normalized, clamped
 //! binary16 encodes. The `∇H·G` tensors are the streams stages C and D
-//! read (element planes for tiny blocks, see [`crate::stages`]); the
-//! factor is a maximum over components, so it reads the same from planes
-//! as from blocks. Stage C is the transformed kernel's own
-//! [`crate::stages::sigma_pair`] on those operands, as per-atom tasks
-//! ([`crate::transformed`]). The quantisation happens in k-space:
-//! `sigma_pair` takes the quantised `∇H·G` and `∇H·D` through its
-//! momentum DFT, so above one momentum its products multiply the f64
-//! harmonics of f16-valued operands (values binary16 cannot hold in
-//! general), with f64 accumulation. `Σ^≷` equals the k-space result on
-//! f16 operands up to the transforms' rounding. At `Nkz = 1` no transform
-//! runs and the products take the f16 values themselves: f16 operands,
-//! f64 products and accumulation, the paper's Tensor-Core configuration.
-//! A variant that fed f16 values to the products at every `Nkz` would
-//! quantise after the transform. Stage D reads the unquantised
-//! `∇H·G`, so `Π^≷` stays double precision (its cost is a factor `Norb`
-//! smaller).
+//! read: momentum harmonics, element planes for tiny blocks (see
+//! [`crate::stages`]); the factor is a maximum over components, so it
+//! reads the same from planes as from blocks. Stage C is the transformed
+//! kernel's own [`crate::stages::sigma_pair`] on those operands, as
+//! per-atom tasks ([`crate::transformed`]). Stage A writes the harmonics,
+//! so the quantised `∇H·G` values enter stage C's products as they are,
+//! at every `Nkz`: binary16 values on the streamed operand, f64 products
+//! and accumulation, the paper's Tensor-Core configuration. The `∇H·D`
+//! blocks are quantised in k-space; stage C scales them by `scale_sigma`
+//! and, above one momentum, takes them through its momentum DFT before
+//! the products. Stage D reads the unquantised `∇H·G`, so `Π^≷` stays
+//! double precision (its cost is a factor `Norb` smaller).
 //!
 //! Disabling normalization reproduces the divergence of Fig. 7b: SSE
 //! inputs span ~20 decades and the small magnitudes flush to zero in raw
@@ -114,7 +110,10 @@ mod tests {
     }
 
     /// `Σ^≷` (AtomMajor) from stage C one block at a time
-    /// ([`sigma_pair_scalar`]) on the `quantize_f16`'d transients.
+    /// ([`sigma_pair_scalar`]) on the `quantize_f16`'d transients: the
+    /// quantised `∇H·G` harmonics taken back to k-space
+    /// ([`stream_blocks`]). Stage C is linear in the stream, so that is
+    /// the same `Σ` up to rounding.
     fn sigma_scalar_f16(
         prob: &SseProblem,
         [g_l, g_g]: [&GTensor; 2],
@@ -137,7 +136,7 @@ mod tests {
             for (p, _) in prob.pairs_of(a) {
                 let hg = p * hg_chunk..(p + 1) * hg_chunk;
                 let hd = p * hd_chunk..(p + 1) * hd_chunk;
-                let blocks = |s: &[f64]| stream_blocks(prob.norb(), prob.ne, s);
+                let blocks = |s: &[f64]| stream_blocks(prob.norb(), prob.nk, prob.ne, s);
                 let (hg_l, hg_g) = (&blocks(&tr.hg_l[hg.clone()]), &blocks(&tr.hg_g[hg]));
                 let (hd_l, hd_g) = (&tr.hd_l[hd.clone()], &tr.hd_g[hd]);
                 sigma_pair_scalar(prob, &win, hg_l, hg_g, hd_l, hd_g, o_l, o_g);
@@ -161,12 +160,16 @@ mod tests {
                 ..DeviceConfig::tiny()
             }),
         ];
-        let probs = [
-            tiny_problem(&devices[0]),
-            SseProblem::new(&devices[1], 2, 8, 2, 3, 0.7, 1.3),
-            SseProblem::new(&devices[2], 2, 6, 2, 2, 1.0, 1.0),
-        ];
-        for prob in &probs {
+        // At one, two and four momenta (`tiny_problem` is the tiny
+        // device's at two).
+        let probs = [1, 2, 4].map(|nk| {
+            [
+                SseProblem::new(&devices[0], nk, 6, nk, 2, 1.0, 1.0),
+                SseProblem::new(&devices[1], nk, 8, nk, 3, 0.7, 1.3),
+                SseProblem::new(&devices[2], nk, 6, nk, 2, 1.0, 1.0),
+            ]
+        });
+        for prob in probs.iter().flatten() {
             let norb = prob.norb();
             let (gl, gg, dl, dg) = random_inputs(prob, 77);
             let mut transformed = TransformedKernel::new();

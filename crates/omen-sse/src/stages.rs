@@ -12,31 +12,35 @@
 //! # The `∇H·G` stream
 //!
 //! Stage A writes, and stages C and D read, one stream per directed pair
-//! and side, `[i][kz][E − halo.lo]` over `f64`s. Blocks up to
+//! and side, `[i][κ][E − halo.lo]` over `f64`s: the pair's `∇H·G` at the
+//! momentum harmonics `κ` (below). Blocks up to
 //! [`omen_linalg::PLANES_MAX_DIM`] (every block [`use_packed_kernel`]
-//! leaves out) are element planes, `[i][kz][element][re|im][E −
+//! leaves out) are element planes, `[i][κ][element][re|im][E −
 //! halo.lo]` with the elements in row-major order, so stage A runs with
 //! the energy run as the SIMD axis and no stage repacks its blocks. Larger
-//! blocks are column-major blocks `[i][kz][E − halo.lo][Norb²]` as `re,
+//! blocks are column-major blocks `[i][κ][E − halo.lo][Norb²]` as `re,
 //! im` pairs ([`omen_linalg::as_c64`]), the operands of the packed
 //! micro-kernel. Either way a stream holds `2 · 3 · Nkz · E · Norb²`
 //! numbers.
 //!
 //! # Momentum harmonics
 //!
-//! Stages C and D read k-space streams and write k-space `Σ` and `Π`, but
-//! work on harmonics `κ` of a length-`Nkz` DFT along momentum, `x̂(κ) =
-//! Σ_kz ω^{−κ·kz} x(kz)` with `ω = e^{2πi/Nkz}`: their momentum sums are
-//! circular convolutions (`Nqz = Nkz`, periodic wrap), one product per
-//! harmonic. The copies each stage already made of its operands (the
-//! padded planes, the split runs, the scaled `∇H·D` blocks) are
-//! transformed in place ([`dft_planes`], [`dft_blocks`]); the inverse,
-//! with its `1/Nkz`, goes into the output. The transforms are plain
-//! unfused arithmetic, per energy and element, so a window never changes
-//! an output element's bits. `Nkz = 2` and `4` run butterflies of
+//! Stages C and D write k-space `Σ` and `Π`, but work on harmonics `κ` of
+//! a length-`Nkz` DFT along momentum, `x̂(κ) = Σ_kz ω^{−κ·kz} x(kz)` with
+//! `ω = e^{2πi/Nkz}`: their momentum sums are circular convolutions (`Nqz
+//! = Nkz`, periodic wrap), one product per harmonic. `∇H_p` does not
+//! depend on `kz`, so `∇H·Ĝ(κ)` is the harmonic of `∇H·G`, and stage A is
+//! the one place a stream is transformed ([`grad_g`]): every consumer —
+//! stage C, stage D, the transformed kernel's window, the mixed kernel's
+//! quantisation, the DaCe tile's pair buffers — reads harmonics. Stage C
+//! transforms its scaled copy of the `∇H·D` blocks ([`dft_blocks`]); the
+//! inverse, with its `1/Nkz`, goes into `Σ` and `Π`. The transforms are
+//! plain unfused arithmetic, per energy and element, so a window never
+//! changes an output element's bits. `Nkz = 2` and `4` run butterflies of
 //! additions only; other counts sum twiddled terms, exact at quarter
 //! turns. At `Nkz = 1` nothing is transformed.
 
+use crate::point_kernels::{d_combination, DBlocks};
 use crate::problem::SseProblem;
 use crate::tensors::D_BSZ;
 use omen_linalg::{
@@ -78,14 +82,16 @@ impl EnergyWindow {
     }
 }
 
-/// Stage A: `out[i][kz][e] = ∇H^i · g[kz][e]` for the three directions,
-/// `g` being `[kz][E]` runs of `len` blocks and `out` the pair's `∇H·G`
-/// stream (see the module docs). Blocks that take the energy-plane
-/// kernels are packed into `scratch.b[0]` once, then each direction is one
-/// [`planes_lmul`] over all runs; for finite `∇H`, bitwise `sbsmm`
-/// followed by `pack_planes`. Larger blocks take one strided-batched GEMM per
-/// direction (`A` = `∇H^i` at stride 0, `B` = the blocks at stride
-/// `Norb²`).
+/// Stage A: `out[i][κ][e] = ∇H^i · Ĝ(κ)[e]` for the three directions,
+/// `g` being `[kz][E]` runs of `len` blocks, one per momentum, and `out`
+/// the pair's `∇H·G` stream at the momentum harmonics (see the module
+/// docs). Blocks that take the energy-plane kernels are packed into
+/// `scratch.b[0]` once and transformed there ([`dft_planes`]), then each
+/// direction is one [`planes_lmul`] over all runs; for finite `∇H`,
+/// bitwise [`dft_blocks`] on `g`, then `sbsmm`, then `pack_planes`.
+/// Larger blocks take one strided-batched GEMM per direction (`A` =
+/// `∇H^i` at stride 0, `B` = the blocks at stride `Norb²`), whose output
+/// is transformed in place ([`dft_blocks`]).
 pub fn grad_g(
     norb: usize,
     len: usize,
@@ -96,12 +102,15 @@ pub fn grad_g(
 ) {
     let dims = BatchDims::square(norb);
     let bsz = norb * norb;
+    let nk = g.len() / (len * bsz);
     assert_eq!(out.len(), 3 * 2 * g.len(), "∇H·G stream length");
     let dirs = out.chunks_exact_mut(2 * g.len());
     if !use_packed_kernel(dims) {
-        pack_planes(norb, len, g, len, 0, &mut scratch.b[0]);
+        let planes = &mut scratch.b[0];
+        pack_planes(norb, len, g, len, 0, planes);
+        dft_planes(nk, false, bsz, len, planes);
         for (grad, o) in grads.iter().zip(dirs) {
-            planes_lmul(norb, len, grad.as_slice(), &scratch.b[0], o);
+            planes_lmul(norb, len, grad.as_slice(), planes, o);
         }
         count_fused_run(3 * (g.len() / bsz) as u64 * dims.flops());
         return;
@@ -124,12 +133,33 @@ pub fn grad_g(
             o,
             strides,
         );
+        dft_blocks(nk, false, len * bsz, o);
     }
 }
 
-/// Stage B: `dst = Σ_j Dc^{ij} · ∇H^j_ba` for direction `i`, with `dc` the
+/// Stage B for the directed pair `p = a → b`: `out[i][qz][ω] = Σ_j
+/// Dc^{ij}(qz, ω) · ∇H^j_ba` over every `(qz, ω)` of `prob`, with `Dc`
+/// the phonon-block combination of Eq. (2) ([`crate::d_combination`])
+/// read from `d`: the pair's `∇H·D` blocks, in k-space.
+pub fn grad_d(prob: &SseProblem, d: &impl DBlocks, p: usize, out: &mut [C64]) {
+    let bsz = prob.norb() * prob.norb();
+    let (nq, nw) = (prob.nq, prob.nw);
+    let (pair, rev) = (&prob.device.neighbors.pairs[p], prob.rev_pair[p]);
+    let grad_ba = &prob.device.gradients.grads[rev];
+    for q in 0..nq {
+        for m in 0..nw {
+            let dc = d_combination(d, q, m, p, rev, pair.from, pair.to, prob.npairs());
+            for i in 0..3 {
+                let o = ((i * nq + q) * nw + m) * bsz;
+                d_grad(&dc, i, grad_ba, &mut out[o..o + bsz]);
+            }
+        }
+    }
+}
+
+/// `dst = Σ_j Dc^{ij} · ∇H^j_ba` for direction `i`, with `dc` the
 /// phonon-block combination of Eq. (2).
-pub fn d_grad(dc: &[C64; D_BSZ], i: usize, grad_ba: &[CMatrix; 3], dst: &mut [C64]) {
+pub(crate) fn d_grad(dc: &[C64; D_BSZ], i: usize, grad_ba: &[CMatrix; 3], dst: &mut [C64]) {
     dst.fill(C64::ZERO);
     for (j, grad) in grad_ba.iter().enumerate() {
         let w = dc[j * 3 + i];
@@ -165,35 +195,36 @@ impl Stencil {
 /// Stage C for one directed pair `a → b`: adds the pair's share of the
 /// scaled `Σ^≷_aa` over the window's own energies.
 ///
-/// * `hg_l`/`hg_g` — the `∇H_ab·G^≷_b` streams, `[i][kz][E − halo.lo]`
-///   (planes or blocks, see the module docs);
-/// * `hd_l`/`hd_g` — the pair's [`d_grad`] blocks, `[i][qz][ω]`;
+/// * `hg_l`/`hg_g` — the `∇H_ab·G^≷_b` streams as [`grad_g`] writes them,
+///   `[i][κ][E − halo.lo]` (harmonics, planes or blocks, see the module
+///   docs);
+/// * `hd_l`/`hd_g` — the pair's [`grad_d`] blocks, `[i][qz][ω]`;
 /// * `out_l`/`out_g` — `Σ^≷_aa`, `[kz][E − own.lo]`.
 ///
 /// `Σ(kz) = Σ_qz ∇H·G(kz − qz) · ∇H·D(qz)` is a circular convolution on
 /// the one momentum grid (`Nqz = Nkz`), so the stage runs on momentum
-/// harmonics `κ`: the copies it makes of the `∇H·G` streams and the
-/// `∇H·D` blocks are taken through a length-`Nkz` DFT along momentum in
-/// place ([`dft_planes`], [`dft_blocks`]), each harmonic's output is one
-/// product per `(i, ω)` term, and the accumulators' inverse transform
-/// (×`1/Nkz`) is added into `out`. At `Nkz = 1` no
-/// transform runs. The flops count the block products only: the
-/// transforms (additions only at `Nkz = 2` and `4`) are not flops of the
-/// model, and `bytes_packed` counts the copies as before.
+/// harmonics `κ`: the streams come as harmonics, the copy it makes of the
+/// `∇H·D` blocks is taken through a length-`Nkz` DFT along momentum in
+/// place ([`dft_blocks`]), each harmonic's output is one product per `(i,
+/// ω)` term, and the accumulators' inverse transform (×`1/Nkz`) is added
+/// into `out`. At `Nkz = 1` no transform runs. The flops count the block
+/// products only: the transforms (additions only at `Nkz = 2` and `4`)
+/// are not flops of the model, and `bytes_packed` counts the copies.
 ///
 /// The prefactor `scale_sigma` rides on each `∇H·D` block, scaled once
 /// per pair, so no sweep over `Σ` follows. Blocks big enough for a
-/// register tile ([`use_packed_kernel`]) pack each `∇H·D` harmonic once
-/// and sweep it with the FMA micro-kernel over all four updates, loop
-/// nest `(i, κ, ω)`. Tiny blocks turn the batch into the SIMD axis
-/// instead: each side's `hg` harmonics are planes covering `own ± Nω`
-/// (zeros outside the grid), and every `(side, κ)` output run is one
-/// [`planes_mac`] call over all its `(i, ω)` emission and absorption
-/// terms, accumulated into planes. A term's energies outside the grid read
-/// the padding zeros: for finite `∇H·D` an exact no-op on an accumulator
-/// that starts at `+0`. Either way an output element receives its `(i,
-/// ω)` terms in loop order, emission before absorption, and the same
-/// transforms, whatever the window. Returns the flops performed.
+/// register tile ([`use_packed_kernel`]) read the streams in place, pack
+/// each `∇H·D` harmonic once and sweep it with the FMA micro-kernel over
+/// all four updates, loop nest `(i, κ, ω)`. Tiny blocks turn the batch
+/// into the SIMD axis instead: each side's `hg` harmonics are padded into
+/// planes covering `own ± Nω` (zeros outside the grid), and every `(side,
+/// κ)` output run is one [`planes_mac`] call over all its `(i, ω)`
+/// emission and absorption terms, accumulated into planes. A term's
+/// energies outside the grid read the padding zeros: for finite `∇H·D` an
+/// exact no-op on an accumulator that starts at `+0`. Either way an
+/// output element receives its `(i, ω)` terms in loop order, emission
+/// before absorption, and the same transforms, whatever the window.
+/// Returns the flops performed.
 #[allow(clippy::too_many_arguments)]
 pub fn sigma_pair(
     prob: &SseProblem,
@@ -235,23 +266,18 @@ pub fn sigma_pair(
     let per_kz: usize = stencils().map(|st| st.n_em + st.n_ab).sum();
     let flops = (3 * nk * 2 * per_kz) as u64 * dims.flops();
     if use_packed_kernel(dims) {
-        // At one momentum the streams and `Σ` are their own harmonics.
+        let hg = hg.map(as_c64);
+        // At one momentum `Σ` is its own harmonic.
         if nk == 1 {
-            sigma_blocks(prob, win, hg.map(as_c64), w, pb, out);
+            sigma_blocks(prob, win, hg, w, pb, out);
             return flops;
-        }
-        for (hg, src) in hg.iter().zip(src.iter_mut()) {
-            src.clear();
-            src.extend_from_slice(hg);
-            dft_blocks(nk, false, hw * bsz, as_c64_mut(src));
         }
         for acc in acc.iter_mut() {
             acc.clear();
             acc.resize(2 * nk * ew * bsz, 0.0);
         }
         let [c_l, c_g] = acc;
-        let a = [as_c64(&src[0]), as_c64(&src[1])];
-        sigma_blocks(prob, win, a, w, pb, [as_c64_mut(c_l), as_c64_mut(c_g)]);
+        sigma_blocks(prob, win, hg, w, pb, [as_c64_mut(c_l), as_c64_mut(c_g)]);
         for (acc, out) in [c_l, c_g].into_iter().zip(out) {
             let acc = as_c64_mut(acc);
             dft_blocks(nk, true, ew * bsz, acc);
@@ -274,7 +300,6 @@ pub fn sigma_pair(
         |side: usize, i: usize, k: usize, m: usize| (((side * 3 + i) * nk + k) * nw + m) * bsz;
     for (side, (src, acc)) in src.iter_mut().zip(acc.iter_mut()).enumerate() {
         pad_planes(hw, hg[side], plane, pad, src);
-        dft_planes(nk, false, bsz, plane, pad, hw, src);
         acc.clear();
         acc.resize(nk * acc_run, 0.0);
         for (k, acc) in acc.chunks_exact_mut(acc_run).enumerate() {
@@ -292,7 +317,7 @@ pub fn sigma_pair(
             }
             planes_mac(norb, ew, src, plane, w, terms, acc, ew);
         }
-        dft_planes(nk, true, bsz, ew, 0, ew, acc);
+        dft_planes(nk, true, bsz, ew, acc);
     }
     for (acc, out) in acc.iter().zip(out) {
         add_planes(norb, ew, acc, out);
@@ -380,13 +405,13 @@ fn split_runs(
 /// `C(qz) = (1/Nkz) Σ_κ ω^{κ·qz} · Σ_E tr{x̂(κ) · ŷ(−κ)}`: one trace
 /// tile per `(κ, ω)` instead of `Nkz` per `(qz, ω)`.
 ///
-/// `x` and the block-transposed `y` are split into real and imaginary
-/// runs of blocks once ([`split_planes`] from planes, [`pack_split`] from
-/// blocks: the same runs) and, above one momentum, transformed in place
-/// ([`dft_planes`]); a trace over a harmonic is then a plain
-/// complex dot product over `E × Norb²` contiguous numbers, nine of them
-/// per [`planes_dots`] tile. At `Nkz = 1` no transform runs. Returns the
-/// flops performed.
+/// `x` and `y` come as harmonics, as [`grad_g`] writes them. `x` and the
+/// block-transposed `y` are split into real and imaginary runs of blocks
+/// once ([`split_planes`] from planes, [`pack_split`] from blocks: the
+/// same runs); a trace over a harmonic is then a plain complex dot
+/// product over `E × Norb²` contiguous numbers, nine of them per
+/// [`planes_dots`] tile. The tiles' inverse transform gives `C(qz)`.
+/// Returns the flops performed.
 #[allow(clippy::too_many_arguments)]
 pub fn pi_pair(
     prob: &SseProblem,
@@ -421,7 +446,6 @@ pub fn pi_pair(
         } else {
             split_planes(norb, win.halo_len(), transpose, x, dst);
         }
-        dft_planes(nk, false, 1, row, 0, row, dst);
     }
     // The tiles `T^≷(κ, ω)`, `[ω][κ][≷][D_BSZ]`.
     let tile = |m: usize, k: usize| (m * nk + k) * 2 * D_BSZ;
@@ -479,13 +503,13 @@ mod tests {
         (0..n).map(|i| c64(f(i, 0.37), f(i, 1.13))).collect()
     }
 
-    /// Stage C's plane branch as one update at a time: `∇H·G` packed into
-    /// unpadded planes of the halo's length, one one-term [`planes_mac`]
-    /// per `(i, κ, ω, update)` over the update's in-grid energies, the
-    /// accumulators added to `out` once. At one momentum that is the
-    /// k-space loop itself (plain copies, `κ = kz`); above, the planes and
-    /// the scaled `∇H·D` blocks go through the forward transform first
-    /// and the accumulators through the inverse.
+    /// Stage C's plane branch as one update at a time: the `∇H·G`
+    /// harmonics packed into unpadded planes of the halo's length, one
+    /// one-term [`planes_mac`] per `(i, κ, ω, update)` over the update's
+    /// in-grid energies, the accumulators added to `out` once. At one
+    /// momentum that is the k-space loop itself (`κ = kz`); above, the
+    /// scaled `∇H·D` blocks go through the forward transform first and
+    /// the accumulators through the inverse.
     #[allow(clippy::too_many_arguments)]
     fn update_loop(
         prob: &SseProblem,
@@ -505,9 +529,6 @@ mod tests {
         let src = [hg_l, hg_g].map(|hg| {
             let mut planes = Vec::new();
             pack_planes(norb, hw, hg, hw, 0, &mut planes);
-            if nk > 1 {
-                dft_planes(nk, false, bsz, hw, 0, hw, &mut planes);
-            }
             planes
         });
         let w = [hd_l, hd_g].map(|hd| {
@@ -544,18 +565,18 @@ mod tests {
         }
         for (acc, out) in acc.iter_mut().zip([out_l, out_g]) {
             if nk > 1 {
-                dft_planes(nk, true, bsz, ew, 0, ew, acc);
+                dft_planes(nk, true, bsz, ew, acc);
             }
             add_planes(norb, ew, acc, out);
         }
     }
 
-    /// Stage D as a loop over points: the streams split into runs
-    /// ([`split_planes`] or [`pack_split`]), and per `(qz, ω)` one
+    /// Stage D as a loop over points: the harmonic streams split into
+    /// runs ([`split_planes`] or [`pack_split`]), and per `(qz, ω)` one
     /// [`planes_dots`] tile per `kz` at one momentum, where that is the
-    /// k-space sum itself; above, the runs go through the forward
-    /// transform, every harmonic's tile `T(κ)` pairs `x̂(κ)` with `ŷ(−κ)`,
-    /// and `C(qz)` is their inverse transform ([`dft_blocks`]).
+    /// k-space sum itself; above, every harmonic's tile `T(κ)` pairs
+    /// `x̂(κ)` with `ŷ(−κ)`, and `C(qz)` is their inverse transform
+    /// ([`dft_blocks`]).
     #[allow(clippy::too_many_arguments)]
     fn point_loop(
         prob: &SseProblem,
@@ -577,9 +598,6 @@ mod tests {
                     pack_split(row, transpose.then_some(norb), as_c64(x), &mut runs);
                 } else {
                     split_planes(norb, win.halo_len(), transpose, x, &mut runs);
-                }
-                if nk > 1 {
-                    dft_planes(nk, false, 1, row, 0, row, &mut runs);
                 }
                 runs
             });
@@ -639,43 +657,66 @@ mod tests {
 
     #[test]
     fn grad_g_planes_is_the_block_product() {
-        // Stage A's stream is bitwise the parent's: `sbsmm` per direction
-        // into blocks, then `pack_planes`; and above the plane kernels the
-        // parent's blocks themselves. Run lengths around one and three
-        // AVX-512 steps leave tails on every instantiation.
+        // Stage A's stream is bitwise the block products at the momentum
+        // harmonics: at one momentum `sbsmm` per direction into blocks,
+        // then `pack_planes` (above the plane kernels the blocks
+        // themselves); above it, on planes, `dft_blocks` on `G`, then
+        // `sbsmm`, then `pack_planes`, and on blocks `sbsmm`, then
+        // `dft_blocks`. Run lengths around one and three AVX-512 steps
+        // leave tails on every instantiation.
         let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
         let mut scratch = PlaneScratch {
             b: [vec![7.5; 1 << 12], Vec::new()],
             ..PlaneScratch::default()
         };
-        for norb in 1..=PLANES_MAX_DIM + 1 {
-            let (dims, bsz) = (BatchDims::square(norb), norb * norb);
-            let grads: [CMatrix; 3] =
-                std::array::from_fn(|i| CMatrix::from_vec(norb, norb, noise(bsz, 40 + i as u64)));
-            for len in [1, 7, 8, 9, 23, 24, 96] {
-                let nk = 2;
-                let g = with_zeros(nk * len * bsz, len as u64);
-                let mut got = vec![f64::NAN; 3 * 2 * g.len()];
-                grad_g(norb, len, &grads, &g, &mut scratch, &mut got);
-                let mut want = Vec::new();
-                for grad in &grads {
-                    let mut blocks = vec![C64::ZERO; g.len()];
-                    let strides = Strides {
-                        a: 0,
-                        b: bsz,
-                        c: bsz,
-                    };
-                    let (a, n) = (grad.as_slice(), nk * len);
-                    sbsmm(dims, n, C64::ONE, a, &g, C64::ZERO, &mut blocks, strides);
-                    if use_packed_kernel(dims) {
-                        want.extend(blocks.iter().flat_map(|z| [z.re, z.im]));
-                    } else {
-                        let mut planes = Vec::new();
-                        pack_planes(norb, len, &blocks, len, 0, &mut planes);
-                        want.extend(planes);
+        for nk in 1..=5 {
+            for norb in 1..=PLANES_MAX_DIM + 1 {
+                let (dims, bsz) = (BatchDims::square(norb), norb * norb);
+                let grads: [CMatrix; 3] = std::array::from_fn(|i| {
+                    CMatrix::from_vec(norb, norb, noise(bsz, 40 + i as u64))
+                });
+                for len in [1, 7, 8, 9, 23, 24, 96] {
+                    let g = with_zeros(nk * len * bsz, len as u64);
+                    let mut got = vec![f64::NAN; 3 * 2 * g.len()];
+                    grad_g(norb, len, &grads, &g, &mut scratch, &mut got);
+                    let packed = use_packed_kernel(dims);
+                    let mut g_hat = g.clone();
+                    if !packed {
+                        dft_blocks(nk, false, len * bsz, &mut g_hat);
                     }
+                    let mut want = Vec::new();
+                    for grad in &grads {
+                        let mut blocks = vec![C64::ZERO; g.len()];
+                        let strides = Strides {
+                            a: 0,
+                            b: bsz,
+                            c: bsz,
+                        };
+                        let (a, n) = (grad.as_slice(), nk * len);
+                        sbsmm(
+                            dims,
+                            n,
+                            C64::ONE,
+                            a,
+                            &g_hat,
+                            C64::ZERO,
+                            &mut blocks,
+                            strides,
+                        );
+                        if packed {
+                            dft_blocks(nk, false, len * bsz, &mut blocks);
+                            want.extend(blocks.iter().flat_map(|z| [z.re, z.im]));
+                        } else {
+                            let mut planes = Vec::new();
+                            pack_planes(norb, len, &blocks, len, 0, &mut planes);
+                            want.extend(planes);
+                        }
+                    }
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "Nkz {nk}, Norb {norb}, run {len}"
+                    );
                 }
-                assert!(bits(&got) == bits(&want), "Norb {norb}, run {len}");
             }
         }
     }
@@ -772,7 +813,7 @@ mod tests {
                     let halo = (own.0.saturating_sub(nw), (own.1 + nw).min(ne));
                     let win = EnergyWindow { ne, own, halo };
                     let stream = 3 * nk * win.halo_len() * bsz;
-                    let st = |seed: u64| stream_of(norb, win.halo_len(), &noise(stream, seed));
+                    let st = |seed: u64| stream_of(norb, nk, win.halo_len(), &noise(stream, seed));
                     let seed = 10 * (t as u64 + 1);
                     let [x_l, x_g, y_l, y_g] = [0, 1, 2, 3].map(|s| st(seed + s));
                     let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -820,7 +861,7 @@ mod tests {
                     let stream = 3 * nk * win.halo_len() * bsz;
                     let seed = 20 * (t as u64 + 1);
                     let [hg_l, hg_g, hr_l, hr_g] = [0, 1, 2, 3].map(|s| noise(stream, seed + s));
-                    let st = |s: &[C64]| stream_of(norb, win.halo_len(), s);
+                    let st = |s: &[C64]| stream_of(norb, nk, win.halo_len(), s);
                     let base = noise(nk * win.own_len() * bsz, seed + 4);
                     let (mut got_l, mut got_g) = (base.clone(), base.clone());
                     let (mut want_l, mut want_g) = (base.clone(), base);

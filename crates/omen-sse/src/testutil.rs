@@ -9,8 +9,8 @@ use crate::stages::{EnergyWindow, Stencil};
 use crate::tensors::{DTensor, GTensor, D_BSZ};
 use omen_device::{DeviceConfig, DeviceStructure};
 use omen_linalg::{
-    add_planes, as_c64, c64, pack_planes, sbsmm_scalar, use_packed_kernel, BatchDims, CMatrix,
-    Strides, C64,
+    add_planes, as_c64, c64, dft_blocks, pack_planes, sbsmm_scalar, use_packed_kernel, BatchDims,
+    CMatrix, Strides, C64,
 };
 
 /// The standard tiny device for kernel tests.
@@ -92,33 +92,42 @@ pub fn random_inputs(prob: &SseProblem, seed: u64) -> (GTensor, GTensor, DTensor
     (gl, gg, dl, dg)
 }
 
-/// `runs` of `len` `norb × norb` blocks, `[run][len][Norb²]`, as the
-/// `∇H·G` stream stages C and D read (see [`crate::stages`]).
-pub fn stream_of(norb: usize, len: usize, blocks: &[C64]) -> Vec<f64> {
+/// `runs` of `len` `norb × norb` blocks, `[run][len][Norb²]` in groups
+/// of `nk` runs, one per momentum, as the `∇H·G` stream stage A writes
+/// (see [`crate::stages`]): each group taken to its momentum harmonics.
+pub fn stream_of(norb: usize, nk: usize, len: usize, blocks: &[C64]) -> Vec<f64> {
+    let mut harmonics = blocks.to_vec();
+    dft_blocks(nk, false, len * norb * norb, &mut harmonics);
     if use_packed_kernel(BatchDims::square(norb)) {
-        return blocks.iter().flat_map(|z| [z.re, z.im]).collect();
+        return harmonics.iter().flat_map(|z| [z.re, z.im]).collect();
     }
     let mut planes = Vec::new();
-    pack_planes(norb, len, blocks, len, 0, &mut planes);
+    pack_planes(norb, len, &harmonics, len, 0, &mut planes);
     planes
 }
 
-/// The blocks a `∇H·G` stream of runs of `len` holds: the inverse of
-/// [`stream_of`] (a `−0.0` in the planes comes back as `+0.0`).
-pub fn stream_blocks(norb: usize, len: usize, stream: &[f64]) -> Vec<C64> {
-    if use_packed_kernel(BatchDims::square(norb)) {
-        return as_c64(stream).to_vec();
-    }
-    let mut blocks = vec![C64::ZERO; stream.len() / 2];
-    add_planes(norb, len, stream, &mut blocks);
+/// The k-space blocks a `∇H·G` stream of runs of `len` holds: the inverse
+/// of [`stream_of`], up to the transforms' rounding (a `−0.0` in the
+/// planes comes back as `+0.0`).
+pub fn stream_blocks(norb: usize, nk: usize, len: usize, stream: &[f64]) -> Vec<C64> {
+    let mut blocks = if use_packed_kernel(BatchDims::square(norb)) {
+        as_c64(stream).to_vec()
+    } else {
+        let mut blocks = vec![C64::ZERO; stream.len() / 2];
+        add_planes(norb, len, stream, &mut blocks);
+        blocks
+    };
+    dft_blocks(nk, true, len * norb * norb, &mut blocks);
     blocks
 }
 
 /// Stage A one block at a time through [`sbsmm_scalar`], into blocks
-/// `[i][run]`: the baseline `table9_sbsmm` measures
-/// [`crate::stages::grad_g`] against.
-pub fn grad_g_scalar(norb: usize, grads: &[CMatrix; 3], g: &[C64], out: &mut [C64]) {
+/// `[i][κ][len]` at the momentum harmonics ([`dft_blocks`] on each
+/// direction's output), the values [`crate::stages::grad_g`] writes: the
+/// baseline `table9_sbsmm` measures `grad_g` against.
+pub fn grad_g_scalar(norb: usize, len: usize, grads: &[CMatrix; 3], g: &[C64], out: &mut [C64]) {
     let bsz = norb * norb;
+    let nk = g.len() / (len * bsz);
     let strides = Strides {
         a: 0,
         b: bsz,
@@ -127,13 +136,14 @@ pub fn grad_g_scalar(norb: usize, grads: &[CMatrix; 3], g: &[C64], out: &mut [C6
     for (grad, o) in grads.iter().zip(out.chunks_exact_mut(g.len())) {
         let (dims, n) = (BatchDims::square(norb), g.len() / bsz);
         sbsmm_scalar(dims, n, C64::ONE, grad.as_slice(), g, C64::ZERO, o, strides);
+        dft_blocks(nk, false, len * bsz, o);
     }
 }
 
 /// Stage C one block at a time through [`sbsmm_scalar`]: the oracle of
 /// [`crate::stages::sigma_pair`] (the same arguments with the `∇H·G`
-/// streams as blocks, [`stream_blocks`]; the same scaled result up to
-/// rounding) and the baseline `table9_sbsmm` measures it against.
+/// streams as k-space blocks, [`stream_blocks`]; the same scaled result
+/// up to rounding) and the baseline `table9_sbsmm` measures it against.
 #[allow(clippy::too_many_arguments)]
 pub fn sigma_pair_scalar(
     prob: &SseProblem,
@@ -186,8 +196,8 @@ pub fn sigma_pair_scalar(
 }
 
 /// Stage D at one `(qz, ω_m)`, one [`trace_product`] per block pair: the
-/// oracle of [`crate::stages::pi_pair`] (the streams as blocks) and its
-/// `table9_sbsmm` baseline. Returns `(C^<, C^>)`.
+/// oracle of [`crate::stages::pi_pair`] (the streams as k-space blocks)
+/// and its `table9_sbsmm` baseline. Returns `(C^<, C^>)`.
 #[allow(clippy::too_many_arguments)]
 pub fn pi_pair_scalar(
     prob: &SseProblem,

@@ -22,12 +22,13 @@
 //! 4. **Map fusion** (❹): the stages share transients and loop structure.
 //! 5. **Momentum harmonics**: `Σ(kz) = Σ_qz ∇H·G(kz − qz)·∇H·D(qz)` and
 //!    `Π(qz) = Σ_kz tr{∇H·G(kz + qz)·∇H·G(kz)}` are circular on the one
-//!    momentum grid, so stages C and D copy their operands once through a
-//!    length-`Nkz` DFT along momentum and make one product (stage C) or
-//!    one trace tile (stage D) per harmonic `κ` instead of `Nqz` per
-//!    momentum, then add the inverse transform into `Σ`/`Π`
-//!    ([`crate::stages`]). Stage A and the `∇H·G` window stay in k-space;
-//!    at `Nkz = 1` no transform runs.
+//!    momentum grid, so stages C and D make one product (stage C) or one
+//!    trace tile (stage D) per harmonic `κ` of a length-`Nkz` DFT along
+//!    momentum instead of `Nqz` per momentum, then add the inverse
+//!    transform into `Σ`/`Π` ([`crate::stages`]). `∇H` does not depend on
+//!    `kz`, so stage A writes each `∇H·G` stream at the harmonics, once,
+//!    and the window holds them; stage C transforms its `∇H·D` copy. At
+//!    `Nkz = 1` no transform runs.
 //!
 //! The kernel produces values elementwise-identical (up to floating-point
 //! reassociation) to [`crate::reference::sse_reference`].
@@ -42,7 +43,7 @@
 //!
 //! # A stream's live range
 //!
-//! Atom `a`'s `∇H·G` streams (one per directed pair `a → b`, `[i][kz][E]`,
+//! Atom `a`'s `∇H·G` streams (one per directed pair `a → b`, `[i][κ][E]`,
 //! element planes for tiny blocks: see [`crate::stages`]) are written by
 //! stage A in its task `C(a)`, read there by stage C, and read by stage D
 //! twice over: by `D(a)` as the `y` side of its pairs, and through
@@ -65,10 +66,9 @@
 //! ([`build_transients_into`]), because its `PerTensor` normalisation
 //! reads the maximum over the whole tensor before stage C may start.
 
-use crate::point_kernels::d_combination;
 use crate::problem::SseProblem;
 use crate::reference::SseOutput;
-use crate::stages::{d_grad, grad_g, pi_pair, sigma_pair, EnergyWindow};
+use crate::stages::{grad_d, grad_g, pi_pair, sigma_pair, EnergyWindow};
 use crate::tensors::{DTensor, GLayout, GTensor};
 use omen_linalg::{BatchDims, PlaneScratch, C64};
 use omen_sched::TaskDag;
@@ -84,7 +84,7 @@ use std::sync::{Mutex, RwLock};
 /// [`crate::stages`]).
 #[derive(Default)]
 pub struct Transients {
-    /// `∇H·G^<` streams, `[pair][stream]` (a stream is `[i][kz][E]`,
+    /// `∇H·G^<` streams, `[pair][stream]` (a stream is `[i][κ][E]`,
     /// element planes or blocks as [`crate::stages`] lays it out). Only
     /// [`build_transients_into`] fills it; the transformed kernel keeps
     /// these streams in its window instead.
@@ -275,8 +275,8 @@ fn by_atom<'a, T>(
 
 /// Stages A and B for the directed pairs `p = a → b` of atom `a`, into
 /// its streams `[p − first pair of a][…]`:
-/// `hg[p][i][k][e] = ∇H^i_p · G_b(k, e)` and
-/// `hd[p][i][q][m] = Σ_j Dc^{ij}(q, m, p) · ∇H^j_ba`.
+/// `hg[p][i][κ][e] = ∇H^i_p · Ĝ_b(κ, e)` ([`grad_g`]) and
+/// `hd[p][i][q][m] = Σ_j Dc^{ij}(q, m, p) · ∇H^j_ba` ([`grad_d`]).
 fn build_atom(
     prob: &SseProblem,
     g: [&GTensor; 2],
@@ -287,8 +287,6 @@ fn build_atom(
     scratch: &mut PlaneScratch,
 ) {
     let norb = prob.norb();
-    let bsz = norb * norb;
-    let (nq, nw) = (prob.nq, prob.nw);
     let (hg_chunk, hd_chunk, g_run) = chunk_lens(prob);
     let grads = &prob.device.gradients.grads;
     for g in g {
@@ -311,18 +309,8 @@ fn build_atom(
                 &mut hg[n * hg_chunk..(n + 1) * hg_chunk],
             );
         }
-        let rev = prob.rev_pair[p];
         for (hd, d) in hd.iter_mut().zip(d) {
-            let out = &mut hd[n * hd_chunk..(n + 1) * hd_chunk];
-            for q in 0..nq {
-                for m in 0..nw {
-                    let dc = d_combination(d, q, m, p, rev, a, b, prob.npairs());
-                    for i in 0..3 {
-                        let o = ((i * nq + q) * nw + m) * bsz;
-                        d_grad(&dc, i, &grads[rev], &mut out[o..o + bsz]);
-                    }
-                }
-            }
+            grad_d(prob, d, p, &mut hd[n * hd_chunk..(n + 1) * hd_chunk]);
         }
     }
 }
@@ -607,7 +595,7 @@ fn pi_atom(
 mod tests {
     use super::*;
     use crate::reference::sse_reference;
-    use crate::testutil::{random_inputs, tiny_device, tiny_problem};
+    use crate::testutil::{random_inputs, stream_blocks, tiny_device, tiny_problem};
     use omen_device::{DeviceConfig, DeviceStructure};
     use omen_linalg::small_gemm;
 
@@ -715,20 +703,17 @@ mod tests {
         build_transients_into(&prob, &gl, &gg, &dl, &dg, &mut tr);
         let norb = prob.norb();
         let bsz = norb * norb;
+        let (hg_chunk, _, _) = chunk_lens(&prob);
         for &(p, i, k, e) in &[(0usize, 0usize, 0usize, 0usize), (3, 2, 1, 4), (7, 1, 1, 2)] {
             let want = direct_transient_block(&prob, &gl, p, i, k, e);
-            // Element planes `[pair][i][kz][element][re|im][E]`, elements
-            // row-major.
-            let at = ((p * 3 + i) * prob.nk + k) * 2 * bsz * prob.ne + e;
-            let got: Vec<C64> = (0..bsz)
-                .map(|x| {
-                    let o = at + 2 * ((x % norb) * norb + x / norb) * prob.ne;
-                    omen_linalg::c64(tr.hg_l[o], tr.hg_l[o + prob.ne])
-                })
-                .collect();
+            // The pair's harmonics back in k-space, `[i][kz][E][Norb²]`.
+            let stream = &tr.hg_l[p * hg_chunk..(p + 1) * hg_chunk];
+            let blocks = stream_blocks(norb, prob.nk, prob.ne, stream);
+            let at = ((i * prob.nk + k) * prob.ne + e) * bsz;
+            let got = &blocks[at..at + bsz];
             let dev: f64 = want
                 .iter()
-                .zip(&got)
+                .zip(got)
                 .map(|(w, g)| (*w - *g).abs())
                 .fold(0.0, f64::max);
             assert!(dev < 1e-13, "transient ({p},{i},{k},{e}) deviates by {dev}");

@@ -178,7 +178,7 @@ proptest! {
         let base = noise(nk * ne * bsz, seed + 6);
         let (mut full_l, mut full_g) = (base.clone(), base.clone());
         // The kernels read the streams as stage A writes them.
-        let st = |s: &[C64], win: &EnergyWindow| stream_of(norb, win.halo_len(), s);
+        let st = |s: &[C64], win: &EnergyWindow| stream_of(norb, nk, win.halo_len(), s);
         let [sg_l, sg_g, sr_l, sr_g] = [&hg_l, &hg_g, &hr_l, &hr_g].map(|s| st(s, &full));
         sigma_pair(&prob, &full, &sg_l, &sg_g, &hd_l, &hd_g, &mut scratch, &mut full_l, &mut full_g);
         let mut full_pi = vec![[C64::ZERO; D_BSZ]; 2 * nk * nw];
