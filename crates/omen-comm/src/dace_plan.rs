@@ -33,7 +33,7 @@
 //! [`run_dace_plan`] is the cold one-shot wrapper.
 
 use crate::mpi_sim::{run_world_on, Comm};
-use crate::plan_common::{deposit_rows, reset_output, PlanResult};
+use crate::plan_common::{deposit_rows, reset_output};
 use crate::topology::{DaceTiling, OmenGrid};
 use crate::volume::VolumeLedger;
 use omen_linalg::{BatchDims, PlaneScratch, C64};
@@ -48,7 +48,7 @@ fn sorted_unique(mut v: Vec<usize>) -> Vec<usize> {
 
 /// Sorted atoms of tile `ia` plus the neighbor halo (the `c ≤ Nb` extra
 /// atoms of §6.1.2).
-pub fn tile_atoms_with_halo(prob: &SseProblem, tiling: &DaceTiling, ia: usize) -> Vec<usize> {
+fn tile_atoms_with_halo(prob: &SseProblem, tiling: &DaceTiling, ia: usize) -> Vec<usize> {
     let (lo, hi) = tiling.atom_range(ia);
     let halo = (lo..hi).flat_map(|a| prob.pairs_of(a).map(|(_, b)| b));
     sorted_unique((lo..hi).chain(halo).collect())
@@ -56,7 +56,7 @@ pub fn tile_atoms_with_halo(prob: &SseProblem, tiling: &DaceTiling, ia: usize) -
 
 /// Sorted `D`-tensor entries tile `ia` needs: its atoms' pairs, their
 /// reverse pairs, and the diagonals of local + halo atoms.
-pub fn tile_d_entries(prob: &SseProblem, tiling: &DaceTiling, ia: usize) -> Vec<usize> {
+fn tile_d_entries(prob: &SseProblem, tiling: &DaceTiling, ia: usize) -> Vec<usize> {
     let (lo, hi) = tiling.atom_range(ia);
     let np = prob.npairs();
     let of_pairs = (lo..hi)
@@ -67,7 +67,7 @@ pub fn tile_d_entries(prob: &SseProblem, tiling: &DaceTiling, ia: usize) -> Vec<
 
 /// Sorted entries tile `ia` *produces* for `Π^≷`: its atoms' pairs (one
 /// contiguous index range) and diagonals.
-pub fn tile_pi_entries(prob: &SseProblem, tiling: &DaceTiling, ia: usize) -> Vec<usize> {
+fn tile_pi_entries(prob: &SseProblem, tiling: &DaceTiling, ia: usize) -> Vec<usize> {
     let (lo, hi) = tiling.atom_range(ia);
     let offsets = &prob.device.neighbors.offsets;
     let np = prob.npairs();
@@ -544,7 +544,7 @@ pub fn run_dace_plan(
     d_g: &DTensor,
     grid: &OmenGrid,
     tiling: &DaceTiling,
-) -> (PlanResult, VolumeLedger) {
+) -> (SseOutput, VolumeLedger) {
     let mut out = SseOutput::empty();
     let ledger = DacePlan::new(prob, grid, tiling).run(prob, g_l, g_g, d_l, d_g, &mut out);
     (out, ledger)

@@ -3,8 +3,9 @@
 //! The distribution layer of the reproduction: a simulated MPI runtime
 //! (rank threads + channels) with byte-exact volume accounting, the two
 //! SSE communication schemes of the paper (OMEN's round-based replication
-//! vs the data-centric four-Alltoallv redistribution), an analytic network
-//! time model, and the data-ingestion staging path.
+//! vs the data-centric four-Alltoallv redistribution), and the
+//! data-ingestion staging path. The analytic models (network bounds,
+//! ingestion time) live in `omen-perf`.
 //!
 //! ## Layering
 //!
@@ -16,10 +17,12 @@
 //! | semantics | [`mpi_sim`], [`volume`] | MPI-shaped collectives with tag matching and byte-exact ledgers (§6.1) |
 //! | schemes | [`omen_plan`] (Fig. 5 left), [`dace_plan`] (§5.2, Fig. 5 right), [`plan_kernel`], [`topology`] | the two SSE exchange schedules, executable inside the Born loop |
 //!
-//! Around those sit [`staging`] (§7.1.1 chunked-broadcast ingestion, plus
-//! a checksummed retransmitting frame protocol), [`netmodel`] (analytic
-//! network timing), and [`sse_state`]/[`plan_common`] (the OMEN plan's
-//! per-rank row stores, and result assembly for both plans).
+//! Beside them sits [`staging`] (§7.1.1 chunked-broadcast ingestion, plus
+//! a checksummed retransmitting frame protocol). Both plans keep a
+//! rank's data dense: the OMEN plan reads each round's received rows in
+//! place in the messages that carried them, the DaCe plan in tile
+//! tensors, and one private module assembles either plan's rows into an
+//! [`omen_sse::SseOutput`].
 //!
 //! The measured side of Tables 4/5 comes out of the [`VolumeLedger`]
 //! every operation records into; the analytic side lives in `omen-perf`,
@@ -54,29 +57,21 @@
 
 pub mod dace_plan;
 pub mod mpi_sim;
-pub mod netmodel;
 pub mod omen_plan;
-pub mod plan_common;
+mod plan_common;
 pub mod plan_kernel;
-pub mod sse_state;
 pub mod staging;
 pub mod topology;
 pub mod transport;
 pub mod volume;
 
-pub use dace_plan::{
-    run_dace_plan, tile_atoms_with_halo, tile_d_entries, tile_pi_entries, DacePlan, DaceTile,
-};
-pub use mpi_sim::{payload_bytes, run_world, run_world_on, Comm};
-pub use netmodel::Network;
+pub use dace_plan::{run_dace_plan, DacePlan, DaceTile};
+pub use mpi_sim::{run_world, Comm};
 pub use omen_plan::run_omen_plan;
-pub use plan_common::{CombinedG, PlanResult};
 pub use plan_kernel::{CommPlan, PlanKernel};
-pub use sse_state::{LocalD, LocalG};
 pub use staging::{
-    decode_frame, encode_frame, pack_bytes, recv_framed, send_framed, stage_material, unpack_bytes,
-    FrameError, StagingModel,
+    decode_frame, encode_frame, recv_framed, send_framed, stage_material, FrameError,
 };
-pub use topology::{grid_for_ranks, split_range, tiling_for_ranks, DaceTiling, OmenGrid};
+pub use topology::{grid_for_ranks, tiling_for_ranks, DaceTiling, OmenGrid};
 pub use transport::{channel_world, ChannelTransport, Envelope, Transport};
 pub use volume::{OpKind, VolumeLedger};

@@ -2,11 +2,11 @@
 //! through a pluggable [`Transport`], with every byte accounted in a
 //! [`VolumeLedger`].
 //!
-//! The point is *not* to model network timing (that is `netmodel`) but to
+//! The point is *not* to model network timing (`omen-perf` does) but to
 //! execute the paper's two SSE communication schemes for real — same data,
 //! same collectives, exact measured volumes — at laptop rank counts. This
 //! is the executable counterpart of §6.1 (arXiv 1912.10024): the
-//! collectives here (`bcast`, `reduce_sum`, `alltoallv`, `barrier`) are
+//! collectives here (`bcast`, `reduce_sum`, `alltoallv`) are
 //! the exact operations the Table 4/5 volume models count, and
 //! [`run_world`] is the stand-in for the 10 000-node Piz Daint allocation.
 //!
@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 
 /// Bytes of a complex payload.
 #[inline]
-pub fn payload_bytes(len: usize) -> u64 {
+fn payload_bytes(len: usize) -> u64 {
     (len * 16) as u64
 }
 
@@ -90,23 +90,6 @@ impl Comm {
                 return msg.payload;
             }
             self.pending.borrow_mut().push_back(msg);
-        }
-    }
-
-    /// Barrier: gather-to-0 then release (payload-free).
-    pub fn barrier(&self, tag: u64) {
-        self.ledger
-            .record(OpKind::Barrier, self.rank(), 0, self.rank() == 0);
-        if self.rank() == 0 {
-            for r in 1..self.size() {
-                let _ = self.recv(r, tag);
-            }
-            for r in 1..self.size() {
-                self.send_kind(r, tag, Vec::new(), OpKind::Barrier, false);
-            }
-        } else {
-            self.send_kind(0, tag, Vec::new(), OpKind::Barrier, false);
-            let _ = self.recv(0, tag);
         }
     }
 
@@ -197,7 +180,7 @@ where
 /// [`run_world`] over one persistent state per rank: rank `r` runs `f`
 /// with exclusive access to `states[r]`, so buffers a plan sized on its
 /// first execution stay warm for the next.
-pub fn run_world_on<S, R, F>(states: &mut [S], ledger: VolumeLedger, f: F) -> Vec<R>
+pub(crate) fn run_world_on<S, R, F>(states: &mut [S], ledger: VolumeLedger, f: F) -> Vec<R>
 where
     S: Send,
     R: Send,
@@ -325,20 +308,6 @@ mod tests {
         // Each rank sends (rank+1) elements to 3 others: Σ 3·(r+1)·16.
         let expect: u64 = (0..4).map(|r| 3 * (r as u64 + 1) * 16).sum();
         assert_eq!(ledger.bytes(OpKind::Alltoall), expect);
-    }
-
-    #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let p = 6;
-        let ledger = VolumeLedger::new(p);
-        run_world(p, ledger, |comm| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            comm.barrier(99);
-            // After the barrier, every rank must have incremented.
-            assert_eq!(counter.load(Ordering::SeqCst), p);
-        });
     }
 
     #[test]

@@ -19,39 +19,89 @@
 //! output.
 
 use crate::mpi_sim::{run_world, Comm};
-use crate::plan_common::{deposit_rows, reset_output, CombinedG, PlanResult};
-use crate::sse_state::{LocalD, LocalG};
+use crate::plan_common::{deposit_rows, reset_output};
 use crate::topology::OmenGrid;
 use crate::volume::VolumeLedger;
 use omen_linalg::{Workspace, C64};
-use omen_sse::{omen_round, DTensor, GTensor, SseOutput, SseProblem, D_BSZ};
-use std::collections::{BTreeMap, BTreeSet};
+use omen_sse::{omen_round, DBlocks, DTensor, GBlocks, GTensor, SseOutput, SseProblem, D_BSZ};
 
-/// The `(k', e')` rows rank `r` must fetch in round `(q, m)`, excluding
-/// rows it already owns. Deterministic: senders evaluate it for their
-/// peers.
+/// The `(k', e')` rows rank `rank` must fetch in round `(q, m)`, excluding
+/// rows it already owns, in `(k', e')` order. Deterministic: senders
+/// evaluate it for their peers.
 fn needed_points(
     prob: &SseProblem,
     grid: &OmenGrid,
     rank: usize,
     q: usize,
     m: usize,
-) -> BTreeSet<(usize, usize)> {
+) -> Vec<(usize, usize)> {
+    let ne = prob.ne;
     let steps = prob.omega_steps(m);
-    let mut need = BTreeSet::new();
+    let mut need = vec![false; prob.nk * ne];
     for (k, e) in grid.owned_pairs(rank) {
         let kk = prob.k_minus_q(k, q);
-        let kq = prob.k_plus_q(k, q);
         if e >= steps {
-            need.insert((kk, e - steps));
+            need[kk * ne + e - steps] = true;
         }
-        if e + steps < prob.ne {
-            need.insert((kk, e + steps));
-            need.insert((kq, e + steps));
+        if e + steps < ne {
+            need[kk * ne + e + steps] = true;
+            need[prob.k_plus_q(k, q) * ne + e + steps] = true;
         }
     }
-    need.retain(|&(k, e)| grid.owner_pair(k, e) != rank);
-    need
+    let points = (0..prob.nk).flat_map(|k| (0..ne).map(move |e| (k, e)));
+    points
+        .filter(|&(k, e)| need[k * ne + e] && grid.owner_pair(k, e) != rank)
+        .collect()
+}
+
+/// Where a rank reads the `G^≷(k, e)` rows in the current round.
+#[derive(Clone, Copy)]
+enum Row {
+    /// Neither owned nor received this round.
+    Absent,
+    /// Owned: in the GF phase's tensors.
+    Owned,
+    /// Received: the record at element `at` of message `msg`, the `G^<`
+    /// row then the `G^>` row.
+    Received { msg: usize, at: usize },
+}
+
+/// One `G^≷` component as a rank sees it in one round: an owned row in
+/// place in the GF phase's tensor, a received row in place in its
+/// source's message. Reading any other row panics.
+struct RoundG<'a> {
+    own: &'a GTensor,
+    /// Per `(k, e)`, `[k][e]`.
+    rows: &'a [Row],
+    msgs: &'a [Vec<C64>],
+    /// Offset of this component in a received record: 0 for `G^<`, one
+    /// row (`Na · Norb²` elements) for `G^>`.
+    half: usize,
+}
+
+impl GBlocks for RoundG<'_> {
+    fn gblock(&self, k: usize, e: usize, a: usize) -> &[C64] {
+        let bsz = self.own.bsz();
+        match self.rows[k * self.own.ne + e] {
+            Row::Owned => self.own.block(k, e, a),
+            Row::Received { msg, at } => &self.msgs[msg][at + self.half + a * bsz..][..bsz],
+            Row::Absent => panic!("G block ({k},{e}) not resident on this rank"),
+        }
+    }
+}
+
+/// The round's broadcast `D^≷(q, m)` row, `(Npairs + Na) · 9` elements:
+/// the one phonon point a round reads.
+struct RoundD<'a> {
+    qm: (usize, usize),
+    row: &'a [C64],
+}
+
+impl DBlocks for RoundD<'_> {
+    fn dblock(&self, q: usize, w: usize, entry: usize) -> &[C64] {
+        assert_eq!((q, w), self.qm, "a round reads only its own D point");
+        &self.row[entry * D_BSZ..][..D_BSZ]
+    }
 }
 
 /// One rank's rows, unscaled: `Σ^≷` of the `(k, e)` points it owns,
@@ -74,18 +124,25 @@ pub fn run_omen_plan(
     d_l: &DTensor,
     d_g: &DTensor,
     grid: &OmenGrid,
-) -> (PlanResult, VolumeLedger) {
+) -> (SseOutput, VolumeLedger) {
     let _phase = omen_trace::PhaseGuard::enter("comm_omen_plan");
     let nranks = grid.nranks();
     let ledger = VolumeLedger::new(nranks);
-    let bsz = prob.norb() * prob.norb();
-    let na = prob.na();
+    let (na, ne) = (prob.na(), prob.ne);
+    // One atom-block row, and one `(k, e)` record of a G message.
+    let half = na * prob.norb() * prob.norb();
+    let record = 2 * half;
     let nentries = prob.npairs() + na;
 
     let outputs = run_world(nranks, ledger.clone(), |comm: Comm| {
         let me = comm.rank();
         let owned = grid.owned_pairs(me);
-        let mut sigma = [(); 2].map(|_| vec![C64::ZERO; owned.len() * na * bsz]);
+        let mut rows = vec![Row::Absent; prob.nk * ne];
+        for &(k, e) in &owned {
+            rows[k * ne + e] = Row::Owned;
+        }
+        let mut msgs = Vec::new();
+        let mut sigma = [(); 2].map(|_| vec![C64::ZERO; owned.len() * half]);
         let mut rooted = Vec::new();
         let mut pi = [Vec::new(), Vec::new()];
         let mut ws = Workspace::new();
@@ -106,10 +163,7 @@ pub fn run_omen_plan(
                 let (mut row_l, mut row_g) = (owned_row(d_l), owned_row(d_g));
                 comm.bcast(root, base_tag, &mut row_l);
                 comm.bcast(root, base_tag + 1, &mut row_g);
-                let mut round_dl = LocalD::new(nentries);
-                let mut round_dg = LocalD::new(nentries);
-                round_dl.insert_row(q, m, row_l);
-                round_dg.insert_row(q, m, row_g);
+                let round_d = |row| RoundD { qm: (q, m), row };
 
                 // --- 2. point-to-point G^≷ exchange ---
                 // Send phase: what do the peers need from me?
@@ -124,7 +178,7 @@ pub fn run_omen_plan(
                     if to_send.is_empty() {
                         continue;
                     }
-                    let mut buf = Vec::with_capacity(to_send.len() * 2 * na * bsz);
+                    let mut buf = Vec::with_capacity(to_send.len() * record);
                     for &(k, e) in &to_send {
                         for g in [g_l, g_g] {
                             for a in 0..na {
@@ -134,32 +188,31 @@ pub fn run_omen_plan(
                     }
                     comm.send(r, base_tag + 2, buf);
                 }
-                // Receive phase.
-                let myneed = needed_points(prob, grid, me, q, m);
-                let mut extra_l = LocalG::new(na, bsz);
-                let mut extra_g = LocalG::new(na, bsz);
-                let mut by_owner: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-                for &(k, e) in &myneed {
-                    by_owner
-                        .entry(grid.owner_pair(k, e))
-                        .or_default()
-                        .push((k, e));
-                }
-                for (s, points) in &by_owner {
-                    let buf = comm.recv(*s, base_tag + 2);
-                    assert_eq!(buf.len(), points.len() * 2 * na * bsz, "G message size");
-                    for (x, &(k, e)) in points.iter().enumerate() {
-                        let off = x * 2 * na * bsz;
-                        extra_l.insert_row(k, e, buf[off..off + na * bsz].to_vec());
-                        extra_g.insert_row(k, e, buf[off + na * bsz..off + 2 * na * bsz].to_vec());
+                // Receive phase: one message from each owner of a needed
+                // row, in owner order, kept as it arrives.
+                let need = needed_points(prob, grid, me, q, m);
+                for s in 0..comm.size() {
+                    let mut records = 0;
+                    for &(k, e) in need.iter().filter(|&&(k, e)| grid.owner_pair(k, e) == s) {
+                        let at = records * record;
+                        rows[k * ne + e] = Row::Received {
+                            msg: msgs.len(),
+                            at,
+                        };
+                        records += 1;
+                    }
+                    if records > 0 {
+                        let buf = comm.recv(s, base_tag + 2);
+                        assert_eq!(buf.len(), records * record, "G message size");
+                        msgs.push(buf);
                     }
                 }
-                let view = |own, extra| CombinedG {
-                    owns: |k, e| grid.owner_pair(k, e) == me,
+                let view = |own, half| RoundG {
                     own,
-                    extra,
+                    rows: &rows,
+                    msgs: &msgs,
+                    half,
                 };
-                let (view_l, view_g) = (view(g_l, &extra_l), view(g_g, &extra_g));
 
                 // --- 3. compute Σ and partial Π ---
                 let mut pi_partial = [(); 2].map(|_| vec![C64::ZERO; nentries * D_BSZ]);
@@ -167,12 +220,16 @@ pub fn run_omen_plan(
                     prob,
                     (q, m),
                     owned.iter().copied(),
-                    [&view_l, &view_g],
-                    [&round_dl, &round_dg],
+                    [&view(g_l, 0), &view(g_g, half)],
+                    [&round_d(&row_l), &round_d(&row_g)],
                     sigma.each_mut().map(|s| &mut s[..]),
                     pi_partial.each_mut().map(|p| &mut p[..]),
                     &mut ws,
                 );
+                for &(k, e) in &need {
+                    rows[k * ne + e] = Row::Absent;
+                }
+                msgs.clear();
 
                 // --- 4. reduce Π^≷(q, m) to the owner ---
                 let [pi_partial_l, pi_partial_g] = &mut pi_partial;
@@ -257,6 +314,76 @@ mod tests {
         assert_eq!(result.pi_l.max_deviation(&reference.pi_l), 0.0);
         assert_eq!(result.flops, reference.flops);
         assert_eq!(ledger.total_bytes(), 0, "single rank: all traffic local");
+    }
+
+    #[test]
+    fn round_views_read_rows_in_place() {
+        let dev = tiny_device();
+        let prob = tiny_problem(&dev);
+        let (gl, gg, dl, _) = random_inputs(&prob, 8);
+        let (ne, bsz) = (prob.ne, gl.bsz());
+        let half = prob.na() * bsz;
+        // (0, 1) owned; (1, 2) the second record of message 1.
+        let mut rows = vec![Row::Absent; prob.nk * ne];
+        rows[1] = Row::Owned;
+        rows[ne + 2] = Row::Received {
+            msg: 1,
+            at: 2 * half,
+        };
+        let record: Vec<C64> = [&gl, &gg]
+            .iter()
+            .flat_map(|g| (0..prob.na()).flat_map(|a| g.block(1, 2, a)))
+            .copied()
+            .collect();
+        let msgs = [Vec::new(), [vec![C64::ZERO; 2 * half], record].concat()];
+        let view = |own, half| RoundG {
+            own,
+            rows: &rows,
+            msgs: &msgs,
+            half,
+        };
+        let (view_l, view_g) = (view(&gl, 0), view(&gg, half));
+        let a = prob.na() - 1;
+        assert!(std::ptr::eq(view_l.gblock(0, 1, a), gl.block(0, 1, a)));
+        assert_eq!(view_l.gblock(1, 2, a), gl.block(1, 2, a));
+        assert_eq!(view_g.gblock(1, 2, a), gg.block(1, 2, a));
+        let row: Vec<C64> = (0..prob.npairs() + prob.na())
+            .flat_map(|en| dl.block(1, 0, en))
+            .copied()
+            .collect();
+        let d = RoundD {
+            qm: (1, 0),
+            row: &row,
+        };
+        assert_eq!(d.dblock(1, 0, 2), dl.block(1, 0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "not resident")]
+    fn missing_g_point_panics() {
+        let dev = tiny_device();
+        let prob = tiny_problem(&dev);
+        let (gl, ..) = random_inputs(&prob, 1);
+        let mut rows = vec![Row::Absent; prob.nk * prob.ne];
+        rows[0] = Row::Owned;
+        let view = RoundG {
+            own: &gl,
+            rows: &rows,
+            msgs: &[],
+            half: 0,
+        };
+        let _ = view.gblock(0, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "its own D point")]
+    fn round_d_reads_only_its_point() {
+        let row = vec![C64::ZERO; 9];
+        let d = RoundD {
+            qm: (0, 1),
+            row: &row,
+        };
+        let _ = d.dblock(0, 0, 0);
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Shared scaffolding of the distributed SSE plans: result assembly from
-//! the ranks' owned rows, and the OMEN plan's per-round view of `G^≷`.
+//! Result assembly shared by the distributed SSE plans: both write the
+//! ranks' owned rows into one [`SseOutput`] (scaled, comparable to
+//! [`omen_sse::reference::sse_reference`]; `Σ^≷` atom-major like every
+//! kernel's, `flops` summed over the ranks in rank order).
 
-use crate::sse_state::LocalG;
 use omen_linalg::C64;
-use omen_sse::{GBlocks, GTensor, SseOutput, SseProblem, D_BSZ};
-
-/// Assembled plan output (scaled; comparable to
-/// [`omen_sse::reference::sse_reference`]): `Σ^≷` atom-major, like every
-/// kernel's, `flops` summed over the ranks in rank order.
-pub type PlanResult = SseOutput;
+use omen_sse::{SseOutput, SseProblem, D_BSZ};
 
 /// Shapes `out` as a zeroed plan output: `Σ^≷` atom-major, no flops.
 /// Allocation-free once `out` is warm.
-pub fn reset_output(prob: &SseProblem, out: &mut SseOutput) {
+pub(crate) fn reset_output(prob: &SseProblem, out: &mut SseOutput) {
     let (na, norb) = (prob.na(), prob.norb());
     for sigma in [&mut out.sigma_l, &mut out.sigma_g] {
         sigma.reset(prob.nk, prob.ne, na, norb);
@@ -35,7 +31,7 @@ pub fn reset_output(prob: &SseProblem, out: &mut SseOutput) {
 ///
 /// Every `(k, e)` and `(q, m)` has exactly one owner, so rows are stored,
 /// not accumulated.
-pub fn deposit_rows(
+pub(crate) fn deposit_rows(
     out: &mut SseOutput,
     (scale_sigma, scale_pi): (f64, f64),
     (pairs, [sigma_l, sigma_g]): (&[(usize, usize)], &[Vec<C64>; 2]),
@@ -60,27 +56,5 @@ pub fn deposit_rows(
         let o = out.pi_l.offset(q, m, 0);
         store(out.pi_l.as_mut_slice(), o, l, scale_pi);
         store(out.pi_g.as_mut_slice(), o, g, scale_pi);
-    }
-}
-
-/// A rank's view of `G^≷` in one round: the rows the GF phase left on it
-/// (read in place from the phase's output) plus the rows received this
-/// round. A row that is neither is not resident, and reading it panics.
-pub struct CombinedG<'a, F: Fn(usize, usize) -> bool> {
-    /// `true` for the `(k, e)` rows this rank owns.
-    pub owns: F,
-    /// The GF phase's tensor; only owned rows may be read.
-    pub own: &'a GTensor,
-    /// Received-this-round store.
-    pub extra: &'a LocalG,
-}
-
-impl<F: Fn(usize, usize) -> bool> GBlocks for CombinedG<'_, F> {
-    fn gblock(&self, k: usize, e: usize, a: usize) -> &[C64] {
-        if (self.owns)(k, e) {
-            self.own.block(k, e, a)
-        } else {
-            self.extra.get_block(k, e, a)
-        }
     }
 }

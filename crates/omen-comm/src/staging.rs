@@ -7,65 +7,17 @@
 //! Piz Daint scale. Staging reads the data once and broadcasts it in
 //! chunks, cutting start-up to under a minute.
 //!
-//! Two artifacts here: an analytic time model calibrated on the paper's
-//! observations, and an *executable* chunked broadcast that ships real
-//! serialized material bytes through the simulated MPI.
+//! The ingestion time model is `omen_perf::StagingModel`. This module
+//! is the *executable* side: a chunked broadcast that ships real
+//! serialized material bytes through the simulated MPI, and the
+//! checksummed frame protocol built on the same byte packing.
 
 use crate::mpi_sim::Comm;
-use crate::netmodel::Network;
 use omen_linalg::{c64, C64};
-
-/// Parallel-filesystem + network staging model.
-#[derive(Clone, Copy, Debug)]
-pub struct StagingModel {
-    /// Aggregate PFS read bandwidth under contention (bytes/s).
-    pub pfs_bandwidth: f64,
-    /// Interconnect for the broadcast phase.
-    pub network: Network,
-}
-
-impl StagingModel {
-    /// Piz Daint-like parameters, calibrated so the naive path reproduces
-    /// the paper's 1,112 s at 2,589 nodes for a ~5 GiB material set.
-    pub fn piz_daint() -> StagingModel {
-        StagingModel {
-            pfs_bandwidth: 12.5e9,
-            network: Network::piz_daint(),
-        }
-    }
-
-    /// Summit-like parameters.
-    pub fn summit() -> StagingModel {
-        StagingModel {
-            pfs_bandwidth: 25.0e9,
-            network: Network::summit(),
-        }
-    }
-
-    /// Naive ingestion: every node reads the full file set; PFS bandwidth
-    /// is shared, so time scales linearly with node count.
-    pub fn naive_load_time(&self, file_bytes: u64, nranks: usize) -> f64 {
-        let nodes = self.network.nodes(nranks) as f64;
-        nodes * file_bytes as f64 / self.pfs_bandwidth
-    }
-
-    /// Staged ingestion: one read plus a pipelined chunked broadcast,
-    /// with a per-chunk software overhead (the dominant cost the paper
-    /// observed — 31.1 s at 4,560 nodes).
-    pub fn staged_load_time(&self, file_bytes: u64, nranks: usize, chunk_bytes: u64) -> f64 {
-        let read = file_bytes as f64 / self.pfs_bandwidth;
-        let chunks = file_bytes.div_ceil(chunk_bytes.max(1));
-        // Each chunk traverses a binomial tree; pipelining overlaps all but
-        // log2(P) stages. Per-chunk software overhead ~1 ms (observed).
-        let bcast = self.network.bcast_time(file_bytes, nranks);
-        let overhead = chunks as f64 * 1.0e-3;
-        read + bcast + overhead
-    }
-}
 
 /// Packs raw bytes into `C64` payload elements (16 bytes each) for
 /// transport through the simulated MPI. Bit-preserving.
-pub fn pack_bytes(data: &[u8]) -> Vec<C64> {
+fn pack_bytes(data: &[u8]) -> Vec<C64> {
     data.chunks(16)
         .map(|chunk| {
             let mut buf = [0u8; 16];
@@ -79,7 +31,7 @@ pub fn pack_bytes(data: &[u8]) -> Vec<C64> {
 }
 
 /// Inverse of [`pack_bytes`]; `len` trims the final padding.
-pub fn unpack_bytes(payload: &[C64], len: usize) -> Vec<u8> {
+fn unpack_bytes(payload: &[C64], len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() * 16);
     for z in payload {
         out.extend_from_slice(&z.re.to_le_bytes());
@@ -360,37 +312,5 @@ mod tests {
             assert_eq!(back.num_atoms(), dev.num_atoms());
         }
         assert!(ledger.bytes(OpKind::Bcast) > 0);
-    }
-
-    #[test]
-    fn naive_time_reproduces_paper_observation() {
-        // Paper: 1,112 s at 2,589 Piz Daint nodes, >30 min near full scale
-        // (5,300 nodes).
-        let model = StagingModel::piz_daint();
-        let file = 5 * (1u64 << 30); // 5 GiB
-        let ranks_2589 = 2589 * model.network.ranks_per_node;
-        let t = model.naive_load_time(file, ranks_2589);
-        assert!(
-            (t - 1112.0).abs() / 1112.0 < 0.05,
-            "naive load at 2,589 nodes: {t:.0} s (paper: 1,112 s)"
-        );
-        let ranks_5300 = 5300 * model.network.ranks_per_node;
-        let t_full = model.naive_load_time(file, ranks_5300);
-        assert!(
-            t_full > 30.0 * 60.0,
-            "full-scale naive load {t_full:.0} s > 30 min"
-        );
-    }
-
-    #[test]
-    fn staged_time_under_a_minute() {
-        let model = StagingModel::piz_daint();
-        let file = 5 * (1u64 << 30);
-        let ranks = 5300 * model.network.ranks_per_node;
-        let t = model.staged_load_time(file, ranks, 256 << 20);
-        assert!(t < 60.0, "staged load {t:.1} s must be under a minute");
-        // Speedup vs naive: two orders of magnitude.
-        let naive = model.naive_load_time(file, ranks);
-        assert!(naive / t > 50.0, "staging speedup {:.0}×", naive / t);
     }
 }

@@ -35,24 +35,24 @@ impl OmenGrid {
     }
 
     /// Energy-tile width (last tile may be short).
-    pub fn tile_e(&self) -> usize {
+    fn tile_e(&self) -> usize {
         self.ne.div_ceil(self.ge)
     }
 
     /// Owner rank of electron pair `(k, e)`.
-    pub fn owner_pair(&self, k: usize, e: usize) -> usize {
+    pub(crate) fn owner_pair(&self, k: usize, e: usize) -> usize {
         let kg = k % self.gk;
         let et = (e / self.tile_e()).min(self.ge - 1);
         kg * self.ge + et
     }
 
     /// Owner rank of phonon point `(q, m)` (round-robin).
-    pub fn owner_phonon(&self, q: usize, m: usize, nw: usize) -> usize {
+    pub(crate) fn owner_phonon(&self, q: usize, m: usize, nw: usize) -> usize {
         (q * nw + m) % self.nranks()
     }
 
     /// All electron pairs owned by `rank`, in deterministic order.
-    pub fn owned_pairs(&self, rank: usize) -> Vec<(usize, usize)> {
+    pub(crate) fn owned_pairs(&self, rank: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for k in 0..self.nk {
             for e in 0..self.ne {
@@ -92,53 +92,26 @@ impl DaceTiling {
         self.ta * self.te
     }
 
-    /// Rank of tile `(ia, ie)`.
-    pub fn rank_of(&self, ia: usize, ie: usize) -> usize {
-        ia * self.te + ie
-    }
-
     /// Tile coordinates of `rank`.
-    pub fn tile_of(&self, rank: usize) -> (usize, usize) {
+    pub(crate) fn tile_of(&self, rank: usize) -> (usize, usize) {
         (rank / self.te, rank % self.te)
     }
 
     /// Atom range `[lo, hi)` of atom-tile `ia` (balanced split).
-    pub fn atom_range(&self, ia: usize) -> (usize, usize) {
+    pub(crate) fn atom_range(&self, ia: usize) -> (usize, usize) {
         split_range(self.na, self.ta, ia)
     }
 
     /// Energy range `[lo, hi)` of energy-tile `ie`.
-    pub fn energy_range(&self, ie: usize) -> (usize, usize) {
+    pub(crate) fn energy_range(&self, ie: usize) -> (usize, usize) {
         split_range(self.ne, self.te, ie)
     }
 
     /// Energy range of tile `ie` extended by the stencil halo `nw` on both
     /// sides (clamped to the grid).
-    pub fn energy_range_halo(&self, ie: usize, nw: usize) -> (usize, usize) {
+    pub(crate) fn energy_range_halo(&self, ie: usize, nw: usize) -> (usize, usize) {
         let (lo, hi) = self.energy_range(ie);
         (lo.saturating_sub(nw), (hi + nw).min(self.ne))
-    }
-
-    /// Owner tile of atom `a`.
-    pub fn atom_tile(&self, a: usize) -> usize {
-        for ia in 0..self.ta {
-            let (lo, hi) = self.atom_range(ia);
-            if a >= lo && a < hi {
-                return ia;
-            }
-        }
-        unreachable!("atom {a} out of range");
-    }
-
-    /// Owner tile of energy `e`.
-    pub fn energy_tile(&self, e: usize) -> usize {
-        for ie in 0..self.te {
-            let (lo, hi) = self.energy_range(ie);
-            if e >= lo && e < hi {
-                return ie;
-            }
-        }
-        unreachable!("energy {e} out of range");
     }
 }
 
@@ -176,7 +149,7 @@ pub fn tiling_for_ranks(na: usize, ne: usize, ranks: usize) -> Option<DaceTiling
 }
 
 /// Balanced split of `n` items into `parts`; part `i`'s `[lo, hi)`.
-pub fn split_range(n: usize, parts: usize, i: usize) -> (usize, usize) {
+fn split_range(n: usize, parts: usize, i: usize) -> (usize, usize) {
     let base = n / parts;
     let rem = n % parts;
     let lo = i * base + i.min(rem);
@@ -232,18 +205,27 @@ mod tests {
     fn dace_tiling_maps() {
         let t = DaceTiling::new(3, 2, 16, 6);
         assert_eq!(t.nranks(), 6);
+        // Every atom and every energy lies in exactly one tile's range.
         for a in 0..16 {
-            let ia = t.atom_tile(a);
-            let (lo, hi) = t.atom_range(ia);
-            assert!(a >= lo && a < hi);
+            let holders = (0..t.ta).filter(|&ia| {
+                let (lo, hi) = t.atom_range(ia);
+                a >= lo && a < hi
+            });
+            assert_eq!(holders.count(), 1, "atom {a}");
         }
         for e in 0..6 {
-            let ie = t.energy_tile(e);
-            let (lo, hi) = t.energy_range(ie);
-            assert!(e >= lo && e < hi);
+            let holders = (0..t.te).filter(|&ie| {
+                let (lo, hi) = t.energy_range(ie);
+                e >= lo && e < hi
+            });
+            assert_eq!(holders.count(), 1, "energy {e}");
         }
-        let (r, c) = t.tile_of(t.rank_of(2, 1));
-        assert_eq!((r, c), (2, 1));
+        // Ranks run atom-tile-major over the tiles.
+        let tiles: Vec<_> = (0..t.nranks()).map(|r| t.tile_of(r)).collect();
+        let want: Vec<_> = (0..3)
+            .flat_map(|ia| (0..2).map(move |ie| (ia, ie)))
+            .collect();
+        assert_eq!(tiles, want);
     }
 
     #[test]

@@ -25,8 +25,7 @@ pub struct Envelope {
     pub src: usize,
     /// Caller-chosen tag (matched by [`Comm::recv`](crate::Comm::recv)).
     pub tag: u64,
-    /// The data. Complex f64 pairs, 16 bytes each on the wire
-    /// ([`payload_bytes`](crate::payload_bytes)).
+    /// The data. Complex f64 pairs, 16 bytes each on the wire.
     pub payload: Vec<C64>,
 }
 

@@ -18,7 +18,8 @@ pub enum OpKind {
     PointToPoint,
     /// Personalized all-to-all (`MPI_Alltoallv`).
     Alltoall,
-    /// Barrier (no payload).
+    /// Barrier (no payload). No [`Comm`](crate::Comm) operation records
+    /// one; the kind keeps its place in [`OpKind::ALL`].
     Barrier,
 }
 
@@ -118,11 +119,6 @@ impl VolumeLedger {
         self.lock().per_rank_sent.clone()
     }
 
-    /// Largest per-rank injected volume.
-    pub fn max_rank_bytes(&self) -> u64 {
-        self.lock().per_rank_sent.iter().copied().max().unwrap_or(0)
-    }
-
     /// Resets all counters.
     pub fn reset(&self) {
         let mut g = self.lock();
@@ -150,7 +146,6 @@ mod tests {
         assert_eq!(l.calls(OpKind::Alltoall), 1);
         assert_eq!(l.total_calls(), 2);
         assert_eq!(l.per_rank_sent(), vec![200, 0, 50, 0]);
-        assert_eq!(l.max_rank_bytes(), 200);
     }
 
     #[test]

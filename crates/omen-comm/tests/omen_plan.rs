@@ -2,7 +2,7 @@
 //! its wire format against the bytes recorded before its round compute
 //! moved onto that loop nest.
 
-use omen_comm::{grid_for_ranks, run_omen_plan, OpKind, VolumeLedger};
+use omen_comm::{grid_for_ranks, run_omen_plan, OmenGrid, OpKind, VolumeLedger};
 use omen_device::{DeviceConfig, DeviceStructure};
 use omen_sse::testutil::{random_inputs, tiny_device, tiny_problem};
 use omen_sse::{sse_reference, DTensor, GTensor, SseProblem};
@@ -15,15 +15,18 @@ fn bits(t: &[omen_linalg::C64]) -> Vec<u64> {
 
 /// `Σ≷` bitwise at every rank count; `Π≷` bitwise at one rank, where no
 /// reduction runs, and within 1e-12 where `reduce_sum` reassociates the
-/// ranks' partial sums.
-fn check_bitwise(prob: &SseProblem, seed: u64, flops: u64) {
+/// ranks' partial sums. The grids are [`grid_for_ranks`]'s at 1, 2 and 4
+/// ranks, then `uneven`: energy groups of unequal width, so a round
+/// receives rows of unequal count from its sources.
+fn check_bitwise(prob: &SseProblem, seed: u64, flops: u64, uneven: OmenGrid) {
     let (gl, gg, dl, dg) = random_inputs(prob, seed);
     let reference = sse_reference(prob, &gl, &gg, &dl, &dg);
     assert_eq!(reference.flops, flops, "the reference's flop count");
     let g = |t: &GTensor| bits(t.as_slice());
     let d = |t: &DTensor| bits(t.as_slice());
-    for ranks in [1, 2, 4] {
-        let grid = grid_for_ranks(prob.nk, prob.ne, ranks).expect("a grid per rank count");
+    let of = |ranks| grid_for_ranks(prob.nk, prob.ne, ranks).expect("a grid per rank count");
+    for grid in [of(1), of(2), of(4), uneven] {
+        let ranks = grid.nranks();
         let (plan, _) = run_omen_plan(prob, &gl, &gg, &dl, &dg, &grid);
         assert_eq!(g(&plan.sigma_l), g(&reference.sigma_l), "Σ< at {ranks}");
         assert_eq!(g(&plan.sigma_g), g(&reference.sigma_g), "Σ> at {ranks}");
@@ -43,19 +46,25 @@ fn check_bitwise(prob: &SseProblem, seed: u64, flops: u64) {
 #[test]
 fn omen_plan_is_bitwise_the_reference() {
     let dev = tiny_device();
-    check_bitwise(&tiny_problem(&dev), 17, 12_257_280);
-    // A wider stencil and non-unit prefactors.
-    check_bitwise(&SseProblem::new(&dev, 2, 8, 2, 3, 0.7, 1.3), 19, 24_427_008);
+    // ne = 6 in four energy groups of 2, 2, 2 and 0 points: rank 3 owns no
+    // point and still roots a round.
+    let prob = tiny_problem(&dev);
+    check_bitwise(&prob, 17, 12_257_280, OmenGrid::new(1, 4, prob.nk, prob.ne));
+    // A wider stencil and non-unit prefactors; energy groups of 3, 3 and 2.
+    let prob = SseProblem::new(&dev, 2, 8, 2, 3, 0.7, 1.3);
+    check_bitwise(&prob, 19, 24_427_008, OmenGrid::new(2, 3, prob.nk, prob.ne));
     // 6×6 blocks take the packed `PackedB` path.
     let dev6 = DeviceStructure::build(DeviceConfig {
         nx: 4,
         norb: 6,
         ..DeviceConfig::tiny()
     });
+    let prob = SseProblem::new(&dev6, 2, 6, 2, 2, 1.0, 1.0);
     check_bitwise(
-        &SseProblem::new(&dev6, 2, 6, 2, 2, 1.0, 1.0),
+        &prob,
         23,
         141_834_240,
+        OmenGrid::new(1, 4, prob.nk, prob.ne),
     );
 }
 

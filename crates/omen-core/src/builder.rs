@@ -11,7 +11,7 @@
 //! [`Simulation::new`]: crate::driver::Simulation::new
 
 use crate::executor::ExecutorKind;
-use omen_comm::{grid_for_ranks, CommPlan};
+use omen_comm::{grid_for_ranks, tiling_for_ranks, CommPlan};
 use omen_device::DeviceConfig;
 use omen_linalg::Normalization;
 use omen_rgf::CacheMode;
@@ -246,6 +246,14 @@ impl SimulationConfig {
                     ne: self.ne,
                 });
             }
+            let na = dev.num_atoms();
+            if self.comm_plan == CommPlan::Dace && tiling_for_ranks(na, self.ne, ranks).is_none() {
+                return Err(ConfigError::TilesDontFit {
+                    ranks,
+                    na,
+                    ne: self.ne,
+                });
+            }
         }
         if !(self.warm_divergence_threshold > 0.0) || !self.warm_divergence_threshold.is_finite() {
             return Err(ConfigError::InvalidDivergenceBound {
@@ -342,6 +350,16 @@ pub enum ConfigError {
         /// Energy points.
         ne: usize,
     },
+    /// The DaCe plan needs a `ta × te` atom × energy tiling with exactly
+    /// `ranks` tiles, and none fits the `na × ne` point set.
+    TilesDontFit {
+        /// Requested rank count.
+        ranks: usize,
+        /// Atoms.
+        na: usize,
+        /// Energy points.
+        ne: usize,
+    },
     /// Warm-divergence threshold not a positive finite number.
     InvalidDivergenceBound {
         /// Offending value.
@@ -394,6 +412,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NoRanks => write!(f, "rank-decomposed executor needs ≥ 1 rank"),
             ConfigError::RanksDontFit { ranks, nk, ne } => {
                 write!(f, "no {ranks}-rank process grid fits nk = {nk}, ne = {ne}")
+            }
+            ConfigError::TilesDontFit { ranks, na, ne } => {
+                write!(f, "no {ranks}-rank atom tiling fits na = {na}, ne = {ne}")
             }
             ConfigError::InvalidDivergenceBound { threshold } => write!(
                 f,
@@ -643,6 +664,17 @@ mod tests {
         check(
             &|c| c.executor = ExecutorKind::Distributed { ranks: 49 },
             |e| matches!(e, ConfigError::RanksDontFit { .. }),
+        );
+        // 4 atoms × 3 energies: 16 ranks fit an 8 × 2 process grid but no
+        // atom × energy tiling (ta ≤ 4 leaves te ≥ 4 > ne).
+        check(
+            &|c| {
+                (c.device.nx, c.device.ny, c.device.cols_per_slab) = (4, 1, 1);
+                (c.nk, c.ne, c.nw) = (8, 3, 1);
+                c.executor = ExecutorKind::Distributed { ranks: 16 };
+                c.comm_plan = CommPlan::Dace;
+            },
+            |e| matches!(e, ConfigError::TilesDontFit { .. }),
         );
         check(&|c| c.warm_divergence_threshold = f64::NAN, |e| {
             matches!(e, ConfigError::InvalidDivergenceBound { .. })

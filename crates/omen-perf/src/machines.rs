@@ -1,4 +1,5 @@
-//! Hardware descriptions of the paper's two platforms (§6.2).
+//! Hardware descriptions of the paper's two platforms (§6.2), and the
+//! data-ingestion model that runs on them (§7.1.1).
 
 /// GPU characteristics relevant to the roofline and rate models.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -101,6 +102,55 @@ impl MachineSpec {
     }
 }
 
+/// Latency of one hop of a broadcast tree (s).
+const HOP_LATENCY: f64 = 1.0e-6;
+
+/// Data-ingestion time model (§7.1.1): every node reading the material
+/// files from the parallel filesystem, against one read plus a chunked
+/// broadcast. One rank runs per GPU.
+#[derive(Clone, Copy, Debug)]
+pub struct StagingModel {
+    /// Aggregate PFS read bandwidth under contention (bytes/s).
+    pub pfs_bandwidth: f64,
+    /// The machine the ranks run on.
+    pub machine: MachineSpec,
+}
+
+impl StagingModel {
+    /// Piz Daint, calibrated so the naive path reproduces the paper's
+    /// 1,112 s at 2,589 nodes for a ~5 GiB material set.
+    pub fn piz_daint() -> StagingModel {
+        StagingModel {
+            pfs_bandwidth: 12.5e9,
+            machine: MachineSpec::piz_daint(),
+        }
+    }
+
+    /// Naive ingestion: every node reads the full file set; PFS bandwidth
+    /// is shared, so time scales linearly with node count.
+    pub fn naive_load_time(&self, file_bytes: u64, nranks: usize) -> f64 {
+        let nodes = self.machine.nodes_for_gpus(nranks) as f64;
+        nodes * file_bytes as f64 / self.pfs_bandwidth
+    }
+
+    /// Staged ingestion: one read plus a pipelined chunked broadcast,
+    /// with a per-chunk software overhead of ~1 ms (the dominant cost the
+    /// paper observed — 31.1 s at 4,560 nodes).
+    pub fn staged_load_time(&self, file_bytes: u64, nranks: usize, chunk_bytes: u64) -> f64 {
+        let read = file_bytes as f64 / self.pfs_bandwidth;
+        let chunks = file_bytes.div_ceil(chunk_bytes.max(1));
+        // The chunks stream through a binomial tree: the payload crosses
+        // an injection link once, plus log2(P) hop latencies.
+        let bcast = if nranks > 1 {
+            let hops = (nranks as f64).log2().ceil();
+            file_bytes as f64 / self.machine.injection_bw + hops * HOP_LATENCY
+        } else {
+            0.0
+        };
+        read + bcast + chunks as f64 * 1.0e-3
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,5 +186,46 @@ mod tests {
         assert_eq!(m.nodes_for_gpus(1_368), 228);
         let d = MachineSpec::piz_daint();
         assert_eq!(d.nodes_for_gpus(5_400), 5_400);
+    }
+
+    #[test]
+    fn paper_full_scale_prediction() {
+        // §7.1.8: 1.85 s to communicate each of D^≷/Π^≷ at full scale, at
+        // 100 % utilisation of Summit's injection bandwidth, is 42.55 GB
+        // per node.
+        let bytes_per_node = 1.85 * MachineSpec::summit().injection_bw;
+        assert!((bytes_per_node / 1e9 - 42.55).abs() < 0.1);
+    }
+
+    #[test]
+    fn naive_time_reproduces_paper_observation() {
+        // Paper: 1,112 s at 2,589 Piz Daint nodes, >30 min near full scale
+        // (5,300 nodes).
+        let model = StagingModel::piz_daint();
+        let file = 5 * (1u64 << 30); // 5 GiB
+        let ranks_2589 = 2589 * model.machine.gpus_per_node;
+        let t = model.naive_load_time(file, ranks_2589);
+        assert!(
+            (t - 1112.0).abs() / 1112.0 < 0.05,
+            "naive load at 2,589 nodes: {t:.0} s (paper: 1,112 s)"
+        );
+        let ranks_5300 = 5300 * model.machine.gpus_per_node;
+        let t_full = model.naive_load_time(file, ranks_5300);
+        assert!(
+            t_full > 30.0 * 60.0,
+            "full-scale naive load {t_full:.0} s > 30 min"
+        );
+    }
+
+    #[test]
+    fn staged_time_under_a_minute() {
+        let model = StagingModel::piz_daint();
+        let file = 5 * (1u64 << 30);
+        let ranks = 5300 * model.machine.gpus_per_node;
+        let t = model.staged_load_time(file, ranks, 256 << 20);
+        assert!(t < 60.0, "staged load {t:.1} s must be under a minute");
+        // Speedup vs naive: two orders of magnitude.
+        let naive = model.naive_load_time(file, ranks);
+        assert!(naive / t > 50.0, "staging speedup {:.0}×", naive / t);
     }
 }
