@@ -317,10 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn round_views_read_rows_in_place() {
+    fn round_g_reads_owned_and_received_rows() {
         let dev = tiny_device();
         let prob = tiny_problem(&dev);
-        let (gl, gg, dl, _) = random_inputs(&prob, 8);
+        let (gl, gg, ..) = random_inputs(&prob, 8);
         let (ne, bsz) = (prob.ne, gl.bsz());
         let half = prob.na() * bsz;
         // (0, 1) owned; (1, 2) the second record of message 1.
@@ -347,6 +347,13 @@ mod tests {
         assert!(std::ptr::eq(view_l.gblock(0, 1, a), gl.block(0, 1, a)));
         assert_eq!(view_l.gblock(1, 2, a), gl.block(1, 2, a));
         assert_eq!(view_g.gblock(1, 2, a), gg.block(1, 2, a));
+    }
+
+    #[test]
+    fn round_d_reads_its_row_in_place() {
+        let dev = tiny_device();
+        let prob = tiny_problem(&dev);
+        let (.., dl, _) = random_inputs(&prob, 8);
         let row: Vec<C64> = (0..prob.npairs() + prob.na())
             .flat_map(|en| dl.block(1, 0, en))
             .copied()
