@@ -34,15 +34,18 @@ impl OmenGrid {
         self.gk * self.ge
     }
 
-    /// Energy-tile width (last tile may be short).
-    fn tile_e(&self) -> usize {
-        self.ne.div_ceil(self.ge)
-    }
-
-    /// Owner rank of electron pair `(k, e)`.
+    /// Owner rank of electron pair `(k, e)`: energies split into `ge`
+    /// groups as [`split_range`] splits them (widths differ by at most
+    /// one, so no group is empty).
     pub(crate) fn owner_pair(&self, k: usize, e: usize) -> usize {
         let kg = k % self.gk;
-        let et = (e / self.tile_e()).min(self.ge - 1);
+        let (base, rem) = (self.ne / self.ge, self.ne % self.ge);
+        let wide = rem * (base + 1);
+        let et = if e < wide {
+            e / (base + 1)
+        } else {
+            rem + (e - wide) / base
+        };
         kg * self.ge + et
     }
 
@@ -174,6 +177,29 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "every pair owned");
+    }
+
+    #[test]
+    fn grid_for_ranks_leaves_no_energy_group_empty() {
+        // `grid_for_ranks(2, 6, 8)` is 2 × 4: groups of 2, 2, 1 and 1
+        // energies, each group an interval of `split_range`'s split.
+        for (nk, ne) in [(2, 6), (2, 24), (3, 10), (4, 7), (1, 5)] {
+            for ranks in 1..=16 {
+                let Some(g) = grid_for_ranks(nk, ne, ranks) else {
+                    continue;
+                };
+                for r in 0..ranks {
+                    let (kg, et) = (r / g.ge, r % g.ge);
+                    let (lo, hi) = split_range(ne, g.ge, et);
+                    let want: Vec<_> = (0..nk)
+                        .filter(|k| k % g.gk == kg)
+                        .flat_map(|k| (lo..hi).map(move |e| (k, e)))
+                        .collect();
+                    assert!(!want.is_empty(), "nk {nk}, ne {ne}, {ranks} ranks");
+                    assert_eq!(g.owned_pairs(r), want, "nk {nk}, ne {ne}, rank {r}/{ranks}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,12 +18,9 @@ pub enum OpKind {
     PointToPoint,
     /// Personalized all-to-all (`MPI_Alltoallv`).
     Alltoall,
-    /// Barrier (no payload). No [`Comm`](crate::Comm) operation records
-    /// one; the kind keeps its place in [`OpKind::ALL`].
-    Barrier,
 }
 
-const NKINDS: usize = 5;
+const NKINDS: usize = 4;
 
 impl OpKind {
     fn index(self) -> usize {
@@ -32,7 +29,6 @@ impl OpKind {
             OpKind::Reduce => 1,
             OpKind::PointToPoint => 2,
             OpKind::Alltoall => 3,
-            OpKind::Barrier => 4,
         }
     }
 
@@ -42,7 +38,6 @@ impl OpKind {
         OpKind::Reduce,
         OpKind::PointToPoint,
         OpKind::Alltoall,
-        OpKind::Barrier,
     ];
 }
 

@@ -46,8 +46,7 @@ fn check_bitwise(prob: &SseProblem, seed: u64, flops: u64, uneven: OmenGrid) {
 #[test]
 fn omen_plan_is_bitwise_the_reference() {
     let dev = tiny_device();
-    // ne = 6 in four energy groups of 2, 2, 2 and 0 points: rank 3 owns no
-    // point and still roots a round.
+    // ne = 6 in four energy groups of 2, 2, 1 and 1 points.
     let prob = tiny_problem(&dev);
     check_bitwise(&prob, 17, 12_257_280, OmenGrid::new(1, 4, prob.nk, prob.ne));
     // A wider stencil and non-unit prefactors; energy groups of 3, 3 and 2.
@@ -69,7 +68,7 @@ fn omen_plan_is_bitwise_the_reference() {
 }
 
 /// `(bytes, calls)` per [`OpKind::ALL`] entry and bytes sent per rank.
-fn ledger_counts(ledger: &VolumeLedger) -> ([(u64, u64); 5], Vec<u64>) {
+fn ledger_counts(ledger: &VolumeLedger) -> ([(u64, u64); 4], Vec<u64>) {
     let kinds = OpKind::ALL.map(|kind| (ledger.bytes(kind), ledger.calls(kind)));
     (kinds, ledger.per_rank_sent())
 }
@@ -85,12 +84,12 @@ fn the_omen_wire_is_pinned() {
     for (ranks, kinds, per_rank) in [
         (
             2,
-            [(105_984, 8), (105_984, 8), (49_152, 4), (0, 0), (0, 0)],
+            [(105_984, 8), (105_984, 8), (49_152, 4), (0, 0)],
             vec![130_560; 2],
         ),
         (
             4,
-            [(317_952, 8), (317_952, 8), (90_112, 24), (0, 0), (0, 0)],
+            [(317_952, 8), (317_952, 8), (90_112, 24), (0, 0)],
             vec![181_504; 4],
         ),
     ] {

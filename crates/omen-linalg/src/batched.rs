@@ -29,25 +29,28 @@
 //!   and sweep it across *many* calls via [`sbsmm_pb`] / [`small_gemm_pb`]
 //!   (stage C packs each `∇H·D` block once per `(pair, i, qz, ω)` tuple
 //!   and reuses it across the whole `kz` loop);
-//! * pack buffers live in a [`BatchArena`] — thread-local by default, or
-//!   drawn from a [`crate::workspace::Workspace`] via
-//!   [`crate::workspace::Workspace::batch_arena`] — so the warm batched
-//!   path performs **zero heap allocations** (asserted by the
-//!   `integration_alloc` regression test).
+//! * per-call packs go to the thread's pack arena, the one [`crate::gemm()`]
+//!   packs into, so the warm batched path performs **zero heap
+//!   allocations** (asserted by the `integration_alloc` regression test).
+//!
+//! The packers, the tile sweep and the arena are [`mod@crate::gemm`]'s:
+//! a batch item is an `Op::N` block packed at panel pitch `k`.
 //!
 //! Items too small to amortize packing (see [`use_packed_kernel`]) run the
 //! retained scalar loop [`sbsmm_scalar`] / [`small_gemm`], which also
 //! serves as the correctness oracle for the property tests. Callers with
 //! long runs of such items — the SSE pair stages — vectorise across the
-//! batch instead, through the energy-plane kernels of [`crate::planes`].
+//! batch instead, through the energy-plane kernels ([`crate::planes_lmul`],
+//! [`crate::planes_mac`], [`crate::planes_dots`]).
 
 // The batched entry points mirror BLAS `gemmStridedBatched` signatures.
 #![allow(clippy::too_many_arguments)]
 
-use crate::complex::{c64, C64};
+use crate::complex::C64;
 use crate::dense::CMatrix;
-use crate::gemm::{fma_available, gemm, run_micro_kernel, Op, MR, NR};
-use std::cell::RefCell;
+use crate::gemm::{
+    fma_available, gemm, pack_a, pack_b, sweep_tiles, with_pack_bufs, Cols, ColsMut, Op, MR, NR,
+};
 
 /// Dimensions of one batch item: `C (m×n) = A (m×k) · B (k×n)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,125 +130,56 @@ impl PackedB {
         assert!(b.len() >= k * n, "PackedB::pack: operand too short");
         self.k = k;
         self.n = n;
-        let np = n.div_ceil(NR);
-        let len = np * NR * k;
+        let len = n.div_ceil(NR) * NR * k;
         self.re.resize(len, 0.0);
         self.im.resize(len, 0.0);
-        pack_b_panels(b, k, n, &mut self.re, &mut self.im);
-    }
-
-    /// Logical shape `(k, n)` of the packed operand.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.k, self.n)
+        pack_item_b(b, k, n, &mut self.re, &mut self.im);
     }
 }
 
-/// Packs column-major `m × k` `a` into split-complex `MR`-row panels
-/// (k-major within a panel), zero-padding tail rows. `out_*` must hold
-/// `ceil(m/MR) * MR * k` elements.
-pub(crate) fn pack_a_panels(a: &[C64], m: usize, k: usize, out_re: &mut [f64], out_im: &mut [f64]) {
+/// Packs the column-major `m × k` item `a` as `A` panels of pitch `k`,
+/// counting its bytes.
+fn pack_item_a(a: &[C64], m: usize, k: usize, out_re: &mut [f64], out_im: &mut [f64]) {
+    count_packed(m * k);
+    pack_a(Cols::new(a, m), Op::N, (0, 0), (m, k), k, out_re, out_im);
+}
+
+/// Packs the column-major `k × n` item `b` as `B` panels of pitch `k`,
+/// counting its bytes.
+fn pack_item_b(b: &[C64], k: usize, n: usize, out_re: &mut [f64], out_im: &mut [f64]) {
+    count_packed(k * n);
+    pack_b(Cols::new(b, k), Op::N, (0, 0), (k, n), k, out_re, out_im);
+}
+
+/// Records `elems` complex elements packed by the batched path.
+fn count_packed(elems: usize) {
     omen_trace::add(
         omen_trace::Counter::BytesPacked,
-        (m * k * std::mem::size_of::<C64>()) as u64,
+        (elems * std::mem::size_of::<C64>()) as u64,
     );
-    let mp = m.div_ceil(MR);
-    debug_assert!(out_re.len() >= mp * MR * k && out_im.len() >= mp * MR * k);
-    for ip in 0..mp {
-        let ir = ip * MR;
-        let rows = MR.min(m - ir);
-        let base = ip * k * MR;
-        for p in 0..k {
-            let col = &a[p * m..p * m + m];
-            let o = base + p * MR;
-            for i in 0..rows {
-                let z = col[ir + i];
-                out_re[o + i] = z.re;
-                out_im[o + i] = z.im;
-            }
-            for i in rows..MR {
-                out_re[o + i] = 0.0;
-                out_im[o + i] = 0.0;
-            }
-        }
-    }
 }
 
-/// Packs column-major `k × n` `b` into split-complex `NR`-column panels
-/// (k-major within a panel), zero-padding tail columns. `out_*` must hold
-/// `ceil(n/NR) * NR * k` elements.
-pub(crate) fn pack_b_panels(b: &[C64], k: usize, n: usize, out_re: &mut [f64], out_im: &mut [f64]) {
-    omen_trace::add(
-        omen_trace::Counter::BytesPacked,
-        (k * n * std::mem::size_of::<C64>()) as u64,
-    );
-    let np = n.div_ceil(NR);
-    debug_assert!(out_re.len() >= np * NR * k && out_im.len() >= np * NR * k);
-    for jp in 0..np {
-        let jr = jp * NR;
-        let cols = NR.min(n - jr);
-        let base = jp * k * NR;
-        for p in 0..k {
-            let o = base + p * NR;
-            for j in 0..cols {
-                let z = b[(jr + j) * k + p];
-                out_re[o + j] = z.re;
-                out_im[o + j] = z.im;
-            }
-            for j in cols..NR {
-                out_re[o + j] = 0.0;
-                out_im[o + j] = 0.0;
-            }
-        }
-    }
-}
-
-/// Sweeps the register-tiled micro-kernel over pre-packed split-complex
-/// panels of one item: `C += alpha · A · B` with `C` column-major `m × n`.
-/// `a_*` hold `ceil(m/MR)` panels of `k × MR`, `b_*` hold `ceil(n/NR)`
-/// panels of `k × NR` (zero-padded edges).
-pub(crate) fn sweep_tiles(
+/// Sweeps one item's packed `A` and `B` panels (pitch `k`) into its
+/// column-major `m × n` output `c`.
+fn sweep_item(
     fma: bool,
-    m: usize,
-    n: usize,
-    k: usize,
+    dims: BatchDims,
     alpha: C64,
-    a_re: &[f64],
-    a_im: &[f64],
-    b_re: &[f64],
-    b_im: &[f64],
+    a: (&[f64], &[f64]),
+    b: (&[f64], &[f64]),
     c: &mut [C64],
 ) {
-    let mp = m.div_ceil(MR);
-    let np = n.div_ceil(NR);
-    let plain = alpha == C64::ONE;
-    for jp in 0..np {
-        let jr = jp * NR;
-        let nr_eff = NR.min(n - jr);
-        let bo = jp * k * NR;
-        let br = &b_re[bo..bo + k * NR];
-        let bi = &b_im[bo..bo + k * NR];
-        for ip in 0..mp {
-            let ir = ip * MR;
-            let mr_eff = MR.min(m - ir);
-            let ao = ip * k * MR;
-            let ar = &a_re[ao..ao + k * MR];
-            let ai = &a_im[ao..ao + k * MR];
-            let mut acc_re = [0.0f64; MR * NR];
-            let mut acc_im = [0.0f64; MR * NR];
-            run_micro_kernel(fma, ar, ai, br, bi, &mut acc_re, &mut acc_im);
-            for j in 0..nr_eff {
-                let cj = &mut c[(jr + j) * m..(jr + j) * m + m];
-                for i in 0..mr_eff {
-                    let t = j * MR + i;
-                    if plain {
-                        cj[ir + i] += c64(acc_re[t], acc_im[t]);
-                    } else {
-                        cj[ir + i] += alpha * c64(acc_re[t], acc_im[t]);
-                    }
-                }
-            }
-        }
-    }
+    let BatchDims { m, n, k } = dims;
+    sweep_tiles(
+        fma,
+        alpha,
+        (m, n, k),
+        k,
+        a,
+        b,
+        &mut ColsMut::new(c, m),
+        (0, 0),
+    );
 }
 
 /// Applies the `beta` prescale of one output item (`fill` / scale / no-op).
@@ -275,71 +209,6 @@ pub fn use_packed_kernel(dims: BatchDims) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Pack arenas.
-// ---------------------------------------------------------------------------
-
-/// Reusable pack/staging buffers of the batched path: split-complex `A`
-/// panels, a per-item `B` pack, and a shared-operand `B` pack. The first
-/// batched call through an arena sizes the buffers; every later call with
-/// shapes no larger is allocation-free.
-///
-/// The default entry points ([`sbsmm`], [`sbsmm_pb`], [`small_gemm_pb`])
-/// use a thread-local arena; holders of a [`crate::workspace::Workspace`]
-/// hold one too ([`crate::workspace::Workspace::batch_arena`]) and
-/// keep shared-operand packs in its pool
-/// ([`crate::workspace::Workspace::take_packed_b`]).
-#[derive(Default)]
-pub struct BatchArena {
-    pub(crate) a_re: Vec<f64>,
-    pub(crate) a_im: Vec<f64>,
-    pub(crate) item_b: PackedB,
-    pub(crate) shared_b: PackedB,
-}
-
-impl BatchArena {
-    /// An empty arena. Performs no allocation; buffers materialize on
-    /// first use.
-    pub fn new() -> Self {
-        BatchArena::default()
-    }
-
-    /// Drops every buffer, returning the arena to its freshly constructed
-    /// state.
-    pub fn reset(&mut self) {
-        *self = BatchArena::default();
-    }
-
-    /// Approximate bytes held by the arena's pack buffers.
-    pub fn pooled_bytes(&self) -> usize {
-        8 * (self.a_re.capacity()
-            + self.a_im.capacity()
-            + self.item_b.re.capacity()
-            + self.item_b.im.capacity()
-            + self.shared_b.re.capacity()
-            + self.shared_b.im.capacity())
-    }
-
-    /// Resizes the `A`-panel staging for an `m × k` item.
-    fn ensure_a(&mut self, m: usize, k: usize) {
-        let len = m.div_ceil(MR) * MR * k;
-        self.a_re.resize(len, 0.0);
-        self.a_im.resize(len, 0.0);
-    }
-}
-
-thread_local! {
-    /// Per-thread arena of the convenience entry points. Every thread
-    /// that calls them warms its own; steady-state batched calls are
-    /// allocation-free.
-    static BATCH_ARENA: RefCell<BatchArena> = RefCell::new(BatchArena::default());
-}
-
-/// Runs `f` with this thread's [`BatchArena`].
-fn with_batch_arena<R>(f: impl FnOnce(&mut BatchArena) -> R) -> R {
-    BATCH_ARENA.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-// ---------------------------------------------------------------------------
 // Batched entry points.
 // ---------------------------------------------------------------------------
 
@@ -349,7 +218,7 @@ fn with_batch_arena<R>(f: impl FnOnce(&mut BatchArena) -> R) -> R {
 /// Runs the packed split-complex micro-kernel when the item shape
 /// amortizes packing ([`use_packed_kernel`]); stride-0 operands are packed
 /// once for the whole batch. Tiny items fall back to the scalar loop.
-/// Pack buffers come from this thread's [`BatchArena`].
+/// Packs go to this thread's pack arena.
 pub fn sbsmm(
     dims: BatchDims,
     batch: usize,
@@ -371,7 +240,7 @@ pub fn sbsmm(
         sbsmm_scalar_unchecked(dims, batch, alpha, a, b, beta, c, strides);
         return;
     }
-    with_batch_arena(|arena| sbsmm_packed(arena, dims, batch, alpha, a, b, beta, c, strides));
+    sbsmm_packed(dims, batch, alpha, a, b, beta, c, strides);
 }
 
 /// Records one batched-multiply invocation and its `8·m·n·k·batch`
@@ -384,7 +253,6 @@ fn count_sbsmm(dims: BatchDims, batch: usize) {
 /// worthwhile): packs stride-0 operands once, per-item operands per item,
 /// and sweeps the micro-kernel.
 fn sbsmm_packed(
-    arena: &mut BatchArena,
     dims: BatchDims,
     batch: usize,
     alpha: C64,
@@ -396,32 +264,22 @@ fn sbsmm_packed(
 ) {
     let BatchDims { m, n, k } = dims;
     let fma = fma_available();
-    arena.ensure_a(m, k);
-    let BatchArena {
-        a_re,
-        a_im,
-        item_b,
-        shared_b,
-    } = arena;
-    if strides.b == 0 {
-        shared_b.pack(k, n, &b[..k * n]);
-    }
-    for idx in 0..batch {
-        let cv = &mut c[idx * strides.c..idx * strides.c + m * n];
-        scale_c(beta, cv);
-        if strides.a != 0 || idx == 0 {
-            let av = &a[idx * strides.a..idx * strides.a + m * k];
-            pack_a_panels(av, m, k, a_re, a_im);
+    let (a_len, b_len) = (m.div_ceil(MR) * MR * k, n.div_ceil(NR) * NR * k);
+    with_pack_bufs(a_len, b_len, |p| {
+        for idx in 0..batch {
+            let cv = &mut c[idx * strides.c..idx * strides.c + m * n];
+            scale_c(beta, cv);
+            if strides.a != 0 || idx == 0 {
+                let av = &a[idx * strides.a..idx * strides.a + m * k];
+                pack_item_a(av, m, k, &mut p.a_re, &mut p.a_im);
+            }
+            if strides.b != 0 || idx == 0 {
+                let bv = &b[idx * strides.b..idx * strides.b + k * n];
+                pack_item_b(bv, k, n, &mut p.b_re, &mut p.b_im);
+            }
+            sweep_item(fma, dims, alpha, (&p.a_re, &p.a_im), (&p.b_re, &p.b_im), cv);
         }
-        let pb: &PackedB = if strides.b == 0 {
-            shared_b
-        } else {
-            let bv = &b[idx * strides.b..idx * strides.b + k * n];
-            item_b.pack(k, n, bv);
-            item_b
-        };
-        sweep_tiles(fma, m, n, k, alpha, a_re, a_im, &pb.re, &pb.im, cv);
-    }
+    });
 }
 
 /// Strided-batched multiply against a pre-packed `B`:
@@ -463,17 +321,15 @@ pub fn sbsmm_pb(
     }
     count_sbsmm(dims, batch);
     let fma = fma_available();
-    with_batch_arena(|arena| {
-        arena.ensure_a(m, k);
-        let BatchArena { a_re, a_im, .. } = arena;
+    with_pack_bufs(m.div_ceil(MR) * MR * k, 0, |p| {
         for idx in 0..batch {
             let cv = &mut c[idx * stride_c..idx * stride_c + m * n];
             scale_c(beta, cv);
             if stride_a != 0 || idx == 0 {
                 let av = &a[idx * stride_a..idx * stride_a + m * k];
-                pack_a_panels(av, m, k, a_re, a_im);
+                pack_item_a(av, m, k, &mut p.a_re, &mut p.a_im);
             }
-            sweep_tiles(fma, m, n, k, alpha, a_re, a_im, &pb.re, &pb.im, cv);
+            sweep_item(fma, dims, alpha, (&p.a_re, &p.a_im), (&pb.re, &pb.im), cv);
         }
     });
 }
@@ -651,6 +507,7 @@ fn check_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::c64;
     use crate::gemm::matmul;
 
     fn fill(n: usize, seed: u64) -> Vec<C64> {
@@ -760,7 +617,7 @@ mod tests {
         let c0 = fill(batch * s.c, 13);
         let mut pb = PackedB::empty();
         pb.pack(dims.k, dims.n, &b);
-        assert_eq!(pb.shape(), (12, 12));
+        assert_eq!((pb.k, pb.n), (12, 12));
         let mut c1 = c0.clone();
         sbsmm_pb(dims, batch, C64::ONE, &a, s.a, &pb, C64::ONE, &mut c1, s.c);
         let mut c2 = c0.clone();

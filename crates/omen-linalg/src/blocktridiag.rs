@@ -50,7 +50,7 @@ impl BlockTriDiag {
 
     /// Full matrix dimension `nb * bs`.
     #[inline]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.nb * self.bs
     }
 

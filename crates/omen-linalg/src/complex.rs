@@ -47,7 +47,7 @@ impl C64 {
 
     /// Squared magnitude `|z|^2` (avoids the square root).
     #[inline(always)]
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
@@ -67,7 +67,7 @@ impl C64 {
     ///
     /// Uses Smith's algorithm to avoid premature overflow/underflow.
     #[inline]
-    pub fn recip(self) -> Self {
+    pub(crate) fn recip(self) -> Self {
         let C64 { re: a, im: b } = self;
         if a.abs() >= b.abs() {
             let r = b / a;

@@ -94,7 +94,7 @@ impl CMatrix {
 
     /// `true` if the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -112,14 +112,14 @@ impl CMatrix {
 
     /// Borrows column `j` as a contiguous slice.
     #[inline(always)]
-    pub fn col(&self, j: usize) -> &[C64] {
+    pub(crate) fn col(&self, j: usize) -> &[C64] {
         debug_assert!(j < self.cols);
         &self.data[j * self.rows..(j + 1) * self.rows]
     }
 
     /// Mutably borrows column `j`.
     #[inline(always)]
-    pub fn col_mut(&mut self, j: usize) -> &mut [C64] {
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [C64] {
         debug_assert!(j < self.cols);
         let r = self.rows;
         &mut self.data[j * r..(j + 1) * r]
@@ -136,14 +136,14 @@ impl CMatrix {
     }
 
     /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.data.fill(C64::ZERO);
     }
 
     /// Element capacity of the backing buffer (what [`CMatrix::resize`]
     /// can reach without reallocating).
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.data.capacity()
     }
 
@@ -175,7 +175,7 @@ impl CMatrix {
     }
 
     /// Overwrites with the identity (must already be square).
-    pub fn set_identity(&mut self) {
+    pub(crate) fn set_identity(&mut self) {
         assert!(self.is_square(), "set_identity on non-square matrix");
         self.data.fill(C64::ZERO);
         for i in 0..self.rows {
@@ -215,14 +215,6 @@ impl CMatrix {
         let mut out = self.clone();
         out.scale_inplace(s);
         out
-    }
-
-    /// `self += alpha * other` (AXPY over all elements).
-    pub fn axpy(&mut self, alpha: C64, other: &CMatrix) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a = a.mul_add(alpha, *b);
-        }
     }
 
     /// `(rows, cols)` pair.
@@ -524,17 +516,6 @@ mod tests {
         assert!(d.approx_eq(&a, 0.0));
         let n = -&a;
         assert_eq!(n[(1, 1)], -a[(1, 1)]);
-    }
-
-    #[test]
-    fn axpy_matches_manual() {
-        let mut a = CMatrix::from_fn(3, 3, |i, j| c64(i as f64, j as f64));
-        let b = CMatrix::identity(3);
-        let expect = CMatrix::from_fn(3, 3, |i, j| {
-            a[(i, j)] + c64(0.0, 2.0) * if i == j { C64::ONE } else { C64::ZERO }
-        });
-        a.axpy(c64(0.0, 2.0), &b);
-        assert!(a.approx_eq(&expect, 1e-15));
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! General complex matrix-matrix multiplication (the cuBLAS `Zgemm`
-//! analogue) with all transpose combinations.
+//! analogue) with all transpose combinations, and the packed
+//! split-complex machinery it shares with [`crate::sbsmm`].
 //!
 //! Table 7 of the paper times GEMM in NN/NT/TN/TT variants; the RGF and SSE
 //! kernels use `N` and `C` (conjugate-transpose) operations. Two kernels
 //! live here:
 //!
 //! * [`gemm`] — the production path: a packed, cache-blocked kernel in the
-//!   BLIS style. Panels of `op(A)` and `op(B)` are packed into reusable
-//!   thread-local buffers (transposition and conjugation are resolved
+//!   BLIS style. Panels of `op(A)` and `op(B)` are packed into the
+//!   thread-local pack arena (transposition and conjugation are resolved
 //!   during packing, so every `Op` combination runs the same inner loop),
 //!   and an `MR × NR` register-tiled micro-kernel accumulates over the
 //!   packed `K` dimension. Steady-state calls perform **zero heap
-//!   allocations**: the pack buffers are allocated once per thread.
+//!   allocations**: the arena is allocated once per thread.
 //! * [`gemm_naive`] — the seed's column-major AXPY/dot formulation,
 //!   retained as the correctness reference for property tests and as the
 //!   baseline the `table7_matmul` bench measures speedups against.
@@ -19,11 +20,19 @@
 //! Matrices with every dimension ≤ [`SMALL_DIM`] skip packing entirely
 //! (RGF test blocks and `Norb`-sized SSE blocks are too small to amortize
 //! it) and run an allocation-free direct loop.
+//!
+//! There is one copy of each packed piece, and [`crate::batched`] runs
+//! the same ones on whole batch items: one panel packer per operand
+//! (`pack_a`, `pack_b`: op-aware, with the panel pitch as an argument),
+//! one register-tile sweep (`sweep_tiles`) and one thread-local pack
+//! arena. The sweep skips the multiply by a unit `alpha` in its
+//! writeback.
 
 // Kernel helpers mirror BLAS gemm parameter lists.
 #![allow(clippy::too_many_arguments)]
 
-use crate::complex::C64;
+use crate::batched::{small_gemm, BatchDims};
+use crate::complex::{c64, C64};
 use crate::dense::CMatrix;
 use std::cell::RefCell;
 
@@ -42,7 +51,7 @@ pub enum Op {
 impl Op {
     /// Logical number of rows of `op(A)` for an `r × c` stored matrix.
     #[inline]
-    pub fn rows(self, r: usize, c: usize) -> usize {
+    pub(crate) fn rows(self, r: usize, c: usize) -> usize {
         match self {
             Op::N => r,
             Op::T | Op::C => c,
@@ -51,7 +60,7 @@ impl Op {
 
     /// Logical number of columns of `op(A)`.
     #[inline]
-    pub fn cols(self, r: usize, c: usize) -> usize {
+    pub(crate) fn cols(self, r: usize, c: usize) -> usize {
         match self {
             Op::N => c,
             Op::T | Op::C => r,
@@ -59,8 +68,7 @@ impl Op {
     }
 }
 
-/// Micro-kernel tile rows (C update granularity down a column). Shared
-/// with the batched SBSMM pack pass in [`crate::batched`].
+/// Micro-kernel tile rows (C update granularity down a column).
 pub(crate) const MR: usize = 4;
 /// Micro-kernel tile columns.
 pub(crate) const NR: usize = 4;
@@ -75,27 +83,52 @@ const NC: usize = 256;
 /// this, pack/writeback overhead dominates the `O(n³)` work.
 pub const SMALL_DIM: usize = 16;
 
-/// Split-complex pack buffers: real and imaginary planes of the `A` and
-/// `B` panels. Splitting the planes lets the micro-kernel run pure-`f64`
-/// lanes (no interleave shuffles), which is what makes it vectorizable.
+/// The pack arena: real and imaginary planes of one `A` and one `B`
+/// operand's micro-panels. Splitting the planes lets the micro-kernel run
+/// pure-`f64` lanes (no interleave shuffles), which is what makes it
+/// vectorizable.
 #[derive(Default)]
-struct PackBufs {
-    a_re: Vec<f64>,
-    a_im: Vec<f64>,
-    b_re: Vec<f64>,
-    b_im: Vec<f64>,
+pub(crate) struct PackBufs {
+    pub(crate) a_re: Vec<f64>,
+    pub(crate) a_im: Vec<f64>,
+    pub(crate) b_re: Vec<f64>,
+    pub(crate) b_im: Vec<f64>,
 }
 
 thread_local! {
-    /// Reusable pack buffers. Sized on first use; every later `gemm` on
-    /// this thread is allocation-free.
+    /// This thread's pack arena, shared by [`gemm`] and the batched
+    /// kernels. Its planes only grow, so once a thread has run its
+    /// largest shapes every later call is allocation-free.
     static PACK_BUFS: RefCell<PackBufs> = RefCell::new(PackBufs::default());
 }
 
+/// Runs `f` with this thread's pack arena, its `A` planes at least
+/// `a_len` and its `B` planes at least `b_len` long.
+pub(crate) fn with_pack_bufs<R>(
+    a_len: usize,
+    b_len: usize,
+    f: impl FnOnce(&mut PackBufs) -> R,
+) -> R {
+    PACK_BUFS.with(|bufs| {
+        let bufs = &mut *bufs.borrow_mut();
+        for (v, len) in [
+            (&mut bufs.a_re, a_len),
+            (&mut bufs.a_im, a_len),
+            (&mut bufs.b_re, b_len),
+            (&mut bufs.b_im, b_len),
+        ] {
+            if v.len() < len {
+                v.resize(len, 0.0);
+            }
+        }
+        f(bufs)
+    })
+}
+
 /// A column-major matrix's storage as the kernels read it: a
-/// [`CMatrix`], or a one-lane lane block of [`crate::planes_gemm`] read as
-/// the `C64`s it holds. Only the row count is kept; the caller has
-/// checked the shape.
+/// [`CMatrix`], a batch item, or a one-lane lane block of
+/// [`crate::planes_gemm`] read as the `C64`s it holds. Only the row
+/// count is kept; the caller has checked the shape.
 #[derive(Clone, Copy)]
 pub(crate) struct Cols<'a> {
     data: &'a [C64],
@@ -130,7 +163,7 @@ impl<'a> From<&'a CMatrix> for Cols<'a> {
     }
 }
 
-/// The output of [`gemm_cols`]: a mutable [`Cols`].
+/// The output of [`gemm_cols`] and [`sweep_tiles`]: a mutable [`Cols`].
 pub(crate) struct ColsMut<'a> {
     data: &'a mut [C64],
     rows: usize,
@@ -226,8 +259,10 @@ fn check_shapes(
 // Small direct path (no packing, no allocation).
 // ---------------------------------------------------------------------------
 
-/// Direct loops for tiny operands. The `B` column is staged on the stack
-/// (`k ≤ SMALL_DIM`), keeping the accumulation loop contiguous in `A`.
+/// Direct loops for tiny operands (`C` already scaled by `beta`).
+/// `N × N` is [`small_gemm`]'s AXPY loop; otherwise the `B` column is
+/// staged on the stack (`k ≤ SMALL_DIM`), keeping the accumulation loop
+/// contiguous in `A`.
 fn gemm_small(
     alpha: C64,
     a: Cols<'_>,
@@ -240,6 +275,10 @@ fn gemm_small(
     k: usize,
 ) {
     debug_assert!(k <= SMALL_DIM);
+    if (op_a, op_b) == (Op::N, Op::N) {
+        let dims = BatchDims { m, n, k };
+        return small_gemm(dims, alpha, a.data, b.data, C64::ONE, c.data);
+    }
     let mut bcol = [C64::ZERO; SMALL_DIM];
     for j in 0..n {
         for (l, slot) in bcol.iter_mut().enumerate().take(k) {
@@ -315,7 +354,7 @@ pub(crate) fn fma_available() -> bool {
 /// Dispatches one register-tile accumulation to the AVX2+FMA or portable
 /// micro-kernel instantiation. `fma` must come from [`fma_available`].
 #[inline]
-pub(crate) fn run_micro_kernel(
+fn run_micro_kernel(
     fma: bool,
     a_re: &[f64],
     a_im: &[f64],
@@ -347,55 +386,65 @@ fn gemm_packed(
     k: usize,
 ) {
     let fma = fma_available();
-    PACK_BUFS.with(|bufs| {
-        let mut bufs = bufs.borrow_mut();
-        let p = &mut *bufs;
-        p.a_re.resize(MC * KC, 0.0);
-        p.a_im.resize(MC * KC, 0.0);
-        p.b_re.resize(KC * NC, 0.0);
-        p.b_im.resize(KC * NC, 0.0);
-
+    with_pack_bufs(MC * KC, KC * NC, |p| {
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
-            let nc_panels = nc.div_ceil(NR);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                pack_b(b, op_b, pc, jc, kc, nc, &mut p.b_re, &mut p.b_im);
+                pack_b(b, op_b, (pc, jc), (kc, nc), KC, &mut p.b_re, &mut p.b_im);
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
-                    let mc_panels = mc.div_ceil(MR);
-                    pack_a(a, op_a, ic, pc, mc, kc, &mut p.a_re, &mut p.a_im);
-                    for jp in 0..nc_panels {
-                        let jr = jp * NR;
-                        let nr_eff = NR.min(nc - jr);
-                        let bo = jp * KC * NR;
-                        let b_re = &p.b_re[bo..bo + kc * NR];
-                        let b_im = &p.b_im[bo..bo + kc * NR];
-                        for ip in 0..mc_panels {
-                            let ir = ip * MR;
-                            let mr_eff = MR.min(mc - ir);
-                            let ao = ip * KC * MR;
-                            let a_re = &p.a_re[ao..ao + kc * MR];
-                            let a_im = &p.a_im[ao..ao + kc * MR];
-                            let mut acc_re = [0.0f64; MR * NR];
-                            let mut acc_im = [0.0f64; MR * NR];
-                            run_micro_kernel(fma, a_re, a_im, b_re, b_im, &mut acc_re, &mut acc_im);
-                            // Writeback: C += alpha * acc (valid lanes only;
-                            // padded lanes hold zeros and are skipped).
-                            for j in 0..nr_eff {
-                                let cj = c.col_mut(jc + jr + j);
-                                for i in 0..mr_eff {
-                                    let t = j * MR + i;
-                                    let prod = alpha * crate::complex::c64(acc_re[t], acc_im[t]);
-                                    cj[ic + ir + i] += prod;
-                                }
-                            }
-                        }
-                    }
+                    pack_a(a, op_a, (ic, pc), (mc, kc), KC, &mut p.a_re, &mut p.a_im);
+                    let (pa, pb) = ((&p.a_re[..], &p.a_im[..]), (&p.b_re[..], &p.b_im[..]));
+                    sweep_tiles(fma, alpha, (mc, nc, kc), KC, pa, pb, &mut c, (ic, jc));
                 }
             }
         }
     });
+}
+
+/// Sweeps the register-tiled micro-kernel over packed panels:
+/// `C[ic.., jc..] += alpha · op(A) · op(B)` for one `mc × kc` block of
+/// `op(A)` (`ceil(mc/MR)` panels, as [`pack_a`] writes them) and one
+/// `kc × nc` block of `op(B)` (`ceil(nc/NR)` panels, as [`pack_b`]
+/// writes them), both packed at panel pitch `depth`. Padded lanes hold
+/// zeros and are not written back. A unit `alpha` is not multiplied,
+/// which gives the product's bits for every finite accumulator: an
+/// accumulator summed from `+0` is never `−0`, and `(1 + 0i)·z` is `z`.
+pub(crate) fn sweep_tiles(
+    fma: bool,
+    alpha: C64,
+    (mc, nc, kc): (usize, usize, usize),
+    depth: usize,
+    (a_re, a_im): (&[f64], &[f64]),
+    (b_re, b_im): (&[f64], &[f64]),
+    c: &mut ColsMut<'_>,
+    (ic, jc): (usize, usize),
+) {
+    let plain = alpha == C64::ONE;
+    for jp in 0..nc.div_ceil(NR) {
+        let jr = jp * NR;
+        let nr_eff = NR.min(nc - jr);
+        let bo = jp * depth * NR;
+        let (br, bi) = (&b_re[bo..bo + kc * NR], &b_im[bo..bo + kc * NR]);
+        for ip in 0..mc.div_ceil(MR) {
+            let ir = ip * MR;
+            let mr_eff = MR.min(mc - ir);
+            let ao = ip * depth * MR;
+            let (ar, ai) = (&a_re[ao..ao + kc * MR], &a_im[ao..ao + kc * MR]);
+            let mut acc_re = [0.0f64; MR * NR];
+            let mut acc_im = [0.0f64; MR * NR];
+            run_micro_kernel(fma, ar, ai, br, bi, &mut acc_re, &mut acc_im);
+            for j in 0..nr_eff {
+                let cj = c.col_mut(jc + jr + j);
+                for i in 0..mr_eff {
+                    let t = j * MR + i;
+                    let z = c64(acc_re[t], acc_im[t]);
+                    cj[ic + ir + i] += if plain { z } else { alpha * z };
+                }
+            }
+        }
+    }
 }
 
 /// The register tile over split-complex panels:
@@ -479,23 +528,24 @@ fn micro_kernel_portable(
 }
 
 /// Packs the `mc × kc` block of `op(A)` at `(ic, pc)` into split-complex
-/// row micro-panels of `MR` (k-major within a panel), zero-padding the
-/// tail rows so the micro-kernel never branches on the edge.
-fn pack_a(
+/// row micro-panels of `MR` (k-major within a panel, panel `ip` at
+/// `ip · depth · MR`), zero-padding the tail rows so the micro-kernel
+/// never branches on the edge.
+pub(crate) fn pack_a(
     a: Cols<'_>,
     op_a: Op,
-    ic: usize,
-    pc: usize,
-    mc: usize,
-    kc: usize,
+    (ic, pc): (usize, usize),
+    (mc, kc): (usize, usize),
+    depth: usize,
     out_re: &mut [f64],
     out_im: &mut [f64],
 ) {
+    debug_assert!(kc <= depth);
     let conj = op_a == Op::C;
     for ip in 0..mc.div_ceil(MR) {
         let ir = ip * MR;
         let rows = MR.min(mc - ir);
-        let base = ip * KC * MR;
+        let base = ip * depth * MR;
         let (pre, pim) = (
             &mut out_re[base..base + kc * MR],
             &mut out_im[base..base + kc * MR],
@@ -540,23 +590,23 @@ fn pack_a(
 }
 
 /// Packs the `kc × nc` block of `op(B)` at `(pc, jc)` into split-complex
-/// column micro-panels of `NR` (k-major within a panel), zero-padded like
-/// [`pack_a`].
-fn pack_b(
+/// column micro-panels of `NR` (k-major within a panel, panel `jp` at
+/// `jp · depth · NR`), zero-padded like [`pack_a`].
+pub(crate) fn pack_b(
     b: Cols<'_>,
     op_b: Op,
-    pc: usize,
-    jc: usize,
-    kc: usize,
-    nc: usize,
+    (pc, jc): (usize, usize),
+    (kc, nc): (usize, usize),
+    depth: usize,
     out_re: &mut [f64],
     out_im: &mut [f64],
 ) {
+    debug_assert!(kc <= depth);
     let conj = op_b == Op::C;
     for jp in 0..nc.div_ceil(NR) {
         let jr = jp * NR;
         let cols = NR.min(nc - jr);
-        let base = jp * KC * NR;
+        let base = jp * depth * NR;
         let (pre, pim) = (
             &mut out_re[base..base + kc * NR],
             &mut out_im[base..base + kc * NR],
@@ -680,45 +730,9 @@ pub fn matmul(a: &CMatrix, b: &CMatrix) -> CMatrix {
     c
 }
 
-/// Non-allocating `C = A * B`: `c` is resized to fit (buffer reused).
-pub fn matmul_into(a: &CMatrix, b: &CMatrix, c: &mut CMatrix) {
-    c.resize_for_overwrite(a.rows(), b.cols());
-    gemm(C64::ONE, a, Op::N, b, Op::N, C64::ZERO, c);
-}
-
-/// Allocating convenience wrapper: returns `op_a(A) * op_b(B)`.
-pub fn matmul_op(a: &CMatrix, op_a: Op, b: &CMatrix, op_b: Op) -> CMatrix {
-    let m = op_a.rows(a.rows(), a.cols());
-    let n = op_b.cols(b.rows(), b.cols());
-    let mut c = CMatrix::zeros(m, n);
-    gemm(C64::ONE, a, op_a, b, op_b, C64::ZERO, &mut c);
-    c
-}
-
-/// Non-allocating `C = op_a(A) * op_b(B)`: `c` is resized to fit.
-pub fn matmul_op_into(a: &CMatrix, op_a: Op, b: &CMatrix, op_b: Op, c: &mut CMatrix) {
-    let m = op_a.rows(a.rows(), a.cols());
-    let n = op_b.cols(b.rows(), b.cols());
-    c.resize_for_overwrite(m, n);
-    gemm(C64::ONE, a, op_a, b, op_b, C64::ZERO, c);
-}
-
 /// Triple product `A * B * C`, associating left-to-right.
 pub fn matmul3(a: &CMatrix, b: &CMatrix, c: &CMatrix) -> CMatrix {
     matmul(&matmul(a, b), c)
-}
-
-/// Non-allocating triple product `out = A * B * C` (left-to-right) using a
-/// caller-supplied scratch for the intermediate `A * B`.
-pub fn matmul3_into(
-    a: &CMatrix,
-    b: &CMatrix,
-    c: &CMatrix,
-    scratch: &mut CMatrix,
-    out: &mut CMatrix,
-) {
-    matmul_into(a, b, scratch);
-    matmul_into(scratch, c, out);
 }
 
 /// Flop count of one complex GEMM with the paper's convention: a complex
@@ -748,6 +762,14 @@ mod tests {
             Op::C => b[(j, l)].conj(),
         };
         CMatrix::from_fn(m, n, |i, j| (0..k).map(|l| fa(i, l) * fb(l, j)).sum())
+    }
+
+    /// `op_a(A) · op_b(B)` through [`gemm`] into a fresh matrix.
+    fn matmul_op(a: &CMatrix, op_a: Op, b: &CMatrix, op_b: Op) -> CMatrix {
+        let (m, n) = (op_a.rows(a.rows(), a.cols()), op_b.cols(b.rows(), b.cols()));
+        let mut c = CMatrix::zeros(m, n);
+        gemm(C64::ONE, a, op_a, b, op_b, C64::ZERO, &mut c);
+        c
     }
 
     fn test_mat(r: usize, c: usize, seed: f64) -> CMatrix {
@@ -852,12 +874,18 @@ mod tests {
 
     #[test]
     fn adjoint_product_identity() {
-        // (A B)† == B† A†
-        let a = test_mat(4, 3, 0.5);
-        let b = test_mat(3, 6, 1.1);
-        let lhs = matmul(&a, &b).adjoint();
-        let rhs = matmul_op(&b, Op::C, &a, Op::C);
-        assert!(lhs.approx_eq(&rhs, 1e-12));
+        // (A B)† == B† A† and (A B)^T == B^T A^T, on the direct path and
+        // the packed one.
+        for (m, k, n) in [(4, 3, 6), (37, 23, 29)] {
+            let a = test_mat(m, k, 0.5);
+            let b = test_mat(k, n, 1.1);
+            let ab = matmul(&a, &b);
+            let mut rhs = CMatrix::zeros(n, m);
+            gemm(C64::ONE, &b, Op::C, &a, Op::C, C64::ZERO, &mut rhs);
+            assert!(ab.adjoint().approx_eq(&rhs, 1e-12));
+            gemm(C64::ONE, &b, Op::T, &a, Op::T, C64::ZERO, &mut rhs);
+            assert!(ab.transpose().approx_eq(&rhs, 1e-12));
+        }
     }
 
     #[test]
@@ -891,16 +919,21 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating() {
+        // `gemm` with `beta = 0` into a buffer holding stale values gives
+        // the allocating wrappers' bits, on the direct and packed paths.
         let a = test_mat(21, 17, 0.4);
         let b = test_mat(17, 33, 0.9);
         let c = test_mat(33, 12, 1.3);
-        let mut out = CMatrix::zeros(1, 1); // wrong shape: resized internally
-        matmul_into(&a, &b, &mut out);
+        let mut out = test_mat(21, 33, 2.0);
+        gemm(C64::ONE, &a, Op::N, &b, Op::N, C64::ZERO, &mut out);
         assert!(out.approx_eq(&matmul(&a, &b), 0.0));
-        matmul_op_into(&b, Op::C, &a, Op::C, &mut out);
+        let mut out = test_mat(33, 21, 2.1);
+        gemm(C64::ONE, &b, Op::C, &a, Op::C, C64::ZERO, &mut out);
         assert!(out.approx_eq(&matmul_op(&b, Op::C, &a, Op::C), 0.0));
-        let mut scratch = CMatrix::zeros(0, 0);
-        matmul3_into(&a, &b, &c, &mut scratch, &mut out);
+        let mut scratch = test_mat(21, 33, 2.2);
+        let mut out = test_mat(21, 12, 2.3);
+        gemm(C64::ONE, &a, Op::N, &b, Op::N, C64::ZERO, &mut scratch);
+        gemm(C64::ONE, &scratch, Op::N, &c, Op::N, C64::ZERO, &mut out);
         assert!(out.approx_eq(&matmul3(&a, &b, &c), 0.0));
     }
 

@@ -18,11 +18,7 @@
 pub struct F16(pub u16);
 
 /// Largest finite binary16 value (`65504.0`).
-pub const F16_MAX: f64 = 65504.0;
-/// Smallest positive normal binary16 value (`2^-14`).
-pub const F16_MIN_POSITIVE: f64 = 6.103515625e-5;
-/// Smallest positive subnormal binary16 value (`2^-24`).
-pub const F16_MIN_SUBNORMAL: f64 = 5.960464477539063e-8;
+pub(crate) const F16_MAX: f64 = 65504.0;
 
 impl F16 {
     /// Positive zero.
@@ -33,7 +29,7 @@ impl F16 {
     /// Converts from `f32` with round-to-nearest-even, the IEEE default
     /// (and what GPU conversion instructions implement).
     #[inline]
-    pub fn from_f32(value: f32) -> F16 {
+    pub(crate) fn from_f32(value: f32) -> F16 {
         F16(f32_to_f16_bits(value))
     }
 
@@ -47,13 +43,13 @@ impl F16 {
 
     /// Widens to `f32` exactly (every binary16 value is representable).
     #[inline]
-    pub fn to_f32(self) -> f32 {
+    pub(crate) fn to_f32(self) -> f32 {
         f16_bits_to_f32(self.0)
     }
 
     /// Widens to `f64` exactly.
     #[inline]
-    pub fn to_f64(self) -> f64 {
+    pub(crate) fn to_f64(self) -> f64 {
         self.to_f32() as f64
     }
 
@@ -71,7 +67,7 @@ impl F16 {
 }
 
 /// Bit-exact `f32 -> f16` conversion with round-to-nearest-even.
-pub fn f32_to_f16_bits(value: f32) -> u16 {
+pub(crate) fn f32_to_f16_bits(value: f32) -> u16 {
     let bits = value.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let exp = ((bits >> 23) & 0xFF) as i32;
@@ -126,7 +122,7 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 }
 
 /// Bit-exact `f16 -> f32` conversion.
-pub fn f16_bits_to_f32(bits: u16) -> f32 {
+pub(crate) fn f16_bits_to_f32(bits: u16) -> f32 {
     let sign = ((bits & 0x8000) as u32) << 16;
     let exp = ((bits >> 10) & 0x1F) as u32;
     let mant = (bits & 0x03FF) as u32;

@@ -4,26 +4,22 @@
 //! The RGF recursion inverts one diagonal block per step (`g = M⁻¹`); OMEN
 //! uses `Zgetrf/Zgetrs` from cuBLAS/MAGMA. Block sizes here are moderate
 //! (tens to a few hundreds), so a cache-friendly right-looking factorization
-//! is adequate.
+//! is adequate. One type holds a factorization, `LuFactors`: the
+//! allocating [`invert`] and [`solve`] and the reusing
+//! [`crate::Workspace::invert_into`] all run on it.
 
 use crate::complex::C64;
 use crate::dense::CMatrix;
 
-/// An LU factorization `P A = L U` of a square complex matrix.
-pub struct Lu {
-    f: LuFactors,
-}
-
-/// Reusable LU storage: the packed factors and pivot vector live across
-/// factorizations, so the RGF recursion (one diagonal-block inversion per
-/// slab per point) allocates nothing after the first solve.
-pub struct LuFactors {
+/// An LU factorization `P A = L U` of a square complex matrix, in
+/// reusable storage: the packed factors and pivot vector live across
+/// factorizations, so a held `LuFactors` allocates nothing after the
+/// first one.
+pub(crate) struct LuFactors {
     /// Packed factors: unit-lower `L` below the diagonal, `U` on and above.
     lu: CMatrix,
     /// Row permutation: `perm[k]` is the pivot row chosen at step `k`.
     perm: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    perm_sign: f64,
 }
 
 impl Default for LuFactors {
@@ -34,23 +30,21 @@ impl Default for LuFactors {
 
 impl LuFactors {
     /// Empty storage; holds no factorization until [`LuFactors::factorize`].
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LuFactors {
             lu: CMatrix::zeros(0, 0),
             perm: Vec::new(),
-            perm_sign: 1.0,
         }
     }
 
     /// Factorizes `a` into this storage (buffers reused). Returns an error
     /// if a zero pivot column is found; the stored factors are then
     /// unspecified.
-    pub fn factorize(&mut self, a: &CMatrix) -> Result<(), SingularMatrix> {
+    pub(crate) fn factorize(&mut self, a: &CMatrix) -> Result<(), SingularMatrix> {
         assert!(a.is_square(), "LU requires a square matrix");
         let n = a.rows();
         self.lu.copy_from(a);
         self.perm.clear();
-        self.perm_sign = 1.0;
         let lu = &mut self.lu;
 
         for k in 0..n {
@@ -69,7 +63,6 @@ impl LuFactors {
             }
             self.perm.push(p);
             if p != k {
-                self.perm_sign = -self.perm_sign;
                 for j in 0..n {
                     let t = lu[(k, j)];
                     lu[(k, j)] = lu[(p, j)];
@@ -99,15 +92,25 @@ impl LuFactors {
         Ok(())
     }
 
+    /// [`LuFactors::factorize`], panicking on a singular `a` with a
+    /// message naming `what` was asked for. RGF diagonal blocks of a
+    /// well-posed NEGF system are always invertible (the `i·η` broadening
+    /// guarantees it), so a panic here indicates malformed input.
+    pub(crate) fn factorize_or_panic(&mut self, a: &CMatrix, what: &str) {
+        if let Err(e) = self.factorize(a) {
+            panic!("{what}: {e} (matrix {}x{})", a.rows(), a.cols());
+        }
+    }
+
     /// Dimension of the factored matrix.
-    pub fn n(&self) -> usize {
+    fn n(&self) -> usize {
         self.lu.rows()
     }
 
     /// Solves `A x = b` for a single right-hand side, in place.
     // Triangular-solve index loops mirror the textbook formulation.
     #[allow(clippy::needless_range_loop)]
-    pub fn solve_vec_inplace(&self, b: &mut [C64]) {
+    fn solve_vec_inplace(&self, b: &mut [C64]) {
         let n = self.n();
         assert_eq!(b.len(), n, "rhs length mismatch");
         // Apply permutation.
@@ -135,7 +138,7 @@ impl LuFactors {
     }
 
     /// Solves `A X = B` for a multi-column right-hand side, in place.
-    pub fn solve_inplace(&self, b: &mut CMatrix) {
+    pub(crate) fn solve_inplace(&self, b: &mut CMatrix) {
         assert_eq!(b.rows(), self.n(), "rhs row count mismatch");
         for j in 0..b.cols() {
             self.solve_vec_inplace(b.col_mut(j));
@@ -143,27 +146,18 @@ impl LuFactors {
     }
 
     /// Writes `A⁻¹` into `out` (buffer reused; resized to `n × n`).
-    pub fn invert_into(&self, out: &mut CMatrix) {
+    pub(crate) fn invert_into(&self, out: &mut CMatrix) {
         out.resize_for_overwrite(self.n(), self.n());
         out.set_identity();
         self.solve_inplace(out);
-    }
-
-    /// Determinant (product of `U` diagonal times the permutation sign).
-    pub fn det(&self) -> C64 {
-        let mut d = C64::from_re(self.perm_sign);
-        for i in 0..self.n() {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 }
 
 /// Error returned when a matrix is numerically singular.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SingularMatrix {
+pub(crate) struct SingularMatrix {
     /// The elimination step at which no usable pivot was found.
-    pub step: usize,
+    pub(crate) step: usize,
 }
 
 impl std::fmt::Display for SingularMatrix {
@@ -172,66 +166,23 @@ impl std::fmt::Display for SingularMatrix {
     }
 }
 
-impl std::error::Error for SingularMatrix {}
-
-impl Lu {
-    /// Factorizes `a`. Returns an error if a zero pivot column is found.
-    pub fn new(a: &CMatrix) -> Result<Lu, SingularMatrix> {
-        let mut f = LuFactors::new();
-        f.factorize(a)?;
-        Ok(Lu { f })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn n(&self) -> usize {
-        self.f.n()
-    }
-
-    /// Solves `A x = b` for a single right-hand side, in place.
-    pub fn solve_vec_inplace(&self, b: &mut [C64]) {
-        self.f.solve_vec_inplace(b);
-    }
-
-    /// Solves `A X = B` for a multi-column right-hand side, in place.
-    pub fn solve_inplace(&self, b: &mut CMatrix) {
-        self.f.solve_inplace(b);
-    }
-
-    /// Returns `A⁻¹ B`.
-    pub fn solve(&self, b: &CMatrix) -> CMatrix {
-        let mut x = b.clone();
-        self.solve_inplace(&mut x);
-        x
-    }
-
-    /// Returns `A⁻¹`.
-    pub fn inverse(&self) -> CMatrix {
-        let mut inv = CMatrix::zeros(0, 0);
-        self.f.invert_into(&mut inv);
-        inv
-    }
-
-    /// Determinant (product of `U` diagonal times the permutation sign).
-    pub fn det(&self) -> C64 {
-        self.f.det()
-    }
-}
-
-/// Convenience: inverts a square matrix, panicking on singularity with a
-/// descriptive message. RGF diagonal blocks of a well-posed NEGF system are
-/// always invertible (the `i·η` broadening guarantees it), so a panic here
-/// indicates malformed input.
+/// Inverts a square matrix, panicking on singularity with a descriptive
+/// message ([`crate::Workspace::invert_into`] reuses its factor storage).
 pub fn invert(a: &CMatrix) -> CMatrix {
-    Lu::new(a)
-        .unwrap_or_else(|e| panic!("invert: {e} (matrix {}x{})", a.rows(), a.cols()))
-        .inverse()
+    let mut f = LuFactors::new();
+    f.factorize_or_panic(a, "invert");
+    let mut inv = CMatrix::zeros(0, 0);
+    f.invert_into(&mut inv);
+    inv
 }
 
-/// Convenience: solves `A X = B`, panicking on singularity.
+/// Solves `A X = B`, panicking on singularity.
 pub fn solve(a: &CMatrix, b: &CMatrix) -> CMatrix {
-    Lu::new(a)
-        .unwrap_or_else(|e| panic!("solve: {e} (matrix {}x{})", a.rows(), a.cols()))
-        .solve(b)
+    let mut f = LuFactors::new();
+    f.factorize_or_panic(a, "solve");
+    let mut x = b.clone();
+    f.solve_inplace(&mut x);
+    x
 }
 
 /// Flop count of an `n × n` complex LU factorization plus `m`-column solve,
@@ -305,22 +256,27 @@ mod tests {
     #[test]
     fn singular_matrix_detected() {
         let a = CMatrix::from_fn(3, 3, |i, _| c64(i as f64, 0.0)); // rank 1
-        assert!(Lu::new(&a).is_err());
+        assert!(LuFactors::new().factorize(&a).is_err());
     }
 
     #[test]
-    fn determinant_of_diagonal() {
-        let a = CMatrix::from_diag(&[c64(2.0, 0.0), c64(0.0, 3.0), c64(-1.0, 0.0)]);
-        let d = Lu::new(&a).unwrap().det();
-        // 2 * 3i * (-1) = -6i
-        assert!((d - c64(0.0, -6.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_sign_flips_with_row_swap() {
-        let a = CMatrix::from_vec(2, 2, vec![C64::ZERO, C64::ONE, C64::ONE, C64::ZERO]);
-        let d = Lu::new(&a).unwrap().det();
-        assert!((d - c64(-1.0, 0.0)).abs() < 1e-14);
+    fn reused_factors_match_fresh_ones() {
+        // One `LuFactors` across sizes gives the bits of fresh storage,
+        // and its solve has a small residual.
+        let mut f = LuFactors::new();
+        for n in [17, 3, 40, 9] {
+            let a = test_mat(n, 0.1 * n as f64);
+            f.factorize(&a).unwrap();
+            let mut inv = CMatrix::from_fn(n + 1, 2, |i, j| c64(i as f64, j as f64));
+            f.invert_into(&mut inv);
+            assert!(inv.approx_eq(&invert(&a), 0.0), "n={n}: inverse");
+            let b = CMatrix::from_fn(n, 3, |i, j| c64(i as f64 * 0.1, 0.2 - j as f64));
+            let mut x = b.clone();
+            f.solve_inplace(&mut x);
+            assert!(x.approx_eq(&solve(&a, &b), 0.0), "n={n}: solve");
+            let r = &matmul(&a, &x) - &b;
+            assert!(r.max_abs() < 1e-10, "n={n}: residual {}", r.max_abs());
+        }
     }
 
     #[test]

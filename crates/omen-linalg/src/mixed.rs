@@ -30,7 +30,7 @@ pub enum Normalization {
 /// Mid-range target magnitude for normalized tensors. Chosen so products of
 /// two normalized values (`~target²`) stay far from both the f16 overflow
 /// threshold (65504) and the subnormal floor.
-pub const NORMALIZATION_TARGET: f64 = 64.0;
+pub(crate) const NORMALIZATION_TARGET: f64 = 64.0;
 
 /// The normalization factor for a `C64` slice: `target / max|x|` under
 /// `PerTensor`, `1.0` otherwise (or for an all-zero tensor).

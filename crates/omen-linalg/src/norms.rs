@@ -9,36 +9,6 @@ pub fn max_abs(xs: &[C64]) -> f64 {
     xs.iter().map(|z| z.abs()).fold(0.0, f64::max)
 }
 
-/// Euclidean (Frobenius) norm of a complex slice.
-pub fn fro(xs: &[C64]) -> f64 {
-    xs.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-}
-
-/// Max-norm relative error of `got` against `want`, scaled by
-/// `max(‖want‖_max, floor)` to avoid division blow-up near zero.
-pub fn rel_err_max(got: &[C64], want: &[C64]) -> f64 {
-    assert_eq!(got.len(), want.len(), "length mismatch");
-    let scale = max_abs(want).max(1e-300);
-    got.iter()
-        .zip(want.iter())
-        .map(|(g, w)| (*g - *w).abs())
-        .fold(0.0, f64::max)
-        / scale
-}
-
-/// Frobenius-norm relative error.
-pub fn rel_err_fro(got: &[C64], want: &[C64]) -> f64 {
-    assert_eq!(got.len(), want.len(), "length mismatch");
-    let scale = fro(want).max(1e-300);
-    let diff: f64 = got
-        .iter()
-        .zip(want.iter())
-        .map(|(g, w)| (*g - *w).norm_sqr())
-        .sum::<f64>()
-        .sqrt();
-    diff / scale
-}
-
 /// Summary of the order-of-magnitude distribution of the nonzero real and
 /// imaginary components of a tensor — the quantity plotted in Fig. 7a.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -122,16 +92,6 @@ mod tests {
     fn basic_norms() {
         let v = vec![c64(3.0, 4.0), c64(0.0, 0.0)];
         assert_eq!(max_abs(&v), 5.0);
-        assert!((fro(&v) - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn relative_errors() {
-        let want = vec![c64(1.0, 0.0), c64(0.0, 2.0)];
-        let got = vec![c64(1.0, 0.0), c64(0.0, 2.0 + 2e-6)];
-        assert!((rel_err_max(&got, &want) - 1e-6).abs() < 1e-12);
-        assert!(rel_err_fro(&got, &want) < 1e-6 + 1e-12);
-        assert_eq!(rel_err_max(&want, &want), 0.0);
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //! and returns it on drop, so the whole self-consistent loop allocates
 //! only during warmup.
 
-use crate::batched::{BatchArena, PackedB};
+use crate::batched::PackedB;
 use crate::complex::C64;
 use crate::dense::CMatrix;
-use crate::lu::{LuFactors, SingularMatrix};
+use crate::lu::LuFactors;
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
-/// An arena of reusable scratch buffers (matrices, matrix vectors, raw
-/// element buffers) plus LU factorization storage.
+/// An arena of reusable scratch buffers (matrices, raw element buffers,
+/// plane buffers, pre-packed operands) plus LU factorization storage.
 ///
 /// `take*` hands out a buffer (allocating only when the pool has no
 /// suitable one); `give*` returns it for reuse. Buffers not given back are
@@ -31,8 +31,6 @@ use std::sync::Mutex;
 pub struct Workspace {
     /// Free matrices, checked out best-fit by capacity.
     free: Vec<CMatrix>,
-    /// Free `Vec<CMatrix>` containers (contents already drained).
-    free_vecs: Vec<Vec<CMatrix>>,
     /// Free raw element buffers, checked out best-fit by capacity.
     free_bufs: Vec<Vec<C64>>,
     /// Free split-complex plane buffers (the lane blocks of the RGF row
@@ -40,8 +38,6 @@ pub struct Workspace {
     free_planes: Vec<Vec<f64>>,
     /// Free pre-packed-operand packs for the batched kernels.
     free_packed_b: Vec<PackedB>,
-    /// Split-complex pack arena of the batched SBSMM path.
-    batch: BatchArena,
     /// LU storage shared by [`Workspace::invert_into`].
     lu: LuFactors,
     /// Pivot rows of [`crate::planes_invert`], every step and lane.
@@ -80,20 +76,6 @@ impl Workspace {
     /// Returns a matrix to the pool.
     pub fn give(&mut self, m: CMatrix) {
         self.free.push(m);
-    }
-
-    /// Checks out an empty `Vec<CMatrix>` container (capacity reused).
-    pub fn take_vec(&mut self) -> Vec<CMatrix> {
-        self.free_vecs.pop().unwrap_or_default()
-    }
-
-    /// Returns a matrix vector: its matrices go back to the matrix pool,
-    /// the emptied container to the container pool.
-    pub fn give_vec(&mut self, mut v: Vec<CMatrix>) {
-        for m in v.drain(..) {
-            self.free.push(m);
-        }
-        self.free_vecs.push(v);
     }
 
     /// Checks out a zeroed raw buffer of `len` elements.
@@ -151,59 +133,12 @@ impl Workspace {
         self.free_packed_b.push(pb);
     }
 
-    /// The workspace's split-complex pack arena: workspace-held buffers
-    /// for the batched kernels instead of the thread-local arena.
-    pub fn batch_arena(&mut self) -> &mut BatchArena {
-        &mut self.batch
-    }
-
     /// Writes `a⁻¹` into `out` using the workspace's LU storage. Like
     /// [`crate::lu::invert`], panics on a singular matrix (RGF diagonal
     /// blocks of a well-posed NEGF system are always invertible).
     pub fn invert_into(&mut self, a: &CMatrix, out: &mut CMatrix) {
-        self.try_invert_into(a, out)
-            .unwrap_or_else(|e| panic!("invert: {e} (matrix {}x{})", a.rows(), a.cols()));
-    }
-
-    /// Fallible variant of [`Workspace::invert_into`].
-    pub fn try_invert_into(
-        &mut self,
-        a: &CMatrix,
-        out: &mut CMatrix,
-    ) -> Result<(), SingularMatrix> {
-        self.lu.factorize(a)?;
+        self.lu.factorize_or_panic(a, "invert");
         self.lu.invert_into(out);
-        Ok(())
-    }
-
-    /// Solves `A X = B` in place (`b` becomes `X`) using the workspace's
-    /// LU storage; panics on a singular matrix.
-    pub fn solve_inplace(&mut self, a: &CMatrix, b: &mut CMatrix) {
-        self.lu
-            .factorize(a)
-            .unwrap_or_else(|e| panic!("solve: {e} (matrix {}x{})", a.rows(), a.cols()));
-        self.lu.solve_inplace(b);
-    }
-
-    /// Drops every pooled buffer, returning the workspace to its freshly
-    /// constructed state.
-    pub fn reset(&mut self) {
-        self.free.clear();
-        self.free_vecs.clear();
-        self.free_bufs.clear();
-        self.free_planes.clear();
-        self.free_packed_b.clear();
-        self.batch.reset();
-        self.lu = LuFactors::new();
-        self.lane_pivots = Vec::new();
-    }
-
-    /// Approximate bytes held by pooled (checked-in) buffers.
-    pub fn pooled_bytes(&self) -> usize {
-        let mats: usize = self.free.iter().map(|m| m.capacity() * 16).sum();
-        let bufs: usize = self.free_bufs.iter().map(|b| b.capacity() * 16).sum();
-        let planes: usize = self.free_planes.iter().map(|b| b.capacity() * 8).sum();
-        mats + bufs + planes
     }
 }
 
@@ -235,11 +170,6 @@ impl WorkspacePool {
             pool: Some(self),
             ws: Some(ws),
         }
-    }
-
-    /// Workspaces currently checked in.
-    pub fn idle(&self) -> usize {
-        self.free.lock().expect("workspace pool poisoned").len()
     }
 }
 
@@ -289,6 +219,34 @@ mod tests {
     use crate::complex::c64;
     use crate::gemm::matmul;
 
+    impl Workspace {
+        /// Drops every pooled buffer, returning the workspace to its freshly
+        /// constructed state.
+        fn reset(&mut self) {
+            self.free.clear();
+            self.free_bufs.clear();
+            self.free_planes.clear();
+            self.free_packed_b.clear();
+            self.lu = LuFactors::new();
+            self.lane_pivots = Vec::new();
+        }
+
+        /// Approximate bytes held by pooled (checked-in) buffers.
+        fn pooled_bytes(&self) -> usize {
+            let mats: usize = self.free.iter().map(|m| m.capacity() * 16).sum();
+            let bufs: usize = self.free_bufs.iter().map(|b| b.capacity() * 16).sum();
+            let planes: usize = self.free_planes.iter().map(|b| b.capacity() * 8).sum();
+            mats + bufs + planes
+        }
+    }
+
+    impl WorkspacePool {
+        /// Workspaces currently checked in.
+        fn idle(&self) -> usize {
+            self.free.lock().expect("workspace pool poisoned").len()
+        }
+    }
+
     #[test]
     fn take_reuses_returned_buffers() {
         let mut ws = Workspace::new();
@@ -322,13 +280,6 @@ mod tests {
     #[test]
     fn vec_and_buf_pools_round_trip() {
         let mut ws = Workspace::new();
-        let mut v = ws.take_vec();
-        v.push(ws.take(3, 3));
-        v.push(ws.take(3, 3));
-        ws.give_vec(v);
-        let v2 = ws.take_vec();
-        assert!(v2.is_empty());
-        assert!(v2.capacity() >= 2, "container capacity reused");
         let b = ws.take_buf(64);
         assert_eq!(b.len(), 64);
         let bp = b.as_ptr();

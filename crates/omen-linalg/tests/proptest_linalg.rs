@@ -21,6 +21,15 @@ fn arb_square(max_dim: usize) -> impl Strategy<Value = CMatrix> {
     })
 }
 
+/// `op_a(A) · op_b(B)` through [`gemm`] into a fresh matrix.
+fn product(a: &CMatrix, op_a: Op, b: &CMatrix, op_b: Op) -> CMatrix {
+    let m = if op_a == Op::N { a.rows() } else { a.cols() };
+    let n = if op_b == Op::N { b.cols() } else { b.rows() };
+    let mut c = CMatrix::zeros(m, n);
+    gemm(C64::ONE, a, op_a, b, op_b, C64::ZERO, &mut c);
+    c
+}
+
 /// A well-conditioned square matrix: random + diagonal dominance.
 fn arb_invertible(max_dim: usize) -> impl Strategy<Value = CMatrix> {
     arb_square(max_dim).prop_map(|m| {
@@ -68,11 +77,11 @@ proptest! {
         prop_assume!(a.cols() == b.rows());
         // (A B)^T == B^T A^T computed via the T paths.
         let lhs = matmul(&a, &b).transpose();
-        let rhs = matmul_op(&b, Op::T, &a, Op::T);
+        let rhs = product(&b, Op::T, &a, Op::T);
         prop_assert!(lhs.approx_eq(&rhs, 1e-9));
         // (A B)† == B† A† via the C paths.
         let lhs_h = matmul(&a, &b).adjoint();
-        let rhs_h = matmul_op(&b, Op::C, &a, Op::C);
+        let rhs_h = product(&b, Op::C, &a, Op::C);
         prop_assert!(lhs_h.approx_eq(&rhs_h, 1e-9));
     }
 
@@ -117,14 +126,18 @@ proptest! {
     #[test]
     fn into_variants_are_consistent(a in arb_matrix(20), b in arb_matrix(20), c in arb_matrix(20)) {
         prop_assume!(a.cols() == b.rows() && b.cols() == c.rows());
-        let mut out = CMatrix::zeros(0, 0);
-        matmul_into(&a, &b, &mut out);
+        // `gemm` with `beta = 0` over stale contents is the allocating
+        // product, bit for bit.
+        let stale = |r: usize, c: usize| CMatrix::from_fn(r, c, |i, j| c64(i as f64 - 3.0, j as f64));
+        let mut out = stale(a.rows(), b.cols());
+        gemm(C64::ONE, &a, Op::N, &b, Op::N, C64::ZERO, &mut out);
         prop_assert!(out.approx_eq(&matmul(&a, &b), 0.0));
-        let mut scratch = CMatrix::zeros(0, 0);
-        matmul3_into(&a, &b, &c, &mut scratch, &mut out);
-        prop_assert!(out.approx_eq(&matmul3(&a, &b, &c), 0.0));
-        matmul_op_into(&b, Op::C, &a, Op::C, &mut out);
-        prop_assert!(out.approx_eq(&matmul_op(&b, Op::C, &a, Op::C), 0.0));
+        let mut out3 = stale(a.rows(), c.cols());
+        gemm(C64::ONE, &out, Op::N, &c, Op::N, C64::ZERO, &mut out3);
+        prop_assert!(out3.approx_eq(&matmul3(&a, &b, &c), 0.0));
+        let mut out_h = stale(b.cols(), a.rows());
+        gemm(C64::ONE, &b, Op::C, &a, Op::C, C64::ZERO, &mut out_h);
+        prop_assert!(out_h.approx_eq(&product(&b, Op::C, &a, Op::C), 0.0));
     }
 
     #[test]

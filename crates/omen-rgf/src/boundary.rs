@@ -151,7 +151,7 @@ pub fn sancho_rubio_lanes(
 /// The retarded boundary self-energies `Σ^R = α·g_s·β` of a chunk of
 /// leads `[D, α, β]` (see [`sancho_rubio_lanes`]), each with its
 /// decimation step count. The surface GFs never leave their lanes: the
-/// fold is two lane products, `(α·g_s)·β` as `matmul3_into` associates
+/// fold is two lane products, `(α·g_s)·β` as `matmul3` associates
 /// it. (The left lead extends to −∞, so its `[D, α, β]` is
 /// `[M[0][0], M[1][0], M[0][1]]`; the right lead's is
 /// `[M[N][N], M[N−1][N], M[N][N−1]]`.)

@@ -391,7 +391,7 @@ fn steady_state_hot_path_is_allocation_free() {
 
     // ---- Batched path: packed sbsmm (stage-C shape: A strided, B shared)
     // and the prepacked-B sweep. One warmup call sizes the thread-local
-    // BatchArena; the second pass must not touch the heap. ----
+    // pack arena; the second pass must not touch the heap. ----
     let dims = BatchDims::square(12);
     let bsz = 12 * 12;
     let batch = 32;
